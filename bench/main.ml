@@ -39,9 +39,10 @@ let history_costs : (string * float) list ref = ref []
    same leniency as wall_s. *)
 let history_verify : (string * float) list ref = ref []
 
-(* Work-stealing scaling and prune-cache ratios from the `enum` suite,
-   keyed "enum.<benchmark>.speedup_4d" (higher is better) and
-   "enum.<benchmark>.prune_warm_over_cold" (lower is better). *)
+(* Enumeration throughput, work-stealing scaling and prune-cache ratios
+   from the `enum` suite, keyed "enum.<benchmark>.expansions_per_s" and
+   ".speedup_4d" (higher is better), ".speedup_2d" (recorded, ungated)
+   and ".prune_warm_over_cold" (lower is better). *)
 let history_enum : (string * float) list ref = ref []
 
 (* Service latency ratios from the `serve` suite, keyed
@@ -832,7 +833,10 @@ let micro () =
   let e_goal = List.hd (Abstract.output_exprs spec) in
   let nf_goal = Absexpr.Nf.of_expr e_goal in
   let solver = Smtlite.Solver.create ~target:[ e_goal ] in
+  (* the enumerators' path: one worker's front, normal form in hand *)
+  let front = Smtlite.Solver.front solver 0 in
   let prefix = Absexpr.Expr.(mul (var "X") (var "G")) in
+  let nf_prefix = Absexpr.Nf.of_expr prefix in
   let st = Random.State.make [| 3 |] in
   let inputs =
     List.map
@@ -850,7 +854,7 @@ let micro () =
                (Absexpr.Nf.is_subexpr (Absexpr.Nf.of_expr prefix) nf_goal)));
       Test.make ~name:"subexpr query solver-cache"
         (Staged.stage (fun () ->
-             ignore (Smtlite.Solver.check_subexpr solver prefix)));
+             ignore (Smtlite.Solver.check_front front nf_prefix)));
       Test.make ~name:"interpreter fused-rmsnorm float"
         (Staged.stage (fun () ->
              ignore
@@ -887,15 +891,17 @@ let micro () =
     (List.sort (fun (a, _) (b, _) -> Stdlib.compare a b) rows)
 
 (* ------------------------------------------------------------------ *)
-(* enum: work-stealing enumeration scaling and the persistent prune    *)
-(* cache. Cold generation wall at 1 vs 4 (and, on wide hosts, 8)       *)
-(* domains -> enum.<b>.speedup_4d (higher is better; the >=2x floor    *)
-(* is asserted only when the host actually has >= 4 cores — domains    *)
+(* enum: enumeration throughput, work-stealing scaling and the         *)
+(* persistent prune cache. Cold generation at 1 domain ->              *)
+(* enum.<b>.expansions_per_s (higher is better); wall at 1 vs 2 and 4  *)
+(* (and, on wide hosts, 8) domains -> enum.<b>.speedup_2d (recorded    *)
+(* only) and enum.<b>.speedup_4d (higher is better; the >=2x floor is  *)
+(* asserted only when the host actually has >= 4 cores — domains       *)
 (* time-slicing one core cannot speed anything up), plus a full search *)
 (* warm vs cold over a shared prune-cache dir ->                       *)
 (* enum.<b>.prune_warm_over_cold (lower is better: disk hits replace   *)
-(* normal-form decisions). Both keys land in the bench history, so     *)
-(* the gate watches scaling and cache efficacy run over run.           *)
+(* normal-form decisions). All keys land in the bench history, so the  *)
+(* gate watches throughput, scaling and cache efficacy run over run.   *)
 (* ------------------------------------------------------------------ *)
 
 let enum_bench () =
@@ -915,24 +921,35 @@ let enum_bench () =
       time_budget_s = 600.0;
     }
   in
-  let gen_time workers =
+  let gen workers =
     let cfg =
       Search.Config.for_spec
         ~base:{ base with Search.Config.num_workers = workers }
         spec
     in
-    let t, exhausted = Search.Generator.search_time ~config:cfg ~spec () in
+    let stats = Search.Stats.create () in
+    let t, exhausted =
+      Search.Generator.search_time ~config:cfg ~stats ~spec ()
+    in
     if exhausted then begin
       Printf.eprintf "enum: %d-domain generation hit the time budget\n" workers;
       exit 1
     end;
-    t
+    (t, Search.Stats.expanded stats)
   in
+  let gen_time workers = fst (gen workers) in
   Printf.printf "(host has %d core(s))\n%!" cores;
-  let t1 = gen_time 1 in
+  let t1, expanded1 = gen 1 in
+  (* single-domain enumeration throughput: the per-extension cost of the
+     whole enumerator hot path, independent of the host's core count *)
+  let expansions_per_s = float_of_int expanded1 /. t1 in
+  let t2 = gen_time 2 in
+  let speedup2 = t1 /. t2 in
   let t4 = gen_time 4 in
   let speedup4 = t1 /. t4 in
-  Printf.printf "cold generation, %s:  1 domain %6.2fs\n" name t1;
+  Printf.printf "cold generation, %s:  1 domain %6.2fs   %.3g expansions/s\n"
+    name t1 expansions_per_s;
+  Printf.printf "                      2 domains %6.2fs   %.2fx\n" t2 speedup2;
   Printf.printf "                      4 domains %6.2fs   %.2fx\n%!" t4 speedup4;
   if cores >= 4 && speedup4 < 2.0 then begin
     Printf.eprintf
@@ -947,12 +964,20 @@ let enum_bench () =
         ("benchmark", Str name);
         ("cores", Int cores);
         ("gen_1d_s", Float t1);
+        ("expanded", Int expanded1);
+        ("expansions_per_s", Float expansions_per_s);
+        ("gen_2d_s", Float t2);
+        ("speedup_2d", Float speedup2);
         ("gen_4d_s", Float t4);
         ("speedup_4d", Float speedup4);
       ];
   history_enum :=
     !history_enum
-    @ [ (Printf.sprintf "enum.%s.speedup_4d" name, speedup4) ];
+    @ [
+        (Printf.sprintf "enum.%s.expansions_per_s" name, expansions_per_s);
+        (Printf.sprintf "enum.%s.speedup_2d" name, speedup2);
+        (Printf.sprintf "enum.%s.speedup_4d" name, speedup4);
+      ];
   (* near-linear-to-8 check rides along only where 8 cores exist; the
      key is host-dependent, so it is recorded but the gate treats it
      like every other enum key (lenient, run-over-run) *)
@@ -1367,8 +1392,11 @@ let gate_history ~prev ~wall_s ~pct =
     | _ -> []
   in
   let enum_viols =
-    (* Scaling and cache ratios are wall-clock, so lenient like serve:
+    (* Scaling, throughput and cache ratios are wall-clock, so lenient
+       like serve:
+         *.expansions_per_s      higher is better (decrease-only gate)
          *.speedup_4d / _8d      higher is better, slack -0.5x
+         *.speedup_2d            recorded, not gated (host-dependent)
          *.prune_warm_over_cold  lower is better, slack +0.05 *)
     let ends_with suf s =
       let ls = String.length s and lu = String.length suf in
@@ -1379,6 +1407,17 @@ let gate_history ~prev ~wall_s ~pct =
         List.filter_map
           (fun (key, v) ->
             match (jnum v, List.assoc_opt key !history_enum) with
+            | _ when ends_with "speedup_2d" key -> None
+            | Some old_r, Some new_r when ends_with "expansions_per_s" key ->
+                if old_r > 0.0 && old_r -. new_r > 10.0 *. frac *. old_r then
+                  Some
+                    (Printf.sprintf
+                       "%s: %.3g/s -> %.3g/s (%+.1f%%, lenient threshold \
+                        -%.1f%%)"
+                       key old_r new_r
+                       (100.0 *. (new_r -. old_r) /. old_r)
+                       (10.0 *. pct))
+                else None
             | Some old_r, Some new_r when ends_with "warm_over_cold" key ->
                 if
                   old_r > 0.0

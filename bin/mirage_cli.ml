@@ -196,7 +196,13 @@ let with_artifacts ~kind trace report_dir f =
   | None -> with_tracing trace (fun () -> f None)
   | Some dir ->
       Obs.Budget.reset_degradations ();
-      let rep = Obs.Report.create ~dir in
+      let rep =
+        match Obs.Report.create ~dir with
+        | Ok rep -> rep
+        | Error msg ->
+            Printf.eprintf "--report: %s\n" msg;
+            exit 2
+      in
       Obs.Report.add rep "kind" (Obs.Jsonw.Str kind);
       Obs.Report.add rep "env" (Obs.Report.env_json ());
       let tr = Obs.Trace.enable () in

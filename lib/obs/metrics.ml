@@ -122,12 +122,16 @@ let rec atomic_add_float a x =
   let old = Atomic.get a in
   if not (Atomic.compare_and_set a old (old +. x)) then atomic_add_float a x
 
-let observe h x =
-  let n = Array.length h.bounds in
-  let rec index i = if i >= n || x <= h.bounds.(i) then i else index (i + 1) in
-  Atomic.incr h.buckets.(index 0);
-  Atomic.incr h.hcount;
-  atomic_add_float h.hsum x
+let observe_n h x k =
+  if k > 0 then begin
+    let n = Array.length h.bounds in
+    let rec index i = if i >= n || x <= h.bounds.(i) then i else index (i + 1) in
+    ignore (Atomic.fetch_and_add h.buckets.(index 0) k);
+    ignore (Atomic.fetch_and_add h.hcount k);
+    atomic_add_float h.hsum (x *. float_of_int k)
+  end
+
+let observe h x = observe_n h x 1
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)

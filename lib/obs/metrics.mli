@@ -72,6 +72,11 @@ val observe : histogram -> float -> unit
 (** Record one observation: the owning bucket, the total count and the
     running sum are all updated atomically (exact under concurrency). *)
 
+val observe_n : histogram -> float -> int -> unit
+(** [observe_n h x k] records [k] observations of [x] at the cost of
+    one: the way hot loops drain a locally batched histogram (count per
+    value) into the shared one. A no-op when [k <= 0]. *)
+
 val set_gauge : gauge -> float -> unit
 val max_gauge : gauge -> float -> unit
 (** Raise the gauge to [x] if [x] exceeds the current value (CAS loop —

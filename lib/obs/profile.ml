@@ -317,8 +317,10 @@ let note name dt_s =
    rejected extension, and two atomic increments per reject add up to a
    visible fraction of an enumeration-bound search. The batch drains on
    {!flush_rule} (the enumerators flush at task end, next to their
-   timer) and automatically every 4096 fires so a dropped flush loses a
+   timer) and automatically every [batch] fires so a dropped flush loses a
    bounded tail. *)
+let batch = 4096
+
 type rule_handle = {
   rh_rule : rule option;
   mutable rh_fires : int;
@@ -360,7 +362,7 @@ let fire h ~remaining =
         else remaining
       in
       h.rh_by.(k) <- h.rh_by.(k) + 1;
-      if h.rh_fires >= 4096 then flush_rule h
+      if h.rh_fires >= batch then flush_rule h
 
 let rec set_branching t b =
   if Float.is_finite b && b > 0.0 then begin

@@ -94,10 +94,15 @@ val note : string -> float -> unit
 
 (** {1 Prune-rule analytics} *)
 
+val batch : int
+(** [4096]: how many events a domain-owned batch (a rule handle here, the
+    enumerators' per-subtree tallies elsewhere) may hold before it
+    drains itself into the shared counters. *)
+
 type rule_handle
 (** Resolved once per enumeration task; fires accumulate locally in the
     handle (plain increments) and drain to the shared counters on
-    {!flush_rule} or automatically every 4096 fires. The handle of a
+    {!flush_rule} or automatically every {!batch} fires. The handle of a
     disabled profiler is inert. *)
 
 val prune_rule : string -> rule_handle

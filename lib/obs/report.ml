@@ -13,8 +13,15 @@ let rec mkdir_p dir =
   end
 
 let create ~dir =
-  mkdir_p dir;
-  { rdir = dir; sections = [] }
+  match
+    mkdir_p dir;
+    Sys.is_directory dir
+  with
+  | true -> Ok { rdir = dir; sections = [] }
+  | false -> Error (Printf.sprintf "%s: not a directory" dir)
+  | exception Unix.Unix_error (e, _, _) ->
+      Error (Printf.sprintf "%s: %s" dir (Unix.error_message e))
+  | exception Sys_error msg -> Error msg
 
 let dir t = t.rdir
 

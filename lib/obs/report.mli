@@ -17,9 +17,10 @@ val schema : string
 (** The value of the report's ["schema"] field
     (["mirage.run_report.v1"]). *)
 
-val create : dir:string -> t
+val create : dir:string -> (t, string) result
 (** Create (recursively) the run directory. Sections are buffered in
-    memory until {!write}. *)
+    memory until {!write}. [Error msg] when [dir] (or one of its
+    parents) exists but is not a directory, or cannot be created. *)
 
 val dir : t -> string
 

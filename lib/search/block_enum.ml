@@ -144,47 +144,7 @@ let binary_ops menu =
 
 let has_matmul menu = List.exists (fun p -> p = Op.Matmul) menu
 
-(* Profiler handles batch counts in per-handle mutable state, so they are
-   owned by one executing domain: a subtree continuation that may be
-   stolen gets a fresh set on whatever domain runs it, flushed when the
-   subtree finishes. *)
-type prof = {
-  ptimer : Obs.Profile.timer;
-  r_shape : Obs.Profile.rule_handle;
-  r_mem : Obs.Profile.rule_handle;
-  r_dup : Obs.Profile.rule_handle;
-  r_canon : Obs.Profile.rule_handle;
-  r_pruned : Obs.Profile.rule_handle;
-  r_phase : Obs.Profile.rule_handle;
-  r_dangling : Obs.Profile.rule_handle;
-}
-
-let fresh_prof () =
-  {
-    ptimer = Obs.Profile.timer "prune.abstract";
-    r_shape = Obs.Profile.prune_rule "shape";
-    r_mem = Obs.Profile.prune_rule "memory";
-    r_dup = Obs.Profile.prune_rule "duplicate";
-    r_canon = Obs.Profile.prune_rule "canonical";
-    r_pruned = Obs.Profile.prune_rule "pruned_abstract";
-    r_phase = Obs.Profile.prune_rule "phase";
-    r_dangling = Obs.Profile.prune_rule "dangling";
-  }
-
-let flush_prof pf =
-  Obs.Profile.flush_timer pf.ptimer;
-  List.iter Obs.Profile.flush_rule
-    [
-      pf.r_shape;
-      pf.r_mem;
-      pf.r_dup;
-      pf.r_canon;
-      pf.r_pruned;
-      pf.r_phase;
-      pf.r_dangling;
-    ]
-
-let search_root (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget
+let search_root (cfg : Config.t) ~spec ~front ~stats ~limits ~budget
     ?(spawn = fun _ -> false) ~(emit : emit) root =
   let input_shapes = Graph.input_shapes spec in
   let input_names = Graph.input_names spec in
@@ -230,32 +190,12 @@ let search_root (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget
           ]
     | None -> ()
   in
-  (* Per-depth telemetry in the search's registry. Handles are resolved
-     once per root (mutex) so hot-path updates stay lock-free. *)
-  let depth_buckets =
-    Obs.Metrics.linear_buckets ~lo:0.0 ~step:1.0
-      ~n:(max 1 cfg.Config.max_block_ops + 1)
-  in
-  let reg = Stats.registry stats in
-  let hist name help =
-    Obs.Metrics.histogram reg ~help ~buckets:depth_buckets name
-  in
-  let h_expand =
-    hist "search.block.expand_depth" "prefix depth of attempted extensions"
-  in
-  let h_rej_shape = hist "search.block.reject_depth.shape" "depth of shape rejections" in
-  let h_rej_mem = hist "search.block.reject_depth.memory" "depth of shared-memory rejections" in
-  let h_rej_dup = hist "search.block.reject_depth.duplicate" "depth of duplicate rejections" in
-  let h_rej_pruned = hist "search.block.reject_depth.pruned" "depth of abstract-expression rejections" in
-  let h_rej_canon = hist "search.block.reject_depth.canonical" "depth of canonical-order rejections" in
-  let c_phase =
-    Obs.Metrics.counter reg ~help:"extensions with an inconsistent loop phase"
-      "search.block.reject.phase"
-  in
-  let c_dangling =
-    Obs.Metrics.counter reg
-      ~help:"accepted prefixes cut by the dangling-value bound"
-      "search.block.reject.dangling"
+  (* Funnel counts, per-depth histograms and the structural-cut counters
+     in the search's registry, resolved once per root (mutex) and counted
+     per subtree in a domain-owned tally. *)
+  let level =
+    Tally.level stats ~name:"block" ~max_depth:cfg.Config.max_block_ops
+      Tally.[ Shape; Memory; Duplicate; Pruned; Canonical; Phase; Dangling ]
   in
   let iters = Array.fold_left ( * ) 1 root.forloop in
   let has_loop = iters > 1 in
@@ -302,10 +242,10 @@ let search_root (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget
   in
   if init_state.smem > limits.Memory.smem_bytes_per_block then ()
   else begin
-    let budget_check () =
+    let budget_check tl =
       Obs.Fault.trip "enum.block";
       if Obs.Budget.cancelled budget then raise Budget_exhausted;
-      if Obs.Budget.nodes_exceeded budget (Stats.expanded stats) then begin
+      if Obs.Budget.nodes_exceeded budget (Tally.expanded tl) then begin
         Obs.Budget.note budget "node_budget";
         raise Budget_exhausted
       end;
@@ -339,7 +279,7 @@ let search_root (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget
              else None)
     in
     (* Emit complete candidates from the current prefix. *)
-    let try_complete st =
+    let try_complete tl st =
       (* candidate entries per spec output *)
       let per_output =
         List.map
@@ -416,7 +356,7 @@ let search_root (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget
                   end
               | exception (Graph.Ill_formed _ | Invalid_argument _) -> ())
             (combos per_output);
-          if !emitted then Stats.bump_candidates stats
+          if !emitted then Tally.candidate tl
         end
       end
     in
@@ -440,14 +380,14 @@ let search_root (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget
       dangling - n_outputs <= remaining * (max_arity - 1)
     in
     (* One extension: add entry if all checks pass, recurse. *)
-    let rec extend pf st =
-      budget_check ();
-      try_complete st;
+    let rec extend tl st =
+      budget_check tl;
+      try_complete tl st;
       if st.ops < cfg.Config.max_block_ops then begin
-        let depth = float_of_int st.ops in
+        let depth = st.ops in
         (* operator slots below a prefix cut at this depth *)
         let remaining = max 0 (cfg.Config.max_block_ops - st.ops - 1) in
-        let moves = gen_moves pf st in
+        let moves = gen_moves tl st in
         List.iter
           (fun (cand, bop, bins, shape, nf, phase) ->
             let bytes = Shape.numel shape * elt_bytes in
@@ -462,15 +402,11 @@ let search_root (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget
                 st.entries
             in
             if duplicate then begin
-              Stats.bump_duplicates stats;
-              Obs.Metrics.observe h_rej_dup depth;
-              Obs.Profile.fire pf.r_dup ~remaining;
+              Tally.reject tl Tally.Duplicate ~depth ~remaining;
               jreject ~depth:st.ops cand "duplicate" []
             end
             else if st.smem + bytes > limits.Memory.smem_bytes_per_block then begin
-              Stats.bump_memory stats;
-              Obs.Metrics.observe h_rej_mem depth;
-              Obs.Profile.fire pf.r_mem ~remaining;
+              Tally.reject tl Tally.Memory ~depth ~remaining;
               jreject ~depth:st.ops cand "memory"
                 (match journal with
                 | Some _ ->
@@ -482,12 +418,10 @@ let search_root (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget
                 | None -> [])
             end
             else if
-              Prune.reject_if_pruned cfg ~solver ~stats ~hist:h_rej_pruned
-                ~depth:st.ops
+              Prune.reject_if_pruned cfg tl ~depth ~remaining
                 ~jreject:(fun reason extra ->
                   jreject ~depth:st.ops cand reason extra)
-                ~journal_live:(journal <> None) ~timer:pf.ptimer
-                ~rule:pf.r_pruned ~remaining nf
+                ~journal_live:(journal <> None) nf
             then ()
             else
               let e = { bop; bins; shape; nf; phase; bytes } in
@@ -510,15 +444,12 @@ let search_root (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget
                   st'.ops > cfg.Config.steal_depth_cutoff
                   || not
                        (spawn (fun () ->
-                            let pf = fresh_prof () in
-                            Fun.protect
-                              ~finally:(fun () -> flush_prof pf)
-                              (fun () -> extend pf st')))
-                then extend pf st'
+                            Tally.run level (front ()) (fun tl ->
+                                extend tl st')))
+                then extend tl st'
               end
               else begin
-                Obs.Metrics.bump c_dangling;
-                Obs.Profile.fire pf.r_dangling ~remaining;
+                Tally.reject tl Tally.Dangling ~depth ~remaining;
                 jreject ~depth:st.ops cand "dangling" []
               end)
           moves
@@ -528,13 +459,12 @@ let search_root (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget
        extension (the funnel's [expanded]); it then either fails one
        check — counted under exactly one rejection reason — or becomes a
        move for [extend]. *)
-    and gen_moves pf st =
-      let depth = float_of_int st.ops in
+    and gen_moves tl st =
+      let depth = st.ops in
       let remaining = max 0 (cfg.Config.max_block_ops - st.ops - 1) in
       let attempt op bins =
-        Stats.bump_expanded stats;
-        Obs.Metrics.observe h_expand depth;
-        jexpand ~depth:st.ops op bins
+        Tally.expand tl ~depth;
+        jexpand ~depth op bins
       in
       let rank_ok bop bins =
         match st.last_rank with
@@ -546,9 +476,7 @@ let search_root (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget
         if rank_ok bop bins then
           moves := (cand, bop, bins, shape, nf, phase) :: !moves
         else begin
-          Stats.bump_canonical stats;
-          Obs.Metrics.observe h_rej_canon depth;
-          Obs.Profile.fire pf.r_canon ~remaining;
+          Tally.reject tl Tally.Canonical ~depth ~remaining;
           jreject ~depth:st.ops cand "canonical" []
         end
       in
@@ -557,8 +485,7 @@ let search_root (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget
         let cand = attempt (Op.to_string p) bins in
         match combined_phase (List.map (fun e -> e.phase) ins) with
         | None ->
-            Obs.Metrics.bump c_phase;
-            Obs.Profile.fire pf.r_phase ~remaining;
+            Tally.reject tl Tally.Phase ~depth ~remaining;
             jreject ~depth:st.ops cand "phase" []
         | Some phase -> (
             let shapes = List.map (fun e -> e.shape) ins in
@@ -570,9 +497,7 @@ let search_root (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget
                 in
                 add cand (Graph.B_prim p) bins shape nf phase
             | None ->
-                Stats.bump_shape stats;
-                Obs.Metrics.observe h_rej_shape depth;
-                Obs.Profile.fire pf.r_shape ~remaining;
+                Tally.reject tl Tally.Shape ~depth ~remaining;
                 jreject ~depth:st.ops cand "shape"
                   (match journal with
                   | Some _ ->
@@ -645,10 +570,7 @@ let search_root (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget
       done;
       List.rev !moves
     in
-    (* the batched prune-check time and rule fires land under this task
-       even when the budget cuts the DFS short *)
-    let pf = fresh_prof () in
-    Fun.protect
-      ~finally:(fun () -> flush_prof pf)
-      (fun () -> extend pf init_state)
+    (* the tally flushes under this task even when the budget cuts the
+       DFS short *)
+    Tally.run level (front ()) (fun tl -> extend tl init_state)
   end

@@ -32,7 +32,7 @@ exception Budget_exhausted
 val search_root :
   Config.t ->
   spec:Graph.kernel_graph ->
-  solver:Smtlite.Solver.t ->
+  front:(unit -> Smtlite.Solver.front) ->
   stats:Stats.t ->
   limits:Memory.limits ->
   budget:Obs.Budget.t ->
@@ -41,7 +41,9 @@ val search_root :
   root ->
   unit
 (** Depth-first expansion of one root. [emit] receives complete,
-    validated candidates (not yet verified). [spawn k] may publish
+    validated candidates (not yet verified). [front ()] is the calling
+    worker's solver front; each subtree resolves it once, on the domain
+    that runs it, and counts into its own {!Tally}. [spawn k] may publish
     subtree continuation [k] to a work-stealing pool and return [true];
     returning [false] (the default) makes the enumerator recurse
     inline — offered only for accepted children at depth <=

@@ -91,9 +91,7 @@ module Pool = struct
     n_steals : int Atomic.t;
     n_spawned : int Atomic.t;
     seed_rr : int ref; (* round-robin cursor for [seed]; pre-run only *)
-    m_steals : Obs.Metrics.counter;
     m_steal_fail : Obs.Metrics.counter;
-    m_spawned : Obs.Metrics.counter;
     m_depth : Obs.Metrics.gauge array; (* per-worker max queue depth *)
     key : t option Domain.DLS.key; (* worker identity, lazily minted *)
     ids : int Domain.DLS.key;
@@ -117,13 +115,9 @@ module Pool = struct
       n_steals = Atomic.make 0;
       n_spawned = Atomic.make 0;
       seed_rr = ref 0;
-      m_steals = Obs.Metrics.counter reg ~help:"successful work steals" "search.steal.count";
       m_steal_fail =
         Obs.Metrics.counter reg ~help:"empty or raced steal attempts"
           "search.steal.failed";
-      m_spawned =
-        Obs.Metrics.counter reg ~help:"subtree continuations spawned"
-          "search.steal.spawned";
       m_depth =
         Array.init workers (fun i ->
             Obs.Metrics.gauge reg ~help:"max enumeration queue depth"
@@ -137,6 +131,11 @@ module Pool = struct
   let spawned t = Atomic.get t.n_spawned
   let pending t = Atomic.get t.pending
 
+  let self t =
+    match Domain.DLS.get t.key with
+    | Some t' when t' == t -> Some (Domain.DLS.get t.ids)
+    | _ -> None
+
   let seed t f =
     let i = !(t.seed_rr) mod Array.length t.deques in
     incr t.seed_rr;
@@ -149,7 +148,6 @@ module Pool = struct
         let id = Domain.DLS.get t.ids in
         Atomic.incr t.pending;
         Atomic.incr t.n_spawned;
-        Obs.Metrics.bump t.m_spawned;
         let q = t.deques.(id) in
         push q f;
         Obs.Metrics.max_gauge t.m_depth.(id) (float_of_int (depth q));
@@ -187,7 +185,6 @@ module Pool = struct
           (match steal t.deques.(v) with
           | Some f ->
               Atomic.incr t.n_steals;
-              Obs.Metrics.bump t.m_steals;
               found := Some f
           | None -> Obs.Metrics.bump t.m_steal_fail);
           incr k

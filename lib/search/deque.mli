@@ -12,9 +12,10 @@
     bodies (before the worker domains start), running items call
     {!Pool.spawn} to publish subtree continuations onto their own
     deque, and idle workers steal from random victims until the global
-    in-flight count drains to zero. Steals and per-worker queue depth
-    land in the metrics registry ([search.steal.*],
-    [search.queue.depth.w<i>]). *)
+    in-flight count drains to zero. Failed steal attempts and per-worker
+    queue depth land in the metrics registry ([search.steal.failed],
+    [search.queue.depth.w<i>]); spawns and steals are counted by the
+    pool and read with {!Pool.spawned} and {!Pool.steals}. *)
 
 type 'a deque
 
@@ -60,6 +61,9 @@ module Pool : sig
       pool has finished. [run] executes one item and must not raise
       (quarantine exceptions inside it); the in-flight count is
       decremented even if it does. *)
+
+  val self : t -> int option
+  (** The calling worker's deque index, [None] outside {!run_worker}. *)
 
   val steals : t -> int
   (** Successful steals so far (cheap atomic read — feeds the live

@@ -83,6 +83,16 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
     Obs.Metrics.counter reg ~help:"enumeration tasks that crashed and were quarantined"
       "search.task.crashes"
   in
+  (* The pool counts spawns and steals in its own atomics; the registry
+     (which sums over every pool that reports into it) gets them once,
+     after the workers have joined. *)
+  let c_spawned =
+    Obs.Metrics.counter reg ~help:"subtree continuations spawned"
+      "search.steal.spawned"
+  in
+  let c_steals =
+    Obs.Metrics.counter reg ~help:"successful work steals" "search.steal.count"
+  in
   (* Dedup sharded by graph hash: emission from different subtrees only
      contends when two candidates land in the same shard, instead of
      every worker serializing on one table mutex. *)
@@ -119,7 +129,7 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
     Mutex.lock lock;
     let dup = List.exists (fun g' -> Graph.equal g g') (Hashtbl.find_all seen h) in
     if dup then begin
-      Stats.bump_duplicates stats;
+      Stats.add stats Stats.Duplicates 1;
       match journal with
       | Some j ->
           Obs.Journal.emit j ~typ:"graph.duplicate"
@@ -177,6 +187,10 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
   let workers = max 1 cfg.Config.num_workers in
   let pool = Deque.Pool.create ~registry:reg ~workers () in
   (match on_pool with Some f -> f pool | None -> ());
+  (* One solver front per worker, resolved before any worker runs; a
+     subtree picks its executing worker's front when it starts. *)
+  let fronts = Array.init workers (Smtlite.Solver.front solver) in
+  let front () = fronts.(Option.get (Deque.Pool.self pool)) in
   (* Per-task completion accounting at item granularity: a task's
      pending count covers its root item plus every spawned subtree, and
      only a clean drain to zero advances the resume cursor. A crashed or
@@ -233,7 +247,7 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
                 Obs.Profile.with_phase "task.kernel" (fun () ->
                     Obs.Trace.with_span ~cat:"search" "enumerate.kernel"
                       (fun () ->
-                        Kernel_enum.search cfg ~spec ~solver ~stats ~limits
+                        Kernel_enum.search cfg ~spec ~front ~stats ~limits
                           ~budget ~spawn:(spawn_for i) ~emit ()))
             | T_root root ->
                 Obs.Profile.with_phase "task.root" (fun () ->
@@ -241,7 +255,7 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
                       ~args:[ ("task", string_of_int i) ]
                       "enumerate.root"
                       (fun () ->
-                        Block_enum.search_root cfg ~spec ~solver ~stats ~limits
+                        Block_enum.search_root cfg ~spec ~front ~stats ~limits
                           ~budget ~spawn:(spawn_for i) ~emit root))))
   in
   for i = 0 to n_tasks - 1 do
@@ -279,6 +293,8 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
               (Printexc.to_string exn))
     | None -> ()
   end;
+  Obs.Metrics.add c_spawned (Deque.Pool.spawned pool);
+  Obs.Metrics.add c_steals (Deque.Pool.steals pool);
   let candidates =
     Array.fold_left (fun acc (_, _, cands) -> !cands @ acc) [] shards
   in
@@ -365,7 +381,7 @@ let run ?config ?registry ?(verify_trials = 2) ?(verify_all = false) ?budget
                 candidates)))
   in
   let finish gid g =
-    Stats.bump_verified stats;
+    Stats.add stats Stats.Verified 1;
     let g =
       if cfg.Config.use_thread_fusion then Thread_fuse.fuse_kernel g else g
     in
@@ -605,12 +621,12 @@ let run ?config ?registry ?(verify_trials = 2) ?(verify_all = false) ?budget
     degraded = Obs.Budget.reasons budget;
   }
 
-let search_time ?config ?(device = Gpusim.Device.a100) ~spec () =
+let search_time ?config ?(device = Gpusim.Device.a100)
+    ?(stats = Stats.create ()) ~spec () =
   let cfg =
     match config with Some c -> c | None -> Config.for_spec spec
   in
   let solver = Smtlite.Solver.create ~target:(Abstract.output_exprs spec) in
-  let stats = Stats.create () in
   let limits = Gpusim.Device.limits device in
   let budget = Budget.of_config cfg in
   let t0 = Unix.gettimeofday () in

@@ -112,9 +112,11 @@ val run :
 val search_time :
   ?config:Config.t ->
   ?device:Gpusim.Device.t ->
+  ?stats:Stats.t ->
   spec:Graph.kernel_graph ->
   unit ->
   float * bool
 (** Generation time only (no verification/costing) in seconds, plus
     whether the budget ran out — the measurement reported in Table 5.
-    Memory limits come from [device] (default A100), matching {!run}. *)
+    Memory limits come from [device] (default A100), matching {!run}.
+    The funnel counts land in [stats] (default: a fresh one). *)

@@ -30,33 +30,7 @@ let instantiate menu shape =
       | _ -> [])
     menu
 
-(* Profiler handles batch counts in per-handle mutable state, so they are
-   owned by one executing domain: a subtree continuation that may be
-   stolen gets a fresh set on whatever domain runs it, flushed when the
-   subtree finishes. *)
-type prof = {
-  ptimer : Obs.Profile.timer;
-  r_shape : Obs.Profile.rule_handle;
-  r_dup : Obs.Profile.rule_handle;
-  r_canon : Obs.Profile.rule_handle;
-  r_pruned : Obs.Profile.rule_handle;
-}
-
-let fresh_prof () =
-  {
-    ptimer = Obs.Profile.timer "prune.abstract";
-    r_shape = Obs.Profile.prune_rule "shape";
-    r_dup = Obs.Profile.prune_rule "duplicate";
-    r_canon = Obs.Profile.prune_rule "canonical";
-    r_pruned = Obs.Profile.prune_rule "pruned_abstract";
-  }
-
-let flush_prof pf =
-  Obs.Profile.flush_timer pf.ptimer;
-  List.iter Obs.Profile.flush_rule
-    [ pf.r_shape; pf.r_dup; pf.r_canon; pf.r_pruned ]
-
-let search (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget
+let search (cfg : Config.t) ~spec ~front ~stats ~limits ~budget
     ?(spawn = fun _ -> false) ~emit () =
   let input_shapes = Graph.input_shapes spec in
   let input_names = Graph.input_names spec in
@@ -64,33 +38,22 @@ let search (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget
      gets an id and an expand event, every rejection records its reason.
      One atomic load per attempt when journaling is off. *)
   let journal = Obs.Journal.active () in
-  (* Per-depth telemetry, registered once per search in the stats
-     registry; updates on the hot path are lock-free. *)
-  let depth_buckets =
-    Obs.Metrics.linear_buckets ~lo:0.0 ~step:1.0
-      ~n:(max 1 cfg.Config.max_kernel_ops + 1)
+  (* Funnel counts and per-depth histograms, registered once per search
+     and counted per subtree in a domain-owned tally. *)
+  let level =
+    Tally.level stats ~name:"kernel" ~max_depth:cfg.Config.max_kernel_ops
+      Tally.[ Shape; Duplicate; Pruned; Canonical ]
   in
-  let reg = Stats.registry stats in
-  let hist name help =
-    Obs.Metrics.histogram reg ~help ~buckets:depth_buckets name
-  in
-  let h_expand =
-    hist "search.kernel.expand_depth" "prefix depth of attempted extensions"
-  in
-  let h_rej_shape = hist "search.kernel.reject_depth.shape" "depth of shape rejections" in
-  let h_rej_dup = hist "search.kernel.reject_depth.duplicate" "depth of duplicate rejections" in
-  let h_rej_pruned = hist "search.kernel.reject_depth.pruned" "depth of abstract-expression rejections" in
-  let h_rej_canon = hist "search.kernel.reject_depth.canonical" "depth of canonical-order rejections" in
   let spec_outs =
     List.map2
       (fun e s -> (Absexpr.Nf.of_expr e, s))
       (Abstract.output_exprs spec)
       (Infer.output_shapes spec)
   in
-  let budget_check () =
+  let budget_check tl =
     Obs.Fault.trip "enum.kernel";
     if Obs.Budget.cancelled budget then raise Block_enum.Budget_exhausted;
-    if Obs.Budget.nodes_exceeded budget (Stats.expanded stats) then begin
+    if Obs.Budget.nodes_exceeded budget (Tally.expanded tl) then begin
       Obs.Budget.note budget "node_budget";
       raise Block_enum.Budget_exhausted
     end;
@@ -118,7 +81,7 @@ let search (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget
       last_rank = None;
     }
   in
-  let try_complete st =
+  let try_complete tl st =
     (* every output needs a distinct matching entry (non-input) *)
     let matches =
       List.map
@@ -147,17 +110,17 @@ let search (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget
       | () ->
           let g = { Graph.knodes; outputs } in
           if Memory.check limits g then begin
-            Stats.bump_candidates stats;
+            Tally.candidate tl;
             emit g
           end
       | exception Graph.Ill_formed _ -> ()
     end
   in
-  let rec extend pf st =
-    budget_check ();
-    try_complete st;
+  let rec extend tl st =
+    budget_check tl;
+    try_complete tl st;
     if st.ops < cfg.Config.max_kernel_ops then begin
-      let depth = float_of_int st.ops in
+      let depth = st.ops in
       (* operator slots below a prefix cut at this depth *)
       let remaining = max 0 (cfg.Config.max_kernel_ops - st.ops - 1) in
       let rank_ok kop kins =
@@ -168,8 +131,7 @@ let search (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget
       let try_prim p bins =
         let ins = List.map (entry_at st) bins in
         let kins = List.map (fun i -> { Graph.node = i; port = 0 }) bins in
-        Stats.bump_expanded stats;
-        Obs.Metrics.observe h_expand depth;
+        Tally.expand tl ~depth;
         let cand =
           match journal with
           | Some j ->
@@ -197,9 +159,7 @@ let search (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget
           | None -> ()
         in
         if not (rank_ok (Graph.K_prim p) kins) then begin
-          Stats.bump_canonical stats;
-          Obs.Metrics.observe h_rej_canon depth;
-          Obs.Profile.fire pf.r_canon ~remaining;
+          Tally.reject tl Tally.Canonical ~depth ~remaining;
           jreject "canonical" []
         end
         else begin
@@ -217,15 +177,12 @@ let search (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget
                   st.entries
               in
               if duplicate then begin
-                Stats.bump_duplicates stats;
-                Obs.Metrics.observe h_rej_dup depth;
-                Obs.Profile.fire pf.r_dup ~remaining;
+                Tally.reject tl Tally.Duplicate ~depth ~remaining;
                 jreject "duplicate" []
               end
               else if
-                Prune.reject_if_pruned cfg ~solver ~stats ~hist:h_rej_pruned
-                  ~depth:st.ops ~jreject ~journal_live:(journal <> None)
-                  ~timer:pf.ptimer ~rule:pf.r_pruned ~remaining nf
+                Prune.reject_if_pruned cfg tl ~depth ~remaining ~jreject
+                  ~journal_live:(journal <> None) nf
               then ()
               else begin
                 (match journal with
@@ -253,16 +210,12 @@ let search (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget
                   child.ops > cfg.Config.steal_depth_cutoff
                   || not
                        (spawn (fun () ->
-                            let pf = fresh_prof () in
-                            Fun.protect
-                              ~finally:(fun () -> flush_prof pf)
-                              (fun () -> extend pf child)))
-                then extend pf child
+                            Tally.run level (front ()) (fun tl ->
+                                extend tl child)))
+                then extend tl child
               end
           | None ->
-              Stats.bump_shape stats;
-              Obs.Metrics.observe h_rej_shape depth;
-              Obs.Profile.fire pf.r_shape ~remaining;
+              Tally.reject tl Tally.Shape ~depth ~remaining;
               jreject "shape"
                 [
                   ( "in_shapes",
@@ -291,7 +244,6 @@ let search (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget
       done
     end
   in
-  (* the batched prune-check time and rule fires land under this task
-     even when the budget cuts the DFS short *)
-  let pf = fresh_prof () in
-  Fun.protect ~finally:(fun () -> flush_prof pf) (fun () -> extend pf init)
+  (* the tally flushes under this task even when the budget cuts the DFS
+     short *)
+  Tally.run level (front ()) (fun tl -> extend tl init)

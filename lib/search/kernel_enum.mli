@@ -9,7 +9,7 @@ open Mugraph
 val search :
   Config.t ->
   spec:Graph.kernel_graph ->
-  solver:Smtlite.Solver.t ->
+  front:(unit -> Smtlite.Solver.front) ->
   stats:Stats.t ->
   limits:Memory.limits ->
   budget:Obs.Budget.t ->
@@ -17,7 +17,9 @@ val search :
   emit:(Graph.kernel_graph -> unit) ->
   unit ->
   unit
-(** [spawn k] may publish subtree continuation [k] to a work-stealing
+(** [front ()] is the calling worker's solver front; each subtree
+    resolves it once, on the domain that runs it, and counts into its
+    own {!Tally}. [spawn k] may publish subtree continuation [k] to a work-stealing
     pool and return [true]; returning [false] (the default) makes the
     enumerator recurse inline. Continuations are offered only for
     accepted children at depth <= [steal_depth_cutoff], are safe to run

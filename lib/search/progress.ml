@@ -2,9 +2,10 @@
    updates it from whatever domain/thread is doing the work, observers
    (the serving tier's progress pusher) read a consistent-enough view
    without any locking. All fields are atomics; the funnel counts come
-   straight from the search's [Stats] registry, which is already exact
-   under concurrency — so an observer's [nodes_expanded] is monotone
-   across reads by construction. *)
+   straight from the search's [Stats] registry, which only ever grows —
+   so an observer's [nodes_expanded] is monotone across reads. The
+   enumerators add to it in per-subtree batches, so a live read trails
+   the true count by at most one batch per worker. *)
 
 type t = {
   phase : string Atomic.t;

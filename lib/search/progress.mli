@@ -2,7 +2,10 @@
     observers (the serving tier's progress streaming). Lock-free: the
     generator writes from worker domains, an observer thread polls
     concurrently. [nodes_expanded] is monotone across reads because it
-    is read straight from the search's exact funnel counters. *)
+    is read straight from the search's funnel counters, which the
+    enumerators add to in per-subtree batches: a read trails the true
+    count by at most one batch ({!Obs.Profile.batch} expansions) per
+    worker. *)
 
 type t
 

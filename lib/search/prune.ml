@@ -8,9 +8,8 @@
    per-depth histogram and the journal reject record can never drift
    apart between levels. *)
 
-let check (cfg : Config.t) ~solver nf =
-  cfg.Config.use_abstract_pruning
-  && not (Smtlite.Solver.check_subexpr_nf solver nf)
+let check (cfg : Config.t) ~front nf =
+  cfg.Config.use_abstract_pruning && not (Smtlite.Solver.check_front front nf)
 
 let journal_fields nf =
   [
@@ -19,25 +18,21 @@ let journal_fields nf =
   ]
 
 (* [reject_if_pruned] returns [true] when the prefix must be discarded,
-   after bumping the funnel counter, observing the depth histogram and
-   emitting the journal reject through [jreject]. [journal_live] keeps
-   the Jsonw field construction off the hot path when no journal is
-   installed (the enumerators' [jreject] wrappers drop the event
-   anyway).
-
-   Profiling rides the same single site: [timer] accumulates the check's
-   wall time (batched — the enumerator flushes it once per task), [rule]
-   records the fire with [remaining] operator slots below the cut, from
-   which the profile estimates the subtree the rule saved. Both are
-   inert no-ops when the ambient profiler is off. *)
-let reject_if_pruned (cfg : Config.t) ~solver ~stats ~hist ~depth
+   after counting the rejection in the subtree's tally (funnel counter,
+   depth histogram and prune-rule fire, with [remaining] operator slots
+   below the cut) and emitting the journal reject through [jreject].
+   [journal_live] keeps the Jsonw field construction off the hot path
+   when no journal is installed (the enumerators' [jreject] wrappers drop
+   the event anyway). The query goes through the worker's solver front,
+   and its wall time accumulates in the tally's batched timer. *)
+let reject_if_pruned (cfg : Config.t) tally ~depth ~remaining
     ~(jreject : string -> (string * Obs.Jsonw.t) list -> unit) ~journal_live
-    ~(timer : Obs.Profile.timer) ~(rule : Obs.Profile.rule_handle) ~remaining
     nf =
-  if Obs.Profile.timed timer (fun () -> check cfg ~solver nf) then begin
-    Stats.bump_pruned stats;
-    Obs.Metrics.observe hist (float_of_int depth);
-    Obs.Profile.fire rule ~remaining;
+  if
+    Obs.Profile.timed (Tally.timer tally) (fun () ->
+        check cfg ~front:(Tally.front tally) nf)
+  then begin
+    Tally.reject tally Tally.Pruned ~depth ~remaining;
     jreject "pruned_abstract" (if journal_live then journal_fields nf else []);
     true
   end

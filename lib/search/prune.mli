@@ -4,9 +4,10 @@
     block-level enumerator so the two levels can never account for the
     same rejection differently. *)
 
-val check : Config.t -> solver:Smtlite.Solver.t -> Absexpr.Nf.t -> bool
-(** [check cfg ~solver nf] is [true] when abstract pruning is enabled and
-    [nf] fails the subexpression check against the goal outputs. *)
+val check : Config.t -> front:Smtlite.Solver.front -> Absexpr.Nf.t -> bool
+(** [check cfg ~front nf] is [true] when abstract pruning is enabled and
+    [nf] fails the subexpression check against the goal outputs, asked
+    through a worker's solver front. *)
 
 val journal_fields : Absexpr.Nf.t -> (string * Obs.Jsonw.t) list
 (** The journal payload of a [pruned_abstract] reject (the failing
@@ -14,20 +15,15 @@ val journal_fields : Absexpr.Nf.t -> (string * Obs.Jsonw.t) list
 
 val reject_if_pruned :
   Config.t ->
-  solver:Smtlite.Solver.t ->
-  stats:Stats.t ->
-  hist:Obs.Metrics.histogram ->
+  Tally.t ->
   depth:int ->
+  remaining:int ->
   jreject:(string -> (string * Obs.Jsonw.t) list -> unit) ->
   journal_live:bool ->
-  timer:Obs.Profile.timer ->
-  rule:Obs.Profile.rule_handle ->
-  remaining:int ->
   Absexpr.Nf.t ->
   bool
-(** Run the check; on failure bump the [pruned_abstract] funnel counter,
-    observe [hist] at [depth], emit the reject via [jreject] (with the
-    full payload only when [journal_live]) and return [true]. The
-    check's wall time accumulates into [timer] (flushed by the caller
-    once per task) and a cut fires [rule] with [remaining] operator
-    slots below it — both inert when the profiler is disabled. *)
+(** Run {!check} through the tally's solver front; on failure count a
+    [Pruned] rejection at [depth] (with [remaining] operator slots below
+    it) in the tally, emit the reject via [jreject] (with the full
+    payload only when [journal_live]) and return [true]. The check's
+    wall time accumulates in the tally's timer. *)

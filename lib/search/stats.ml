@@ -55,14 +55,27 @@ let create ?registry () =
 
 let registry t = t.reg
 
-let bump_expanded t = M.bump t.c_expanded
-let bump_shape t = M.bump t.c_shape
-let bump_memory t = M.bump t.c_memory
-let bump_pruned t = M.bump t.c_pruned
-let bump_canonical t = M.bump t.c_canonical
-let bump_candidates t = M.bump t.c_candidates
-let bump_verified t = M.bump t.c_verified
-let bump_duplicates t = M.bump t.c_duplicates
+type kind =
+  | Expanded
+  | Shape
+  | Memory
+  | Pruned
+  | Canonical
+  | Candidates
+  | Verified
+  | Duplicates
+
+let counter t = function
+  | Expanded -> t.c_expanded
+  | Shape -> t.c_shape
+  | Memory -> t.c_memory
+  | Pruned -> t.c_pruned
+  | Canonical -> t.c_canonical
+  | Candidates -> t.c_candidates
+  | Verified -> t.c_verified
+  | Duplicates -> t.c_duplicates
+
+let add t k n = if n > 0 then M.add (counter t k) n
 let expanded t = M.value t.c_expanded
 
 let snapshot t =

@@ -1,6 +1,21 @@
 (** Search statistics: how many extensions the enumerators attempted, and
-    why candidates were discarded. Thread-safe; shared across search
-    workers.
+    why candidates were discarded.
+
+    The enumerators do not update these counters per extension. Each
+    enumeration subtree counts into its own domain-owned {!Tally} and
+    adds the batch here when the subtree ends (also when it crashes or
+    the budget cuts it) and every {!Obs.Profile.batch} expansions in
+    between. So:
+    - the counts are exact once [Generator.generate] returns;
+    - a live {!snapshot} (e.g. {!Progress}) lags the true counts by at
+      most one unflushed batch per enumeration worker;
+    - a node budget is checked against this shared count plus the
+      checking subtree's own batch. At one worker that is the exact
+      count, so the cut lands on the same expansion as an unbatched
+      count would. With [w] workers the other [w - 1] batches are
+      invisible to the check, so the search may expand up to
+      [(w - 1) * Obs.Profile.batch] nodes past the budget, beyond the
+      usual slack of the extensions already in flight.
 
     Counters are backed by a named {!Obs.Metrics} registry (one fresh
     registry per search unless the caller supplies one), so the same
@@ -43,16 +58,24 @@ val registry : t -> Obs.Metrics.t
     here, and callers can render everything with
     [Obs.Metrics.(to_table (snapshot (registry t)))]. *)
 
-val bump_expanded : t -> unit
-val bump_shape : t -> unit
-val bump_memory : t -> unit
-val bump_pruned : t -> unit
-val bump_canonical : t -> unit
-val bump_candidates : t -> unit
-val bump_verified : t -> unit
-val bump_duplicates : t -> unit
+(** The funnel counters. *)
+type kind =
+  | Expanded
+  | Shape
+  | Memory
+  | Pruned
+  | Canonical
+  | Candidates
+  | Verified
+  | Duplicates
+
+val add : t -> kind -> int -> unit
+(** [add t k n] adds [n] to counter [k] (one atomic add; a no-op when
+    [n <= 0]). The enumerators call it once per flushed batch; the
+    generator once per graph-level duplicate or verified winner. *)
+
 val expanded : t -> int
-(** Current value of the expanded counter (the node-budget check). *)
+(** Current value of the expanded counter: flushed batches only. *)
 
 val snapshot : t -> snapshot
 val to_string : snapshot -> string

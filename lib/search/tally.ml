@@ -1,0 +1,178 @@
+(* Per-subtree accounting for the enumerators (see tally.mli). Every
+   attempted extension used to pay a shared atomic for the funnel
+   counter, three more for its depth histogram (one a CAS on a boxed
+   float) and 2-3 for the solver's counters, all on cache lines every
+   worker writes. Here they are plain increments into arrays the subtree
+   owns, drained in one pass per batch. *)
+
+type reason = Shape | Memory | Duplicate | Canonical | Pruned | Phase | Dangling
+
+let all = [ Shape; Memory; Duplicate; Canonical; Pruned; Phase; Dangling ]
+
+let index = function
+  | Shape -> 0
+  | Memory -> 1
+  | Duplicate -> 2
+  | Canonical -> 3
+  | Pruned -> 4
+  | Phase -> 5
+  | Dangling -> 6
+
+let n_reasons = 7
+
+let rule_name = function
+  | Shape -> "shape"
+  | Memory -> "memory"
+  | Duplicate -> "duplicate"
+  | Canonical -> "canonical"
+  | Pruned -> "pruned_abstract"
+  | Phase -> "phase"
+  | Dangling -> "dangling"
+
+(* Where a reason's batch drains: a funnel counter with its depth
+   histogram, or (for the block level's structural cuts) a plain
+   registry counter. *)
+type sink =
+  | Funnel of Stats.kind * Obs.Metrics.histogram
+  | Counter of Obs.Metrics.counter
+
+let sink reg ~name ~buckets r =
+  let hist suffix help =
+    Obs.Metrics.histogram reg ~help ~buckets
+      (Printf.sprintf "search.%s.reject_depth.%s" name suffix)
+  in
+  let counter suffix help =
+    Counter
+      (Obs.Metrics.counter reg ~help
+         (Printf.sprintf "search.%s.reject.%s" name suffix))
+  in
+  match r with
+  | Shape -> Funnel (Stats.Shape, hist "shape" "depth of shape rejections")
+  | Memory ->
+      Funnel
+        (Stats.Memory, hist "memory" "depth of shared-memory rejections")
+  | Duplicate ->
+      Funnel
+        (Stats.Duplicates, hist "duplicate" "depth of duplicate rejections")
+  | Canonical ->
+      Funnel
+        ( Stats.Canonical,
+          hist "canonical" "depth of canonical-order rejections" )
+  | Pruned ->
+      Funnel
+        (Stats.Pruned, hist "pruned" "depth of abstract-expression rejections")
+  | Phase -> counter "phase" "extensions with an inconsistent loop phase"
+  | Dangling ->
+      counter "dangling" "accepted prefixes cut by the dangling-value bound"
+
+type level = {
+  stats : Stats.t;
+  stride : int;  (* depths 0 .. stride-1 *)
+  h_expand : Obs.Metrics.histogram;
+  sinks : sink option array;  (* by reason index *)
+}
+
+let level stats ~name ~max_depth reasons =
+  let buckets =
+    Obs.Metrics.linear_buckets ~lo:0.0 ~step:1.0 ~n:(max 1 max_depth + 1)
+  in
+  let reg = Stats.registry stats in
+  let h_expand =
+    Obs.Metrics.histogram reg ~help:"prefix depth of attempted extensions"
+      ~buckets
+      (Printf.sprintf "search.%s.expand_depth" name)
+  in
+  let sinks = Array.make n_reasons None in
+  List.iter
+    (fun r -> sinks.(index r) <- Some (sink reg ~name ~buckets r))
+    reasons;
+  { stats; stride = max 1 max_depth + 1; h_expand; sinks }
+
+(* [counts] row 0 holds expansions by depth, row [1 + index r] the
+   rejections for [r]. *)
+type t = {
+  lvl : level;
+  front : Smtlite.Solver.front;
+  counts : int array;
+  mutable pending : int;  (* expansions since the last flush *)
+  mutable candidates : int;
+  timer : Obs.Profile.timer;
+  rules : Obs.Profile.rule_handle option array;
+}
+
+let create lvl front =
+  {
+    lvl;
+    front;
+    counts = Array.make ((n_reasons + 1) * lvl.stride) 0;
+    pending = 0;
+    candidates = 0;
+    timer = Obs.Profile.timer "prune.abstract";
+    rules =
+      (let a = Array.make n_reasons None in
+       List.iter
+         (fun r ->
+           if lvl.sinks.(index r) <> None then
+             a.(index r) <- Some (Obs.Profile.prune_rule (rule_name r)))
+         all;
+       a);
+  }
+
+(* Drain row [row] into [h] (per depth) and return its total. *)
+let drain t row h =
+  let stride = t.lvl.stride in
+  let base = row * stride in
+  let total = ref 0 in
+  for d = 0 to stride - 1 do
+    let k = t.counts.(base + d) in
+    if k > 0 then begin
+      (match h with
+      | Some h -> Obs.Metrics.observe_n h (float_of_int d) k
+      | None -> ());
+      total := !total + k;
+      t.counts.(base + d) <- 0
+    end
+  done;
+  !total
+
+let flush t =
+  let stats = t.lvl.stats in
+  (* expansions first, so a live reader never sees a rejection whose
+     attempt it has not counted *)
+  Stats.add stats Stats.Expanded (drain t 0 (Some t.lvl.h_expand));
+  t.pending <- 0;
+  Array.iteri
+    (fun i s ->
+      match s with
+      | Some (Funnel (k, h)) -> Stats.add stats k (drain t (i + 1) (Some h))
+      | Some (Counter c) -> Obs.Metrics.add c (drain t (i + 1) None)
+      | None -> ())
+    t.lvl.sinks;
+  Stats.add stats Stats.Candidates t.candidates;
+  t.candidates <- 0;
+  Smtlite.Solver.flush_front t.front;
+  Obs.Profile.flush_timer t.timer;
+  Array.iter (Option.iter Obs.Profile.flush_rule) t.rules
+
+let run lvl front f =
+  let t = create lvl front in
+  Fun.protect ~finally:(fun () -> flush t) (fun () -> f t)
+
+let expand t ~depth =
+  let i = depth in
+  t.counts.(i) <- t.counts.(i) + 1;
+  t.pending <- t.pending + 1;
+  if t.pending >= Obs.Profile.batch then flush t
+
+let reject t r ~depth ~remaining =
+  let ri = index r in
+  let i = ((ri + 1) * t.lvl.stride) + depth in
+  t.counts.(i) <- t.counts.(i) + 1;
+  match t.rules.(ri) with
+  | Some h -> Obs.Profile.fire h ~remaining
+  | None -> ()
+
+let candidate t = t.candidates <- t.candidates + 1
+let expanded t = Stats.expanded t.lvl.stats + t.pending
+let front t = t.front
+let timer t = t.timer

@@ -1,0 +1,53 @@
+(** Domain-owned accounting for one enumeration subtree: the funnel
+    counts of {!Stats}, the per-depth [search.<level>.*] histograms, the
+    solver front's query counts, and the profiler's prune-check timer and
+    rule handles, all batched in plain fields the subtree owns.
+
+    A tally is created when a subtree starts running (its root task or a
+    spawned continuation, on whichever worker executes it) and used only
+    there. {!flush} drains it into the shared registry. {!run} flushes
+    when the subtree ends, also when it raises (crash, budget cut), and
+    {!expand} flushes every {!Obs.Profile.batch} expansions in between.
+    So totals are exact once every subtree has ended, and live readers
+    lag by at most one batch per worker. *)
+
+type reason = Shape | Memory | Duplicate | Canonical | Pruned | Phase | Dangling
+(** Why an attempted extension was cut. [Phase] and [Dangling] are
+    block-level structural cuts with their own registry counters; the
+    rest are funnel rejections with a depth histogram. *)
+
+type level
+(** One enumerator level's shared handles, resolved once per search
+    (kernel) or per root (block). *)
+
+val level : Stats.t -> name:string -> max_depth:int -> reason list -> level
+(** Registers, in order, [search.<name>.expand_depth], then per reason a
+    [search.<name>.reject_depth.<r>] histogram ([Phase]/[Dangling]: a
+    [search.<name>.reject.<r>] counter). Histograms bucket depths
+    [0 .. max_depth]. Only the listed reasons may be passed to
+    {!reject}. *)
+
+type t
+
+val run : level -> Smtlite.Solver.front -> (t -> 'a) -> 'a
+(** [run lvl front f] runs [f] with a fresh tally and flushes it when
+    [f] returns or raises. [front] is the executing worker's solver
+    front. *)
+
+val expand : t -> depth:int -> unit
+(** Count one attempted extension of a prefix at [depth]. *)
+
+val reject : t -> reason -> depth:int -> remaining:int -> unit
+(** Count a cut at [depth], with [remaining] operator slots below it for
+    the profiler's savings estimate. *)
+
+val candidate : t -> unit
+(** Count one completing prefix submitted to verification. *)
+
+val expanded : t -> int
+(** Flushed expansions of the whole search plus this tally's own batch:
+    the count the node budget is checked against. *)
+
+val front : t -> Smtlite.Solver.front
+val timer : t -> Obs.Profile.timer
+(** The batched ["prune.abstract"] timer. *)

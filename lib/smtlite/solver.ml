@@ -17,7 +17,6 @@ type persist = {
 }
 
 type t = {
-  id : int;
   goals : Nf.t list;
   cache : (Nf.t, bool) Hashtbl.t;  (** shared across domains, locked *)
   lock : Mutex.t;
@@ -35,18 +34,22 @@ type t = {
   mutable disk_new : int;  (** entries added since the last flush *)
   mutable flushing : bool;  (** one flush at a time, outside [lock] *)
   disk_hits : int Atomic.t;
+  mutable fronts : front array;  (** by worker index, guarded by [lock] *)
 }
 
-let next_id = Atomic.make 0
-
-(* Per-domain front cache: lock-free fast path for the generator's hot
-   loop. Keyed by solver id so several solvers coexist. *)
-let local_caches : (int * Nf.t, bool) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4096)
+(* A worker's lock-free fast path: a private memo in front of the shared
+   cache, and plain counters that {!flush_front} adds to the solver's
+   totals. Owned by the solver, so both die with it. *)
+and front = {
+  owner : t;
+  memo : (Nf.t, bool) Hashtbl.t;
+  mutable f_queries : int;
+  mutable f_hits : int;
+  mutable f_accepted : int;
+}
 
 let create ~target =
   {
-    id = Atomic.fetch_and_add next_id 1;
     goals = List.map Nf.of_expr target;
     cache = Hashtbl.create 4096;
     lock = Mutex.create ();
@@ -60,6 +63,7 @@ let create ~target =
     disk_new = 0;
     flushing = false;
     disk_hits = Atomic.make 0;
+    fronts = [||];
   }
 
 let prunecache_schema = "mirage.smtlite.prunecache.v1"
@@ -148,80 +152,109 @@ let attach_persist t p =
           end
       | _ -> p.p_corrupt "malformed prune-cache envelope")
 
-let check_subexpr_nf t nf =
-  Atomic.incr t.queries;
-  let local = Domain.DLS.get local_caches in
-  match Hashtbl.find_opt local (t.id, nf) with
+(* Past the front: the shared memo, then the disk tier, then the
+   decision procedure. Hits here count straight into the solver's
+   totals; they are rare next to front hits. *)
+let resolve t nf =
+  let shared =
+    Mutex.lock t.lock;
+    let r = Hashtbl.find_opt t.cache nf in
+    Mutex.unlock t.lock;
+    r
+  in
+  match shared with
   | Some r ->
       Atomic.incr t.cache_hits;
-      if r then Atomic.incr t.accepted;
       r
-  | None ->
-      let shared =
-        Mutex.lock t.lock;
-        let r = Hashtbl.find_opt t.cache nf in
-        Mutex.unlock t.lock;
-        r
+  | None -> (
+      let disk_key =
+        if t.persist = None then None else Some (Nf.to_string nf)
       in
-      let r =
-        match shared with
-        | Some r ->
-            Atomic.incr t.cache_hits;
+      let disk =
+        match disk_key with
+        | None -> None
+        | Some k ->
+            Mutex.lock t.lock;
+            let r = Hashtbl.find_opt t.disk k in
+            Mutex.unlock t.lock;
             r
-        | None -> (
-            let disk_key =
-              if t.persist = None then None else Some (Nf.to_string nf)
-            in
-            let disk =
-              match disk_key with
-              | None -> None
-              | Some k ->
-                  Mutex.lock t.lock;
-                  let r = Hashtbl.find_opt t.disk k in
-                  Mutex.unlock t.lock;
-                  r
-            in
-            match disk with
-            | Some r ->
-                Atomic.incr t.cache_hits;
-                Atomic.incr t.disk_hits;
-                Mutex.lock t.lock;
-                Hashtbl.replace t.cache nf r;
-                Mutex.unlock t.lock;
-                r
-            | None ->
-                Atomic.incr t.cache_misses;
-                let t0 = Unix.gettimeofday () in
-                let r =
-                  List.exists (fun goal -> Nf.is_subexpr nf goal) t.goals
-                in
-                let dt_ns =
-                  int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
-                in
-                ignore (Atomic.fetch_and_add t.solve_ns dt_ns);
-                (* overlay: decision-procedure time only (cache misses), so
-                   the profile can split "prune check" into lookup vs solve *)
-                Obs.Profile.note "smtlite.decide" (float_of_int dt_ns *. 1e-9);
-                let want_flush =
-                  Mutex.lock t.lock;
-                  Hashtbl.replace t.cache nf r;
-                  (match disk_key with
-                  | Some k ->
-                      Hashtbl.replace t.disk k r;
-                      t.disk_new <- t.disk_new + 1
-                  | None -> ());
-                  let w = t.disk_new >= flush_every && not t.flushing in
-                  Mutex.unlock t.lock;
-                  w
-                in
-                if want_flush then flush_persist t;
-                r)
       in
-      Hashtbl.replace local (t.id, nf) r;
-      if r then Atomic.incr t.accepted;
-      r
+      match disk with
+      | Some r ->
+          Atomic.incr t.cache_hits;
+          Atomic.incr t.disk_hits;
+          Mutex.lock t.lock;
+          Hashtbl.replace t.cache nf r;
+          Mutex.unlock t.lock;
+          r
+      | None ->
+          Atomic.incr t.cache_misses;
+          let t0 = Unix.gettimeofday () in
+          let r = List.exists (fun goal -> Nf.is_subexpr nf goal) t.goals in
+          let dt_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
+          ignore (Atomic.fetch_and_add t.solve_ns dt_ns);
+          (* overlay: decision-procedure time only (cache misses), so
+             the profile can split "prune check" into lookup vs solve *)
+          Obs.Profile.note "smtlite.decide" (float_of_int dt_ns *. 1e-9);
+          let want_flush =
+            Mutex.lock t.lock;
+            Hashtbl.replace t.cache nf r;
+            (match disk_key with
+            | Some k ->
+                Hashtbl.replace t.disk k r;
+                t.disk_new <- t.disk_new + 1
+            | None -> ());
+            let w = t.disk_new >= flush_every && not t.flushing in
+            Mutex.unlock t.lock;
+            w
+          in
+          if want_flush then flush_persist t;
+          r)
 
-let check_subexpr t e = check_subexpr_nf t (Nf.of_expr e)
+let front t worker =
+  Mutex.lock t.lock;
+  let n = Array.length t.fronts in
+  if worker >= n then
+    t.fronts <-
+      Array.init (worker + 1) (fun i ->
+          if i < n then t.fronts.(i)
+          else
+            {
+              owner = t;
+              memo = Hashtbl.create 4096;
+              f_queries = 0;
+              f_hits = 0;
+              f_accepted = 0;
+            });
+  let f = t.fronts.(worker) in
+  Mutex.unlock t.lock;
+  f
+
+let check_front f nf =
+  f.f_queries <- f.f_queries + 1;
+  let r =
+    match Hashtbl.find_opt f.memo nf with
+    | Some r ->
+        f.f_hits <- f.f_hits + 1;
+        r
+    | None ->
+        let r = resolve f.owner nf in
+        Hashtbl.replace f.memo nf r;
+        r
+  in
+  if r then f.f_accepted <- f.f_accepted + 1;
+  r
+
+let flush_front f =
+  let t = f.owner in
+  if f.f_queries > 0 then begin
+    ignore (Atomic.fetch_and_add t.queries f.f_queries);
+    ignore (Atomic.fetch_and_add t.cache_hits f.f_hits);
+    ignore (Atomic.fetch_and_add t.accepted f.f_accepted);
+    f.f_queries <- 0;
+    f.f_hits <- 0;
+    f.f_accepted <- 0
+  end
 
 let check_equiv_target t es =
   let candidate = List.sort Nf.compare (List.map Nf.of_expr es) in

@@ -7,8 +7,13 @@
     Queries of the form [subexpr(E(G), E_O)] are decided by the normal-form
     procedure in {!Absexpr.Nf} and memoized on the *normal form* of the
     left-hand side, so syntactically different prefixes with equal abstract
-    expressions hit the cache. Thread-safe: a solver may be shared across
-    search domains. *)
+    expressions hit the cache. A solver may be shared across search
+    domains.
+
+    Every query goes through a {!front}: one per search worker, owned by
+    the solver (so its memo lives exactly as long as the solver does).
+    A front answers repeats from a private memo without locking and
+    batches its query/hit/accept counts until {!flush_front}. *)
 
 type t
 
@@ -40,11 +45,24 @@ val create : target:Absexpr.Expr.t list -> t
     the reference program). A query succeeds if the candidate expression is
     a subexpression of at least one goal. *)
 
-val check_subexpr : t -> Absexpr.Expr.t -> bool
-(** Memoized [A_eq ∪ A_sub ⊨ subexpr(e, E_O)]. *)
+type front
+(** A worker's private memo and batched counters. Use it from one thread
+    at a time. *)
 
-val check_subexpr_nf : t -> Absexpr.Nf.t -> bool
-(** Same, when the caller already normalized. *)
+val front : t -> int -> front
+(** [front t w] is worker [w]'s front, created on first request. Resolve
+    the fronts before the workers start; the call takes the solver's
+    lock. *)
+
+val check_front : front -> Absexpr.Nf.t -> bool
+(** Memoized [A_eq ∪ A_sub ⊨ subexpr(nf, E_O)]: the front's private
+    memo, then the solver's shared memo, then the persistent tier, then
+    the decision procedure. The query/hit/accept counts are held back
+    until {!flush_front}. *)
+
+val flush_front : front -> unit
+(** Add the front's batched counts to the solver's {!stats} and reset
+    them. Until then, {!stats} lags by the unflushed batch. *)
 
 val check_equiv_target : t -> Absexpr.Expr.t list -> bool
 (** Whether candidate outputs are [A_eq]-equivalent to the goals, as a

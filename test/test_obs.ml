@@ -373,22 +373,40 @@ let div_matmul_spec ~b ~h ~d =
   let z = Graph.Build.prim bld Op.Matmul [ y; w ] in
   Graph.Build.finish bld ~outputs:[ z ]
 
+let funnel_config ~workers spec =
+  Search.Config.for_spec
+    ~base:
+      {
+        Search.Config.default with
+        Search.Config.grid_candidates = [ [| 2 |] ];
+        forloop_candidates = [ [| 2 |] ];
+        max_block_ops = 4;
+        num_workers = workers;
+        (* spawn subtrees, so more than one worker really shares them *)
+        steal_depth_cutoff = 1;
+        time_budget_s = 90.0;
+      }
+    spec
+
+(* The search.* depth histograms' total counts, by name. *)
+let depth_counts (m : Obs.Metrics.snapshot) =
+  List.filter_map
+    (fun (name, (h : Obs.Metrics.hist_snapshot)) ->
+      if String.length name > 7 && String.sub name 0 7 = "search." then
+        Some (name, h.Obs.Metrics.count)
+      else None)
+    m.Obs.Metrics.hists
+
+(* The enumerators count per subtree and flush batches, so every count
+   must still be exact: the funnel and the per-depth histograms do not
+   depend on how many workers shared the subtrees. *)
 let test_funnel_invariant () =
   let spec = div_matmul_spec ~b:4 ~h:8 ~d:16 in
-  let config =
-    Search.Config.for_spec
-      ~base:
-        {
-          Search.Config.default with
-          Search.Config.grid_candidates = [ [| 2 |] ];
-          forloop_candidates = [ [| 2 |] ];
-          max_block_ops = 4;
-          num_workers = 2;
-          time_budget_s = 90.0;
-        }
-      spec
+  let run workers =
+    Search.Generator.run ~config:(funnel_config ~workers spec)
+      ~device:Gpusim.Device.a100 ~spec ()
   in
-  let o = Search.Generator.run ~config ~device:Gpusim.Device.a100 ~spec () in
+  let o = run 2 in
   let s = o.Search.Generator.stats in
   Alcotest.(check bool) "searched something" true
     (s.Search.Stats.expanded > 0);
@@ -399,7 +417,61 @@ let test_funnel_invariant () =
   let counters = o.Search.Generator.metrics.Obs.Metrics.counters in
   Alcotest.(check int) "registry mirrors snapshot"
     s.Search.Stats.expanded
-    (List.assoc "search.expanded" counters)
+    (List.assoc "search.expanded" counters);
+  let hists = depth_counts o.Search.Generator.metrics in
+  Alcotest.(check int) "expand_depth histograms count every expansion"
+    s.Search.Stats.expanded
+    (List.assoc "search.kernel.expand_depth" hists
+    + List.assoc "search.block.expand_depth" hists);
+  let funnel (s : Search.Stats.snapshot) = { s with Search.Stats.elapsed_s = 0.0 } in
+  List.iter
+    (fun workers ->
+      let o' = run workers in
+      let name = Printf.sprintf "%d workers: " workers in
+      Alcotest.(check string) (name ^ "same funnel")
+        (Search.Stats.to_string (funnel s))
+        (Search.Stats.to_string (funnel o'.Search.Generator.stats));
+      Alcotest.(check (list (pair string int)))
+        (name ^ "same depth-histogram counts") hists
+        (depth_counts o'.Search.Generator.metrics))
+    [ 1; 4 ]
+
+let test_report_on_file () =
+  let file = Filename.temp_file "mirage_report" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      (match Obs.Report.create ~dir:file with
+      | Ok _ -> Alcotest.fail "a regular file is not a run directory"
+      | Error msg ->
+          Alcotest.(check bool) "names the path" true
+            (Astring_contains.contains msg file));
+      (match Obs.Report.create ~dir:(Filename.concat file "run") with
+      | Ok _ -> Alcotest.fail "a path under a regular file"
+      | Error _ -> ());
+      match Obs.Report.create ~dir:"" with
+      | Ok _ -> Alcotest.fail "the empty path is not a run directory"
+      | Error _ -> ())
+
+let test_observe_n () =
+  let reg = Obs.Metrics.create () in
+  let buckets = Obs.Metrics.linear_buckets ~lo:0.0 ~step:1.0 ~n:4 in
+  let a = Obs.Metrics.histogram reg ~buckets "test.one_by_one" in
+  let b = Obs.Metrics.histogram reg ~buckets "test.batched" in
+  List.iter
+    (fun (x, k) ->
+      for _ = 1 to k do
+        Obs.Metrics.observe a x
+      done;
+      Obs.Metrics.observe_n b x k)
+    [ (0.0, 3); (2.0, 5); (7.0, 2); (1.0, 0) ];
+  match (Obs.Metrics.snapshot reg).Obs.Metrics.hists with
+  | [ (_, ha); (_, hb) ] ->
+      Alcotest.(check (array int)) "buckets" ha.Obs.Metrics.counts
+        hb.Obs.Metrics.counts;
+      Alcotest.(check int) "count" 10 hb.Obs.Metrics.count;
+      Alcotest.(check (float 0.0)) "sum" ha.Obs.Metrics.sum hb.Obs.Metrics.sum
+  | _ -> Alcotest.fail "two histograms"
 
 (* --- hdr: bounded-relative-error latency sketch ---------------------------- *)
 
@@ -760,6 +832,8 @@ let () =
         [
           Alcotest.test_case "numeric diff and regression gate" `Quick
             test_report_gate;
+          Alcotest.test_case "a regular file is refused" `Quick
+            test_report_on_file;
         ] );
       ( "gauges",
         [
@@ -779,6 +853,8 @@ let () =
         [
           Alcotest.test_case "invariant on a small search" `Quick
             test_funnel_invariant;
+          Alcotest.test_case "batched histogram observations" `Quick
+            test_observe_n;
         ] );
       ( "profile",
         [

@@ -211,6 +211,37 @@ let test_budget_respected () =
   Alcotest.(check bool) "stopped quickly" true (t < 5.0);
   Alcotest.(check bool) "reported exhaustion" true exhausted
 
+(* The node budget is checked against the shared count plus the checking
+   subtree's own unflushed batch. At 1 worker that is the exact count, so
+   the cut overshoots only by the extensions of the step that crossed it;
+   each further worker may hide one batch. *)
+let test_node_budget_overshoot () =
+  let spec = div_matmul_spec ~b:4 ~h:8 ~d:16 in
+  let budget = 5_000 in
+  let expanded workers =
+    let cfg =
+      {
+        (Search.Config.for_spec ~base:(small_config ~ops:8 ()) spec) with
+        Search.Config.num_workers = workers;
+        node_budget = budget;
+        steal_depth_cutoff = 1;
+      }
+    in
+    let stats = Search.Stats.create () in
+    let _, exhausted = Search.Generator.search_time ~config:cfg ~stats ~spec () in
+    Alcotest.(check bool) "cut by the budget" true exhausted;
+    Search.Stats.expanded stats
+  in
+  let step = 200 in
+  List.iter
+    (fun workers ->
+      let n = expanded workers in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d worker(s): %d expanded past a budget of %d" workers n budget)
+        true
+        (n > budget && n <= budget + ((workers - 1) * Obs.Profile.batch) + (workers * step)))
+    [ 1; 2 ]
+
 let test_search_discovers_fused_softmax () =
   (* softmax along the last dim: exp / rowsum / div — an exp-containing
      (LAX) program; one block per row chunk, no for-loop. *)
@@ -383,6 +414,34 @@ let test_expired_deadline_parallel_verify () =
   Alcotest.(check bool) "deadline recorded" true
     (List.mem "deadline" o.Search.Generator.degraded)
 
+(* --- the solver memo dies with the search ---------------------------------- *)
+
+(* Prune decisions are memoized per worker, in the search's own solver. A
+   process that runs one search after another (a daemon handler, a bench
+   loop) must not keep any of them: live words after a full major GC stay
+   flat across sequential 1-worker searches. *)
+let test_prune_memo_freed () =
+  let spec = div_matmul_spec ~b:4 ~h:8 ~d:16 in
+  let cfg =
+    Search.Config.for_spec ~base:(small_config ~ops:3 ()) spec
+  in
+  let search () =
+    ignore (Search.Generator.run ~config:cfg ~device:Gpusim.Device.a100 ~spec ())
+  in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  search ();
+  let before = live () in
+  for _ = 1 to 10 do
+    search ()
+  done;
+  let grown = live () - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words grew by %d over 10 searches" grown)
+    true (grown < 4_000)
+
 let () =
   Alcotest.run "search"
     [
@@ -417,6 +476,10 @@ let () =
           Alcotest.test_case "pruning reduces time" `Slow
             test_pruning_reduces_search;
           Alcotest.test_case "budget respected" `Quick test_budget_respected;
+          Alcotest.test_case "prune memo freed with the search" `Quick
+            test_prune_memo_freed;
+          Alcotest.test_case "node budget overshoot bounded" `Quick
+            test_node_budget_overshoot;
           Alcotest.test_case "spec is always a candidate" `Quick
             test_spec_always_candidate;
         ] );

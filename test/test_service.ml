@@ -630,16 +630,17 @@ let test_prune_helper_equivalence () =
     Mugraph.Abstract.output_exprs (div_matmul_spec ~b:4 ~h:8 ~d:8 ())
   in
   let solver = Smtlite.Solver.create ~target in
+  let front = Smtlite.Solver.front solver 0 in
   let sub = Absexpr.Nf.of_expr (Absexpr.Expr.var "X") in
   let expected =
     cfg.Search.Config.use_abstract_pruning
-    && not (Smtlite.Solver.check_subexpr_nf solver sub)
+    && not (Smtlite.Solver.check_front front sub)
   in
   Alcotest.(check bool) "check mirrors the inline condition" expected
-    (Search.Prune.check cfg ~solver sub);
+    (Search.Prune.check cfg ~front sub);
   let off = { cfg with Search.Config.use_abstract_pruning = false } in
   Alcotest.(check bool) "pruning disabled -> never rejects" false
-    (Search.Prune.check off ~solver sub)
+    (Search.Prune.check off ~front sub)
 
 (* --- persistent prune-query cache -------------------------------------- *)
 
