@@ -41,8 +41,9 @@ let history_verify : (string * float) list ref = ref []
 
 (* Enumeration throughput, work-stealing scaling and prune-cache ratios
    from the `enum` suite, keyed "enum.<benchmark>.expansions_per_s" and
-   ".speedup_4d" (higher is better), ".speedup_2d" (recorded, ungated)
-   and ".prune_warm_over_cold" (lower is better). *)
+   ".speedup_4d" (higher is better), ".speedup_2d" (recorded, ungated),
+   ".minor_words_per_expansion" (lower is better, deterministic) and
+   ".prune_warm_over_cold" (lower is better). *)
 let history_enum : (string * float) list ref = ref []
 
 (* Service latency ratios from the `serve` suite, keyed
@@ -893,7 +894,9 @@ let micro () =
 (* ------------------------------------------------------------------ *)
 (* enum: enumeration throughput, work-stealing scaling and the         *)
 (* persistent prune cache. Cold generation at 1 domain ->              *)
-(* enum.<b>.expansions_per_s (higher is better); wall at 1 vs 2 and 4  *)
+(* enum.<b>.expansions_per_s (higher is better) and                    *)
+(* enum.<b>.minor_words_per_expansion (lower is better; the            *)
+(* allocation of the hot path, deterministic); wall at 1 vs 2 and 4    *)
 (* (and, on wide hosts, 8) domains -> enum.<b>.speedup_2d (recorded    *)
 (* only) and enum.<b>.speedup_4d (higher is better; the >=2x floor is  *)
 (* asserted only when the host actually has >= 4 cores — domains       *)
@@ -928,27 +931,36 @@ let enum_bench () =
         spec
     in
     let stats = Search.Stats.create () in
+    let w0 = (Gc.quick_stat ()).Gc.minor_words in
     let t, exhausted =
       Search.Generator.search_time ~config:cfg ~stats ~spec ()
     in
+    (* the calling domain's words: all of them at 1 domain *)
+    let words = (Gc.quick_stat ()).Gc.minor_words -. w0 in
     if exhausted then begin
       Printf.eprintf "enum: %d-domain generation hit the time budget\n" workers;
       exit 1
     end;
-    (t, Search.Stats.expanded stats)
+    (t, Search.Stats.expanded stats, words)
   in
-  let gen_time workers = fst (gen workers) in
+  let gen_time workers =
+    let t, _, _ = gen workers in
+    t
+  in
   Printf.printf "(host has %d core(s))\n%!" cores;
-  let t1, expanded1 = gen 1 in
+  let t1, expanded1, words1 = gen 1 in
   (* single-domain enumeration throughput: the per-extension cost of the
      whole enumerator hot path, independent of the host's core count *)
   let expansions_per_s = float_of_int expanded1 /. t1 in
+  let words_per_expansion = words1 /. float_of_int expanded1 in
   let t2 = gen_time 2 in
   let speedup2 = t1 /. t2 in
   let t4 = gen_time 4 in
   let speedup4 = t1 /. t4 in
-  Printf.printf "cold generation, %s:  1 domain %6.2fs   %.3g expansions/s\n"
-    name t1 expansions_per_s;
+  Printf.printf
+    "cold generation, %s:  1 domain %6.2fs   %.3g expansions/s   %.1f minor \
+     words/expansion\n"
+    name t1 expansions_per_s words_per_expansion;
   Printf.printf "                      2 domains %6.2fs   %.2fx\n" t2 speedup2;
   Printf.printf "                      4 domains %6.2fs   %.2fx\n%!" t4 speedup4;
   if cores >= 4 && speedup4 < 2.0 then begin
@@ -966,6 +978,7 @@ let enum_bench () =
         ("gen_1d_s", Float t1);
         ("expanded", Int expanded1);
         ("expansions_per_s", Float expansions_per_s);
+        ("minor_words_per_expansion", Float words_per_expansion);
         ("gen_2d_s", Float t2);
         ("speedup_2d", Float speedup2);
         ("gen_4d_s", Float t4);
@@ -975,6 +988,8 @@ let enum_bench () =
     !history_enum
     @ [
         (Printf.sprintf "enum.%s.expansions_per_s" name, expansions_per_s);
+        ( Printf.sprintf "enum.%s.minor_words_per_expansion" name,
+          words_per_expansion );
         (Printf.sprintf "enum.%s.speedup_2d" name, speedup2);
         (Printf.sprintf "enum.%s.speedup_4d" name, speedup4);
       ];
@@ -1393,8 +1408,11 @@ let gate_history ~prev ~wall_s ~pct =
   in
   let enum_viols =
     (* Scaling, throughput and cache ratios are wall-clock, so lenient
-       like serve:
+       like serve; allocation is deterministic, so it is held tight:
          *.expansions_per_s      higher is better (decrease-only gate)
+         *.minor_words_per_expansion
+                                 lower is better (increase-only gate, a
+                                 fixed 5% slack whatever --gate says)
          *.speedup_4d / _8d      higher is better, slack -0.5x
          *.speedup_2d            recorded, not gated (host-dependent)
          *.prune_warm_over_cold  lower is better, slack +0.05 *)
@@ -1408,6 +1426,15 @@ let gate_history ~prev ~wall_s ~pct =
           (fun (key, v) ->
             match (jnum v, List.assoc_opt key !history_enum) with
             | _ when ends_with "speedup_2d" key -> None
+            | Some old_r, Some new_r
+              when ends_with "minor_words_per_expansion" key ->
+                if old_r > 0.0 && new_r > 1.05 *. old_r then
+                  Some
+                    (Printf.sprintf
+                       "%s: %.1f -> %.1f words (%+.1f%%, threshold +5%%)" key
+                       old_r new_r
+                       (100.0 *. (new_r -. old_r) /. old_r))
+                else None
             | Some old_r, Some new_r when ends_with "expansions_per_s" key ->
                 if old_r > 0.0 && old_r -. new_r > 10.0 *. frac *. old_r then
                   Some

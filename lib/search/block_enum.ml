@@ -104,16 +104,45 @@ type entry = {
   bytes : int;
 }
 
+(* What an extension's checks said at the prefix that made it, past the
+   input-only ones. *)
+type verdict = Duplicate | Memory | Pruned | Alive
+
+(* One operator instantiation: made once, at the prefix where its newest
+   input appeared, and shared by every descendant of that prefix. *)
+type ext = {
+  op : Graph.block_op;
+  ins : int list;
+  rank : Canon.rank;
+  born : int;  (** entries in the prefix that made it *)
+  made : made;
+}
+
+and made =
+  | Bad_phase
+  | Bad_shape
+  | Out_of_order  (** canonical-rank reject where it was made *)
+  | Built of entry * verdict
+
+(* The extensions made when entry [k] appeared, one array per cell of the
+   generation order. *)
+type bundle = {
+  unary : ext array;  (** unary-like ops on [k] *)
+  col : ext array array;  (** [col.(i)]: binary ops on [(i, k)], [i <= k] *)
+  row : ext array array;  (** [row.(j)]: binary ops on [(k, j)], [j < k] *)
+  accum : ext array;  (** accumulators on [k] *)
+}
+
 type state = {
-  entries : entry list;  (** reversed *)
-  count : int;
+  entries : entry array;
+  table : bundle array;
+      (** the bundles already made — the parent's table, empty at the
+          root; [extend] makes one for each remaining entry *)
   ops : int;
   smem : int;
   last_rank : Canon.rank option;
   consumed : int;  (** bitmask: entry i has a consumer *)
 }
-
-let entry_at st i = List.nth st.entries (st.count - 1 - i)
 
 let combined_phase phases =
   if List.exists (fun p -> p = Post) phases then
@@ -137,24 +166,51 @@ let instantiate_unary_like menu shape =
       | _ -> [])
     menu
 
-let binary_ops menu =
-  List.filter_map
-    (fun p -> match p with Op.Binary _ -> Some p | _ -> None)
+(* The binary-like ops tried on inputs [(i, j)]: commutative ops only
+   when [i <= j]. *)
+let pair_ops menu ~ordered =
+  List.filter
+    (fun p ->
+      match p with
+      | Op.Binary (Op.Add | Op.Mul) -> ordered
+      | Op.Binary Op.Div -> true
+      | _ -> false)
     menu
+  @ if List.mem Op.Matmul menu then [ Op.Matmul ] else []
 
-let has_matmul menu = List.exists (fun p -> p = Op.Matmul) menu
+let op_name = function
+  | Graph.B_prim p -> Op.to_string p
+  | Graph.B_accum { fmap } ->
+      if Array.for_all (fun t -> t = Dmap.Replica) fmap then "accum"
+      else "accum.concat"
+  | _ -> "?"
+
+(* Whether [e] recomputes a value in [entries] from index [i] on: the
+   same abstract expression, shape and phase can never help. *)
+let rec recomputes entries i (e : entry) =
+  i < Array.length entries
+  && ((let x = entries.(i) in
+       x.phase = e.phase && Shape.equal x.shape e.shape
+       && Absexpr.Nf.equal x.nf e.nf)
+     || recomputes entries (i + 1) e)
+
+let popcount m =
+  let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
+  go m 0
 
 let search_root (cfg : Config.t) ~spec ~front ~stats ~limits ~budget
     ?(spawn = fun _ -> false) ~(emit : emit) root =
   let input_shapes = Graph.input_shapes spec in
   let input_names = Graph.input_names spec in
+  let n_inputs = List.length input_shapes in
   let elt_bytes = limits.Memory.elt_bytes in
+  let smem_limit = limits.Memory.smem_bytes_per_block in
   (* Flight recorder, resolved once per root: every attempted extension
      gets a candidate id and an expand event, every rejection names its
      reason. One atomic load per attempt when journaling is off, and no
      Jsonw values are built on the [None] path. *)
   let journal = Obs.Journal.active () in
-  let jexpand ~depth op bins =
+  let jexpand ~depth x =
     match journal with
     | Some j ->
         let id = Obs.Journal.fresh_id j in
@@ -162,8 +218,8 @@ let search_root (cfg : Config.t) ~spec ~front ~stats ~limits ~budget
           [
             ("level", Obs.Jsonw.Str "block");
             ("depth", Obs.Jsonw.Int depth);
-            ("op", Obs.Jsonw.Str op);
-            ("ins", Obs.Jsonw.List (List.map (fun i -> Obs.Jsonw.Int i) bins));
+            ("op", Obs.Jsonw.Str (op_name x.op));
+            ("ins", Obs.Jsonw.List (List.map (fun i -> Obs.Jsonw.Int i) x.ins));
           ];
         id
     | None -> -1
@@ -178,15 +234,15 @@ let search_root (cfg : Config.t) ~spec ~front ~stats ~limits ~budget
           :: extra)
     | None -> ()
   in
-  let jaccept ~depth cand shape nf =
+  let jaccept ~depth cand (e : entry) =
     match journal with
     | Some j ->
         Obs.Journal.emit j ~cand ~typ:"cand.accept"
           [
             ("level", Obs.Jsonw.Str "block");
             ("depth", Obs.Jsonw.Int depth);
-            ("shape", Obs.Jsonw.Str (Shape.to_string shape));
-            ("expr", Obs.Jsonw.Str (Absexpr.Nf.to_string nf));
+            ("shape", Obs.Jsonw.Str (Shape.to_string e.shape));
+            ("expr", Obs.Jsonw.Str (Absexpr.Nf.to_string e.nf));
           ]
     | None -> ()
   in
@@ -232,15 +288,15 @@ let search_root (cfg : Config.t) ~spec ~front ~stats ~limits ~budget
         (List.combine input_shapes input_names)
     in
     {
-      entries = List.rev entries;
-      count = List.length entries;
+      entries = Array.of_list entries;
+      table = [||];
       ops = 0;
       smem = List.fold_left (fun a e -> a + e.bytes) 0 entries;
       last_rank = None;
       consumed = 0;
     }
   in
-  if init_state.smem > limits.Memory.smem_bytes_per_block then ()
+  if init_state.smem > smem_limit then ()
   else begin
     let budget_check tl =
       Obs.Fault.trip "enum.block";
@@ -278,86 +334,76 @@ let search_root (cfg : Config.t) ~spec ~front ~stats ~limits ~budget
              then Some omap
              else None)
     in
+    let initers_mask = (1 lsl n_inputs) - 1 in
     (* Emit complete candidates from the current prefix. *)
     let try_complete tl st =
       (* candidate entries per spec output *)
       let per_output =
         List.map
           (fun (nf, target) ->
-            List.init st.count (fun i -> (i, entry_at st i))
-            |> List.concat_map (fun (i, e) ->
-                   let valid_phase =
-                     (not has_loop) || e.phase = Post || e.phase = Inv
-                   in
-                   let is_initer =
-                     match e.bop with Graph.B_initer _ -> true | _ -> false
-                   in
-                   if valid_phase && (not is_initer) && Absexpr.Nf.equal e.nf nf
-                   then
-                     List.map (fun omap -> (i, omap)) (omaps_for e.shape target)
-                   else []))
+            let found = ref [] in
+            for i = Array.length st.entries - 1 downto n_inputs do
+              let e = st.entries.(i) in
+              if
+                ((not has_loop) || e.phase = Post || e.phase = Inv)
+                && Absexpr.Nf.equal e.nf nf
+              then
+                found :=
+                  List.map (fun omap -> (i, omap)) (omaps_for e.shape target)
+                  @ !found
+            done;
+            !found)
           spec_outs
       in
-      if List.for_all (fun l -> l <> []) per_output then begin
-        (* all initers must be consumed *)
-        let consumed = Array.make st.count false in
-        List.iter
-          (fun e -> List.iter (fun j -> consumed.(j) <- true) e.bins)
-          st.entries;
-        let initers_used =
-          List.init st.count (fun i ->
-              match (entry_at st i).bop with
-              | Graph.B_initer _ -> consumed.(i)
-              | _ -> true)
-          |> List.for_all Fun.id
+      (* every output matched, and every input iterator consumed *)
+      if
+        List.for_all (fun l -> l <> []) per_output
+        && st.consumed land initers_mask = initers_mask
+      then begin
+        let rec combos = function
+          | [] -> [ [] ]
+          | opts :: rest ->
+              let tails = combos rest in
+              List.concat_map (fun o -> List.map (fun t -> o :: t) tails) opts
         in
-        if initers_used then begin
-          let rec combos = function
-            | [] -> [ [] ]
-            | opts :: rest ->
-                let tails = combos rest in
-                List.concat_map
-                  (fun o -> List.map (fun t -> o :: t) tails)
-                  opts
-          in
-          (* One funnel entry per completing prefix, however many output
-             selections it yields — keeps candidates <= accepted
-             extensions, so the funnel invariant holds by construction. *)
-          let emitted = ref false in
-          List.iter
-            (fun selection ->
-              let bnodes =
-                Array.of_list
-                  (List.rev_map
-                     (fun e -> { Graph.bop = e.bop; bins = e.bins })
-                     st.entries
-                  @ List.map
+        (* One funnel entry per completing prefix, however many output
+           selections it yields — keeps candidates <= accepted
+           extensions, so the funnel invariant holds by construction. *)
+        let emitted = ref false in
+        List.iter
+          (fun selection ->
+            let bnodes =
+              Array.append
+                (Array.map
+                   (fun e -> { Graph.bop = e.bop; bins = e.bins })
+                   st.entries)
+                (Array.of_list
+                   (List.map
                       (fun (i, omap) ->
                         { Graph.bop = Graph.B_outsaver { omap }; bins = [ i ] })
-                      selection)
-              in
-              let bg =
-                { Graph.grid = root.grid; forloop = root.forloop; bnodes }
-              in
-              let bld = Graph.Build.create () in
-              let ins =
-                List.map2
-                  (fun name shape -> Graph.Build.input bld name shape)
-                  input_names input_shapes
-              in
-              let outs =
-                Graph.Build.graphdef bld bg ins (List.length selection)
-              in
-              match Graph.Build.finish bld ~outputs:outs with
-              | g ->
-                  if Memory.check limits g then begin
-                    emitted := true;
-                    emit g
-                  end
-              | exception (Graph.Ill_formed _ | Invalid_argument _) -> ())
-            (combos per_output);
-          if !emitted then Tally.candidate tl
-        end
+                      selection))
+            in
+            let bg =
+              { Graph.grid = root.grid; forloop = root.forloop; bnodes }
+            in
+            let bld = Graph.Build.create () in
+            let ins =
+              List.map2
+                (fun name shape -> Graph.Build.input bld name shape)
+                input_names input_shapes
+            in
+            let outs =
+              Graph.Build.graphdef bld bg ins (List.length selection)
+            in
+            match Graph.Build.finish bld ~outputs:outs with
+            | g ->
+                if Memory.check limits g then begin
+                  emitted := true;
+                  emit g
+                end
+            | exception (Graph.Ill_formed _ | Invalid_argument _) -> ())
+          (combos per_output);
+        if !emitted then Tally.candidate tl
       end
     in
     let n_outputs = List.length spec_outs in
@@ -371,15 +417,135 @@ let search_root (cfg : Config.t) ~spec ~front ~stats ~limits ~budget
        values while producing one. A prefix whose dangling count cannot
        shrink to the number of outputs within the remaining operator
        budget has no completion. *)
-    let dangling_ok st =
-      let dangling =
-        let rec popcount m = if m = 0 then 0 else (m land 1) + popcount (m lsr 1) in
-        st.count - popcount (st.consumed land ((1 lsl st.count) - 1))
-      in
-      let remaining = cfg.Config.max_block_ops - st.ops in
-      dangling - n_outputs <= remaining * (max_arity - 1)
+    let dangling_ok ~count ~ops consumed =
+      let dangling = count - popcount (consumed land ((1 lsl count) - 1)) in
+      dangling - n_outputs <= (cfg.Config.max_block_ops - ops) * (max_arity - 1)
     in
-    (* One extension: add entry if all checks pass, recurse. *)
+    let rank_ok st rank =
+      match st.last_rank with
+      | None -> true
+      | Some r -> Canon.compare_rank r rank <= 0
+    in
+    (* The checks later entries cannot overturn, run once where an
+       extension is made: rank, duplicate, memory and then, for an
+       extension that passed those three, the prune query. *)
+    let judge tl st rank e =
+      if not (rank_ok st rank) then Out_of_order
+      else
+        Built
+          ( e,
+            if recomputes st.entries 0 e then Duplicate
+            else if st.smem + e.bytes > smem_limit then Memory
+            else if Prune.query cfg tl e.nf then Pruned
+            else Alive )
+    in
+    let make_prim tl st p ins =
+      let op = Graph.B_prim p in
+      let rank = Canon.R_block (ins, op) in
+      let xs = List.map (fun i -> st.entries.(i)) ins in
+      let made =
+        match combined_phase (List.map (fun e -> e.phase) xs) with
+        | None -> Bad_phase
+        | Some phase -> (
+            let shapes = List.map (fun e -> e.shape) xs in
+            match Op.infer_shape_opt p shapes with
+            | None -> Bad_shape
+            | Some shape ->
+                let nf =
+                  Abstract.prim_nf p ~in_shapes:shapes
+                    (List.map (fun e -> e.nf) xs)
+                in
+                judge tl st rank
+                  {
+                    bop = op;
+                    bins = ins;
+                    shape;
+                    nf;
+                    phase;
+                    bytes = Shape.numel shape * elt_bytes;
+                  })
+      in
+      { op; ins; rank; born = Array.length st.entries; made }
+    in
+    let make_accum tl st k fmap shape nf =
+      let op = Graph.B_accum { fmap } in
+      let ins = [ k ] in
+      let rank = Canon.R_block (ins, op) in
+      let e =
+        {
+          bop = op;
+          bins = ins;
+          shape;
+          nf;
+          phase = Post;
+          bytes = Shape.numel shape * elt_bytes;
+        }
+      in
+      {
+        op;
+        ins;
+        rank;
+        born = Array.length st.entries;
+        made = judge tl st rank e;
+      }
+    in
+    let menu = cfg.Config.block_op_menu in
+    let ops_ordered = pair_ops menu ~ordered:true in
+    let ops_unordered = pair_ops menu ~ordered:false in
+    let all_phi = Array.make (Array.length root.forloop) Dmap.Replica in
+    (* The bundle of entry [k], made at prefix [st]. *)
+    let make_bundle tl st k =
+      let e = st.entries.(k) in
+      let cell ops ins =
+        Array.of_list (List.map (fun p -> make_prim tl st p ins) ops)
+      in
+      let unary =
+        Array.of_list
+          (List.map
+             (fun p -> make_prim tl st p [ k ])
+             (instantiate_unary_like menu e.shape))
+      in
+      let col = Array.init (k + 1) (fun i -> cell ops_ordered [ i; k ]) in
+      let row = Array.init k (fun j -> cell ops_unordered [ k; j ]) in
+      let accum =
+        if not (has_loop && e.phase = Body) then [||]
+        else
+          let concat =
+            if not cfg.Config.enable_concat_accum then []
+            else
+              List.concat
+                (List.mapi
+                   (fun l count ->
+                     (* the phi dims still sum *)
+                     let phi_iters = iters / count in
+                     List.filter_map
+                       (fun d ->
+                         if e.shape.(d) < 1 then None
+                         else
+                           let fmap =
+                             Array.mapi
+                               (fun l' _ ->
+                                 if l' = l then Dmap.Dim d else Dmap.Replica)
+                               root.forloop
+                           in
+                           Some
+                             (make_accum tl st k fmap
+                                (Shape.scale_dim e.shape ~dim:d ~times:count)
+                                (Absexpr.Nf.nf_sum phi_iters e.nf)))
+                       (List.init (Shape.rank e.shape) Fun.id))
+                   (Array.to_list root.forloop))
+          in
+          Array.of_list
+            (make_accum tl st k all_phi e.shape (Absexpr.Nf.nf_sum iters e.nf)
+            :: concat)
+      in
+      { unary; col; row; accum }
+    in
+    (* One extension: the prefix's table is its parent's plus a bundle
+       for the newest entry. Every try in the table is counted (the
+       funnel's [expanded]) and either fails one check — counted under
+       exactly one rejection reason — or is kept; only then are the kept
+       children searched, in the same order. *)
     let rec extend tl st =
       budget_check tl;
       try_complete tl st;
@@ -387,188 +553,96 @@ let search_root (cfg : Config.t) ~spec ~front ~stats ~limits ~budget
         let depth = st.ops in
         (* operator slots below a prefix cut at this depth *)
         let remaining = max 0 (cfg.Config.max_block_ops - st.ops - 1) in
-        let moves = gen_moves tl st in
-        List.iter
-          (fun (cand, bop, bins, shape, nf, phase) ->
-            let bytes = Shape.numel shape * elt_bytes in
-            let duplicate =
-              (* Computing a value with the same abstract expression,
-                 shape and phase as an existing one can never help. *)
-              List.exists
-                (fun e ->
-                  e.phase = phase
-                  && Shape.equal e.shape shape
-                  && Absexpr.Nf.equal e.nf nf)
-                st.entries
-            in
-            if duplicate then begin
-              Tally.reject tl Tally.Duplicate ~depth ~remaining;
-              jreject ~depth:st.ops cand "duplicate" []
-            end
-            else if st.smem + bytes > limits.Memory.smem_bytes_per_block then begin
-              Tally.reject tl Tally.Memory ~depth ~remaining;
-              jreject ~depth:st.ops cand "memory"
+        let count = Array.length st.entries in
+        let known = Array.length st.table in
+        let table =
+          Array.init count (fun k ->
+              if k < known then st.table.(k) else make_bundle tl st k)
+        in
+        let reject cand reason name extra =
+          Tally.reject tl reason ~depth ~remaining;
+          jreject ~depth cand name extra
+        in
+        let kept = ref [] in
+        let visit x =
+          Tally.expand tl ~depth;
+          let cand = jexpand ~depth x in
+          match x.made with
+          | Bad_phase -> reject cand Tally.Phase "phase" []
+          | Bad_shape ->
+              reject cand Tally.Shape "shape"
                 (match journal with
                 | Some _ ->
                     [
-                      ("smem_bytes", Obs.Jsonw.Int (st.smem + bytes));
-                      ( "smem_limit",
-                        Obs.Jsonw.Int limits.Memory.smem_bytes_per_block );
+                      ( "in_shapes",
+                        Obs.Jsonw.List
+                          (List.map
+                             (fun i ->
+                               Obs.Jsonw.Str
+                                 (Shape.to_string st.entries.(i).shape))
+                             x.ins) );
                     ]
                 | None -> [])
-            end
-            else if
-              Prune.reject_if_pruned cfg tl ~depth ~remaining
-                ~jreject:(fun reason extra ->
-                  jreject ~depth:st.ops cand reason extra)
-                ~journal_live:(journal <> None) nf
-            then ()
-            else
-              let e = { bop; bins; shape; nf; phase; bytes } in
-              let st' =
-                {
-                  entries = e :: st.entries;
-                  count = st.count + 1;
-                  ops = st.ops + 1;
-                  smem = st.smem + bytes;
-                  last_rank = Some (Canon.R_block (bins, bop));
-                  consumed =
-                    List.fold_left (fun m j -> m lor (1 lsl j)) st.consumed bins;
-                }
-              in
-              if dangling_ok st' then begin
-                jaccept ~depth:st.ops cand shape nf;
-                (* Shallow children root large subtrees — publish those
-                   to the pool; recurse inline past the cutoff. *)
-                if
-                  st'.ops > cfg.Config.steal_depth_cutoff
-                  || not
-                       (spawn (fun () ->
-                            Tally.run level (front ()) (fun tl ->
-                                extend tl st')))
-                then extend tl st'
-              end
-              else begin
-                Tally.reject tl Tally.Dangling ~depth ~remaining;
-                jreject ~depth:st.ops cand "dangling" []
-              end)
-          moves
-      end
-    (* All rank-respecting operator instantiations from this prefix.
-       Every operator instantiation considered counts as one attempted
-       extension (the funnel's [expanded]); it then either fails one
-       check — counted under exactly one rejection reason — or becomes a
-       move for [extend]. *)
-    and gen_moves tl st =
-      let depth = st.ops in
-      let remaining = max 0 (cfg.Config.max_block_ops - st.ops - 1) in
-      let attempt op bins =
-        Tally.expand tl ~depth;
-        jexpand ~depth op bins
-      in
-      let rank_ok bop bins =
-        match st.last_rank with
-        | None -> true
-        | Some r -> Canon.compare_rank r (Canon.R_block (bins, bop)) <= 0
-      in
-      let moves = ref [] in
-      let add cand bop bins shape nf phase =
-        if rank_ok bop bins then
-          moves := (cand, bop, bins, shape, nf, phase) :: !moves
-        else begin
-          Tally.reject tl Tally.Canonical ~depth ~remaining;
-          jreject ~depth:st.ops cand "canonical" []
-        end
-      in
-      let try_prim p bins =
-        let ins = List.map (entry_at st) bins in
-        let cand = attempt (Op.to_string p) bins in
-        match combined_phase (List.map (fun e -> e.phase) ins) with
-        | None ->
-            Tally.reject tl Tally.Phase ~depth ~remaining;
-            jreject ~depth:st.ops cand "phase" []
-        | Some phase -> (
-            let shapes = List.map (fun e -> e.shape) ins in
-            match Op.infer_shape_opt p shapes with
-            | Some shape ->
-                let nf =
-                  Abstract.prim_nf p ~in_shapes:shapes
-                    (List.map (fun e -> e.nf) ins)
-                in
-                add cand (Graph.B_prim p) bins shape nf phase
-            | None ->
-                Tally.reject tl Tally.Shape ~depth ~remaining;
-                jreject ~depth:st.ops cand "shape"
+          | Out_of_order -> reject cand Tally.Canonical "canonical" []
+          | Built (e, verdict) ->
+              if not (rank_ok st x.rank) then
+                reject cand Tally.Canonical "canonical" []
+              else if verdict = Duplicate || recomputes st.entries x.born e then
+                reject cand Tally.Duplicate "duplicate" []
+              else if verdict = Memory || st.smem + e.bytes > smem_limit then
+                reject cand Tally.Memory "memory"
                   (match journal with
                   | Some _ ->
                       [
-                        ( "in_shapes",
-                          Obs.Jsonw.List
-                            (List.map
-                               (fun s -> Obs.Jsonw.Str (Shape.to_string s))
-                               shapes) );
+                        ("smem_bytes", Obs.Jsonw.Int (st.smem + e.bytes));
+                        ("smem_limit", Obs.Jsonw.Int smem_limit);
                       ]
-                  | None -> []))
-      in
-      for i = 0 to st.count - 1 do
-        (* unary-like ops (incl. per-dim Sum instances) *)
-        let e = entry_at st i in
-        List.iter
-          (fun p -> try_prim p [ i ])
-          (instantiate_unary_like cfg.Config.block_op_menu e.shape);
-        (* binary elementwise: commutative ops take i <= j *)
-        for j = 0 to st.count - 1 do
-          List.iter
-            (fun p ->
-              match p with
-              | Op.Binary (Op.Add | Op.Mul) when i <= j -> try_prim p [ i; j ]
-              | Op.Binary Op.Div -> try_prim p [ i; j ]
-              | _ -> ())
-            (binary_ops cfg.Config.block_op_menu);
-          if has_matmul cfg.Config.block_op_menu then
-            try_prim Op.Matmul [ i; j ]
+                  | None -> [])
+              else if verdict = Pruned then
+                Prune.reject tl ~depth ~remaining
+                  ~jreject:(jreject ~depth cand)
+                  ~journal_live:(journal <> None) e.nf
+              else
+                let consumed =
+                  List.fold_left (fun m j -> m lor (1 lsl j)) st.consumed e.bins
+                in
+                if dangling_ok ~count:(count + 1) ~ops:(st.ops + 1) consumed
+                then begin
+                  jaccept ~depth cand e;
+                  kept :=
+                    {
+                      entries = Array.append st.entries [| e |];
+                      table;
+                      ops = st.ops + 1;
+                      smem = st.smem + e.bytes;
+                      last_rank = Some x.rank;
+                      consumed;
+                    }
+                    :: !kept
+                end
+                else reject cand Tally.Dangling "dangling" []
+        in
+        for i = 0 to count - 1 do
+          let b = table.(i) in
+          Array.iter visit b.unary;
+          for j = 0 to count - 1 do
+            Array.iter visit
+              (if i <= j then table.(j).col.(i) else b.row.(j))
+          done;
+          Array.iter visit b.accum
         done;
-        (* accumulators over loop-varying values *)
-        if has_loop && e.phase = Body then begin
-          let all_phi =
-            Array.make (Array.length root.forloop) Dmap.Replica
-          in
-          let bop = Graph.B_accum { fmap = all_phi } in
-          let cand = attempt "accum" [ i ] in
-          add cand bop [ i ] e.shape (Absexpr.Nf.nf_sum iters e.nf) Post;
-          if cfg.Config.enable_concat_accum then
-            Array.iteri
-              (fun l count ->
-                Array.iteri
-                  (fun d _ ->
-                    if e.shape.(d) >= 1 then begin
-                      let fmap =
-                        Array.mapi
-                          (fun l' _ ->
-                            if l' = l then Dmap.Dim d else Dmap.Replica)
-                          root.forloop
-                      in
-                      let bop = Graph.B_accum { fmap } in
-                      let shape =
-                        Shape.scale_dim e.shape ~dim:d ~times:count
-                      in
-                      (* the phi dims still sum *)
-                      let phi_iters =
-                        Array.to_list root.forloop
-                        |> List.mapi (fun l' c ->
-                               if l' = l then 1 else c)
-                        |> List.fold_left ( * ) 1
-                      in
-                      let cand = attempt "accum.concat" [ i ] in
-                      add cand bop [ i ] shape
-                        (Absexpr.Nf.nf_sum phi_iters e.nf)
-                        Post
-                    end)
-                  e.shape)
-              root.forloop
-        end
-      done;
-      List.rev !moves
+        List.iter
+          (fun st' ->
+            (* Shallow children root large subtrees — publish those to the
+               pool; recurse inline past the cutoff. *)
+            if
+              st'.ops > cfg.Config.steal_depth_cutoff
+              || not
+                   (spawn (fun () ->
+                        Tally.run level (front ()) (fun tl -> extend tl st')))
+            then extend tl st')
+          (List.rev !kept)
+      end
     in
     (* the tally flushes under this task even when the budget cuts the
        DFS short *)

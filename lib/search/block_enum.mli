@@ -8,7 +8,37 @@
     (§4.3) before each extension. Whenever some tensors' abstract
     expressions are [A_eq]-equivalent to the specification's outputs and
     an omap reconstructs the right kernel-level shapes, a complete
-    candidate muGraph is emitted. *)
+    candidate muGraph is emitted.
+
+    {b Extension tables.} A child prefix differs from its parent by one
+    tensor, so most of its operator instantiations read only tensors the
+    parent already had. Each instantiation is an immutable record, made
+    once at the prefix where its newest input appeared and shared by
+    every descendant, on whichever domain runs it. A prefix's table is
+    its parent's plus fresh records for the instantiations that read the
+    entry just added. A record holds its phase or shape verdict and its
+    canonical rank; past those two checks, also its shape, abstract
+    expression and bytes, and the verdict it got where it was made:
+    duplicate, memory, pruned or alive.
+
+    A prefix first visits its whole table in generation order (per input
+    [i]: unary-like ops, then binary ops on [(i, j)] for every [j], then
+    accumulators), counting each try and its rejection reason exactly as
+    a fresh evaluation of every prefix would, and only then searches the
+    kept children in the same order. An inherited verdict is exact:
+    - phase and shape depend only on the inputs, so they are fixed;
+    - the last rank never decreases along a path, so a rank reject where
+      the record was made stays one; otherwise one compare against the
+      current last rank decides;
+    - entries only grow, so a duplicate stays a duplicate; otherwise only
+      the entries added since the record was made are compared;
+    - shared memory only grows, so the memory check is one add and one
+      compare;
+    - the prune verdict is a pure function of the abstract expression. A
+      descendant needs it only when the try passes rank, duplicate and
+      memory, which implies it passed them where it was made, where the
+      prune query already ran. So an inherited try is never re-queried;
+    - the dangling-value bound is recomputed from the child's state. *)
 
 open Tensor
 open Mugraph

@@ -180,10 +180,9 @@ let search (cfg : Config.t) ~spec ~front ~stats ~limits ~budget
                 Tally.reject tl Tally.Duplicate ~depth ~remaining;
                 jreject "duplicate" []
               end
-              else if
-                Prune.reject_if_pruned cfg tl ~depth ~remaining ~jreject
+              else if Prune.query cfg tl nf then
+                Prune.reject tl ~depth ~remaining ~jreject
                   ~journal_live:(journal <> None) nf
-              then ()
               else begin
                 (match journal with
                 | Some j ->

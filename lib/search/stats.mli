@@ -17,6 +17,14 @@
       [(w - 1) * Obs.Profile.batch] nodes past the budget, beyond the
       usual slack of the extensions already in flight.
 
+    Within one block-level prefix, every attempted extension and its
+    rejection reason are counted before any of the prefix's children is
+    searched (the whole extension table is visited first; see
+    {!Block_enum}). Expansions keep the order of a fresh evaluation of
+    each prefix, so a one-worker node budget cuts at the same expansion;
+    a search cut short has also counted every rejection of every prefix
+    it started.
+
     Counters are backed by a named {!Obs.Metrics} registry (one fresh
     registry per search unless the caller supplies one), so the same
     numbers are available both as this fixed [snapshot] record — the

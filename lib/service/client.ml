@@ -36,7 +36,12 @@ let request ?on_progress ~socket_path req =
         ~finally:(fun () -> try Unix.close fd with _ -> ())
         (fun () ->
           match
-            Proto.write_frame fd req;
+            (* a daemon that sheds the connection at the door answers
+               without reading a byte and hangs up, so our write can
+               meet a closed socket; its typed answer is still there to
+               read *)
+            (try Proto.write_frame fd req
+             with Unix.Unix_error (Unix.EPIPE, _, _) -> ());
             let rec read_resp () =
               let frame = Proto.read_frame fd in
               if Proto.is_progress frame then begin

@@ -365,6 +365,16 @@ let result_payload ~benchmark ~(device : Gpusim.Device.t) ~spec
       ("search_wall_s", J.Float wall_s);
     ]
 
+(* Only a search that ran to completion answers every later request for
+   its fingerprint, which excludes budget and deadline: a degraded or
+   budget-cut payload is served to its own request and its single-flight
+   followers, never stored. *)
+let payload_final payload =
+  (match J.member "degraded" payload with
+  | Some (J.List (_ :: _)) -> false
+  | _ -> true)
+  && J.member "budget_exhausted" payload <> Some (J.Bool true)
+
 (* A cached payload is only served if its best graph still decodes and
    validates; a payload that lies about its graph is quarantined and the
    request re-searches. *)
@@ -594,7 +604,8 @@ let optimize t ~rid ~(sample : Telemetry.sample) ?push ?(interval_s = 0.1)
                                         ~spec ~fp ~flight)
                                 with
                                 | payload ->
-                                    Cache.store t.cache fp payload;
+                                    if payload_final payload then
+                                      Cache.store t.cache fp payload;
                                     Done payload
                                 | exception e ->
                                     Failed

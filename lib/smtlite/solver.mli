@@ -18,7 +18,12 @@
 type t
 
 type stats = {
-  queries : int;  (** total subexpr queries issued *)
+  queries : int;
+      (** total subexpr queries issued. The block-level enumerator asks
+          once per extension record it makes that reaches the prune
+          check, not once per visit of that record at a descendant
+          prefix (see [Search.Block_enum]), so this counts distinct
+          evaluations, not tries *)
   cache_hits : int;
   cache_misses : int;
   accepted : int;  (** queries that returned true *)

@@ -397,6 +397,206 @@ let depth_counts (m : Obs.Metrics.snapshot) =
       else None)
     m.Obs.Metrics.hists
 
+(* Exact counts of the search_fig7 menu (grid {2}, for-loop {2}, at most
+   3 block ops) on the LAX pieces of reduced RMSNorm and GatedMLP, and of
+   GatedMLP again under a 2 KiB shared-memory block, which exercises the
+   memory check. The values were recorded from the enumerator that
+   regenerated every extension at every prefix; the extension tables that
+   replaced it must reproduce them at any worker count. *)
+type pinned = {
+  prog : string;
+  smem : int option;
+  funnel : (string * int) list;
+  totals : (string * int) list;
+      (** every search.block.* / search.kernel.* histogram count and
+          counter, by name *)
+  cands : int;
+}
+
+let pinned =
+  [
+    {
+      prog = "RMSNorm";
+      smem = None;
+      funnel =
+        [
+          ("expanded", 656_980);
+          ("shape_rejected", 237_515);
+          ("memory_rejected", 0);
+          ("pruned_abstract", 168_241);
+          ("canonical_rejected", 181_064);
+          ("candidates", 0);
+          ("verified", 0);
+          ("duplicates", 8604);
+        ];
+      totals =
+        [
+          ("search.block.expand_depth", 542_980);
+          ("search.block.reject.dangling", 32_691);
+          ("search.block.reject.phase", 18_870);
+          ("search.block.reject_depth.canonical", 131_813);
+          ("search.block.reject_depth.duplicate", 7711);
+          ("search.block.reject_depth.memory", 0);
+          ("search.block.reject_depth.pruned", 136_190);
+          ("search.block.reject_depth.shape", 208_051);
+          ("search.kernel.expand_depth", 114_000);
+          ("search.kernel.reject_depth.canonical", 49_251);
+          ("search.kernel.reject_depth.duplicate", 893);
+          ("search.kernel.reject_depth.pruned", 32_051);
+          ("search.kernel.reject_depth.shape", 29_464);
+        ];
+      cands = 0;
+    };
+    {
+      prog = "GatedMLP";
+      smem = None;
+      funnel =
+        [
+          ("expanded", 460_426);
+          ("shape_rejected", 174_349);
+          ("memory_rejected", 0);
+          ("pruned_abstract", 110_518);
+          ("canonical_rejected", 109_458);
+          ("candidates", 6);
+          ("verified", 0);
+          ("duplicates", 8634);
+        ];
+      totals =
+        [
+          ("search.block.expand_depth", 453_856);
+          ("search.block.reject.dangling", 30_625);
+          ("search.block.reject.phase", 18_132);
+          ("search.block.reject_depth.canonical", 106_682);
+          ("search.block.reject_depth.duplicate", 8554);
+          ("search.block.reject_depth.memory", 0);
+          ("search.block.reject_depth.pruned", 108_992);
+          ("search.block.reject_depth.shape", 172_277);
+          ("search.kernel.expand_depth", 6570);
+          ("search.kernel.reject_depth.canonical", 2776);
+          ("search.kernel.reject_depth.duplicate", 80);
+          ("search.kernel.reject_depth.pruned", 1526);
+          ("search.kernel.reject_depth.shape", 2072);
+        ];
+      cands = 6;
+    };
+    {
+      prog = "GatedMLP";
+      smem = Some 2048;
+      funnel =
+        [
+          ("expanded", 452_082);
+          ("shape_rejected", 171_780);
+          ("memory_rejected", 8814);
+          ("pruned_abstract", 100_079);
+          ("canonical_rejected", 106_851);
+          ("candidates", 6);
+          ("verified", 0);
+          ("duplicates", 8485);
+        ];
+      totals =
+        [
+          ("search.block.expand_depth", 445_512);
+          ("search.block.reject.dangling", 29_854);
+          ("search.block.reject.phase", 17_658);
+          ("search.block.reject_depth.canonical", 104_075);
+          ("search.block.reject_depth.duplicate", 8405);
+          ("search.block.reject_depth.memory", 8814);
+          ("search.block.reject_depth.pruned", 98_553);
+          ("search.block.reject_depth.shape", 169_708);
+          ("search.kernel.expand_depth", 6570);
+          ("search.kernel.reject_depth.canonical", 2776);
+          ("search.kernel.reject_depth.duplicate", 80);
+          ("search.kernel.reject_depth.pruned", 1526);
+          ("search.kernel.reject_depth.shape", 2072);
+        ];
+      cands = 6;
+    };
+  ]
+
+let funnel_fields (s : Search.Stats.snapshot) =
+  [
+    ("expanded", s.Search.Stats.expanded);
+    ("shape_rejected", s.Search.Stats.shape_rejected);
+    ("memory_rejected", s.Search.Stats.memory_rejected);
+    ("pruned_abstract", s.Search.Stats.pruned_abstract);
+    ("canonical_rejected", s.Search.Stats.canonical_rejected);
+    ("candidates", s.Search.Stats.candidates);
+    ("verified", s.Search.Stats.verified);
+    ("duplicates", s.Search.Stats.duplicates);
+  ]
+
+let level_totals (m : Obs.Metrics.snapshot) =
+  let level (name, _) =
+    List.exists
+      (fun p ->
+        String.length name > String.length p
+        && String.sub name 0 (String.length p) = p)
+      [ "search.block."; "search.kernel." ]
+  in
+  List.sort compare
+    (List.filter level (depth_counts m @ m.Obs.Metrics.counters))
+
+let check_pinned_counts () =
+  List.iter
+    (fun p ->
+      let b = Option.get (Workloads.Bench_defs.by_name p.prog) in
+      let spec, _ = b.Workloads.Bench_defs.reduced () in
+      let pieces =
+        List.filter
+          (fun (pc : Mirage.Partition.piece) -> pc.Mirage.Partition.lax)
+          (Mirage.Partition.partition spec).Mirage.Partition.pieces
+      in
+      Alcotest.(check int) (p.prog ^ ": one LAX piece") 1 (List.length pieces);
+      let pspec = (List.hd pieces).Mirage.Partition.graph in
+      let limits =
+        let l = Gpusim.Device.limits Gpusim.Device.a100 in
+        match p.smem with
+        | Some b -> { l with Memory.smem_bytes_per_block = b }
+        | None -> l
+      in
+      List.iter
+        (fun workers ->
+          let cfg =
+            Search.Config.for_spec
+              ~base:
+                {
+                  Search.Config.default with
+                  Search.Config.grid_candidates = [ [| 2 |] ];
+                  forloop_candidates = [ [| 2 |] ];
+                  max_block_ops = 3;
+                  num_workers = workers;
+                  time_budget_s = 0.0;
+                }
+              pspec
+          in
+          let solver =
+            Smtlite.Solver.create ~target:(Abstract.output_exprs pspec)
+          in
+          let stats = Search.Stats.create () in
+          let cands, exhausted, crashes =
+            Search.Generator.generate cfg ~spec:pspec ~solver ~stats ~limits
+              ~budget:(Search.Budget.of_config cfg) ()
+          in
+          let name =
+            Printf.sprintf "%s%s, %d worker(s): " p.prog
+              (match p.smem with
+              | Some b -> Printf.sprintf " (smem %d)" b
+              | None -> "")
+              workers
+          in
+          Alcotest.(check bool) (name ^ "ran to completion") false
+            (exhausted || crashes > 0);
+          Alcotest.(check (list (pair string int)))
+            (name ^ "funnel") p.funnel
+            (funnel_fields (Search.Stats.snapshot stats));
+          Alcotest.(check (list (pair string int)))
+            (name ^ "level totals") p.totals
+            (level_totals (Obs.Metrics.snapshot (Search.Stats.registry stats)));
+          Alcotest.(check int) (name ^ "candidates") p.cands
+            (List.length cands))
+        [ 1; 2 ])
+    pinned
+
 (* The enumerators count per subtree and flush batches, so every count
    must still be exact: the funnel and the per-depth histograms do not
    depend on how many workers shared the subtrees. *)
@@ -434,7 +634,8 @@ let test_funnel_invariant () =
       Alcotest.(check (list (pair string int)))
         (name ^ "same depth-histogram counts") hists
         (depth_counts o'.Search.Generator.metrics))
-    [ 1; 4 ]
+    [ 1; 4 ];
+  check_pinned_counts ()
 
 let test_report_on_file () =
   let file = Filename.temp_file "mirage_report" ".txt" in

@@ -236,6 +236,11 @@ let test_node_budget_overshoot () =
   List.iter
     (fun workers ->
       let n = expanded workers in
+      (* the exact 1-worker cut, recorded from the enumerator that
+         evaluated every prefix anew: extension tables count
+         expansions in the same order *)
+      if workers = 1 then
+        Alcotest.(check int) "1 worker: the exact cut" 5122 n;
       Alcotest.(check bool)
         (Printf.sprintf "%d worker(s): %d expanded past a budget of %d" workers n budget)
         true

@@ -589,10 +589,12 @@ let test_slow_forensics =
 
 (* --- shared prune helper ----------------------------------------------- *)
 
-(* The refactor pinned one invariant: the helper is the single
-   stats/journal site, so the journal's pruned_abstract rejects, the
-   stats counter, and the funnel all agree — at both call sites
-   (kernel_enum and block_enum) combined. *)
+(* One invariant: [Prune.query] (asked where an extension is evaluated)
+   and [Prune.reject] (counted and journaled where a try is visited) are
+   the single prune site, so the journal's pruned_abstract rejects, the
+   stats counter, and the funnel all agree — at both enumerators
+   (kernel_enum and block_enum) combined, although the block level
+   queries once per extension record and rejects once per visit. *)
 let test_prune_single_site =
   with_reset @@ fun () ->
   let journal_path = Filename.temp_file "mirage_prune_journal" ".jsonl" in
@@ -1029,6 +1031,41 @@ let test_deadline_timeout =
   Alcotest.(check string) "same fingerprint served after the timeout" "ok"
     (match get_exn [ "status" ] r2 with J.Str s -> s | _ -> "?")
 
+(* The fingerprint excludes budget and deadline, so a degraded answer
+   must not be stored: a request whose tiny budget cuts its search is
+   answered degraded, and the same spec asked again without a budget is
+   searched afresh instead of served that answer from the cache. *)
+let test_degraded_not_cached =
+  with_reset @@ fun () ->
+  let server = make_server () in
+  let spec = div_matmul_spec ~b:2 ~h:4 ~d:4 () in
+  let req extra =
+    J.Obj
+      ([ ("op", J.Str "optimize"); ("graph", Search.Checkpoint.graph_to_json spec) ]
+      @ extra)
+  in
+  let degraded r =
+    match get_exn [ "result"; "degraded" ] r with
+    | J.List l -> l <> []
+    | _ -> Alcotest.fail "degraded is not a list"
+  in
+  let r1 = Service.Server.handle_request server (req [ ("budget_s", J.Float 1e-6) ]) in
+  Alcotest.(check string) "tight budget answered" "ok"
+    (match get_exn [ "status" ] r1 with J.Str s -> s | _ -> "?");
+  Alcotest.(check bool) "tight budget degraded" true (degraded r1);
+  let r2 = Service.Server.handle_request server (req []) in
+  Alcotest.(check string) "full search answered" "ok"
+    (match get_exn [ "status" ] r2 with J.Str s -> s | _ -> "?");
+  Alcotest.(check bool) "same fingerprint" true
+    (get_exn [ "fingerprint" ] r1 = get_exn [ "fingerprint" ] r2);
+  Alcotest.(check bool) "degraded answer not served from the cache" false
+    (get_exn [ "cached" ] r2 = J.Bool true);
+  Alcotest.(check bool) "full search not degraded" false (degraded r2);
+  (* the complete answer is the one stored *)
+  let r3 = Service.Server.handle_request server (req []) in
+  Alcotest.(check bool) "complete answer cached" true
+    (get_exn [ "cached" ] r3 = J.Bool true)
+
 (* Crash residue — an orphaned temp file (kill -9 between write and
    rename) and a truncated result.json — is swept aside at startup:
    quarantined, counted, and the intact entry still serves. *)
@@ -1213,6 +1250,8 @@ let () =
             test_quota_server;
           Alcotest.test_case "expired deadline: typed timeout" `Slow
             test_deadline_timeout;
+          Alcotest.test_case "degraded answer not cached" `Slow
+            test_degraded_not_cached;
           Alcotest.test_case "startup recovery sweeps crash residue" `Quick
             test_recovery_sweep;
           Alcotest.test_case "disk byte cap evicts LRU entries" `Quick
