@@ -903,9 +903,47 @@ let micro () =
 (* time-slicing one core cannot speed anything up), plus a full search *)
 (* warm vs cold over a shared prune-cache dir ->                       *)
 (* enum.<b>.prune_warm_over_cold (lower is better: disk hits replace   *)
-(* normal-form decisions). All keys land in the bench history, so the  *)
-(* gate watches throughput, scaling and cache efficacy run over run.   *)
+(* normal-form decisions), and, for the reduced GQA piece on the       *)
+(* search_fig7 menu, root classes per root ->                          *)
+(* enum.gqa.searches_per_root (lower is better, deterministic). All    *)
+(* keys land in the bench history, so the gate watches throughput,     *)
+(* scaling, cache efficacy and root sharing run over run.              *)
 (* ------------------------------------------------------------------ *)
+
+(* Block-level searches run per root: root classes over roots for the
+   reduced GQA's LAX piece under the search_fig7 menu (grid {2},
+   for-loop {2}). *)
+let searches_per_root () =
+  let b = Option.get (Workloads.Bench_defs.by_name "GQA") in
+  let spec, _ = b.Workloads.Bench_defs.reduced () in
+  let piece =
+    List.find
+      (fun (p : Mirage.Partition.piece) -> p.Mirage.Partition.lax)
+      (Mirage.Partition.partition spec).Mirage.Partition.pieces
+  in
+  let pspec = piece.Mirage.Partition.graph in
+  let cfg =
+    Search.Config.for_spec
+      ~base:
+        {
+          Search.Config.default with
+          Search.Config.grid_candidates = [ [| 2 |] ];
+          forloop_candidates = [ [| 2 |] ];
+          max_block_ops = 3;
+        }
+      pspec
+  in
+  let classes =
+    Search.Block_enum.enumerate_roots cfg
+      ~input_shapes:(Mugraph.Graph.input_shapes pspec)
+  in
+  let roots =
+    List.fold_left
+      (fun acc (c : Search.Block_enum.root_class) ->
+        acc + Array.length c.Search.Block_enum.members)
+      0 classes
+  in
+  (List.length classes, roots)
 
 let enum_bench () =
   hr "enum: work-stealing scaling & persistent prune-query cache";
@@ -984,9 +1022,23 @@ let enum_bench () =
         ("gen_4d_s", Float t4);
         ("speedup_4d", Float speedup4);
       ];
+  let n_classes, n_roots = searches_per_root () in
+  let per_root = float_of_int n_classes /. float_of_int n_roots in
+  Printf.printf "root classes, gqa:     %d of %d roots   %.3f searches/root\n%!"
+    n_classes n_roots per_root;
+  jpush
+    Obs.Jsonw.
+      [
+        ("suite", Str "enum");
+        ("benchmark", Str "gqa");
+        ("root_classes", Int n_classes);
+        ("roots", Int n_roots);
+        ("searches_per_root", Float per_root);
+      ];
   history_enum :=
     !history_enum
     @ [
+        ("enum.gqa.searches_per_root", per_root);
         (Printf.sprintf "enum.%s.expansions_per_s" name, expansions_per_s);
         ( Printf.sprintf "enum.%s.minor_words_per_expansion" name,
           words_per_expansion );
@@ -1410,7 +1462,7 @@ let gate_history ~prev ~wall_s ~pct =
     (* Scaling, throughput and cache ratios are wall-clock, so lenient
        like serve; allocation is deterministic, so it is held tight:
          *.expansions_per_s      higher is better (decrease-only gate)
-         *.minor_words_per_expansion
+         *.minor_words_per_expansion, *.searches_per_root
                                  lower is better (increase-only gate, a
                                  fixed 5% slack whatever --gate says)
          *.speedup_4d / _8d      higher is better, slack -0.5x
@@ -1433,6 +1485,14 @@ let gate_history ~prev ~wall_s ~pct =
                     (Printf.sprintf
                        "%s: %.1f -> %.1f words (%+.1f%%, threshold +5%%)" key
                        old_r new_r
+                       (100.0 *. (new_r -. old_r) /. old_r))
+                else None
+            | Some old_r, Some new_r when ends_with "searches_per_root" key ->
+                if old_r > 0.0 && new_r > 1.05 *. old_r then
+                  Some
+                    (Printf.sprintf
+                       "%s: %.3f -> %.3f (%+.1f%%, threshold +5%%)" key old_r
+                       new_r
                        (100.0 *. (new_r -. old_r) /. old_r))
                 else None
             | Some old_r, Some new_r when ends_with "expansions_per_s" key ->

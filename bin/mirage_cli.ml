@@ -817,11 +817,18 @@ let explain_cmd =
           | Some (Obs.Jsonw.Str s) -> s
           | _ -> "?"
         in
+        (* a block-level try of a root class stands for its members *)
+        let roots =
+          match Obs.Jsonw.member "roots" last with
+          | Some (Obs.Jsonw.Int k) ->
+              Printf.sprintf ", for each of the %d roots of its root class" k
+          | _ -> ""
+        in
         (match Obs.Journal.typ_of last with
         | "cand.reject" ->
-            Printf.printf "-- rejected: %s\n" (str_field "reason" last)
+            Printf.printf "-- rejected: %s%s\n" (str_field "reason" last) roots
         | "cand.accept" ->
-            Printf.printf "-- accepted into the search prefix\n"
+            Printf.printf "-- accepted into the search prefix%s\n" roots
         | "graph.emit" ->
             Printf.printf "-- emitted as a complete muGraph (unverified)\n"
         | "verify.verdict" ->

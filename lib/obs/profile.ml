@@ -351,18 +351,20 @@ let flush_rule h =
       h.rh_fires <- 0
   | _ -> ()
 
-let fire h ~remaining =
+let fire_n h ~remaining n =
   match h.rh_rule with
   | None -> ()
   | Some _ ->
-      h.rh_fires <- h.rh_fires + 1;
+      h.rh_fires <- h.rh_fires + n;
       let k =
         if remaining < 0 then 0
         else if remaining >= max_remaining then max_remaining - 1
         else remaining
       in
-      h.rh_by.(k) <- h.rh_by.(k) + 1;
+      h.rh_by.(k) <- h.rh_by.(k) + n;
       if h.rh_fires >= batch then flush_rule h
+
+let fire h ~remaining = fire_n h ~remaining 1
 
 let rec set_branching t b =
   if Float.is_finite b && b > 0.0 then begin

@@ -111,6 +111,10 @@ val fire : rule_handle -> remaining:int -> unit
 (** Record one cut by the rule with [remaining] operator slots below the
     rejected prefix (clamped into the efficacy histogram). *)
 
+val fire_n : rule_handle -> remaining:int -> int -> unit
+(** [fire_n h ~remaining n] records [n] such cuts at once (a block-level
+    try that stands for the [n] roots of a root class). *)
+
 val flush_rule : rule_handle -> unit
 (** Drain the handle's batched fires to the profiler's counters — call
     at task end, on any thread (the batch is handle-local). *)

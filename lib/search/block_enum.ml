@@ -7,9 +7,33 @@ type root = {
   initers : (Dmap.imap * Dmap.fmap) array;
 }
 
+type root_class = {
+  rep : root;
+  members : (Dmap.imap * Dmap.fmap) array array;
+}
+
 type emit = Graph.kernel_graph -> unit
 
 exception Budget_exhausted
+
+type phase = Body | Inv | Post
+
+(* All that the search reads of an input iterator: the tile it loads and
+   its loop phase. The class key and a search's initial entries are both
+   built from it, so the two cannot drift apart. *)
+let initer_view ~grid ~forloop shape (imap, fmap) =
+  let tile =
+    Dmap.slice_shape fmap ~counts:forloop
+      (Dmap.slice_shape imap ~counts:grid shape)
+  in
+  let phase =
+    if
+      Array.fold_left ( * ) 1 forloop <= 1
+      || Array.for_all (fun t -> t = Dmap.Replica) fmap
+    then Inv
+    else Body
+  in
+  (tile, phase)
 
 (* ------------------------------------------------------------------ *)
 (* Root enumeration                                                     *)
@@ -24,14 +48,42 @@ let rec target_vectors count rank =
       (fun t -> List.map (fun v -> t :: v) rest)
       (Dmap.Replica :: List.init rank (fun d -> Dmap.Dim d))
 
+(* Class keys: grid, for-loop and every input's [initer_view]. The
+   default hash stops after 10 meaningful words, about the first tile,
+   so it would put most classes in a few buckets. *)
+module Class_key = Hashtbl.Make (struct
+  type t = int array * int array * (Shape.t * phase) array
+
+  let equal = ( = )
+  let hash = Hashtbl.hash_param 64 256
+end)
+
+(* Group [(root, views)] pairs by class key, keeping first-occurrence
+   order for the classes and enumeration order within each. *)
+let group_classes all =
+  let seen = Class_key.create 64 in
+  let order = ref [] in
+  List.iter
+    (fun (r, views) ->
+      let key = (r.grid, r.forloop, views) in
+      match Class_key.find_opt seen key with
+      | Some members -> members := r.initers :: !members
+      | None ->
+          let members = ref [ r.initers ] in
+          Class_key.add seen key members;
+          order := (r, members) :: !order)
+    all;
+  List.rev_map
+    (fun (rep, members) -> { rep; members = Array.of_list (List.rev !members) })
+    !order
+
 let enumerate_roots (cfg : Config.t) ~input_shapes =
   let shapes = Array.of_list input_shapes in
-  let n_inputs = Array.length shapes in
   List.concat_map
     (fun grid ->
       List.concat_map
         (fun forloop ->
-          (* per-input valid (imap, fmap) pairs *)
+          (* per-input valid (imap, fmap) pairs, each with its view *)
           let per_input =
             Array.to_list
               (Array.map
@@ -47,7 +99,11 @@ let enumerate_roots (cfg : Config.t) ~input_shapes =
                            (fun fm ->
                              let fmap = Array.of_list fm in
                              if Dmap.valid_fmap fmap ~forloop ~shape:sliced
-                             then Some (imap, fmap)
+                             then
+                               Some
+                                 ( (imap, fmap),
+                                   initer_view ~grid ~forloop shape
+                                     (imap, fmap) )
                              else None)
                            (target_vectors (Array.length forloop) rank))
                      (target_vectors (Array.length grid) rank))
@@ -64,7 +120,7 @@ let enumerate_roots (cfg : Config.t) ~input_shapes =
           in
           product per_input
           |> List.filter_map (fun assignment ->
-                 let initers = Array.of_list assignment in
+                 let initers = Array.of_list (List.map fst assignment) in
                  (* every grid dim and loop dim must partition some input *)
                  let covered proj count =
                    List.init count (fun k ->
@@ -81,19 +137,18 @@ let enumerate_roots (cfg : Config.t) ~input_shapes =
                    && covered
                         (fun (_, fmap) k -> fmap.(k))
                         (Array.length forloop)
-                 then Some { grid; forloop; initers }
+                 then
+                   Some
+                     ( { grid; forloop; initers },
+                       Array.of_list (List.map snd assignment) )
                  else None))
         cfg.Config.forloop_candidates)
     cfg.Config.grid_candidates
-  |> fun roots ->
-  ignore n_inputs;
-  roots
+  |> group_classes
 
 (* ------------------------------------------------------------------ *)
 (* DFS over block-graph prefixes                                        *)
 (* ------------------------------------------------------------------ *)
-
-type phase = Body | Inv | Post
 
 type entry = {
   bop : Graph.block_op;
@@ -199,28 +254,35 @@ let popcount m =
   go m 0
 
 let search_root (cfg : Config.t) ~spec ~front ~stats ~limits ~budget
-    ?(spawn = fun _ -> false) ~(emit : emit) root =
+    ?(spawn = fun _ -> false) ~(emit : emit) cls =
+  let root = cls.rep in
+  let weight = Array.length cls.members in
   let input_shapes = Graph.input_shapes spec in
   let input_names = Graph.input_names spec in
   let n_inputs = List.length input_shapes in
   let elt_bytes = limits.Memory.elt_bytes in
   let smem_limit = limits.Memory.smem_bytes_per_block in
-  (* Flight recorder, resolved once per root: every attempted extension
+  (* Flight recorder, resolved once per class: every attempted extension
      gets a candidate id and an expand event, every rejection names its
-     reason. One atomic load per attempt when journaling is off, and no
+     reason, and each event of a class of k > 1 roots says it stands for
+     k tries. One atomic load per attempt when journaling is off, and no
      Jsonw values are built on the [None] path. *)
   let journal = Obs.Journal.active () in
+  let jroots =
+    if weight > 1 then [ ("roots", Obs.Jsonw.Int weight) ] else []
+  in
   let jexpand ~depth x =
     match journal with
     | Some j ->
         let id = Obs.Journal.fresh_id j in
         Obs.Journal.emit j ~cand:id ~typ:"cand.expand"
-          [
+          ([
             ("level", Obs.Jsonw.Str "block");
             ("depth", Obs.Jsonw.Int depth);
             ("op", Obs.Jsonw.Str (op_name x.op));
             ("ins", Obs.Jsonw.List (List.map (fun i -> Obs.Jsonw.Int i) x.ins));
-          ];
+          ]
+          @ jroots);
         id
     | None -> -1
   in
@@ -231,26 +293,28 @@ let search_root (cfg : Config.t) ~spec ~front ~stats ~limits ~budget
           (("level", Obs.Jsonw.Str "block")
           :: ("depth", Obs.Jsonw.Int depth)
           :: ("reason", Obs.Jsonw.Str reason)
-          :: extra)
+          :: (extra @ jroots))
     | None -> ()
   in
   let jaccept ~depth cand (e : entry) =
     match journal with
     | Some j ->
         Obs.Journal.emit j ~cand ~typ:"cand.accept"
-          [
+          ([
             ("level", Obs.Jsonw.Str "block");
             ("depth", Obs.Jsonw.Int depth);
             ("shape", Obs.Jsonw.Str (Shape.to_string e.shape));
             ("expr", Obs.Jsonw.Str (Absexpr.Nf.to_string e.nf));
           ]
+          @ jroots)
     | None -> ()
   in
   (* Funnel counts, per-depth histograms and the structural-cut counters
-     in the search's registry, resolved once per root (mutex) and counted
-     per subtree in a domain-owned tally. *)
+     in the search's registry, resolved once per class (mutex) and counted
+     per subtree in a domain-owned tally, each try once per member. *)
   let level =
     Tally.level stats ~name:"block" ~max_depth:cfg.Config.max_block_ops
+      ~weight
       Tally.[ Shape; Memory; Duplicate; Pruned; Canonical; Phase; Dangling ]
   in
   let iters = Array.fold_left ( * ) 1 root.forloop in
@@ -262,27 +326,30 @@ let search_root (cfg : Config.t) ~spec ~front ~stats ~limits ~budget
       (Abstract.output_exprs spec)
       (Infer.output_shapes spec)
   in
-  (* Initial state: one input iterator per spec input. *)
+  (* Each member's input-iterator nodes, the only part of an emitted
+     graph that differs between members. *)
+  let member_initers =
+    Array.map
+      (Array.mapi (fun input (imap, fmap) ->
+           { Graph.bop = Graph.B_initer { input; imap; fmap }; bins = [] }))
+      cls.members
+  in
+  (* Initial state: one input iterator per spec input, the
+     representative's. *)
   let init_state =
     let entries =
       List.mapi
         (fun i (shape, name) ->
-          let imap, fmap = root.initers.(i) in
-          let tile =
-            Dmap.slice_shape fmap ~counts:root.forloop
-              (Dmap.slice_shape imap ~counts:root.grid shape)
+          let tile, phase =
+            initer_view ~grid:root.grid ~forloop:root.forloop shape
+              root.initers.(i)
           in
           {
-            bop = Graph.B_initer { input = i; imap; fmap };
+            bop = member_initers.(0).(i).Graph.bop;
             bins = [];
             shape = tile;
             nf = Absexpr.Nf.nf_var name;
-            phase =
-              (if
-                 (not has_loop)
-                 || Array.for_all (fun t -> t = Dmap.Replica) fmap
-               then Inv
-               else Body);
+            phase;
             bytes = Shape.numel tile * elt_bytes;
           })
         (List.combine input_shapes input_names)
@@ -366,44 +433,59 @@ let search_root (cfg : Config.t) ~spec ~front ~stats ~limits ~budget
               let tails = combos rest in
               List.concat_map (fun o -> List.map (fun t -> o :: t) tails) opts
         in
-        (* One funnel entry per completing prefix, however many output
-           selections it yields — keeps candidates <= accepted
-           extensions, so the funnel invariant holds by construction. *)
-        let emitted = ref false in
-        List.iter
-          (fun selection ->
-            let bnodes =
-              Array.append
-                (Array.map
-                   (fun e -> { Graph.bop = e.bop; bins = e.bins })
-                   st.entries)
-                (Array.of_list
-                   (List.map
-                      (fun (i, omap) ->
-                        { Graph.bop = Graph.B_outsaver { omap }; bins = [ i ] })
-                      selection))
-            in
-            let bg =
-              { Graph.grid = root.grid; forloop = root.forloop; bnodes }
-            in
-            let bld = Graph.Build.create () in
-            let ins =
-              List.map2
-                (fun name shape -> Graph.Build.input bld name shape)
-                input_names input_shapes
-            in
-            let outs =
-              Graph.Build.graphdef bld bg ins (List.length selection)
-            in
-            match Graph.Build.finish bld ~outputs:outs with
-            | g ->
-                if Memory.check limits g then begin
-                  emitted := true;
-                  emit g
-                end
-            | exception (Graph.Ill_formed _ | Invalid_argument _) -> ())
-          (combos per_output);
-        if !emitted then Tally.candidate tl
+        (* The prefix's operators and the output savers of each
+           selection, shared by every member's graph. *)
+        let body =
+          Array.map
+            (fun e -> { Graph.bop = e.bop; bins = e.bins })
+            (Array.sub st.entries n_inputs
+               (Array.length st.entries - n_inputs))
+        in
+        let savers =
+          List.map
+            (fun selection ->
+              Array.of_list
+                (List.map
+                   (fun (i, omap) ->
+                     { Graph.bop = Graph.B_outsaver { omap }; bins = [ i ] })
+                   selection))
+            (combos per_output)
+        in
+        (* Per member, one funnel entry per completing prefix, however
+           many output selections it yields — keeps candidates <=
+           accepted extensions (each counted once per member), so the
+           funnel invariant holds by construction. *)
+        Array.iter
+          (fun initers ->
+            let emitted = ref false in
+            List.iter
+              (fun saver ->
+                let bg =
+                  {
+                    Graph.grid = root.grid;
+                    forloop = root.forloop;
+                    bnodes = Array.concat [ initers; body; saver ];
+                  }
+                in
+                let bld = Graph.Build.create () in
+                let ins =
+                  List.map2
+                    (fun name shape -> Graph.Build.input bld name shape)
+                    input_names input_shapes
+                in
+                let outs =
+                  Graph.Build.graphdef bld bg ins (Array.length saver)
+                in
+                match Graph.Build.finish bld ~outputs:outs with
+                | g ->
+                    if Memory.check limits g then begin
+                      emitted := true;
+                      emit g
+                    end
+                | exception (Graph.Ill_formed _ | Invalid_argument _) -> ())
+              savers;
+            if !emitted then Tally.candidate tl)
+          member_initers
       end
     in
     let n_outputs = List.length spec_outs in

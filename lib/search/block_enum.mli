@@ -38,7 +38,29 @@
       descendant needs it only when the try passes rank, duplicate and
       memory, which implies it passed them where it was made, where the
       prune query already ran. So an inherited try is never re-queried;
-    - the dangling-value bound is recomputed from the child's state. *)
+    - the dangling-value bound is recomputed from the child's state.
+
+    {b Root classes.} The search reads a root's imap/fmap in two places
+    only: the initial state, which needs each input's tile shape, loop
+    phase and tile bytes, and the graph it builds for an emitted
+    candidate. Ranks, the duplicate check, shared memory, the prune
+    query, the dangling-value bound and the omaps depend only on those
+    tiles and phases, the grid and the for-loop. So roots that agree on
+    grid, for-loop and every input's (tile, phase) — one {e root class}
+    — have identical searches. {!enumerate_roots} groups them, and
+    {!search_root} runs one DFS per class: at each completing prefix it
+    builds the output selections once, then builds, checks and emits a
+    graph for every member with that member's input iterators, in the
+    members' enumeration order. The emitted set is the per-root search's,
+    graph for graph. The class key and the initial state come from the
+    same function, so they cannot drift apart.
+
+    Counts stay per root: every try, rejection, depth-histogram bucket
+    and prune-rule fire of a class counts once per member (see
+    {!Tally.level}), a candidate once per member that emitted a graph,
+    and the journal's block-level [cand.expand], [cand.reject] and
+    [cand.accept] events carry ["roots": k] for a class of k > 1
+    members. Solver queries count real queries, once per class. *)
 
 open Tensor
 open Mugraph
@@ -49,11 +71,20 @@ type root = {
   initers : (Dmap.imap * Dmap.fmap) array;  (** one per spec input *)
 }
 
+type root_class = {
+  rep : root;  (** the class's first root: its representative *)
+  members : (Dmap.imap * Dmap.fmap) array array;
+      (** every member's input iterators in enumeration order,
+          [rep.initers] first *)
+}
+
 val enumerate_roots :
-  Config.t -> input_shapes:Shape.t list -> root list
+  Config.t -> input_shapes:Shape.t list -> root_class list
 (** All valid (grid, forloop, imap/fmap) combinations from the config's
-    candidate lists; every grid and for-loop dimension must partition at
-    least one input. *)
+    candidate lists — every grid and for-loop dimension must partition at
+    least one input — grouped into root classes, in order of each
+    class's first member. Flattening the classes' members gives every
+    valid root exactly once. *)
 
 type emit = Graph.kernel_graph -> unit
 
@@ -68,12 +99,13 @@ val search_root :
   budget:Obs.Budget.t ->
   ?spawn:((unit -> unit) -> bool) ->
   emit:emit ->
-  root ->
+  root_class ->
   unit
-(** Depth-first expansion of one root. [emit] receives complete,
-    validated candidates (not yet verified). [front ()] is the calling
-    worker's solver front; each subtree resolves it once, on the domain
-    that runs it, and counts into its own {!Tally}. [spawn k] may publish
+(** Depth-first expansion of one root class, emitting the graphs of
+    every member. [emit] receives complete, validated candidates (not
+    yet verified). [front ()] is the calling worker's solver front;
+    each subtree resolves it once, on the domain that runs it, and
+    counts into its own {!Tally}. [spawn k] may publish
     subtree continuation [k] to a work-stealing pool and return [true];
     returning [false] (the default) makes the enumerator recurse
     inline — offered only for accepted children at depth <=

@@ -4,7 +4,7 @@
    resumes with `mirage_cli optimize --resume RUN_DIR` instead of
    discarding hours of enumeration.
 
-   Tasks (the kernel-level pass plus one per root configuration) are
+   Tasks (the kernel-level pass plus one per root class) are
    deterministic given the spec and config, so a completed-task set
    keyed by task index is a sound cursor: resume skips those indices and
    re-runs only interrupted ones. Candidates are stored as full muGraph
@@ -14,7 +14,9 @@
 open Mugraph
 module J = Obs.Jsonw
 
-let schema = "mirage.checkpoint.v1"
+(* v2: a task index names a root class, not a root; a v1 cursor would
+   skip the wrong tasks, so v1 files are refused. *)
+let schema = "mirage.checkpoint.v2"
 
 exception Decode of string
 

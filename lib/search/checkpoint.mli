@@ -4,9 +4,11 @@
     per partition piece, which enumeration tasks have completed and every
     candidate muGraph emitted so far. Tasks are deterministic given the
     spec and config — the kernel-level pass plus one task per block-level
-    root configuration — so an index-based cursor is a sound resume
-    point: completed tasks are skipped, interrupted ones re-run and
-    deduplicate against the reloaded candidates.
+    root class ({!Block_enum.root_class}) — so an index-based cursor is a
+    sound resume point: completed tasks are skipped, interrupted ones
+    re-run and deduplicate against the reloaded candidates. The schema is
+    [mirage.checkpoint.v2]; a v1 file, whose task indices named single
+    roots, is refused with a "not a mirage.checkpoint.v2 file" error.
 
     Saves are atomic (temp file + rename); a crash mid-save leaves the
     previous checkpoint intact. A failed save degrades the run

@@ -17,11 +17,11 @@ type outcome = {
   degraded : string list;
 }
 
-type task = T_kernel | T_root of Block_enum.root
+type task = T_kernel | T_class of Block_enum.root_class
 
 let task_label = function
   | T_kernel -> "kernel"
-  | T_root _ -> "root"
+  | T_class _ -> "root"
 
 (* Worker domains inherit the spawner's ambient journal context (the
    serving tier's request id), so a request's id survives the fan-out
@@ -57,10 +57,12 @@ let n_shards = 16 (* power of two; shard = hash low bits *)
 let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
     ?(piece = 0) ?on_pool () =
   Printexc.record_backtrace true;
-  let roots =
+  let classes =
     Block_enum.enumerate_roots cfg ~input_shapes:(Graph.input_shapes spec)
   in
-  let tasks = Array.of_list (T_kernel :: List.map (fun r -> T_root r) roots) in
+  let tasks =
+    Array.of_list (T_kernel :: List.map (fun c -> T_class c) classes)
+  in
   let n_tasks = Array.length tasks in
   let skip =
     match checkpoint with
@@ -72,8 +74,8 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
     | None -> Array.make n_tasks false
   in
   Obs.Log.debug (fun m ->
-      m "generate: %d tasks (%d roots, %d resumed), %d worker(s)"
-        n_tasks (List.length roots)
+      m "generate: %d tasks (%d root classes, %d resumed), %d worker(s)"
+        n_tasks (List.length classes)
         (Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 skip)
         cfg.Config.num_workers);
   let exhausted = Atomic.make false in
@@ -218,7 +220,7 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
           record_crash i exn (Printexc.get_raw_backtrace ())
   in
   let task_phase i =
-    match tasks.(i) with T_kernel -> "task.kernel" | T_root _ -> "task.root"
+    match tasks.(i) with T_kernel -> "task.kernel" | T_class _ -> "task.root"
   in
   (* [spawn] handed to the enumerators for task [i]: publish a subtree
      continuation onto the calling worker's deque. The pending bump
@@ -249,14 +251,14 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
                       (fun () ->
                         Kernel_enum.search cfg ~spec ~front ~stats ~limits
                           ~budget ~spawn:(spawn_for i) ~emit ()))
-            | T_root root ->
+            | T_class cls ->
                 Obs.Profile.with_phase "task.root" (fun () ->
                     Obs.Trace.with_span ~cat:"search"
                       ~args:[ ("task", string_of_int i) ]
                       "enumerate.root"
                       (fun () ->
                         Block_enum.search_root cfg ~spec ~front ~stats ~limits
-                          ~budget ~spawn:(spawn_for i) ~emit root))))
+                          ~budget ~spawn:(spawn_for i) ~emit cls))))
   in
   for i = 0 to n_tasks - 1 do
     if not skip.(i) then begin

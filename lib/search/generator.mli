@@ -49,7 +49,8 @@ val generate :
   unit ->
   (int * Graph.kernel_graph) list * bool * int
 (** The raw enumeration stage of {!run}: seed the kernel task and one
-    task per root configuration onto a work-stealing pool of
+    task per root class ({!Block_enum.root_class}) onto a work-stealing
+    pool of
     [num_workers] domains and drain it, returning the deduplicated
     [(gid, graph)] candidates plus whether the budget was exhausted and
     how many items crashed. The candidate {e set} is independent of the
@@ -80,7 +81,7 @@ val run :
     fresh registry per run; pass a shared one to accumulate across
     runs). When the global {!Obs.Trace} collector is enabled, the run
     records [enumerate]/[cost]/[verify] spans (one [enumerate.root] span
-    per root configuration, one [verify.candidate] span per verification
+    per root class, one [verify.candidate] span per verification
     attempt).
 
     Candidates are verified in ascending cost-model order with a single

@@ -17,6 +17,13 @@
       [(w - 1) * Obs.Profile.batch] nodes past the budget, beyond the
       usual slack of the extensions already in flight.
 
+    Counts are per root. The block level searches each root class once
+    (see {!Block_enum}), and every try it makes there — its expansion,
+    its rejection reason, its depth-histogram bucket — counts once per
+    member of the class; a completing prefix counts one candidate per
+    member that emitted a graph. So every count equals the one a
+    separate search of each root would give.
+
     Within one block-level prefix, every attempted extension and its
     rejection reason are counted before any of the prefix's children is
     searched (the whole extension table is visited first; see

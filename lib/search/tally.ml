@@ -67,12 +67,13 @@ let sink reg ~name ~buckets r =
 
 type level = {
   stats : Stats.t;
+  weight : int;  (* roots each try stands for *)
   stride : int;  (* depths 0 .. stride-1 *)
   h_expand : Obs.Metrics.histogram;
   sinks : sink option array;  (* by reason index *)
 }
 
-let level stats ~name ~max_depth reasons =
+let level stats ~name ~max_depth ?(weight = 1) reasons =
   let buckets =
     Obs.Metrics.linear_buckets ~lo:0.0 ~step:1.0 ~n:(max 1 max_depth + 1)
   in
@@ -86,10 +87,10 @@ let level stats ~name ~max_depth reasons =
   List.iter
     (fun r -> sinks.(index r) <- Some (sink reg ~name ~buckets r))
     reasons;
-  { stats; stride = max 1 max_depth + 1; h_expand; sinks }
+  { stats; weight; stride = max 1 max_depth + 1; h_expand; sinks }
 
 (* [counts] row 0 holds expansions by depth, row [1 + index r] the
-   rejections for [r]. *)
+   rejections for [r], each unweighted; [pending] is weighted. *)
 type t = {
   lvl : level;
   front : Smtlite.Solver.front;
@@ -118,13 +119,14 @@ let create lvl front =
        a);
   }
 
-(* Drain row [row] into [h] (per depth) and return its total. *)
+(* Drain row [row], weighted, into [h] (per depth) and return its
+   total. *)
 let drain t row h =
   let stride = t.lvl.stride in
   let base = row * stride in
   let total = ref 0 in
   for d = 0 to stride - 1 do
-    let k = t.counts.(base + d) in
+    let k = t.counts.(base + d) * t.lvl.weight in
     if k > 0 then begin
       (match h with
       | Some h -> Obs.Metrics.observe_n h (float_of_int d) k
@@ -161,7 +163,7 @@ let run lvl front f =
 let expand t ~depth =
   let i = depth in
   t.counts.(i) <- t.counts.(i) + 1;
-  t.pending <- t.pending + 1;
+  t.pending <- t.pending + t.lvl.weight;
   if t.pending >= Obs.Profile.batch then flush t
 
 let reject t r ~depth ~remaining =
@@ -169,7 +171,7 @@ let reject t r ~depth ~remaining =
   let i = ((ri + 1) * t.lvl.stride) + depth in
   t.counts.(i) <- t.counts.(i) + 1;
   match t.rules.(ri) with
-  | Some h -> Obs.Profile.fire h ~remaining
+  | Some h -> Obs.Profile.fire_n h ~remaining t.lvl.weight
   | None -> ()
 
 let candidate t = t.candidates <- t.candidates + 1

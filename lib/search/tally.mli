@@ -9,7 +9,14 @@
     when the subtree ends, also when it raises (crash, budget cut), and
     {!expand} flushes every {!Obs.Profile.batch} expansions in between.
     So totals are exact once every subtree has ended, and live readers
-    lag by at most one batch per worker. *)
+    lag by at most one batch per worker.
+
+    Counts are per root. The block level searches a root class once (see
+    {!Block_enum}), so its level carries the class size as a weight: a
+    try, a rejection, its depth-histogram bucket and its prune-rule fire
+    count once per member of the class. Candidates are counted once per
+    member that emitted a graph. Solver-front queries and hits are not
+    weighted: they count real queries. *)
 
 type reason = Shape | Memory | Duplicate | Canonical | Pruned | Phase | Dangling
 (** Why an attempted extension was cut. [Phase] and [Dangling] are
@@ -18,14 +25,22 @@ type reason = Shape | Memory | Duplicate | Canonical | Pruned | Phase | Dangling
 
 type level
 (** One enumerator level's shared handles, resolved once per search
-    (kernel) or per root (block). *)
+    (kernel) or per root class (block). *)
 
-val level : Stats.t -> name:string -> max_depth:int -> reason list -> level
+val level :
+  Stats.t ->
+  name:string ->
+  max_depth:int ->
+  ?weight:int ->
+  reason list ->
+  level
 (** Registers, in order, [search.<name>.expand_depth], then per reason a
     [search.<name>.reject_depth.<r>] histogram ([Phase]/[Dangling]: a
     [search.<name>.reject.<r>] counter). Histograms bucket depths
     [0 .. max_depth]. Only the listed reasons may be passed to
-    {!reject}. *)
+    {!reject}. [weight] (default 1) is the number of roots each try
+    stands for: every expansion, rejection, histogram bucket and
+    prune-rule fire is flushed multiplied by it. *)
 
 type t
 
@@ -35,18 +50,21 @@ val run : level -> Smtlite.Solver.front -> (t -> 'a) -> 'a
     front. *)
 
 val expand : t -> depth:int -> unit
-(** Count one attempted extension of a prefix at [depth]. *)
+(** Count one attempted extension of a prefix at [depth], [weight] times
+    toward the batch. *)
 
 val reject : t -> reason -> depth:int -> remaining:int -> unit
 (** Count a cut at [depth], with [remaining] operator slots below it for
     the profiler's savings estimate. *)
 
 val candidate : t -> unit
-(** Count one completing prefix submitted to verification. *)
+(** Count one completing prefix submitted to verification (unweighted:
+    the block level calls it once per member that emitted a graph). *)
 
 val expanded : t -> int
-(** Flushed expansions of the whole search plus this tally's own batch:
-    the count the node budget is checked against. *)
+(** Flushed expansions of the whole search plus this tally's own batch,
+    both weighted: the count the node budget is checked against, so the
+    budget still bounds per-root work. *)
 
 val front : t -> Smtlite.Solver.front
 val timer : t -> Obs.Profile.timer

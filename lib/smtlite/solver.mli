@@ -19,11 +19,12 @@ type t
 
 type stats = {
   queries : int;
-      (** total subexpr queries issued. The block-level enumerator asks
-          once per extension record it makes that reaches the prune
-          check, not once per visit of that record at a descendant
-          prefix (see [Search.Block_enum]), so this counts distinct
-          evaluations, not tries *)
+      (** total subexpr queries issued: real queries, not tries. The
+          block-level enumerator asks once per extension record it makes
+          that reaches the prune check, not once per visit of that
+          record at a descendant prefix, and once per root class, not
+          once per root of the class (see [Search.Block_enum]); the
+          funnel counts are weighted per root, these are not *)
   cache_hits : int;
   cache_misses : int;
   accepted : int;  (** queries that returned true *)

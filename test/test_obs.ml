@@ -398,11 +398,14 @@ let depth_counts (m : Obs.Metrics.snapshot) =
     m.Obs.Metrics.hists
 
 (* Exact counts of the search_fig7 menu (grid {2}, for-loop {2}, at most
-   3 block ops) on the LAX pieces of reduced RMSNorm and GatedMLP, and of
+   3 block ops) on the LAX pieces of reduced RMSNorm and GatedMLP, of
    GatedMLP again under a 2 KiB shared-memory block, which exercises the
-   memory check. The values were recorded from the enumerator that
-   regenerated every extension at every prefix; the extension tables that
-   replaced it must reproduce them at any worker count. *)
+   memory check, and of LoRA, whose 6400 roots fall into 3935 root
+   classes. The RMSNorm and GatedMLP values were recorded from the
+   enumerator that regenerated every extension at every prefix, and every
+   value (the candidate digests too) from the one that searched each root
+   separately; the extension tables and root classes that replaced them
+   must reproduce them at any worker count. *)
 type pinned = {
   prog : string;
   smem : int option;
@@ -411,6 +414,7 @@ type pinned = {
       (** every search.block.* / search.kernel.* histogram count and
           counter, by name *)
   cands : int;
+  hashes : string;  (** digest of the candidates' sorted [Graph.hash]es *)
 }
 
 let pinned =
@@ -446,6 +450,7 @@ let pinned =
           ("search.kernel.reject_depth.shape", 29_464);
         ];
       cands = 0;
+      hashes = "d41d8cd98f00b204e9800998ecf8427e";
     };
     {
       prog = "GatedMLP";
@@ -478,6 +483,7 @@ let pinned =
           ("search.kernel.reject_depth.shape", 2072);
         ];
       cands = 6;
+      hashes = "1cb32deffd1391ecdafba3cb93f9b5e0";
     };
     {
       prog = "GatedMLP";
@@ -510,6 +516,40 @@ let pinned =
           ("search.kernel.reject_depth.shape", 2072);
         ];
       cands = 6;
+      hashes = "1cb32deffd1391ecdafba3cb93f9b5e0";
+    };
+    {
+      prog = "LoRA";
+      smem = None;
+      funnel =
+        [
+          ("expanded", 2_003_111);
+          ("shape_rejected", 1_001_360);
+          ("memory_rejected", 0);
+          ("pruned_abstract", 357_900);
+          ("canonical_rejected", 420_130);
+          ("candidates", 106);
+          ("verified", 0);
+          ("duplicates", 19_983);
+        ];
+      totals =
+        [
+          ("search.block.expand_depth", 1_860_826);
+          ("search.block.reject.dangling", 181_959);
+          ("search.block.reject.phase", 0);
+          ("search.block.reject_depth.canonical", 337_193);
+          ("search.block.reject_depth.duplicate", 18_930);
+          ("search.block.reject_depth.memory", 0);
+          ("search.block.reject_depth.pruned", 336_259);
+          ("search.block.reject_depth.shape", 967_614);
+          ("search.kernel.expand_depth", 142_285);
+          ("search.kernel.reject_depth.canonical", 82_937);
+          ("search.kernel.reject_depth.duplicate", 1053);
+          ("search.kernel.reject_depth.pruned", 21_641);
+          ("search.kernel.reject_depth.shape", 33_746);
+        ];
+      cands = 106;
+      hashes = "1df3109911b2e646f86c000ae4a179ba";
     };
   ]
 
@@ -593,7 +633,14 @@ let check_pinned_counts () =
             (name ^ "level totals") p.totals
             (level_totals (Obs.Metrics.snapshot (Search.Stats.registry stats)));
           Alcotest.(check int) (name ^ "candidates") p.cands
-            (List.length cands))
+            (List.length cands);
+          Alcotest.(check string) (name ^ "candidate hashes") p.hashes
+            (Digest.to_hex
+               (Digest.string
+                  (String.concat ","
+                     (List.map string_of_int
+                        (List.sort compare
+                           (List.map (fun (_, g) -> Graph.hash g) cands)))))))
         [ 1; 2 ])
     pinned
 

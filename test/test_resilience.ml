@@ -343,6 +343,38 @@ let test_checkpoint_load_errors () =
   | Error _ -> ());
   Sys.remove f
 
+(* A v1 checkpoint's task indices named single roots; v2 indices name
+   root classes. A v1 file must be refused, not resumed into skipping
+   the wrong tasks. *)
+let test_checkpoint_v1_refused () =
+  let path = Filename.temp_file "mirage_ckpt_v1" ".json" in
+  let ck = Search.Checkpoint.create ~path () in
+  Search.Checkpoint.task_done ck ~piece:0 ~task:1 ~tasks_total:3;
+  (match Search.Checkpoint.load path with
+  | Ok ck ->
+      Alcotest.(check (list int)) "v2 loads" [ 1 ]
+        (Search.Checkpoint.completed ck ~piece:0)
+  | Error m -> Alcotest.fail m);
+  (* the same file under the v1 schema marker *)
+  (match
+     Obs.Jsonw.of_string (In_channel.with_open_bin path In_channel.input_all)
+   with
+  | Ok (Obs.Jsonw.Obj kvs) ->
+      Obs.Jsonw.to_file path
+        (Obs.Jsonw.Obj
+           (List.map
+              (fun (k, v) ->
+                if k = "schema" then (k, Obs.Jsonw.Str "mirage.checkpoint.v1")
+                else (k, v))
+              kvs))
+  | _ -> Alcotest.fail "checkpoint is not a JSON object");
+  (match Search.Checkpoint.load path with
+  | Ok _ -> Alcotest.fail "loaded a v1 checkpoint"
+  | Error m ->
+      Alcotest.(check bool) "not a v2 file" true
+        (Astring_contains.contains m "not a mirage.checkpoint.v2 file"));
+  Sys.remove path
+
 let test_fingerprint_ignores_budget () =
   let cfg = small_config () in
   let fp c = Search.Checkpoint.config_fingerprint (Search.Config.to_json c) in
@@ -412,6 +444,8 @@ let () =
           Alcotest.test_case "resume mid-subtree reaches same best" `Quick
             test_resume_mid_subtree;
           Alcotest.test_case "load errors" `Quick test_checkpoint_load_errors;
+          Alcotest.test_case "v1 checkpoint refused" `Quick
+            test_checkpoint_v1_refused;
           Alcotest.test_case "fingerprint ignores budget fields" `Quick
             test_fingerprint_ignores_budget;
         ] );

@@ -52,13 +52,23 @@ let test_config_keeps_add_for_sums () =
 
 (* --- root enumeration ----------------------------------------------------- *)
 
+(* A class's members, as roots, in enumeration order. *)
+let members (c : Search.Block_enum.root_class) =
+  Array.to_list
+    (Array.map
+       (fun initers -> { c.Search.Block_enum.rep with initers })
+       c.Search.Block_enum.members)
+
+(* Every member of every class. *)
+let all_roots cfg spec =
+  List.concat_map members
+    (Search.Block_enum.enumerate_roots cfg
+       ~input_shapes:(Graph.input_shapes spec))
+
 let test_roots_validity () =
   let spec = div_matmul_spec ~b:4 ~h:8 ~d:16 in
   let cfg = small_config () in
-  let roots =
-    Search.Block_enum.enumerate_roots cfg
-      ~input_shapes:(Graph.input_shapes spec)
-  in
+  let roots = all_roots cfg spec in
   Alcotest.(check bool) "some roots" true (List.length roots > 0);
   List.iter
     (fun (r : Search.Block_enum.root) ->
@@ -81,17 +91,109 @@ let test_roots_divisibility () =
   (* C has shape [4,1]: its dim 1 cannot be split in 2 *)
   let spec = div_matmul_spec ~b:4 ~h:8 ~d:16 in
   let cfg = small_config () in
-  let roots =
-    Search.Block_enum.enumerate_roots cfg
-      ~input_shapes:(Graph.input_shapes spec)
-  in
   List.iter
     (fun (r : Search.Block_enum.root) ->
       let imap_c, _ = r.Search.Block_enum.initers.(1) in
       match imap_c.(0) with
       | Dmap.Dim 1 -> Alcotest.fail "split a size-1 dimension"
       | _ -> ())
-    roots
+    (all_roots cfg spec)
+
+(* The classes partition the per-root enumeration: flattened, their
+   members are exactly the 289 roots the enumerator produced before it
+   grouped them (digest of that list, sorted, recorded then), and every
+   member loads the representative's tiles with its loop phases. *)
+let test_root_classes () =
+  let spec = div_matmul_spec ~b:4 ~h:8 ~d:16 in
+  let cfg = small_config () in
+  let classes =
+    Search.Block_enum.enumerate_roots cfg
+      ~input_shapes:(Graph.input_shapes spec)
+  in
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  let render (r : Search.Block_enum.root) =
+    Printf.sprintf "%s|%s|%s" (ints r.Search.Block_enum.grid)
+      (ints r.Search.Block_enum.forloop)
+      (String.concat ";"
+         (Array.to_list
+            (Array.map
+               (fun (im, fm) ->
+                 Dmap.imap_to_string im ^ "/" ^ Dmap.fmap_to_string fm)
+               r.Search.Block_enum.initers)))
+  in
+  let flat = List.concat_map members classes in
+  Alcotest.(check int) "289 roots" 289 (List.length flat);
+  Alcotest.(check string) "the pre-change root list"
+    "689a9c20d3ffc721955978958957f49c"
+    (Digest.to_hex
+       (Digest.string
+          (String.concat "\n" (List.sort compare (List.map render flat)))));
+  Alcotest.(check bool) "fewer classes than roots" true
+    (List.length classes < List.length flat);
+  let shapes = Array.of_list (Graph.input_shapes spec) in
+  let view (r : Search.Block_enum.root) =
+    Array.mapi
+      (fun i (imap, fmap) ->
+        ( Dmap.slice_shape fmap ~counts:r.Search.Block_enum.forloop
+            (Dmap.slice_shape imap ~counts:r.Search.Block_enum.grid shapes.(i)),
+          Array.for_all (fun t -> t = Dmap.Replica) fmap ))
+      r.Search.Block_enum.initers
+  in
+  List.iter
+    (fun (c : Search.Block_enum.root_class) ->
+      let rep = c.Search.Block_enum.rep in
+      Alcotest.(check bool) "the representative is the first member" true
+        (c.Search.Block_enum.members.(0) == rep.Search.Block_enum.initers);
+      List.iter
+        (fun (r : Search.Block_enum.root) ->
+          Alcotest.(check bool) "a member's tiles and phases" true
+            (view r = view rep))
+        (members c))
+    classes
+
+(* A class emits a graph for every member: on div_matmul_spec at 3 block
+   ops, 62 block-level candidates come from classes of two roots, half of
+   them from the non-representative member. The candidate set, its
+   digest and the funnel's counts are the values recorded when each root
+   was searched separately. *)
+let test_root_classes_emit_members () =
+  let spec = div_matmul_spec ~b:4 ~h:8 ~d:16 in
+  List.iter
+    (fun workers ->
+      let cfg =
+        Search.Config.for_spec
+          ~base:
+            { (small_config ~ops:3 ()) with Search.Config.num_workers = workers }
+          spec
+      in
+      let solver = Smtlite.Solver.create ~target:(Abstract.output_exprs spec) in
+      let stats = Search.Stats.create () in
+      let cands, exhausted, _ =
+        Search.Generator.generate cfg ~spec ~solver ~stats
+          ~limits:(Gpusim.Device.limits Gpusim.Device.a100)
+          ~budget:(Search.Budget.of_config cfg) ()
+      in
+      let name = Printf.sprintf "%d worker(s): " workers in
+      let s = Search.Stats.snapshot stats in
+      Alcotest.(check bool) (name ^ "ran to completion") false exhausted;
+      Alcotest.(check (list int))
+        (name ^ "expanded, candidates, duplicates")
+        [ 412_446; 157; 5520 ]
+        [
+          s.Search.Stats.expanded;
+          s.Search.Stats.candidates;
+          s.Search.Stats.duplicates;
+        ];
+      Alcotest.(check int) (name ^ "candidate graphs") 157 (List.length cands);
+      Alcotest.(check string) (name ^ "candidate hashes")
+        "0b3880a036127ac7673c808754a9692d"
+        (Digest.to_hex
+           (Digest.string
+              (String.concat ","
+                 (List.map string_of_int
+                    (List.sort compare
+                       (List.map (fun (_, g) -> Graph.hash g) cands)))))))
+    [ 1; 2 ]
 
 (* --- thread fusion --------------------------------------------------------- *)
 
@@ -461,6 +563,10 @@ let () =
         [
           Alcotest.test_case "validity" `Quick test_roots_validity;
           Alcotest.test_case "divisibility" `Quick test_roots_divisibility;
+          Alcotest.test_case "classes partition the roots" `Quick
+            test_root_classes;
+          Alcotest.test_case "classes emit every member's graphs" `Quick
+            test_root_classes_emit_members;
         ] );
       ( "thread fusion",
         [

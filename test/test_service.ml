@@ -612,13 +612,17 @@ let test_prune_single_site =
     | Ok evs -> evs
     | Error m -> Alcotest.fail ("journal unreadable: " ^ m)
   in
+  (* a block-level event of a root class stands for its "roots" tries *)
   let journaled =
-    List.length
-      (List.filter
-         (fun e ->
-           Obs.Journal.typ_of e = "cand.reject"
-           && J.member "reason" e = Some (J.Str "pruned_abstract"))
-         events)
+    List.fold_left
+      (fun acc e ->
+        if
+          Obs.Journal.typ_of e = "cand.reject"
+          && J.member "reason" e = Some (J.Str "pruned_abstract")
+        then
+          acc + (match J.member "roots" e with Some (J.Int k) -> k | _ -> 1)
+        else acc)
+      0 events
   in
   Alcotest.(check bool) "the search exercised abstract pruning" true
     (snap.Search.Stats.pruned_abstract > 0);
