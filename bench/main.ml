@@ -729,12 +729,14 @@ let profile_bench () =
       (fun acc (p : Obs.Profile.phase_snap) -> acc + p.Obs.Profile.p_count)
       0 snap.Obs.Profile.phases
   in
+  (* The enumerators' tallies record a depth bucket's cuts in one
+     fire_n call when they flush: price the calls, not the fires. *)
   let rule_records =
     List.fold_left
-      (fun acc (r : Obs.Profile.rule_snap) -> acc + r.Obs.Profile.r_fires)
+      (fun acc (r : Obs.Profile.rule_snap) -> acc + r.Obs.Profile.r_calls)
       0 snap.Obs.Profile.prune_rules
   in
-  Printf.printf "cold search: %.2fs wall, %d phase records, %d rule fires\n"
+  Printf.printf "cold search: %.2fs wall, %d phase records, %d rule calls\n"
     wall_s phase_records rule_records;
   Printf.printf "search: %s\n" (Search.Stats.to_string o.Search.Generator.stats);
   (* (b) Net per-record cost of each primitive: the same loop timed with
@@ -896,9 +898,11 @@ let micro () =
 (* persistent prune cache. Cold generation at 1 domain ->              *)
 (* enum.<b>.expansions_per_s (higher is better) and                    *)
 (* enum.<b>.minor_words_per_expansion (lower is better; the            *)
-(* allocation of the hot path, deterministic); wall at 1 vs 2 and 4    *)
-(* (and, on wide hosts, 8) domains -> enum.<b>.speedup_2d (recorded    *)
-(* only) and enum.<b>.speedup_4d (higher is better; the >=2x floor is  *)
+(* allocation of the hot path, deterministic), the same of a bare      *)
+(* Kernel_enum.search -> enum.<b>.kernel_minor_words_per_expansion;    *)
+(* wall at 1 vs 2 and 4 (and, on wide hosts, 8) domains ->             *)
+(* enum.<b>.speedup_2d (recorded only) and enum.<b>.speedup_4d        *)
+(* (higher is better; the >=2x floor is                                *)
 (* asserted only when the host actually has >= 4 cores — domains       *)
 (* time-slicing one core cannot speed anything up), plus a full search *)
 (* warm vs cold over a shared prune-cache dir ->                       *)
@@ -985,12 +989,35 @@ let enum_bench () =
     let t, _, _ = gen workers in
     t
   in
+  (* The kernel level alone, 1 domain: the calling domain's minor words
+     per expansion of a bare Kernel_enum.search. Its few million words
+     are close to the minor heap's size, and the count read between two
+     minor collections can trail by part of a heap, so both reads follow
+     a [Gc.minor]. *)
+  let kernel_words_per_expansion () =
+    let cfg = Search.Config.for_spec ~base spec in
+    let stats = Search.Stats.create () in
+    let front =
+      Smtlite.Solver.front
+        (Smtlite.Solver.create ~target:(Mugraph.Abstract.output_exprs spec))
+        0
+    in
+    Gc.minor ();
+    let w0 = (Gc.quick_stat ()).Gc.minor_words in
+    Search.Kernel_enum.search cfg ~spec ~front:(fun () -> front) ~stats
+      ~limits:(Gpusim.Device.limits Gpusim.Device.a100)
+      ~budget:(Search.Budget.of_config cfg) ~emit:ignore ();
+    Gc.minor ();
+    let words = (Gc.quick_stat ()).Gc.minor_words -. w0 in
+    words /. float_of_int (Search.Stats.expanded stats)
+  in
   Printf.printf "(host has %d core(s))\n%!" cores;
   let t1, expanded1, words1 = gen 1 in
   (* single-domain enumeration throughput: the per-extension cost of the
      whole enumerator hot path, independent of the host's core count *)
   let expansions_per_s = float_of_int expanded1 /. t1 in
   let words_per_expansion = words1 /. float_of_int expanded1 in
+  let kernel_words = kernel_words_per_expansion () in
   let t2 = gen_time 2 in
   let speedup2 = t1 /. t2 in
   let t4 = gen_time 4 in
@@ -999,6 +1026,8 @@ let enum_bench () =
     "cold generation, %s:  1 domain %6.2fs   %.3g expansions/s   %.1f minor \
      words/expansion\n"
     name t1 expansions_per_s words_per_expansion;
+  Printf.printf "  kernel level alone:  %.1f minor words/expansion\n"
+    kernel_words;
   Printf.printf "                      2 domains %6.2fs   %.2fx\n" t2 speedup2;
   Printf.printf "                      4 domains %6.2fs   %.2fx\n%!" t4 speedup4;
   if cores >= 4 && speedup4 < 2.0 then begin
@@ -1017,6 +1046,7 @@ let enum_bench () =
         ("expanded", Int expanded1);
         ("expansions_per_s", Float expansions_per_s);
         ("minor_words_per_expansion", Float words_per_expansion);
+        ("kernel_minor_words_per_expansion", Float kernel_words);
         ("gen_2d_s", Float t2);
         ("speedup_2d", Float speedup2);
         ("gen_4d_s", Float t4);
@@ -1042,6 +1072,8 @@ let enum_bench () =
         (Printf.sprintf "enum.%s.expansions_per_s" name, expansions_per_s);
         ( Printf.sprintf "enum.%s.minor_words_per_expansion" name,
           words_per_expansion );
+        ( Printf.sprintf "enum.%s.kernel_minor_words_per_expansion" name,
+          kernel_words );
         (Printf.sprintf "enum.%s.speedup_2d" name, speedup2);
         (Printf.sprintf "enum.%s.speedup_4d" name, speedup4);
       ];

@@ -31,6 +31,7 @@ let max_remaining = 24
 type rule = {
   ru_name : string;
   ru_fires : Metrics.counter;
+  ru_calls : int Atomic.t;  (* fire/fire_n calls *)
   ru_by : int Atomic.t array;  (* fires by remaining depth *)
 }
 
@@ -124,6 +125,7 @@ let resolve_rule t name =
                 ru_fires =
                   Metrics.counter t.reg ~help:"prefixes cut by the rule"
                     ("profile.prune." ^ name ^ ".fires");
+                ru_calls = Atomic.make 0;
                 ru_by = Array.init max_remaining (fun _ -> Atomic.make 0);
               }
             in
@@ -313,56 +315,58 @@ let note name dt_s =
 
 (* --- prune-rule analytics ---------------------------------------------- *)
 
-(* A handle batches fires locally — the enumerators fire once per
-   rejected extension, and two atomic increments per reject add up to a
-   visible fraction of an enumeration-bound search. The batch drains on
-   {!flush_rule} (the enumerators flush at task end, next to their
-   timer) and automatically every [batch] fires so a dropped flush loses a
+(* A handle batches fires locally: a call costs one increment of the
+   call count and one of its remaining-depth bucket, and the fires are
+   the buckets' sum, taken at flush. The batch drains on {!flush_rule}
+   and automatically every [batch] calls, so a dropped flush loses a
    bounded tail. *)
 let batch = 4096
 
 type rule_handle = {
   rh_rule : rule option;
-  mutable rh_fires : int;
-  rh_by : int array;
+  mutable rh_calls : int;
+  rh_by : int array;  (* fires by remaining depth *)
 }
 
 let prune_rule name =
   match Atomic.get current with
-  | None -> { rh_rule = None; rh_fires = 0; rh_by = [||] }
+  | None -> { rh_rule = None; rh_calls = 0; rh_by = [||] }
   | Some t ->
       {
         rh_rule = Some (resolve_rule t name);
-        rh_fires = 0;
+        rh_calls = 0;
         rh_by = Array.make max_remaining 0;
       }
 
 let flush_rule h =
   match h.rh_rule with
-  | Some r when h.rh_fires > 0 ->
-      Metrics.add r.ru_fires h.rh_fires;
+  | Some r when h.rh_calls > 0 ->
+      let fires = ref 0 in
       Array.iteri
         (fun k n ->
           if n > 0 then begin
+            fires := !fires + n;
             ignore (Atomic.fetch_and_add r.ru_by.(k) n);
             h.rh_by.(k) <- 0
           end)
         h.rh_by;
-      h.rh_fires <- 0
+      Metrics.add r.ru_fires !fires;
+      ignore (Atomic.fetch_and_add r.ru_calls h.rh_calls);
+      h.rh_calls <- 0
   | _ -> ()
 
 let fire_n h ~remaining n =
   match h.rh_rule with
   | None -> ()
   | Some _ ->
-      h.rh_fires <- h.rh_fires + n;
       let k =
         if remaining < 0 then 0
         else if remaining >= max_remaining then max_remaining - 1
         else remaining
       in
       h.rh_by.(k) <- h.rh_by.(k) + n;
-      if h.rh_fires >= batch then flush_rule h
+      h.rh_calls <- h.rh_calls + 1;
+      if h.rh_calls >= batch then flush_rule h
 
 let fire h ~remaining = fire_n h ~remaining 1
 
@@ -391,6 +395,7 @@ type phase_snap = {
 type rule_snap = {
   r_rule : string;
   r_fires : int;
+  r_calls : int;
   r_by_remaining : int array;
   r_est_saved : float;
 }
@@ -449,6 +454,7 @@ let snapshot (t : t) =
         {
           r_rule = r.ru_name;
           r_fires = Metrics.value r.ru_fires;
+          r_calls = Atomic.get r.ru_calls;
           r_by_remaining = by;
           r_est_saved = Float.min !est 1e15;
         })

@@ -102,7 +102,7 @@ val batch : int
 type rule_handle
 (** Resolved once per enumeration task; fires accumulate locally in the
     handle (plain increments) and drain to the shared counters on
-    {!flush_rule} or automatically every {!batch} fires. The handle of a
+    {!flush_rule} or automatically every {!batch} calls. The handle of a
     disabled profiler is inert. *)
 
 val prune_rule : string -> rule_handle
@@ -112,8 +112,9 @@ val fire : rule_handle -> remaining:int -> unit
     rejected prefix (clamped into the efficacy histogram). *)
 
 val fire_n : rule_handle -> remaining:int -> int -> unit
-(** [fire_n h ~remaining n] records [n] such cuts at once (a block-level
-    try that stands for the [n] roots of a root class). *)
+(** [fire_n h ~remaining n] records [n] such cuts in one call (the
+    enumerators' tallies record each depth's cuts this way when they
+    flush). *)
 
 val flush_rule : rule_handle -> unit
 (** Drain the handle's batched fires to the profiler's counters — call
@@ -140,6 +141,9 @@ type phase_snap = {
 type rule_snap = {
   r_rule : string;
   r_fires : int;
+  r_calls : int;
+      (** {!fire}/{!fire_n} calls: fewer than [r_fires] when one call
+          records several cuts *)
   r_by_remaining : int array;
   r_est_saved : float;
       (** estimated subtree expansions the rule saved, geometric model

@@ -212,7 +212,7 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
     if Atomic.get exhausted then Atomic.set t_bad.(i) true
     else
       try body () with
-      | Block_enum.Budget_exhausted ->
+      | Prefix.Budget_exhausted ->
           Atomic.set t_bad.(i) true;
           Atomic.set exhausted true
       | exn ->

@@ -1,8 +1,19 @@
 (** Kernel-level enumeration: sequences of pre-defined kernel operators
     whose outputs match the specification — the TASO/PET-style algebraic
-    slice of Mirage's search space (no custom kernels). Shares the
-    canonical-rank discipline and abstract-expression pruning with the
-    block enumerator. *)
+    slice of Mirage's search space (no custom kernels).
+
+    A {!Prefix.level} over the spec's inputs. It supplies:
+    - its entries: kernel operators ([K_input], [K_prim]) with no extra
+      attributes and no level state;
+    - its extensions: the kernel op menu's prims, each made by shape
+      inference and its abstract expression at the birth prefix;
+    - rank before shape: a try out of canonical order is a [canonical]
+      reject even when its shapes do not fit;
+    - no extra admission checks;
+    - completion: every spec output matched by an operator entry of the
+      same shape and an [A_eq]-equal expression, in a valid graph that
+      fits device memory;
+    - the [enum.kernel] fault probe. *)
 
 open Mugraph
 
@@ -17,12 +28,6 @@ val search :
   emit:(Graph.kernel_graph -> unit) ->
   unit ->
   unit
-(** [front ()] is the calling worker's solver front; each subtree
-    resolves it once, on the domain that runs it, and counts into its
-    own {!Tally}. [spawn k] may publish subtree continuation [k] to a work-stealing
-    pool and return [true]; returning [false] (the default) makes the
-    enumerator recurse inline. Continuations are offered only for
-    accepted children at depth <= [steal_depth_cutoff], are safe to run
-    on any domain, and never change the emitted candidate set.
-    @raise Block_enum.Budget_exhausted on budget exhaustion (reason
-    noted on [budget]). The [enum.kernel] fault probe fires here. *)
+(** Every kernel graph of at most [max_kernel_ops] operators, through
+    {!Prefix.search} (see there for [front] and [spawn]).
+    @raise Prefix.Budget_exhausted on budget exhaustion. *)

@@ -17,20 +17,18 @@
       [(w - 1) * Obs.Profile.batch] nodes past the budget, beyond the
       usual slack of the extensions already in flight.
 
-    Counts are per root. The block level searches each root class once
-    (see {!Block_enum}), and every try it makes there — its expansion,
-    its rejection reason, its depth-histogram bucket — counts once per
-    member of the class; a completing prefix counts one candidate per
-    member that emitted a graph. So every count equals the one a
+    Counts are per root: each try of a root class's search counts once
+    per member, and a completing prefix one candidate per member that
+    emitted a graph (see {!Block_enum}). So every count equals the one a
     separate search of each root would give.
 
-    Within one block-level prefix, every attempted extension and its
+    At both levels, every attempted extension of a prefix and its
     rejection reason are counted before any of the prefix's children is
-    searched (the whole extension table is visited first; see
-    {!Block_enum}). Expansions keep the order of a fresh evaluation of
-    each prefix, so a one-worker node budget cuts at the same expansion;
-    a search cut short has also counted every rejection of every prefix
-    it started.
+    searched (see {!Prefix}; the kernel level now visits in the block
+    level's order too). Expansions keep the order of a fresh evaluation
+    of each prefix, so a one-worker node budget cuts at the same
+    expansion, and a search cut short has counted every rejection of
+    every prefix it started.
 
     Counters are backed by a named {!Obs.Metrics} registry (one fresh
     registry per search unless the caller supplies one), so the same

@@ -20,7 +20,7 @@ let index = function
 
 let n_reasons = 7
 
-let rule_name = function
+let reason_name = function
   | Shape -> "shape"
   | Memory -> "memory"
   | Duplicate -> "duplicate"
@@ -68,6 +68,7 @@ let sink reg ~name ~buckets r =
 type level = {
   stats : Stats.t;
   weight : int;  (* roots each try stands for *)
+  max_depth : int;
   stride : int;  (* depths 0 .. stride-1 *)
   h_expand : Obs.Metrics.histogram;
   sinks : sink option array;  (* by reason index *)
@@ -87,7 +88,7 @@ let level stats ~name ~max_depth ?(weight = 1) reasons =
   List.iter
     (fun r -> sinks.(index r) <- Some (sink reg ~name ~buckets r))
     reasons;
-  { stats; weight; stride = max 1 max_depth + 1; h_expand; sinks }
+  { stats; weight; max_depth; stride = max 1 max_depth + 1; h_expand; sinks }
 
 (* [counts] row 0 holds expansions by depth, row [1 + index r] the
    rejections for [r], each unweighted; [pending] is weighted. *)
@@ -114,14 +115,17 @@ let create lvl front =
        List.iter
          (fun r ->
            if lvl.sinks.(index r) <> None then
-             a.(index r) <- Some (Obs.Profile.prune_rule (rule_name r)))
+             a.(index r) <- Some (Obs.Profile.prune_rule (reason_name r)))
          all;
        a);
   }
 
-(* Drain row [row], weighted, into [h] (per depth) and return its
-   total. *)
-let drain t row h =
+(* Drain row [row], weighted, into [h] (per depth) and into a
+   rejection's profiler [rule] (a cut at depth [d] has
+   [max_depth - d - 1] operator slots below it), and return its total.
+   So a rule records one call per depth bucket per flush, not one per
+   cut. *)
+let drain t row h rule =
   let stride = t.lvl.stride in
   let base = row * stride in
   let total = ref 0 in
@@ -130,6 +134,10 @@ let drain t row h =
     if k > 0 then begin
       (match h with
       | Some h -> Obs.Metrics.observe_n h (float_of_int d) k
+      | None -> ());
+      (match rule with
+      | Some r ->
+          Obs.Profile.fire_n r ~remaining:(max 0 (t.lvl.max_depth - d - 1)) k
       | None -> ());
       total := !total + k;
       t.counts.(base + d) <- 0
@@ -141,13 +149,14 @@ let flush t =
   let stats = t.lvl.stats in
   (* expansions first, so a live reader never sees a rejection whose
      attempt it has not counted *)
-  Stats.add stats Stats.Expanded (drain t 0 (Some t.lvl.h_expand));
+  Stats.add stats Stats.Expanded (drain t 0 (Some t.lvl.h_expand) None);
   t.pending <- 0;
   Array.iteri
     (fun i s ->
       match s with
-      | Some (Funnel (k, h)) -> Stats.add stats k (drain t (i + 1) (Some h))
-      | Some (Counter c) -> Obs.Metrics.add c (drain t (i + 1) None)
+      | Some (Funnel (k, h)) ->
+          Stats.add stats k (drain t (i + 1) (Some h) t.rules.(i))
+      | Some (Counter c) -> Obs.Metrics.add c (drain t (i + 1) None t.rules.(i))
       | None -> ())
     t.lvl.sinks;
   Stats.add stats Stats.Candidates t.candidates;
@@ -166,13 +175,9 @@ let expand t ~depth =
   t.pending <- t.pending + t.lvl.weight;
   if t.pending >= Obs.Profile.batch then flush t
 
-let reject t r ~depth ~remaining =
-  let ri = index r in
-  let i = ((ri + 1) * t.lvl.stride) + depth in
-  t.counts.(i) <- t.counts.(i) + 1;
-  match t.rules.(ri) with
-  | Some h -> Obs.Profile.fire_n h ~remaining t.lvl.weight
-  | None -> ()
+let reject t r ~depth =
+  let i = ((index r + 1) * t.lvl.stride) + depth in
+  t.counts.(i) <- t.counts.(i) + 1
 
 let candidate t = t.candidates <- t.candidates + 1
 let expanded t = Stats.expanded t.lvl.stats + t.pending

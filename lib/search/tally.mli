@@ -23,6 +23,10 @@ type reason = Shape | Memory | Duplicate | Canonical | Pruned | Phase | Dangling
     block-level structural cuts with their own registry counters; the
     rest are funnel rejections with a depth histogram. *)
 
+val reason_name : reason -> string
+(** The name a reason goes by in the journal's [cand.reject] events and
+    the profiler's prune rules (["shape"], ["pruned_abstract"], ...). *)
+
 type level
 (** One enumerator level's shared handles, resolved once per search
     (kernel) or per root class (block). *)
@@ -53,9 +57,10 @@ val expand : t -> depth:int -> unit
 (** Count one attempted extension of a prefix at [depth], [weight] times
     toward the batch. *)
 
-val reject : t -> reason -> depth:int -> remaining:int -> unit
-(** Count a cut at [depth], with [remaining] operator slots below it for
-    the profiler's savings estimate. *)
+val reject : t -> reason -> depth:int -> unit
+(** Count a cut at [depth]. Its profiler prune rule records it at the
+    next flush, with the [max_depth - depth - 1] operator slots below it
+    for the savings estimate. *)
 
 val candidate : t -> unit
 (** Count one completing prefix submitted to verification (unweighted:

@@ -53,12 +53,20 @@ else
   echo "*** SKIPPING codegen smoke: no working C compiler (cc) on this host ***"
 fi
 
-echo "== chaos smoke: enumerator crashes are quarantined, run still lands"
+echo "== chaos smoke: enumerator crashes (block and kernel level) are quarantined, run still lands"
 rm -rf /tmp/mirage_ci_chaos1
 MIRAGE_FAULT="enum.block:1.0:2" dune exec bin/mirage_cli.exe -- \
   optimize rmsnorm --budget 2 --workers 2 \
   --report /tmp/mirage_ci_chaos1 >/dev/null
 grep -q '"state": "\(ok\|degraded\)"' /tmp/mirage_ci_chaos1/report.json
+# Workers pop their deques LIFO, so the kernel task (seeded first) runs
+# late; at most 2 block ops lets the search reach it within the budget.
+rm -rf /tmp/mirage_ci_chaos1k
+MIRAGE_FAULT="enum.kernel:1.0:1" dune exec bin/mirage_cli.exe -- \
+  optimize rmsnorm --budget 2 --workers 2 --max-block-ops 2 \
+  --report /tmp/mirage_ci_chaos1k >/dev/null
+grep -q '"state": "\(ok\|degraded\)"' /tmp/mirage_ci_chaos1k/report.json
+grep -q '"ev":"cand.crash".*"kind":"kernel"' /tmp/mirage_ci_chaos1k/journal.jsonl
 
 echo "== chaos smoke: journal write failure degrades, never crashes"
 rm -rf /tmp/mirage_ci_chaos2
@@ -70,6 +78,7 @@ grep -q '"state": "\(ok\|degraded\)"' /tmp/mirage_ci_chaos2/report.json
 echo "== validate chaos artifacts (journals must have no torn lines)"
 dune exec tools/json_check.exe -- \
   /tmp/mirage_ci_chaos1/report.json /tmp/mirage_ci_chaos1/journal.jsonl \
+  /tmp/mirage_ci_chaos1k/report.json /tmp/mirage_ci_chaos1k/journal.jsonl \
   /tmp/mirage_ci_chaos2/report.json /tmp/mirage_ci_chaos2/journal.jsonl
 
 echo "== chaos smoke: prune-cache write failure degrades to memory-only"

@@ -400,12 +400,15 @@ let depth_counts (m : Obs.Metrics.snapshot) =
 (* Exact counts of the search_fig7 menu (grid {2}, for-loop {2}, at most
    3 block ops) on the LAX pieces of reduced RMSNorm and GatedMLP, of
    GatedMLP again under a 2 KiB shared-memory block, which exercises the
-   memory check, and of LoRA, whose 6400 roots fall into 3935 root
-   classes. The RMSNorm and GatedMLP values were recorded from the
-   enumerator that regenerated every extension at every prefix, and every
-   value (the candidate digests too) from the one that searched each root
-   separately; the extension tables and root classes that replaced them
-   must reproduce them at any worker count. *)
+   memory check, of LoRA, whose 6400 roots fall into 3935 root classes,
+   and of nTrans, whose kernel level makes half of its 777 860 tries. The
+   RMSNorm and GatedMLP values were recorded from the enumerator that
+   regenerated every extension at every prefix, every value but nTrans's
+   (the candidate digests too) from the one that searched each root
+   separately, and nTrans's from the kernel enumerator that recursed into
+   each kept child at once and evaluated every try anew; the prefix
+   engine's extension tables, its visit order and root classes must
+   reproduce them at any worker count. *)
 type pinned = {
   prog : string;
   smem : int option;
@@ -550,6 +553,39 @@ let pinned =
         ];
       cands = 106;
       hashes = "1df3109911b2e646f86c000ae4a179ba";
+    };
+    {
+      prog = "nTrans";
+      smem = None;
+      funnel =
+        [
+          ("expanded", 777_860);
+          ("shape_rejected", 85_180);
+          ("memory_rejected", 0);
+          ("pruned_abstract", 262_653);
+          ("canonical_rejected", 340_597);
+          ("candidates", 0);
+          ("verified", 0);
+          ("duplicates", 12_109);
+        ];
+      totals =
+        [
+          ("search.block.expand_depth", 388_472);
+          ("search.block.reject.dangling", 42_434);
+          ("search.block.reject.phase", 11_304);
+          ("search.block.reject_depth.canonical", 126_326);
+          ("search.block.reject_depth.duplicate", 7895);
+          ("search.block.reject_depth.memory", 0);
+          ("search.block.reject_depth.pruned", 108_353);
+          ("search.block.reject_depth.shape", 85_180);
+          ("search.kernel.expand_depth", 389_388);
+          ("search.kernel.reject_depth.canonical", 214_271);
+          ("search.kernel.reject_depth.duplicate", 4214);
+          ("search.kernel.reject_depth.pruned", 154_300);
+          ("search.kernel.reject_depth.shape", 0);
+        ];
+      cands = 0;
+      hashes = "d41d8cd98f00b204e9800998ecf8427e";
     };
   ]
 

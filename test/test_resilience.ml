@@ -130,24 +130,33 @@ let test_fault_parse () =
 
 (* --- supervised workers --------------------------------------------------- *)
 
+(* A crash at either level's fault probe is quarantined: the block
+   level's and the kernel level's, both raised from the one prefix
+   engine. *)
 let test_enumerator_crash_quarantined =
   with_reset @@ fun () ->
-  (match Obs.Fault.configure "enum.block:1.0:1" with
-  | Ok () -> ()
-  | Error m -> Alcotest.fail m);
-  let spec = div_matmul_spec ~b:4 ~h:8 ~d:16 in
-  let o =
-    Search.Generator.run ~config:(small_config ()) ~device:Gpusim.Device.a100
-      ~spec ()
-  in
-  Alcotest.(check bool) "at least one task crashed" true
-    (o.Search.Generator.task_failures >= 1);
-  Alcotest.(check bool) "crash recorded in degradations" true
-    (List.mem "worker.crash" o.Search.Generator.degraded);
-  Alcotest.(check bool) "funnel invariant survives the crash" true
-    (Search.Stats.funnel_ok o.Search.Generator.stats);
-  (* best-so-far still returned: the spec always participates *)
-  Alcotest.(check bool) "best exists" true (o.Search.Generator.best <> None)
+  List.iter
+    (fun fault ->
+      reset ();
+      (match Obs.Fault.configure fault with
+      | Ok () -> ()
+      | Error m -> Alcotest.fail m);
+      let spec = div_matmul_spec ~b:4 ~h:8 ~d:16 in
+      let o =
+        Search.Generator.run ~config:(small_config ())
+          ~device:Gpusim.Device.a100 ~spec ()
+      in
+      Alcotest.(check bool) (fault ^ ": at least one task crashed") true
+        (o.Search.Generator.task_failures >= 1);
+      Alcotest.(check bool) (fault ^ ": crash recorded in degradations") true
+        (List.mem "worker.crash" o.Search.Generator.degraded);
+      Alcotest.(check bool) (fault ^ ": funnel invariant survives the crash")
+        true
+        (Search.Stats.funnel_ok o.Search.Generator.stats);
+      (* best-so-far still returned: the spec always participates *)
+      Alcotest.(check bool) (fault ^ ": best exists") true
+        (o.Search.Generator.best <> None))
+    [ "enum.block:1.0:1"; "enum.kernel:1.0:1" ]
 
 let test_crash_storm_aborts =
   with_reset @@ fun () ->

@@ -589,12 +589,11 @@ let test_slow_forensics =
 
 (* --- shared prune helper ----------------------------------------------- *)
 
-(* One invariant: [Prune.query] (asked where an extension is evaluated)
-   and [Prune.reject] (counted and journaled where a try is visited) are
-   the single prune site, so the journal's pruned_abstract rejects, the
-   stats counter, and the funnel all agree — at both enumerators
-   (kernel_enum and block_enum) combined, although the block level
-   queries once per extension record and rejects once per visit. *)
+(* One invariant: the prefix engine asks [Prune.check] once per
+   extension, where it is made, and counts and journals the reject at
+   every try of it from one site, so the journal's pruned_abstract
+   rejects, the stats counter, and the funnel all agree — at both levels
+   (kernel and block) combined. *)
 let test_prune_single_site =
   with_reset @@ fun () ->
   let journal_path = Filename.temp_file "mirage_prune_journal" ".jsonl" in
