@@ -42,7 +42,8 @@ let history_verify : (string * float) list ref = ref []
 (* Enumeration throughput, work-stealing scaling and prune-cache ratios
    from the `enum` suite, keyed "enum.<benchmark>.expansions_per_s" and
    ".speedup_4d" (higher is better), ".speedup_2d" (recorded, ungated),
-   ".minor_words_per_expansion" (lower is better, deterministic) and
+   ".minor_words_per_expansion", ".searches_per_root" and
+   ".solver_queries_per_expansion" (lower is better, deterministic) and
    ".prune_warm_over_cold" (lower is better). *)
 let history_enum : (string * float) list ref = ref []
 
@@ -909,15 +910,16 @@ let micro () =
 (* enum.<b>.prune_warm_over_cold (lower is better: disk hits replace   *)
 (* normal-form decisions), and, for the reduced GQA piece on the       *)
 (* search_fig7 menu, root classes per root ->                          *)
-(* enum.gqa.searches_per_root (lower is better, deterministic). All    *)
+(* enum.gqa.searches_per_root and its prune questions per expansion -> *)
+(* enum.gqa.solver_queries_per_expansion at 1 worker (both lower is    *)
+(* better, deterministic). All                                         *)
 (* keys land in the bench history, so the gate watches throughput,     *)
 (* scaling, cache efficacy and root sharing run over run.              *)
 (* ------------------------------------------------------------------ *)
 
-(* Block-level searches run per root: root classes over roots for the
-   reduced GQA's LAX piece under the search_fig7 menu (grid {2},
-   for-loop {2}). *)
-let searches_per_root () =
+(* The reduced GQA's LAX piece and the search_fig7 menu (grid {2},
+   for-loop {2}, at most 3 block ops), at 1 worker. *)
+let gqa_fig7_piece () =
   let b = Option.get (Workloads.Bench_defs.by_name "GQA") in
   let spec, _ = b.Workloads.Bench_defs.reduced () in
   let piece =
@@ -934,9 +936,16 @@ let searches_per_root () =
           Search.Config.grid_candidates = [ [| 2 |] ];
           forloop_candidates = [ [| 2 |] ];
           max_block_ops = 3;
+          num_workers = 1;
+          time_budget_s = 0.0;
         }
       pspec
   in
+  (pspec, cfg)
+
+(* Block-level searches run per root: root classes over roots. *)
+let searches_per_root () =
+  let pspec, cfg = gqa_fig7_piece () in
   let classes =
     Search.Block_enum.enumerate_roots cfg
       ~input_shapes:(Mugraph.Graph.input_shapes pspec)
@@ -948,6 +957,27 @@ let searches_per_root () =
       0 classes
   in
   (List.length classes, roots)
+
+(* Prune questions per expansion of the whole search: the solver's
+   queries (one per distinct value a worker meets) over the funnel's
+   expansions. *)
+let solver_queries_per_expansion () =
+  let pspec, cfg = gqa_fig7_piece () in
+  let solver =
+    Smtlite.Solver.create ~target:(Mugraph.Abstract.output_exprs pspec)
+  in
+  let stats = Search.Stats.create () in
+  let _, exhausted, crashes =
+    Search.Generator.generate cfg ~spec:pspec ~solver ~stats
+      ~limits:(Gpusim.Device.limits Gpusim.Device.a100)
+      ~budget:(Search.Budget.of_config cfg) ()
+  in
+  if exhausted || crashes > 0 then begin
+    Printf.eprintf "enum: the gqa search did not run to completion\n";
+    exit 1
+  end;
+  let queries = (Smtlite.Solver.stats solver).Smtlite.Solver.queries in
+  (queries, Search.Stats.expanded stats)
 
 let enum_bench () =
   hr "enum: work-stealing scaling & persistent prune-query cache";
@@ -1002,9 +1032,10 @@ let enum_bench () =
         (Smtlite.Solver.create ~target:(Mugraph.Abstract.output_exprs spec))
         0
     in
+    let memo = Search.Prefix.memo (Search.Prefix.values ()) front in
     Gc.minor ();
     let w0 = (Gc.quick_stat ()).Gc.minor_words in
-    Search.Kernel_enum.search cfg ~spec ~front:(fun () -> front) ~stats
+    Search.Kernel_enum.search cfg ~spec ~memo:(fun () -> memo) ~stats
       ~limits:(Gpusim.Device.limits Gpusim.Device.a100)
       ~budget:(Search.Budget.of_config cfg) ~emit:ignore ();
     Gc.minor ();
@@ -1056,6 +1087,11 @@ let enum_bench () =
   let per_root = float_of_int n_classes /. float_of_int n_roots in
   Printf.printf "root classes, gqa:     %d of %d roots   %.3f searches/root\n%!"
     n_classes n_roots per_root;
+  let queries, expansions = solver_queries_per_expansion () in
+  let per_expansion = float_of_int queries /. float_of_int expansions in
+  Printf.printf
+    "prune questions, gqa: %d for %d expansions   %.3g queries/expansion\n%!"
+    queries expansions per_expansion;
   jpush
     Obs.Jsonw.
       [
@@ -1064,11 +1100,15 @@ let enum_bench () =
         ("root_classes", Int n_classes);
         ("roots", Int n_roots);
         ("searches_per_root", Float per_root);
+        ("solver_queries", Int queries);
+        ("expanded", Int expansions);
+        ("solver_queries_per_expansion", Float per_expansion);
       ];
   history_enum :=
     !history_enum
     @ [
         ("enum.gqa.searches_per_root", per_root);
+        ("enum.gqa.solver_queries_per_expansion", per_expansion);
         (Printf.sprintf "enum.%s.expansions_per_s" name, expansions_per_s);
         ( Printf.sprintf "enum.%s.minor_words_per_expansion" name,
           words_per_expansion );
@@ -1494,7 +1534,8 @@ let gate_history ~prev ~wall_s ~pct =
     (* Scaling, throughput and cache ratios are wall-clock, so lenient
        like serve; allocation is deterministic, so it is held tight:
          *.expansions_per_s      higher is better (decrease-only gate)
-         *.minor_words_per_expansion, *.searches_per_root
+         *.minor_words_per_expansion, *.searches_per_root,
+         *.solver_queries_per_expansion
                                  lower is better (increase-only gate, a
                                  fixed 5% slack whatever --gate says)
          *.speedup_4d / _8d      higher is better, slack -0.5x
@@ -1519,11 +1560,13 @@ let gate_history ~prev ~wall_s ~pct =
                        old_r new_r
                        (100.0 *. (new_r -. old_r) /. old_r))
                 else None
-            | Some old_r, Some new_r when ends_with "searches_per_root" key ->
+            | Some old_r, Some new_r
+              when ends_with "searches_per_root" key
+                   || ends_with "solver_queries_per_expansion" key ->
                 if old_r > 0.0 && new_r > 1.05 *. old_r then
                   Some
                     (Printf.sprintf
-                       "%s: %.3f -> %.3f (%+.1f%%, threshold +5%%)" key old_r
+                       "%s: %.4g -> %.4g (%+.1f%%, threshold +5%%)" key old_r
                        new_r
                        (100.0 *. (new_r -. old_r) /. old_r))
                 else None

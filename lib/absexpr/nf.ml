@@ -270,4 +270,43 @@ and den_to_string d =
 
 let pp fmt n = Format.pp_print_string fmt (to_string n)
 
-let hash (n : t) = Hashtbl.hash n
+(* Full-depth structural hash: every constructor, reduction factor and
+   variable name feeds it, so forms that differ only deep inside hash
+   apart ([Hashtbl.hash] reads just the first few meaningful words). Each
+   constructor feeds a tag and each list its length. *)
+let mix h x = (h * 65599) + x
+
+let rec hash_nf h (n : t) = mix (List.fold_left hash_term h n) (List.length n)
+
+and hash_term h t =
+  let h = List.fold_left hash_atom (mix h t.sf) t.num in
+  hash_den (mix h (List.length t.num)) t.den
+
+and hash_atom h = function
+  | A_var v -> mix (mix h 1) (Hashtbl.hash v)
+  | A_exp n -> hash_nf (mix h 2) n
+  | A_sqrt n -> hash_nf (mix h 3) n
+  | A_silu n -> hash_nf (mix h 4) n
+
+and hash_den h d =
+  mix (List.fold_left hash_dfac (mix h d.dsum) d.dfacs) (List.length d.dfacs)
+
+and hash_dfac h = function
+  | D_atom a -> hash_atom (mix h 5) a
+  | D_opaque n -> hash_nf (mix h 6) n
+  | D_inv d -> hash_den (mix h 7) d
+
+(* A final avalanche, so the low bits a table indexes by depend on every
+   input word. *)
+let hash (n : t) =
+  let h = hash_nf 0 n in
+  let h = (h lxor (h lsr 31)) * 0x3f58476d1ce4e5b9 in
+  let h = (h lxor (h lsr 27)) * 0x14d049bb133111eb in
+  (h lxor (h lsr 33)) land max_int
+
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)

@@ -84,4 +84,8 @@ val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
 val hash : t -> int
-(** Structural hash, stable across equal normal forms (for caches). *)
+(** Full-depth structural hash: equal normal forms hash equal, and every
+    atom, factor and reduction size, however deep, feeds it. *)
+
+module Tbl : Hashtbl.S with type key = t
+(** Tables keyed by normal form, with {!hash} and {!equal}. *)

@@ -156,6 +156,7 @@ type own = {
 }
 
 (* A block tensor's attrs are its loop phase. *)
+type value = phase Prefix.value
 type entry = (Graph.block_op, phase) Prefix.entry
 type state = (Graph.block_op, phase, own) Prefix.state
 
@@ -176,7 +177,7 @@ let popcount m =
   let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
   go m 0
 
-let search_root (cfg : Config.t) ~spec ~front ~stats ~limits ~budget ?spawn
+let search_root (cfg : Config.t) ~spec ~memo ~stats ~limits ~budget ?spawn
     ~(emit : emit) cls =
   let root = cls.rep in
   let input_shapes = Graph.input_shapes spec in
@@ -206,15 +207,14 @@ let search_root (cfg : Config.t) ~spec ~front ~stats ~limits ~budget ?spawn
         {
           Prefix.op = member_initers.(0).(i).Graph.bop;
           ins = [];
-          shape = tile;
-          numel = Shape.numel tile;
-          nf = Absexpr.Nf.nf_var name;
-          attrs = phase;
+          value = Prefix.value tile (Absexpr.Nf.nf_var name) phase;
         })
       (List.combine input_shapes input_names)
   in
-  let bytes (e : entry) = e.numel * elt_bytes in
-  let smem0 = List.fold_left (fun a e -> a + bytes e) 0 inputs in
+  let bytes (v : value) = v.numel * elt_bytes in
+  let smem0 =
+    List.fold_left (fun a (e : entry) -> a + bytes e.value) 0 inputs
+  in
   (* omaps reconstructing [target] from per-block [shape]. *)
   let omaps_for shape target =
     let rank = Shape.rank shape in
@@ -247,13 +247,13 @@ let search_root (cfg : Config.t) ~spec ~front ~stats ~limits ~budget ?spawn
         (fun (nf, target) ->
           let found = ref [] in
           for i = Array.length st.entries - 1 downto n_inputs do
-            let e = st.entries.(i) in
+            let v = st.entries.(i).value in
             if
-              ((not has_loop) || e.attrs = Post || e.attrs = Inv)
-              && Absexpr.Nf.equal e.nf nf
+              ((not has_loop) || v.attrs = Post || v.attrs = Inv)
+              && Absexpr.Nf.equal v.nf nf
             then
               found :=
-                List.map (fun omap -> (i, omap)) (omaps_for e.shape target)
+                List.map (fun omap -> (i, omap)) (omaps_for v.shape target)
                 @ !found
           done;
           !found)
@@ -342,23 +342,21 @@ let search_root (cfg : Config.t) ~spec ~front ~stats ~limits ~budget ?spawn
     if
       dangling - n_outputs
       <= (cfg.Config.max_block_ops - (st.ops + 1)) * (max_arity - 1)
-    then Ok { smem = st.own.smem + bytes e; consumed }
+    then Ok { smem = st.own.smem + bytes e.value; consumed }
     else Error Tally.Dangling
   in
   (* A prim's tensor: loop phase, shape inference, then its abstract
      expression. An accumulator sums its input over the for-loop, or
      concatenates it along dim [d] over loop dim [l] when [fmap.(l) = Dim
      d], summing the rest. *)
-  let make (st : state) op ins =
+  let make op (vs : value list) =
     match op with
     | Graph.B_prim p -> (
-        match
-          combined_phase (List.map (fun i -> st.entries.(i).Prefix.attrs) ins)
-        with
+        match combined_phase (List.map (fun (v : value) -> v.attrs) vs) with
         | None -> Error Tally.Phase
-        | Some phase -> Prefix.prim_entry st.entries op p ins phase)
+        | Some phase -> Prefix.prim_value p vs phase)
     | Graph.B_accum { fmap } ->
-        let x = st.entries.(List.hd ins) in
+        let x = List.hd vs in
         let shape = ref x.shape and summed = ref iters in
         Array.iteri
           (fun l t ->
@@ -368,16 +366,17 @@ let search_root (cfg : Config.t) ~spec ~front ~stats ~limits ~budget ?spawn
                 summed := !summed / root.forloop.(l)
             | Dmap.Replica -> ())
           fmap;
-        Ok
-          {
-            Prefix.op;
-            ins;
-            shape = !shape;
-            numel = Shape.numel !shape;
-            nf = Absexpr.Nf.nf_sum !summed x.nf;
-            attrs = Post;
-          }
+        Ok (Prefix.value !shape (Absexpr.Nf.nf_sum !summed x.nf) Post)
     | _ -> invalid_arg "Block_enum.make"
+  in
+  (* The level's memo scope: the for-loop, which [make] and the
+     accumulators read, as its first index in the config's candidates. *)
+  let scope =
+    let rec index i = function
+      | [] -> i
+      | f :: rest -> if f = root.forloop then i else index (i + 1) rest
+    in
+    index 0 cfg.Config.forloop_candidates
   in
   (* A body value's accumulators: the plain sum, then (when enabled) a
      concatenation along each dim over each loop dim. *)
@@ -386,14 +385,14 @@ let search_root (cfg : Config.t) ~spec ~front ~stats ~limits ~budget ?spawn
       (fun l' _ -> if l' = l then Dmap.Dim d else Dmap.Replica)
       root.forloop
   in
-  let accumulators (e : entry) =
-    if not (has_loop && e.attrs = Body) then []
+  let accumulators (v : value) =
+    if not (has_loop && v.attrs = Body) then []
     else
       let concat =
         if not cfg.Config.enable_concat_accum then []
         else
           List.concat_map
-            (fun l -> List.init (Shape.rank e.shape) (along l))
+            (fun l -> List.init (Shape.rank v.shape) (along l))
             (List.init (Array.length root.forloop) Fun.id)
       in
       List.map
@@ -413,16 +412,17 @@ let search_root (cfg : Config.t) ~spec ~front ~stats ~limits ~budget ?spawn
       prim = (fun p -> Graph.B_prim p);
       rank = (fun op ins -> Canon.R_block (ins, op));
       op_name;
+      scope;
       extra = accumulators;
       make;
       admit =
-        (fun st e ->
-          if st.own.smem + bytes e > smem_limit then Some Tally.Memory
+        (fun st v ->
+          if st.own.smem + bytes v > smem_limit then Some Tally.Memory
           else None);
       admit_fields =
-        (fun st e ->
+        (fun st v ->
           [
-            ("smem_bytes", Obs.Jsonw.Int (st.own.smem + bytes e));
+            ("smem_bytes", Obs.Jsonw.Int (st.own.smem + bytes v));
             ("smem_limit", Obs.Jsonw.Int smem_limit);
           ]);
       child;
@@ -430,5 +430,5 @@ let search_root (cfg : Config.t) ~spec ~front ~stats ~limits ~budget ?spawn
     }
   in
   if smem0 <= smem_limit then
-    Prefix.search level cfg ~stats ~front ~budget ?spawn inputs
+    Prefix.search level cfg ~stats ~memo ~budget ?spawn inputs
       { smem = smem0; consumed = 0 }

@@ -35,7 +35,11 @@
     graph. The emitted set and every count are the per-root search's.
     The class key and the initial state come from the same function, so
     they cannot drift apart. Solver queries count real queries, once per
-    class. *)
+    distinct value per worker (see {!Prefix}).
+
+    {b Memo scope.} [make] and the accumulators read the root's for-loop
+    and nothing else of it, so a search's memo scope is its for-loop's
+    index among the config's candidates. *)
 
 open Tensor
 open Mugraph
@@ -63,10 +67,14 @@ val enumerate_roots :
 
 type emit = Graph.kernel_graph -> unit
 
+type phase = Body | Inv | Post
+(** A block tensor's loop phase, its value's attrs: computed in the loop
+    body, loop-invariant, or after the loop (an accumulator's output). *)
+
 val search_root :
   Config.t ->
   spec:Graph.kernel_graph ->
-  front:(unit -> Smtlite.Solver.front) ->
+  memo:(unit -> (Graph.block_op, phase) Prefix.memo) ->
   stats:Stats.t ->
   limits:Memory.limits ->
   budget:Obs.Budget.t ->
@@ -75,6 +83,6 @@ val search_root :
   root_class ->
   unit
 (** Depth-first expansion of one root class through {!Prefix.search}
-    (see there for [front] and [spawn]), emitting the graphs of every
+    (see there for [memo] and [spawn]), emitting the graphs of every
     member. [emit] receives complete, validated candidates (not yet
     verified). @raise Prefix.Budget_exhausted on budget exhaustion. *)

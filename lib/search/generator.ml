@@ -189,10 +189,14 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
   let workers = max 1 cfg.Config.num_workers in
   let pool = Deque.Pool.create ~registry:reg ~workers () in
   (match on_pool with Some f -> f pool | None -> ());
-  (* One solver front per worker, resolved before any worker runs; a
-     subtree picks its executing worker's front when it starts. *)
+  (* One solver front per worker, resolved before any worker runs, and
+     beside it the worker's extension memo for each level, over the
+     level's value table; a subtree picks its executing worker's memo
+     when it starts. Tables and memos die with this call. *)
   let fronts = Array.init workers (Smtlite.Solver.front solver) in
-  let front () = fronts.(Option.get (Deque.Pool.self pool)) in
+  let kmemos = Array.map (Prefix.memo (Prefix.values ())) fronts in
+  let bmemos = Array.map (Prefix.memo (Prefix.values ())) fronts in
+  let self () = Option.get (Deque.Pool.self pool) in
   (* Per-task completion accounting at item granularity: a task's
      pending count covers its root item plus every spawned subtree, and
      only a clean drain to zero advances the resume cursor. A crashed or
@@ -249,16 +253,20 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
                 Obs.Profile.with_phase "task.kernel" (fun () ->
                     Obs.Trace.with_span ~cat:"search" "enumerate.kernel"
                       (fun () ->
-                        Kernel_enum.search cfg ~spec ~front ~stats ~limits
-                          ~budget ~spawn:(spawn_for i) ~emit ()))
+                        Kernel_enum.search cfg ~spec
+                          ~memo:(fun () -> kmemos.(self ()))
+                          ~stats ~limits ~budget ~spawn:(spawn_for i) ~emit
+                          ()))
             | T_class cls ->
                 Obs.Profile.with_phase "task.root" (fun () ->
                     Obs.Trace.with_span ~cat:"search"
                       ~args:[ ("task", string_of_int i) ]
                       "enumerate.root"
                       (fun () ->
-                        Block_enum.search_root cfg ~spec ~front ~stats ~limits
-                          ~budget ~spawn:(spawn_for i) ~emit cls))))
+                        Block_enum.search_root cfg ~spec
+                          ~memo:(fun () -> bmemos.(self ()))
+                          ~stats ~limits ~budget ~spawn:(spawn_for i) ~emit
+                          cls))))
   in
   for i = 0 to n_tasks - 1 do
     if not skip.(i) then begin

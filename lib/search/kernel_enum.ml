@@ -5,13 +5,13 @@ type state = (Graph.kernel_op, unit, unit) Prefix.state
 
 let tref i = { Graph.node = i; port = 0 }
 
-let search (cfg : Config.t) ~spec ~front ~stats ~limits ~budget ?spawn ~emit
+let search (cfg : Config.t) ~spec ~memo ~stats ~limits ~budget ?spawn ~emit
     () =
   let spec_outs = Prefix.spec_outputs spec in
   let n_inputs = List.length (Graph.input_names spec) in
-  let make (st : state) op ins =
+  let make op vs =
     match op with
-    | Graph.K_prim p -> Prefix.prim_entry st.entries op p ins ()
+    | Graph.K_prim p -> Prefix.prim_value p vs ()
     | _ -> invalid_arg "Kernel_enum.make"
   in
   (* Every output needs a matching operator entry (not an input); the
@@ -22,8 +22,8 @@ let search (cfg : Config.t) ~spec ~front ~stats ~limits ~budget ?spawn ~emit
         (fun (nf, target) ->
           let found = ref None in
           for i = Array.length st.entries - 1 downto n_inputs do
-            let e = st.entries.(i) in
-            if Shape.equal e.shape target && Absexpr.Nf.equal e.nf nf then
+            let v = st.entries.(i).value in
+            if Shape.equal v.shape target && Absexpr.Nf.equal v.nf nf then
               found := Some i
           done;
           !found)
@@ -60,6 +60,7 @@ let search (cfg : Config.t) ~spec ~front ~stats ~limits ~budget ?spawn ~emit
       rank = (fun op ins -> Canon.R_kernel (List.map tref ins, op));
       op_name =
         (function Graph.K_prim p -> Op.to_string p | _ -> "?");
+      scope = 0;
       extra = (fun _ -> []);
       make;
       admit = (fun _ _ -> None);
@@ -74,11 +75,9 @@ let search (cfg : Config.t) ~spec ~front ~stats ~limits ~budget ?spawn ~emit
         {
           Prefix.op = Graph.K_input { name; shape };
           ins = [];
-          shape = Shape.create shape;
-          numel = Shape.numel shape;
-          nf = Absexpr.Nf.nf_var name;
-          attrs = ();
+          value =
+            Prefix.value (Shape.create shape) (Absexpr.Nf.nf_var name) ();
         })
       (Graph.input_names spec) (Graph.input_shapes spec)
   in
-  Prefix.search level cfg ~stats ~front ~budget ?spawn inputs ()
+  Prefix.search level cfg ~stats ~memo ~budget ?spawn inputs ()

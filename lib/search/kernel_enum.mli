@@ -6,7 +6,7 @@
     - its entries: kernel operators ([K_input], [K_prim]) with no extra
       attributes and no level state;
     - its extensions: the kernel op menu's prims, each made by shape
-      inference and its abstract expression at the birth prefix;
+      inference and its abstract expression from its inputs' values;
     - rank before shape: a try out of canonical order is a [canonical]
       reject even when its shapes do not fit;
     - no extra admission checks;
@@ -20,7 +20,7 @@ open Mugraph
 val search :
   Config.t ->
   spec:Graph.kernel_graph ->
-  front:(unit -> Smtlite.Solver.front) ->
+  memo:(unit -> (Graph.kernel_op, unit) Prefix.memo) ->
   stats:Stats.t ->
   limits:Memory.limits ->
   budget:Obs.Budget.t ->
@@ -29,5 +29,5 @@ val search :
   unit ->
   unit
 (** Every kernel graph of at most [max_kernel_ops] operators, through
-    {!Prefix.search} (see there for [front] and [spawn]).
+    {!Prefix.search} (see there for [memo] and [spawn]).
     @raise Prefix.Budget_exhausted on budget exhaustion. *)

@@ -6,14 +6,18 @@ exception Budget_exhausted
 (* What the checks after the structural and rank ones said at birth. *)
 type verdict = Duplicate | Refused of Tally.reason | Pruned | Alive
 
-type ('o, 'a) entry = {
-  op : 'o;
-  ins : int list;
+type 'a value = {
+  id : int;
   shape : Shape.t;
   numel : int;
   nf : Absexpr.Nf.t;
   attrs : 'a;
 }
+
+let value shape nf attrs =
+  { id = -1; shape; numel = Shape.numel shape; nf; attrs }
+
+type ('o, 'a) entry = { op : 'o; ins : int list; value : 'a value }
 
 (* One operator instantiation: made once, at the prefix where its newest
    input appeared, and shared by every descendant of that prefix. *)
@@ -61,18 +65,88 @@ type ('o, 'a, 's) level = {
   prim : Op.prim -> 'o;
   rank : 'o -> int list -> Canon.rank;
   op_name : 'o -> string;
-  extra : ('o, 'a) entry -> 'o list;
-  make :
-    ('o, 'a, 's) state ->
-    'o ->
-    int list ->
-    (('o, 'a) entry, Tally.reason) result;
-  admit : ('o, 'a, 's) state -> ('o, 'a) entry -> Tally.reason option;
+  scope : int;
+  extra : 'a value -> 'o list;
+  make : 'o -> 'a value list -> ('a value, Tally.reason) result;
+  admit : ('o, 'a, 's) state -> 'a value -> Tally.reason option;
   admit_fields :
-    ('o, 'a, 's) state -> ('o, 'a) entry -> (string * Obs.Jsonw.t) list;
+    ('o, 'a, 's) state -> 'a value -> (string * Obs.Jsonw.t) list;
   child : ('o, 'a, 's) state -> ('o, 'a) entry -> ('s, Tally.reason) result;
   complete : Tally.t -> ('o, 'a, 's) state -> unit;
 }
+
+(* The value table: one canonical record per (normal form, shape,
+   attrs), numbered in order of first sight. A search's workers share it
+   and take its lock only to intern what a memo miss made. Ids stay far
+   below 2^30, the room a memo key gives each: a table that size would
+   need tens of gigabytes. *)
+type 'a values = {
+  lock : Mutex.t;
+  by_nf : 'a value list Absexpr.Nf.Tbl.t;
+  mutable next : int;
+}
+
+let values () =
+  { lock = Mutex.create (); by_nf = Absexpr.Nf.Tbl.create 1024; next = 0 }
+
+let intern_locked t v =
+  let same =
+    Option.value ~default:[] (Absexpr.Nf.Tbl.find_opt t.by_nf v.nf)
+  in
+  match
+    List.find_opt
+      (fun w -> w.attrs == v.attrs && Shape.equal w.shape v.shape)
+      same
+  with
+  | Some w -> w
+  | None ->
+      let w = { v with id = t.next } in
+      t.next <- t.next + 1;
+      Absexpr.Nf.Tbl.replace t.by_nf v.nf (w :: same);
+      w
+
+module Int_tbl = Hashtbl.Make (Int)
+
+(* A cell's ops in generation order, each with its made value or the
+   structural reason it has none. *)
+type ('o, 'a) cell = ('o * ('a value, Tally.reason) result) array
+
+type ('o, 'a) memo = {
+  values : 'a values;
+  front : Smtlite.Solver.front;
+  scopes : ('o, 'a) cell Int_tbl.t Int_tbl.t;  (* cells by level scope *)
+  mutable verdicts : Bytes.t;
+      (* prune verdicts by value id: '\000' not asked yet, 'p' pruned,
+         'k' kept *)
+}
+
+let memo values front =
+  {
+    values;
+    front;
+    scopes = Int_tbl.create 4;
+    verdicts = Bytes.make 1024 '\000';
+  }
+
+let scope_cells m scope =
+  match Int_tbl.find_opt m.scopes scope with
+  | Some cells -> cells
+  | None ->
+      let cells = Int_tbl.create 4096 in
+      Int_tbl.add m.scopes scope cells;
+      cells
+
+(* The cells of the generation order. A cell's memo key holds its kind in
+   the low two bits, then its inputs' value ids, 30 bits each. *)
+type kind = Unary | Col | Row | Extra
+
+let key kind ins (entries : (_, _) entry array) =
+  let k = match kind with Unary -> 0 | Col -> 1 | Row -> 2 | Extra -> 3 in
+  let id i = entries.(i).value.id in
+  match ins with
+  | [ a ] -> k lor (id a lsl 2)
+  | [ a; b ] -> k lor (id a lsl 2) lor (id b lsl 32)
+  | _ -> invalid_arg "Prefix.key"
 
 (* The menu's unary-like ops on a tensor of this shape ([Sum] becomes a
    full reduction along each dimension longer than 1). *)
@@ -101,36 +175,25 @@ let pair_ops menu ~ordered =
     menu
   @ if List.mem Op.Matmul menu then [ Op.Matmul ] else []
 
-let prim_entry entries op p ins attrs =
-  let xs = List.map (fun i -> entries.(i)) ins in
-  let shapes = List.map (fun x -> x.shape) xs in
+let prim_value p vs attrs =
+  let shapes = List.map (fun v -> v.shape) vs in
   match Op.infer_shape_opt p shapes with
   | None -> Error Tally.Shape
   | Some shape ->
       Ok
-        {
-          op;
-          ins;
-          shape;
-          numel = Shape.numel shape;
-          nf =
-            Abstract.prim_nf p ~in_shapes:shapes (List.map (fun x -> x.nf) xs);
-          attrs;
-        }
+        (value shape
+           (Abstract.prim_nf p ~in_shapes:shapes (List.map (fun v -> v.nf) vs))
+           attrs)
 
 let rank_ok st rank =
   match st.last_rank with
   | None -> true
   | Some r -> Canon.compare_rank r rank <= 0
 
-(* Whether [e] recomputes a value in [entries] from index [i] on. The
-   attrs (immediates) are compared first: it is the cheapest test. *)
-let rec recomputes entries i e =
+(* Whether [v] is the value of an entry of [entries] from index [i] on. *)
+let rec recomputes entries i v =
   i < Array.length entries
-  && ((let x = entries.(i) in
-       x.attrs == e.attrs && Shape.equal x.shape e.shape
-       && Absexpr.Nf.equal x.nf e.nf)
-     || recomputes entries (i + 1) e)
+  && (entries.(i).value.id = v.id || recomputes entries (i + 1) v)
 
 let spec_outputs spec =
   List.map2
@@ -138,7 +201,7 @@ let spec_outputs spec =
     (Abstract.output_exprs spec)
     (Infer.output_shapes spec)
 
-let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~stats ~front ~budget
+let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~stats ~memo ~budget
     ?(spawn = fun _ -> false) inputs own =
   (* Flight recorder, resolved once per search: every try gets a
      candidate id and an expand event, every rejection names its reason,
@@ -174,8 +237,8 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~stats ~front ~budget
     | Some j ->
         jemit j ~cand "cand.accept" ~depth
           [
-            ("shape", Obs.Jsonw.Str (Shape.to_string e.shape));
-            ("expr", Obs.Jsonw.Str (Absexpr.Nf.to_string e.nf));
+            ("shape", Obs.Jsonw.Str (Shape.to_string e.value.shape));
+            ("expr", Obs.Jsonw.Str (Absexpr.Nf.to_string e.value.nf));
           ]
     | None -> ()
   in
@@ -208,56 +271,101 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~stats ~front ~budget
           ( "in_shapes",
             Obs.Jsonw.List
               (List.map
-                 (fun i -> Obs.Jsonw.Str (Shape.to_string st.entries.(i).shape))
+                 (fun i ->
+                   Obs.Jsonw.Str (Shape.to_string st.entries.(i).value.shape))
                  x.xins) );
         ]
     | _ -> []
   in
-  let admit_fields st e =
-    match journal with Some _ -> lv.admit_fields st e | None -> []
+  let admit_fields st v =
+    match journal with Some _ -> lv.admit_fields st v | None -> []
   in
-  let pruned_fields e =
-    match journal with Some _ -> Prune.journal_fields e.nf | None -> []
+  let pruned_fields (e : ('o, 'a) entry) =
+    match journal with
+    | Some _ -> Prune.journal_fields e.value.nf
+    | None -> []
+  in
+  (* The prune verdict of a value, asked through the worker's front the
+     first time the worker meets the value. *)
+  let pruned tl m v =
+    let n = Bytes.length m.verdicts in
+    if v.id >= n then begin
+      let grown = Bytes.make (2 * max (v.id + 1) n) '\000' in
+      Bytes.blit m.verdicts 0 grown 0 n;
+      m.verdicts <- grown
+    end;
+    match Bytes.get m.verdicts v.id with
+    | 'p' -> true
+    | 'k' -> false
+    | _ ->
+        let p =
+          Obs.Profile.timed (Tally.timer tl) (fun () ->
+              Prune.check cfg ~front:(Tally.front tl) v.nf)
+        in
+        Bytes.set m.verdicts v.id (if p then 'p' else 'k');
+        p
   in
   (* The checks later entries cannot overturn, run once at birth. *)
-  let judge tl st e =
-    if recomputes st.entries 0 e then Duplicate
+  let judge tl m st v =
+    if recomputes st.entries 0 v then Duplicate
     else
-      match lv.admit st e with
+      match lv.admit st v with
       | Some r -> Refused r
-      | None ->
-          if
-            Obs.Profile.timed (Tally.timer tl) (fun () ->
-                Prune.check cfg ~front:(Tally.front tl) e.nf)
-          then Pruned
-          else Alive
+      | None -> if pruned tl m v then Pruned else Alive
   in
-  let make_ext tl st op ins =
+  let make_ext tl m st (op, made) ins =
     let rank = lv.rank op ins in
     let made =
       if lv.rank_first && not (rank_ok st rank) then Out_of_order
       else
-        match lv.make st op ins with
+        match made with
         | Error r -> if lv.rank_first then Unfit_ranked r else Unfit r
         | Ok _ when (not lv.rank_first) && not (rank_ok st rank) ->
             Out_of_order
-        | Ok e -> Built (e, judge tl st e)
+        | Ok v -> Built ({ op; ins; value = v }, judge tl m st v)
     in
     { xop = op; xins = ins; rank; born = Array.length st.entries; made }
   in
   let pair_ordered = List.map lv.prim (pair_ops lv.menu ~ordered:true) in
   let pair_unordered = List.map lv.prim (pair_ops lv.menu ~ordered:false) in
+  (* A cell's ops and made values, from the worker's memo or, the first
+     time the worker meets its key, made and interned. *)
+  let cell m cells kind st ins =
+    let key = key kind ins st.entries in
+    match Int_tbl.find_opt cells key with
+    | Some c -> c
+    | None ->
+        let vs = List.map (fun i -> st.entries.(i).value) ins in
+        let ops =
+          match kind with
+          | Unary -> List.map lv.prim (unary_like lv.menu (List.hd vs).shape)
+          | Col -> pair_ordered
+          | Row -> pair_unordered
+          | Extra -> lv.extra (List.hd vs)
+        in
+        let made = List.map (fun op -> (op, lv.make op vs)) ops in
+        let c =
+          Mutex.protect m.values.lock (fun () ->
+              Array.of_list
+                (List.map
+                   (fun (op, r) -> (op, Result.map (intern_locked m.values) r))
+                   made))
+        in
+        Int_tbl.add cells key c;
+        c
+  in
   (* The bundle of entry [k], made at prefix [st], cell by cell in
      generation order. *)
-  let make_bundle tl st k =
-    let e = st.entries.(k) in
-    let cell ops ins =
-      Array.of_list (List.map (fun op -> make_ext tl st op ins) ops)
+  let make_bundle tl m cells st k =
+    let exts kind ins =
+      Array.map
+        (fun made -> make_ext tl m st made ins)
+        (cell m cells kind st ins)
     in
-    let unary = cell (List.map lv.prim (unary_like lv.menu e.shape)) [ k ] in
-    let col = Array.init (k + 1) (fun i -> cell pair_ordered [ i; k ]) in
-    let row = Array.init k (fun j -> cell pair_unordered [ k; j ]) in
-    let extra = cell (lv.extra e) [ k ] in
+    let unary = exts Unary [ k ] in
+    let col = Array.init (k + 1) (fun i -> exts Col [ i; k ]) in
+    let row = Array.init k (fun j -> exts Row [ k; j ]) in
+    let extra = exts Extra [ k ] in
     { unary; col; row; extra }
   in
   (* One prefix: its table is its parent's plus a bundle for each newer
@@ -265,7 +373,7 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~stats ~front ~budget
      and either fails one check — counted under exactly one rejection
      reason — or is kept; only then are the kept children searched, in
      the same order. *)
-  let rec extend tl st =
+  let rec extend tl m cells st =
     budget_check tl;
     lv.complete tl st;
     if st.ops < lv.max_ops then begin
@@ -274,7 +382,7 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~stats ~front ~budget
       let known = Array.length st.table in
       let table =
         Array.init count (fun k ->
-            if k < known then st.table.(k) else make_bundle tl st k)
+            if k < known then st.table.(k) else make_bundle tl m cells st k)
       in
       let reject cand reason extra =
         Tally.reject tl reason ~depth;
@@ -294,12 +402,12 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~stats ~front ~budget
         | _ when not (rank_ok st x.rank) -> reject cand Tally.Canonical []
         | Unfit_ranked r -> reject cand r (unfit_fields st x r)
         | Built (_, Duplicate) -> reject cand Tally.Duplicate []
-        | Built (e, _) when recomputes st.entries x.born e ->
+        | Built (e, _) when recomputes st.entries x.born e.value ->
             reject cand Tally.Duplicate []
-        | Built (e, Refused r) -> reject cand r (admit_fields st e)
+        | Built (e, Refused r) -> reject cand r (admit_fields st e.value)
         | Built (e, verdict) -> (
-            match lv.admit st e with
-            | Some r -> reject cand r (admit_fields st e)
+            match lv.admit st e.value with
+            | Some r -> reject cand r (admit_fields st e.value)
             | None -> (
                 match verdict with
                 | Pruned -> reject cand Tally.Pruned (pruned_fields e)
@@ -332,21 +440,25 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~stats ~front ~budget
              pool; recurse inline past the cutoff. *)
           if
             st'.ops > cfg.Config.steal_depth_cutoff
-            || not
-                 (spawn (fun () ->
-                      Tally.run tally (front ()) (fun tl -> extend tl st')))
-          then extend tl st')
+            || not (spawn (fun () -> subtree st'))
+          then extend tl m cells st')
         (List.rev !kept)
     end
+  (* A subtree on the worker that runs it: that worker's memo and front,
+     and a tally that flushes under this task even when the budget cuts
+     the DFS short. *)
+  and subtree st =
+    let m = memo () in
+    let cells = scope_cells m lv.scope in
+    Tally.run tally m.front (fun tl -> extend tl m cells st)
   in
-  (* the tally flushes under this task even when the budget cuts the DFS
-     short *)
-  Tally.run tally (front ()) (fun tl ->
-      extend tl
-        {
-          entries = Array.of_list inputs;
-          table = [||];
-          ops = 0;
-          last_rank = None;
-          own;
-        })
+  let m = memo () in
+  let entries =
+    Mutex.protect m.values.lock (fun () ->
+        Array.of_list
+          (List.map
+             (fun (e : ('o, 'a) entry) ->
+               { e with value = intern_locked m.values e.value })
+             inputs))
+  in
+  subtree { entries; table = [||]; ops = 0; last_rank = None; own }

@@ -12,10 +12,8 @@
     is an immutable record, made once at the prefix where its newest
     input appeared (its {e birth}) and shared by every descendant, on
     whichever domain runs it. A prefix's table is its parent's plus one
-    bundle for each entry added since. So the level's [make] (shape
-    inference, the abstract expression) and the prune query run once
-    per extension, not once per try. An extension keeps its rank and its
-    birth verdict, and an inherited verdict is exact:
+    bundle for each entry added since. An extension keeps its rank and
+    its birth verdict, and an inherited verdict is exact:
     - a structural verdict depends only on the inputs;
     - the last rank never decreases along a path, so a rank reject at
       birth stays one; otherwise one compare decides;
@@ -25,8 +23,33 @@
       otherwise it is asked again;
     - the prune verdict is a pure function of the abstract expression,
       and a try needs it only when it passed rank, duplicate and [admit],
-      hence passed them at birth, where the query ran;
+      hence passed them at birth, where it was asked;
     - [child] is asked at every try.
+
+    {b The extension memo.} Births still repeat one computation: sibling
+    subtrees, and the root classes of a search, meet the same operator
+    on the same input values again and again. So each search (one
+    {!Generator.generate} call) interns every tensor value — its shape,
+    normal form and attrs — in a table per level with a small id, and
+    each worker keeps, per level, a memo from a {e cell} of the
+    generation order to that cell's ops and made values. A birth looks
+    its cell up, and only a miss runs the level's [make] (shape
+    inference, the abstract expression) and interns the results. Two
+    entries recompute one value exactly when their ids are equal. The
+    memo is exact because the key covers everything a cell's ops and
+    made values are a function of:
+    - the cell's kind (unary, column, row, extra) and its inputs' value
+      ids, hence their shapes, normal forms and attrs;
+    - the level, since each level has its own table and memos;
+    - the op menu and [enable_concat_accum], fixed for a search;
+    - the level's [scope] (the block level's for-loop, by which an
+      accumulator scales and sums), one set of cells per scope.
+    A prune verdict is a function of the normal form and of the goal,
+    and the goal is fixed for a search; so the memo keeps one verdict
+    per value, asked through the worker's solver front the first time
+    the worker meets the value, and nothing outlives the search that
+    made it. Ranks, the duplicate check, [admit] and [child] read the
+    prefix and stay per birth or per try.
 
     {b Visit order} (both levels). A prefix first judges every try of its
     table in generation order — per entry [i]: the unary-like ops on
@@ -56,9 +79,8 @@ exception Budget_exhausted
 (** The node budget, the wall deadline or a cancellation cut the
     enumeration (the reason is noted on the budget). *)
 
-type ('o, 'a) entry = {
-  op : 'o;  (** the operator that made it (an input's own node at the root) *)
-  ins : int list;  (** the entries it reads; [[]] for an input *)
+type 'a value = private {
+  id : int;  (** the value's number in its search's table; -1 before *)
   shape : Shape.t;
   numel : int;  (** elements of [shape] *)
   nf : Absexpr.Nf.t;  (** abstract expression, pre-normalized *)
@@ -67,6 +89,17 @@ type ('o, 'a) entry = {
           (the block level's loop phase): with equal shape and
           expression, two tensors are one value when their attrs are
           [==] *)
+}
+(** A tensor value. The engine interns every value it meets, so within
+    one search two values are equal exactly when their ids are. *)
+
+val value : Shape.t -> Absexpr.Nf.t -> 'a -> 'a value
+(** A value not interned yet, as a level's [make] returns it. *)
+
+type ('o, 'a) entry = {
+  op : 'o;  (** the operator that made it (an input's own node at the root) *)
+  ins : int list;  (** the entries it reads; [[]] for an input *)
+  value : 'a value;
 }
 (** One tensor of a prefix. *)
 
@@ -95,21 +128,22 @@ type ('o, 'a, 's) level = {
   prim : Op.prim -> 'o;
   rank : 'o -> int list -> Canon.rank;
   op_name : 'o -> string;  (** the journal's ["op"] field *)
-  extra : ('o, 'a) entry -> 'o list;
+  scope : int;
+      (** names what [make] and [extra] read beyond their inputs and the
+          search's config (the block level's for-loop): searches of one
+          level share memo cells only within one scope *)
+  extra : 'a value -> 'o list;
       (** ops on one entry tried after its pair cells (the block level's
           accumulators) *)
-  make :
-    ('o, 'a, 's) state ->
-    'o ->
-    int list ->
-    (('o, 'a) entry, Tally.reason) result;
-      (** the extension's tensor at its birth prefix, or the structural
-          reason it has none. Depends only on the inputs' entries. *)
-  admit : ('o, 'a, 's) state -> ('o, 'a) entry -> Tally.reason option;
+  make : 'o -> 'a value list -> ('a value, Tally.reason) result;
+      (** the value the operator makes of its inputs' values, or the
+          structural reason it has none. A function of the operator,
+          those values and the level's scope only. *)
+  admit : ('o, 'a, 's) state -> 'a value -> Tally.reason option;
       (** a level check that can only tighten down a path (the block
           level's shared memory), judged at birth and at every try *)
   admit_fields :
-    ('o, 'a, 's) state -> ('o, 'a) entry -> (string * Obs.Jsonw.t) list;
+    ('o, 'a, 's) state -> 'a value -> (string * Obs.Jsonw.t) list;
       (** journal payload of an [admit] reject (built only when a journal
           is live) *)
   child : ('o, 'a, 's) state -> ('o, 'a) entry -> ('s, Tally.reason) result;
@@ -119,16 +153,25 @@ type ('o, 'a, 's) level = {
       (** emit the candidates the prefix completes, counting them *)
 }
 
-val prim_entry :
-  ('o, 'a) entry array ->
-  'o ->
-  Op.prim ->
-  int list ->
-  'a ->
-  (('o, 'a) entry, Tally.reason) result
-(** [prim_entry entries op p ins attrs]: the tensor [op] makes by
-    applying [p] to [entries] [ins], or [Error Shape] when their shapes
-    do not fit. *)
+type 'a values
+(** One search's value table for one level: shared by its workers,
+    locked only to intern the results of a memo miss. *)
+
+val values : unit -> 'a values
+
+type ('o, 'a) memo
+(** One worker's extension memo for one level, over a shared value
+    table: each cell's ops and made values by the cell's key, and each
+    value's prune verdict. Used by one worker at a time, unlocked. *)
+
+val memo : 'a values -> Smtlite.Solver.front -> ('o, 'a) memo
+(** [memo values front]: a worker's empty memo; prune questions go
+    through [front], the same worker's solver front. *)
+
+val prim_value :
+  Op.prim -> 'a value list -> 'a -> ('a value, Tally.reason) result
+(** [prim_value p vs attrs]: the value applying [p] to [vs] makes, or
+    [Error Shape] when their shapes do not fit. *)
 
 val spec_outputs : Graph.kernel_graph -> (Absexpr.Nf.t * Shape.t) list
 (** The specification's outputs: normal form and kernel-level shape. *)
@@ -137,7 +180,7 @@ val search :
   ('o, 'a, 's) level ->
   Config.t ->
   stats:Stats.t ->
-  front:(unit -> Smtlite.Solver.front) ->
+  memo:(unit -> ('o, 'a) memo) ->
   budget:Obs.Budget.t ->
   ?spawn:((unit -> unit) -> bool) ->
   ('o, 'a) entry list ->
@@ -145,11 +188,12 @@ val search :
   unit
 (** [search lv cfg ... inputs own] grows every prefix of at most
     [lv.max_ops] operators from the inputs, calling [lv.complete] on
-    each. [front ()] is the calling worker's solver front; each subtree
-    resolves it once, on the domain that runs it, and counts into its
-    own {!Tally}. [spawn k] may publish subtree continuation [k] to a
-    work-stealing pool and return [true]; returning [false] (the
-    default) makes the engine recurse inline. Continuations are offered
-    only for kept children at depth <= [steal_depth_cutoff], are safe
-    to run on any domain, and never change the emitted candidate set.
+    each. [memo ()] is the calling worker's memo; each subtree resolves
+    it once, on the domain that runs it, and counts into its own
+    {!Tally} through the memo's front. [spawn k] may publish subtree
+    continuation [k] to a work-stealing pool and return [true];
+    returning [false] (the default) makes the engine recurse inline.
+    Continuations are offered only for kept children at depth <=
+    [steal_depth_cutoff], are safe to run on any domain, and never
+    change the emitted candidate set.
     @raise Budget_exhausted on budget exhaustion. *)

@@ -1,7 +1,8 @@
 (** The abstract-expression prune check (paper §5). {!Prefix} asks it
-    once per extension, where the extension is made, and counts and
-    journals a [pruned_abstract] reject at every try of an extension it
-    failed. *)
+    once per distinct value a worker meets in a search, keeps the
+    verdict in the worker's extension memo, and counts and journals a
+    [pruned_abstract] reject at every try of an extension whose value
+    failed it. *)
 
 val check : Config.t -> front:Smtlite.Solver.front -> Absexpr.Nf.t -> bool
 (** [check cfg ~front nf] is [true] when abstract pruning is enabled and

@@ -18,7 +18,7 @@ type persist = {
 
 type t = {
   goals : Nf.t list;
-  cache : (Nf.t, bool) Hashtbl.t;  (** shared across domains, locked *)
+  cache : bool Nf.Tbl.t;  (** shared across domains, locked *)
   lock : Mutex.t;
   queries : int Atomic.t;
   cache_hits : int Atomic.t;
@@ -42,7 +42,7 @@ type t = {
    totals. Owned by the solver, so both die with it. *)
 and front = {
   owner : t;
-  memo : (Nf.t, bool) Hashtbl.t;
+  memo : bool Nf.Tbl.t;
   mutable f_queries : int;
   mutable f_hits : int;
   mutable f_accepted : int;
@@ -51,7 +51,7 @@ and front = {
 let create ~target =
   {
     goals = List.map Nf.of_expr target;
-    cache = Hashtbl.create 4096;
+    cache = Nf.Tbl.create 4096;
     lock = Mutex.create ();
     queries = Atomic.make 0;
     cache_hits = Atomic.make 0;
@@ -158,7 +158,7 @@ let attach_persist t p =
 let resolve t nf =
   let shared =
     Mutex.lock t.lock;
-    let r = Hashtbl.find_opt t.cache nf in
+    let r = Nf.Tbl.find_opt t.cache nf in
     Mutex.unlock t.lock;
     r
   in
@@ -184,7 +184,7 @@ let resolve t nf =
           Atomic.incr t.cache_hits;
           Atomic.incr t.disk_hits;
           Mutex.lock t.lock;
-          Hashtbl.replace t.cache nf r;
+          Nf.Tbl.replace t.cache nf r;
           Mutex.unlock t.lock;
           r
       | None ->
@@ -198,7 +198,7 @@ let resolve t nf =
           Obs.Profile.note "smtlite.decide" (float_of_int dt_ns *. 1e-9);
           let want_flush =
             Mutex.lock t.lock;
-            Hashtbl.replace t.cache nf r;
+            Nf.Tbl.replace t.cache nf r;
             (match disk_key with
             | Some k ->
                 Hashtbl.replace t.disk k r;
@@ -221,7 +221,7 @@ let front t worker =
           else
             {
               owner = t;
-              memo = Hashtbl.create 4096;
+              memo = Nf.Tbl.create 4096;
               f_queries = 0;
               f_hits = 0;
               f_accepted = 0;
@@ -233,13 +233,13 @@ let front t worker =
 let check_front f nf =
   f.f_queries <- f.f_queries + 1;
   let r =
-    match Hashtbl.find_opt f.memo nf with
+    match Nf.Tbl.find_opt f.memo nf with
     | Some r ->
         f.f_hits <- f.f_hits + 1;
         r
     | None ->
         let r = resolve f.owner nf in
-        Hashtbl.replace f.memo nf r;
+        Nf.Tbl.replace f.memo nf r;
         r
   in
   if r then f.f_accepted <- f.f_accepted + 1;

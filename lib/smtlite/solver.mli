@@ -20,11 +20,11 @@ type t
 type stats = {
   queries : int;
       (** total subexpr queries issued: real queries, not tries. The
-          block-level enumerator asks once per extension record it makes
-          that reaches the prune check, not once per visit of that
-          record at a descendant prefix, and once per root class, not
-          once per root of the class (see [Search.Block_enum]); the
-          funnel counts are weighted per root, these are not *)
+          enumerators ask once per distinct value per worker: a worker's
+          extension memo keeps the verdict of every value it has asked
+          about, across prefixes, subtrees and root classes (see
+          [Search.Prefix]). The funnel counts are weighted per root,
+          these are not *)
   cache_hits : int;
   cache_misses : int;
   accepted : int;  (** queries that returned true *)

@@ -204,6 +204,49 @@ let test_exact_division_in_subexpr () =
     (E.div x (E.add w x))
     (E.div (E.mul x y) sum_den)
 
+(* The hash reads the whole form: forms that differ only deep inside (a
+   variable under twelve exps, a reduction size under them, the last of
+   many terms) hash apart, where [Hashtbl.hash], which stops after ten
+   meaningful words, cannot tell them apart; equal forms built by
+   different routes hash equal. *)
+let test_nf_hash_full_depth () =
+  let rec nest n e = if n = 0 then e else nest (n - 1) (E.exp e) in
+  let terms last =
+    List.fold_left E.add last
+      (List.init 11 (fun i -> E.var (Printf.sprintf "v%d" i)))
+  in
+  List.iter
+    (fun (name, a, b) ->
+      let a = Nf.of_expr a and b = Nf.of_expr b in
+      Alcotest.(check bool) (name ^ ": distinct forms") false (Nf.equal a b);
+      Alcotest.(check bool)
+        (name ^ ": the default hash collides")
+        true
+        (Hashtbl.hash a = Hashtbl.hash b);
+      Alcotest.(check bool) (name ^ ": hash apart") true
+        (Nf.hash a <> Nf.hash b);
+      let t = Nf.Tbl.create 8 in
+      Nf.Tbl.replace t a 1;
+      Nf.Tbl.replace t b 2;
+      Alcotest.(check (pair int int))
+        (name ^ ": two table entries") (1, 2)
+        (Nf.Tbl.find t a, Nf.Tbl.find t b))
+    [
+      ("variable under exps", nest 12 x, nest 12 y);
+      ("reduction under exps", nest 12 (E.sum 4 x), nest 12 (E.sum 8 x));
+      ("last of many terms", terms (E.var "zz"), terms (E.var "zy"));
+    ];
+  List.iter
+    (fun (name, a, b) ->
+      let a = Nf.of_expr a and b = Nf.of_expr b in
+      Alcotest.(check bool) (name ^ ": equal forms") true (Nf.equal a b);
+      Alcotest.(check int) (name ^ ": equal hashes") (Nf.hash a) (Nf.hash b))
+    [
+      ("distributed", E.mul (E.add x y) z, E.add (E.mul z y) (E.mul x z));
+      ("quotient of quotient", E.div (E.div x y) z, E.div x (E.mul y z));
+      ("deep sums", nest 12 (E.sum 2 (E.sum 3 x)), nest 12 (E.sum 6 x));
+    ]
+
 let test_nf_to_string_smoke () =
   let nf = Nf.of_expr (E.div (E.sum 4 (E.mul x y)) (E.sqrt z)) in
   let s = Nf.to_string nf in
@@ -366,6 +409,7 @@ let () =
           Alcotest.test_case "exact division" `Quick
             test_exact_division_in_subexpr;
           Alcotest.test_case "nf printing" `Quick test_nf_to_string_smoke;
+          Alcotest.test_case "full-depth hash" `Quick test_nf_hash_full_depth;
         ] );
       ( "solver",
         [

@@ -552,6 +552,177 @@ let test_prune_memo_freed () =
     (Printf.sprintf "live words grew by %d over 10 searches" grown)
     true (grown < 4_000)
 
+(* --- the extension memo is exact and dies with its search --------------- *)
+
+(* div_matmul_spec with the division made a product: same inputs, other
+   goal, so other prune verdicts. *)
+let mul_matmul_spec ~b ~h ~d =
+  let bld = Graph.Build.create () in
+  let x = Graph.Build.input bld "X" [| b; h |] in
+  let c = Graph.Build.input bld "C" [| b; 1 |] in
+  let w = Graph.Build.input bld "W" [| h; d |] in
+  let y = prim bld (Op.Binary Op.Mul) [ x; c ] in
+  let z = prim bld Op.Matmul [ y; w ] in
+  Graph.Build.finish bld ~outputs:[ z ]
+
+(* A search's exact outcome: its funnel, every search.block.* and
+   search.kernel.* histogram count and counter, and the digest of its
+   candidates' sorted hashes. *)
+type pins = {
+  funnel : int list;
+      (** expanded, shape, memory, pruned, canonical, candidates,
+          duplicates *)
+  totals : (string * int) list;
+  digest : string;
+}
+
+(* Grid {2}, for-loops {2} and {4}, at most 3 block ops. *)
+let two_loop_config ~workers spec =
+  Search.Config.for_spec
+    ~base:
+      {
+        (small_config ~ops:3 ()) with
+        Search.Config.forloop_candidates = [ [| 2 |]; [| 4 |] ];
+        num_workers = workers;
+        time_budget_s = 0.0;
+      }
+    spec
+
+let search_pins ~workers spec =
+  let cfg = two_loop_config ~workers spec in
+  let solver = Smtlite.Solver.create ~target:(Abstract.output_exprs spec) in
+  let stats = Search.Stats.create () in
+  let cands, exhausted, crashes =
+    Search.Generator.generate cfg ~spec ~solver ~stats
+      ~limits:(Gpusim.Device.limits Gpusim.Device.a100)
+      ~budget:(Search.Budget.of_config cfg) ()
+  in
+  Alcotest.(check bool) "ran to completion" false (exhausted || crashes > 0);
+  let s = Search.Stats.snapshot stats in
+  let m = Obs.Metrics.snapshot (Search.Stats.registry stats) in
+  let level name =
+    List.exists
+      (fun p ->
+        String.length name > String.length p
+        && String.sub name 0 (String.length p) = p)
+      [ "search.block."; "search.kernel." ]
+  in
+  {
+    funnel =
+      Search.Stats.
+        [
+          s.expanded;
+          s.shape_rejected;
+          s.memory_rejected;
+          s.pruned_abstract;
+          s.canonical_rejected;
+          s.candidates;
+          s.duplicates;
+        ];
+    totals =
+      List.sort compare
+        (List.filter
+           (fun (name, _) -> level name)
+           (List.map
+              (fun (name, (h : Obs.Metrics.hist_snapshot)) ->
+                (name, h.Obs.Metrics.count))
+              m.Obs.Metrics.hists
+           @ m.Obs.Metrics.counters));
+    digest =
+      Digest.to_hex
+        (Digest.string
+           (String.concat ","
+              (List.map string_of_int
+                 (List.sort compare
+                    (List.map (fun (_, g) -> Graph.hash g) cands)))));
+  }
+
+let check_pins name want got =
+  Alcotest.(check (list int)) (name ^ "funnel") want.funnel got.funnel;
+  Alcotest.(check (list (pair string int)))
+    (name ^ "level totals") want.totals got.totals;
+  Alcotest.(check string) (name ^ "candidate digest") want.digest got.digest
+
+(* Recorded from the enumerator that made, normalized and prune-checked
+   every extension at its birth prefix, before values were interned. *)
+let div_two_loops =
+  {
+    funnel = [ 673_023; 234_467; 0; 148_019; 219_424; 167; 9108 ];
+    totals =
+      [
+        ("search.block.expand_depth", 656_020);
+        ("search.block.reject.dangling", 24_332);
+        ("search.block.reject.phase", 27_185);
+        ("search.block.reject_depth.canonical", 209_676);
+        ("search.block.reject_depth.duplicate", 8958);
+        ("search.block.reject_depth.memory", 0);
+        ("search.block.reject_depth.pruned", 144_781);
+        ("search.block.reject_depth.shape", 230_846);
+        ("search.kernel.expand_depth", 17_003);
+        ("search.kernel.reject_depth.canonical", 9748);
+        ("search.kernel.reject_depth.duplicate", 150);
+        ("search.kernel.reject_depth.pruned", 3238);
+        ("search.kernel.reject_depth.shape", 3621);
+      ];
+    digest = "fceffaac5081730887273ca571e4280a";
+  }
+
+let mul_two_loops =
+  {
+    funnel = [ 628_715; 242_930; 0; 115_488; 177_102; 219; 13_295 ];
+    totals =
+      [
+        ("search.block.expand_depth", 610_186);
+        ("search.block.reject.dangling", 42_742);
+        ("search.block.reject.phase", 23_013);
+        ("search.block.reject_depth.canonical", 168_932);
+        ("search.block.reject_depth.duplicate", 13_046);
+        ("search.block.reject_depth.memory", 0);
+        ("search.block.reject_depth.pruned", 111_689);
+        ("search.block.reject_depth.shape", 237_064);
+        ("search.kernel.expand_depth", 18_529);
+        ("search.kernel.reject_depth.canonical", 8170);
+        ("search.kernel.reject_depth.duplicate", 249);
+        ("search.kernel.reject_depth.pruned", 3799);
+        ("search.kernel.reject_depth.shape", 5866);
+      ];
+    digest = "c231f46295774e13226c3525122b6f25";
+  }
+
+(* Root classes of both for-loops share values (an input tile the loop
+   does not split, and everything made from it) but not the cells that
+   read the loop: an accumulator sums over 2 iterations in one and 4 in
+   the other. The memo keeps every count and candidate. *)
+let test_memo_two_forloops () =
+  let spec = div_matmul_spec ~b:4 ~h:8 ~d:16 in
+  let loops =
+    List.sort_uniq compare
+      (List.map
+         (fun (c : Search.Block_enum.root_class) ->
+           c.Search.Block_enum.rep.Search.Block_enum.forloop)
+         (Search.Block_enum.enumerate_roots (two_loop_config ~workers:1 spec)
+            ~input_shapes:(Graph.input_shapes spec)))
+  in
+  Alcotest.(check (list (array int)))
+    "root classes span both for-loops" [ [| 2 |]; [| 4 |] ] loops;
+  List.iter
+    (fun workers ->
+      check_pins
+        (Printf.sprintf "%d worker(s): " workers)
+        div_two_loops (search_pins ~workers spec))
+    [ 1; 2 ]
+
+(* Value tables, memo cells and prune verdicts belong to one search: two
+   specs over the same inputs, searched back to back in one process,
+   each keep the pins it has alone, although their values coincide and
+   their goals (so their verdicts) differ. *)
+let test_memo_back_to_back () =
+  let div = div_matmul_spec ~b:4 ~h:8 ~d:16 in
+  let mul = mul_matmul_spec ~b:4 ~h:8 ~d:16 in
+  check_pins "mul first: " mul_two_loops (search_pins ~workers:2 mul);
+  check_pins "div after mul: " div_two_loops (search_pins ~workers:2 div);
+  check_pins "mul after div: " mul_two_loops (search_pins ~workers:2 mul)
+
 let () =
   Alcotest.run "search"
     [
@@ -596,6 +767,13 @@ let () =
             test_node_budget_overshoot;
           Alcotest.test_case "spec is always a candidate" `Quick
             test_spec_always_candidate;
+        ] );
+      ( "extension memo",
+        [
+          Alcotest.test_case "exact across two for-loops" `Quick
+            test_memo_two_forloops;
+          Alcotest.test_case "nothing outlives a search" `Quick
+            test_memo_back_to_back;
         ] );
       ( "parallel verify",
         [
