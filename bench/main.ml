@@ -910,9 +910,10 @@ let micro () =
 (* enum.<b>.prune_warm_over_cold (lower is better: disk hits replace   *)
 (* normal-form decisions), and, for the reduced GQA piece on the       *)
 (* search_fig7 menu, root classes per root ->                          *)
-(* enum.gqa.searches_per_root and its prune questions per expansion -> *)
-(* enum.gqa.solver_queries_per_expansion at 1 worker (both lower is    *)
-(* better, deterministic). All                                         *)
+(* enum.gqa.searches_per_root, its prune questions per expansion ->    *)
+(* enum.gqa.solver_queries_per_expansion and its minor words per       *)
+(* expansion -> enum.gqa.minor_words_per_expansion at 1 worker (all    *)
+(* lower is better, deterministic). All                                *)
 (* keys land in the bench history, so the gate watches throughput,     *)
 (* scaling, cache efficacy and root sharing run over run.              *)
 (* ------------------------------------------------------------------ *)
@@ -958,26 +959,31 @@ let searches_per_root () =
   in
   (List.length classes, roots)
 
-(* Prune questions per expansion of the whole search: the solver's
-   queries (one per distinct value a worker meets) over the funnel's
-   expansions. *)
-let solver_queries_per_expansion () =
+(* One whole search of the piece at 1 worker: the solver's queries
+   (one per distinct value a worker meets), the funnel's expansions and
+   the minor words the search allocated. The words are read between two
+   [Gc.minor] calls, so the count does not depend on what ran before. *)
+let gqa_search () =
   let pspec, cfg = gqa_fig7_piece () in
   let solver =
     Smtlite.Solver.create ~target:(Mugraph.Abstract.output_exprs pspec)
   in
   let stats = Search.Stats.create () in
+  Gc.minor ();
+  let w0 = (Gc.quick_stat ()).Gc.minor_words in
   let _, exhausted, crashes =
     Search.Generator.generate cfg ~spec:pspec ~solver ~stats
       ~limits:(Gpusim.Device.limits Gpusim.Device.a100)
       ~budget:(Search.Budget.of_config cfg) ()
   in
+  Gc.minor ();
+  let words = (Gc.quick_stat ()).Gc.minor_words -. w0 in
   if exhausted || crashes > 0 then begin
     Printf.eprintf "enum: the gqa search did not run to completion\n";
     exit 1
   end;
   let queries = (Smtlite.Solver.stats solver).Smtlite.Solver.queries in
-  (queries, Search.Stats.expanded stats)
+  (queries, Search.Stats.expanded stats, words)
 
 let enum_bench () =
   hr "enum: work-stealing scaling & persistent prune-query cache";
@@ -1032,12 +1038,17 @@ let enum_bench () =
         (Smtlite.Solver.create ~target:(Mugraph.Abstract.output_exprs spec))
         0
     in
-    let memo = Search.Prefix.memo (Search.Prefix.values ()) front in
+    let memo =
+      Search.Prefix.memo (Search.Prefix.values ())
+        (Search.Kernel_enum.tally cfg stats)
+        front
+    in
     Gc.minor ();
     let w0 = (Gc.quick_stat ()).Gc.minor_words in
-    Search.Kernel_enum.search cfg ~spec ~memo:(fun () -> memo) ~stats
+    Search.Kernel_enum.search cfg ~spec ~memo:(fun () -> memo)
       ~limits:(Gpusim.Device.limits Gpusim.Device.a100)
       ~budget:(Search.Budget.of_config cfg) ~emit:ignore ();
+    Search.Prefix.flush memo;
     Gc.minor ();
     let words = (Gc.quick_stat ()).Gc.minor_words -. w0 in
     words /. float_of_int (Search.Stats.expanded stats)
@@ -1087,11 +1098,14 @@ let enum_bench () =
   let per_root = float_of_int n_classes /. float_of_int n_roots in
   Printf.printf "root classes, gqa:     %d of %d roots   %.3f searches/root\n%!"
     n_classes n_roots per_root;
-  let queries, expansions = solver_queries_per_expansion () in
+  let queries, expansions, gqa_words = gqa_search () in
   let per_expansion = float_of_int queries /. float_of_int expansions in
+  let gqa_words_per_expansion = gqa_words /. float_of_int expansions in
   Printf.printf
     "prune questions, gqa: %d for %d expansions   %.3g queries/expansion\n%!"
     queries expansions per_expansion;
+  Printf.printf "  gqa search, 1 domain: %.2f minor words/expansion\n%!"
+    gqa_words_per_expansion;
   jpush
     Obs.Jsonw.
       [
@@ -1103,12 +1117,14 @@ let enum_bench () =
         ("solver_queries", Int queries);
         ("expanded", Int expansions);
         ("solver_queries_per_expansion", Float per_expansion);
+        ("minor_words_per_expansion", Float gqa_words_per_expansion);
       ];
   history_enum :=
     !history_enum
     @ [
         ("enum.gqa.searches_per_root", per_root);
         ("enum.gqa.solver_queries_per_expansion", per_expansion);
+        ("enum.gqa.minor_words_per_expansion", gqa_words_per_expansion);
         (Printf.sprintf "enum.%s.expansions_per_s" name, expansions_per_s);
         ( Printf.sprintf "enum.%s.minor_words_per_expansion" name,
           words_per_expansion );

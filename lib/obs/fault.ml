@@ -103,11 +103,15 @@ let configure spec =
 let clear () = Atomic.set installed []
 
 (* Environment arming happens once, lazily, so tests that [configure]
-   before any trip are unaffected by a leftover MIRAGE_FAULT. *)
+   before any trip are unaffected by a leftover MIRAGE_FAULT. The
+   enumerators trip a probe at every prefix on every worker, so the
+   loaded case is a plain read: only a caller that still sees [false]
+   writes the flag's cache line. *)
 let env_loaded = Atomic.make false
 
 let load_env () =
-  if not (Atomic.exchange env_loaded true) then
+  if (not (Atomic.get env_loaded)) && not (Atomic.exchange env_loaded true)
+  then
     match Sys.getenv_opt "MIRAGE_FAULT" with
     | None | Some "" -> ()
     | Some spec -> (

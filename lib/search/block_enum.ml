@@ -177,7 +177,23 @@ let popcount m =
   let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
   go m 0
 
-let search_root (cfg : Config.t) ~spec ~memo ~stats ~limits ~budget ?spawn
+let tally (cfg : Config.t) stats =
+  Tally.level stats ~name:"block" ~max_depth:cfg.Config.max_block_ops
+    Tally.[ Shape; Memory; Duplicate; Pruned; Canonical; Phase; Dangling ]
+
+(* What every root class of one search shares, made once per search:
+   the spec's normalized outputs. *)
+type search = {
+  cfg : Config.t;
+  spec : Graph.kernel_graph;
+  limits : Memory.limits;
+  spec_outs : (Absexpr.Nf.t * Shape.t) list;
+}
+
+let prepare cfg ~spec ~limits =
+  { cfg; spec; limits; spec_outs = Prefix.spec_outputs spec }
+
+let search_root { cfg; spec; limits; spec_outs } ~memo ~budget ?spawn
     ~(emit : emit) cls =
   let root = cls.rep in
   let input_shapes = Graph.input_shapes spec in
@@ -187,7 +203,6 @@ let search_root (cfg : Config.t) ~spec ~memo ~stats ~limits ~budget ?spawn
   let smem_limit = limits.Memory.smem_bytes_per_block in
   let iters = Array.fold_left ( * ) 1 root.forloop in
   let has_loop = iters > 1 in
-  let spec_outs = Prefix.spec_outputs spec in
   (* Each member's input-iterator nodes, the only part of an emitted
      graph that differs between members. *)
   let member_initers =
@@ -405,12 +420,9 @@ let search_root (cfg : Config.t) ~spec ~memo ~stats ~limits ~budget ?spawn
       fault = "enum.block";
       max_ops = cfg.Config.max_block_ops;
       weight = Array.length cls.members;
-      reasons =
-        Tally.[ Shape; Memory; Duplicate; Pruned; Canonical; Phase; Dangling ];
       rank_first = false;
       menu = cfg.Config.block_op_menu;
       prim = (fun p -> Graph.B_prim p);
-      rank = (fun op ins -> Canon.R_block (ins, op));
       op_name;
       scope;
       extra = accumulators;
@@ -430,5 +442,5 @@ let search_root (cfg : Config.t) ~spec ~memo ~stats ~limits ~budget ?spawn
     }
   in
   if smem0 <= smem_limit then
-    Prefix.search level cfg ~stats ~memo ~budget ?spawn inputs
+    Prefix.search level cfg ~memo ~budget ?spawn inputs
       { smem = smem0; consumed = 0 }

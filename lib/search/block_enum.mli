@@ -71,12 +71,20 @@ type phase = Body | Inv | Post
 (** A block tensor's loop phase, its value's attrs: computed in the loop
     body, loop-invariant, or after the loop (an accumulator's output). *)
 
+val tally : Config.t -> Stats.t -> Tally.level
+(** The block level's counters ([search.block.*]), resolved once per
+    search for the workers' memos ({!Prefix.memo}). *)
+
+type search
+(** What every root class of one search shares, made once per search:
+    the spec's normalized outputs ({!Prefix.spec_outputs}). *)
+
+val prepare :
+  Config.t -> spec:Graph.kernel_graph -> limits:Memory.limits -> search
+
 val search_root :
-  Config.t ->
-  spec:Graph.kernel_graph ->
+  search ->
   memo:(unit -> (Graph.block_op, phase) Prefix.memo) ->
-  stats:Stats.t ->
-  limits:Memory.limits ->
   budget:Obs.Budget.t ->
   ?spawn:((unit -> unit) -> bool) ->
   emit:emit ->

@@ -20,8 +20,10 @@ type t = {
   use_abstract_pruning : bool;  (** Table 5 column "w/o abstract expr" *)
   use_thread_fusion : bool;  (** §4.2 rule-based thread graphs *)
   num_workers : int;
-      (** search domains; defaults to the machine's recommended domain
-          count capped at 8. 1 = sequential (Table 5 "w/o
+      (** search lanes; defaults to the machine's recommended domain
+          count capped at 8. Lane 0 is the calling domain and the rest
+          are spawned domains, so [n] workers start [n - 1] domains
+          ({!Generator.lanes}). 1 = sequential (Table 5 "w/o
           multithreading") *)
   node_budget : int;  (** hard cap on expanded prefixes, 0 = unlimited *)
   time_budget_s : float;  (** wall-clock cap, 0 = unlimited *)
@@ -39,9 +41,10 @@ type t = {
   steal_depth_cutoff : int;
       (** enumeration depth (ops placed) at or below which a subtree is
           published to the work-stealing pool instead of recursed
-          inline. 0 disables subtree spawning (coarse per-task
-          parallelism only); has no effect on which candidates are
-          found *)
+          inline, provided at least two operator levels lie below it (a
+          child one level from the bottom is always searched inline). 0
+          disables subtree spawning (coarse per-task parallelism only);
+          has no effect on which candidates are found *)
 }
 
 val default : t

@@ -29,7 +29,7 @@ let task_label = function
    profile phase path, so a worker's task phases land under the
    spawning phase ([search/enumerate/task.kernel]) instead of floating
    at the root of a fresh stack. *)
-let spawn_worker f =
+let spawn f =
   let ctx = Obs.Journal.context () in
   let ppath = Obs.Profile.saved_path () in
   Domain.spawn (fun () ->
@@ -38,9 +38,27 @@ let spawn_worker f =
         ~finally:(fun () -> Obs.Journal.set_context [])
         (fun () -> Obs.Profile.with_base ppath f))
 
+(* Lane 0 runs on the calling domain, lanes 1 .. n-1 on spawned ones. A
+   caller that only waited in [Domain.join] would still be a domain
+   every stop-the-world minor collection has to wake (through its
+   backup thread); working as a lane, it is one fewer domain to wake
+   and one more doing the work. Salvage-then-report: every domain is
+   joined before anything is decided, so one lane's death (lane 0's
+   included) never discards what the others did. *)
+let lanes n f =
+  let spawned =
+    List.init (max 0 (n - 1)) (fun i -> spawn (fun () -> f (i + 1)))
+  in
+  let own = match f 0 with () -> [] | exception exn -> [ exn ] in
+  own
+  @ List.filter_map
+      (fun d ->
+        match Domain.join d with () -> None | exception exn -> Some exn)
+      spawned
+
 (* Run the enumerators over all tasks, collecting deduplicated raw
    candidates. Tasks seed a work-stealing pool (one Chase–Lev deque per
-   worker domain); below [steal_depth_cutoff] the enumerators publish
+   lane); at or below [steal_depth_cutoff] the enumerators publish
    subtree continuations back onto it, so one deep root no longer
    serializes the search while the other domains idle.
 
@@ -191,11 +209,21 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
   (match on_pool with Some f -> f pool | None -> ());
   (* One solver front per worker, resolved before any worker runs, and
      beside it the worker's extension memo for each level, over the
-     level's value table; a subtree picks its executing worker's memo
-     when it starts. Tables and memos die with this call. *)
+     level's value table, with the worker's funnel buffer for the level;
+     a subtree picks its executing worker's memo when it starts. Tables
+     and memos die with this call. *)
   let fronts = Array.init workers (Smtlite.Solver.front solver) in
-  let kmemos = Array.map (Prefix.memo (Prefix.values ())) fronts in
-  let bmemos = Array.map (Prefix.memo (Prefix.values ())) fronts in
+  let kmemos =
+    Array.map
+      (Prefix.memo (Prefix.values ()) (Kernel_enum.tally cfg stats))
+      fronts
+  in
+  let bmemos =
+    Array.map
+      (Prefix.memo (Prefix.values ()) (Block_enum.tally cfg stats))
+      fronts
+  in
+  let blocks = Block_enum.prepare cfg ~spec ~limits in
   let self () = Option.get (Deque.Pool.self pool) in
   (* Per-task completion accounting at item granularity: a task's
      pending count covers its root item plus every spawned subtree, and
@@ -243,6 +271,14 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
       (fun () ->
         run_body i (fun () -> Obs.Profile.with_phase (task_phase i) k))
   in
+  (* A root item drains its worker's buffer for the level when it ends
+     (also when it raises), so the next task on that worker, at either
+     level, checks the node budget against a registry that holds what
+     this one counted. Continuations count on into whichever buffer
+     their worker holds; those drain after the lanes join. *)
+  let drained memos f =
+    Fun.protect ~finally:(fun () -> Prefix.flush memos.(self ())) f
+  in
   let root_item i () =
     Fun.protect
       ~finally:(fun () -> item_done i)
@@ -253,20 +289,20 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
                 Obs.Profile.with_phase "task.kernel" (fun () ->
                     Obs.Trace.with_span ~cat:"search" "enumerate.kernel"
                       (fun () ->
-                        Kernel_enum.search cfg ~spec
-                          ~memo:(fun () -> kmemos.(self ()))
-                          ~stats ~limits ~budget ~spawn:(spawn_for i) ~emit
-                          ()))
+                        drained kmemos (fun () ->
+                            Kernel_enum.search cfg ~spec
+                              ~memo:(fun () -> kmemos.(self ()))
+                              ~limits ~budget ~spawn:(spawn_for i) ~emit ())))
             | T_class cls ->
                 Obs.Profile.with_phase "task.root" (fun () ->
                     Obs.Trace.with_span ~cat:"search"
                       ~args:[ ("task", string_of_int i) ]
                       "enumerate.root"
                       (fun () ->
-                        Block_enum.search_root cfg ~spec
-                          ~memo:(fun () -> bmemos.(self ()))
-                          ~stats ~limits ~budget ~spawn:(spawn_for i) ~emit
-                          cls))))
+                        drained bmemos (fun () ->
+                            Block_enum.search_root blocks
+                              ~memo:(fun () -> bmemos.(self ()))
+                              ~budget ~spawn:(spawn_for i) ~emit cls)))))
   in
   for i = 0 to n_tasks - 1 do
     if not skip.(i) then begin
@@ -276,33 +312,24 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
   done;
   let stop () = Atomic.get exhausted in
   let run_item f = f () in
-  if workers = 1 then Deque.Pool.run_worker pool ~id:0 ~stop ~run:run_item
-  else begin
-    let domains =
-      List.init workers (fun id ->
-          spawn_worker (fun () ->
-              Deque.Pool.run_worker pool ~id ~stop ~run:run_item))
-    in
-    (* Salvage-then-report: join every domain before deciding the run's
-       fate, so a crash that escaped one worker's quarantine (e.g. in the
-       loop itself) never discards candidates other workers emitted. *)
-    let escaped = ref None in
-    List.iter
-      (fun d ->
-        match Domain.join d with
-        | () -> ()
-        | exception exn -> if !escaped = None then escaped := Some exn)
-      domains;
-    match !escaped with
-    | Some exn ->
-        let n = 1 + Atomic.fetch_and_add failures 1 in
-        Obs.Metrics.add c_crash 1;
-        Obs.Budget.note budget "worker.crash";
-        Obs.Log.warn (fun m ->
-            m "worker domain died outside task quarantine (%d total): %s" n
-              (Printexc.to_string exn))
-    | None -> ()
-  end;
+  (* A crash that escaped a worker's quarantine (in the loop itself) is
+     reported once, after every lane has joined. *)
+  (match
+     lanes workers (fun id ->
+         Deque.Pool.run_worker pool ~id ~stop ~run:run_item)
+   with
+  | exn :: _ ->
+      let n = 1 + Atomic.fetch_and_add failures 1 in
+      Obs.Metrics.add c_crash 1;
+      Obs.Budget.note budget "worker.crash";
+      Obs.Log.warn (fun m ->
+          m "worker lane died outside task quarantine (%d total): %s" n
+            (Printexc.to_string exn))
+  | [] -> ());
+  (* Every lane has joined: drain what continuations counted after the
+     last root item on their worker. *)
+  Array.iter Prefix.flush kmemos;
+  Array.iter Prefix.flush bmemos;
   Obs.Metrics.add c_spawned (Deque.Pool.spawned pool);
   Obs.Metrics.add c_steals (Deque.Pool.steals pool);
   let candidates =
@@ -493,17 +520,14 @@ let run ?config ?registry ?(verify_trials = 2) ?(verify_all = false) ?budget
     let arr = Array.of_list costed in
     let n = Array.length arr in
     let next = Atomic.make 0 in
-    let join domains =
+    let run_lanes worker =
       List.iter
-        (fun d ->
-          match Domain.join d with
-          | () -> ()
-          | exception exn ->
-              Obs.Budget.note budget "verify.crash";
-              Obs.Log.warn (fun m ->
-                  m "verify worker died outside candidate quarantine: %s"
-                    (Printexc.to_string exn)))
-        domains
+        (fun exn ->
+          Obs.Budget.note budget "verify.crash";
+          Obs.Log.warn (fun m ->
+              m "verify lane died outside candidate quarantine: %s"
+                (Printexc.to_string exn)))
+        (lanes vworkers (fun _ -> worker ()))
     in
     if verify_all then begin
       let passed = Array.make n false in
@@ -521,7 +545,7 @@ let run ?config ?registry ?(verify_trials = 2) ?(verify_all = false) ?budget
                 ()
         done
       in
-      join (List.init vworkers (fun _ -> spawn_worker worker));
+      run_lanes worker;
       let acc = ref [] in
       for i = n - 1 downto 0 do
         if passed.(i) then
@@ -562,7 +586,7 @@ let run ?config ?registry ?(verify_trials = 2) ?(verify_all = false) ?budget
                 ()
         done
       in
-      join (List.init vworkers (fun _ -> spawn_worker worker));
+      run_lanes worker;
       match Atomic.get winner with
       | w when w < n ->
           let (gid, g), _ = arr.(w) in

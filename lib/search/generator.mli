@@ -5,9 +5,10 @@
     rule-based thread fusion (§4.2), and rank the survivors with the GPU
     cost model.
 
-    Root configurations are distributed over OCaml domains when
-    [Config.num_workers > 1] (the paper's multi-threaded search,
-    Table 5). *)
+    Root configurations are distributed over [Config.num_workers]
+    lanes (the paper's multi-threaded search, Table 5): lane 0 is the
+    calling domain and the others are spawned domains ({!lanes}), for
+    the enumeration pool and for parallel verification alike. *)
 
 open Mugraph
 
@@ -36,6 +37,26 @@ type outcome = {
           a clean run *)
 }
 
+val spawn : (unit -> 'a) -> 'a Domain.t
+(** [spawn f] runs [f] on a new domain that starts with the caller's
+    journal context (the serving tier's request id) and profile phase
+    path. Every lane but lane 0 starts this way. *)
+
+val lanes : int -> (int -> unit) -> exn list
+(** [lanes n f] runs [f 0] on the calling domain and [f 1] .. [f (n-1)]
+    on [n - 1] domains from {!spawn} (none when [n <= 1]). It joins
+    every domain before it returns, whatever any lane did, and returns
+    the exceptions that escaped lanes, lane 0's first, for the caller to
+    report. The enumeration pool and both parallel verify loops run on
+    it, so a search of [num_workers = w] starts [w - 1] domains.
+
+    Lane 0 holds the calling domain's lock while it works. A caller
+    whose domain other systhreads share must not run a search there:
+    they would wait for the systhreads tick (up to 50 ms) whenever they
+    want to run. [Service.Server] therefore calls {!run} on a domain of
+    its own from {!spawn} and waits in [Domain.join], which releases the
+    lock. *)
+
 val generate :
   Config.t ->
   spec:Graph.kernel_graph ->
@@ -50,9 +71,9 @@ val generate :
   (int * Graph.kernel_graph) list * bool * int
 (** The raw enumeration stage of {!run}: seed the kernel task and one
     task per root class ({!Block_enum.root_class}) onto a work-stealing
-    pool of
-    [num_workers] domains and drain it, returning the deduplicated
-    [(gid, graph)] candidates plus whether the budget was exhausted and
+    pool of [num_workers] lanes (see {!lanes}) and drain it, returning
+    the deduplicated [(gid, graph)] candidates plus whether the budget
+    was exhausted and
     how many items crashed. The candidate {e set} is independent of the
     worker count and steal schedule (gids and list order are not).
     [on_pool] runs once with the freshly created pool — the hook the

@@ -5,8 +5,11 @@ type state = (Graph.kernel_op, unit, unit) Prefix.state
 
 let tref i = { Graph.node = i; port = 0 }
 
-let search (cfg : Config.t) ~spec ~memo ~stats ~limits ~budget ?spawn ~emit
-    () =
+let tally (cfg : Config.t) stats =
+  Tally.level stats ~name:"kernel" ~max_depth:cfg.Config.max_kernel_ops
+    Tally.[ Shape; Duplicate; Pruned; Canonical ]
+
+let search (cfg : Config.t) ~spec ~memo ~limits ~budget ?spawn ~emit () =
   let spec_outs = Prefix.spec_outputs spec in
   let n_inputs = List.length (Graph.input_names spec) in
   let make op vs =
@@ -53,11 +56,9 @@ let search (cfg : Config.t) ~spec ~memo ~stats ~limits ~budget ?spawn ~emit
       fault = "enum.kernel";
       max_ops = cfg.Config.max_kernel_ops;
       weight = 1;
-      reasons = Tally.[ Shape; Duplicate; Pruned; Canonical ];
       rank_first = true;
       menu = cfg.Config.kernel_op_menu;
       prim = (fun p -> Graph.K_prim p);
-      rank = (fun op ins -> Canon.R_kernel (List.map tref ins, op));
       op_name =
         (function Graph.K_prim p -> Op.to_string p | _ -> "?");
       scope = 0;
@@ -80,4 +81,4 @@ let search (cfg : Config.t) ~spec ~memo ~stats ~limits ~budget ?spawn ~emit
         })
       (Graph.input_names spec) (Graph.input_shapes spec)
   in
-  Prefix.search level cfg ~stats ~memo ~budget ?spawn inputs ()
+  Prefix.search level cfg ~memo ~budget ?spawn inputs ()

@@ -17,11 +17,14 @@
 
 open Mugraph
 
+val tally : Config.t -> Stats.t -> Tally.level
+(** The kernel level's counters ([search.kernel.*]), resolved once per
+    search for the workers' memos ({!Prefix.memo}). *)
+
 val search :
   Config.t ->
   spec:Graph.kernel_graph ->
   memo:(unit -> (Graph.kernel_op, unit) Prefix.memo) ->
-  stats:Stats.t ->
   limits:Memory.limits ->
   budget:Obs.Budget.t ->
   ?spawn:((unit -> unit) -> bool) ->

@@ -3,8 +3,14 @@ open Mugraph
 
 exception Budget_exhausted
 
-(* What the checks after the structural and rank ones said at birth. *)
-type verdict = Duplicate | Refused of Tally.reason | Pruned | Alive
+(* What a birth decided beyond the cell's structural verdict: a
+   canonical-rank reject there, or what the checks after rank said. *)
+type verdict =
+  | Out_of_order
+  | Duplicate
+  | Refused of Tally.reason
+  | Pruned
+  | Alive
 
 type 'a value = {
   id : int;
@@ -20,20 +26,19 @@ let value shape nf attrs =
 type ('o, 'a) entry = { op : 'o; ins : int list; value : 'a value }
 
 (* One operator instantiation: made once, at the prefix where its newest
-   input appeared, and shared by every descendant of that prefix. *)
+   input appeared, and shared by every descendant of that prefix. One
+   flat record per birth: the made value is the memo cell's own, and
+   the entry is built only for a try that reaches [child]. *)
 type ('o, 'a) ext = {
   xop : 'o;
   xins : int list;
-  rank : Canon.rank;
+  rank : int;  (* [xins] packed, see [pack_rank] *)
   born : int;  (* entries in the prefix that made it *)
-  made : ('o, 'a) made;
+  made : ('a value, Tally.reason) result;
+      (* the value, or the structural reject: judged before rank at a
+         level without [rank_first], after it at one with *)
+  verdict : verdict;  (* [Alive] for a structural reject, unread *)
 }
-
-and ('o, 'a) made =
-  | Unfit of Tally.reason  (* structural reject, judged before rank *)
-  | Out_of_order  (* canonical-rank reject where it was made *)
-  | Unfit_ranked of Tally.reason  (* structural reject, judged after rank *)
-  | Built of ('o, 'a) entry * verdict
 
 (* The extensions made when entry [k] appeared, one array per cell of the
    generation order. *)
@@ -42,6 +47,7 @@ type ('o, 'a) bundle = {
   col : ('o, 'a) ext array array;  (* [col.(i)]: ops on [(i, k)], [i <= k] *)
   row : ('o, 'a) ext array array;  (* [row.(j)]: ops on [(k, j)], [j < k] *)
   extra : ('o, 'a) ext array;  (* the level's extra ops on [k] *)
+  size : int;  (* the extensions in all four *)
 }
 
 type ('o, 'a, 's) state = {
@@ -50,7 +56,7 @@ type ('o, 'a, 's) state = {
       (* the bundles already made — the parent's table, empty at the
          root; [extend] makes one for each remaining entry *)
   ops : int;
-  last_rank : Canon.rank option;
+  last : ('o, 'a) ext option;  (* the operator that made the newest entry *)
   own : 's;
 }
 
@@ -59,11 +65,9 @@ type ('o, 'a, 's) level = {
   fault : string;
   max_ops : int;
   weight : int;
-  reasons : Tally.reason list;
   rank_first : bool;
   menu : Op.prim list;
   prim : Op.prim -> 'o;
-  rank : 'o -> int list -> Canon.rank;
   op_name : 'o -> string;
   scope : int;
   extra : 'a value -> 'o list;
@@ -105,7 +109,15 @@ let intern_locked t v =
       Absexpr.Nf.Tbl.replace t.by_nf v.nf (w :: same);
       w
 
-module Int_tbl = Hashtbl.Make (Int)
+(* Memo keys are value ids packed in one int, so [Hashtbl.hash] is a C
+   call for what one multiply does: take the product's middle bits,
+   which every key bit reaches. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = (k * 0x2545F4914F6CDD1D) lsr 32
+end)
 
 (* A cell's ops in generation order, each with its made value or the
    structural reason it has none. *)
@@ -113,20 +125,22 @@ type ('o, 'a) cell = ('o * ('a value, Tally.reason) result) array
 
 type ('o, 'a) memo = {
   values : 'a values;
-  front : Smtlite.Solver.front;
   scopes : ('o, 'a) cell Int_tbl.t Int_tbl.t;  (* cells by level scope *)
   mutable verdicts : Bytes.t;
       (* prune verdicts by value id: '\000' not asked yet, 'p' pruned,
          'k' kept *)
+  counts : Tally.acc;  (* the worker's funnel buffer for the level *)
 }
 
-let memo values front =
+let memo values tally front =
   {
     values;
-    front;
     scopes = Int_tbl.create 4;
     verdicts = Bytes.make 1024 '\000';
+    counts = Tally.acc tally front;
   }
+
+let flush m = Tally.flush m.counts
 
 let scope_cells m scope =
   match Int_tbl.find_opt m.scopes scope with
@@ -185,10 +199,28 @@ let prim_value p vs attrs =
            (Abstract.prim_nf p ~in_shapes:shapes (List.map (fun v -> v.nf) vs))
            attrs)
 
-let rank_ok st rank =
-  match st.last_rank with
+(* A rank is its input list packed in one int, each index plus one in
+   [rank_bits] bits, the first input highest; the operator is compared
+   only when the lists are equal. *)
+let rank_bits = 6
+let rank_limit = (1 lsl rank_bits) - 1
+
+let pack_rank ins =
+  let field i =
+    if i < 0 || i >= rank_limit then invalid_arg "Prefix.pack_rank" else i + 1
+  in
+  match ins with
+  | [ a ] -> field a lsl rank_bits
+  | [ a; b ] -> (field a lsl rank_bits) lor field b
+  | _ -> invalid_arg "Prefix.pack_rank"
+
+let compare_rank r op r' op' =
+  if r <> r' then Int.compare r r' else Stdlib.compare op op'
+
+let rank_ok st rank op =
+  match st.last with
   | None -> true
-  | Some r -> Canon.compare_rank r rank <= 0
+  | Some l -> compare_rank l.rank l.xop rank op <= 0
 
 (* Whether [v] is the value of an entry of [entries] from index [i] on. *)
 let rec recomputes entries i v =
@@ -201,7 +233,7 @@ let spec_outputs spec =
     (Abstract.output_exprs spec)
     (Infer.output_shapes spec)
 
-let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~stats ~memo ~budget
+let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
     ?(spawn = fun _ -> false) inputs own =
   (* Flight recorder, resolved once per search: every try gets a
      candidate id and an expand event, every rejection names its reason,
@@ -242,13 +274,6 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~stats ~memo ~budget
           ]
     | None -> ()
   in
-  (* Funnel counts, per-depth histograms and the level's own counters,
-     registered once per search and counted per subtree in a
-     domain-owned tally, each try [weight] times. *)
-  let tally =
-    Tally.level stats ~name:lv.name ~max_depth:lv.max_ops ~weight:lv.weight
-      lv.reasons
-  in
   let budget_check tl =
     Obs.Fault.trip lv.fault;
     if Obs.Budget.cancelled budget then raise Budget_exhausted;
@@ -280,10 +305,8 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~stats ~memo ~budget
   let admit_fields st v =
     match journal with Some _ -> lv.admit_fields st v | None -> []
   in
-  let pruned_fields (e : ('o, 'a) entry) =
-    match journal with
-    | Some _ -> Prune.journal_fields e.value.nf
-    | None -> []
+  let pruned_fields v =
+    match journal with Some _ -> Prune.journal_fields v.nf | None -> []
   in
   (* The prune verdict of a value, asked through the worker's front the
      first time the worker meets the value. *)
@@ -313,18 +336,24 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~stats ~memo ~budget
       | Some r -> Refused r
       | None -> if pruned tl m v then Pruned else Alive
   in
-  let make_ext tl m st (op, made) ins =
-    let rank = lv.rank op ins in
-    let made =
-      if lv.rank_first && not (rank_ok st rank) then Out_of_order
+  let make_ext tl m st rank (op, made) ins =
+    let verdict =
+      if lv.rank_first && not (rank_ok st rank op) then Out_of_order
       else
         match made with
-        | Error r -> if lv.rank_first then Unfit_ranked r else Unfit r
-        | Ok _ when (not lv.rank_first) && not (rank_ok st rank) ->
+        | Error _ -> Alive
+        | Ok _ when (not lv.rank_first) && not (rank_ok st rank op) ->
             Out_of_order
-        | Ok v -> Built ({ op; ins; value = v }, judge tl m st v)
+        | Ok v -> judge tl m st v
     in
-    { xop = op; xins = ins; rank; born = Array.length st.entries; made }
+    {
+      xop = op;
+      xins = ins;
+      rank;
+      born = Array.length st.entries;
+      made;
+      verdict;
+    }
   in
   let pair_ordered = List.map lv.prim (pair_ops lv.menu ~ordered:true) in
   let pair_unordered = List.map lv.prim (pair_ops lv.menu ~ordered:false) in
@@ -332,9 +361,9 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~stats ~memo ~budget
      time the worker meets its key, made and interned. *)
   let cell m cells kind st ins =
     let key = key kind ins st.entries in
-    match Int_tbl.find_opt cells key with
-    | Some c -> c
-    | None ->
+    match Int_tbl.find cells key with
+    | c -> c
+    | exception Not_found ->
         let vs = List.map (fun i -> st.entries.(i).value) ins in
         let ops =
           match kind with
@@ -357,22 +386,24 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~stats ~memo ~budget
   (* The bundle of entry [k], made at prefix [st], cell by cell in
      generation order. *)
   let make_bundle tl m cells st k =
+    let size = ref 0 in
     let exts kind ins =
-      Array.map
-        (fun made -> make_ext tl m st made ins)
-        (cell m cells kind st ins)
+      let rank = pack_rank ins in
+      let c = cell m cells kind st ins in
+      size := !size + Array.length c;
+      Array.map (fun made -> make_ext tl m st rank made ins) c
     in
     let unary = exts Unary [ k ] in
     let col = Array.init (k + 1) (fun i -> exts Col [ i; k ]) in
     let row = Array.init k (fun j -> exts Row [ k; j ]) in
     let extra = exts Extra [ k ] in
-    { unary; col; row; extra }
+    { unary; col; row; extra; size = !size }
   in
   (* One prefix: its table is its parent's plus a bundle for each newer
-     entry. Every try in the table is counted (the funnel's [expanded])
-     and either fails one check — counted under exactly one rejection
-     reason — or is kept; only then are the kept children searched, in
-     the same order. *)
+     entry. Every try in the table is counted (the funnel's [expanded],
+     in one batch before the first is judged) and either fails one check
+     — counted under exactly one rejection reason — or is kept; only
+     then are the kept children searched, in the same order. *)
   let rec extend tl m cells st =
     budget_check tl;
     lv.complete tl st;
@@ -384,6 +415,8 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~stats ~memo ~budget
         Array.init count (fun k ->
             if k < known then st.table.(k) else make_bundle tl m cells st k)
       in
+      Tally.expand tl ~depth
+        (Array.fold_left (fun n b -> n + b.size) 0 table);
       let reject cand reason extra =
         Tally.reject tl reason ~depth;
         match journal with
@@ -394,24 +427,26 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~stats ~memo ~budget
       in
       let kept = ref [] in
       let visit x =
-        Tally.expand tl ~depth;
         let cand = jexpand ~depth x in
-        match x.made with
-        | Unfit r -> reject cand r (unfit_fields st x r)
-        | Out_of_order -> reject cand Tally.Canonical []
-        | _ when not (rank_ok st x.rank) -> reject cand Tally.Canonical []
-        | Unfit_ranked r -> reject cand r (unfit_fields st x r)
-        | Built (_, Duplicate) -> reject cand Tally.Duplicate []
-        | Built (e, _) when recomputes st.entries x.born e.value ->
+        match (x.made, x.verdict) with
+        | _, Out_of_order -> reject cand Tally.Canonical []
+        | Error r, _ when not lv.rank_first ->
+            reject cand r (unfit_fields st x r)
+        | _ when not (rank_ok st x.rank x.xop) ->
+            reject cand Tally.Canonical []
+        | Error r, _ -> reject cand r (unfit_fields st x r)
+        | Ok _, Duplicate -> reject cand Tally.Duplicate []
+        | Ok v, _ when recomputes st.entries x.born v ->
             reject cand Tally.Duplicate []
-        | Built (e, Refused r) -> reject cand r (admit_fields st e.value)
-        | Built (e, verdict) -> (
-            match lv.admit st e.value with
-            | Some r -> reject cand r (admit_fields st e.value)
+        | Ok v, Refused r -> reject cand r (admit_fields st v)
+        | Ok v, verdict -> (
+            match lv.admit st v with
+            | Some r -> reject cand r (admit_fields st v)
             | None -> (
                 match verdict with
-                | Pruned -> reject cand Tally.Pruned (pruned_fields e)
+                | Pruned -> reject cand Tally.Pruned (pruned_fields v)
                 | _ -> (
+                    let e = { op = x.xop; ins = x.xins; value = v } in
                     match lv.child st e with
                     | Error r -> reject cand r []
                     | Ok own ->
@@ -421,7 +456,7 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~stats ~memo ~budget
                             entries = Array.append st.entries [| e |];
                             table;
                             ops = st.ops + 1;
-                            last_rank = Some x.rank;
+                            last = Some x;
                             own;
                           }
                           :: !kept)))
@@ -437,21 +472,29 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~stats ~memo ~budget
       List.iter
         (fun st' ->
           (* Shallow children root large subtrees — publish those to the
-             pool; recurse inline past the cutoff. *)
+             pool; recurse inline past the cutoff, and below it when
+             fewer than two operator levels remain: such a child's
+             subtree is one table of leaves, cheaper to search here than
+             to hand over. *)
           if
             st'.ops > cfg.Config.steal_depth_cutoff
+            || lv.max_ops - st'.ops < 2
             || not (spawn (fun () -> subtree st'))
           then extend tl m cells st')
         (List.rev !kept)
     end
-  (* A subtree on the worker that runs it: that worker's memo and front,
-     and a tally that flushes under this task even when the budget cuts
-     the DFS short. *)
+  (* A subtree on the worker that runs it: that worker's memo, front
+     and funnel buffer, and a prune-check timer that flushes under this
+     task even when the budget cuts the DFS short. *)
   and subtree st =
     let m = memo () in
-    let cells = scope_cells m lv.scope in
-    Tally.run tally m.front (fun tl -> extend tl m cells st)
+    Tally.run m.counts ~weight:lv.weight (fun tl ->
+        extend tl m (scope_cells m lv.scope) st)
   in
+  if List.length inputs + lv.max_ops > rank_limit then
+    invalid_arg
+      (Printf.sprintf "Prefix.search: %d inputs and %d ops exceed %d entries"
+         (List.length inputs) lv.max_ops rank_limit);
   let m = memo () in
   let entries =
     Mutex.protect m.values.lock (fun () ->
@@ -461,4 +504,4 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~stats ~memo ~budget
                { e with value = intern_locked m.values e.value })
              inputs))
   in
-  subtree { entries; table = [||]; ops = 0; last_rank = None; own }
+  subtree { entries; table = [||]; ops = 0; last = None; own }

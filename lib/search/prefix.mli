@@ -68,9 +68,39 @@
     records which side of the rank check its structural reject falls
     on, so an inherited try lands under the reason a fresh one would.
 
+    {b Ranks as ints.} A rank (paper §4.1) is an operator's input list,
+    then its operator; {!Canon.compare_rank} orders both
+    structurally. The engine packs the list into one int when a cell is
+    made ({!pack_rank}): index [i] becomes the field [i + 1] of six
+    bits, the first input in the high field, and a
+    one-input list has an empty (zero) low field. The packed order is
+    exactly the structural one:
+    - the lists compare lexicographically, and the high field decides
+      first, as the first index does;
+    - on an equal first index, [[a]] is below every [[a; b]] (an empty
+      tail is below a non-empty one), and its zero low field is below
+      every [b + 1 >= 1];
+    - [[a; b]] against [[a; c]] compares [b + 1] with [c + 1];
+    - a kernel rank's list holds tensor refs whose port is always 0,
+      so it compares by node index, the same as the packed one.
+    An index past the field raises instead of wrapping into the next,
+    so the order can never silently break; {!search} refuses a level
+    whose largest prefix would need one. The operator is compared
+    (structurally, as before) only when the packed ints tie, so a
+    try's rank check is one int compare and no rank is allocated.
+
+    {b Spawning.} A kept child at depth [<= steal_depth_cutoff] is
+    offered to the pool only when at least two operator levels lie
+    below it. A child one level from the bottom roots a single table of
+    leaves: handing it over would push a closure into a major-heap
+    deque, promoting the child's state, and give it a prune-check timer
+    of its own, for less work than that costs.
+
     {b Counts} are per root: every try, rejection and prune-rule fire
-    counts [weight] times (see {!Tally.level}), and journal events carry
-    ["roots": weight] when [weight > 1]. *)
+    counts the level's [weight] times (see {!Tally.run}), and journal events
+    carry ["roots": weight] when [weight > 1]. A prefix counts its
+    tries in one batch (the sum of its table's sizes) before judging
+    the first. *)
 
 open Tensor
 open Mugraph
@@ -103,6 +133,9 @@ type ('o, 'a) entry = {
 }
 (** One tensor of a prefix. *)
 
+type ('o, 'a) ext
+(** One operator instantiation, made at its birth prefix. *)
+
 type ('o, 'a) bundle
 (** The extensions made when one entry appeared. *)
 
@@ -110,7 +143,9 @@ type ('o, 'a, 's) state = private {
   entries : ('o, 'a) entry array;  (** the inputs first *)
   table : ('o, 'a) bundle array;
   ops : int;  (** operators applied so far: the prefix's depth *)
-  last_rank : Canon.rank option;
+  last : ('o, 'a) ext option;
+      (** the extension that made the newest entry, whose rank the next
+          operator's must not be below; [None] at the root *)
   own : 's;  (** the level's own part of the prefix *)
 }
 
@@ -120,13 +155,12 @@ type ('o, 'a, 's) level = {
           ["level"] field *)
   fault : string;  (** the {!Obs.Fault} probe tripped at every prefix *)
   max_ops : int;  (** operators per complete graph *)
-  weight : int;  (** roots each try stands for *)
-  reasons : Tally.reason list;
-      (** every reason this level rejects under, in registration order *)
+  weight : int;
+      (** roots each try stands for: 1, or the block level's root-class
+          size *)
   rank_first : bool;  (** the rank check precedes [make]'s *)
   menu : Op.prim list;  (** the primitive operators to instantiate *)
   prim : Op.prim -> 'o;
-  rank : 'o -> int list -> Canon.rank;
   op_name : 'o -> string;  (** the journal's ["op"] field *)
   scope : int;
       (** names what [make] and [extra] read beyond their inputs and the
@@ -164,9 +198,32 @@ type ('o, 'a) memo
     table: each cell's ops and made values by the cell's key, and each
     value's prune verdict. Used by one worker at a time, unlocked. *)
 
-val memo : 'a values -> Smtlite.Solver.front -> ('o, 'a) memo
-(** [memo values front]: a worker's empty memo; prune questions go
-    through [front], the same worker's solver front. *)
+val memo : 'a values -> Tally.level -> Smtlite.Solver.front -> ('o, 'a) memo
+(** [memo values tally front]: a worker's empty memo; prune questions
+    go through [front], the same worker's solver front. The memo also
+    holds the worker's funnel buffer over [tally]'s handles
+    ({!Tally.acc}), which every subtree the worker runs at this level
+    counts into. *)
+
+val flush : ('o, 'a) memo -> unit
+(** Drain the memo's funnel buffer into the registry ({!Tally.flush}).
+    {!search} never does: the memo's owner decides when. *)
+
+val rank_limit : int
+(** [63]: a packed rank holds entry indices [0 .. rank_limit - 1] (six
+    bits each), so a prefix has at most [rank_limit] entries. *)
+
+val pack_rank : int list -> int
+(** [pack_rank ins]: the input list of an operator of arity 1 or 2 as
+    one int, ordered as {!Canon.compare_rank} orders the lists.
+    @raise Invalid_argument for an index outside [0 .. rank_limit - 1]
+    (it never wraps) or another arity. *)
+
+val compare_rank : int -> 'o -> int -> 'o -> int
+(** [compare_rank r op r' op']: the order of ranks [(r, op)] and
+    [(r', op')], [r] and [r'] packed: the packed ints first, the
+    operators (structurally) only on a tie. Its sign is
+    {!Canon.compare_rank}'s on the matching [R_kernel] / [R_block]. *)
 
 val prim_value :
   Op.prim -> 'a value list -> 'a -> ('a value, Tally.reason) result
@@ -174,12 +231,13 @@ val prim_value :
     [Error Shape] when their shapes do not fit. *)
 
 val spec_outputs : Graph.kernel_graph -> (Absexpr.Nf.t * Shape.t) list
-(** The specification's outputs: normal form and kernel-level shape. *)
+(** The specification's outputs: normal form and kernel-level shape.
+    It normalizes every output, so a level computes it once per
+    search. *)
 
 val search :
   ('o, 'a, 's) level ->
   Config.t ->
-  stats:Stats.t ->
   memo:(unit -> ('o, 'a) memo) ->
   budget:Obs.Budget.t ->
   ?spawn:((unit -> unit) -> bool) ->
@@ -189,11 +247,15 @@ val search :
 (** [search lv cfg ... inputs own] grows every prefix of at most
     [lv.max_ops] operators from the inputs, calling [lv.complete] on
     each. [memo ()] is the calling worker's memo; each subtree resolves
-    it once, on the domain that runs it, and counts into its own
-    {!Tally} through the memo's front. [spawn k] may publish subtree
-    continuation [k] to a work-stealing pool and return [true];
-    returning [false] (the default) makes the engine recurse inline.
+    it once, on the domain that runs it, and counts into that worker's
+    buffer, unflushed when the search returns. [spawn k] may
+    publish subtree continuation [k] to a work-stealing pool and return
+    [true]; returning [false] (the default) makes the engine recurse
+    inline.
     Continuations are offered only for kept children at depth <=
-    [steal_depth_cutoff], are safe to run on any domain, and never
+    [steal_depth_cutoff] with at least two operator levels below them
+    ([max_ops - depth >= 2]), are safe to run on any domain, and never
     change the emitted candidate set.
-    @raise Budget_exhausted on budget exhaustion. *)
+    @raise Budget_exhausted on budget exhaustion.
+    @raise Invalid_argument when the inputs plus [max_ops] exceed
+    {!rank_limit} entries, before any prefix is searched. *)

@@ -67,14 +67,13 @@ let sink reg ~name ~buckets r =
 
 type level = {
   stats : Stats.t;
-  weight : int;  (* roots each try stands for *)
   max_depth : int;
   stride : int;  (* depths 0 .. stride-1 *)
   h_expand : Obs.Metrics.histogram;
   sinks : sink option array;  (* by reason index *)
 }
 
-let level stats ~name ~max_depth ?(weight = 1) reasons =
+let level stats ~name ~max_depth reasons =
   let buckets =
     Obs.Metrics.linear_buckets ~lo:0.0 ~step:1.0 ~n:(max 1 max_depth + 1)
   in
@@ -88,28 +87,28 @@ let level stats ~name ~max_depth ?(weight = 1) reasons =
   List.iter
     (fun r -> sinks.(index r) <- Some (sink reg ~name ~buckets r))
     reasons;
-  { stats; weight; max_depth; stride = max 1 max_depth + 1; h_expand; sinks }
+  { stats; max_depth; stride = max 1 max_depth + 1; h_expand; sinks }
 
-(* [counts] row 0 holds expansions by depth, row [1 + index r] the
-   rejections for [r], each unweighted; [pending] is weighted. *)
-type t = {
+(* One worker's counts for one level of one search. [counts] row 0
+   holds expansions by depth, row [1 + index r] the rejections for [r],
+   all weighted when counted, so the subtrees of root classes of any
+   size share one buffer. *)
+type acc = {
   lvl : level;
   front : Smtlite.Solver.front;
   counts : int array;
   mutable pending : int;  (* expansions since the last flush *)
   mutable candidates : int;
-  timer : Obs.Profile.timer;
   rules : Obs.Profile.rule_handle option array;
 }
 
-let create lvl front =
+let acc lvl front =
   {
     lvl;
     front;
     counts = Array.make ((n_reasons + 1) * lvl.stride) 0;
     pending = 0;
     candidates = 0;
-    timer = Obs.Profile.timer "prune.abstract";
     rules =
       (let a = Array.make n_reasons None in
        List.iter
@@ -120,66 +119,71 @@ let create lvl front =
        a);
   }
 
-(* Drain row [row], weighted, into [h] (per depth) and into a
-   rejection's profiler [rule] (a cut at depth [d] has
-   [max_depth - d - 1] operator slots below it), and return its total.
-   So a rule records one call per depth bucket per flush, not one per
-   cut. *)
-let drain t row h rule =
-  let stride = t.lvl.stride in
+(* Drain row [row] into [h] (per depth) and into a rejection's profiler
+   [rule] (a cut at depth [d] has [max_depth - d - 1] operator slots
+   below it), and return its total. So a rule records one call per
+   depth bucket per flush, not one per cut. *)
+let drain a row h rule =
+  let stride = a.lvl.stride in
   let base = row * stride in
   let total = ref 0 in
   for d = 0 to stride - 1 do
-    let k = t.counts.(base + d) * t.lvl.weight in
+    let k = a.counts.(base + d) in
     if k > 0 then begin
       (match h with
       | Some h -> Obs.Metrics.observe_n h (float_of_int d) k
       | None -> ());
       (match rule with
       | Some r ->
-          Obs.Profile.fire_n r ~remaining:(max 0 (t.lvl.max_depth - d - 1)) k
+          Obs.Profile.fire_n r ~remaining:(max 0 (a.lvl.max_depth - d - 1)) k
       | None -> ());
       total := !total + k;
-      t.counts.(base + d) <- 0
+      a.counts.(base + d) <- 0
     end
   done;
   !total
 
-let flush t =
-  let stats = t.lvl.stats in
+let flush a =
+  let stats = a.lvl.stats in
   (* expansions first, so a live reader never sees a rejection whose
      attempt it has not counted *)
-  Stats.add stats Stats.Expanded (drain t 0 (Some t.lvl.h_expand) None);
-  t.pending <- 0;
+  Stats.add stats Stats.Expanded (drain a 0 (Some a.lvl.h_expand) None);
+  a.pending <- 0;
   Array.iteri
     (fun i s ->
       match s with
       | Some (Funnel (k, h)) ->
-          Stats.add stats k (drain t (i + 1) (Some h) t.rules.(i))
-      | Some (Counter c) -> Obs.Metrics.add c (drain t (i + 1) None t.rules.(i))
+          Stats.add stats k (drain a (i + 1) (Some h) a.rules.(i))
+      | Some (Counter c) -> Obs.Metrics.add c (drain a (i + 1) None a.rules.(i))
       | None -> ())
-    t.lvl.sinks;
-  Stats.add stats Stats.Candidates t.candidates;
-  t.candidates <- 0;
-  Smtlite.Solver.flush_front t.front;
-  Obs.Profile.flush_timer t.timer;
-  Array.iter (Option.iter Obs.Profile.flush_rule) t.rules
+    a.lvl.sinks;
+  Stats.add stats Stats.Candidates a.candidates;
+  a.candidates <- 0;
+  Smtlite.Solver.flush_front a.front;
+  Array.iter (Option.iter Obs.Profile.flush_rule) a.rules
 
-let run lvl front f =
-  let t = create lvl front in
-  Fun.protect ~finally:(fun () -> flush t) (fun () -> f t)
+(* One subtree's view: the worker's buffer, the subtree's weight, and
+   its batched prune-check timer, flushed under the subtree's phase. *)
+type t = { a : acc; weight : int; timer : Obs.Profile.timer }
 
-let expand t ~depth =
-  let i = depth in
-  t.counts.(i) <- t.counts.(i) + 1;
-  t.pending <- t.pending + t.lvl.weight;
-  if t.pending >= Obs.Profile.batch then flush t
+let run a ~weight f =
+  let timer = Obs.Profile.timer "prune.abstract" in
+  Fun.protect
+    ~finally:(fun () -> Obs.Profile.flush_timer timer)
+    (fun () -> f { a; weight; timer })
+
+let expand t ~depth n =
+  let a = t.a and k = n * t.weight in
+  a.counts.(depth) <- a.counts.(depth) + k;
+  a.pending <- a.pending + k;
+  if a.pending >= Obs.Profile.batch then flush a
 
 let reject t r ~depth =
-  let i = ((index r + 1) * t.lvl.stride) + depth in
-  t.counts.(i) <- t.counts.(i) + 1
+  let a = t.a in
+  let i = ((index r + 1) * a.lvl.stride) + depth in
+  a.counts.(i) <- a.counts.(i) + t.weight
 
-let candidate t = t.candidates <- t.candidates + 1
-let expanded t = Stats.expanded t.lvl.stats + t.pending
-let front t = t.front
+let candidate t = t.a.candidates <- t.a.candidates + 1
+let expanded t = Stats.expanded t.a.lvl.stats + t.a.pending
+let front t = t.a.front
 let timer t = t.timer

@@ -1,22 +1,26 @@
-(** Domain-owned accounting for one enumeration subtree: the funnel
-    counts of {!Stats}, the per-depth [search.<level>.*] histograms, the
-    solver front's query counts, and the profiler's prune-check timer and
-    rule handles, all batched in plain fields the subtree owns.
+(** Worker-owned accounting for the enumeration: the funnel counts of
+    {!Stats}, the per-depth [search.<level>.*] histograms, the solver
+    front's query counts and the profiler's prune rules, batched in
+    plain fields of one buffer ({!acc}) per worker and level, and a
+    prune-check timer per subtree.
 
-    A tally is created when a subtree starts running (its root task or a
-    spawned continuation, on whichever worker executes it) and used only
-    there. {!flush} drains it into the shared registry. {!run} flushes
-    when the subtree ends, also when it raises (crash, budget cut), and
-    {!expand} flushes every {!Obs.Profile.batch} expansions in between.
-    So totals are exact once every subtree has ended, and live readers
-    lag by at most one batch per worker.
+    A worker's buffer lives in its memo of the level ({!Prefix.memo}),
+    and only that worker writes it. Each subtree (a root task or a
+    spawned continuation, on whichever worker executes it) counts into
+    its worker's buffer through a tally ({!run}) that carries the
+    subtree's weight, so subtrees of different root classes share the
+    buffer and a subtree costs no flush of its own. {!expand} drains a
+    full batch ({!Obs.Profile.batch} expansions); every other drain is
+    the memo owner's ({!Generator.generate}: when a root task ends and
+    once the lanes have joined). So totals are exact when the search
+    returns, and live readers lag by at most one batch per worker.
 
     Counts are per root. The block level searches a root class once (see
-    {!Block_enum}), so its level carries the class size as a weight: a
-    try, a rejection, its depth-histogram bucket and its prune-rule fire
-    count once per member of the class. Candidates are counted once per
-    member that emitted a graph. Solver-front queries and hits are not
-    weighted: they count real queries. *)
+    {!Block_enum}), so a class's subtrees run with the class size as
+    their weight: a try, a rejection, its depth-histogram bucket and its
+    prune-rule fire count once per member of the class. Candidates are
+    counted once per member that emitted a graph. Solver-front queries
+    and hits are not weighted: they count real queries. *)
 
 type reason = Shape | Memory | Duplicate | Canonical | Pruned | Phase | Dangling
 (** Why an attempted extension was cut. [Phase] and [Dangling] are
@@ -28,47 +32,53 @@ val reason_name : reason -> string
     the profiler's prune rules (["shape"], ["pruned_abstract"], ...). *)
 
 type level
-(** One enumerator level's shared handles, resolved once per search
-    (kernel) or per root class (block). *)
+(** One enumerator level's shared handles, resolved once per search. *)
 
-val level :
-  Stats.t ->
-  name:string ->
-  max_depth:int ->
-  ?weight:int ->
-  reason list ->
-  level
+val level : Stats.t -> name:string -> max_depth:int -> reason list -> level
 (** Registers, in order, [search.<name>.expand_depth], then per reason a
     [search.<name>.reject_depth.<r>] histogram ([Phase]/[Dangling]: a
     [search.<name>.reject.<r>] counter). Histograms bucket depths
     [0 .. max_depth]. Only the listed reasons may be passed to
-    {!reject}. [weight] (default 1) is the number of roots each try
-    stands for: every expansion, rejection, histogram bucket and
-    prune-rule fire is flushed multiplied by it. *)
+    {!reject}. *)
+
+type acc
+(** One worker's buffer for one level of one search. *)
+
+val acc : level -> Smtlite.Solver.front -> acc
+(** [acc lvl front]: an empty buffer over [lvl]'s handles and the
+    worker's solver front. *)
+
+val flush : acc -> unit
+(** Drain the buffer into the registry, the solver's counters and the
+    profiler's prune rules. *)
 
 type t
 
-val run : level -> Smtlite.Solver.front -> (t -> 'a) -> 'a
-(** [run lvl front f] runs [f] with a fresh tally and flushes it when
-    [f] returns or raises. [front] is the executing worker's solver
-    front. *)
+val run : acc -> weight:int -> (t -> 'a) -> 'a
+(** [run a ~weight f] runs one subtree [f], counting into [a] with
+    [weight], the number of roots each try stands for: every expansion,
+    rejection, histogram bucket and prune-rule fire counts [weight]
+    times. It flushes the subtree's prune-check timer when [f] returns
+    or raises. *)
 
-val expand : t -> depth:int -> unit
-(** Count one attempted extension of a prefix at [depth], [weight] times
-    toward the batch. *)
+val expand : t -> depth:int -> int -> unit
+(** [expand t ~depth n]: count [n] attempted extensions of a prefix at
+    [depth], each [weight] times, flushing the buffer when a batch is
+    full. The engine counts a prefix's whole table in one call, before
+    judging its tries. *)
 
 val reject : t -> reason -> depth:int -> unit
-(** Count a cut at [depth]. Its profiler prune rule records it at the
-    next flush, with the [max_depth - depth - 1] operator slots below it
-    for the savings estimate. *)
+(** Count a cut at [depth], [weight] times. Its profiler prune rule
+    records it at the next flush, with the [max_depth - depth - 1]
+    operator slots below it for the savings estimate. *)
 
 val candidate : t -> unit
 (** Count one completing prefix submitted to verification (unweighted:
     the block level calls it once per member that emitted a graph). *)
 
 val expanded : t -> int
-(** Flushed expansions of the whole search plus this tally's own batch,
-    both weighted: the count the node budget is checked against, so the
+(** Flushed expansions of the whole search plus this worker's unflushed
+    batch, both weighted: the count the node budget is checked against, so the
     budget still bounds per-root work. *)
 
 val front : t -> Smtlite.Solver.front

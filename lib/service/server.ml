@@ -14,8 +14,9 @@
      and the request falls through to a fresh search);
    - cache miss → the request joins the single-flight table. The first
      requester of a fingerprint runs the §4 search (under a PR 3 budget,
-     on a bounded pool of search slots — each search itself fans out
-     over [num_workers] domains); every concurrent identical request
+     on a bounded pool of search slots — each search runs on a domain
+     of its own and fans out over [num_workers] lanes, that domain
+     being lane 0); every concurrent identical request
      blocks on the same flight and receives the same result. Exactly
      one search runs per distinct in-flight fingerprint, however many
      clients ask.
@@ -193,6 +194,10 @@ let create ?(mem_capacity = 64) ?(registry = Obs.Metrics.default ())
     ?(idle_timeout_s = 30.0) ?(cache_max_bytes = 0) ?slow_threshold_s
     ?slow_dir ?slow_max_reports ~socket_path ~cache_dir () =
   let c name help = Obs.Metrics.counter registry ~help name in
+  (* Searches run on domains of their own (see [run_search]), and two
+     domains forcing one lazy metric handle at once fail: force the
+     verifier's here, before any search starts. *)
+  Verify.Random_test.warm ();
   {
     socket_path;
     cache =
@@ -399,12 +404,20 @@ let run_search t ~config ~device ~benchmark ~spec ~fp ~flight =
   let budget = Search.Budget.of_config config in
   Atomic.set flight.fbudget (Some budget);
   let t0 = Unix.gettimeofday () in
+  (* The search runs on a domain of its own: its lane 0 works on the
+     domain that calls [Generator.run], and on this one, which every
+     handler, the accept loop and the progress streamers share, it would
+     hold the lock for the whole search, so a cache hit arriving
+     meanwhile would wait for the systhreads tick. [Domain.join]
+     releases the lock and re-raises what the search raised. *)
   let o =
-    Search.Generator.run ~config
-      ~registry:(Telemetry.registry t.telemetry)
-      ~verify_trials:t.verify_trials ~budget ~progress:flight.fprogress
-      ~prune_persist:(Prune_store.attach ~cache:t.cache)
-      ~device ~spec ()
+    Domain.join
+      (Search.Generator.spawn (fun () ->
+           Search.Generator.run ~config
+             ~registry:(Telemetry.registry t.telemetry)
+             ~verify_trials:t.verify_trials ~budget ~progress:flight.fprogress
+             ~prune_persist:(Prune_store.attach ~cache:t.cache)
+             ~device ~spec ()))
   in
   let wall_s = Unix.gettimeofday () -. t0 in
   let payload = result_payload ~benchmark ~device ~spec o ~wall_s in

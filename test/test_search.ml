@@ -723,6 +723,167 @@ let test_memo_back_to_back () =
   check_pins "div after mul: " div_two_loops (search_pins ~workers:2 div);
   check_pins "mul after div: " mul_two_loops (search_pins ~workers:2 mul)
 
+(* --- packed ranks -------------------------------------------------------- *)
+
+(* Every input list of arity 1 and 2 the packing holds, and every
+   operator either level makes: the menu's prims with a [Sum] along each
+   dim of a few sizes, and at the block level plain and concatenating
+   accumulators over one- and two-dim for-loops. *)
+let rank_lists () =
+  let w = Search.Prefix.rank_limit in
+  List.init w (fun a -> [ a ])
+  @ List.concat (List.init w (fun a -> List.init w (fun b -> [ a; b ])))
+
+let rank_prims =
+  [
+    Op.Matmul;
+    Op.Binary Op.Add;
+    Op.Binary Op.Mul;
+    Op.Binary Op.Div;
+    Op.Unary Op.Exp;
+    Op.Unary Op.Sqr;
+    Op.Unary Op.Sqrt;
+    Op.Unary Op.Silu;
+  ]
+  @ List.concat_map
+      (fun dim -> List.map (fun group -> Op.Sum { dim; group }) [ 2; 4; 16 ])
+      [ 0; 1; 2; 3 ]
+
+let rank_accums =
+  let open Dmap in
+  List.map
+    (fun fmap -> Graph.B_accum { fmap })
+    [
+      [| Replica |];
+      [| Dim 0 |];
+      [| Dim 1 |];
+      [| Replica; Replica |];
+      [| Dim 0; Replica |];
+      [| Replica; Dim 1 |];
+    ]
+
+(* Sorted by [Canon.compare_rank], every adjacent pair must compare the
+   same way packed: strictly below where Canon says below, equal where
+   it says equal. The packed compare is a total preorder, so agreement
+   on adjacent pairs of the sorted list is agreement in sign on every
+   pair, checked without the quadratic loop. *)
+let check_rank_order name ranks =
+  let sorted =
+    List.stable_sort (fun (_, _, a) (_, _, b) -> Canon.compare_rank a b) ranks
+  in
+  let rec walk n = function
+    | (r, op, a) :: ((r', op', b) :: _ as rest) ->
+        let want = compare (Canon.compare_rank a b) 0 in
+        let got = compare (Search.Prefix.compare_rank r op r' op') 0 in
+        if want <> got then
+          Alcotest.failf "%s: pair %d: Canon says %d, packed says %d" name n
+            want got;
+        walk (n + 1) rest
+    | _ -> n
+  in
+  let pairs = walk 0 sorted in
+  Alcotest.(check int) (name ^ ": every adjacent pair") (List.length ranks - 1)
+    pairs
+
+let test_packed_rank_order () =
+  let lists = rank_lists () in
+  let tref i = { Graph.node = i; port = 0 } in
+  let ranked mk ops =
+    List.concat_map
+      (fun ins ->
+        let r = Search.Prefix.pack_rank ins in
+        List.map (fun op -> (r, op, mk ins op)) ops)
+      lists
+  in
+  check_rank_order "kernel"
+    (ranked
+       (fun ins op -> Canon.R_kernel (List.map tref ins, op))
+       (List.map (fun p -> Graph.K_prim p) rank_prims));
+  check_rank_order "block"
+    (ranked
+       (fun ins op -> Canon.R_block (ins, op))
+       (List.map (fun p -> Graph.B_prim p) rank_prims @ rank_accums))
+
+(* An index past the field would carry into the next one ([[a; 63]]
+   would pack as [[a + 1]]); the packing refuses it instead. *)
+let test_packed_rank_width () =
+  let w = Search.Prefix.rank_limit in
+  Alcotest.(check bool)
+    "the widest lists still pack in order" true
+    (Search.Prefix.pack_rank [ w - 1 ] < Search.Prefix.pack_rank [ w - 1; 0 ]);
+  List.iter
+    (fun ins ->
+      Alcotest.check_raises
+        (Printf.sprintf "[%s] raises"
+           (String.concat "; " (List.map string_of_int ins)))
+        (Invalid_argument "Prefix.pack_rank")
+        (fun () -> ignore (Search.Prefix.pack_rank ins)))
+    [ [ w ]; [ 0; w ]; [ 3; w + 1 ]; [ -1 ]; []; [ 0; 1; 2 ] ]
+
+(* --- lanes --------------------------------------------------------------- *)
+
+(* Domain ids are handed out in spawn order, so the id of a probe domain
+   spawned after some work, less the one before it, counts the domains
+   the work started (plus the probe). *)
+let probe_domain () =
+  Domain.join (Domain.spawn (fun () -> (Domain.self () :> int)))
+
+let test_lanes_one () =
+  let caller = (Domain.self () :> int) in
+  let before = probe_domain () in
+  let ran = ref [] in
+  let escaped =
+    Search.Generator.lanes 1 (fun i ->
+        ran := (i, (Domain.self () :> int)) :: !ran)
+  in
+  let after = probe_domain () in
+  Alcotest.(check int) "nothing escaped" 0 (List.length escaped);
+  Alcotest.(check (list (pair int int)))
+    "lane 0 on the caller" [ (0, caller) ] !ran;
+  Alcotest.(check int) "no domain spawned" 1 (after - before)
+
+(* Lane 0 dies after lane 1 has started; lane 1 still runs its work to
+   the end, and the one exception comes back after the join. *)
+let test_lanes_lane0_raises () =
+  let started = Atomic.make false and finished = Atomic.make false in
+  let escaped =
+    Search.Generator.lanes 2 (fun i ->
+        if i = 0 then begin
+          while not (Atomic.get started) do
+            Domain.cpu_relax ()
+          done;
+          failwith "lane 0 died"
+        end
+        else begin
+          Atomic.set started true;
+          Unix.sleepf 0.05;
+          Atomic.set finished true
+        end)
+  in
+  Alcotest.(check bool) "lane 1 finished" true (Atomic.get finished);
+  match escaped with
+  | [ Failure msg ] -> Alcotest.(check string) "reported once" "lane 0 died" msg
+  | l -> Alcotest.failf "want one escaped exception, got %d" (List.length l)
+
+let test_two_worker_search_one_domain () =
+  let spec = div_matmul_spec ~b:4 ~h:8 ~d:16 in
+  let cfg =
+    Search.Config.for_spec
+      ~base:{ (small_config ~ops:2 ()) with Search.Config.num_workers = 2 }
+      spec
+  in
+  let before = probe_domain () in
+  let _, exhausted, crashes =
+    Search.Generator.generate cfg ~spec
+      ~solver:(Smtlite.Solver.create ~target:(Abstract.output_exprs spec))
+      ~stats:(Search.Stats.create ())
+      ~limits:(Gpusim.Device.limits Gpusim.Device.a100)
+      ~budget:(Search.Budget.of_config cfg) ()
+  in
+  let after = probe_domain () in
+  Alcotest.(check bool) "ran to completion" false (exhausted || crashes > 0);
+  Alcotest.(check int) "one domain started" 1 (after - before - 1)
+
 let () =
   Alcotest.run "search"
     [
@@ -774,6 +935,22 @@ let () =
             test_memo_two_forloops;
           Alcotest.test_case "nothing outlives a search" `Quick
             test_memo_back_to_back;
+        ] );
+      ( "packed ranks",
+        [
+          Alcotest.test_case "order is Canon.compare_rank's" `Quick
+            test_packed_rank_order;
+          Alcotest.test_case "past the width raises" `Quick
+            test_packed_rank_width;
+        ] );
+      ( "lanes",
+        [
+          Alcotest.test_case "one lane runs on the caller" `Quick
+            test_lanes_one;
+          Alcotest.test_case "lane 0's exception after the join" `Quick
+            test_lanes_lane0_raises;
+          Alcotest.test_case "a 2-worker search starts one domain" `Quick
+            test_two_worker_search_one_domain;
         ] );
       ( "parallel verify",
         [

@@ -412,6 +412,55 @@ let test_single_flight =
       end)
     events
 
+(* The search runs on a domain of its own, never on the handler's: the
+   daemon's handlers, accept loop and progress streamers share one
+   domain, and a search working on it would hold its lock throughout.
+   Its events still carry the request's id. *)
+let test_search_off_handler_domain =
+  with_reset @@ fun () ->
+  let journal_path = Filename.temp_file "mirage_svc_journal" ".jsonl" in
+  ignore (Obs.Journal.enable journal_path);
+  Fun.protect ~finally:(fun () ->
+      Obs.Journal.disable ();
+      Sys.remove journal_path)
+  @@ fun () ->
+  let server = make_server () in
+  let spec = div_matmul_spec ~b:2 ~h:4 ~d:4 () in
+  let r =
+    Service.Server.handle_request server
+      (J.Obj
+         [
+           ("op", J.Str "optimize");
+           ("graph", Search.Checkpoint.graph_to_json spec);
+           ("max_block_ops", J.Int 1);
+           ("request_id", J.Str "own-dom");
+         ])
+  in
+  Alcotest.(check string) "request ok" "ok"
+    (match get_exn [ "status" ] r with J.Str s -> s | _ -> "?");
+  Obs.Journal.disable ();
+  let events =
+    match Obs.Journal.read_file journal_path with
+    | Ok evs -> evs
+    | Error m -> Alcotest.fail ("journal unreadable: " ^ m)
+  in
+  let dom e = match J.member "dom" e with Some (J.Int d) -> d | _ -> -1 in
+  let here = (Domain.self () :> int) in
+  let of_typ t = List.filter (fun e -> Obs.Journal.typ_of e = t) events in
+  List.iter
+    (fun e ->
+      Alcotest.(check int) "request.done on the handler's domain" here (dom e))
+    (of_typ "request.done");
+  let expands = of_typ "cand.expand" in
+  Alcotest.(check bool) "the search expanded prefixes" true (expands <> []);
+  List.iter
+    (fun e ->
+      Alcotest.(check bool) "expansion off the handler's domain" true
+        (dom e <> here);
+      Alcotest.(check string) "expansion carries the request id" "own-dom"
+        (Obs.Journal.rid_of e))
+    expands
+
 let test_corrupt_entry_researched =
   with_reset @@ fun () ->
   let journal_path = Filename.temp_file "mirage_svc_journal" ".jsonl" in
@@ -1216,6 +1265,8 @@ let () =
           Alcotest.test_case "N domains, one search" `Slow test_single_flight;
           Alcotest.test_case "corrupt entry re-searched" `Slow
             test_corrupt_entry_researched;
+          Alcotest.test_case "search off the handler's domain" `Slow
+            test_search_off_handler_domain;
         ] );
       ( "telemetry",
         [
