@@ -912,16 +912,18 @@ let micro () =
 (* search_fig7 menu, root classes per root ->                          *)
 (* enum.gqa.searches_per_root, its prune questions per expansion ->    *)
 (* enum.gqa.solver_queries_per_expansion and its minor words per       *)
-(* expansion -> enum.gqa.minor_words_per_expansion at 1 worker (all    *)
-(* lower is better, deterministic). All                                *)
+(* expansion -> enum.gqa.minor_words_per_expansion at 1 worker, and    *)
+(* the same of the reduced nTrans piece ->                             *)
+(* enum.ntrans.minor_words_per_expansion (all lower is better,         *)
+(* deterministic). All                                                 *)
 (* keys land in the bench history, so the gate watches throughput,     *)
 (* scaling, cache efficacy and root sharing run over run.              *)
 (* ------------------------------------------------------------------ *)
 
-(* The reduced GQA's LAX piece and the search_fig7 menu (grid {2},
-   for-loop {2}, at most 3 block ops), at 1 worker. *)
-let gqa_fig7_piece () =
-  let b = Option.get (Workloads.Bench_defs.by_name "GQA") in
+(* A reduced Fig. 7 workload's LAX piece and the search_fig7 menu
+   (grid {2}, for-loop {2}, at most 3 block ops), at 1 worker. *)
+let fig7_piece name =
+  let b = Option.get (Workloads.Bench_defs.by_name name) in
   let spec, _ = b.Workloads.Bench_defs.reduced () in
   let piece =
     List.find
@@ -946,7 +948,7 @@ let gqa_fig7_piece () =
 
 (* Block-level searches run per root: root classes over roots. *)
 let searches_per_root () =
-  let pspec, cfg = gqa_fig7_piece () in
+  let pspec, cfg = fig7_piece "GQA" in
   let classes =
     Search.Block_enum.enumerate_roots cfg
       ~input_shapes:(Mugraph.Graph.input_shapes pspec)
@@ -959,12 +961,13 @@ let searches_per_root () =
   in
   (List.length classes, roots)
 
-(* One whole search of the piece at 1 worker: the solver's queries
-   (one per distinct value a worker meets), the funnel's expansions and
-   the minor words the search allocated. The words are read between two
-   [Gc.minor] calls, so the count does not depend on what ran before. *)
-let gqa_search () =
-  let pspec, cfg = gqa_fig7_piece () in
+(* One whole search of a workload's piece at 1 worker: the solver's
+   queries (one per distinct value a worker meets), the funnel's
+   expansions and the minor words the search allocated. The words are
+   read between two [Gc.minor] calls, so the count does not depend on
+   what ran before. *)
+let piece_search name =
+  let pspec, cfg = fig7_piece name in
   let solver =
     Smtlite.Solver.create ~target:(Mugraph.Abstract.output_exprs pspec)
   in
@@ -979,7 +982,7 @@ let gqa_search () =
   Gc.minor ();
   let words = (Gc.quick_stat ()).Gc.minor_words -. w0 in
   if exhausted || crashes > 0 then begin
-    Printf.eprintf "enum: the gqa search did not run to completion\n";
+    Printf.eprintf "enum: the %s search did not run to completion\n" name;
     exit 1
   end;
   let queries = (Smtlite.Solver.stats solver).Smtlite.Solver.queries in
@@ -1039,7 +1042,8 @@ let enum_bench () =
         0
     in
     let memo =
-      Search.Prefix.memo (Search.Prefix.values ())
+      Search.Prefix.memo
+        (Search.Prefix.values (Search.Prefix.spec_goals spec))
         (Search.Kernel_enum.tally cfg stats)
         front
     in
@@ -1098,7 +1102,7 @@ let enum_bench () =
   let per_root = float_of_int n_classes /. float_of_int n_roots in
   Printf.printf "root classes, gqa:     %d of %d roots   %.3f searches/root\n%!"
     n_classes n_roots per_root;
-  let queries, expansions, gqa_words = gqa_search () in
+  let queries, expansions, gqa_words = piece_search "GQA" in
   let per_expansion = float_of_int queries /. float_of_int expansions in
   let gqa_words_per_expansion = gqa_words /. float_of_int expansions in
   Printf.printf
@@ -1119,12 +1123,27 @@ let enum_bench () =
         ("solver_queries_per_expansion", Float per_expansion);
         ("minor_words_per_expansion", Float gqa_words_per_expansion);
       ];
+  let _, ntrans_expansions, ntrans_words = piece_search "nTrans" in
+  let ntrans_words_per_expansion =
+    ntrans_words /. float_of_int ntrans_expansions
+  in
+  Printf.printf "  ntrans search, 1 domain: %.2f minor words/expansion\n%!"
+    ntrans_words_per_expansion;
+  jpush
+    Obs.Jsonw.
+      [
+        ("suite", Str "enum");
+        ("benchmark", Str "ntrans");
+        ("expanded", Int ntrans_expansions);
+        ("minor_words_per_expansion", Float ntrans_words_per_expansion);
+      ];
   history_enum :=
     !history_enum
     @ [
         ("enum.gqa.searches_per_root", per_root);
         ("enum.gqa.solver_queries_per_expansion", per_expansion);
         ("enum.gqa.minor_words_per_expansion", gqa_words_per_expansion);
+        ("enum.ntrans.minor_words_per_expansion", ntrans_words_per_expansion);
         (Printf.sprintf "enum.%s.expansions_per_s" name, expansions_per_s);
         ( Printf.sprintf "enum.%s.minor_words_per_expansion" name,
           words_per_expansion );

@@ -199,14 +199,11 @@ let terms_included sub all =
 (* The denominator as a normal form of its own. *)
 let reify_den = reify_raw
 
-let rec is_subexpr (n1 : t) (n2 : t) : bool =
-  equal n1 n2 || quotient_subset n1 n2 || nested_subexpr n1 n2
-
-(* Case (a): exists a single term q such that n1 * q is a sub-multiset of
-   n2. Derivation in A_sub: n1 <= mul(n1, q) <= add(mul(n1, q), rest).
-   The candidate quotients are exactly the quotients of n2's terms by
-   n1's first term. *)
-and quotient_subset n1 n2 =
+(* Case (a) of the subexpression relation: exists a single term q such
+   that n1 * q is a sub-multiset of n2. Derivation in A_sub:
+   n1 <= mul(n1, q) <= add(mul(n1, q), rest). The candidate quotients
+   are exactly the quotients of n2's terms by n1's first term. *)
+let quotient_subset n1 n2 =
   match n1 with
   | [] -> false
   | t1 :: _ ->
@@ -218,23 +215,6 @@ and quotient_subset n1 n2 =
               let scaled = sort_terms (List.map (fun t -> term_mul t q) n1) in
               terms_included scaled n2)
         n2
-
-(* Case (b): n1 occurs inside an exp/sqrt/silu argument or inside a term's
-   denominator (axioms subexpr(x, exp(x)), subexpr(y, div(x,y)), closed
-   under transitivity). *)
-and nested_subexpr n1 n2 =
-  List.exists
-    (fun t ->
-      List.exists (fun a -> atom_contains n1 a) t.num
-      || (not (den_is_trivial t.den))
-         && is_subexpr n1 (reify_den t.den))
-    n2
-
-and atom_contains n1 = function
-  | A_var _ -> false
-  | A_exp i | A_sqrt i | A_silu i -> is_subexpr n1 i
-
-let subexpr e1 e2 = is_subexpr (of_expr e1) (of_expr e2)
 
 let num_terms (n : t) = List.length n
 
@@ -310,3 +290,36 @@ module Tbl = Hashtbl.Make (struct
   let equal = equal
   let hash = hash
 end)
+
+(* The goal closure C: each goal, then, depth first, the closure of every
+   nested exp/sqrt/silu argument and of every non-trivial term's reified
+   denominator, each distinct form once. Case (b) of the subexpression
+   relation (axioms subexpr(x, exp(x)), subexpr(y, div(x,y)), closed
+   under transitivity) is exactly membership of a case-(a) match in C,
+   so a query never re-reifies a goal denominator. *)
+type goal = t array
+
+let goal (gs : t list) : goal =
+  let seen = Tbl.create 64 in
+  let members = ref [] in
+  let rec add n =
+    if not (Tbl.mem seen n) then begin
+      Tbl.add seen n ();
+      members := n :: !members;
+      List.iter
+        (fun t ->
+          List.iter
+            (function A_var _ -> () | A_exp i | A_sqrt i | A_silu i -> add i)
+            t.num;
+          if not (den_is_trivial t.den) then add (reify_den t.den))
+        n
+    end
+  in
+  List.iter add gs;
+  Array.of_list (List.rev !members)
+
+let decide (g : goal) n =
+  Array.exists (fun m -> equal n m || quotient_subset n m) g
+
+let is_subexpr n1 n2 = decide (goal [ n2 ]) n1
+let subexpr e1 e2 = is_subexpr (of_expr e1) (of_expr e2)

@@ -62,22 +62,54 @@ val compare : t -> t -> int
 val equivalent : Expr.t -> Expr.t -> bool
 (** [A_eq ⊨ e1 = e2], decided by normal-form equality. *)
 
-val is_subexpr : t -> t -> bool
-(** [is_subexpr n1 n2] decides [A_eq ∪ A_sub ⊨ subexpr(e1, e2)]:
-    true iff (a) [n1] times a single term is a nonempty sub-multiset of
-    [n2]'s terms, or (b) [n1] is a subexpression of an expression nested
-    inside one of [n2]'s atoms or of a term's (reified) denominator.
+(** {2 The subexpression relation}
+
+    [A_eq ∪ A_sub ⊨ subexpr(n, g)] holds when (a) [n] times a single
+    term is a nonempty sub-multiset of [g]'s terms ({!quotient_subset}),
+    or (b) [n] is a subexpression of a form nested in [g]: an
+    [exp]/[sqrt]/[silu] argument, or the reified denominator of one of
+    [g]'s terms (axioms [subexpr(x, exp(x))], [subexpr(y, div(x, y))],
+    closed under transitivity).
+
+    Unfolding (b) gives [∃ m ∈ C(g). n = m ∨ quotient_subset n m], where
+    the {e goal closure} [C(g)] is [g] itself plus, recursively, [C] of
+    every nested argument and of every non-trivial term's reified
+    denominator. The unfolding is exact, not an approximation: (b) is a
+    disjunction over exactly those nested forms, each decided by the
+    same relation, so [C(g)] holds every form the recursion would
+    reach, and only those. [C(g)] depends on [g] alone, so a search
+    builds it once ({!goal}) and every query is a scan of it, never
+    re-reifying a goal denominator.
+
     Sound with respect to [A_sub] (every accepted pair is derivable) and
     complete for the prefix/extension pattern of Algorithm 1: an
     operator's input is always accepted against the operator's output —
     the property used in the proof of paper Theorem 1. *)
 
+type goal
+(** A goal index: the union of the closures [C(g)] of a set of goals,
+    each distinct form once. *)
+
+val goal : t list -> goal
+(** Build the index of a set of goals. *)
+
+val decide : goal -> t -> bool
+(** [decide idx n]: whether [n] is a subexpression of at least one of
+    the indexed goals. *)
+
+val is_subexpr : t -> t -> bool
+(** [is_subexpr n g] is [decide (goal [g]) n]. *)
+
 val subexpr : Expr.t -> Expr.t -> bool
 (** [is_subexpr] on the normal forms. *)
 
+val quotient_subset : t -> t -> bool
+(** Case (a) alone: some single term [q] makes [n1 · q] a nonempty
+    sub-multiset of [n2]'s terms. *)
+
 val reify_den : den -> t
-(** The denominator as a normal form of its own (used by the nested
-    subexpression check). *)
+(** The denominator as a normal form of its own (a goal closure holds
+    the reified denominators of its terms). *)
 
 val num_terms : t -> int
 val to_string : t -> string

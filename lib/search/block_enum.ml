@@ -182,18 +182,18 @@ let tally (cfg : Config.t) stats =
     Tally.[ Shape; Memory; Duplicate; Pruned; Canonical; Phase; Dangling ]
 
 (* What every root class of one search shares, made once per search:
-   the spec's normalized outputs. *)
+   the spec's output shapes. *)
 type search = {
   cfg : Config.t;
   spec : Graph.kernel_graph;
   limits : Memory.limits;
-  spec_outs : (Absexpr.Nf.t * Shape.t) list;
+  out_shapes : Shape.t list;
 }
 
 let prepare cfg ~spec ~limits =
-  { cfg; spec; limits; spec_outs = Prefix.spec_outputs spec }
+  { cfg; spec; limits; out_shapes = Infer.output_shapes spec }
 
-let search_root { cfg; spec; limits; spec_outs } ~memo ~budget ?spawn
+let search_root { cfg; spec; limits; out_shapes } ~memo ~budget ?spawn
     ~(emit : emit) cls =
   let root = cls.rep in
   let input_shapes = Graph.input_shapes spec in
@@ -258,21 +258,21 @@ let search_root { cfg; spec; limits; spec_outs } ~memo ~budget ?spawn
   let complete tl (st : state) =
     (* candidate entries per spec output *)
     let per_output =
-      List.map
-        (fun (nf, target) ->
+      List.mapi
+        (fun j target ->
           let found = ref [] in
           for i = Array.length st.entries - 1 downto n_inputs do
             let v = st.entries.(i).value in
             if
-              ((not has_loop) || v.attrs = Post || v.attrs = Inv)
-              && Absexpr.Nf.equal v.nf nf
+              v.goals land (1 lsl j) <> 0
+              && ((not has_loop) || v.attrs = Post || v.attrs = Inv)
             then
               found :=
                 List.map (fun omap -> (i, omap)) (omaps_for v.shape target)
                 @ !found
           done;
           !found)
-        spec_outs
+        out_shapes
     in
     (* every output matched, and every input iterator consumed *)
     if
@@ -337,7 +337,7 @@ let search_root { cfg; spec; limits; spec_outs } ~memo ~budget ?spawn
         member_initers
     end
   in
-  let n_outputs = List.length spec_outs in
+  let n_outputs = List.length out_shapes in
   let max_arity =
     List.fold_left
       (fun acc p -> max acc (Op.arity p))

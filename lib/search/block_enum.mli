@@ -14,9 +14,9 @@
     - phase and shape before rank;
     - two admission checks: shared memory, which only grows down a path,
       and the dangling-value bound;
-    - completion: every spec output [A_eq]-matched by a post-loop tensor
-      whose omap reconstructs its kernel-level shape, and every input
-      iterator consumed;
+    - completion: every spec output [A_eq]-matched (a goal-mask bit) by
+      a post-loop tensor whose omap reconstructs its kernel-level shape,
+      and every input iterator consumed;
     - the [enum.block] fault probe.
 
     {b Root classes.} The search reads a root's imap/fmap in two places
@@ -77,7 +77,8 @@ val tally : Config.t -> Stats.t -> Tally.level
 
 type search
 (** What every root class of one search shares, made once per search:
-    the spec's normalized outputs ({!Prefix.spec_outputs}). *)
+    the spec's output shapes. Which entry's value equals which output
+    is its goal mask ({!Prefix.value}). *)
 
 val prepare :
   Config.t -> spec:Graph.kernel_graph -> limits:Memory.limits -> search
@@ -92,5 +93,7 @@ val search_root :
   unit
 (** Depth-first expansion of one root class through {!Prefix.search}
     (see there for [memo] and [spawn]), emitting the graphs of every
-    member. [emit] receives complete, validated candidates (not yet
-    verified). @raise Prefix.Budget_exhausted on budget exhaustion. *)
+    member. [memo]'s value table masks against the spec's outputs
+    ({!Prefix.spec_goals}). [emit] receives complete, validated
+    candidates (not yet verified).
+    @raise Prefix.Budget_exhausted on budget exhaustion. *)

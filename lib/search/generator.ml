@@ -210,17 +210,19 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
   (* One solver front per worker, resolved before any worker runs, and
      beside it the worker's extension memo for each level, over the
      level's value table, with the worker's funnel buffer for the level;
-     a subtree picks its executing worker's memo when it starts. Tables
-     and memos die with this call. *)
+     a subtree picks its executing worker's memo when it starts. Both
+     tables mask their values against the spec outputs' normal forms,
+     normalized once here. Tables and memos die with this call. *)
   let fronts = Array.init workers (Smtlite.Solver.front solver) in
+  let goals = Prefix.spec_goals spec in
   let kmemos =
     Array.map
-      (Prefix.memo (Prefix.values ()) (Kernel_enum.tally cfg stats))
+      (Prefix.memo (Prefix.values goals) (Kernel_enum.tally cfg stats))
       fronts
   in
   let bmemos =
     Array.map
-      (Prefix.memo (Prefix.values ()) (Block_enum.tally cfg stats))
+      (Prefix.memo (Prefix.values goals) (Block_enum.tally cfg stats))
       fronts
   in
   let blocks = Block_enum.prepare cfg ~spec ~limits in
@@ -349,8 +351,7 @@ let run ?config ?registry ?(verify_trials = 2) ?(verify_all = false) ?budget
   in
   let solver = Smtlite.Solver.create ~target:(Abstract.output_exprs spec) in
   (* Persistent prune cache: the hook attaches storage (and loads any
-     prior envelope) before the first query; the generator flushes the
-     final batch at finalize. *)
+     prior envelope) before the first query; finalize stores it once. *)
   (match prune_persist with Some f -> f solver | None -> ());
   let stats = Stats.create ?registry () in
   let limits = Gpusim.Device.limits device in
@@ -620,8 +621,8 @@ let run ?config ?registry ?(verify_trials = 2) ?(verify_all = false) ?budget
   (match (Obs.Journal.active (), all) with
   | Some j, (gid, r) :: _ -> Gpusim.Cost.journal_attribution ~cand:gid j r.cost
   | _ -> ());
-  (* Complete the persistent prune cache even when the last write-behind
-     batch was short — a warm restart should see every decided query. *)
+  (* The search's one durable prune-cache write: a warm restart sees
+     every decided query. *)
   Smtlite.Solver.flush_persist solver;
   (match checkpoint with
   | Some ck ->

@@ -10,7 +10,7 @@ let tally (cfg : Config.t) stats =
     Tally.[ Shape; Duplicate; Pruned; Canonical ]
 
 let search (cfg : Config.t) ~spec ~memo ~limits ~budget ?spawn ~emit () =
-  let spec_outs = Prefix.spec_outputs spec in
+  let out_shapes = Infer.output_shapes spec in
   let n_inputs = List.length (Graph.input_names spec) in
   let make op vs =
     match op with
@@ -21,16 +21,16 @@ let search (cfg : Config.t) ~spec ~memo ~limits ~budget ?spawn ~emit () =
      first match is the output. *)
   let complete tl (st : state) =
     let matches =
-      List.map
-        (fun (nf, target) ->
+      List.mapi
+        (fun j target ->
           let found = ref None in
           for i = Array.length st.entries - 1 downto n_inputs do
             let v = st.entries.(i).value in
-            if Shape.equal v.shape target && Absexpr.Nf.equal v.nf nf then
+            if v.goals land (1 lsl j) <> 0 && Shape.equal v.shape target then
               found := Some i
           done;
           !found)
-        spec_outs
+        out_shapes
     in
     if List.for_all Option.is_some matches then begin
       let outputs = List.map (fun m -> tref (Option.get m)) matches in

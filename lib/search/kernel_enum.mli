@@ -11,8 +11,8 @@
       reject even when its shapes do not fit;
     - no extra admission checks;
     - completion: every spec output matched by an operator entry of the
-      same shape and an [A_eq]-equal expression, in a valid graph that
-      fits device memory;
+      same shape and an [A_eq]-equal expression (its value's goal mask,
+      {!Prefix.value}), in a valid graph that fits device memory;
     - the [enum.kernel] fault probe. *)
 
 open Mugraph
@@ -32,5 +32,6 @@ val search :
   unit ->
   unit
 (** Every kernel graph of at most [max_kernel_ops] operators, through
-    {!Prefix.search} (see there for [memo] and [spawn]).
+    {!Prefix.search} (see there for [memo] and [spawn]). [memo]'s value
+    table masks against [spec]'s outputs ({!Prefix.spec_goals}).
     @raise Prefix.Budget_exhausted on budget exhaustion. *)

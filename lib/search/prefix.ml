@@ -18,10 +18,11 @@ type 'a value = {
   numel : int;
   nf : Absexpr.Nf.t;
   attrs : 'a;
+  goals : int;
 }
 
 let value shape nf attrs =
-  { id = -1; shape; numel = Shape.numel shape; nf; attrs }
+  { id = -1; shape; numel = Shape.numel shape; nf; attrs; goals = 0 }
 
 type ('o, 'a) entry = { op : 'o; ins : int list; value : 'a value }
 
@@ -57,6 +58,7 @@ type ('o, 'a, 's) state = {
          root; [extend] makes one for each remaining entry *)
   ops : int;
   last : ('o, 'a) ext option;  (* the operator that made the newest entry *)
+  cover : int;  (* the OR of the operator entries' goal masks *)
   own : 's;
 }
 
@@ -88,10 +90,25 @@ type 'a values = {
   lock : Mutex.t;
   by_nf : 'a value list Absexpr.Nf.Tbl.t;
   mutable next : int;
+  outputs : Absexpr.Nf.t array;  (* the spec outputs' normal forms *)
+  all : int;  (* the mask with every output's bit *)
 }
 
-let values () =
-  { lock = Mutex.create (); by_nf = Absexpr.Nf.Tbl.create 1024; next = 0 }
+(* A goal mask has one bit per output and stays a non-negative int. *)
+let max_outputs = Sys.int_size - 1
+
+let values outputs =
+  if List.length outputs > max_outputs then
+    invalid_arg
+      (Printf.sprintf "Prefix.values: %d outputs exceed %d"
+         (List.length outputs) max_outputs);
+  {
+    lock = Mutex.create ();
+    by_nf = Absexpr.Nf.Tbl.create 1024;
+    next = 0;
+    outputs = Array.of_list outputs;
+    all = (1 lsl List.length outputs) - 1;
+  }
 
 let intern_locked t v =
   let same =
@@ -104,10 +121,19 @@ let intern_locked t v =
   with
   | Some w -> w
   | None ->
-      let w = { v with id = t.next } in
+      let goals = ref 0 in
+      Array.iteri
+        (fun j o ->
+          if Absexpr.Nf.equal v.nf o then goals := !goals lor (1 lsl j))
+        t.outputs;
+      let w = { v with id = t.next; goals = !goals } in
       t.next <- t.next + 1;
       Absexpr.Nf.Tbl.replace t.by_nf v.nf (w :: same);
       w
+
+let interned t =
+  Mutex.protect t.lock (fun () ->
+      Absexpr.Nf.Tbl.fold (fun _ vs acc -> vs @ acc) t.by_nf [])
 
 (* Memo keys are value ids packed in one int, so [Hashtbl.hash] is a C
    call for what one multiply does: take the product's middle bits,
@@ -227,11 +253,7 @@ let rec recomputes entries i v =
   i < Array.length entries
   && (entries.(i).value.id = v.id || recomputes entries (i + 1) v)
 
-let spec_outputs spec =
-  List.map2
-    (fun e s -> (Absexpr.Nf.of_expr e, s))
-    (Abstract.output_exprs spec)
-    (Infer.output_shapes spec)
+let spec_goals spec = List.map Absexpr.Nf.of_expr (Abstract.output_exprs spec)
 
 let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
     ?(spawn = fun _ -> false) inputs own =
@@ -406,7 +428,7 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
      then are the kept children searched, in the same order. *)
   let rec extend tl m cells st =
     budget_check tl;
-    lv.complete tl st;
+    if st.cover = m.values.all then lv.complete tl st;
     if st.ops < lv.max_ops then begin
       let depth = st.ops in
       let count = Array.length st.entries in
@@ -457,6 +479,7 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
                             table;
                             ops = st.ops + 1;
                             last = Some x;
+                            cover = st.cover lor v.goals;
                             own;
                           }
                           :: !kept)))
@@ -504,4 +527,4 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
                { e with value = intern_locked m.values e.value })
              inputs))
   in
-  subtree { entries; table = [||]; ops = 0; last = None; own }
+  subtree { entries; table = [||]; ops = 0; last = None; cover = 0; own }

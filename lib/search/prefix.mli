@@ -51,6 +51,14 @@
     made it. Ranks, the duplicate check, [admit] and [child] read the
     prefix and stay per birth or per try.
 
+    {b Goal masks.} Completion asks the goal one more question: which
+    spec outputs a value's normal form equals. That too is a function
+    of the normal form, so the value table answers it once per value,
+    at interning, as a bitmask ([goals]). A prefix keeps the OR of its
+    operator entries' masks ([cover]), and the engine calls the level's
+    [complete] only when that covers every output; [complete] then
+    tests a bit per entry and output.
+
     {b Visit order} (both levels). A prefix first judges every try of its
     table in generation order — per entry [i]: the unary-like ops on
     [i]; for every [j] the pair ops on [(i, j)] (commutative ones only
@@ -119,6 +127,10 @@ type 'a value = private {
           (the block level's loop phase): with equal shape and
           expression, two tensors are one value when their attrs are
           [==] *)
+  goals : int;
+      (** the value's goal mask: bit [j] is set when [nf] is
+          [A_eq]-equal to spec output [j]'s normal form; 0 before
+          interning *)
 }
 (** A tensor value. The engine interns every value it meets, so within
     one search two values are equal exactly when their ids are. *)
@@ -146,6 +158,8 @@ type ('o, 'a, 's) state = private {
   last : ('o, 'a) ext option;
       (** the extension that made the newest entry, whose rank the next
           operator's must not be below; [None] at the root *)
+  cover : int;
+      (** the OR of the operator entries' goal masks (inputs excluded) *)
   own : 's;  (** the level's own part of the prefix *)
 }
 
@@ -184,14 +198,25 @@ type ('o, 'a, 's) level = {
       (** the kept child's own part, or the reason a last check cuts the
           try (the block level's dangling-value bound) *)
   complete : Tally.t -> ('o, 'a, 's) state -> unit;
-      (** emit the candidates the prefix completes, counting them *)
+      (** emit the candidates the prefix completes, counting them. Called
+          only for a prefix whose [cover] has every output's bit *)
 }
 
 type 'a values
 (** One search's value table for one level: shared by its workers,
-    locked only to intern the results of a memo miss. *)
+    locked only to intern the results of a memo miss. It computes each
+    new value's goal mask once, with {!Absexpr.Nf.equal} against the
+    spec's outputs, so a level's [complete] tests a bit where it would
+    compare normal forms. *)
 
-val values : unit -> 'a values
+val values : Absexpr.Nf.t list -> 'a values
+(** [values outputs]: an empty table for a search whose spec outputs
+    have the normal forms [outputs], in output order ({!spec_goals}).
+    @raise Invalid_argument past 62 outputs, the bits of a
+    non-negative int: a mask never wraps. *)
+
+val interned : 'a values -> 'a value list
+(** Every value the table holds, in no particular order. *)
 
 type ('o, 'a) memo
 (** One worker's extension memo for one level, over a shared value
@@ -230,10 +255,11 @@ val prim_value :
 (** [prim_value p vs attrs]: the value applying [p] to [vs] makes, or
     [Error Shape] when their shapes do not fit. *)
 
-val spec_outputs : Graph.kernel_graph -> (Absexpr.Nf.t * Shape.t) list
-(** The specification's outputs: normal form and kernel-level shape.
-    It normalizes every output, so a level computes it once per
-    search. *)
+val spec_goals : Graph.kernel_graph -> Absexpr.Nf.t list
+(** The specification's outputs' normal forms, in output order: what
+    {!values} takes. It normalizes every output, so a search computes
+    it once. *)
+
 
 val search :
   ('o, 'a, 's) level ->

@@ -4,13 +4,15 @@
 let fingerprint solver =
   Digest.to_hex (Digest.string ("prune:" ^ Smtlite.Solver.goals_key solver))
 
-let attach ~cache solver =
+let persist ~cache solver =
   let fp = fingerprint solver in
-  Smtlite.Solver.attach_persist solver
-    {
-      Smtlite.Solver.p_load = (fun () -> Cache.find ~cls:`Prune cache fp);
-      p_store = (fun env -> Cache.store ~cls:`Prune cache fp env);
-      p_corrupt =
-        (fun reason ->
-          Cache.quarantine cache fp ~reason:("prune-cache: " ^ reason));
-    }
+  {
+    Smtlite.Solver.p_load = (fun () -> Cache.find ~cls:`Prune cache fp);
+    p_store = (fun env -> Cache.store ~cls:`Prune cache fp env);
+    p_corrupt =
+      (fun reason ->
+        Cache.quarantine cache fp ~reason:("prune-cache: " ^ reason));
+  }
+
+let attach ~cache solver =
+  Smtlite.Solver.attach_persist solver (persist ~cache solver)

@@ -11,8 +11,12 @@ val fingerprint : Smtlite.Solver.t -> string
 (** The content address of a solver's prune-cache envelope (exposed for
     tests and forensics). *)
 
+val persist : cache:Cache.t -> Smtlite.Solver.t -> Smtlite.Solver.persist
+(** The storage hooks of a solver's envelope in [cache], at its
+    {!fingerprint}. *)
+
 val attach : cache:Cache.t -> Smtlite.Solver.t -> unit
-(** Wire the solver's write-behind persistence to [cache]: load any
-    stored envelope now, and store batched new decisions as the search
-    runs (plus a final flush at search finalize). Call once per solver,
+(** Wire the solver's persistence to [cache] ({!persist}): load any
+    stored envelope now; the search stores the envelope once, when it
+    finishes ({!Smtlite.Solver.flush_persist}). Call once per solver,
     before the search starts. *)

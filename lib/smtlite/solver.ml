@@ -18,6 +18,7 @@ type persist = {
 
 type t = {
   goals : Nf.t list;
+  index : Nf.goal;  (** the goals' closure, every query's decision *)
   cache : bool Nf.Tbl.t;  (** shared across domains, locked *)
   lock : Mutex.t;
   queries : int Atomic.t;
@@ -27,12 +28,11 @@ type t = {
   solve_ns : int Atomic.t;  (** cumulative decision-procedure time *)
   (* On-disk tier: string-keyed (Nf.to_string) so a loaded envelope
      never needs a normal-form parser. [persist] is set once, before
-     search domains spawn; the table and the write-behind counters are
-     guarded by [lock]. *)
+     search domains spawn; the table and [disk_new] are guarded by
+     [lock]. *)
   mutable persist : persist option;
   disk : (string, bool) Hashtbl.t;
   mutable disk_new : int;  (** entries added since the last flush *)
-  mutable flushing : bool;  (** one flush at a time, outside [lock] *)
   disk_hits : int Atomic.t;
   mutable fronts : front array;  (** by worker index, guarded by [lock] *)
 }
@@ -49,8 +49,10 @@ and front = {
 }
 
 let create ~target =
+  let goals = List.map Nf.of_expr target in
   {
-    goals = List.map Nf.of_expr target;
+    goals;
+    index = Nf.goal goals;
     cache = Nf.Tbl.create 4096;
     lock = Mutex.create ();
     queries = Atomic.make 0;
@@ -61,7 +63,6 @@ let create ~target =
     persist = None;
     disk = Hashtbl.create 4096;
     disk_new = 0;
-    flushing = false;
     disk_hits = Atomic.make 0;
     fronts = [||];
   }
@@ -92,37 +93,23 @@ let envelope_locked t =
       ("entries", J.Obj entries);
     ]
 
+(* One durable store per search, when it finishes: every flush writes
+   the whole envelope, so flushing as decisions pile up would write
+   O(n^2) bytes. A search killed first loses decisions that take a few
+   microseconds each to remake. *)
 let flush_persist t =
   match t.persist with
   | None -> ()
   | Some p ->
       let j =
-        Mutex.lock t.lock;
-        let should = t.disk_new > 0 && not t.flushing in
-        let j =
-          if should then begin
-            t.flushing <- true;
-            t.disk_new <- 0;
-            Some (envelope_locked t)
-          end
-          else None
-        in
-        Mutex.unlock t.lock;
-        j
+        Mutex.protect t.lock (fun () ->
+            if t.disk_new = 0 then None
+            else begin
+              t.disk_new <- 0;
+              Some (envelope_locked t)
+            end)
       in
-      Option.iter
-        (fun j ->
-          Fun.protect
-            ~finally:(fun () ->
-              Mutex.lock t.lock;
-              t.flushing <- false;
-              Mutex.unlock t.lock)
-            (fun () -> p.p_store j))
-        j
-
-(* Write-behind cadence: batch enough new decisions to amortize the
-   store's temp+rename, small enough that a killed search loses little. *)
-let flush_every = 256
+      Option.iter p.p_store j
 
 let attach_persist t p =
   t.persist <- Some p;
@@ -190,25 +177,20 @@ let resolve t nf =
       | None ->
           Atomic.incr t.cache_misses;
           let t0 = Unix.gettimeofday () in
-          let r = List.exists (fun goal -> Nf.is_subexpr nf goal) t.goals in
+          let r = Nf.decide t.index nf in
           let dt_ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
           ignore (Atomic.fetch_and_add t.solve_ns dt_ns);
           (* overlay: decision-procedure time only (cache misses), so
              the profile can split "prune check" into lookup vs solve *)
           Obs.Profile.note "smtlite.decide" (float_of_int dt_ns *. 1e-9);
-          let want_flush =
-            Mutex.lock t.lock;
-            Nf.Tbl.replace t.cache nf r;
-            (match disk_key with
-            | Some k ->
-                Hashtbl.replace t.disk k r;
-                t.disk_new <- t.disk_new + 1
-            | None -> ());
-            let w = t.disk_new >= flush_every && not t.flushing in
-            Mutex.unlock t.lock;
-            w
-          in
-          if want_flush then flush_persist t;
+          Mutex.lock t.lock;
+          Nf.Tbl.replace t.cache nf r;
+          (match disk_key with
+          | Some k ->
+              Hashtbl.replace t.disk k r;
+              t.disk_new <- t.disk_new + 1
+          | None -> ());
+          Mutex.unlock t.lock;
           r)
 
 let front t worker =

@@ -5,7 +5,9 @@
     and SMT queries are relatively expensive").
 
     Queries of the form [subexpr(E(G), E_O)] are decided by the normal-form
-    procedure in {!Absexpr.Nf} and memoized on the *normal form* of the
+    procedure in {!Absexpr.Nf}, against the goals' index ({!Absexpr.Nf.goal},
+    the closure of [E_O] under nested arguments and reified denominators),
+    which {!create} builds once; and memoized on the *normal form* of the
     left-hand side, so syntactically different prefixes with equal abstract
     expressions hit the cache. A solver may be shared across search
     domains.
@@ -48,8 +50,9 @@ type persist = {
 
 val create : target:Absexpr.Expr.t list -> t
 (** A solver for a fixed set of goal expressions [E_O] (one per output of
-    the reference program). A query succeeds if the candidate expression is
-    a subexpression of at least one goal. *)
+    the reference program), with their goal index built. A query succeeds
+    if the candidate expression is a subexpression of at least one goal:
+    {!Absexpr.Nf.decide} on the index. *)
 
 type front
 (** A worker's private memo and batched counters. Use it from one thread
@@ -89,12 +92,13 @@ val goals_key : t -> string
 val attach_persist : t -> persist -> unit
 (** Load any stored envelope into the persistent tier (schema checked,
     mismatched goal sets skipped, corrupt envelopes handed to
-    [p_corrupt]) and arm write-behind stores: new decisions batch and
-    flush every few hundred entries. Call once, before sharing the
-    solver across domains. *)
+    [p_corrupt]). New decisions collect in memory until {!flush_persist}.
+    Call once, before sharing the solver across domains. *)
 
 val flush_persist : t -> unit
-(** Force any batched new decisions to storage (no-op without
-    {!attach_persist} or when nothing is new). Called by the generator
-    when a search finishes, so a cache is complete even if the last
-    batch was short. *)
+(** Store the whole envelope, loaded and new decisions alike, through
+    [p_store] once (no-op without {!attach_persist} or when nothing is
+    new). The generator calls it once, when a search finishes: a search
+    makes one durable write, and a search killed before it loses only
+    its new decisions, each a few microseconds to remake. Not for
+    concurrent calls. *)

@@ -32,11 +32,12 @@ dune exec bin/mirage_cli.exe -- profile /tmp/mirage_ci_run \
 echo "== smoke: bench --json"
 dune exec bench/main.exe -- fig7 --json /tmp/mirage_ci_bench.json >/dev/null
 
-echo "== smoke: bench enum --json records the gqa prune questions and minor words per expansion"
+echo "== smoke: bench enum --json records the gqa prune questions and the gqa and ntrans minor words per expansion"
 dune exec bench/main.exe -- enum --json /tmp/mirage_ci_enum.json >/dev/null
 dune exec tools/json_check.exe -- /tmp/mirage_ci_enum.json
 grep -q '"solver_queries_per_expansion"' /tmp/mirage_ci_enum.json
 grep -q '"benchmark":"gqa"[^}]*"minor_words_per_expansion"' /tmp/mirage_ci_enum.json
+grep -q '"benchmark":"ntrans"[^}]*"minor_words_per_expansion"' /tmp/mirage_ci_enum.json
 
 echo "== validate JSON artifacts (journal is checked line by line)"
 dune exec tools/json_check.exe -- \

@@ -344,6 +344,168 @@ let prop_subexpr_transitive_via_context =
          (* a <= a*b and a*b <= (a*b)/c imply a <= (a*b)/c *)
          Nf.subexpr a (E.div (E.mul a b) c)))
 
+(* --- the goal index against the recursive procedure -------------------- *)
+
+(* The recursive procedure the goal index replaced, kept as the
+   reference oracle: case (a) against the goal, else the same question
+   of every nested argument and every term's reified denominator. *)
+let rec oracle n g =
+  Nf.equal n g || Nf.quotient_subset n g
+  || List.exists
+       (fun (t : Nf.term) ->
+         List.exists
+           (function
+             | Nf.A_var _ -> false
+             | Nf.A_exp i | Nf.A_sqrt i | Nf.A_silu i -> oracle n i)
+           t.Nf.num
+         || (not (Nf.den_is_trivial t.Nf.den))
+            && oracle n (Nf.reify_den t.Nf.den))
+       g
+
+let test_goal_nested_argument () =
+  (* x*y is no case-(a) match of exp(x*y) + z, only of its argument *)
+  let q = Nf.of_expr (E.mul x y) in
+  let goal = Nf.of_expr (E.add (E.exp (E.mul x y)) z) in
+  Alcotest.(check bool) "no case-(a) match at the top" false
+    (Nf.equal q goal || Nf.quotient_subset q goal);
+  Alcotest.(check bool) "oracle accepts" true (oracle q goal);
+  Alcotest.(check bool) "index accepts" true (Nf.decide (Nf.goal [ goal ]) q)
+
+let test_goal_reified_denominator () =
+  (* x*y occurs only in the opaque denominator of z / (x*y + w) *)
+  let q = Nf.of_expr (E.mul x y) in
+  let goal = Nf.of_expr (E.div z (E.add (E.mul x y) w)) in
+  Alcotest.(check bool) "no case-(a) match at the top" false
+    (Nf.equal q goal || Nf.quotient_subset q goal);
+  Alcotest.(check bool) "oracle accepts" true (oracle q goal);
+  Alcotest.(check bool) "index accepts" true (Nf.decide (Nf.goal [ goal ]) q)
+
+let test_goal_rejects () =
+  (* reduction sizes matter, nested or not *)
+  let q = Nf.of_expr (E.sum 4 x) in
+  let goal =
+    Nf.of_expr (E.div (E.mul (E.sum 2 x) y) (E.sqrt (E.add (E.sum 2 x) z)))
+  in
+  Alcotest.(check bool) "oracle rejects" false (oracle q goal);
+  Alcotest.(check bool) "index rejects" false (Nf.decide (Nf.goal [ goal ]) q)
+
+(* The goals of the benchmarks' searches: each LAX piece of the six
+   reduced Fig. 7 workloads and each of the 8 serve_mix specs, as the
+   list of its outputs' expressions. *)
+let bench_goals () =
+  let fig7 =
+    List.concat_map
+      (fun (b : Workloads.Bench_defs.benchmark) ->
+        let spec, _ = b.Workloads.Bench_defs.reduced () in
+        List.filter_map
+          (fun (p : Mirage.Partition.piece) ->
+            if p.Mirage.Partition.lax then
+              Some
+                ( b.Workloads.Bench_defs.name,
+                  Mugraph.Abstract.output_exprs p.Mirage.Partition.graph )
+            else None)
+          (Mirage.Partition.partition spec).Mirage.Partition.pieces)
+      (Workloads.Bench_defs.all ())
+  in
+  let open Baselines.Templates in
+  let serve =
+    List.map
+      (fun (name, spec) -> (name, Mugraph.Abstract.output_exprs spec))
+      [
+        ("rmsnorm 4x8x16", rmsnorm_matmul_spec ~b:4 ~h:8 ~d:16);
+        ("gatedmlp 2x4x16", gated_mlp_spec ~b:2 ~h:4 ~f:16);
+        ("gatedmlp 4x16x32", gated_mlp_spec ~b:4 ~h:16 ~f:32);
+        ("ntrans 2x16", ntrans_spec ~b:2 ~d:16);
+        ("rmsnorm 2x4x16", rmsnorm_matmul_spec ~b:2 ~h:4 ~d:16);
+        ("rmsnorm 2x8x8", rmsnorm_matmul_spec ~b:2 ~h:8 ~d:8);
+        ("gatedmlp 4x8x16", gated_mlp_spec ~b:4 ~h:8 ~f:16);
+        ("ntrans 4x32", ntrans_spec ~b:4 ~d:32);
+      ]
+  in
+  fig7 @ serve
+
+let rec subterms e =
+  e
+  ::
+  (match e with
+  | E.Var _ -> []
+  | E.Add (a, b) | E.Mul (a, b) | E.Div (a, b) -> subterms a @ subterms b
+  | E.Exp a | E.Sqrt a | E.Silu a | E.Sum (_, a) -> subterms a)
+
+(* [expr_gen]'s variables renamed to a goal's inputs, so its terms
+   share the goal's atoms. *)
+let rec rename names e =
+  let n = Array.length names in
+  match e with
+  | E.Var "x" -> E.var names.(0)
+  | E.Var "y" -> E.var names.(1 mod n)
+  | E.Var _ -> E.var names.(2 mod n)
+  | E.Add (a, b) -> E.add (rename names a) (rename names b)
+  | E.Mul (a, b) -> E.mul (rename names a) (rename names b)
+  | E.Div (a, b) -> E.div (rename names a) (rename names b)
+  | E.Exp a -> E.exp (rename names a)
+  | E.Sqrt a -> E.sqrt (rename names a)
+  | E.Silu a -> E.silu (rename names a)
+  | E.Sum (i, a) -> E.sum i (rename names a)
+
+let rec vars acc = function
+  | E.Var v -> if List.mem v acc then acc else v :: acc
+  | E.Add (a, b) | E.Mul (a, b) | E.Div (a, b) -> vars (vars acc a) b
+  | E.Exp a | E.Sqrt a | E.Silu a | E.Sum (_, a) -> vars acc a
+
+(* For every benchmark goal set, the index answers as the oracle does
+   on every subterm of its goals, on products, quotients, sums and
+   reductions of pairs of them, and on generated terms over its inputs
+   (a fixed seed, so the suite stays deterministic); and so does
+   [is_subexpr] against each goal alone. *)
+let test_goal_index_agrees () =
+  let rand = Random.State.make [| 20 |] in
+  let accepted = ref 0 and rejected = ref 0 in
+  List.iter
+    (fun (name, exprs) ->
+      let goals = List.map Nf.of_expr exprs in
+      let index = Nf.goal goals in
+      let subs =
+        List.sort_uniq Nf.compare
+          (List.map Nf.of_expr (List.concat_map subterms exprs))
+      in
+      let few = List.filteri (fun i _ -> i < 16) subs in
+      let pairs =
+        List.concat_map
+          (fun a ->
+            List.concat_map
+              (fun b ->
+                [ Nf.nf_mul a b; Nf.nf_div a b; Nf.nf_add a b; Nf.nf_sum 2 a ])
+              few)
+          few
+      in
+      let names = Array.of_list (List.rev (List.fold_left vars [] exprs)) in
+      let generated =
+        List.map
+          (fun e -> Nf.of_expr (rename names e))
+          (QCheck2.Gen.generate ~rand ~n:200 expr_gen)
+      in
+      List.iter
+        (fun n ->
+          let want = List.exists (oracle n) goals in
+          if want then incr accepted else incr rejected;
+          if Nf.decide index n <> want then
+            Alcotest.failf "%s: index says %b, oracle %b, for %s" name
+              (not want) want (Nf.to_string n);
+          List.iter
+            (fun g ->
+              if Nf.is_subexpr n g <> oracle n g then
+                Alcotest.failf "%s: is_subexpr disagrees with the oracle on %s"
+                  name (Nf.to_string n))
+            goals)
+        (subs @ pairs @ generated))
+    (bench_goals ());
+  Alcotest.(check bool)
+    (Printf.sprintf "both verdicts exercised (%d accepted, %d rejected)"
+       !accepted !rejected)
+    true
+    (!accepted > 0 && !rejected > 0)
+
 (* --- solver cache ------------------------------------------------------ *)
 
 let test_solver_cache () =
@@ -410,6 +572,16 @@ let () =
             test_exact_division_in_subexpr;
           Alcotest.test_case "nf printing" `Quick test_nf_to_string_smoke;
           Alcotest.test_case "full-depth hash" `Quick test_nf_hash_full_depth;
+        ] );
+      ( "goal index",
+        [
+          Alcotest.test_case "through a nested argument" `Quick
+            test_goal_nested_argument;
+          Alcotest.test_case "through a reified denominator" `Quick
+            test_goal_reified_denominator;
+          Alcotest.test_case "rejects a near miss" `Quick test_goal_rejects;
+          Alcotest.test_case "agrees with the recursion on benchmark goals"
+            `Quick test_goal_index_agrees;
         ] );
       ( "solver",
         [

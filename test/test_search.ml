@@ -723,6 +723,95 @@ let test_memo_back_to_back () =
   check_pins "div after mul: " div_two_loops (search_pins ~workers:2 div);
   check_pins "mul after div: " mul_two_loops (search_pins ~workers:2 mul)
 
+(* --- goal masks ---------------------------------------------------------- *)
+
+(* div_matmul_spec with the quotient an output too: two goals, so masks
+   with either bit. *)
+let div_matmul_two_outputs ~b ~h ~d =
+  let bld = Graph.Build.create () in
+  let x = Graph.Build.input bld "X" [| b; h |] in
+  let c = Graph.Build.input bld "C" [| b; 1 |] in
+  let w = Graph.Build.input bld "W" [| h; d |] in
+  let y = prim bld (Op.Binary Op.Div) [ x; c ] in
+  let z = prim bld Op.Matmul [ y; w ] in
+  Graph.Build.finish bld ~outputs:[ y; z ]
+
+(* Every value a kernel search and every block root class intern carries
+   the mask an [Nf.equal] scan of the spec outputs gives. *)
+let test_goal_masks () =
+  let spec = div_matmul_two_outputs ~b:4 ~h:8 ~d:16 in
+  let cfg =
+    Search.Config.for_spec
+      ~base:{ (small_config ~ops:3 ()) with Search.Config.time_budget_s = 0.0 }
+      spec
+  in
+  let goals = Search.Prefix.spec_goals spec in
+  let stats = Search.Stats.create () in
+  let front =
+    Smtlite.Solver.front
+      (Smtlite.Solver.create ~target:(Abstract.output_exprs spec))
+      0
+  in
+  let limits = Gpusim.Device.limits Gpusim.Device.a100 in
+  let budget = Search.Budget.of_config cfg in
+  let emitted = ref 0 in
+  let emit _ = incr emitted in
+  let kvalues = Search.Prefix.values goals in
+  let kmemo =
+    Search.Prefix.memo kvalues (Search.Kernel_enum.tally cfg stats) front
+  in
+  Search.Kernel_enum.search cfg ~spec ~memo:(fun () -> kmemo) ~limits ~budget
+    ~emit ();
+  let bvalues = Search.Prefix.values goals in
+  let bmemo =
+    Search.Prefix.memo bvalues (Search.Block_enum.tally cfg stats) front
+  in
+  let blocks = Search.Block_enum.prepare cfg ~spec ~limits in
+  List.iter
+    (fun cls ->
+      Search.Block_enum.search_root blocks ~memo:(fun () -> bmemo) ~budget
+        ~emit cls)
+    (Search.Block_enum.enumerate_roots cfg
+       ~input_shapes:(Graph.input_shapes spec));
+  let check_level name vs =
+    let scanned (v : _ Search.Prefix.value) =
+      List.fold_left
+        (fun (m, j) o ->
+          ((if Absexpr.Nf.equal v.Search.Prefix.nf o then m lor (1 lsl j)
+            else m),
+           j + 1))
+        (0, 0) goals
+      |> fst
+    in
+    let wrong =
+      List.filter (fun v -> v.Search.Prefix.goals <> scanned v) vs
+    in
+    Alcotest.(check int) (name ^ ": masks equal the scan") 0
+      (List.length wrong);
+    List.iter
+      (fun bit ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: some value matches output %d" name bit)
+          true
+          (List.exists
+             (fun v -> v.Search.Prefix.goals land (1 lsl bit) <> 0)
+             vs))
+      [ 0; 1 ]
+  in
+  check_level "kernel" (Search.Prefix.interned kvalues);
+  check_level "block" (Search.Prefix.interned bvalues);
+  Alcotest.(check bool) "the searches completed candidates" true
+    (!emitted > 0)
+
+(* A mask is one bit per output of a non-negative int: 62 outputs fit,
+   the 63rd raises instead of wrapping into the sign bit. *)
+let test_goal_mask_width () =
+  let nf = Absexpr.Nf.nf_var "X" in
+  ignore (Search.Prefix.values (List.init 62 (fun _ -> nf)));
+  Alcotest.check_raises "63 outputs"
+    (Invalid_argument "Prefix.values: 63 outputs exceed 62") (fun () ->
+      ignore (Search.Prefix.values (List.init 63 (fun _ -> nf))))
+
 (* --- packed ranks -------------------------------------------------------- *)
 
 (* Every input list of arity 1 and 2 the packing holds, and every
@@ -935,6 +1024,13 @@ let () =
             test_memo_two_forloops;
           Alcotest.test_case "nothing outlives a search" `Quick
             test_memo_back_to_back;
+        ] );
+      ( "goal masks",
+        [
+          Alcotest.test_case "every interned value's mask is the scan's"
+            `Quick test_goal_masks;
+          Alcotest.test_case "past 62 outputs raises" `Quick
+            test_goal_mask_width;
         ] );
       ( "packed ranks",
         [

@@ -734,6 +734,45 @@ let test_prune_store_roundtrip =
     | None, None -> true
     | _ -> false)
 
+(* A search makes one durable prune-cache write, when it finishes,
+   however many decisions it makes: a store rewrites the whole
+   envelope, so storing as decisions pile up would cost O(n^2) bytes.
+   A second search of the same goals answers from that one write. *)
+let test_prune_store_one_write =
+  with_reset @@ fun () ->
+  let dir = tmpdir "mirage_prunecache_once" in
+  let spec = div_matmul_spec ~b:4 ~h:8 ~d:8 () in
+  let run_counting () =
+    let cache = Service.Cache.create ~dir () in
+    let stores = ref 0 in
+    let attach solver =
+      let p = Service.Prune_store.persist ~cache solver in
+      Smtlite.Solver.attach_persist solver
+        {
+          p with
+          Smtlite.Solver.p_store =
+            (fun env ->
+              incr stores;
+              p.Smtlite.Solver.p_store env);
+        }
+    in
+    let o =
+      Search.Generator.run ~config:(small_config ()) ~prune_persist:attach
+        ~device:Gpusim.Device.a100 ~spec ()
+    in
+    (o.Search.Generator.solver, !stores)
+  in
+  let cold, cold_stores = run_counting () in
+  Alcotest.(check bool)
+    (Printf.sprintf "the search decided more than a few hundred queries (%d)"
+       cold.Smtlite.Solver.disk_entries)
+    true
+    (cold.Smtlite.Solver.disk_entries > 512);
+  Alcotest.(check int) "a fresh store is written once" 1 cold_stores;
+  let warm, _ = run_counting () in
+  Alcotest.(check bool) "the second search answers from that write" true
+    (warm.Smtlite.Solver.disk_hits > 0)
+
 (* A tampered envelope is quarantined — at either layer — and the search
    degrades to a cold run instead of failing. *)
 let test_prune_store_corrupt_quarantined =
@@ -1293,6 +1332,8 @@ let () =
             test_prune_helper_equivalence;
           Alcotest.test_case "query cache round-trips through the store"
             `Quick test_prune_store_roundtrip;
+          Alcotest.test_case "one durable write per search" `Quick
+            test_prune_store_one_write;
           Alcotest.test_case "corrupt cache entries quarantined" `Quick
             test_prune_store_corrupt_quarantined;
         ] );
