@@ -142,9 +142,10 @@ let bench_cmd =
   Cmd.v (Cmd.info "bench" ~doc:"Cost all benchmarks on a device")
     Term.(const run $ device_arg)
 
-(* Shared observability flags: [--trace FILE] records phase spans and
-   writes Chrome trace-event JSON; [--metrics] dumps the merged metrics
-   registry. Both default to off, leaving the plain output untouched. *)
+(* Shared observability flags: [--trace FILE] profiles the run with a
+   timeline, writes it as Chrome trace-event JSON and prints the phase
+   table; [--metrics] dumps the merged metrics registry. Both default to
+   off, leaving the plain output untouched. *)
 
 let trace_arg =
   Arg.(
@@ -152,8 +153,9 @@ let trace_arg =
     & opt (some string) None
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
-          "Record phase spans and write Chrome trace-event JSON to $(docv) \
-           (load in chrome://tracing or Perfetto).")
+          "Profile the run's phases, write each phase span as Chrome \
+           trace-event JSON to $(docv) (load in chrome://tracing or \
+           Perfetto) and print the phase table.")
 
 let metrics_flag =
   Arg.(
@@ -161,24 +163,35 @@ let metrics_flag =
     & info [ "metrics" ]
         ~doc:"Print the merged metrics registry after the run.")
 
+let write_trace prof file =
+  Obs.Jsonw.to_file file (Obs.Profile.to_chrome_json prof)
+
 let with_tracing trace f =
   match trace with
   | None -> f ()
   | Some file ->
-      let t = Obs.Trace.enable () in
+      let prof = Obs.Profile.enable ~timeline:true () in
       Fun.protect
         ~finally:(fun () ->
-          Obs.Trace.disable ();
-          Obs.Trace.dump t file;
-          Printf.printf "== trace: %d spans -> %s\n%s" (Obs.Trace.span_count t)
-            file (Obs.Trace.summary t))
+          Obs.Profile.disable ();
+          write_trace prof file;
+          let kept, dropped = Obs.Profile.timeline_counts prof in
+          Printf.printf "== trace: %d spans, %d dropped past the cap -> %s\n"
+            kept dropped file;
+          match
+            Obs.Profile.render
+              (Obs.Profile.snapshot_json (Obs.Profile.snapshot prof))
+          with
+          | Ok table -> print_string table
+          | Error _ -> ())
         f
 
 (* [--report DIR]: a self-contained run directory — report.json,
-   trace.json and journal.jsonl. Tracing and the event journal are
-   force-enabled for the run, and every finalizer is individually
-   exception-protected so a crashed search still leaves its forensics
-   behind (with status.state = "crashed" and the error recorded). *)
+   trace.json and journal.jsonl. The profiler (with its timeline) and
+   the event journal are force-enabled for the run, and every finalizer
+   is individually exception-protected so a crashed search still leaves
+   its forensics behind (with status.state = "crashed" and the error
+   recorded). *)
 
 let report_arg =
   Arg.(
@@ -187,9 +200,10 @@ let report_arg =
     & info [ "report" ] ~docv:"DIR"
         ~doc:
           "Write a self-contained run report to $(docv): report.json (config \
-           fingerprint, environment, search funnel, costs, phase timings), \
-           trace.json (Chrome trace events) and journal.jsonl (the search \
-           flight record, one event per candidate decision).")
+           fingerprint, environment, search funnel, costs, phase table), \
+           trace.json (the phase spans as Chrome trace events) and \
+           journal.jsonl (the search flight record, one event per \
+           candidate decision).")
 
 let with_artifacts ~kind trace report_dir f =
   match report_dir with
@@ -205,13 +219,11 @@ let with_artifacts ~kind trace report_dir f =
       in
       Obs.Report.add rep "kind" (Obs.Jsonw.Str kind);
       Obs.Report.add rep "env" (Obs.Report.env_json ());
-      let tr = Obs.Trace.enable () in
       ignore (Obs.Journal.enable (Filename.concat dir "journal.jsonl"));
-      let prof = Obs.Profile.enable () in
+      let prof = Obs.Profile.enable ~timeline:true () in
       let t0 = Unix.gettimeofday () in
       let finalize status err =
         let attempt g = try g () with _ -> () in
-        attempt (fun () -> Obs.Trace.disable ());
         attempt (fun () ->
             Obs.Report.add rep "profile"
               (Obs.Profile.snapshot_json (Obs.Profile.snapshot prof)));
@@ -223,13 +235,10 @@ let with_artifacts ~kind trace report_dir f =
           | None -> (0, 0)
         in
         attempt (fun () -> Obs.Journal.disable ());
-        attempt (fun () ->
-            Obs.Trace.dump tr (Filename.concat dir "trace.json"));
+        attempt (fun () -> write_trace prof (Filename.concat dir "trace.json"));
         (match trace with
-        | Some file -> attempt (fun () -> Obs.Trace.dump tr file)
+        | Some file -> attempt (fun () -> write_trace prof file)
         | None -> ());
-        attempt (fun () ->
-            Obs.Report.add rep "phases" (Obs.Report.phase_timings tr));
         Obs.Report.add rep "timing"
           (Obs.Jsonw.Obj
              [ ("wall_s", Obs.Jsonw.Float (Unix.gettimeofday () -. t0)) ]);

@@ -21,10 +21,8 @@ type report = {
 
 let superoptimize ?config ?(verify_trials = 2) ?budget ?checkpoint
     ?prune_persist ~(device : Gpusim.Device.t) program =
-  Obs.Trace.with_span ~cat:"mirage" "superoptimize" @@ fun () ->
   let partition =
-    Obs.Trace.with_span ~cat:"mirage" "partition" (fun () ->
-        Partition.partition program)
+    Obs.Profile.with_phase "partition" (fun () -> Partition.partition program)
   in
   Obs.Log.info (fun m ->
       m "superoptimize: %d pieces on %s"
@@ -33,14 +31,6 @@ let superoptimize ?config ?(verify_trials = 2) ?budget ?checkpoint
   let pieces =
     List.map
       (fun (p : Partition.piece) ->
-        Obs.Trace.with_span ~cat:"mirage"
-          ~args:
-            [
-              ("piece", string_of_int p.Partition.id);
-              ("lax", string_of_bool p.Partition.lax);
-            ]
-          "piece"
-        @@ fun () ->
         let input_cost = Gpusim.Cost.cost device p.Partition.graph in
         if not p.Partition.lax then
           {

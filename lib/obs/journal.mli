@@ -80,7 +80,7 @@ val close : t -> unit
 
 (** {1 The global journal}
 
-    Mirrors {!Trace}'s global collector: instrumented code paths call
+    Mirrors {!Profile}'s ambient profiler: instrumented code paths call
     {!event} / {!active} unconditionally and pay one atomic load when
     journaling is disabled. *)
 

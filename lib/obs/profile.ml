@@ -2,7 +2,8 @@
 
    - the profiler itself: path-keyed phase entries whose counters live
      in a metrics registry (lock-free updates, exact under concurrency)
-     plus per-rule prune analytics;
+     plus per-rule prune analytics and, optionally, a bounded timeline
+     of individual phase spans;
    - per-execution-context frame stacks. Contexts are (domain, thread)
      pairs, not domains: the serving tier runs concurrent handler
      threads on domain 0, and a per-domain stack would interleave two
@@ -35,6 +36,19 @@ type rule = {
   ru_by : int Atomic.t array;  (* fires by remaining depth *)
 }
 
+(* One finished phase, as the timeline keeps it. *)
+type span = { s_path : string; s_start : float; s_dur_ns : int; s_tid : int }
+
+(* A phase claims its timeline slot with one fetch-and-add when it
+   starts, so the outer phases of a long run keep theirs however many
+   inner ones follow; claims past the cap are only counted. The phase
+   writes its slot when it ends: a slot whose phase is still open holds
+   [no_span]. *)
+type timeline = { slots : span array; claimed : int Atomic.t }
+
+let timeline_cap = 65_536
+let no_span = { s_path = ""; s_start = 0.0; s_dur_ns = 0; s_tid = 0 }
+
 type t = {
   reg : Metrics.t;
   created_at : float;
@@ -42,9 +56,10 @@ type t = {
   entries : (string * entry) list Atomic.t;  (* reverse registration order *)
   rules : (string * rule) list Atomic.t;
   branching : float Atomic.t;  (* max-merged; 0. = never reported *)
+  tl : timeline option;
 }
 
-let create ?(registry = Metrics.create ()) () =
+let make ?(registry = Metrics.create ()) ~timeline () =
   {
     reg = registry;
     created_at = Unix.gettimeofday ();
@@ -52,16 +67,22 @@ let create ?(registry = Metrics.create ()) () =
     entries = Atomic.make [];
     rules = Atomic.make [];
     branching = Atomic.make 0.0;
+    tl =
+      (if timeline then
+         Some
+           { slots = Array.make timeline_cap no_span; claimed = Atomic.make 0 }
+       else None);
   }
 
+let create ?registry () = make ?registry ~timeline:false ()
 let registry t = t.reg
 
 (* --- the ambient profiler --------------------------------------------- *)
 
 let current : t option Atomic.t = Atomic.make None
 
-let enable ?registry () =
-  let t = create ?registry () in
+let enable ?registry ?(timeline = false) () =
+  let t = make ?registry ~timeline () in
   Atomic.set current (Some t);
   t
 
@@ -137,7 +158,12 @@ let resolve_rule t name =
 
 (* --- per-context frame stacks ----------------------------------------- *)
 
-type frame = { f_entry : entry; f_start : float; mutable f_child_ns : int }
+type frame = {
+  f_entry : entry;
+  f_start : float;
+  mutable f_child_ns : int;
+  f_slot : int;  (* timeline slot claimed at entry; -1 without a timeline *)
+}
 type ctx = { mutable base : string; mutable frames : frame list }
 
 let ctx_table : ((int * int) * ctx) list Atomic.t = Atomic.make []
@@ -179,10 +205,18 @@ let enter t name =
   let ctx = get_ctx () in
   let e = resolve t ~overlay:false (child_path (context_path ctx) name) in
   ctx.frames <-
-    { f_entry = e; f_start = Unix.gettimeofday (); f_child_ns = 0 }
+    {
+      f_entry = e;
+      f_start = Unix.gettimeofday ();
+      f_child_ns = 0;
+      f_slot =
+        (match t.tl with
+        | Some tl -> Atomic.fetch_and_add tl.claimed 1
+        | None -> -1);
+    }
     :: ctx.frames
 
-let leave _t =
+let leave t =
   match find_ctx () with
   | None -> ()
   | Some ctx -> (
@@ -195,6 +229,16 @@ let leave _t =
           Metrics.add f.f_entry.c_total dur_ns;
           Metrics.add f.f_entry.c_self (max 0 (dur_ns - f.f_child_ns));
           Hdr.record f.f_entry.h (float_of_int dur_ns *. 1e-9);
+          (match t.tl with
+          | Some tl when f.f_slot < timeline_cap ->
+              tl.slots.(f.f_slot) <-
+                {
+                  s_path = f.f_entry.path;
+                  s_start = f.f_start;
+                  s_dur_ns = dur_ns;
+                  s_tid = (Domain.self () :> int);
+                }
+          | _ -> ());
           (match rest with
           | parent :: _ -> parent.f_child_ns <- parent.f_child_ns + dur_ns
           | [] -> maybe_retire ctx))
@@ -517,6 +561,45 @@ let snapshot_json ?(include_hdrs = true) s =
              s.prune_rules) );
     ]
 
+(* --- the timeline as Chrome trace events ---------------------------------- *)
+
+let last_component path =
+  match String.rindex_opt path '/' with
+  | Some i -> String.sub path (i + 1) (String.length path - i - 1)
+  | None -> path
+
+let timeline_counts t =
+  match t.tl with
+  | None -> (0, 0)
+  | Some tl ->
+      let n = Atomic.get tl.claimed in
+      (min n timeline_cap, max 0 (n - timeline_cap))
+
+let to_chrome_json t =
+  let spans =
+    match t.tl with
+    | None -> []
+    | Some tl ->
+        List.filter
+          (fun s -> s.s_path <> "")
+          (Array.to_list (Array.sub tl.slots 0 (fst (timeline_counts t))))
+  in
+  let pid = J.Int (Unix.getpid ()) in
+  J.List
+    (List.map
+       (fun s ->
+         J.Obj
+           [
+             ("name", J.Str (last_component s.s_path));
+             ("ph", J.Str "X");
+             ("ts", J.Float ((s.s_start -. t.created_at) *. 1e6));
+             ("dur", J.Float (float_of_int s.s_dur_ns /. 1e3));
+             ("pid", pid);
+             ("tid", J.Int s.s_tid);
+             ("args", J.Obj [ ("path", J.Str s.s_path) ]);
+           ])
+       spans)
+
 (* --- analysis of a snapshot_json value ---------------------------------- *)
 
 let num = function
@@ -636,15 +719,7 @@ let render j =
   line "%-44s %10s %10s %10s %10s %10s" "phase" "count" "total" "self" "p50"
     "p99";
   let row p =
-    let label =
-      let name =
-        match String.rindex_opt p.q_path '/' with
-        | Some i ->
-            String.sub p.q_path (i + 1) (String.length p.q_path - i - 1)
-        | None -> p.q_path
-      in
-      String.make (2 * p.q_depth) ' ' ^ name
-    in
+    let label = String.make (2 * p.q_depth) ' ' ^ last_component p.q_path in
     let quant = function
       | Some us -> fmt_time (us *. 1e-6)
       | None -> "-"

@@ -23,7 +23,12 @@
     exact fire counter plus a histogram of the remaining search depth at
     the moment of the cut, from which {!snapshot} estimates the subtree
     expansions the rule saved (geometric model at the observed
-    branching factor). *)
+    branching factor).
+
+    Enabled with a timeline, it also keeps each finished phase as one
+    span (path, start, duration, domain), exported as Chrome
+    [trace_event] JSON by {!to_chrome_json}: the phase table, the trace
+    and the Prometheus text share one set of phase names. *)
 
 type t
 
@@ -34,12 +39,14 @@ val registry : t -> Metrics.t
 
 (** {1 The ambient profiler}
 
-    Like {!Trace} and {!Journal}: one process-global profiler that the
-    instrumented code records into when enabled, at the cost of a single
-    atomic load when disabled. *)
+    Like {!Journal}: one process-global profiler that the instrumented
+    code records into when enabled, at the cost of a single atomic load
+    when disabled. *)
 
-val enable : ?registry:Metrics.t -> unit -> t
-(** Install (replacing any previous) and return the ambient profiler. *)
+val enable : ?registry:Metrics.t -> ?timeline:bool -> unit -> t
+(** Install (replacing any previous) and return the ambient profiler.
+    [timeline] (default [false]) also keeps every finished phase as a
+    span for {!to_chrome_json}, up to {!timeline_cap} spans. *)
 
 val disable : unit -> unit
 val active : unit -> t option
@@ -167,6 +174,26 @@ val snapshot_json : ?include_hdrs:bool -> snapshot -> Jsonw.t
 (** The schema'd JSON the run report and the metrics exposition embed;
     [include_hdrs:false] drops the per-phase quantile cards (the compact
     wire form). *)
+
+(** {1 The timeline} *)
+
+val timeline_cap : int
+(** [65536]: the most spans a timeline keeps. A traced search spawns a
+    phase per subtree task (about 118 k in one [search_fig7] round), so
+    the timeline keeps the first [timeline_cap] phases to start (the
+    run's outer phases among them) and counts the rest. *)
+
+val timeline_counts : t -> int * int
+(** [(kept, dropped)]: phases given a timeline slot (each becomes a span
+    when it ends), and phases that started after the slots ran out.
+    [(0, 0)] without a timeline. *)
+
+val to_chrome_json : t -> Jsonw.t
+(** The timeline as a Chrome trace-event array (load in
+    [chrome://tracing] or Perfetto): one complete ([ph = "X"]) event per
+    kept span, [name] its phase's last path component, microsecond
+    [ts] (since the profiler was enabled) and [dur], [tid] the domain
+    id, and the full path in [args.path]. Empty without a timeline. *)
 
 (** {1 Analysis} *)
 

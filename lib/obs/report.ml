@@ -67,32 +67,6 @@ let env_json () =
       ("mirage_env", Jsonw.Obj mirage_vars);
     ]
 
-let phase_timings tr =
-  (* Depth-1 spans only: the pipeline phases (enumerate, cost, verify,
-     …), not every per-candidate span under them. *)
-  let agg : (string, int * float) Hashtbl.t = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (fun (s : Trace.rec_span) ->
-      if List.length s.Trace.path = 1 then begin
-        let name = s.Trace.name in
-        match Hashtbl.find_opt agg name with
-        | Some (n, tot) -> Hashtbl.replace agg name (n + 1, tot +. s.Trace.dur_us)
-        | None ->
-            Hashtbl.add agg name (1, s.Trace.dur_us);
-            order := name :: !order
-      end)
-    (Trace.spans tr);
-  Jsonw.Obj
-    (List.rev_map
-       (fun name ->
-         let n, tot = Hashtbl.find agg name in
-         ( name,
-           Jsonw.Obj
-             [ ("count", Jsonw.Int n); ("total_ms", Jsonw.Float (tot /. 1e3)) ]
-         ))
-       !order)
-
 let load p =
   let file =
     if Sys.file_exists p && Sys.is_directory p then

@@ -1,9 +1,9 @@
 (** Self-contained run reports: one directory per [optimize]/[bench]
     invocation holding everything needed to understand the run after the
     fact — [report.json] (pretty-printed: config fingerprint, device,
-    environment, funnel snapshot, phase timings, status), [trace.json]
-    (Chrome trace events) and [journal.jsonl] (the {!Journal} flight
-    record).
+    environment, funnel snapshot, {!Profile} phase table, status),
+    [trace.json] (the profiler's timeline as Chrome trace events) and
+    [journal.jsonl] (the {!Journal} flight record).
 
     The report is schema'd JSON assembled from named sections; callers
     (the CLI, the bench harness) add whatever sections their run
@@ -39,10 +39,6 @@ val env_json : unit -> Jsonw.t
 (** The environment fingerprint section: OCaml runtime version, host
     word size / OS type, argv, cwd, and every [MIRAGE_*] environment
     variable. *)
-
-val phase_timings : Trace.t -> Jsonw.t
-(** Aggregate a trace into top-level phase timings: for each depth-1
-    span name, total milliseconds and span count. *)
 
 val load : string -> (Jsonw.t, string) result
 (** Read a report: accepts the [report.json] file itself or the run

@@ -18,7 +18,7 @@ type report = {
 }
 
 let optimize ?budget (device : Gpusim.Device.t) (g : Graph.kernel_graph) =
-  Obs.Trace.with_span ~cat:"opt" "optimize" @@ fun () ->
+  Obs.Profile.with_phase "optimize" @@ fun () ->
   let shapes = Infer.kernel_shapes g in
   let kernels =
     Array.to_list g.knodes
@@ -26,7 +26,6 @@ let optimize ?budget (device : Gpusim.Device.t) (g : Graph.kernel_graph) =
     |> List.filter_map (fun (i, (node : Graph.kernel_node)) ->
            match node.kop with
            | Graph.K_graphdef bg ->
-               let args = [ ("kernel", string_of_int i) ] in
                let kernel_inputs =
                  List.map
                    (fun ({ node = j; port } : Graph.tensor_ref) ->
@@ -37,17 +36,15 @@ let optimize ?budget (device : Gpusim.Device.t) (g : Graph.kernel_graph) =
                  {
                    node = i;
                    schedule =
-                     Obs.Trace.with_span ~cat:"opt" ~args "opt.schedule"
-                       (fun () -> Schedule.block_schedule bg);
+                     Obs.Profile.with_phase "opt.schedule" (fun () ->
+                         Schedule.block_schedule bg);
                    memplan =
-                     Obs.Trace.with_span ~cat:"opt" ~args "opt.memplan"
-                       (fun () ->
+                     Obs.Profile.with_phase "opt.memplan" (fun () ->
                          Memplan.plan_block ?budget
                            ~elt_bytes:device.Gpusim.Device.elt_bytes bg
                            ~kernel_inputs);
                    layout =
-                     Obs.Trace.with_span ~cat:"opt" ~args "opt.layout"
-                       (fun () ->
+                     Obs.Profile.with_phase "opt.layout" (fun () ->
                          Layout_opt.optimize_block ?budget bg ~kernel_inputs);
                  }
            | Graph.K_input _ | Graph.K_prim _ -> None)

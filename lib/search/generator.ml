@@ -289,22 +289,16 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
             match tasks.(i) with
             | T_kernel ->
                 Obs.Profile.with_phase "task.kernel" (fun () ->
-                    Obs.Trace.with_span ~cat:"search" "enumerate.kernel"
-                      (fun () ->
-                        drained kmemos (fun () ->
-                            Kernel_enum.search cfg ~spec
-                              ~memo:(fun () -> kmemos.(self ()))
-                              ~limits ~budget ~spawn:(spawn_for i) ~emit ())))
+                    drained kmemos (fun () ->
+                        Kernel_enum.search cfg ~spec
+                          ~memo:(fun () -> kmemos.(self ()))
+                          ~limits ~budget ~spawn:(spawn_for i) ~emit ()))
             | T_class cls ->
                 Obs.Profile.with_phase "task.root" (fun () ->
-                    Obs.Trace.with_span ~cat:"search"
-                      ~args:[ ("task", string_of_int i) ]
-                      "enumerate.root"
-                      (fun () ->
-                        drained bmemos (fun () ->
-                            Block_enum.search_root blocks
-                              ~memo:(fun () -> bmemos.(self ()))
-                              ~budget ~spawn:(spawn_for i) ~emit cls)))))
+                    drained bmemos (fun () ->
+                        Block_enum.search_root blocks
+                          ~memo:(fun () -> bmemos.(self ()))
+                          ~budget ~spawn:(spawn_for i) ~emit cls))))
   in
   for i = 0 to n_tasks - 1 do
     if not skip.(i) then begin
@@ -370,9 +364,8 @@ let run ?config ?registry ?(verify_trials = 2) ?(verify_all = false) ?budget
   in
   let candidates, budget_exhausted, task_failures =
     Obs.Profile.with_phase "enumerate" (fun () ->
-        Obs.Trace.with_span ~cat:"search" "enumerate" (fun () ->
-            generate cfg ~spec ~solver ~stats ~limits ~budget ?checkpoint
-              ~piece ~on_pool ()))
+        generate cfg ~spec ~solver ~stats ~limits ~budget ?checkpoint ~piece
+          ~on_pool ())
   in
   (* Branching factor for the prune-savings model: attempted extensions
      per accepted (recursed-into) prefix. *)
@@ -401,22 +394,21 @@ let run ?config ?registry ?(verify_trials = 2) ?(verify_all = false) ?budget
   (match progress with Some p -> Progress.set_phase p "cost" | None -> ());
   let costed =
     Obs.Profile.with_phase "cost" @@ fun () ->
-    Obs.Trace.with_span ~cat:"search" "cost" (fun () ->
-        List.map
-          (fun (x, c, _) -> (x, c))
-          (List.sort
-             (fun ((_, ga), a, ha) ((_, gb), b, hb) ->
-               let c =
-                 Float.compare a.Gpusim.Cost.total_us b.Gpusim.Cost.total_us
-               in
-               if c <> 0 then c
-               else
-                 let hc = Int.compare ha hb in
-                 if hc <> 0 then hc else Stdlib.compare ga gb)
-             (List.map
-                (fun (gid, g) ->
-                  ((gid, g), Gpusim.Cost.cost device g, Graph.hash g))
-                candidates)))
+    List.map
+      (fun (x, c, _) -> (x, c))
+      (List.sort
+         (fun ((_, ga), a, ha) ((_, gb), b, hb) ->
+           let c =
+             Float.compare a.Gpusim.Cost.total_us b.Gpusim.Cost.total_us
+           in
+           if c <> 0 then c
+           else
+             let hc = Int.compare ha hb in
+             if hc <> 0 then hc else Stdlib.compare ga gb)
+         (List.map
+            (fun (gid, g) ->
+              ((gid, g), Gpusim.Cost.cost device g, Graph.hash g))
+            candidates))
   in
   let finish gid g =
     Stats.add stats Stats.Verified 1;
@@ -444,26 +436,25 @@ let run ?config ?registry ?(verify_trials = 2) ?(verify_all = false) ?budget
      the whole run. *)
   let check ~trials ~cand g =
     Obs.Profile.with_phase "candidate" @@ fun () ->
-    Obs.Trace.with_span ~cat:"search" "verify.candidate" (fun () ->
-        match Verify.Random_test.equivalent ~trials ~cand ~session ~spec g with
-        | v -> v
-        | exception exn ->
-            let bt = Printexc.get_raw_backtrace () in
-            Obs.Budget.note budget "verify.crash";
-            Obs.Log.warn (fun m ->
-                m "verifier crashed on candidate %d: %s" cand
-                  (Printexc.to_string exn));
-            (match journal with
-            | Some j ->
-                Obs.Journal.emit j ~cand ~typ:"cand.crash"
-                  [
-                    ("phase", Obs.Jsonw.Str "verify");
-                    ("exn", Obs.Jsonw.Str (Printexc.to_string exn));
-                    ( "backtrace",
-                      Obs.Jsonw.Str (Printexc.raw_backtrace_to_string bt) );
-                  ]
-            | None -> ());
-            Verify.Random_test.Rejected "verifier crash")
+    match Verify.Random_test.equivalent ~trials ~cand ~session ~spec g with
+    | v -> v
+    | exception exn ->
+        let bt = Printexc.get_raw_backtrace () in
+        Obs.Budget.note budget "verify.crash";
+        Obs.Log.warn (fun m ->
+            m "verifier crashed on candidate %d: %s" cand
+              (Printexc.to_string exn));
+        (match journal with
+        | Some j ->
+            Obs.Journal.emit j ~cand ~typ:"cand.crash"
+              [
+                ("phase", Obs.Jsonw.Str "verify");
+                ("exn", Obs.Jsonw.Str (Printexc.to_string exn));
+                ( "backtrace",
+                  Obs.Jsonw.Str (Printexc.raw_backtrace_to_string bt) );
+              ]
+        | None -> ());
+        Verify.Random_test.Rejected "verifier crash"
   in
   (* The deadline applies to verification as well as enumeration: a run
      that spent its whole budget enumerating still reports best-so-far
@@ -598,11 +589,10 @@ let run ?config ?registry ?(verify_trials = 2) ?(verify_all = false) ?budget
   (match progress with Some p -> Progress.set_phase p "verify" | None -> ());
   let verified =
     Obs.Profile.with_phase "verify" @@ fun () ->
-    Obs.Trace.with_span ~cat:"search" "verify" (fun () ->
-        let vworkers =
-          min (max 1 cfg.Config.num_workers) (List.length costed)
-        in
-        if vworkers <= 1 then sequential () else parallel vworkers)
+    let vworkers =
+      min (max 1 cfg.Config.num_workers) (List.length costed)
+    in
+    if vworkers <= 1 then sequential () else parallel vworkers
   in
   (match progress with Some p -> Progress.set_phase p "finalize" | None -> ());
   Obs.Profile.with_phase "finalize" @@ fun () ->

@@ -100,10 +100,11 @@ val run :
 
     [registry] backs the search's counters and histograms (default: a
     fresh registry per run; pass a shared one to accumulate across
-    runs). When the global {!Obs.Trace} collector is enabled, the run
-    records [enumerate]/[cost]/[verify] spans (one [enumerate.root] span
-    per root class, one [verify.candidate] span per verification
-    attempt).
+    runs). When the ambient {!Obs.Profile} is enabled, the run records
+    a [search] phase with [enumerate]/[cost]/[verify] sub-phases (one
+    [task.kernel] or [task.root] phase per root task, one [candidate]
+    phase per verification attempt); with its timeline on, each is also
+    a Chrome trace span.
 
     Candidates are verified in ascending cost-model order with a single
     random test each; the winner then receives [verify_trials] further

@@ -4,7 +4,6 @@
 
      DIR/<rid>/report.json     envelope: stages, outcome, threshold
      DIR/<rid>/journal.jsonl   the global journal sliced to this rid
-     DIR/<rid>/trace.json      spans tagged rid=<rid> (when tracing)
 
    Capture is best-effort and bounded: it never throws into the request
    path (a forensics failure must not fail the request) and stops after
@@ -57,41 +56,6 @@ let journal_slice ~path ~rid =
   Result.map
     (List.filter (fun e -> Obs.Journal.rid_of e = rid))
     (Obs.Journal.read_file path)
-
-let span_args_rid args = List.assoc_opt "rid" args
-
-let trace_slice ~rid =
-  match Obs.Trace.active () with
-  | None -> None
-  | Some tr ->
-      let spans =
-        List.filter
-          (fun (s : Obs.Trace.rec_span) ->
-            span_args_rid s.Obs.Trace.args = Some rid)
-          (Obs.Trace.spans tr)
-      in
-      if spans = [] then None
-      else
-        Some
-          (J.List
-             (List.map
-                (fun (s : Obs.Trace.rec_span) ->
-                  J.Obj
-                    [
-                      ("name", J.Str s.Obs.Trace.name);
-                      ("cat", J.Str s.Obs.Trace.cat);
-                      ("ph", J.Str "X");
-                      ("ts", J.Float s.Obs.Trace.ts_us);
-                      ("dur", J.Float s.Obs.Trace.dur_us);
-                      ("pid", J.Int 0);
-                      ("tid", J.Int s.Obs.Trace.tid);
-                      ( "args",
-                        J.Obj
-                          (List.map
-                             (fun (k, v) -> (k, J.Str v))
-                             s.Obs.Trace.args) );
-                    ])
-                spans))
 
 let envelope t ~rid ~op ~outcome ~degraded ~total_s ~stages ~response_status
     ~journal_events ~artifacts =
@@ -149,14 +113,7 @@ let capture t ~rid ~op ~outcome ~degraded ~total_s ~stages ~response_status =
                       (List.length events, [ "journal.jsonl" ])
                   | Error _ -> (0, []))
             in
-            let tart =
-              match trace_slice ~rid with
-              | None -> []
-              | Some spans ->
-                  J.to_file (Filename.concat rdir "trace.json") spans;
-                  [ "trace.json" ]
-            in
-            let artifacts = ("report.json" :: jart) @ tart in
+            let artifacts = "report.json" :: jart in
             J.to_file
               (Filename.concat rdir "report.json")
               (envelope t ~rid ~op ~outcome ~degraded ~total_s ~stages

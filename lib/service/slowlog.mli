@@ -1,9 +1,8 @@
 (** Slow-request forensics: when an optimize request's total latency
     crosses a threshold, write a self-contained report directory named
     by request id — [report.json] envelope (stages, outcome,
-    threshold), [journal.jsonl] (the global journal sliced to exactly
-    that rid, search-worker events included), and [trace.json] (spans
-    tagged with the rid, when tracing is enabled).
+    threshold) and [journal.jsonl] (the global journal sliced to
+    exactly that rid, search-worker events included).
 
     Capture is best-effort (it never raises into the request path) and
     bounded by [max_reports] so a misconfigured threshold cannot fill

@@ -238,12 +238,6 @@ let flush_front f =
     f.f_accepted <- 0
   end
 
-let check_equiv_target t es =
-  let candidate = List.sort Nf.compare (List.map Nf.of_expr es) in
-  let goals = List.sort Nf.compare t.goals in
-  List.length candidate = List.length goals
-  && List.for_all2 Nf.equal candidate goals
-
 let stats t =
   {
     queries = Atomic.get t.queries;

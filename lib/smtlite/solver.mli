@@ -73,11 +73,6 @@ val flush_front : front -> unit
 (** Add the front's batched counts to the solver's {!stats} and reset
     them. Until then, {!stats} lags by the unflushed batch. *)
 
-val check_equiv_target : t -> Absexpr.Expr.t list -> bool
-(** Whether candidate outputs are [A_eq]-equivalent to the goals, as a
-    multiset (used to decide that a candidate muGraph is complete before
-    handing it to the probabilistic verifier). *)
-
 val stats : t -> stats
 val reset_stats : t -> unit
 

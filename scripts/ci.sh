@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 CI: build everything, run the test suites, then smoke-test the
-# observability surface — the stats funnel, a Chrome trace, a full run
-# report (report.json + trace.json + journal.jsonl), candidate forensics
-# via `explain`, and the bench-history regression gate — and check that
-# every JSON artifact we produce actually parses.
+# observability surface — the stats funnel, a Chrome trace (the phase
+# profiler's timeline), a full run report (report.json + trace.json +
+# journal.jsonl), candidate forensics via `explain`, and the
+# bench-history regression gate — and check that every JSON artifact we
+# produce actually parses and that both traces hold an enumerate span.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,6 +45,8 @@ dune exec tools/json_check.exe -- \
   /tmp/mirage_ci_trace.json /tmp/mirage_ci_bench.json \
   /tmp/mirage_ci_run/report.json /tmp/mirage_ci_run/trace.json \
   /tmp/mirage_ci_run/journal.jsonl
+grep -q '"name":"enumerate"' /tmp/mirage_ci_trace.json
+grep -q '"name":"enumerate"' /tmp/mirage_ci_run/trace.json
 
 echo "== codegen smoke: runnable backend differential (chaos off)"
 # The generated C for the rmsnorm and gated-MLP winners must compile

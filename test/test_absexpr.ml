@@ -98,7 +98,13 @@ let rmsnorm_fused ~h ~iters =
 let test_rmsnorm_equivalence () =
   check_equiv "division commutes with matmul (Fig. 4b)"
     (rmsnorm_spec ~h:64)
-    (rmsnorm_fused ~h:64 ~iters:16)
+    (rmsnorm_fused ~h:64 ~iters:16);
+  (* completion compares normal forms with [Nf.equal] *)
+  let goal = Nf.of_expr (rmsnorm_spec ~h:64) in
+  Alcotest.(check bool) "fused form is complete" true
+    (Nf.equal (Nf.of_expr (rmsnorm_fused ~h:64 ~iters:16)) goal);
+  Alcotest.(check bool) "prefix is not complete" false
+    (Nf.equal (Nf.of_expr (E.mul x g)) goal)
 
 let test_rmsnorm_wrong_split_rejected () =
   check_not_equiv "wrong iteration split changes the reduction size"
@@ -296,7 +302,7 @@ let eval_consistent e1 e2 =
     ]
 
 let prop_normal_form_sound =
-  QCheck_alcotest.to_alcotest
+  Qseed.to_alcotest
     (QCheck2.Test.make ~count:500 ~name:"normal-form equality is sound"
        QCheck2.Gen.(pair expr_gen expr_gen)
        (fun (e1, e2) ->
@@ -304,7 +310,7 @@ let prop_normal_form_sound =
 
 let prop_self_equiv_under_rewrites =
   (* Applying random A_eq rewrites preserves the normal form. *)
-  QCheck_alcotest.to_alcotest
+  Qseed.to_alcotest
     (QCheck2.Test.make ~count:300 ~name:"A_eq rewrites preserve normal form"
        ~print:E.to_string expr_gen
        (fun e ->
@@ -322,7 +328,7 @@ let prop_self_equiv_under_rewrites =
 let prop_input_always_subexpr =
   (* The key lemma of Theorem 1: an operator's input is always a
      subexpression of its output. *)
-  QCheck_alcotest.to_alcotest
+  Qseed.to_alcotest
     (QCheck2.Test.make ~count:300 ~name:"inputs are subexprs of outputs"
        ~print:(fun (a, b) -> E.to_string a ^ " | " ^ E.to_string b)
        QCheck2.Gen.(pair expr_gen expr_gen)
@@ -335,7 +341,7 @@ let prop_input_always_subexpr =
          && Nf.subexpr a (E.sum 4 a)))
 
 let prop_subexpr_transitive_via_context =
-  QCheck_alcotest.to_alcotest
+  Qseed.to_alcotest
     (QCheck2.Test.make ~count:200 ~name:"subexpr closed under wrapping"
        ~print:(fun (a, b, c) ->
          E.to_string a ^ " | " ^ E.to_string b ^ " | " ^ E.to_string c)
@@ -527,12 +533,17 @@ let test_solver_cache () =
   Alcotest.(check int) "reset" 0 (Smtlite.Solver.stats solver).Smtlite.Solver.queries
 
 let test_solver_equiv_target () =
-  let goal = rmsnorm_spec ~h:64 in
-  let solver = Smtlite.Solver.create ~target:[ goal ] in
-  Alcotest.(check bool) "fused form is complete" true
-    (Smtlite.Solver.check_equiv_target solver [ rmsnorm_fused ~h:64 ~iters:16 ]);
-  Alcotest.(check bool) "prefix is not complete" false
-    (Smtlite.Solver.check_equiv_target solver [ E.mul x g ])
+  (* A solver's goal set is its targets' normal forms: A_eq-equivalent
+     targets key the same search, a prefix of the target does not. *)
+  let key target = Smtlite.Solver.goals_key (Smtlite.Solver.create ~target) in
+  let goal = key [ rmsnorm_spec ~h:64 ] in
+  Alcotest.(check string) "fused form is the same target" goal
+    (key [ rmsnorm_fused ~h:64 ~iters:16 ]);
+  Alcotest.(check bool) "prefix is another target" false
+    (String.equal goal (key [ E.mul x g ]));
+  Alcotest.(check string) "goal order does not matter"
+    (key [ E.mul x g; rmsnorm_spec ~h:64 ])
+    (key [ rmsnorm_fused ~h:64 ~iters:16; E.mul g x ])
 
 let () =
   Alcotest.run "absexpr"

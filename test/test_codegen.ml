@@ -299,7 +299,7 @@ let test_c_structure () =
 (* Lowering is total over random well-typed muGraphs, and the result is
    statically well-formed (scoping, call arity, loop binding). *)
 let prop_lowering_total =
-  QCheck_alcotest.to_alcotest
+  Qseed.to_alcotest
     (QCheck2.Test.make ~count:80 ~name:"lowering total + well-formed"
        ~print:Pretty.kernel_graph_to_string
        (Graph_gen.gen_graph ())

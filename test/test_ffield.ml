@@ -6,7 +6,7 @@ open Ffield
 let seed = [| 0xC0FFEE |]
 
 let qcheck ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+  Qseed.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
 (* --- Zmod ------------------------------------------------------------ *)
 

@@ -2,7 +2,7 @@
    including a brute-force cross-check on random instances. *)
 
 let qcheck ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+  Qseed.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
 let test_trivial () =
   let p = Ilp.create () in

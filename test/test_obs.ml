@@ -1,7 +1,8 @@
 (* Tests for the observability layer: the metrics registry under domain
-   concurrency (increments must be exact, not approximate), the span
-   tracer's nesting and Chrome JSON output, the JSON writer/parser pair,
-   and the search-funnel invariant on a real (small) search. *)
+   concurrency (increments must be exact, not approximate), the
+   profiler's timeline and its Chrome JSON output, the JSON
+   writer/parser pair, and the search-funnel invariant on a real (small)
+   search. *)
 
 open Mugraph
 
@@ -180,7 +181,7 @@ let rec json_close a b =
   | _ -> json_equal a b
 
 let prop_jsonw_roundtrip =
-  QCheck_alcotest.to_alcotest
+  Qseed.to_alcotest
     (QCheck2.Test.make ~count:300 ~name:"compact and pretty round-trip"
        ~print:Obs.Jsonw.to_string gen_json (fun v ->
          let reparses s =
@@ -307,21 +308,52 @@ let test_gauge_max () =
     (float_of_int (domains * per))
     (List.assoc "test.peak" merged.Obs.Metrics.gauges)
 
-(* --- tracer ---------------------------------------------------------------- *)
+(* --- profile timeline (Chrome trace) ------------------------------------- *)
+
+let with_timeline f =
+  let p = Obs.Profile.enable ~timeline:true () in
+  Fun.protect ~finally:(fun () -> Obs.Profile.disable ()) (fun () -> f p)
+
+let chrome_events p =
+  match
+    Obs.Jsonw.of_string (Obs.Jsonw.to_string (Obs.Profile.to_chrome_json p))
+  with
+  | Ok (Obs.Jsonw.List events) -> events
+  | Ok _ -> Alcotest.fail "trace JSON is not an array"
+  | Error e -> Alcotest.failf "trace JSON invalid: %s" e
+
+let event_str k ev =
+  match Obs.Jsonw.member k ev with
+  | Some (Obs.Jsonw.Str s) -> s
+  | _ -> Alcotest.failf "event has no string %S" k
+
+let event_num k ev =
+  match Obs.Jsonw.member k ev with
+  | Some (Obs.Jsonw.Float f) -> f
+  | Some (Obs.Jsonw.Int i) -> float_of_int i
+  | _ -> Alcotest.failf "event has no number %S" k
+
+let event_path ev =
+  match Obs.Jsonw.member "args" ev with
+  | Some args -> event_str "path" args
+  | None -> Alcotest.fail "event has no args"
+
+let event_tid ev =
+  match Obs.Jsonw.member "tid" ev with
+  | Some (Obs.Jsonw.Int i) -> i
+  | _ -> Alcotest.fail "event has no int tid"
 
 let test_trace_nesting () =
-  let t = Obs.Trace.create () in
-  Obs.Trace.span t "outer" (fun () ->
-      Obs.Trace.span t "inner" (fun () -> ());
-      Obs.Trace.span t "inner" (fun () -> ()));
-  (try Obs.Trace.span t "raiser" (fun () -> failwith "boom") with
-  | Failure _ -> ());
-  Alcotest.(check int) "all spans recorded (incl. on exception)" 4
-    (Obs.Trace.span_count t);
-  let json = Obs.Trace.to_chrome_json t in
-  (match Obs.Jsonw.of_string (Obs.Jsonw.to_string json) with
-  | Error e -> Alcotest.failf "trace JSON invalid: %s" e
-  | Ok (Obs.Jsonw.List events) ->
+  with_timeline (fun p ->
+      Obs.Profile.with_phase "outer" (fun () ->
+          Obs.Profile.with_phase "inner" (fun () -> ());
+          Obs.Profile.with_phase "inner" (fun () -> ()));
+      (try Obs.Profile.with_phase "raiser" (fun () -> failwith "boom")
+       with Failure _ -> ());
+      Alcotest.(check (pair int int))
+        "all spans kept (incl. on exception)" (4, 0)
+        (Obs.Profile.timeline_counts p);
+      let events = chrome_events p in
       Alcotest.(check int) "one event per span" 4 (List.length events);
       List.iter
         (fun ev ->
@@ -330,22 +362,105 @@ let test_trace_nesting () =
               if Obs.Jsonw.member field ev = None then
                 Alcotest.failf "event missing %S" field)
             [ "name"; "ph"; "ts"; "dur"; "pid"; "tid" ];
-          Alcotest.(check bool) "complete event" true
-            (Obs.Jsonw.member "ph" ev = Some (Obs.Jsonw.Str "X")))
-        events
-  | Ok _ -> Alcotest.fail "trace JSON is not an array");
-  let s = Obs.Trace.summary t in
-  Alcotest.(check bool) "summary nests inner under outer" true
-    (Astring_contains.contains s "outer"
-    && Astring_contains.contains s "inner"
-    && Astring_contains.contains s "2x")
+          Alcotest.(check string) "complete event" "X" (event_str "ph" ev);
+          Alcotest.(check int) "tid is the domain id"
+            (Domain.self () :> int)
+            (event_tid ev))
+        events;
+      Alcotest.(check (list (pair string string)))
+        "names are last path components, nested under the parent"
+        [
+          ("inner", "outer/inner");
+          ("inner", "outer/inner");
+          ("outer", "outer");
+          ("raiser", "raiser");
+        ]
+        (List.sort compare
+           (List.map (fun ev -> (event_str "name" ev, event_path ev)) events));
+      let outer = List.find (fun ev -> event_path ev = "outer") events in
+      let t0 = event_num "ts" outer in
+      let t1 = t0 +. event_num "dur" outer in
+      List.iter
+        (fun ev ->
+          if event_path ev = "outer/inner" then
+            Alcotest.(check bool) "inner lies within outer" true
+              (event_num "ts" ev >= t0
+              && event_num "ts" ev +. event_num "dur" ev <= t1 +. 1.0))
+        events)
 
 let test_trace_global_off () =
-  Obs.Trace.disable ();
-  (* with no collector installed this must be a plain call *)
-  let r = Obs.Trace.with_span "nothing" (fun () -> 7) in
+  Obs.Profile.disable ();
+  (* with no profiler installed this must be a plain call *)
+  let r = Obs.Profile.with_phase "nothing" (fun () -> 7) in
   Alcotest.(check int) "value passes through" 7 r;
-  Alcotest.(check bool) "no collector" true (Obs.Trace.active () = None)
+  Alcotest.(check bool) "no profiler" true (Obs.Profile.active () = None);
+  (* a timeline records nothing once its profiler is disabled *)
+  let p = with_timeline Fun.id in
+  Obs.Profile.with_phase "late" (fun () -> ());
+  Alcotest.(check (pair int int)) "disabled: no spans" (0, 0)
+    (Obs.Profile.timeline_counts p);
+  (* enabled without a timeline: phases are counted, no span is kept *)
+  let p = Obs.Profile.enable () in
+  Fun.protect
+    ~finally:(fun () -> Obs.Profile.disable ())
+    (fun () ->
+      Obs.Profile.with_phase "counted" (fun () -> ());
+      Alcotest.(check (pair int int)) "no timeline: no spans" (0, 0)
+        (Obs.Profile.timeline_counts p);
+      Alcotest.(check int) "no timeline: no events" 0
+        (List.length (chrome_events p));
+      Alcotest.(check (list int)) "the phase is still counted" [ 1 ]
+        (List.map
+           (fun ph -> ph.Obs.Profile.p_count)
+           (Obs.Profile.snapshot p).Obs.Profile.phases))
+
+let test_trace_cap () =
+  let cap = Obs.Profile.timeline_cap and extra = 10 in
+  with_timeline (fun p ->
+      Obs.Profile.with_phase "bulk" (fun () ->
+          for _ = 1 to cap - 1 + extra do
+            Obs.Profile.with_phase "s" (fun () -> ())
+          done);
+      Alcotest.(check (pair int int)) "kept, dropped" (cap, extra)
+        (Obs.Profile.timeline_counts p);
+      let events = chrome_events p in
+      Alcotest.(check int) "one event per kept span" cap (List.length events);
+      (* the outer phase started first, so it keeps its span *)
+      Alcotest.(check int) "the outer phase is kept" 1
+        (List.length (List.filter (fun ev -> event_path ev = "bulk") events));
+      Alcotest.(check (option int)) "the phase table counts every span"
+        (Some (cap - 1 + extra))
+        (List.find_map
+           (fun ph ->
+             if ph.Obs.Profile.p_path = "bulk/s" then
+               Some ph.Obs.Profile.p_count
+             else None)
+           (Obs.Profile.snapshot p).Obs.Profile.phases))
+
+let test_trace_worker () =
+  with_timeline (fun p ->
+      let worker =
+        Obs.Profile.with_phase "spawner" (fun () ->
+            let base = Obs.Profile.saved_path () in
+            Domain.join
+              (Domain.spawn (fun () ->
+                   Obs.Profile.with_base base (fun () ->
+                       Obs.Profile.with_phase "work" (fun () -> ()));
+                   (Domain.self () :> int))))
+      in
+      match
+        List.filter (fun ev -> event_path ev = "spawner/work") (chrome_events p)
+      with
+      | [ ev ] ->
+          Alcotest.(check string) "named by its own phase" "work"
+            (event_str "name" ev);
+          Alcotest.(check int) "tid is the worker's domain" worker
+            (event_tid ev);
+          Alcotest.(check bool) "not the spawner's domain" true
+            (worker <> (Domain.self () :> int))
+      | evs ->
+          Alcotest.failf "%d events under spawner/work, expected 1"
+            (List.length evs))
 
 (* --- logger ---------------------------------------------------------------- *)
 
@@ -773,7 +888,7 @@ let prop_hdr_quantile =
              Float.max 1e-6 (Float.min 100.0 v))
            (float_range (log 1e-6) (log 100.0))))
   in
-  QCheck_alcotest.to_alcotest
+  Qseed.to_alcotest
     (QCheck2.Test.make ~count:200
        ~name:"hdr quantile within documented relative error"
        ~print:(fun vs ->
@@ -926,7 +1041,7 @@ let prop_profile_conservation =
   let rec show (Ph (s, kids)) =
     s ^ "(" ^ String.concat "," (List.map show kids) ^ ")"
   in
-  QCheck_alcotest.to_alcotest
+  Qseed.to_alcotest
     (QCheck2.Test.make ~count:100
        ~name:"self <= total <= parent, sum of self <= wall"
        ~print:show
@@ -1130,6 +1245,9 @@ let () =
             test_trace_nesting;
           Alcotest.test_case "no-op when disabled" `Quick
             test_trace_global_off;
+          Alcotest.test_case "bounded by the cap" `Quick test_trace_cap;
+          Alcotest.test_case "worker spans nest under the spawner" `Quick
+            test_trace_worker;
         ] );
       ( "log",
         [ Alcotest.test_case "level gating" `Quick test_log_levels ] );

@@ -7,11 +7,11 @@ open Mugraph
 module RT = Verify.Random_test
 
 let qtest ?(count = 60) name gen prop =
-  QCheck_alcotest.to_alcotest
+  Qseed.to_alcotest
     (QCheck2.Test.make ~count ~name ~print:Graph_gen.print_spec gen prop)
 
 let qtest_g ?(count = 60) name gen prop =
-  QCheck_alcotest.to_alcotest
+  Qseed.to_alcotest
     (QCheck2.Test.make ~count ~name ~print:Pretty.kernel_graph_to_string gen
        prop)
 

@@ -612,7 +612,12 @@ let test_slow_forensics =
       Alcotest.(check string) "report schema" Service.Slowlog.report_schema
         (match get_exn [ "schema" ] rep with J.Str s -> s | _ -> "?");
       Alcotest.(check string) "report rid" rid
-        (match get_exn [ "request_id" ] rep with J.Str s -> s | _ -> "?"));
+        (match get_exn [ "request_id" ] rep with J.Str s -> s | _ -> "?");
+      Alcotest.(check (list string)) "artifacts actually written"
+        [ "report.json"; "journal.jsonl" ]
+        (match get_exn [ "artifacts" ] rep with
+        | J.List l -> List.map (function J.Str s -> s | _ -> "?") l
+        | _ -> []));
   (* the acceptance invariant: the slice holds exactly this request's
      events — full lifecycle present, other requests absent *)
   (match Obs.Journal.read_file (Filename.concat rdir "journal.jsonl") with
@@ -1269,7 +1274,7 @@ let test_enospc_mem_only =
 
 (* --- suite ------------------------------------------------------------- *)
 
-let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
+let qsuite tests = List.map Qseed.to_alcotest tests
 
 let () =
   Alcotest.run "service"

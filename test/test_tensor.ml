@@ -5,7 +5,7 @@ open Tensor
 let fops = Element.float_ops
 
 let qcheck ?(count = 100) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+  Qseed.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
 let float_t = Alcotest.float 1e-9
 

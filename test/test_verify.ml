@@ -291,7 +291,7 @@ let test_error_bound () =
 (* --- false-negative-freedom property ------------------------------------ *)
 
 let prop_equivalent_graphs_always_pass =
-  QCheck_alcotest.to_alcotest
+  Qseed.to_alcotest
     (QCheck2.Test.make ~count:30
        ~name:"reassociated elementwise chains always pass"
        QCheck2.Gen.(pair (int_range 2 4) (int_range 2 4))
