@@ -132,7 +132,7 @@ let bench_cmd =
       (fun (b : Workloads.Bench_defs.benchmark) ->
         let cost g = (Gpusim.Cost.cost device g).Gpusim.Cost.total_us in
         let mi = cost b.mirage in
-        Printf.printf "%-10s Mirage %8.2f us |" b.name mi;
+        Printf.printf "%-10s Mirage (template) %8.2f us |" b.name mi;
         List.iter
           (fun (n, g) -> Printf.printf " %s %.2f (%.2fx)" n (cost g) (cost g /. mi))
           b.systems;

@@ -28,8 +28,8 @@ let rec vexp_str (e : Ir.vexp) =
   | Ir.Un (op, a) ->
       let f =
         match op with
-        | Op.Exp -> "exp"
-        | Op.Sqrt -> "sqrt"
+        | Op.Exp -> "__builtin_exp"
+        | Op.Sqrt -> "__builtin_sqrt"
         | Op.Sqr -> "mir_sqr"
         | Op.Silu -> "mir_silu"
         | Op.Relu -> "mir_relu"
@@ -94,15 +94,47 @@ let emit_kernel buf (k : Ir.kernel) =
   List.iter (emit_stmt buf 2) k.Ir.body;
   Buffer.add_string buf "}\n\n"
 
+(* The unary operators a program applies, to emit only the helpers it
+   calls. *)
+let unaries (p : Ir.program) =
+  let rec vexp acc (e : Ir.vexp) =
+    match e with
+    | Ir.Un (op, a) -> vexp (if List.mem op acc then acc else op :: acc) a
+    | Ir.Bin (_, a, b) -> vexp (vexp acc a) b
+    | Ir.Const _ | Ir.Temp _ | Ir.Load _ -> acc
+  in
+  let rec stmt acc (s : Ir.stmt) =
+    match s with
+    | Ir.For { body; _ } -> List.fold_left stmt acc body
+    | Ir.Decl { init = e; _ }
+    | Ir.Assign { e; _ }
+    | Ir.Store { e; _ }
+    | Ir.Store_add { e; _ } ->
+        vexp acc e
+    | Ir.Barrier | Ir.Comment _ -> acc
+  in
+  List.fold_left
+    (fun acc (k : Ir.kernel) -> List.fold_left stmt acc k.Ir.body)
+    [] p.Ir.kernels
+
+let helpers =
+  [
+    (Op.Sqr, "static double mir_sqr(double x) { return x * x; }\n");
+    ( Op.Silu,
+      "static double mir_silu(double x) { return x / (1.0 + \
+       __builtin_exp(-x)); }\n" );
+    ( Op.Relu,
+      "static double mir_relu(double x) { return x > 0.0 ? x : 0.0; }\n" );
+  ]
+
 let emit (p : Ir.program) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
-    (Printf.sprintf "/* Mirage runnable C backend: %s */\n" p.Ir.pname);
-  Buffer.add_string buf "#include <math.h>\n#include <string.h>\n\n";
-  Buffer.add_string buf
-    "static double mir_sqr(double x) { return x * x; }\n\
-     static double mir_silu(double x) { return x / (1.0 + exp(-x)); }\n\
-     static double mir_relu(double x) { return x > 0.0 ? x : 0.0; }\n\n";
+    (Printf.sprintf "/* Mirage runnable C backend: %s */\n\n" p.Ir.pname);
+  let used = unaries p in
+  let helpers = List.filter (fun (op, _) -> List.mem op used) helpers in
+  List.iter (fun (_, src) -> Buffer.add_string buf src) helpers;
+  if helpers <> [] then Buffer.add_string buf "\n";
   (* Inter-kernel temporaries live in BSS so large reduced workloads
      cannot overflow the stack. *)
   if p.Ir.temps <> [] then begin
@@ -162,7 +194,8 @@ let emit (p : Ir.program) =
   List.iteri
     (fun j (b : Ir.buf) ->
       Buffer.add_string buf
-        (Printf.sprintf "  memcpy(out[%d], %s, %d * sizeof(double));\n" j
+        (Printf.sprintf
+           "  __builtin_memcpy(out[%d], %s, %d * sizeof(double));\n" j
            (name_of b) (Ir.numel b)))
     p.Ir.outputs;
   Buffer.add_string buf "}\n";

@@ -1,6 +1,10 @@
 (** Portable C99 renderer for {!Impir.Ir} programs — the runnable
-    backend. The emitted translation unit is self-contained (only
-    [math.h]/[string.h]), computes in double precision, and exports:
+    backend. The emitted translation unit is self-contained: it includes
+    no header, calls [__builtin_exp], [__builtin_sqrt] and
+    [__builtin_memcpy] (gcc and clang lower them to the libm and libc
+    routines the headers would declare, so it still links [-lm]), defines
+    only the [mir_*] helpers the program applies, computes in double
+    precision, and exports:
 
     - [void mirage_entry(const double **in, double **out)] — runs the
       whole program on flat row-major buffers;

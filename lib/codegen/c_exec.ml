@@ -12,10 +12,15 @@ type compiled = {
 let runner_source =
   {c|/* Generic driver for Mirage C-backend shared objects.
    Protocol: raw native doubles for each input on stdin, raw doubles
-   for each output on stdout. Sizes come from the object's metadata. */
+   for each output on stdout. Sizes come from the object's metadata.
+   With a second argument N the entry runs N times on the same inputs
+   and one more double follows the outputs: the nanoseconds the N runs
+   took, read from the monotonic clock. */
+#define _POSIX_C_SOURCE 200809L
 #include <dlfcn.h>
 #include <stdio.h>
 #include <stdlib.h>
+#include <time.h>
 
 typedef int (*count_fn)(void);
 typedef long (*size_fn)(int);
@@ -31,8 +36,13 @@ static void *need(void *h, const char *sym) {
 }
 
 int main(int argc, char **argv) {
-  if (argc != 2) {
-    fprintf(stderr, "usage: runner KERNEL.so\n");
+  if (argc != 2 && argc != 3) {
+    fprintf(stderr, "usage: runner KERNEL.so [ITERATIONS]\n");
+    return 2;
+  }
+  long iters = argc == 3 ? atol(argv[2]) : 0;
+  if (argc == 3 && iters < 1) {
+    fprintf(stderr, "runner: ITERATIONS must be positive\n");
     return 2;
   }
   void *h = dlopen(argv[1], RTLD_NOW | RTLD_LOCAL);
@@ -60,13 +70,24 @@ int main(int argc, char **argv) {
   }
   for (int i = 0; i < no; i++)
     outs[i] = malloc(sizeof(double) * out_size(i));
-  entry(ins, outs);
+  struct timespec t0, t1;
+  clock_gettime(CLOCK_MONOTONIC, &t0);
+  for (long k = 0; k < (iters ? iters : 1); k++) entry(ins, outs);
+  clock_gettime(CLOCK_MONOTONIC, &t1);
   for (int i = 0; i < no; i++)
     if (fwrite(outs[i], sizeof(double), (size_t)out_size(i), stdout) !=
         (size_t)out_size(i)) {
       fprintf(stderr, "runner: short write on output %d\n", i);
       return 2;
     }
+  if (iters) {
+    double ns = (double)(t1.tv_sec - t0.tv_sec) * 1e9 +
+                (double)(t1.tv_nsec - t0.tv_nsec);
+    if (fwrite(&ns, sizeof(double), 1, stdout) != 1) {
+      fprintf(stderr, "runner: short write on the timing\n");
+      return 2;
+    }
+  }
   fflush(stdout);
   for (int i = 0; i < ni; i++) free((void *)ins[i]);
   for (int i = 0; i < no; i++) free(outs[i]);
@@ -188,8 +209,13 @@ let compile ?(cflags = [ "-O1" ]) ~dir (prog : Ir.program) =
       Error (Printf.sprintf "cc unavailable: %s" (Unix.error_message e))
   | Unix.WEXITED 0 -> begin
       (* One runner per directory, compiled with the same flags so an
-         ASAN-instrumented object links against a matching runtime. *)
-      let runner = Filename.concat dir "runner" in
+         ASAN-instrumented object links against a matching runtime, and
+         named after its source so a directory kept from an older
+         runner never serves this protocol. *)
+      let runner =
+        let tag = Digest.to_hex (Digest.string runner_source) in
+        Filename.concat dir ("runner-" ^ String.sub tag 0 8)
+      in
       let runner_ok =
         Sys.file_exists runner
         ||
@@ -245,7 +271,7 @@ let read_doubles ic n =
   really_input ic b 0 (8 * n);
   Array.init n (fun i -> Int64.float_of_bits (Bytes.get_int64_ne b (i * 8)))
 
-let run (c : compiled) (inputs : float array list) =
+let exec ?iters (c : compiled) (inputs : float array list) =
   let expected =
     List.map (fun (b : Ir.buf) -> Ir.numel b) c.prog.Ir.inputs
   in
@@ -258,6 +284,11 @@ let run (c : compiled) (inputs : float array list) =
   else begin
     let out_sizes = List.map Ir.numel c.prog.Ir.outputs in
     let total_out = List.fold_left ( + ) 0 out_sizes in
+    let argv =
+      match iters with
+      | None -> [| c.runner; c.so_file |]
+      | Some n -> [| c.runner; c.so_file; string_of_int n |]
+    in
     (* A runner that dies mid-protocol (dlopen failure, ASAN abort) must
        surface as an Error, not kill this process via SIGPIPE. *)
     let old_sigpipe =
@@ -270,9 +301,7 @@ let run (c : compiled) (inputs : float array list) =
       | None -> ()
     in
     match
-      Unix.open_process_args_full c.runner
-        [| c.runner; c.so_file |]
-        (Unix.environment ())
+      Unix.open_process_args_full c.runner argv (Unix.environment ())
     with
     | exception e ->
         restore ();
@@ -286,7 +315,10 @@ let run (c : compiled) (inputs : float array list) =
             List.iter (write_doubles proc_in) inputs;
             flush proc_in;
             close_out proc_in;
-            let flat = read_doubles proc_out total_out in
+            let timed = Option.is_some iters in
+            let flat =
+              read_doubles proc_out (total_out + if timed then 1 else 0)
+            in
             let outs =
               let off = ref 0 in
               List.map
@@ -296,7 +328,7 @@ let run (c : compiled) (inputs : float array list) =
                   a)
                 out_sizes
             in
-            Ok outs
+            Ok (outs, if timed then flat.(total_out) *. 1e-9 else 0.0)
           with
           | End_of_file -> Error "runner produced short output"
           | Sys_error m -> Error (Printf.sprintf "runner I/O error: %s" m)
@@ -322,3 +354,11 @@ let run (c : compiled) (inputs : float array list) =
               (Printf.sprintf "runner %s%s" (status_str st)
                  (if stderr_txt = "" then "" else ":\n" ^ stderr_txt)))
   end
+
+let run c inputs = Result.map fst (exec c inputs)
+
+let time c ~iters inputs =
+  if iters < 1 then invalid_arg "C_exec.time: iters < 1";
+  Result.map
+    (fun (outs, total_s) -> (outs, total_s /. float_of_int iters))
+    (exec ~iters c inputs)

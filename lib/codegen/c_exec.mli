@@ -5,7 +5,10 @@
     builds a tiny generic runner that [dlopen]s any such object. The
     runner speaks a ctypes-free subprocess protocol: raw native-endian
     doubles for every input on stdin, raw doubles for every output on
-    stdout, sizes taken from the object's own metadata symbols.
+    stdout, sizes taken from the object's own metadata symbols. Given an
+    iteration count it runs the entry that many times in its own process
+    and appends the elapsed nanoseconds, so {!time} measures the kernel
+    and not the fork and [dlopen] around it.
 
     Everything lands in the caller-chosen directory so a failing case
     leaves its [.c] file behind for forensics. *)
@@ -40,3 +43,12 @@ val run :
 (** Execute on one input set (flat row-major arrays, matching the
     program's input buffers). Errors carry the runner's stderr — an ASAN
     report, a size mismatch, or a crash. *)
+
+val time :
+  compiled -> iters:int -> float array list ->
+  (float array list * float, string) result
+(** [time c ~iters inputs] runs the entry [iters] times on one input set
+    inside one runner process and returns the outputs of the last run
+    and the mean seconds per run, timed in the runner with the monotonic
+    clock (no fork, [dlopen] or pipe I/O inside the interval). Raises
+    [Invalid_argument] when [iters < 1]. *)

@@ -104,6 +104,100 @@ type stmt =
   | Barrier
   | Comment of string
 
+(* ------------------------------------------------------------------ *)
+(* Loop collapse                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let rec map_vexp f = function
+  | Load (b, i) -> Load (b, f i)
+  | Bin (op, a, b) -> Bin (op, map_vexp f a, map_vexp f b)
+  | Un (op, a) -> Un (op, map_vexp f a)
+  | (Const _ | Temp _) as e -> e
+
+(* Rewrite every load and store index under a statement with [f]. *)
+let rec map_indices f = function
+  | For l -> For { l with body = List.map (map_indices f) l.body }
+  | Decl d -> Decl { d with init = map_vexp f d.init }
+  | Assign a -> Assign { a with e = map_vexp f a.e }
+  | Store s -> Store { s with idx = f s.idx; e = map_vexp f s.e }
+  | Store_add s -> Store_add { s with idx = f s.idx; e = map_vexp f s.e }
+  | (Barrier | Comment _) as s -> s
+
+(* An index as a linear form [c + sum k_i * t_i] over atoms [t_i], in
+   first-occurrence order: sums and constant multiples are opened, every
+   other node is an atom. *)
+type lin = { c : int; ts : (iexp * int) list }
+
+let rec terms = function
+  | Iconst n -> { c = n; ts = [] }
+  | Iadd (a, b) ->
+      let a = terms a and b = terms b in
+      let ts =
+        List.fold_left
+          (fun acc (t, k) ->
+            if List.mem_assoc t acc then
+              List.map (fun (t', k') -> (t', if t' = t then k' + k else k')) acc
+            else acc @ [ (t, k) ])
+          a.ts b.ts
+      in
+      { c = a.c + b.c; ts }
+  | Imul (a, Iconst k) | Imul (Iconst k, a) ->
+      let l = terms a in
+      { c = l.c * k; ts = List.map (fun (t, k') -> (t, k' * k)) l.ts }
+  | e -> { c = 0; ts = [ (e, 1) ] }
+
+let iexp_of_lin l =
+  let sum acc (t, k) = iadd acc (imul t (iconst k)) in
+  iadd (List.fold_left sum (iconst 0) l.ts) (iconst l.c)
+
+(* Rewrite an index over [o] in [0, no) and [i] in [0, ni) into one over
+   [o' = o*ni + i]: [o*(k*ni) + i*k + r] becomes [o'*k + r]. Raises
+   [Exit] when the index reads [o] or [i] in any other way. *)
+let fuse_index ~o ~i ~ni e =
+  let uses t = List.exists (fun v -> v = o || v = i) (iexp_vars t) in
+  if not (uses e) then e
+  else
+    let l = terms e in
+    let direct t = t = Ivar o || t = Ivar i in
+    match (List.assoc_opt (Ivar o) l.ts, List.assoc_opt (Ivar i) l.ts) with
+    | Some ko, Some ki
+      when ko = ki * ni
+           && List.for_all (fun (t, _) -> direct t || not (uses t)) l.ts ->
+        iexp_of_lin
+          {
+            l with
+            ts =
+              List.filter_map
+                (fun (t, k) ->
+                  if t = Ivar i then None
+                  else if t = Ivar o then Some (t, ki)
+                  else Some (t, k))
+                l.ts;
+          }
+    | _ -> raise Exit
+
+(* Bottom-up: a [Serial] loop whose whole body is one [Serial] loop
+   becomes one loop over the product of the extents, named after the
+   outer variable, when every index in the inner body fuses. The fused
+   loop visits the same (outer, inner) points in the same order. *)
+let rec collapse_stmt = function
+  | For ({ kind = Serial; _ } as l) -> (
+      let body = List.map collapse_stmt l.body in
+      match body with
+      | [ For ({ kind = Serial; _ } as inner) ] -> (
+          let fuse = fuse_index ~o:l.v ~i:inner.v ~ni:inner.n in
+          try
+            For
+              {
+                l with
+                n = l.n * inner.n;
+                body = List.map (map_indices fuse) inner.body;
+              }
+          with Exit -> For { l with body })
+      | _ -> For { l with body })
+  | For l -> For { l with body = List.map collapse_stmt l.body }
+  | s -> s
+
 type kernel = {
   kname : string;
   params : buf list;
@@ -127,6 +221,10 @@ type program = {
   kernels : kernel list;
   calls : (string * buf list) list;
 }
+
+let collapse p =
+  let kernel k = { k with body = List.map collapse_stmt k.body } in
+  { p with kernels = List.map kernel p.kernels }
 
 let output_size p =
   List.fold_left (fun acc b -> acc + numel b) 0 p.outputs

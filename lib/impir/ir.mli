@@ -126,5 +126,21 @@ val check_program : program -> (unit, string) result
     loop bounds, grid loops agreeing with the kernel's grid. The qcheck
     totality property runs every lowered graph through this. *)
 
+val collapse : program -> program
+(** Merge each perfect nest of two [Serial] loops — the outer loop's
+    whole body is the inner loop — into one loop over the product of
+    their extents, when every index in the inner body reads the two
+    variables only as [(outer*n_inner + inner)*k]. The merged loop keeps
+    the outer variable's name and visits the same points in the same
+    order, so every store and load touches the same addresses in the
+    same sequence; applied bottom-up, a contiguous row-major nest
+    becomes one loop. Each index is read as written: sums and constant
+    multiples are opened and any other node (a quotient, a remainder) is
+    an opaque term, so a nest whose index divides its variables stays
+    as it is. Only integer index arithmetic and loop structure change;
+    no float operation is touched. [Grid], [Forloop] and [Reduce] loops
+    are never merged, so grid and data-stream structure and reduction
+    order stay as they are. *)
+
 val output_size : program -> int
 (** Total number of scalars across the program outputs. *)

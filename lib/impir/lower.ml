@@ -143,6 +143,13 @@ let op_lower ctx (p : Op.prim) ~(dst : Ir.buf) ~(ins : Ir.buf list) :
           let ci = Array.copy co in
           ci.(dim) <- Ir.imod co.(dim) (Ir.iconst x.shape.(dim));
           [ store dst co (load x ci) ])
+  | Op.Reshape _, [ x ]
+    when Ir.strides x = Layout.strides Layout.Row_major x.shape
+         && Ir.strides dst = Layout.strides Layout.Row_major dst.shape ->
+      (* Both buffers row-major: element i of one is element i of the
+         other, so one flat loop copies them. *)
+      for_loop ctx (Ir.numel dst) (fun i ->
+          [ Ir.Store { dst; idx = i; e = Ir.Load (x, i) } ])
   | Op.Reshape _, [ x ] ->
       (* Row-major reinterpretation: linearize the output coordinate and
          delinearize over the input shape. *)
@@ -500,7 +507,7 @@ let lower_block ctx ~kname ~(kin_bufs : Ir.buf list)
 (* Whole programs                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let lower ?layouts ~name (g : Graph.kernel_graph) : Ir.program =
+let nests ?layouts ~name (g : Graph.kernel_graph) : Ir.program =
   let shapes = Infer.kernel_shapes g in
   let layouts =
     match layouts with Some l -> l | None -> Opt.Layout_opt.optimize g
@@ -606,3 +613,5 @@ let lower ?layouts ~name (g : Graph.kernel_graph) : Ir.program =
     kernels = List.rev !kernels;
     calls = List.rev !calls;
   }
+
+let lower ?layouts ~name g = Ir.collapse (nests ?layouts ~name g)

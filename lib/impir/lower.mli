@@ -19,7 +19,19 @@
     - thread graphs compute through [Local] (register) buffers.
 
     Shared-memory offsets come from {!Opt.Memplan.plan_block} and every
-    address is built by {!Ir.index} from the buffer's layout strides. *)
+    address is built by {!Ir.index} from the buffer's layout strides,
+    except that a [Reshape] between two row-major buffers is one flat
+    loop that reads the index it writes. Perfect serial nests then go
+    through {!Ir.collapse}, which touches no float operation or its
+    order. *)
+
+val nests :
+  ?layouts:(int * Opt.Layout_opt.assignment) list ->
+  name:string ->
+  Mugraph.Graph.kernel_graph ->
+  Ir.program
+(** The lowering up to its last pass: every loop nest as built. [lower]
+    is {!Ir.collapse} of this; the collapse test compares the two. *)
 
 val lower :
   ?layouts:(int * Opt.Layout_opt.assignment) list ->

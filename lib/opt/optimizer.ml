@@ -81,6 +81,11 @@ let optimize ?budget (device : Gpusim.Device.t) (g : Graph.kernel_graph) =
         0 kernels;
   }
 
+let layouts r =
+  List.filter_map
+    (fun k -> Option.map (fun l -> (k.node, l)) k.layout)
+    r.kernels
+
 let fits (device : Gpusim.Device.t) r =
   r.smem_peak_bytes <= device.Gpusim.Device.smem_per_sm_bytes
 

@@ -27,6 +27,10 @@ val optimize :
     deadline both degrade (ILP incumbent / greedy layouts, first-fit
     plans) instead of running to completion or crashing. *)
 
+val layouts : report -> (int * Layout_opt.assignment) list
+(** Each custom kernel's layout assignment, keyed by its node: the form
+    [Impir.Lower.lower ~layouts] takes. *)
+
 val fits : Gpusim.Device.t -> report -> bool
 (** Planned peak fits the device's shared memory. *)
 

@@ -59,6 +59,12 @@ if cc -xc -o /tmp/mirage_ci_ccprobe - <<<'int main(void){return 0;}' \
   dune exec bin/mirage_cli.exe -- verify rmsnorm --differential
   dune exec bin/mirage_cli.exe -- verify gatedmlp --differential
   dune exec bin/mirage_cli.exe -- run-winner /tmp/mirage_ci_run
+  echo "== codegen smoke: bench codegen --json has a row per Fig. 7 template plan"
+  dune exec bench/main.exe -- codegen --json /tmp/mirage_ci_codegen.json >/dev/null
+  dune exec tools/json_check.exe -- /tmp/mirage_ci_codegen.json
+  for wl in gqa qknorm rmsnorm lora gatedmlp ntrans; do
+    grep -q "\"benchmark\":\"$wl\",\"c_lines\"" /tmp/mirage_ci_codegen.json
+  done
 else
   echo "*** SKIPPING codegen smoke: no working C compiler (cc) on this host ***"
 fi
@@ -267,9 +273,12 @@ echo "== bench history regression gate (Fig. 7 + verifier + service + enum + cod
 # recorded and drift-gated only — time-slicing domains on one core
 # cannot speed up), and it hard-asserts the prune-query cache actually
 # persists and answers from disk (warm solve time, disk_hits > 0). The
-# codegen suite times the runnable backend's lower+compile wall for the
-# rmsnorm winner (gated one-sided: only an increase fails) and records
-# executed-vs-interpreter throughput.
+# codegen suite takes the six Fig. 7 template plans through the
+# optimizer's layouts, the lowering and cc: per plan it gates the
+# emitted C's line count (deterministic, increase-only, no slack) and
+# the lower+compile wall (one-sided: only an increase fails), and it
+# records the kernel's throughput over the interpreter's, timed inside
+# the runner.
 cp BENCH_history.jsonl /tmp/mirage_ci_history.jsonl
 dune exec bench/main.exe -- fig7 verify serve profile enum codegen \
   --history /tmp/mirage_ci_history.jsonl --gate 5 >/dev/null

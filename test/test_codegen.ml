@@ -17,6 +17,12 @@
    function {!Impir.Ir.index} of each shared buffer evaluates, at every
    coordinate, to the dot product with that layout's strides.
 
+   The lean-C group checks the lowering's integer-only rewrites:
+   collapsing loop nests moves no store or load of a Fig. 7 plan, and
+   the C the plans emit is lean (no header, no division left in a
+   row-major reshape, fewer lines than before the flat reshapes and
+   the collapse).
+
    The differential suite is the end-to-end gate: each Figure 7
    workload's winning muGraph (the reduced Mirage plan, plus one winner
    produced by an actual tiny-budget search) is lowered, compiled with
@@ -73,10 +79,8 @@ __global__ void rmsnorm_kernel_3(const half *a0, const half *a1, const half *a2,
   auto s10 /*[4][8] row-major*/ = smem + 64;
   const int g0 = blockIdx.x; // 2 thread blocks on axis 0
   // s5 = 0
-  for (int i0 = 0; i0 < 4; ++i0) {
-    for (int i1 = 0; i1 < 8; ++i1) {
-      s5[((i0 * 8) + i1)] = 0.0f;
-    }
+  for (int i0 = 0; i0 < 32; ++i0) {
+    s5[i0] = 0.0f;
   }
   // s8 = 0
   for (int i2 = 0; i2 < 4; ++i2) {
@@ -107,10 +111,8 @@ __global__ void rmsnorm_kernel_3(const half *a0, const half *a1, const half *a2,
       }
     }
     // ew_sqr(s6, s0)
-    for (int i15 = 0; i15 < 4; ++i15) {
-      for (int i16 = 0; i16 < 4; ++i16) {
-        s6[((i15 * 4) + i16)] = sqr(s0[((i15 * 4) + i16)]);
-      }
+    for (int i15 = 0; i15 < 16; ++i15) {
+      s6[i15] = sqr(s0[i15]);
     }
     __syncthreads();
     // mma_tile(s4, s3, s2)
@@ -133,10 +135,8 @@ __global__ void rmsnorm_kernel_3(const half *a0, const half *a1, const half *a2,
     }
     __syncthreads();
     // accumulate(s5, s4, f{phi})
-    for (int i24 = 0; i24 < 4; ++i24) {
-      for (int i25 = 0; i25 < 8; ++i25) {
-        s5[((i24 * 8) + i25)] += s4[((i24 * 8) + i25)];
-      }
+    for (int i24 = 0; i24 < 32; ++i24) {
+      s5[i24] += s4[i24];
     }
     // accumulate(s8, s7, f{phi})
     for (int i26 = 0; i26 < 4; ++i26) {
@@ -194,12 +194,6 @@ void concat_launch(Tensors &t) {
    metadata/entry points are all pinned here. *)
 let golden_concat_c = {golden|
 /* Mirage runnable C backend: concat */
-#include <math.h>
-#include <string.h>
-
-static double mir_sqr(double x) { return x * x; }
-static double mir_silu(double x) { return x / (1.0 + exp(-x)); }
-static double mir_relu(double x) { return x > 0.0 ? x : 0.0; }
 
 /* inter-kernel temporaries */
 static double t4_0[20]; /* [4][5] */
@@ -223,10 +217,8 @@ static void concat_op_4(const double *a0, const double *a1, const double *a2, co
 
 static void concat_op_5(const double *a0, double *o0) {
   /* o0 = EwExp(a0) */
-  for (int i0 = 0; i0 < 4; ++i0) {
-    for (int i1 = 0; i1 < 5; ++i1) {
-      o0[((i0 * 5) + i1)] = exp(a0[((i0 * 5) + i1)]);
-    }
+  for (int i0 = 0; i0 < 20; ++i0) {
+    o0[i0] = __builtin_exp(a0[i0]);
   }
 }
 
@@ -254,7 +246,7 @@ long mirage_output_size(int i) {
 void mirage_entry(const double **in, double **out) {
   concat_op_4(in[0], in[1], in[2], in[3], t4_0);
   concat_op_5(t4_0, t5_0);
-  memcpy(out[0], t5_0, 20 * sizeof(double));
+  __builtin_memcpy(out[0], t5_0, 20 * sizeof(double));
 }
 |golden}
 
@@ -428,6 +420,164 @@ let test_layout_roundtrip () =
     (Printf.sprintf "checked %d shared buffers" !checked)
     true (!checked > 10)
 
+(* --- loop collapse and lean C ------------------------------------------ *)
+
+module Ir = Impir.Ir
+
+let iter_box extents f =
+  let n = Array.length extents in
+  let pt = Array.make n 0 in
+  let rec go d =
+    if d = n then f pt
+    else
+      for v = 0 to extents.(d) - 1 do
+        pt.(d) <- v;
+        go (d + 1)
+      done
+  in
+  go 0
+
+(* The six Fig. 7 template plans on the path codegen_fig7 takes: the
+   optimizer's layouts, then the lowering. *)
+let fig7_programs lower =
+  List.map
+    (fun (b : Workloads.Bench_defs.benchmark) ->
+      let name = b.Workloads.Bench_defs.name in
+      let _, plan = b.Workloads.Bench_defs.reduced () in
+      let layouts =
+        Opt.Optimizer.layouts (Opt.Optimizer.optimize Gpusim.Device.a100 plan)
+      in
+      (name, lower ~layouts ~name plan))
+    (Workloads.Bench_defs.all ())
+
+(* Every store and load of a kernel body in statement order, each with
+   the addresses it touches over its enclosing loops, in iteration
+   order. *)
+let accesses body =
+  let sites = ref [] in
+  let site loops kind (b : Ir.buf) idx =
+    let loops = Array.of_list (List.rev loops) in
+    let addrs = ref [] in
+    iter_box (Array.map snd loops) (fun pt ->
+        let env v =
+          let rec find d =
+            if fst loops.(d) = v then pt.(d) else find (d + 1)
+          in
+          find 0
+        in
+        addrs := Ir.eval_iexp env idx :: !addrs);
+    sites := (kind, b.Ir.bname, List.rev !addrs) :: !sites
+  in
+  let rec vexp loops = function
+    | Ir.Load (b, i) -> site loops "load" b i
+    | Ir.Bin (_, a, b) ->
+        vexp loops a;
+        vexp loops b
+    | Ir.Un (_, a) -> vexp loops a
+    | Ir.Const _ | Ir.Temp _ -> ()
+  in
+  let rec stmt loops = function
+    | Ir.For { v; n; body; _ } -> List.iter (stmt ((v, n) :: loops)) body
+    | Ir.Decl { init = e; _ } | Ir.Assign { e; _ } -> vexp loops e
+    | Ir.Store { dst; idx; e } | Ir.Store_add { dst; idx; e } ->
+        vexp loops e;
+        site loops "store" dst idx
+    | Ir.Barrier | Ir.Comment _ -> ()
+  in
+  List.iter (stmt []) body;
+  List.rev !sites
+
+let rec count_loops body =
+  List.fold_left
+    (fun acc -> function
+      | Ir.For { body; _ } -> acc + 1 + count_loops body
+      | _ -> acc)
+    0 body
+
+(* Collapsing changes no access: each store and load of every Fig. 7
+   plan touches the same addresses, in the same order, as in the
+   uncollapsed nest. *)
+let test_collapse_addresses () =
+  let merged = ref 0 in
+  List.iter2
+    (fun (name, (nested : Ir.program)) (_, (flat : Ir.program)) ->
+      List.iter2
+        (fun (kn : Ir.kernel) (kf : Ir.kernel) ->
+          let a = accesses kn.Ir.body and b = accesses kf.Ir.body in
+          Alcotest.(check int)
+            (Printf.sprintf "%s/%s sites" name kn.Ir.kname)
+            (List.length a) (List.length b);
+          List.iteri
+            (fun j ((ka, ba, xa), (kb, bb, xb)) ->
+              if ka <> kb || ba <> bb || xa <> xb then
+                Alcotest.failf "%s/%s: access %d (%s %s) moved under collapse"
+                  name kn.Ir.kname j ka ba)
+            (List.combine a b);
+          merged := !merged + count_loops kn.Ir.body - count_loops kf.Ir.body)
+        nested.Ir.kernels flat.Ir.kernels)
+    (fig7_programs (fun ~layouts -> Impir.Lower.nests ~layouts))
+    (fig7_programs (fun ~layouts -> Impir.Lower.lower ~layouts));
+  Alcotest.(check bool)
+    (Printf.sprintf "%d loops merged" !merged)
+    true (!merged > 10)
+
+(* What cc gets for the Fig. 7 plans: no header, no quotient or
+   remainder left in a row-major [Reshape], and fewer lines than the
+   1 044 the six plans took before flat reshapes and loop
+   collapse. *)
+let test_fig7_lean_c () =
+  let total = ref 0 in
+  List.iter
+    (fun (name, prog) ->
+      let c = Codegen.C_emit.emit prog in
+      total := !total + Codegen.C_emit.loc c;
+      if Astring_contains.contains c "#include" then
+        Alcotest.failf "%s: emitted C includes a header" name;
+      let lines = Array.of_list (String.split_on_char '\n' c) in
+      let row_major buf =
+        (* kernel-level buffers are row-major globals; a shared one says
+           its layout where it is declared *)
+        let decl = Printf.sprintf "static double %s[" buf in
+        not
+          (Array.exists
+             (fun l ->
+               Astring_contains.contains l decl
+               && not (Astring_contains.contains l "row-major"))
+             lines)
+      in
+      let reshape_of l =
+        let t = String.trim l in
+        if Astring_contains.contains t "= Reshape[" then Some []
+        else
+          Scanf.sscanf_opt t "/* reshape(%[^,], %[^)]) */" (fun d s ->
+              [ d; s ])
+      in
+      let n = Array.length lines in
+      Array.iteri
+        (fun i l ->
+          match reshape_of l with
+          | Some bufs when List.for_all row_major bufs ->
+              let j = ref (i + 1) in
+              while
+                !j < n
+                && (let t = String.trim lines.(!j) in
+                    not
+                      (String.length t >= 2 && String.sub t 0 2 = "/*"
+                      || lines.(!j) = "}"))
+              do
+                let l = lines.(!j) in
+                if String.contains l '/' || String.contains l '%' then
+                  Alcotest.failf "%s: a row-major reshape still divides: %s"
+                    name (String.trim l);
+                incr j
+              done
+          | _ -> ())
+        lines)
+    (fig7_programs (fun ~layouts -> Impir.Lower.lower ~layouts));
+  Alcotest.(check bool)
+    (Printf.sprintf "six plans emit %d lines (< 1044)" !total)
+    true (!total < 1044)
+
 (* --- differential: generated code vs the interpreter ------------------- *)
 
 let report_dir =
@@ -496,6 +646,39 @@ let test_search_winner_differential () =
     run_differential ~name:"search_winner" winner
   end
 
+(* The in-runner timing protocol: N runs of the entry in one process give
+   the single run's outputs bit for bit (every kernel re-initializes its
+   scratch), and a positive time per run. *)
+let test_timed_runs () =
+  if not (Codegen.C_exec.cc_available ()) then skip_no_cc ()
+  else
+    let dir = Filename.concat report_dir "timed" in
+    List.iter
+      (fun (name, prog) ->
+        match Codegen.C_exec.compile ~dir prog with
+        | Error m -> Alcotest.failf "%s: %s" name m
+        | Ok c -> (
+            let st = Random.State.make [| 5 |] in
+            let ins =
+              List.map
+                (fun (b : Ir.buf) ->
+                  Array.init (Ir.numel b) (fun _ -> Random.State.float st 2.0))
+                prog.Ir.inputs
+            in
+            match
+              (Codegen.C_exec.run c ins, Codegen.C_exec.time c ~iters:5 ins)
+            with
+            | Ok once, Ok (timed, per_run) ->
+                let bits a = Array.map Int64.bits_of_float a in
+                Alcotest.(check bool)
+                  (name ^ " timed outputs = single run") true
+                  (List.map bits once = List.map bits timed);
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s %.3g s per run" name per_run)
+                  true (per_run > 0.0)
+            | Error m, _ | _, Error m -> Alcotest.failf "%s: %s" name m))
+      (fig7_programs (fun ~layouts -> Impir.Lower.lower ~layouts))
+
 let () =
   Alcotest.run "codegen"
     [
@@ -516,9 +699,17 @@ let () =
           Alcotest.test_case "layouts honored by emitted addressing" `Quick
             test_layout_roundtrip;
         ] );
+      ( "lean C",
+        [
+          Alcotest.test_case "collapse keeps every fig7 access" `Quick
+            test_collapse_addresses;
+          Alcotest.test_case "fig7 C is lean" `Quick test_fig7_lean_c;
+        ] );
       ( "differential",
         Alcotest.test_case "search winner end-to-end" `Quick
           test_search_winner_differential
+        :: Alcotest.test_case "timed runs repeat the single run" `Quick
+             test_timed_runs
         :: List.map
              (fun n ->
                Alcotest.test_case (n ^ " vs interpreter") `Quick
