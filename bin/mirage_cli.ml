@@ -826,16 +826,24 @@ let explain_cmd =
           | Some (Obs.Jsonw.Str s) -> s
           | _ -> "?"
         in
-        (* a block-level try of a root class stands for its members *)
+        (* a block-level try of a root class stands for its members; a
+           prefix's tries counted in bulk share one reject event *)
         let roots =
           match Obs.Jsonw.member "roots" last with
           | Some (Obs.Jsonw.Int k) ->
               Printf.sprintf ", for each of the %d roots of its root class" k
           | _ -> ""
         in
+        let tries =
+          match Obs.Jsonw.member "tries" last with
+          | Some (Obs.Jsonw.Int n) ->
+              Printf.sprintf " (%d tries of one prefix, counted in bulk)" n
+          | _ -> ""
+        in
         (match Obs.Journal.typ_of last with
         | "cand.reject" ->
-            Printf.printf "-- rejected: %s%s\n" (str_field "reason" last) roots
+            Printf.printf "-- rejected: %s%s%s\n" (str_field "reason" last)
+              tries roots
         | "cand.accept" ->
             Printf.printf "-- accepted into the search prefix%s\n" roots
         | "graph.emit" ->

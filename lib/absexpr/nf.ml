@@ -8,12 +8,59 @@ and term = { sf : int; num : atom list; den : den }
 
 and t = term list
 
-(* Structural comparison; all payloads are pure data so the polymorphic
-   compare is a total order suitable for sorted-multiset canonicity. *)
-let compare_atom : atom -> atom -> int = Stdlib.compare
-let compare_dfac : dfac -> dfac -> int = Stdlib.compare
-let compare_term : term -> term -> int = Stdlib.compare
-let compare : t -> t -> int = Stdlib.compare
+(* Structural comparison, a total order for sorted-multiset canonicity.
+   Typed, and of the same sign as [Stdlib.compare] on every pair, which
+   the sorted forms (and so every printed form, hash and stored key)
+   were built with: constructors by declaration order, then their
+   fields left to right; records field by field; [[]] below a cons;
+   strings as [String.compare] orders them. *)
+let rec compare_list cmp l l' =
+  match (l, l') with
+  | [], [] -> 0
+  | [], _ :: _ -> -1
+  | _ :: _, [] -> 1
+  | x :: r, x' :: r' ->
+      let c = cmp x x' in
+      if c <> 0 then c else compare_list cmp r r'
+
+let rec compare_atom a a' =
+  if a == a' then 0
+  else
+    match (a, a') with
+    | A_var x, A_var x' -> String.compare x x'
+    | A_exp n, A_exp n' | A_sqrt n, A_sqrt n' | A_silu n, A_silu n' ->
+        compare n n'
+    | _ -> Int.compare (atom_tag a) (atom_tag a')
+
+and atom_tag = function A_var _ -> 0 | A_exp _ -> 1 | A_sqrt _ -> 2 | A_silu _ -> 3
+
+and compare_dfac f f' =
+  if f == f' then 0
+  else
+    match (f, f') with
+    | D_atom a, D_atom a' -> compare_atom a a'
+    | D_opaque n, D_opaque n' -> compare n n'
+    | D_inv d, D_inv d' -> compare_den d d'
+    | _ -> Int.compare (dfac_tag f) (dfac_tag f')
+
+and dfac_tag = function D_atom _ -> 0 | D_opaque _ -> 1 | D_inv _ -> 2
+
+and compare_den d d' =
+  let c = Int.compare d.dsum d'.dsum in
+  if c <> 0 then c else compare_list compare_dfac d.dfacs d'.dfacs
+
+and compare_term s s' =
+  if s == s' then 0
+  else
+    let c = Int.compare s.sf s'.sf in
+    if c <> 0 then c
+    else
+      let c = compare_list compare_atom s.num s'.num in
+      if c <> 0 then c else compare_den s.den s'.den
+
+and compare (n : t) (n' : t) =
+  if n == n' then 0 else compare_list compare_term n n'
+
 let equal a b = compare a b = 0
 
 let sort_atoms l = List.sort compare_atom l

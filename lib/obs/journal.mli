@@ -20,7 +20,16 @@
     {v
     {"seq":412,"ts":0.0137,"dom":3,"ev":"cand.reject",
      "cand":4217,"reason":"pruned_abstract", ...event fields...}
-    v} *)
+    v}
+
+    Two fields say how many tries an enumerator event stands for. A
+    block-level event of a root class of k > 1 roots carries
+    ["roots": k]. A [cand.reject] for the tries a prefix counts in bulk
+    (rejects final at birth, and the rank rejects it never visits)
+    carries ["tries": n], has no [cand.expand] before it and no ["op"];
+    a visited try's events carry neither. So a reason's count in the
+    search stats is the sum of [tries * roots] over its [cand.reject]
+    events, each factor 1 when absent. *)
 
 type t
 

@@ -182,49 +182,53 @@ let tally (cfg : Config.t) stats =
     Tally.[ Shape; Memory; Duplicate; Pruned; Canonical; Phase; Dangling ]
 
 (* What every root class of one search shares, made once per search:
-   the spec's output shapes. *)
+   the spec's inputs (shape, name and normal form) and output shapes. *)
 type search = {
   cfg : Config.t;
-  spec : Graph.kernel_graph;
   limits : Memory.limits;
   out_shapes : Shape.t list;
+  input_shapes : Shape.t list;
+  input_names : string list;
+  input_nfs : Absexpr.Nf.t array;
 }
 
 let prepare cfg ~spec ~limits =
-  { cfg; spec; limits; out_shapes = Infer.output_shapes spec }
-
-let search_root { cfg; spec; limits; out_shapes } ~memo ~budget ?spawn
-    ~(emit : emit) cls =
-  let root = cls.rep in
-  let input_shapes = Graph.input_shapes spec in
   let input_names = Graph.input_names spec in
-  let n_inputs = List.length input_shapes in
+  {
+    cfg;
+    limits;
+    out_shapes = Infer.output_shapes spec;
+    input_shapes = Graph.input_shapes spec;
+    input_names;
+    input_nfs = Array.of_list (List.map Absexpr.Nf.nf_var input_names);
+  }
+
+let search_root
+    { cfg; limits; out_shapes; input_shapes; input_names; input_nfs }
+    ~memo ~budget ?spawn ~(emit : emit) cls =
+  let root = cls.rep in
+  let n_inputs = Array.length input_nfs in
   let elt_bytes = limits.Memory.elt_bytes in
   let smem_limit = limits.Memory.smem_bytes_per_block in
   let iters = Array.fold_left ( * ) 1 root.forloop in
   let has_loop = iters > 1 in
-  (* Each member's input-iterator nodes, the only part of an emitted
-     graph that differs between members. *)
-  let member_initers =
-    Array.map
-      (Array.mapi (fun input (imap, fmap) ->
-           { Graph.bop = Graph.B_initer { input; imap; fmap }; bins = [] }))
-      cls.members
+  let initer input (imap, fmap) =
+    { Graph.bop = Graph.B_initer { input; imap; fmap }; bins = [] }
   in
   (* One input iterator per spec input, the representative's. *)
   let inputs =
     List.mapi
-      (fun i (shape, name) ->
+      (fun i shape ->
         let tile, phase =
           initer_view ~grid:root.grid ~forloop:root.forloop shape
             root.initers.(i)
         in
         {
-          Prefix.op = member_initers.(0).(i).Graph.bop;
+          Prefix.op = (initer i root.initers.(i)).Graph.bop;
           ins = [];
-          value = Prefix.value tile (Absexpr.Nf.nf_var name) phase;
+          value = Prefix.value tile input_nfs.(i) phase;
         })
-      (List.combine input_shapes input_names)
+      input_shapes
   in
   let bytes (v : value) = v.numel * elt_bytes in
   let smem0 =
@@ -334,7 +338,9 @@ let search_root { cfg; spec; limits; out_shapes } ~memo ~budget ?spawn
               | exception (Graph.Ill_formed _ | Invalid_argument _) -> ())
             savers;
           if !emitted then Tally.candidate tl)
-        member_initers
+        (* each member's input-iterator nodes, the only part of an
+           emitted graph that differs between members *)
+        (Array.map (Array.mapi initer) cls.members)
     end
   in
   let n_outputs = List.length out_shapes in
@@ -348,16 +354,14 @@ let search_root { cfg; spec; limits; out_shapes } ~memo ~budget ?spawn
      while producing one. A prefix whose dangling count cannot shrink to
      the number of outputs within the remaining operator budget has no
      completion. *)
-  let child (st : state) (e : entry) =
+  let child (st : state) reads (v : value) =
     let count = Array.length st.entries + 1 in
-    let consumed =
-      List.fold_left (fun m j -> m lor (1 lsl j)) st.own.consumed e.ins
-    in
+    let consumed = st.own.consumed lor reads in
     let dangling = count - popcount (consumed land ((1 lsl count) - 1)) in
     if
       dangling - n_outputs
       <= (cfg.Config.max_block_ops - (st.ops + 1)) * (max_arity - 1)
-    then Ok { smem = st.own.smem + bytes e.value; consumed }
+    then Ok { smem = st.own.smem + bytes v; consumed }
     else Error Tally.Dangling
   in
   (* A prim's tensor: loop phase, shape inference, then its abstract

@@ -42,7 +42,8 @@ type t = {
       (** enumeration depth (ops placed) at or below which a subtree is
           published to the work-stealing pool instead of recursed
           inline, provided at least two operator levels lie below it (a
-          child one level from the bottom is always searched inline). 0
+          child one level from the bottom is always searched inline)
+          and some worker is hungry for work ({!Deque.Pool.spawn}). 0
           disables subtree spawning (coarse per-task parallelism only);
           has no effect on which candidates are found *)
 }

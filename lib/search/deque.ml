@@ -90,6 +90,9 @@ module Pool = struct
     pending : int Atomic.t; (* queued + running items *)
     n_steals : int Atomic.t;
     n_spawned : int Atomic.t;
+    n_hungry : int Atomic.t;
+        (* workers that found nothing to pop or steal and have not run
+           an item since *)
     seed_rr : int ref; (* round-robin cursor for [seed]; pre-run only *)
     m_steal_fail : Obs.Metrics.counter;
     m_depth : Obs.Metrics.gauge array; (* per-worker max queue depth *)
@@ -114,6 +117,7 @@ module Pool = struct
       pending = Atomic.make 0;
       n_steals = Atomic.make 0;
       n_spawned = Atomic.make 0;
+      n_hungry = Atomic.make 0;
       seed_rr = ref 0;
       m_steal_fail =
         Obs.Metrics.counter reg ~help:"empty or raced steal attempts"
@@ -144,7 +148,7 @@ module Pool = struct
 
   let spawn t f =
     match Domain.DLS.get t.key with
-    | Some t' when t' == t ->
+    | Some t' when t' == t && Atomic.get t.n_hungry > 0 ->
         let id = Domain.DLS.get t.ids in
         Atomic.incr t.pending;
         Atomic.incr t.n_spawned;
@@ -192,18 +196,23 @@ module Pool = struct
         !found
       end
     in
+    (* [idle] counts fruitless sweeps since the last item; a worker is
+       hungry from its first one until it runs an item again *)
+    let fed idle = if idle > 0 then Atomic.decr t.n_hungry in
     let rec loop idle =
-      if stop () then ()
+      if stop () then fed idle
       else
         match pop own with
         | Some f ->
+            fed idle;
             exec f;
             loop 0
         | None -> (
-            if Atomic.get t.pending = 0 then ()
+            if Atomic.get t.pending = 0 then fed idle
             else
               match try_steal () with
               | Some f ->
+                  fed idle;
                   exec f;
                   loop 0
               | None ->
@@ -211,6 +220,7 @@ module Pool = struct
                      spawns may land any moment. Back off quickly: on an
                      oversubscribed host a spinning thief eats the
                      timeslice of the domain it is waiting on. *)
+                  if idle = 0 then Atomic.incr t.n_hungry;
                   Domain.cpu_relax ();
                   if idle > 4 then
                     Unix.sleepf (Float.min 0.002 (0.0002 *. float_of_int idle));

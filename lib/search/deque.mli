@@ -11,8 +11,9 @@
     {!Pool} layers scheduling on top: [seed] enqueues the initial task
     bodies (before the worker domains start), running items call
     {!Pool.spawn} to publish subtree continuations onto their own
-    deque, and idle workers steal from random victims until the global
-    in-flight count drains to zero. Failed steal attempts and per-worker
+    deque — taken only while some worker is hungry (found nothing to
+    pop or steal) — and idle workers steal from random victims until
+    the global in-flight count drains to zero. Failed steal attempts and per-worker
     queue depth land in the metrics registry ([search.steal.failed],
     [search.queue.depth.w<i>]); spawns and steals are counted by the
     pool and read with {!Pool.spawned} and {!Pool.steals}. *)
@@ -51,9 +52,15 @@ module Pool : sig
   val spawn : t -> (unit -> unit) -> bool
   (** From inside a running item: publish a continuation onto the
       calling worker's own deque, where it is popped LIFO by the owner
-      or stolen FIFO by an idle worker. Returns [false] when the
-      caller is not a worker of this pool — the caller must then run
-      the continuation inline. *)
+      or stolen FIFO by an idle worker — but only while some worker is
+      {e hungry}: it found nothing to pop or steal and has not run an
+      item since (an atomic count; a worker turns hungry on its first
+      fruitless sweep and is fed by the next item it pops or steals).
+      Returns [false] when no worker is hungry or the caller is not a
+      worker of this pool: the caller must then run the continuation
+      inline. So a one-worker pool never takes a continuation (its only
+      worker is busy running the caller), and a busy pool is not fed
+      subtrees nobody is waiting for. *)
 
   val run_worker : t -> id:int -> stop:(unit -> bool) -> run:((unit -> unit) -> unit) -> unit
   (** The worker loop for deque [id]: pop own work, else steal from

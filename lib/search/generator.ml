@@ -58,9 +58,10 @@ let lanes n f =
 
 (* Run the enumerators over all tasks, collecting deduplicated raw
    candidates. Tasks seed a work-stealing pool (one Chase–Lev deque per
-   lane); at or below [steal_depth_cutoff] the enumerators publish
-   subtree continuations back onto it, so one deep root no longer
-   serializes the search while the other domains idle.
+   lane); at or below [steal_depth_cutoff], and only while some worker is
+   hungry, the enumerators publish subtree continuations back onto it,
+   so one deep root no longer serializes the search while the other
+   domains idle, and a busy pool is not fed subtrees.
 
    Each item (a task's root or one of its spawned subtrees) runs
    quarantined: an unexpected exception is journaled as cand.crash (with
@@ -257,9 +258,10 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
     match tasks.(i) with T_kernel -> "task.kernel" | T_class _ -> "task.root"
   in
   (* [spawn] handed to the enumerators for task [i]: publish a subtree
-     continuation onto the calling worker's deque. The pending bump
-     happens before the push — the spawning item is itself still pending,
-     so the count can never drain to zero with this subtree in flight. *)
+     continuation onto the calling worker's deque, which the pool takes
+     only while some worker is hungry. The pending bump happens before
+     the push — the spawning item is itself still pending, so the count
+     can never drain to zero with this subtree in flight. *)
   let rec spawn_for i k =
     Atomic.incr t_pending.(i);
     if Deque.Pool.spawn pool (fun () -> subtree_item i k) then true

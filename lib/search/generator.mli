@@ -74,7 +74,13 @@ val generate :
     pool of [num_workers] lanes (see {!lanes}) and drain it, returning
     the deduplicated [(gid, graph)] candidates plus whether the budget
     was exhausted and
-    how many items crashed. The candidate {e set} is independent of the
+    how many items crashed. A task's enumerator hands a kept shallow
+    child (depth [<= steal_depth_cutoff], two or more operator levels
+    below it) to the pool only while some worker is hungry — found
+    nothing to pop or steal ({!Deque.Pool.spawn}); otherwise it searches
+    the child inline, in generation order. So a one-worker search never
+    spawns, and the many root classes keep a busy pool fed without
+    subtrees. The candidate {e set} is independent of the
     worker count and steal schedule (gids and list order are not).
     [on_pool] runs once with the freshly created pool — the hook the
     serving tier uses to surface live steal counts. Exposed for {!run},

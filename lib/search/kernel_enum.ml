@@ -66,7 +66,7 @@ let search (cfg : Config.t) ~spec ~memo ~limits ~budget ?spawn ~emit () =
       make;
       admit = (fun _ _ -> None);
       admit_fields = (fun _ _ -> []);
-      child = (fun _ _ -> Ok ());
+      child = (fun _ _ _ -> Ok ());
       complete;
     }
   in

@@ -3,15 +3,6 @@ open Mugraph
 
 exception Budget_exhausted
 
-(* What a birth decided beyond the cell's structural verdict: a
-   canonical-rank reject there, or what the checks after rank said. *)
-type verdict =
-  | Out_of_order
-  | Duplicate
-  | Refused of Tally.reason
-  | Pruned
-  | Alive
-
 type 'a value = {
   id : int;
   shape : Shape.t;
@@ -26,29 +17,38 @@ let value shape nf attrs =
 
 type ('o, 'a) entry = { op : 'o; ins : int list; value : 'a value }
 
-(* One operator instantiation: made once, at the prefix where its newest
-   input appeared, and shared by every descendant of that prefix. One
-   flat record per birth: the made value is the memo cell's own, and
-   the entry is built only for a try that reaches [child]. *)
-type ('o, 'a) ext = {
-  xop : 'o;
-  xins : int list;
-  rank : int;  (* [xins] packed, see [pack_rank] *)
-  born : int;  (* entries in the prefix that made it *)
-  made : ('a value, Tally.reason) result;
-      (* the value, or the structural reject: judged before rank at a
-         level without [rank_first], after it at one with *)
-  verdict : verdict;  (* [Alive] for a structural reject, unread *)
-}
+(* A cell's ops in generation order, each with its made value or the
+   structural reason it has none: what the worker's memo keeps per key. *)
+type ('o, 'a) cell = ('o * ('a value, Tally.reason) result) array
 
-(* The extensions made when entry [k] appeared, one array per cell of the
-   generation order. *)
+(* A try's birth verdict, one byte: what the checks after rank said, a
+   structural reject that still waits on rank (the kernel level's), or
+   dead — a reject no later prefix can overturn, counted in bulk. *)
+let v_alive = 0
+let v_duplicate = 1
+let v_pruned = 2
+let v_unfit = 3
+let v_dead = 4
+let v_refused r = 8 + Tally.index r
+
+(* The tries made when entry [k] appeared, at the prefix where it is the
+   newest (or at the root, for an input). No record per try: a try is a
+   slot and an index into the slot's memo cell, and its inputs and
+   packed rank follow from the slot. The slots, in generation order: 0,
+   the unary-like ops on [k]; [1 + i], the pair ops on [(i, k)] for
+   [i <= k]; [k + 2 + j], the pair ops on [(k, j)] for [j < k];
+   [2k + 2], the level's extra ops on [k]. The last three fields sum
+   over this bundle and every earlier one of the table, which every
+   prefix holding this bundle shares, since tables only grow. *)
 type ('o, 'a) bundle = {
-  unary : ('o, 'a) ext array;  (* unary-like ops on [k] *)
-  col : ('o, 'a) ext array array;  (* [col.(i)]: ops on [(i, k)], [i <= k] *)
-  row : ('o, 'a) ext array array;  (* [row.(j)]: ops on [(k, j)], [j < k] *)
-  extra : ('o, 'a) ext array;  (* the level's extra ops on [k] *)
-  size : int;  (* the extensions in all four *)
+  cells : ('o, 'a) cell array;  (* by slot, the worker memo's own cells *)
+  born : int;  (* entries in the prefix that made it *)
+  verdicts : Bytes.t;  (* one birth verdict per try, slot after slot *)
+  offs : int array;  (* slot [s]'s first try in [verdicts] *)
+  live : int array;  (* per slot: the tries not dead at birth *)
+  tries : int;
+  lives : int;  (* tries not dead at birth *)
+  dead : int array;  (* tries dead at birth, by reason index *)
 }
 
 type ('o, 'a, 's) state = {
@@ -57,7 +57,7 @@ type ('o, 'a, 's) state = {
       (* the bundles already made — the parent's table, empty at the
          root; [extend] makes one for each remaining entry *)
   ops : int;
-  last : ('o, 'a) ext option;  (* the operator that made the newest entry *)
+  rank : int;  (* the newest entry's operator's packed rank; 0 at the root *)
   cover : int;  (* the OR of the operator entries' goal masks *)
   own : 's;
 }
@@ -77,7 +77,7 @@ type ('o, 'a, 's) level = {
   admit : ('o, 'a, 's) state -> 'a value -> Tally.reason option;
   admit_fields :
     ('o, 'a, 's) state -> 'a value -> (string * Obs.Jsonw.t) list;
-  child : ('o, 'a, 's) state -> ('o, 'a) entry -> ('s, Tally.reason) result;
+  child : ('o, 'a, 's) state -> int -> 'a value -> ('s, Tally.reason) result;
   complete : Tally.t -> ('o, 'a, 's) state -> unit;
 }
 
@@ -145,10 +145,6 @@ module Int_tbl = Hashtbl.Make (struct
   let hash k = (k * 0x2545F4914F6CDD1D) lsr 32
 end)
 
-(* A cell's ops in generation order, each with its made value or the
-   structural reason it has none. *)
-type ('o, 'a) cell = ('o * ('a value, Tally.reason) result) array
-
 type ('o, 'a) memo = {
   values : 'a values;
   scopes : ('o, 'a) cell Int_tbl.t Int_tbl.t;  (* cells by level scope *)
@@ -177,16 +173,14 @@ let scope_cells m scope =
       cells
 
 (* The cells of the generation order. A cell's memo key holds its kind in
-   the low two bits, then its inputs' value ids, 30 bits each. *)
+   the low two bits, then its inputs' value ids, 30 bits each ([b] is -1
+   for a one-input cell). *)
 type kind = Unary | Col | Row | Extra
 
-let key kind ins (entries : (_, _) entry array) =
+let key kind a b (entries : (_, _) entry array) =
   let k = match kind with Unary -> 0 | Col -> 1 | Row -> 2 | Extra -> 3 in
   let id i = entries.(i).value.id in
-  match ins with
-  | [ a ] -> k lor (id a lsl 2)
-  | [ a; b ] -> k lor (id a lsl 2) lor (id b lsl 32)
-  | _ -> invalid_arg "Prefix.key"
+  if b < 0 then k lor (id a lsl 2) else k lor (id a lsl 2) lor (id b lsl 32)
 
 (* The menu's unary-like ops on a tensor of this shape ([Sum] becomes a
    full reduction along each dimension longer than 1). *)
@@ -243,10 +237,25 @@ let pack_rank ins =
 let compare_rank r op r' op' =
   if r <> r' then Int.compare r r' else Stdlib.compare op op'
 
-let rank_ok st rank op =
-  match st.last with
-  | None -> true
-  | Some l -> compare_rank l.rank l.xop rank op <= 0
+(* [pack_rank] of inputs [a] and [b] ([b] -1 for one input), unchecked:
+   the engine's indices are below [rank_limit] (see [search]). *)
+let rank2 a b = ((a + 1) lsl rank_bits) lor (b + 1)
+
+(* Whether an operator of packed rank [r] falls below the one that made
+   the prefix's newest entry (the canonical-rank reject): [compare_rank],
+   reading that entry's operator only on a tie. *)
+let before st r op =
+  r < st.rank
+  || r = st.rank
+     && Stdlib.compare st.entries.(Array.length st.entries - 1).op op > 0
+
+(* The inputs of slot [s] of bundle [k]: the first, and the second or -1. *)
+let slot_a k s = if s = 0 || s = (2 * k) + 2 || s > k + 1 then k else s - 1
+
+let slot_b k s =
+  if s = 0 || s = (2 * k) + 2 then -1 else if s <= k + 1 then k else s - k - 2
+
+let ins_list a b = if b < 0 then [ a ] else [ a; b ]
 
 (* Whether [v] is the value of an entry of [entries] from index [i] on. *)
 let rec recomputes entries i v =
@@ -257,11 +266,12 @@ let spec_goals spec = List.map Absexpr.Nf.of_expr (Abstract.output_exprs spec)
 
 let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
     ?(spawn = fun _ -> false) inputs own =
-  (* Flight recorder, resolved once per search: every try gets a
+  (* Flight recorder, resolved once per search: every visited try gets a
      candidate id and an expand event, every rejection names its reason,
-     and each event of a search standing for k > 1 roots says so. One
-     atomic load per try when journaling is off, and no Jsonw values are
-     built on the [None] path. *)
+     the tries counted in bulk share one event per prefix and reason
+     (["tries"]), and each event of a search standing for k > 1 roots
+     says so. One atomic load per search when journaling is off, and no
+     Jsonw values are built on the [None] path. *)
   let journal = Obs.Journal.active () in
   let jroots =
     if lv.weight > 1 then [ ("roots", Obs.Jsonw.Int lv.weight) ] else []
@@ -273,15 +283,16 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
        :: fields)
       @ jroots)
   in
-  let jexpand ~depth (x : ('o, 'a) ext) =
+  let jexpand ~depth op a b =
     match journal with
     | Some j ->
         let cand = Obs.Journal.fresh_id j in
         jemit j ~cand "cand.expand" ~depth
           [
-            ("op", Obs.Jsonw.Str (lv.op_name x.xop));
+            ("op", Obs.Jsonw.Str (lv.op_name op));
             ( "ins",
-              Obs.Jsonw.List (List.map (fun i -> Obs.Jsonw.Int i) x.xins) );
+              Obs.Jsonw.List
+                (List.map (fun i -> Obs.Jsonw.Int i) (ins_list a b)) );
           ];
         cand
     | None -> -1
@@ -295,6 +306,27 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
             ("expr", Obs.Jsonw.Str (Absexpr.Nf.to_string e.value.nf));
           ]
     | None -> ()
+  in
+  let reject tl ~depth cand reason fields =
+    Tally.reject tl reason ~depth;
+    match journal with
+    | Some j ->
+        jemit j ~cand "cand.reject" ~depth
+          (("reason", Obs.Jsonw.Str (Tally.reason_name reason)) :: fields)
+    | None -> ()
+  in
+  let reject_bulk tl ~depth reason n =
+    if n > 0 then begin
+      Tally.reject_n tl reason ~depth n;
+      match journal with
+      | Some j ->
+          jemit j ~cand:(Obs.Journal.fresh_id j) "cand.reject" ~depth
+            [
+              ("reason", Obs.Jsonw.Str (Tally.reason_name reason));
+              ("tries", Obs.Jsonw.Int n);
+            ]
+      | None -> ()
+    end
   in
   let budget_check tl =
     Obs.Fault.trip lv.fault;
@@ -311,7 +343,7 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
   (* Journal payloads of a structural reject (a shape reject names its
      input shapes), an [admit] reject and a pruned one; [] when no
      journal is live. *)
-  let unfit_fields st (x : ('o, 'a) ext) reason =
+  let unfit_fields st a b reason =
     match journal with
     | Some _ when reason = Tally.Shape ->
         [
@@ -320,7 +352,7 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
               (List.map
                  (fun i ->
                    Obs.Jsonw.Str (Shape.to_string st.entries.(i).value.shape))
-                 x.xins) );
+                 (ins_list a b)) );
         ]
     | _ -> []
   in
@@ -352,41 +384,22 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
   in
   (* The checks later entries cannot overturn, run once at birth. *)
   let judge tl m st v =
-    if recomputes st.entries 0 v then Duplicate
+    if recomputes st.entries 0 v then v_duplicate
     else
       match lv.admit st v with
-      | Some r -> Refused r
-      | None -> if pruned tl m v then Pruned else Alive
-  in
-  let make_ext tl m st rank (op, made) ins =
-    let verdict =
-      if lv.rank_first && not (rank_ok st rank op) then Out_of_order
-      else
-        match made with
-        | Error _ -> Alive
-        | Ok _ when (not lv.rank_first) && not (rank_ok st rank op) ->
-            Out_of_order
-        | Ok v -> judge tl m st v
-    in
-    {
-      xop = op;
-      xins = ins;
-      rank;
-      born = Array.length st.entries;
-      made;
-      verdict;
-    }
+      | Some r -> v_refused r
+      | None -> if pruned tl m v then v_pruned else v_alive
   in
   let pair_ordered = List.map lv.prim (pair_ops lv.menu ~ordered:true) in
   let pair_unordered = List.map lv.prim (pair_ops lv.menu ~ordered:false) in
   (* A cell's ops and made values, from the worker's memo or, the first
      time the worker meets its key, made and interned. *)
-  let cell m cells kind st ins =
-    let key = key kind ins st.entries in
+  let cell m cells kind st a b =
+    let key = key kind a b st.entries in
     match Int_tbl.find cells key with
     | c -> c
     | exception Not_found ->
-        let vs = List.map (fun i -> st.entries.(i).value) ins in
+        let vs = List.map (fun i -> st.entries.(i).value) (ins_list a b) in
         let ops =
           match kind with
           | Unary -> List.map lv.prim (unary_like lv.menu (List.hd vs).shape)
@@ -405,107 +418,211 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
         Int_tbl.add cells key c;
         c
   in
-  (* The bundle of entry [k], made at prefix [st], cell by cell in
-     generation order. *)
-  let make_bundle tl m cells st k =
-    let size = ref 0 in
-    let exts kind ins =
-      let rank = pack_rank ins in
-      let c = cell m cells kind st ins in
-      size := !size + Array.length c;
-      Array.map (fun made -> make_ext tl m st rank made ins) c
-    in
-    let unary = exts Unary [ k ] in
-    let col = Array.init (k + 1) (fun i -> exts Col [ i; k ]) in
-    let row = Array.init k (fun j -> exts Row [ k; j ]) in
-    let extra = exts Extra [ k ] in
-    { unary; col; row; extra; size = !size }
+  let canonical = Tally.index Tally.Canonical in
+  (* The bundle of entry [k], made at prefix [st] after a table of
+     [tries] tries, [lives] of them live, and [dead] dead by reason.
+     A try is dead at birth when its reject is final: a structural one
+     judged before rank, or a rank below the prefix's (the last rank
+     never decreases down a path). The others keep the verdict of the
+     checks a later entry cannot overturn. *)
+  let make_bundle tl m cells st k ~tries ~lives ~dead =
+    let n = (2 * k) + 3 in
+    let cs = Array.make n [||] in
+    cs.(0) <- cell m cells Unary st k (-1);
+    for i = 0 to k do
+      cs.(1 + i) <- cell m cells Col st i k
+    done;
+    for j = 0 to k - 1 do
+      cs.(k + 2 + j) <- cell m cells Row st k j
+    done;
+    cs.(n - 1) <- cell m cells Extra st k (-1);
+    let offs = Array.make (n + 1) 0 in
+    for s = 0 to n - 1 do
+      offs.(s + 1) <- offs.(s) + Array.length cs.(s)
+    done;
+    let verdicts = Bytes.create offs.(n) in
+    let live = Array.make n 0 in
+    let dead = Array.copy dead in
+    for s = 0 to n - 1 do
+      let r = rank2 (slot_a k s) (slot_b k s) in
+      let c = cs.(s) in
+      let alive = ref 0 in
+      for t = 0 to Array.length c - 1 do
+        let op, made = c.(t) in
+        let v =
+          match made with
+          | Error reason when not lv.rank_first ->
+              let i = Tally.index reason in
+              dead.(i) <- dead.(i) + 1;
+              v_dead
+          | _ when before st r op ->
+              dead.(canonical) <- dead.(canonical) + 1;
+              v_dead
+          | Error _ -> v_unfit
+          | Ok v -> judge tl m st v
+        in
+        if v <> v_dead then incr alive;
+        Bytes.unsafe_set verdicts (offs.(s) + t) (Char.unsafe_chr v)
+      done;
+      live.(s) <- !alive
+    done;
+    {
+      cells = cs;
+      born = Array.length st.entries;
+      verdicts;
+      offs;
+      live;
+      tries = tries + offs.(n);
+      lives = lives + Array.fold_left ( + ) 0 live;
+      dead;
+    }
   in
-  (* One prefix: its table is its parent's plus a bundle for each newer
-     entry. Every try in the table is counted (the funnel's [expanded],
-     in one batch before the first is judged) and either fails one check
-     — counted under exactly one rejection reason — or is kept; only
-     then are the kept children searched, in the same order. *)
+  (* The prefix's table: its parent's plus a bundle for each newer
+     entry (one, below the root). *)
+  let grow tl m cells st =
+    let count = Array.length st.entries and known = Array.length st.table in
+    if known = count then st.table
+    else
+      let b0 =
+        if known = 0 then
+          make_bundle tl m cells st 0 ~tries:0 ~lives:0
+            ~dead:(Array.make Tally.n_reasons 0)
+        else
+          let p = st.table.(known - 1) in
+          make_bundle tl m cells st known ~tries:p.tries ~lives:p.lives
+            ~dead:p.dead
+      in
+      let table = Array.make count b0 in
+      Array.blit st.table 0 table 0 known;
+      for k = known + 1 to count - 1 do
+        let p = table.(k - 1) in
+        table.(k) <-
+          make_bundle tl m cells st k ~tries:p.tries ~lives:p.lives ~dead:p.dead
+      done;
+      table
+  in
+  (* The live tries of slot [s] of bundle [k] in generation order, its
+     inputs [a] and [b] and packed rank [r] not below the prefix's (only
+     a slot of the prefix's own rank compares operators), each failing
+     one check or kept; the kept children are consed onto [kept]. *)
+  let visit_slot tl st table ~depth kept k s a b r =
+    let bd = table.(k) in
+    let c = bd.cells.(s) and off = bd.offs.(s) in
+    let kept = ref kept in
+    if bd.live.(s) > 0 then
+      for t = 0 to Array.length c - 1 do
+        let v = Char.code (Bytes.unsafe_get bd.verdicts (off + t)) in
+        if v <> v_dead then begin
+          let op, made = c.(t) in
+          let cand = jexpand ~depth op a b in
+          if before st r op then
+            reject tl ~depth cand Tally.Canonical []
+          else
+            match made with
+            | Error reason -> reject tl ~depth cand reason (unfit_fields st a b reason)
+            | Ok _ when v = v_duplicate -> reject tl ~depth cand Tally.Duplicate []
+            | Ok x when recomputes st.entries bd.born x ->
+                reject tl ~depth cand Tally.Duplicate []
+            | Ok x when v >= 8 ->
+                reject tl ~depth cand (Tally.of_index (v - 8)) (admit_fields st x)
+            | Ok x -> (
+                match lv.admit st x with
+                | Some reason -> reject tl ~depth cand reason (admit_fields st x)
+                | None when v = v_pruned ->
+                    reject tl ~depth cand Tally.Pruned (pruned_fields x)
+                | None -> (
+                    let reads =
+                      (1 lsl a) lor if b < 0 then 0 else 1 lsl b
+                    in
+                    match lv.child st reads x with
+                    | Error reason -> reject tl ~depth cand reason []
+                    | Ok own ->
+                        let count = Array.length st.entries in
+                        let e = { op; ins = ins_list a b; value = x } in
+                        let entries = Array.make (count + 1) e in
+                        Array.blit st.entries 0 entries 0 count;
+                        jaccept ~depth cand e;
+                        kept :=
+                          {
+                            entries;
+                            table;
+                            ops = st.ops + 1;
+                            rank = r;
+                            cover = st.cover lor x.goals;
+                            own;
+                          }
+                          :: !kept))
+        end
+      done;
+    !kept
+  in
+  (* One prefix. Every try in its table is counted (the funnel's
+     [expanded], in one batch before the first is judged) and either
+     fails one check — counted under exactly one rejection reason — or
+     is kept; only then are the kept children searched, in generation
+     order. Tries dead at birth, and the live ones whose slot's rank
+     lies below the prefix's (all of the rows before the last
+     operator's first input [l], and some slots of row [l]), are
+     counted in bulk; the rest are visited one by one. *)
   let rec extend tl m cells st =
     budget_check tl;
     if st.cover = m.values.all then lv.complete tl st;
     if st.ops < lv.max_ops then begin
       let depth = st.ops in
       let count = Array.length st.entries in
-      let known = Array.length st.table in
-      let table =
-        Array.init count (fun k ->
-            if k < known then st.table.(k) else make_bundle tl m cells st k)
-      in
-      Tally.expand tl ~depth
-        (Array.fold_left (fun n b -> n + b.size) 0 table);
-      let reject cand reason extra =
-        Tally.reject tl reason ~depth;
-        match journal with
-        | Some j ->
-            jemit j ~cand "cand.reject" ~depth
-              (("reason", Obs.Jsonw.Str (Tally.reason_name reason)) :: extra)
-        | None -> ()
-      in
-      let kept = ref [] in
-      let visit x =
-        let cand = jexpand ~depth x in
-        match (x.made, x.verdict) with
-        | _, Out_of_order -> reject cand Tally.Canonical []
-        | Error r, _ when not lv.rank_first ->
-            reject cand r (unfit_fields st x r)
-        | _ when not (rank_ok st x.rank x.xop) ->
-            reject cand Tally.Canonical []
-        | Error r, _ -> reject cand r (unfit_fields st x r)
-        | Ok _, Duplicate -> reject cand Tally.Duplicate []
-        | Ok v, _ when recomputes st.entries x.born v ->
-            reject cand Tally.Duplicate []
-        | Ok v, Refused r -> reject cand r (admit_fields st v)
-        | Ok v, verdict -> (
-            match lv.admit st v with
-            | Some r -> reject cand r (admit_fields st v)
-            | None -> (
-                match verdict with
-                | Pruned -> reject cand Tally.Pruned (pruned_fields v)
-                | _ -> (
-                    let e = { op = x.xop; ins = x.xins; value = v } in
-                    match lv.child st e with
-                    | Error r -> reject cand r []
-                    | Ok own ->
-                        jaccept ~depth cand e;
-                        kept :=
-                          {
-                            entries = Array.append st.entries [| e |];
-                            table;
-                            ops = st.ops + 1;
-                            last = Some x;
-                            cover = st.cover lor v.goals;
-                            own;
-                          }
-                          :: !kept)))
-      in
-      for i = 0 to count - 1 do
-        let b = table.(i) in
-        Array.iter visit b.unary;
-        for j = 0 to count - 1 do
-          Array.iter visit (if i <= j then table.(j).col.(i) else b.row.(j))
-        done;
-        Array.iter visit b.extra
+      let table = grow tl m cells st in
+      let top = table.(count - 1) in
+      Tally.expand tl ~depth top.tries;
+      (* the last operator's first input; -1 at the root *)
+      let l = (st.rank lsr rank_bits) - 1 in
+      (* the live tries of the rows before [l]: bundles [0 .. l-1], and
+         the pairs [(i, k)], [i < l], of the later ones *)
+      let below = ref (if l > 0 then table.(l - 1).lives else 0) in
+      for k = max l 0 to count - 1 do
+        let live = table.(k).live in
+        for i = 0 to l - 1 do
+          below := !below + live.(1 + i)
+        done
       done;
-      List.iter
-        (fun st' ->
-          (* Shallow children root large subtrees — publish those to the
-             pool; recurse inline past the cutoff, and below it when
-             fewer than two operator levels remain: such a child's
-             subtree is one table of leaves, cheaper to search here than
-             to hand over. *)
-          if
-            st'.ops > cfg.Config.steal_depth_cutoff
-            || lv.max_ops - st'.ops < 2
-            || not (spawn (fun () -> subtree st'))
-          then extend tl m cells st')
-        (List.rev !kept)
+      (* rows [l ..] in generation order: unary-like, pairs, extra; a
+         slot of row [l] ranked below the prefix is counted in bulk *)
+      let kept = ref [] in
+      for i = max l 0 to count - 1 do
+        let bi = table.(i) in
+        let r1 = rank2 i (-1) in
+        if r1 < st.rank then below := !below + bi.live.(0)
+        else kept := visit_slot tl st table ~depth !kept i 0 i (-1) r1;
+        for j = 0 to count - 1 do
+          let r = rank2 i j in
+          if i <= j then
+            if r < st.rank then below := !below + table.(j).live.(1 + i)
+            else kept := visit_slot tl st table ~depth !kept j (1 + i) i j r
+          else if r < st.rank then below := !below + bi.live.(i + 2 + j)
+          else kept := visit_slot tl st table ~depth !kept i (i + 2 + j) i j r
+        done;
+        if r1 < st.rank then below := !below + bi.live.((2 * i) + 2)
+        else kept := visit_slot tl st table ~depth !kept i ((2 * i) + 2) i (-1) r1
+      done;
+      for i = 0 to Tally.n_reasons - 1 do
+        reject_bulk tl ~depth (Tally.of_index i)
+          (top.dead.(i) + if i = canonical then !below else 0)
+      done;
+      descend tl m cells (List.rev !kept)
     end
+  (* The kept children in generation order. A shallow child roots a
+     large subtree: it goes to the pool when a worker is hungry for
+     work; otherwise, past the cutoff, and when fewer than two operator
+     levels remain below it (one table of leaves, cheaper to search
+     here than to hand over), it is searched here. *)
+  and descend tl m cells = function
+    | [] -> ()
+    | st :: rest ->
+        if
+          st.ops > cfg.Config.steal_depth_cutoff
+          || lv.max_ops - st.ops < 2
+          || not (spawn (fun () -> subtree st))
+        then extend tl m cells st;
+        descend tl m cells rest
   (* A subtree on the worker that runs it: that worker's memo, front
      and funnel buffer, and a prune-check timer that flushes under this
      task even when the budget cuts the DFS short. *)
@@ -527,4 +644,4 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
                { e with value = intern_locked m.values e.value })
              inputs))
   in
-  subtree { entries; table = [||]; ops = 0; last = None; cover = 0; own }
+  subtree { entries; table = [||]; ops = 0; rank = 0; cover = 0; own }

@@ -8,12 +8,16 @@
     duplicate checks, the {!Prune} site, the budget check, and
     spawn-or-recurse.
 
-    {b Extension tables.} Each operator instantiation (an {e extension})
-    is an immutable record, made once at the prefix where its newest
-    input appeared (its {e birth}) and shared by every descendant, on
-    whichever domain runs it. A prefix's table is its parent's plus one
-    bundle for each entry added since. An extension keeps its rank and
-    its birth verdict, and an inherited verdict is exact:
+    {b Extension tables.} An operator instantiation (a {e try}) is made
+    once, at the prefix where its newest input appeared (its {e birth}),
+    and shared by every descendant, on whichever domain runs it. A
+    prefix's table is its parent's plus one {e bundle} for each entry
+    added since. A bundle holds no record per try: it keeps references
+    to the worker's memo cells (one per {e slot}, a cell of the
+    generation order that reads the new entry), one birth-verdict byte
+    per try and per-slot offsets and live counts; a try's inputs and
+    packed rank follow from its slot, its operator and made value from
+    the cell. An inherited verdict is exact:
     - a structural verdict depends only on the inputs;
     - the last rank never decreases along a path, so a rank reject at
       birth stays one; otherwise one compare decides;
@@ -25,6 +29,20 @@
       and a try needs it only when it passed rank, duplicate and [admit],
       hence passed them at birth, where it was asked;
     - [child] is asked at every try.
+
+    {b Bulk counts.} Some rejects are final at birth: a structural one
+    at a level that judges it before rank (the block level's Shape and
+    Phase), and a rank reject at either level. Such a try is {e dead}:
+    its bundle counts it by reason (summed over the table's earlier
+    bundles, which every prefix holding the bundle shares), and a prefix
+    adds those counts with {!Tally.reject_n} at its own depth, never
+    visiting the try. A packed rank's high field is the first input, so
+    every try of a row [i] (the tries whose first input is [i]) below
+    the last operator's first input [l] ranks below it, as does every
+    slot of row [l] whose packed rank does: their live tries are
+    [Canonical] rejects, counted from the per-slot live counts without
+    being visited. The rest are visited one by one, and only a slot of
+    the last operator's own packed rank compares operators.
 
     {b The extension memo.} Births still repeat one computation: sibling
     subtrees, and the root classes of a search, meet the same operator
@@ -63,11 +81,14 @@
     table in generation order — per entry [i]: the unary-like ops on
     [i]; for every [j] the pair ops on [(i, j)] (commutative ones only
     when [i <= j], [Matmul] last in a cell); the level's [extra] ops on
-    [i] — counting each try and its one rejection reason, and only then
-    searches the kept children in the same order. That is the order a
-    fresh evaluation of every prefix counts in, so a one-worker node
-    budget cuts at the same expansion, and a search cut short has
-    counted every rejection of every prefix it started.
+    [i] — counting each try and its one rejection reason (the bulk
+    counts first, then the visited tries), and only then searches the
+    kept children in the same order. That is the order a fresh
+    evaluation of every prefix counts in, so a one-worker node budget
+    cuts at the same expansion, and a search cut short has counted
+    every rejection of every prefix it started. A prefix's counts do
+    not depend on the order within it; only the order of prefixes
+    moves a node-budget cut.
 
     {b Rejection order} (per level). A try is rejected for the first
     check it fails: with [rank_first] (kernel) rank, then [make]'s
@@ -98,17 +119,23 @@
     try's rank check is one int compare and no rank is allocated.
 
     {b Spawning.} A kept child at depth [<= steal_depth_cutoff] is
-    offered to the pool only when at least two operator levels lie
-    below it. A child one level from the bottom roots a single table of
-    leaves: handing it over would push a closure into a major-heap
-    deque, promoting the child's state, and give it a prune-check timer
-    of its own, for less work than that costs.
+    offered to the pool ([spawn]) only when at least two operator levels
+    lie below it, and the pool takes it only while some worker is
+    hungry (found nothing to pop or steal, {!Deque.Pool.spawn}). So a
+    one-worker search never spawns and searches its kept children
+    inline in generation order. A child one level from the bottom roots
+    a single table of leaves: handing it over would push a closure into
+    a major-heap deque, promoting the child's state, and give it a
+    prune-check timer of its own, for less work than that costs.
 
     {b Counts} are per root: every try, rejection and prune-rule fire
     counts the level's [weight] times (see {!Tally.run}), and journal events
     carry ["roots": weight] when [weight > 1]. A prefix counts its
     tries in one batch (the sum of its table's sizes) before judging
-    the first. *)
+    the first. The tries it counts in bulk are journaled as one
+    [cand.reject] per reason, with ["tries": n] and no [cand.expand];
+    so over a search's [cand.reject] events, the sum of
+    [tries * roots] (each 1 when absent) is each reason's count. *)
 
 open Tensor
 open Mugraph
@@ -145,19 +172,17 @@ type ('o, 'a) entry = {
 }
 (** One tensor of a prefix. *)
 
-type ('o, 'a) ext
-(** One operator instantiation, made at its birth prefix. *)
-
 type ('o, 'a) bundle
-(** The extensions made when one entry appeared. *)
+(** The tries made when one entry appeared. *)
 
 type ('o, 'a, 's) state = private {
   entries : ('o, 'a) entry array;  (** the inputs first *)
   table : ('o, 'a) bundle array;
   ops : int;  (** operators applied so far: the prefix's depth *)
-  last : ('o, 'a) ext option;
-      (** the extension that made the newest entry, whose rank the next
-          operator's must not be below; [None] at the root *)
+  rank : int;
+      (** the packed rank ({!pack_rank}) of the operator that made the
+          newest entry, which the next operator's must not be below; 0
+          at the root *)
   cover : int;
       (** the OR of the operator entries' goal masks (inputs excluded) *)
   own : 's;  (** the level's own part of the prefix *)
@@ -194,9 +219,12 @@ type ('o, 'a, 's) level = {
     ('o, 'a, 's) state -> 'a value -> (string * Obs.Jsonw.t) list;
       (** journal payload of an [admit] reject (built only when a journal
           is live) *)
-  child : ('o, 'a, 's) state -> ('o, 'a) entry -> ('s, Tally.reason) result;
-      (** the kept child's own part, or the reason a last check cuts the
-          try (the block level's dangling-value bound) *)
+  child : ('o, 'a, 's) state -> int -> 'a value -> ('s, Tally.reason) result;
+      (** [child st reads v]: the own part of the child that adds value
+          [v], made by an operator reading the entries whose bits are
+          set in [reads], or the reason a last check cuts the try (the
+          block level's dangling-value bound). No entry is built for a
+          try it cuts. *)
   complete : Tally.t -> ('o, 'a, 's) state -> unit;
       (** emit the candidates the prefix completes, counting them. Called
           only for a prefix whose [cover] has every output's bit *)
@@ -276,8 +304,8 @@ val search :
     it once, on the domain that runs it, and counts into that worker's
     buffer, unflushed when the search returns. [spawn k] may
     publish subtree continuation [k] to a work-stealing pool and return
-    [true]; returning [false] (the default) makes the engine recurse
-    inline.
+    [true] (the generator's does while a worker is hungry); returning
+    [false] (the default) makes the engine recurse inline.
     Continuations are offered only for kept children at depth <=
     [steal_depth_cutoff] with at least two operator levels below them
     ([max_ops - depth >= 2]), are safe to run on any domain, and never

@@ -20,6 +20,12 @@ let index = function
 
 let n_reasons = 7
 
+let by_index = Array.of_list all
+
+let of_index i =
+  if i < 0 || i >= n_reasons then invalid_arg "Tally.of_index"
+  else by_index.(i)
+
 let reason_name = function
   | Shape -> "shape"
   | Memory -> "memory"
@@ -178,10 +184,12 @@ let expand t ~depth n =
   a.pending <- a.pending + k;
   if a.pending >= Obs.Profile.batch then flush a
 
-let reject t r ~depth =
+let reject_n t r ~depth n =
   let a = t.a in
   let i = ((index r + 1) * a.lvl.stride) + depth in
-  a.counts.(i) <- a.counts.(i) + t.weight
+  a.counts.(i) <- a.counts.(i) + (n * t.weight)
+
+let reject t r ~depth = reject_n t r ~depth 1
 
 let candidate t = t.a.candidates <- t.a.candidates + 1
 let expanded t = Stats.expanded t.a.lvl.stats + t.a.pending

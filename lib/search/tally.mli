@@ -27,6 +27,16 @@ type reason = Shape | Memory | Duplicate | Canonical | Pruned | Phase | Dangling
     block-level structural cuts with their own registry counters; the
     rest are funnel rejections with a depth histogram. *)
 
+val n_reasons : int
+(** [7]: the reasons' indices are [0 .. n_reasons - 1]. *)
+
+val index : reason -> int
+(** A reason's index, in declaration order ([Shape] is 0). *)
+
+val of_index : int -> reason
+(** The reason with that index.
+    @raise Invalid_argument outside [0 .. n_reasons - 1]. *)
+
 val reason_name : reason -> string
 (** The name a reason goes by in the journal's [cand.reject] events and
     the profiler's prune rules (["shape"], ["pruned_abstract"], ...). *)
@@ -71,6 +81,10 @@ val reject : t -> reason -> depth:int -> unit
 (** Count a cut at [depth], [weight] times. Its profiler prune rule
     records it at the next flush, with the [max_depth - depth - 1]
     operator slots below it for the savings estimate. *)
+
+val reject_n : t -> reason -> depth:int -> int -> unit
+(** [reject_n t r ~depth n]: {!reject} [n] times, in one add (the
+    engine counts the tries it never visits this way). *)
 
 val candidate : t -> unit
 (** Count one completing prefix submitted to verification (unweighted:

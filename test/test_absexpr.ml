@@ -350,6 +350,44 @@ let prop_subexpr_transitive_via_context =
          (* a <= a*b and a*b <= (a*b)/c imply a <= (a*b)/c *)
          Nf.subexpr a (E.div (E.mul a b) c)))
 
+(* --- the typed comparators against the polymorphic order -------------- *)
+
+(* [Nf.compare] must order normal forms exactly as [Stdlib.compare] did
+   when the sorted forms were first built (and printed, hashed and
+   stored by): same sign on every pair. Pairs of unrelated forms differ
+   at the first term, so the forms also share parts (sums, products,
+   quotients and wrappings of the same operands, and a structurally
+   equal copy), which reach the atom, denominator and length cases. *)
+let prop_compare_matches_stdlib =
+  let wrap_gen =
+    QCheck2.Gen.(
+      map2
+        (fun e k ->
+          match k with 0 -> E.silu e | 1 -> E.sqr e | _ -> e)
+        expr_gen (int_range 0 2))
+  in
+  Qseed.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"typed compare has Stdlib's sign"
+       ~print:(fun (a, b, c) ->
+         E.to_string a ^ " | " ^ E.to_string b ^ " | " ^ E.to_string c)
+       QCheck2.Gen.(triple wrap_gen wrap_gen wrap_gen)
+       (fun (a, b, c) ->
+         let forms =
+           List.map Nf.of_expr
+             [
+               a; b; a; E.add a b; E.add a c; E.mul a b; E.mul a c;
+               E.div a b; E.div a c; E.div c (E.add a b); E.exp a;
+               E.sqrt b; E.silu c; E.sum 2 a; E.sum 4 a;
+             ]
+         in
+         let sign x = Int.compare x 0 in
+         List.for_all
+           (fun x ->
+             List.for_all
+               (fun y -> sign (Nf.compare x y) = sign (Stdlib.compare x y))
+               forms)
+           forms))
+
 (* --- the goal index against the recursive procedure -------------------- *)
 
 (* The recursive procedure the goal index replaced, kept as the
@@ -583,6 +621,7 @@ let () =
             test_exact_division_in_subexpr;
           Alcotest.test_case "nf printing" `Quick test_nf_to_string_smoke;
           Alcotest.test_case "full-depth hash" `Quick test_nf_hash_full_depth;
+          prop_compare_matches_stdlib;
         ] );
       ( "goal index",
         [

@@ -497,7 +497,8 @@ let funnel_config ~workers spec =
         forloop_candidates = [ [| 2 |] ];
         max_block_ops = 4;
         num_workers = workers;
-        (* spawn subtrees, so more than one worker really shares them *)
+        (* let a hungry worker take subtrees, so more than one worker
+           can share a root's search *)
         steal_depth_cutoff = 1;
         time_budget_s = 90.0;
       }

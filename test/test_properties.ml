@@ -196,8 +196,8 @@ let prop_incremental_nf_agrees =
 
 (* 11. Work-stealing determinism: the enumeration candidate set and the
        selected winner are independent of the domain count (and hence of
-       the steal schedule). A low spawn cutoff forces subtree spawning
-       even on small graphs, so the multi-domain runs genuinely steal. *)
+       the steal schedule). A low spawn cutoff lets a hungry worker take
+       subtrees even on small graphs, so the multi-domain runs steal. *)
 let enum_config spec =
   let base =
     {

@@ -296,8 +296,9 @@ let test_resume_reaches_same_best =
     (o2.Search.Generator.generated > 0)
 
 (* Same invariant at mid-subtree granularity: with several domains and a
-   spawn cutoff of 1, the interrupt lands while subtree continuations of
-   partially-drained tasks are still in flight. Only cleanly-drained
+   spawn cutoff of 1, a hungry worker takes subtree continuations, so
+   the interrupt can land while some of partially-drained tasks are
+   still in flight. Only cleanly-drained
    tasks may advance the resume cursor, so the resumed run must still
    reach the uninterrupted best. *)
 let test_resume_mid_subtree =

@@ -338,14 +338,17 @@ let test_node_budget_overshoot () =
   List.iter
     (fun workers ->
       let n = expanded workers in
-      (* the exact 1-worker cut, recorded from the enumerator that
-         evaluated every prefix anew: extension tables count
-         expansions in the same order. The cut lands in a block-level
-         task before the kernel task (17 003 expansions on its own)
-         has started, so it pins the block level's visit order, not
-         the kernel level's. *)
+      (* the exact 1-worker cut. A one-worker pool never takes a
+         spawned subtree (no worker is ever hungry), so the kept
+         children are searched inline in generation order; the
+         engine that spawned them at depth 1 popped them LIFO and cut
+         at 5122, and with spawning off (cutoff 0) that same engine
+         cuts at 5135, the value pinned here. The cut lands in a
+         block-level task before the kernel task (17 003 expansions
+         on its own) has started, so it pins the block level's visit
+         order, not the kernel level's. *)
       if workers = 1 then
-        Alcotest.(check int) "1 worker: the exact cut" 5122 n;
+        Alcotest.(check int) "1 worker: the exact cut" 5135 n;
       Alcotest.(check bool)
         (Printf.sprintf "%d worker(s): %d expanded past a budget of %d" workers n budget)
         true
@@ -954,6 +957,38 @@ let test_lanes_lane0_raises () =
   | [ Failure msg ] -> Alcotest.(check string) "reported once" "lane 0 died" msg
   | l -> Alcotest.failf "want one escaped exception, got %d" (List.length l)
 
+(* The pool takes a continuation only while some worker is hungry: a
+   lone worker is busy running the item that offers one, so it never
+   spawns; with a second worker idle, an offer is taken once that worker
+   has come up empty, and the taken item runs. *)
+let test_pool_spawns_for_hungry () =
+  let module P = Search.Deque.Pool in
+  let one = P.create ~registry:(Obs.Metrics.create ()) ~workers:1 () in
+  let took = ref None in
+  P.seed one (fun () -> took := Some (P.spawn one (fun () -> ())));
+  P.run_worker one ~id:0 ~stop:(fun () -> false) ~run:(fun f -> f ());
+  Alcotest.(check (option bool)) "1 worker: the offer is refused" (Some false)
+    !took;
+  Alcotest.(check int) "1 worker: nothing spawned" 0 (P.spawned one);
+  let two = P.create ~registry:(Obs.Metrics.create ()) ~workers:2 () in
+  let ran = Atomic.make false in
+  P.seed two (fun () ->
+      let t0 = Unix.gettimeofday () in
+      while
+        (not (P.spawn two (fun () -> Atomic.set ran true)))
+        && Unix.gettimeofday () -. t0 < 5.0
+      do
+        Domain.cpu_relax ()
+      done);
+  let other =
+    Domain.spawn (fun () ->
+        P.run_worker two ~id:1 ~stop:(fun () -> false) ~run:(fun f -> f ()))
+  in
+  P.run_worker two ~id:0 ~stop:(fun () -> false) ~run:(fun f -> f ());
+  Domain.join other;
+  Alcotest.(check int) "2 workers: one offer taken" 1 (P.spawned two);
+  Alcotest.(check bool) "the taken item ran" true (Atomic.get ran)
+
 let test_two_worker_search_one_domain () =
   let spec = div_matmul_spec ~b:4 ~h:8 ~d:16 in
   let cfg =
@@ -1047,6 +1082,8 @@ let () =
             test_lanes_lane0_raises;
           Alcotest.test_case "a 2-worker search starts one domain" `Quick
             test_two_worker_search_one_domain;
+          Alcotest.test_case "the pool spawns only for a hungry worker"
+            `Quick test_pool_spawns_for_hungry;
         ] );
       ( "parallel verify",
         [

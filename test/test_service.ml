@@ -643,11 +643,15 @@ let test_slow_forensics =
 
 (* --- shared prune helper ----------------------------------------------- *)
 
-(* One invariant: the prefix engine asks [Prune.check] once per
-   extension, where it is made, and counts and journals the reject at
-   every try of it from one site, so the journal's pruned_abstract
-   rejects, the stats counter, and the funnel all agree — at both levels
-   (kernel and block) combined. *)
+(* One invariant: the prefix engine counts and journals every reject
+   from one site per kind — a visited try's own [cand.reject], or one
+   event for the tries a prefix counts in bulk, carrying ["tries": n] —
+   so for every reason the journal's rejects, each standing for
+   [tries * roots] tries, equal the search's count: the funnel's for
+   the funnel reasons (duplicates also count the generator's
+   [graph.duplicate]s), the [search.block.reject.*] counters for the
+   block level's own cuts; at both levels (kernel and block)
+   combined. *)
 let test_prune_single_site =
   with_reset @@ fun () ->
   let journal_path = Filename.temp_file "mirage_prune_journal" ".jsonl" in
@@ -665,22 +669,51 @@ let test_prune_single_site =
     | Ok evs -> evs
     | Error m -> Alcotest.fail ("journal unreadable: " ^ m)
   in
-  (* a block-level event of a root class stands for its "roots" tries *)
-  let journaled =
+  let int_field k e = match J.member k e with Some (J.Int n) -> n | _ -> 1 in
+  (* a block-level event of a root class stands for its "roots" tries,
+     a bulk event for its "tries" *)
+  let journaled reason =
     List.fold_left
       (fun acc e ->
         if
           Obs.Journal.typ_of e = "cand.reject"
-          && J.member "reason" e = Some (J.Str "pruned_abstract")
-        then
-          acc + (match J.member "roots" e with Some (J.Int k) -> k | _ -> 1)
+          && J.member "reason" e = Some (J.Str reason)
+        then acc + (int_field "tries" e * int_field "roots" e)
         else acc)
       0 events
   in
+  let bulk =
+    List.exists
+      (fun e -> Obs.Journal.typ_of e = "cand.reject" && J.member "tries" e <> None)
+      events
+  in
+  let counter name =
+    match List.assoc_opt name o.Search.Generator.metrics.Obs.Metrics.counters with
+    | Some n -> n
+    | None -> Alcotest.failf "no counter %s" name
+  in
+  let s = snap in
+  let expected =
+    [
+      ("shape", s.Search.Stats.shape_rejected);
+      ("memory", s.Search.Stats.memory_rejected);
+      ( "duplicate",
+        s.Search.Stats.duplicates - count_events events "graph.duplicate" );
+      ("canonical", s.Search.Stats.canonical_rejected);
+      ("pruned_abstract", s.Search.Stats.pruned_abstract);
+      ("phase", counter "search.block.reject.phase");
+      ("dangling", counter "search.block.reject.dangling");
+    ]
+  in
   Alcotest.(check bool) "the search exercised abstract pruning" true
     (snap.Search.Stats.pruned_abstract > 0);
-  Alcotest.(check int) "journal and stats agree on every reject" journaled
-    snap.Search.Stats.pruned_abstract
+  Alcotest.(check bool) "some tries were counted in bulk" true bulk;
+  List.iter
+    (fun (reason, n) ->
+      Alcotest.(check int)
+        (Printf.sprintf "journal and stats agree on %s" reason)
+        n (journaled reason))
+    expected
 
 let test_prune_helper_equivalence () =
   (* The helper is exactly the old inline condition. *)

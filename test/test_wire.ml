@@ -265,6 +265,14 @@ let test_retry_through_overload =
       ~frame_timeout_s:10.0 ()
   in
   Fun.protect ~finally:(fun () -> stop_server server) @@ fun () ->
+  (* the readiness probe's handler can still hold the slot after its
+     answer arrived; the hog connects only once it is gone, so the one
+     live connection counted below is the hog's, not the probe's (a
+     probe releasing the slot after the count would let the plain
+     request in) *)
+  Alcotest.(check bool) "probe handler reaped" true (await_quiet server);
+  Alcotest.(check int) "no live connection before the hog" 0
+    (Service.Admit.live_conns (Service.Server.admit server));
   let hog = connect socket_path in
   (* wait for the hog's handler to take the one connection slot *)
   let t0 = Unix.gettimeofday () in
