@@ -28,38 +28,19 @@ let hr title =
 let json_rows : Obs.Jsonw.t list ref = ref []
 let json_suites : string list ref = ref []
 
-(* Estimated Mirage costs of the Fig. 7 workloads, keyed
-   "<device>.<benchmark>.mirage_us" — the values the bench history file
-   tracks run over run and that the CI regression gate compares. *)
-let history_costs : (string * float) list ref = ref []
+(* Bench history: each suite appends its keys to its section, and
+   [--history FILE] writes the sections as one entry in this order (the
+   Fig. 7 costs "<device>.<benchmark>.mirage_us", then
+   "verify.<benchmark>.fast_over_ref", "serve.*", "enum.*" and
+   "codegen.*" keys). Which key regresses, in which direction and with
+   what slack is Obs.Report.history_rules. *)
+let history : (string * (string * float) list) list ref =
+  ref
+    [ ("costs", []); ("verify", []); ("serve", []); ("enum", []); ("codegen", []) ]
 
-(* Verifier throughput ratios from the `verify` suite, keyed
-   "verify.<benchmark>.fast_over_ref" (fast trial time / reference trial
-   time, the median over interleaved window pairs — lower is better).
-   Wall-clock, so the gate treats them with the same leniency as
-   wall_s. *)
-let history_verify : (string * float) list ref = ref []
-
-(* Enumeration throughput, work-stealing scaling and prune-cache ratios
-   from the `enum` suite, keyed "enum.<benchmark>.expansions_per_s" and
-   ".speedup_4d" (higher is better), ".speedup_2d" (recorded, ungated),
-   ".minor_words_per_expansion", ".searches_per_root" and
-   ".solver_queries_per_expansion" (lower is better, deterministic) and
-   ".prune_warm_over_cold" (lower is better). *)
-let history_enum : (string * float) list ref = ref []
-
-(* Service latency ratios from the `serve` suite, keyed
-   "serve.<benchmark>.warm_over_cold" (warm-cache request time / cold
-   search request time — lower is better, and far below 1 when the
-   result cache is healthy). Wall-clock; gated leniently like verify. *)
-let history_serve : (string * float) list ref = ref []
-
-(* Runnable-backend timings from the `codegen` suite, keyed
-   "codegen.<benchmark>.c_lines" (deterministic, gated increase-only
-   with no slack), ".lower_compile_s" (wall, gated one-sided with
-   slack: only increases fail) and ".kernel_over_interp" (recorded,
-   ungated). *)
-let history_codegen : (string * float) list ref = ref []
+let record section kvs =
+  history :=
+    List.map (fun (s, l) -> (s, if s = section then l @ kvs else l)) !history
 
 let jsuite name =
   if not (List.mem name !json_suites) then
@@ -111,13 +92,12 @@ let fig7 () =
                 (mirage_us /. us))
             b.systems;
           row "Mirage" mirage_us;
-          history_costs :=
-            !history_costs
-            @ [
-                ( Printf.sprintf "%s.%s.mirage_us" dev.Gpusim.Device.name
-                    b.name,
-                  mirage_us );
-              ];
+          record "costs"
+            [
+              ( Printf.sprintf "%s.%s.mirage_us" dev.Gpusim.Device.name
+                  b.name,
+                mirage_us );
+            ];
           Printf.printf "%-10s %-17s %8.2f %8.2f  <= %.2fx over best baseline\n"
             b.name "Mirage (template)" mirage_us 1.0 (best /. mirage_us))
         (Workloads.Bench_defs.all ()))
@@ -283,10 +263,11 @@ let casestudy name () =
         (Gpusim.Cost.cost Gpusim.Device.a100 spec).Gpusim.Cost.total_us
         (Pretty.kernel_graph_to_string r.Search.Generator.graph)
   | None -> print_endline "no muGraph found");
-  Printf.printf "generated CUDA for the template at paper dims:\n%s\n"
-    (Codegen.Cuda_emit.emit_kernel
-       ~name:(String.lowercase_ascii b.Workloads.Bench_defs.name)
-       b.Workloads.Bench_defs.mirage)
+  Printf.printf "generated C for the template at paper dims:\n%s\n"
+    (Codegen.C_emit.emit
+       (Impir.Lower.lower
+          ~name:(String.lowercase_ascii b.Workloads.Bench_defs.name)
+          b.Workloads.Bench_defs.mirage))
 
 (* ------------------------------------------------------------------ *)
 (* GQA sweep (§8.2): traffic and runtime vs batch and system; the      *)
@@ -474,13 +455,11 @@ let verify_bench () =
             ("speedup", Float speedup);
             ("spec_cache_hits", Int hits);
           ];
-      history_verify :=
-        !history_verify
-        @ [
-            ( Printf.sprintf "verify.%s.fast_over_ref"
-                b.Workloads.Bench_defs.name,
-              fast_over_ref );
-          ])
+      record "verify"
+        [
+          ( Printf.sprintf "verify.%s.fast_over_ref" b.Workloads.Bench_defs.name,
+            fast_over_ref );
+        ])
     (Workloads.Bench_defs.all ())
 
 (* ------------------------------------------------------------------ *)
@@ -570,9 +549,8 @@ let serve_bench () =
             ("warm_s", Float !warm_s);
             ("speedup", Float speedup);
           ];
-      history_serve :=
-        !history_serve
-        @ [ (Printf.sprintf "serve.%s.warm_over_cold" name, !warm_s /. cold_s) ])
+      record "serve"
+        [ (Printf.sprintf "serve.%s.warm_over_cold" name, !warm_s /. cold_s) ])
     (Workloads.Bench_defs.all ());
   (* Stage-level quantiles from the live telemetry plane: scrape the
      daemon's `metrics` snapshot (validating it against the exposition
@@ -649,9 +627,8 @@ let serve_bench () =
                       ("p50_us", Float p50);
                       ("p99_us", Float p99);
                     ];
-                history_serve :=
-                  !history_serve
-                  @ [ (hname ^ ".p50_us", p50); (hname ^ ".p99_us", p99) ]
+                record "serve"
+                  [ (hname ^ ".p50_us", p50); (hname ^ ".p99_us", p99) ]
               end)
             hists
       | _ ->
@@ -666,7 +643,7 @@ let serve_bench () =
       jpush
         Obs.Jsonw.
           [ ("suite", Str "serve"); ("cache_hit_rate", Float hit_rate) ];
-      history_serve := !history_serve @ [ ("serve.cache.hit_rate", hit_rate) ]);
+      record "serve" [ ("serve.cache.hit_rate", hit_rate) ]);
   ignore (Service.Client.shutdown ~socket_path ());
   Service.Server.wait server;
   (* The telemetry plane must be noise on the request path: record 200k
@@ -1150,24 +1127,22 @@ let enum_bench () =
         ("expanded", Int ntrans_expansions);
         ("minor_words_per_expansion", Float ntrans_words_per_expansion);
       ];
-  history_enum :=
-    !history_enum
-    @ [
-        ("enum.gqa.searches_per_root", per_root);
-        ("enum.gqa.solver_queries_per_expansion", per_expansion);
-        ("enum.gqa.minor_words_per_expansion", gqa_words_per_expansion);
-        ("enum.ntrans.minor_words_per_expansion", ntrans_words_per_expansion);
-        (Printf.sprintf "enum.%s.expansions_per_s" name, expansions_per_s);
-        ( Printf.sprintf "enum.%s.minor_words_per_expansion" name,
-          words_per_expansion );
-        ( Printf.sprintf "enum.%s.kernel_minor_words_per_expansion" name,
-          kernel_words );
-        (Printf.sprintf "enum.%s.speedup_2d" name, speedup2);
-        (Printf.sprintf "enum.%s.speedup_4d" name, speedup4);
-      ];
+  record "enum"
+    [
+      ("enum.gqa.searches_per_root", per_root);
+      ("enum.gqa.solver_queries_per_expansion", per_expansion);
+      ("enum.gqa.minor_words_per_expansion", gqa_words_per_expansion);
+      ("enum.ntrans.minor_words_per_expansion", ntrans_words_per_expansion);
+      (Printf.sprintf "enum.%s.expansions_per_s" name, expansions_per_s);
+      ( Printf.sprintf "enum.%s.minor_words_per_expansion" name,
+        words_per_expansion );
+      ( Printf.sprintf "enum.%s.kernel_minor_words_per_expansion" name,
+        kernel_words );
+      (Printf.sprintf "enum.%s.speedup_2d" name, speedup2);
+      (Printf.sprintf "enum.%s.speedup_4d" name, speedup4);
+    ];
   (* near-linear-to-8 check rides along only where 8 cores exist; the
-     key is host-dependent, so it is recorded but the gate treats it
-     like every other enum key (lenient, run-over-run) *)
+     key is gated like speedup_4d *)
   if cores >= 8 then begin
     let t8 = gen_time 8 in
     let speedup8 = t1 /. t8 in
@@ -1181,9 +1156,7 @@ let enum_bench () =
           ("gen_8d_s", Float t8);
           ("speedup_8d", Float speedup8);
         ];
-    history_enum :=
-      !history_enum
-      @ [ (Printf.sprintf "enum.%s.speedup_8d" name, speedup8) ]
+    record "enum" [ (Printf.sprintf "enum.%s.speedup_8d" name, speedup8) ]
   end;
   (* prune-cache warm start: two identical full searches sharing one
      cache directory — the second answers its solver misses from disk *)
@@ -1254,20 +1227,17 @@ let enum_bench () =
         ("prune_warm_over_cold", Float warm_over_cold);
         ("disk_hits", Int (sv warm_o).Smtlite.Solver.disk_hits);
       ];
-  history_enum :=
-    !history_enum
-    @ [ (Printf.sprintf "enum.%s.prune_warm_over_cold" name, warm_over_cold) ]
+  record "enum"
+    [ (Printf.sprintf "enum.%s.prune_warm_over_cold" name, warm_over_cold) ]
 
 (* ------------------------------------------------------------------ *)
 (* codegen: the runnable backend over the six reduced Fig. 7 template  *)
 (* plans, on the path perfbench's codegen_fig7 takes (optimizer        *)
 (* layouts, lowering, cc -O1). Per plan: the emitted C's line count    *)
-(* (codegen.<wl>.c_lines, deterministic, gated increase-only with no   *)
-(* slack), lower+compile wall (codegen.<wl>.lower_compile_s, gated     *)
-(* one-sided: an increase beyond the lenient threshold plus absolute   *)
-(* slack fails, a decrease never does) and the interpreter's time per  *)
+(* (codegen.<wl>.c_lines), lower+compile wall                          *)
+(* (codegen.<wl>.lower_compile_s) and the interpreter's time per       *)
 (* evaluation over the compiled kernel's, timed inside the runner      *)
-(* (codegen.<wl>.kernel_over_interp; recorded, not gated).            *)
+(* (codegen.<wl>.kernel_over_interp).                                  *)
 (* ------------------------------------------------------------------ *)
 
 let codegen_bench () =
@@ -1360,16 +1330,15 @@ let codegen_bench () =
                   ("interp_s", Float interp_s);
                   ("kernel_over_interp", Float kernel_over_interp);
                 ];
-            history_codegen :=
-              !history_codegen
-              @ [
-                  ( Printf.sprintf "codegen.%s.c_lines" name,
-                    float_of_int c_lines );
-                  ( Printf.sprintf "codegen.%s.lower_compile_s" name,
-                    lower_compile_s );
-                  ( Printf.sprintf "codegen.%s.kernel_over_interp" name,
-                    kernel_over_interp );
-                ])
+            record "codegen"
+              [
+                ( Printf.sprintf "codegen.%s.c_lines" name,
+                  float_of_int c_lines );
+                ( Printf.sprintf "codegen.%s.lower_compile_s" name,
+                  lower_compile_s );
+                ( Printf.sprintf "codegen.%s.kernel_over_interp" name,
+                  kernel_over_interp );
+              ])
       (Workloads.Bench_defs.all ());
     Printf.printf
       "(kernel_us: mean of %d runs inside the runner; interp_us: mean of %d \
@@ -1419,20 +1388,13 @@ let write_json file =
 
 (* ------------------------------------------------------------------ *)
 (* Bench history: [--history FILE] appends one JSONL entry per run     *)
-(* (schema mirage.bench_history.v1: timestamp, wall time, the Fig. 7   *)
-(* Mirage costs); [--gate PCT] first compares against the file's last  *)
-(* entry and fails — without appending — when any cost regresses by    *)
-(* more than PCT percent, or wall time blows up (10x PCT relative and  *)
-(* at least +2s absolute, lenient because wall time is noisy where the *)
-(* cost model is deterministic).                                       *)
+(* (schema mirage.bench_history.v1: timestamp, wall time, suites and   *)
+(* the recorded sections); [--gate PCT] first compares it with the     *)
+(* file's last entry under Obs.Report.history_rules and fails, without *)
+(* appending, on any regression.                                       *)
 (* ------------------------------------------------------------------ *)
 
 let history_schema = "mirage.bench_history.v1"
-
-let jnum = function
-  | Obs.Jsonw.Int i -> Some (float_of_int i)
-  | Obs.Jsonw.Float f -> Some f
-  | _ -> None
 
 let read_last_entry file =
   if not (Sys.file_exists file) then None
@@ -1457,342 +1419,54 @@ let read_last_entry file =
             exit 2)
   end
 
-let gate_history ~prev ~wall_s ~pct =
-  let frac = pct /. 100.0 in
-  let cost_viols =
-    match Obs.Jsonw.member "costs" prev with
-    | Some (Obs.Jsonw.Obj kvs) ->
-        List.filter_map
-          (fun (key, v) ->
-            match (jnum v, List.assoc_opt key !history_costs) with
-            | Some old_us, Some new_us
-              when old_us > 0.0 && (new_us -. old_us) /. old_us > frac ->
-                Some
-                  (Printf.sprintf
-                     "%s: %.2f us -> %.2f us (%+.1f%%, threshold %.1f%%)" key
-                     old_us new_us
-                     (100.0 *. (new_us -. old_us) /. old_us)
-                     pct)
-            | _ -> None)
-          kvs
-    | _ -> []
-  in
-  let verify_viols =
-    (* Wall-clock ratios, so they get the same leniency as wall_s: 10x the
-       cost threshold relative AND an absolute slack (+0.02 on a ratio that
-       sits well under 0.5 when the fast path is healthy). *)
-    match Obs.Jsonw.member "verify" prev with
-    | Some (Obs.Jsonw.Obj kvs) ->
-        List.filter_map
-          (fun (key, v) ->
-            match (jnum v, List.assoc_opt key !history_verify) with
-            | Some old_r, Some new_r
-              when old_r > 0.0
-                   && new_r -. old_r > 10.0 *. frac *. old_r
-                   && new_r -. old_r > 0.02 ->
-                Some
-                  (Printf.sprintf
-                     "%s: %.4f -> %.4f (%+.1f%%, lenient threshold %.1f%% and \
-                      +0.02)"
-                     key old_r new_r
-                     (100.0 *. (new_r -. old_r) /. old_r)
-                     (10.0 *. pct))
-            | _ -> None)
-          kvs
-    | _ -> []
-  in
-  let serve_viols =
-    (* Three kinds of serve keys, three gates — all wall-clock, so all
-       lenient (10x the cost threshold):
-         *.warm_over_cold  ratio, higher is worse, absolute slack +0.02
-         *.p50_us/p99_us   stage latency quantile, higher is worse,
-                           absolute slack +0.1s (socket jitter dwarfs
-                           the microsecond stages)
-         *.hit_rate        fraction, LOWER is worse, slack -0.02 *)
-    let ends_with suf s =
-      let ls = String.length s and lu = String.length suf in
-      ls >= lu && String.sub s (ls - lu) lu = suf
-    in
-    match Obs.Jsonw.member "serve" prev with
-    | Some (Obs.Jsonw.Obj kvs) ->
-        List.filter_map
-          (fun (key, v) ->
-            match (jnum v, List.assoc_opt key !history_serve) with
-            | Some old_r, Some new_r when ends_with "hit_rate" key ->
-                if
-                  old_r > 0.0
-                  && old_r -. new_r > 10.0 *. frac *. old_r
-                  && old_r -. new_r > 0.02
-                then
-                  Some
-                    (Printf.sprintf
-                       "%s: %.4f -> %.4f (%+.1f%%, lenient threshold -%.1f%% \
-                        and -0.02)"
-                       key old_r new_r
-                       (100.0 *. (new_r -. old_r) /. old_r)
-                       (10.0 *. pct))
-                else None
-            | Some old_r, Some new_r when ends_with "_us" key ->
-                if
-                  old_r > 0.0
-                  && new_r -. old_r > 10.0 *. frac *. old_r
-                  && new_r -. old_r > 100_000.0
-                then
-                  Some
-                    (Printf.sprintf
-                       "%s: %.1f us -> %.1f us (%+.1f%%, lenient threshold \
-                        %.1f%% and +0.1s)"
-                       key old_r new_r
-                       (100.0 *. (new_r -. old_r) /. old_r)
-                       (10.0 *. pct))
-                else None
-            | Some old_r, Some new_r
-              when old_r > 0.0
-                   && new_r -. old_r > 10.0 *. frac *. old_r
-                   && new_r -. old_r > 0.02 ->
-                Some
-                  (Printf.sprintf
-                     "%s: %.4f -> %.4f (%+.1f%%, lenient threshold %.1f%% and \
-                      +0.02)"
-                     key old_r new_r
-                     (100.0 *. (new_r -. old_r) /. old_r)
-                     (10.0 *. pct))
-            | _ -> None)
-          kvs
-    | _ -> []
-  in
-  let wall_viols =
-    (* Wall time is only comparable when the same suites ran: a run that
-       adds a suite is slower by construction, not by regression. Entries
-       that predate the "suites" field can't be compared either way, so
-       the wall gate skips them (and resumes at the next entry). *)
-    let same_suites =
-      match Obs.Jsonw.member "suites" prev with
-      | Some (Obs.Jsonw.List l) ->
-          List.filter_map (function Obs.Jsonw.Str s -> Some s | _ -> None) l
-          = !json_suites
-      | _ -> false
-    in
-    match
-      if same_suites then Option.bind (Obs.Jsonw.member "wall_s" prev) jnum
-      else None
-    with
-    | Some old_s
-      when old_s > 0.0
-           && (wall_s -. old_s) /. old_s > 10.0 *. frac
-           && wall_s -. old_s > 2.0 ->
-        [
-          Printf.sprintf
-            "wall_s: %.2f s -> %.2f s (%+.1f%%, lenient threshold %.1f%% and \
-             +2s)"
-            old_s wall_s
-            (100.0 *. (wall_s -. old_s) /. old_s)
-            (10.0 *. pct);
-        ]
-    | _ -> []
-  in
-  let enum_viols =
-    (* Scaling, throughput and cache ratios are wall-clock, so lenient
-       like serve; allocation is deterministic, so it is held tight:
-         *.expansions_per_s      higher is better (decrease-only gate)
-         *.minor_words_per_expansion, *.searches_per_root,
-         *.solver_queries_per_expansion
-                                 lower is better (increase-only gate, a
-                                 fixed 5% slack whatever --gate says)
-         *.speedup_4d / _8d      higher is better, slack -0.5x
-         *.speedup_2d            recorded, not gated (host-dependent)
-         *.prune_warm_over_cold  lower is better, slack +0.05 *)
-    let ends_with suf s =
-      let ls = String.length s and lu = String.length suf in
-      ls >= lu && String.sub s (ls - lu) lu = suf
-    in
-    match Obs.Jsonw.member "enum" prev with
-    | Some (Obs.Jsonw.Obj kvs) ->
-        List.filter_map
-          (fun (key, v) ->
-            match (jnum v, List.assoc_opt key !history_enum) with
-            | _ when ends_with "speedup_2d" key -> None
-            | Some old_r, Some new_r
-              when ends_with "minor_words_per_expansion" key ->
-                if old_r > 0.0 && new_r > 1.05 *. old_r then
-                  Some
-                    (Printf.sprintf
-                       "%s: %.1f -> %.1f words (%+.1f%%, threshold +5%%)" key
-                       old_r new_r
-                       (100.0 *. (new_r -. old_r) /. old_r))
-                else None
-            | Some old_r, Some new_r
-              when ends_with "searches_per_root" key
-                   || ends_with "solver_queries_per_expansion" key ->
-                if old_r > 0.0 && new_r > 1.05 *. old_r then
-                  Some
-                    (Printf.sprintf
-                       "%s: %.4g -> %.4g (%+.1f%%, threshold +5%%)" key old_r
-                       new_r
-                       (100.0 *. (new_r -. old_r) /. old_r))
-                else None
-            | Some old_r, Some new_r when ends_with "expansions_per_s" key ->
-                if old_r > 0.0 && old_r -. new_r > 10.0 *. frac *. old_r then
-                  Some
-                    (Printf.sprintf
-                       "%s: %.3g/s -> %.3g/s (%+.1f%%, lenient threshold \
-                        -%.1f%%)"
-                       key old_r new_r
-                       (100.0 *. (new_r -. old_r) /. old_r)
-                       (10.0 *. pct))
-                else None
-            | Some old_r, Some new_r when ends_with "warm_over_cold" key ->
-                if
-                  old_r > 0.0
-                  && new_r -. old_r > 10.0 *. frac *. old_r
-                  && new_r -. old_r > 0.05
-                then
-                  Some
-                    (Printf.sprintf
-                       "%s: %.3f -> %.3f (%+.1f%%, lenient threshold %.1f%% \
-                        and +0.05)"
-                       key old_r new_r
-                       (100.0 *. (new_r -. old_r) /. old_r)
-                       (10.0 *. pct))
-                else None
-            | Some old_r, Some new_r
-              when old_r > 0.0
-                   && old_r -. new_r > 10.0 *. frac *. old_r
-                   && old_r -. new_r > 0.5 ->
-                Some
-                  (Printf.sprintf
-                     "%s: %.2fx -> %.2fx (%+.1f%%, lenient threshold -%.1f%% \
-                      and -0.5x)"
-                     key old_r new_r
-                     (100.0 *. (new_r -. old_r) /. old_r)
-                     (10.0 *. pct))
-            | _ -> None)
-          kvs
-    | _ -> []
-  in
-  let codegen_viols =
-    (* Compile time is wall-clock and gated one-sided: only an increase
-       beyond the lenient threshold AND an absolute +0.25s slack fails
-       (a decrease is always fine). The emitted line count is
-       deterministic and gated increase-only with no slack. The
-       throughput ratio is recorded but never gated. *)
-    let ends_with suf s =
-      let ls = String.length s and lu = String.length suf in
-      ls >= lu && String.sub s (ls - lu) lu = suf
-    in
-    match Obs.Jsonw.member "codegen" prev with
-    | Some (Obs.Jsonw.Obj kvs) ->
-        List.filter_map
-          (fun (key, v) ->
-            match (jnum v, List.assoc_opt key !history_codegen) with
-            | Some old_n, Some new_n when ends_with "c_lines" key ->
-                if new_n > old_n then
-                  Some
-                    (Printf.sprintf "%s: %.0f -> %.0f lines (no slack)" key
-                       old_n new_n)
-                else None
-            | Some old_s, Some new_s when ends_with "lower_compile_s" key ->
-                if
-                  old_s > 0.0
-                  && new_s -. old_s > 10.0 *. frac *. old_s
-                  && new_s -. old_s > 0.25
-                then
-                  Some
-                    (Printf.sprintf
-                       "%s: %.2fs -> %.2fs (%+.1f%%, lenient threshold %.1f%% \
-                        and +0.25s)"
-                       key old_s new_s
-                       (100.0 *. (new_s -. old_s) /. old_s)
-                       (10.0 *. pct))
-                else None
-            | _ -> None)
-          kvs
-    | _ -> []
-  in
-  cost_viols @ verify_viols @ serve_viols @ enum_viols @ codegen_viols
-  @ wall_viols
-
-let append_history ~file ~wall_s =
-  let entry =
-    Obs.Jsonw.Obj
-      ([
-         ("schema", Obs.Jsonw.Str history_schema);
-         ("ts", Obs.Jsonw.Float (Unix.gettimeofday ()));
-         ("wall_s", Obs.Jsonw.Float wall_s);
-         ( "suites",
-           Obs.Jsonw.List
-             (List.map (fun s -> Obs.Jsonw.Str s) !json_suites) );
-         ( "costs",
-           Obs.Jsonw.Obj
-             (List.map (fun (k, v) -> (k, Obs.Jsonw.Float v)) !history_costs)
-         );
-       ]
-      @ (if !history_verify = [] then []
-         else
-           [
-             ( "verify",
-               Obs.Jsonw.Obj
-                 (List.map
-                    (fun (k, v) -> (k, Obs.Jsonw.Float v))
-                    !history_verify) );
-           ])
-      @ (if !history_serve = [] then []
-         else
-           [
-             ( "serve",
-               Obs.Jsonw.Obj
-                 (List.map
-                    (fun (k, v) -> (k, Obs.Jsonw.Float v))
-                    !history_serve) );
-           ])
-      @ (if !history_enum = [] then []
-         else
-           [
-             ( "enum",
-               Obs.Jsonw.Obj
-                 (List.map (fun (k, v) -> (k, Obs.Jsonw.Float v)) !history_enum)
-             );
-           ])
-      @
-      if !history_codegen = [] then []
-      else
-        [
-          ( "codegen",
-            Obs.Jsonw.Obj
-              (List.map
-                 (fun (k, v) -> (k, Obs.Jsonw.Float v))
-                 !history_codegen) );
-        ])
-  in
-  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 file in
-  output_string oc (Obs.Jsonw.to_string entry);
-  output_char oc '\n';
-  close_out oc
+let history_entry ~wall_s =
+  let open Obs.Jsonw in
+  Obj
+    ([
+       ("schema", Str history_schema);
+       ("ts", Float (Unix.gettimeofday ()));
+       ("wall_s", Float wall_s);
+       ("suites", List (List.map (fun s -> Str s) !json_suites));
+     ]
+    @ List.filter_map
+        (fun (section, kvs) ->
+          (* costs is always written, the other sections when recorded *)
+          if kvs = [] && section <> "costs" then None
+          else
+            Some (section, Obj (List.map (fun (k, v) -> (k, Float v)) kvs)))
+        !history)
 
 let finish_history ~file ~gate_pct ~wall_s =
-  if
-    !history_costs = [] && !history_verify = [] && !history_serve = []
-    && !history_enum = [] && !history_codegen = []
-  then begin
+  if List.for_all (fun (_, kvs) -> kvs = []) !history then begin
     Printf.eprintf
       "--history: nothing recorded (run the fig7, verify, serve, enum and/or \
        codegen suite)\n";
     exit 2
   end;
+  let entry = history_entry ~wall_s in
+  let rules = Obs.Report.history_rules in
   let violations =
     match (gate_pct, read_last_entry file) with
-    | Some pct, Some prev -> gate_history ~prev ~wall_s ~pct
+    | Some pct, Some prev ->
+        let threshold = pct /. 100.0 in
+        Obs.Report.gate ~rules ~threshold prev entry
+        |> List.map (fun (d : Obs.Report.delta) ->
+               Printf.sprintf "%s: %s"
+                 (snd (Obs.Report.split d.key))
+                 (Obs.Report.explain ~rules ~threshold d))
     | _ -> []
   in
   if violations = [] then begin
-    append_history ~file ~wall_s;
-    Printf.printf
-      "appended bench history entry (%d costs, %d verify ratios, %d serve \
-       ratios, %d enum metrics) to %s\n"
-      (List.length !history_costs)
-      (List.length !history_verify)
-      (List.length !history_serve)
-      (List.length !history_enum)
+    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 file in
+    output_string oc (Obs.Jsonw.to_string entry);
+    output_char oc '\n';
+    close_out oc;
+    Printf.printf "appended bench history entry (%s) to %s\n"
+      (String.concat ", "
+         (List.map
+            (fun (section, kvs) ->
+              Printf.sprintf "%d %s" (List.length kvs) section)
+            !history))
       file
   end
   else begin

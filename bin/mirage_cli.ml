@@ -118,10 +118,11 @@ let inspect_cmd =
     Printf.printf "-- optimizer report:\n%s\n"
       (Opt.Optimizer.summary
          (Opt.Optimizer.optimize device b.Workloads.Bench_defs.mirage));
-    Printf.printf "-- generated CUDA:\n%s\n"
-      (Codegen.Cuda_emit.emit_kernel
-         ~name:(String.lowercase_ascii b.Workloads.Bench_defs.name)
-         b.Workloads.Bench_defs.mirage)
+    Printf.printf "-- generated C:\n%s\n"
+      (Codegen.C_emit.emit
+         (Impir.Lower.lower
+            ~name:(String.lowercase_ascii b.Workloads.Bench_defs.name)
+            b.Workloads.Bench_defs.mirage))
   in
   Cmd.v (Cmd.info "inspect" ~doc:"Print plans, costs and generated code")
     Term.(const run $ bench_arg $ device_arg)
@@ -382,23 +383,13 @@ let budget_arg =
     value & opt float 120.0
     & info [ "budget" ] ~docv:"SECONDS" ~doc:"Search time budget.")
 
-let ref_verify_arg =
-  Arg.(
-    value & flag
-    & info [ "reference-verify" ]
-        ~doc:
-          "Verify candidates on the boxed reference finite-field path \
-           instead of the packed fast path (same verdicts, slower; kept \
-           for debugging and timing comparisons).")
-
-let search_config ~max_ops ~workers ~budget ~reference_verify spec =
+let search_config ~max_ops ~workers ~budget spec =
   let base =
     {
       Search.Config.default with
       Search.Config.max_block_ops = max_ops;
       num_workers = resolve_workers workers;
       time_budget_s = budget;
-      verify_fast_path = not reference_verify;
     }
   in
   Search.Config.for_spec ~base spec
@@ -429,14 +420,14 @@ let prune_cache_arg =
            directory.")
 
 let optimize_cmd =
-  let run name device max_ops workers budget reference_verify trace metrics
+  let run name device max_ops workers budget trace metrics
       report_dir resume prune_cache differential =
     let b = lookup name in
     (* Superoptimize the reduced-dimension specification: the search is
        exhaustive and the discovered structure is dimension-uniform. *)
     let spec, _ = b.Workloads.Bench_defs.reduced () in
     let config =
-      search_config ~max_ops ~workers ~budget ~reference_verify spec
+      search_config ~max_ops ~workers ~budget spec
     in
     let fingerprint =
       Search.Checkpoint.config_fingerprint (Search.Config.to_json config)
@@ -658,15 +649,15 @@ let optimize_cmd =
        ~doc:"Run the full superoptimizer on a benchmark (reduced dims)")
     Term.(
       const run $ bench_arg $ device_arg $ ops_arg $ workers_arg $ budget_arg
-      $ ref_verify_arg $ trace_arg $ metrics_flag $ report_arg $ resume_arg
+      $ trace_arg $ metrics_flag $ report_arg $ resume_arg
       $ prune_cache_arg $ differential_arg)
 
 let stats_cmd =
-  let run name device max_ops workers budget reference_verify trace report_dir =
+  let run name device max_ops workers budget trace report_dir =
     let b = lookup name in
     let spec, _ = b.Workloads.Bench_defs.reduced () in
     let config =
-      search_config ~max_ops ~workers ~budget ~reference_verify spec
+      search_config ~max_ops ~workers ~budget spec
     in
     with_artifacts ~kind:"stats" trace report_dir @@ fun rep ->
     let o = Search.Generator.run ~config ~verify_trials:2 ~device ~spec () in
@@ -754,7 +745,7 @@ let stats_cmd =
           verifier telemetry")
     Term.(
       const run $ bench_arg $ device_arg $ ops_arg $ workers_arg $ budget_arg
-      $ ref_verify_arg $ trace_arg $ report_arg)
+      $ trace_arg $ report_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Forensics over run artifacts: explain and diff                      *)
@@ -913,11 +904,8 @@ let diff_cmd =
         else begin
           List.iter
             (fun (d : Obs.Report.delta) ->
-              Printf.printf
-                "REGRESSION %s: %.6g -> %.6g (%+.1f%%, threshold %.1f%%)\n"
-                d.key d.va d.vb
-                (100.0 *. Obs.Report.rel d)
-                (100.0 *. threshold))
+              Printf.printf "REGRESSION %s: %s\n" d.key
+                (Obs.Report.explain ~threshold d))
             violations;
           exit 1
         end
@@ -938,22 +926,23 @@ let emit_cmd =
   in
   let run name out =
     let b = lookup name in
-    let cuda =
-      Codegen.Cuda_emit.emit_kernel
-        ~name:(String.lowercase_ascii b.Workloads.Bench_defs.name)
-        b.Workloads.Bench_defs.mirage
+    let c =
+      Codegen.C_emit.emit
+        (Impir.Lower.lower
+           ~name:(String.lowercase_ascii b.Workloads.Bench_defs.name)
+           b.Workloads.Bench_defs.mirage)
     in
     match out with
-    | None -> print_string cuda
+    | None -> print_string c
     | Some path ->
         let oc = open_out path in
-        output_string oc cuda;
+        output_string oc c;
         close_out oc;
-        Printf.printf "wrote %d lines to %s\n" (Codegen.Cuda_emit.loc cuda)
-          path
+        Printf.printf "wrote %d lines to %s\n" (Codegen.C_emit.loc c) path
   in
   Cmd.v
-    (Cmd.info "emit" ~doc:"Emit the CUDA for a benchmark's Mirage muGraph")
+    (Cmd.info "emit"
+       ~doc:"Emit the runnable C99 for a benchmark's Mirage muGraph")
     Term.(const run $ bench_arg $ out_arg)
 
 let run_winner_cmd =
@@ -1211,10 +1200,9 @@ let serve_cmd =
             "Byte cap on the on-disk result cache: stores beyond it \
              evict least-recently-used entries (0 = unlimited).")
   in
-  let run socket cache_dir device max_ops workers budget reference_verify
-      max_searches journal slow_threshold_ms slow_dir max_connections
-      max_queue_depth tenant_rate tenant_burst frame_timeout_s idle_timeout_s
-      cache_max_bytes =
+  let run socket cache_dir device max_ops workers budget max_searches journal
+      slow_threshold_ms slow_dir max_connections max_queue_depth tenant_rate
+      tenant_burst frame_timeout_s idle_timeout_s cache_max_bytes =
     (match journal with
     | Some path -> ignore (Obs.Journal.enable path)
     | None -> ());
@@ -1224,7 +1212,6 @@ let serve_cmd =
         Search.Config.max_block_ops = max_ops;
         num_workers = resolve_workers workers;
         time_budget_s = budget;
-        verify_fast_path = not reference_verify;
       }
     in
     let server =
@@ -1267,7 +1254,7 @@ let serve_cmd =
           coalescing of identical concurrent requests")
     Term.(
       const run $ socket_arg $ cache_dir_arg $ device_arg $ ops_arg
-      $ workers_arg $ budget_arg $ ref_verify_arg $ max_searches_arg
+      $ workers_arg $ budget_arg $ max_searches_arg
       $ journal_arg $ slow_threshold_arg $ slow_dir_arg $ max_conns_arg
       $ max_queue_arg $ tenant_rate_arg $ tenant_burst_arg
       $ frame_timeout_arg $ idle_timeout_arg $ cache_max_bytes_arg)

@@ -71,5 +71,6 @@ let () =
       in
       Printf.printf "outputs agree with the input program: %b\n\n" close;
       print_string
-        (Codegen.Cuda_emit.emit_kernel ~name:"quickstart" piece.Mirage.best)
+        (Codegen.C_emit.emit
+           (Impir.Lower.lower ~name:"quickstart" piece.Mirage.best))
   | _ -> ()

@@ -208,7 +208,6 @@ type kernel = {
   forloop : int array;
   smem_bytes : int;
   planner_optimal : bool;
-  libcall : string option;
   body : stmt list;
 }
 

@@ -8,10 +8,9 @@
     them without any runtime shape machinery. Memory is explicit — a
     value lives in a named {!buf} with a {!Tensor.Layout.t} index
     function, and every read/write goes through a linear index
-    expression built by {!index} from that layout's strides. Both the
-    runnable C backend ({!Codegen.C_emit}) and the pseudo-CUDA printer
-    ({!Codegen.Cuda_emit}) consume this IR, so the two can never drift:
-    there is exactly one lowering ({!Lower}). *)
+    expression built by {!index} from that layout's strides. The
+    runnable C backend ({!Codegen.C_emit}) renders this IR; there is
+    exactly one lowering ({!Lower}). *)
 
 (** Integer index expressions over loop variables. Build them with the
     constant-folding smart constructors below so emitted addressing code
@@ -98,10 +97,6 @@ type kernel = {
   forloop : int array;
   smem_bytes : int;
   planner_optimal : bool;  (** the memory plan's exhaustive search finished *)
-  libcall : string option;
-      (** for kernel-level library ops, the operator name ([Op.name]); a
-          pseudo-CUDA backend renders the call as a library invocation
-          instead of the loop body *)
   body : stmt list;
 }
 

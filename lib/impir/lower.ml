@@ -499,7 +499,6 @@ let lower_block ctx ~kname ~(kin_bufs : Ir.buf list)
     forloop = Array.copy bg.forloop;
     smem_bytes = plan.Opt.Memplan.peak_bytes;
     planner_optimal = plan.Opt.Memplan.optimal;
-    libcall = None;
     body;
   }
 
@@ -581,7 +580,6 @@ let nests ?layouts ~name (g : Graph.kernel_graph) : Ir.program =
               forloop = [||];
               smem_bytes = 0;
               planner_optimal = true;
-              libcall = Some (Op.name p);
               body;
             }
             :: !kernels;

@@ -118,8 +118,109 @@ let num_deltas a b =
   walk "" a b;
   List.rev !out
 
-let default_gate_keys = [ "cost.optimized_us"; "timing.wall_s" ]
+(* ------------------------------------------------------------------ *)
+(* Regression gate: one table of rules                                 *)
+(* ------------------------------------------------------------------ *)
 
-let gate ?(keys = default_gate_keys) ~threshold a b =
+type worse = Higher | Lower | Recorded
+type slack = Gate of float | Fixed of float
+
+type rule = {
+  section : string;
+  suffix : string;
+  worse : worse;
+  rel_slack : slack;
+  abs_slack : float;
+  same : string option;
+}
+
+let row ?(rel = Gate 10.0) ?(abs = 0.0) ?same section suffix worse =
+  { section; suffix; worse; rel_slack = rel; abs_slack = abs; same }
+
+let recorded section suffix = row section suffix Recorded
+
+(* Wall-clock keys get 10x the threshold plus an absolute slack, since
+   the host's load moves them; deterministic keys are held tight. *)
+let history_rules =
+  [
+    (* a run that adds a suite is slower by construction *)
+    row "" "wall_s" Higher ~abs:2.0 ~same:"suites";
+    recorded "" "ts";
+    row "costs" "mirage_us" Higher ~rel:(Gate 1.0);
+    row "verify" "fast_over_ref" Higher ~abs:0.02;
+    row "serve" "warm_over_cold" Higher ~abs:0.02;
+    (* stage quantiles: socket jitter dwarfs the microsecond stages *)
+    row "serve" "_us" Higher ~abs:100_000.0;
+    row "serve" "hit_rate" Lower ~abs:0.02;
+    (* allocation and query counts are deterministic: 5 % whatever the
+       threshold *)
+    row "enum" "minor_words_per_expansion" Higher ~rel:(Fixed 0.05);
+    row "enum" "searches_per_root" Higher ~rel:(Fixed 0.05);
+    row "enum" "solver_queries_per_expansion" Higher ~rel:(Fixed 0.05);
+    row "enum" "expansions_per_s" Lower;
+    row "enum" "prune_warm_over_cold" Higher ~abs:0.05;
+    row "enum" "speedup_4d" Lower ~abs:0.5;
+    row "enum" "speedup_8d" Lower ~abs:0.5;
+    recorded "enum" "speedup_2d" (* host-dependent *);
+    row "codegen" "c_lines" Higher ~rel:(Fixed 0.0);
+    row "codegen" "lower_compile_s" Higher ~abs:0.25;
+    recorded "codegen" "kernel_over_interp";
+  ]
+
+let diff_rules =
+  [
+    row "cost" "optimized_us" Higher ~rel:(Gate 1.0);
+    row "timing" "wall_s" Higher ~rel:(Gate 1.0);
+  ]
+
+let split key =
+  match String.index_opt key '.' with
+  | None -> ("", key)
+  | Some i ->
+      (String.sub key 0 i, String.sub key (i + 1) (String.length key - i - 1))
+
+let matching rules key =
+  let section, rest = split key in
+  List.filter
+    (fun r -> r.section = section && String.ends_with ~suffix:r.suffix rest)
+    rules
+
+let slack_frac ~threshold r =
+  match r.rel_slack with Gate m -> m *. threshold | Fixed f -> f
+
+let violates ~threshold r d =
+  let worse =
+    match r.worse with
+    | Higher -> d.vb -. d.va
+    | Lower -> d.va -. d.vb
+    | Recorded -> Float.neg_infinity
+  in
+  d.va > 0.0 && worse > slack_frac ~threshold r *. d.va && worse > r.abs_slack
+
+let gate ?(rules = diff_rules) ~threshold a b =
+  let applies r =
+    match r.same with
+    | None -> true
+    | Some field -> (
+        match Jsonw.member field a with
+        | Some v -> Jsonw.member field b = Some v
+        | None -> false)
+  in
   num_deltas a b
-  |> List.filter (fun d -> List.mem d.key keys && rel d > threshold)
+  |> List.filter (fun d ->
+         match matching rules d.key with
+         | r :: _ -> applies r && violates ~threshold r d
+         | [] -> false)
+
+let explain ?(rules = diff_rules) ~threshold d =
+  let bound =
+    match matching rules d.key with
+    | [] -> ""
+    | r :: _ ->
+        let sign = if r.worse = Lower then -1.0 else 1.0 in
+        Printf.sprintf ", threshold %.1f%%%s"
+          (sign *. 100.0 *. slack_frac ~threshold r)
+          (if r.abs_slack = 0.0 then ""
+           else Printf.sprintf " and %+g" (sign *. r.abs_slack))
+  in
+  Printf.sprintf "%.6g -> %.6g (%+.1f%%%s)" d.va d.vb (100.0 *. rel d) bound

@@ -117,6 +117,20 @@ grep -q '"disk_hits": [1-9]' /tmp/mirage_ci_chaos3_warm/report.json
 dune exec tools/json_check.exe -- /tmp/mirage_ci_chaos3/report.json \
   /tmp/mirage_ci_chaos3_warm/report.json
 
+echo "== smoke: mirage_cli diff gates a raised cost (Obs.Report.diff_rules)"
+dune exec bin/mirage_cli.exe -- diff /tmp/mirage_ci_chaos3 \
+  /tmp/mirage_ci_chaos3 >/dev/null
+rm -rf /tmp/mirage_ci_diff && mkdir -p /tmp/mirage_ci_diff
+awk '!d && /"optimized_us":/ { split($0, kv, ": "); v = kv[2];
+  c = (v ~ /,$/) ? "," : ""; sub(/,$/, "", v);
+  sub(/: .*/, ": " v * 1.1 c); d = 1 } { print }' \
+  /tmp/mirage_ci_chaos3/report.json > /tmp/mirage_ci_diff/report.json
+if dune exec bin/mirage_cli.exe -- diff /tmp/mirage_ci_chaos3 \
+    /tmp/mirage_ci_diff > /tmp/mirage_ci_diff/out.txt; then
+  echo "diff passed a 10% cost regression"; exit 1
+fi
+grep -q '^REGRESSION cost.optimized_us:' /tmp/mirage_ci_diff/out.txt
+
 echo "== resume smoke: kill-and-resume lands in the same run dir"
 rm -rf /tmp/mirage_ci_resume
 dune exec bin/mirage_cli.exe -- optimize rmsnorm \
@@ -260,25 +274,10 @@ test -z "$(find /tmp/mirage_ci_wire/cache -name '.result.json.tmp.*' \
 
 echo "== bench history regression gate (Fig. 7 + verifier + service + enum + codegen, 5%)"
 # Gate against the committed baseline on a scratch copy so CI runs never
-# dirty the tree; a real refresh re-runs `bench fig7 verify serve
-# profile enum --history` in place. The verify suite's
-# fast-over-reference ratios catch a fast-path performance regression
-# the same way costs catch a cost-model one; the serve suite's
-# warm-over-cold ratios catch a result cache that stopped caching (and
-# its own 50x floor fails the suite). The profile suite self-gates:
-# Obs.Profile record overhead must stay under 1% of a cold rmsnorm
-# search's wall time. The enum suite is the parallel-scaling smoke: it
-# measures 1- vs 4-domain cold enumeration on rmsnorm and hard-fails if
-# a >=4-core host scales below 2x (on smaller hosts the number is
-# recorded and drift-gated only — time-slicing domains on one core
-# cannot speed up), and it hard-asserts the prune-query cache actually
-# persists and answers from disk (warm solve time, disk_hits > 0). The
-# codegen suite takes the six Fig. 7 template plans through the
-# optimizer's layouts, the lowering and cc: per plan it gates the
-# emitted C's line count (deterministic, increase-only, no slack) and
-# the lower+compile wall (one-sided: only an increase fails), and it
-# records the kernel's throughput over the interpreter's, timed inside
-# the runner.
+# dirty the tree. Which key regresses, in which direction and with what
+# slack is one table, Obs.Report.history_rules (lib/obs/report.ml); the
+# suites' own hard checks (serve's 50x floor, profile's 1% overhead,
+# enum's scaling and prune-cache asserts) fail the run on their own.
 cp BENCH_history.jsonl /tmp/mirage_ci_history.jsonl
 dune exec bench/main.exe -- fig7 verify serve profile enum codegen \
   --history /tmp/mirage_ci_history.jsonl --gate 5 >/dev/null

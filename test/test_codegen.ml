@@ -6,9 +6,8 @@
    must handle: a custom block kernel with a for-loop and accumulators
    (the rmsnorm fused plan), the Concat_matmul operator, and a
    multi-kernel graph with an intermediate tensor crossing a kernel
-   (partition) boundary. Both backends are pinned: the pseudo-CUDA
-   printer and the runnable C renderer consume the same {!Impir.Ir}
-   program, so the goldens also document that shared lowering.
+   (partition) boundary. The runnable C renderer is pinned: the concat
+   program as a full golden, the rmsnorm plan by its landmarks.
 
    The property suite checks the lowering is *total* over random
    well-typed muGraphs (it never raises, and the result passes
@@ -59,139 +58,8 @@ let concat_boundary_graph () =
   let e = Graph.Build.prim b (Op.Unary Op.Exp) [ cm ] in
   Graph.Build.finish b ~outputs:[ e ]
 
-let golden_rmsnorm_cuda = {golden|
-// Mirage-generated program: rmsnorm
-#include "mirage_runtime.cuh"
-
-// grid(2) forloop(2), 216 B shared memory (planner: first-fit)
-__global__ void rmsnorm_kernel_3(const half *a0, const half *a1, const half *a2, half *o0) {
-  extern __shared__ half smem[]; // 216 bytes planned
-  auto s0 /*[4][4] row-major*/ = smem + 32;
-  auto s1 /*[1][4] row-major*/ = smem + 48;
-  auto s2 /*[4][8] col-major*/ = smem + 0;
-  auto s3 /*[4][4] row-major*/ = smem + 64;
-  auto s4 /*[4][8] row-major*/ = smem + 32;
-  auto s5 /*[4][8] row-major*/ = smem + 0;
-  auto s6 /*[4][4] row-major*/ = smem + 80;
-  auto s7 /*[4][1] row-major*/ = smem + 96;
-  auto s8 /*[4][1] row-major*/ = smem + 100;
-  auto s9 /*[4][1] row-major*/ = smem + 104;
-  auto s10 /*[4][8] row-major*/ = smem + 64;
-  const int g0 = blockIdx.x; // 2 thread blocks on axis 0
-  // s5 = 0
-  for (int i0 = 0; i0 < 32; ++i0) {
-    s5[i0] = 0.0f;
-  }
-  // s8 = 0
-  for (int i2 = 0; i2 < 4; ++i2) {
-    s8[i2] = 0.0f;
-  }
-  for (int i = 0; i < 2; ++i) { // data-stream loop
-    // copy_tile(s0, a0, i{phi}, f{1})
-    for (int i8 = 0; i8 < 4; ++i8) {
-      for (int i9 = 0; i9 < 4; ++i9) {
-        s0[((i8 * 4) + i9)] = a0[((i8 * 8) + (i9 + (i * 4)))];
-      }
-    }
-    // copy_tile(s1, a1, i{phi}, f{1})
-    for (int i10 = 0; i10 < 4; ++i10) {
-      s1[i10] = a1[(i10 + (i * 4))];
-    }
-    // copy_tile(s2, a2, i{1}, f{0})
-    for (int i11 = 0; i11 < 4; ++i11) {
-      for (int i12 = 0; i12 < 8; ++i12) {
-        s2[(i11 + (i12 * 4))] = a2[(((i11 + (i * 4)) * 16) + (i12 + (g0 * 8)))];
-      }
-    }
-    __syncthreads();
-    // ew_mul(s3, s0, s1)
-    for (int i13 = 0; i13 < 4; ++i13) {
-      for (int i14 = 0; i14 < 4; ++i14) {
-        s3[((i13 * 4) + i14)] = (s0[((i13 * 4) + i14)] * s1[i14]);
-      }
-    }
-    // ew_sqr(s6, s0)
-    for (int i15 = 0; i15 < 16; ++i15) {
-      s6[i15] = sqr(s0[i15]);
-    }
-    __syncthreads();
-    // mma_tile(s4, s3, s2)
-    for (int i17 = 0; i17 < 4; ++i17) {
-      for (int i18 = 0; i18 < 8; ++i18) {
-        float acc19 = 0.0f;
-        for (int r20 = 0; r20 < 4; ++r20) {
-          acc19 = (acc19 + (s3[((i17 * 4) + r20)] * s2[(r20 + (i18 * 4))]));
-        }
-        s4[((i17 * 8) + i18)] = acc19;
-      }
-    }
-    // reduce_sum<1, 4>(s7, s6)
-    for (int i21 = 0; i21 < 4; ++i21) {
-      float acc22 = 0.0f;
-      for (int r23 = 0; r23 < 4; ++r23) {
-        acc22 = (acc22 + s6[((i21 * 4) + r23)]);
-      }
-      s7[i21] = acc22;
-    }
-    __syncthreads();
-    // accumulate(s5, s4, f{phi})
-    for (int i24 = 0; i24 < 32; ++i24) {
-      s5[i24] += s4[i24];
-    }
-    // accumulate(s8, s7, f{phi})
-    for (int i26 = 0; i26 < 4; ++i26) {
-      s8[i26] += s7[i26];
-    }
-  }
-  __syncthreads();
-  // ew_sqrt(s9, s8)
-  for (int i5 = 0; i5 < 4; ++i5) {
-    s9[i5] = sqrtf(s8[i5]);
-  }
-  // ew_div(s10, s5, s9)
-  for (int i6 = 0; i6 < 4; ++i6) {
-    for (int i7 = 0; i7 < 8; ++i7) {
-      s10[((i6 * 8) + i7)] = (s5[((i6 * 8) + i7)] / s9[i6]);
-    }
-  }
-  // store_tile(o0, s10, o{1})
-  for (int i3 = 0; i3 < 4; ++i3) {
-    for (int i4 = 0; i4 < 8; ++i4) {
-      o0[((i3 * 16) + (i4 + (g0 * 8)))] = s10[((i3 * 8) + i4)];
-    }
-  }
-}
-
-void rmsnorm_launch(Tensors &t) {
-  half *in_0 = t.in(0); // input X [4][8]
-  half *in_1 = t.in(1); // input G [1][8]
-  half *in_2 = t.in(2); // input W [8][16]
-  half *t3_0 = t.alloc(64); // [4][16]
-  rmsnorm_kernel_3<<<dim3(2), dim3(128), 216>>>(in_0, in_1, in_2, t3_0);
-  t.mark_output(0, t3_0); // [4][16]
-}
-|golden}
-
-let golden_concat_cuda = {golden|
-// Mirage-generated program: concat
-#include "mirage_runtime.cuh"
-
-void concat_launch(Tensors &t) {
-  half *in_0 = t.in(0); // input W [4][2]
-  half *in_1 = t.in(1); // input X [4][3]
-  half *in_2 = t.in(2); // input Y [2][5]
-  half *in_3 = t.in(3); // input Z [3][5]
-  half *t4_0 = t.alloc(20); // [4][5]
-  half *t5_0 = t.alloc(20); // [4][5]
-  library_call_concatmatmul(in_0, in_1, in_2, in_3, t4_0); // ConcatMatmul
-  library_call_ewexp(t4_0, t5_0); // EwExp
-  t.mark_output(0, t5_0); // [4][5]
-}
-|golden}
-
-(* The runnable C rendering of the same concat program: in C there are
-   no library calls, so the Concat_matmul reduce loops and the harness
-   metadata/entry points are all pinned here. *)
+(* The runnable C rendering of the concat program: the Concat_matmul
+   reduce loops and the harness metadata/entry points are pinned here. *)
 let golden_concat_c = {golden|
 /* Mirage runnable C backend: concat */
 
@@ -250,20 +118,12 @@ void mirage_entry(const double **in, double **out) {
 }
 |golden}
 
-let test_golden_rmsnorm () =
-  golden_check ~name:"rmsnorm.cu" ~expected:golden_rmsnorm_cuda
-    (Codegen.Cuda_emit.emit_kernel ~name:"rmsnorm" (rmsnorm_plan ()))
-
-let test_golden_concat () =
-  golden_check ~name:"concat.cu" ~expected:golden_concat_cuda
-    (Codegen.Cuda_emit.emit_kernel ~name:"concat" (concat_boundary_graph ()))
-
 let test_golden_concat_c () =
   golden_check ~name:"concat.c" ~expected:golden_concat_c
     (Codegen.C_emit.emit
        (Impir.Lower.lower ~name:"concat" (concat_boundary_graph ())))
 
-(* The rmsnorm C rendering is long; instead of a second page-sized
+(* The rmsnorm C rendering is long; instead of a page-sized
    golden, pin the structural landmarks that distinguish the C backend:
    serial grid loops, barrier comments, layout-annotated static shared
    buffers, and the harness entry points. *)
@@ -300,12 +160,11 @@ let prop_lowering_total =
          (match Impir.Ir.check_program p with
          | Ok () -> ()
          | Error e -> QCheck2.Test.fail_reportf "ill-formed program: %s" e);
-         String.length (Codegen.C_emit.emit p) > 0
-         && String.length (Codegen.Cuda_emit.emit_program p) > 0))
+         String.length (Codegen.C_emit.emit p) > 0))
 
 (* Deterministic block-level counterpart: every Figure 7 winning plan
    (which graph_gen cannot produce — it generates kernel-level graphs)
-   lowers to a well-formed program in both backends. *)
+   lowers to a well-formed program that renders to C. *)
 let test_fig7_lowering () =
   List.iter
     (fun (b : Workloads.Bench_defs.benchmark) ->
@@ -317,10 +176,7 @@ let test_fig7_lowering () =
       | Error e -> Alcotest.failf "%s: ill-formed program: %s" name e);
       Alcotest.(check bool)
         (name ^ " C emits") true
-        (String.length (Codegen.C_emit.emit p) > 0);
-      Alcotest.(check bool)
-        (name ^ " CUDA emits") true
-        (String.length (Codegen.Cuda_emit.emit_program p) > 0))
+        (String.length (Codegen.C_emit.emit p) > 0))
     (Workloads.Bench_defs.all ())
 
 let iter_coords shape f =
@@ -684,9 +540,6 @@ let () =
     [
       ( "golden",
         [
-          Alcotest.test_case "rmsnorm pseudo-CUDA" `Quick test_golden_rmsnorm;
-          Alcotest.test_case "concat/partition-boundary pseudo-CUDA" `Quick
-            test_golden_concat;
           Alcotest.test_case "concat/partition-boundary C" `Quick
             test_golden_concat_c;
           Alcotest.test_case "rmsnorm C structure" `Quick test_c_structure;

@@ -1,5 +1,5 @@
 (* Tests for the top-level pipeline: LAX partitioning and the
-   superoptimize entry point, plus the pseudo-CUDA code generator. *)
+   superoptimize entry point, plus the C code generator. *)
 
 open Mugraph
 
@@ -173,44 +173,51 @@ let test_superoptimize_end_to_end () =
 
 (* --- code generation --------------------------------------------------- *)
 
+let emit_c name g = Codegen.C_emit.emit (Impir.Lower.lower ~name g)
+
 let test_codegen_structure () =
   let g =
     Baselines.Templates.rmsnorm_matmul_fused ~b:16 ~h:1024 ~d:4096 ~grid:128
       ~iters:16
   in
-  let cuda = Codegen.Cuda_emit.emit_kernel ~name:"rms" g in
-  let has = Astring_contains.contains cuda in
+  let c = emit_c "rms" g in
+  let has = Astring_contains.contains c in
+  (* One custom kernel function, its shared tiles at planned offsets,
+     barriers between schedule depths, the 16-step data-stream loop and
+     the 128-block grid. *)
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("contains " ^ needle) true (has needle))
     [
-      "__global__";
-      "__shared__";
-      "__syncthreads()";
+      "static void rms_kernel_";
+      "smem+";
+      "/* barrier */";
       "for (int i = 0; i < 16";
       "mma_tile";
       "accumulate";
       "store_tile";
       "ew_sqrt";
-      "<<<dim3(128)";
+      "for (int g0 = 0; g0 < 128; ++g0) { /* grid axis 0 */";
     ];
   Alcotest.(check bool) "has a meaningful size" true
-    (Codegen.Cuda_emit.loc cuda > 30)
+    (Codegen.C_emit.loc c > 30)
 
 let test_codegen_thread_graph () =
   let g =
     Search.Thread_fuse.fuse_kernel
       (Baselines.Templates.ntrans_fused ~b:4 ~d:32 ~grid:4)
   in
-  let cuda = Codegen.Cuda_emit.emit_kernel ~name:"ntrans" g in
   Alcotest.(check bool) "register-file thread graph emitted" true
-    (Astring_contains.contains cuda "register file")
+    (Astring_contains.contains (emit_c "ntrans" g) "register file")
 
+(* Kernel-level operators (no block graph) each become a standalone op
+   function named after the operator, not a custom kernel. *)
 let test_codegen_library_calls () =
-  let g = Baselines.Templates.lora_spec ~m:32 ~k:16 ~r:4 ~n:8 in
-  let cuda = Codegen.Cuda_emit.emit_kernel ~name:"lora" g in
+  let c = emit_c "lora" (Baselines.Templates.lora_spec ~m:32 ~k:16 ~r:4 ~n:8) in
+  let has = Astring_contains.contains c in
   Alcotest.(check bool) "library matmuls" true
-    (Astring_contains.contains cuda "library_call_matmul")
+    (has "static void lora_op_" && has "= Matmul(");
+  Alcotest.(check bool) "no custom kernel" false (has "lora_kernel_")
 
 let () =
   Alcotest.run "mirage"

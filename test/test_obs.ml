@@ -281,6 +281,139 @@ let test_report_gate () =
   Alcotest.(check int) "improvement is not a regression" 0
     (List.length (Obs.Report.gate ~threshold:0.05 b a))
 
+(* --- the gate table: Obs.Report.history_rules and diff_rules -------------- *)
+
+let suites l = ("suites", Obs.Jsonw.List (List.map (fun s -> Obs.Jsonw.Str s) l))
+
+(* A one-key document for a row: [section.wl.<suffix>], or the bare
+   suffix for a top-level row. *)
+let row_doc (r : Obs.Report.rule) v =
+  let leaf = Obs.Jsonw.Float v in
+  if r.section = "" then Obs.Jsonw.Obj [ (r.suffix, leaf); suites [ "fig7" ] ]
+  else
+    Obs.Jsonw.Obj
+      [ (r.section, Obs.Jsonw.Obj [ ("wl." ^ r.suffix, leaf) ]); suites [ "fig7" ] ]
+
+(* (a) each row passes just inside its slack and fails just past it, in
+   its worse direction only; recorded rows never fail. *)
+let test_gate_rows () =
+  let threshold = 0.05 and old = 10.0 in
+  List.iter
+    (fun (r : Obs.Report.rule) ->
+      let key =
+        if r.section = "" then r.suffix else r.section ^ ".wl." ^ r.suffix
+      in
+      let rows = Obs.Report.history_rules @ Obs.Report.diff_rules in
+      Alcotest.(check int) (key ^ " matches one row") 1
+        (List.length (Obs.Report.matching rows key));
+      let frac =
+        match r.rel_slack with Obs.Report.Gate m -> m *. threshold | Fixed f -> f
+      in
+      let bound = Float.max (frac *. old) r.abs_slack in
+      let fails ?(old = old) v =
+        Obs.Report.gate ~rules:rows ~threshold (row_doc r old) (row_doc r v)
+        <> []
+      in
+      let dir = if r.worse = Obs.Report.Lower then -1.0 else 1.0 in
+      let past = (bound *. (1.0 +. 1e-6)) +. 1e-9
+      and inside = bound *. (1.0 -. 1e-6) in
+      let gated = r.worse <> Obs.Report.Recorded in
+      Alcotest.(check bool) (key ^ " just past, worse way") gated
+        (fails (old +. (dir *. past)));
+      Alcotest.(check bool) (key ^ " just inside, worse way") false
+        (fails (old +. (dir *. inside)));
+      Alcotest.(check bool) (key ^ " just past, better way") false
+        (fails (old -. (dir *. past)));
+      Alcotest.(check bool) (key ^ " far past, better way") false
+        (fails (old -. (dir *. 10.0 *. (past +. 1.0))));
+      Alcotest.(check bool) (key ^ " no baseline at 0") false
+        (fails ~old:0.0 (dir *. 1e9)))
+    (Obs.Report.history_rules @ Obs.Report.diff_rules)
+
+let history_entries () =
+  let ic = open_in "../BENCH_history.jsonl" in
+  let rec go acc =
+    match input_line ic with
+    | line when String.trim line = "" -> go acc
+    | line -> (
+        match Obs.Jsonw.of_string line with
+        | Ok j -> go (j :: acc)
+        | Error e -> Alcotest.failf "BENCH_history.jsonl: %s" e)
+    | exception End_of_file ->
+        close_in ic;
+        List.rev acc
+  in
+  go []
+
+(* (b) every numeric key of the newest committed entry has exactly one
+   row, so a new bench key cannot fall through unruled. *)
+let test_gate_covers_history () =
+  let entries = history_entries () in
+  let last = List.nth entries (List.length entries - 1) in
+  let keys = Obs.Report.num_deltas last last in
+  Alcotest.(check bool) "entry has keys" true (List.length keys > 50);
+  List.iter
+    (fun (d : Obs.Report.delta) ->
+      Alcotest.(check int) (d.key ^ " has one row") 1
+        (List.length (Obs.Report.matching Obs.Report.history_rules d.key)))
+    keys
+
+(* (c) the committed entries replayed pair by pair: the verdicts the old
+   per-suite gate gave them (keys named as the REGRESSION lines name
+   them, i.e. without the section). *)
+let test_gate_replay () =
+  let entries = Array.of_list (history_entries ()) in
+  let verdicts pct =
+    List.init 13 (fun i ->
+        Obs.Report.gate ~rules:Obs.Report.history_rules
+          ~threshold:(pct /. 100.0) entries.(i) entries.(i + 1)
+        |> List.map (fun (d : Obs.Report.delta) -> snd (Obs.Report.split d.key))
+        |> List.sort compare)
+  in
+  Alcotest.(check (list (list string))) "--gate 5" (List.init 13 (fun _ -> []))
+    (verdicts 5.0);
+  let p99 = [ "serve.search.p99_us"; "serve.total.p99_us" ] in
+  Alcotest.(check (list (list string))) "--gate 1"
+    [
+      [ "verify.RMSNorm.fast_over_ref" ];
+      [];
+      [];
+      p99;
+      [ "serve.search.p50_us" ] @ p99
+      @ [ "verify.GQA.fast_over_ref"; "verify.nTrans.fast_over_ref" ];
+      [ "verify.GatedMLP.fast_over_ref" ];
+      [
+        "enum.rmsnorm.expansions_per_s";
+        "verify.RMSNorm.fast_over_ref";
+        "verify.nTrans.fast_over_ref";
+      ];
+      [];
+      [ "verify.GQA.fast_over_ref" ];
+      [];
+      ("enum.rmsnorm.expansions_per_s" :: p99)
+      @ [ "verify.RMSNorm.fast_over_ref"; "verify.nTrans.fast_over_ref" ];
+      [ "verify.RMSNorm.fast_over_ref" ];
+      [ "verify.GQA.fast_over_ref"; "verify.GatedMLP.fast_over_ref"; "wall_s" ];
+    ]
+    (verdicts 1.0)
+
+(* (d) wall time compares only runs of the same suites. *)
+let test_gate_wall_suites () =
+  let entry l wall =
+    Obs.Jsonw.Obj (("wall_s", Obs.Jsonw.Float wall) :: Option.to_list l)
+  in
+  let gate a b =
+    Obs.Report.gate ~rules:Obs.Report.history_rules ~threshold:0.05 a b
+    |> List.map (fun (d : Obs.Report.delta) -> d.key)
+  in
+  let fig7 = Some (suites [ "fig7" ]) in
+  Alcotest.(check (list string)) "same suites" [ "wall_s" ]
+    (gate (entry fig7 10.0) (entry fig7 100.0));
+  Alcotest.(check (list string)) "suites differ" []
+    (gate (entry fig7 10.0) (entry (Some (suites [ "fig7"; "enum" ])) 100.0));
+  Alcotest.(check (list string)) "baseline without suites" []
+    (gate (entry None 10.0) (entry fig7 100.0))
+
 (* --- gauges: max semantics across domains, merged by max ------------------- *)
 
 let test_gauge_max () =
@@ -1232,6 +1365,14 @@ let () =
         [
           Alcotest.test_case "numeric diff and regression gate" `Quick
             test_report_gate;
+          Alcotest.test_case "every gate row's slack, both directions" `Quick
+            test_gate_rows;
+          Alcotest.test_case "gate rows cover the newest history entry" `Quick
+            test_gate_covers_history;
+          Alcotest.test_case "history pairs replay to the pinned verdicts"
+            `Quick test_gate_replay;
+          Alcotest.test_case "wall_s gated only for the same suites" `Quick
+            test_gate_wall_suites;
           Alcotest.test_case "a regular file is refused" `Quick
             test_report_on_file;
         ] );
