@@ -695,6 +695,14 @@ let stats_cmd =
     let mem_ok = shape_ok - s.memory_rejected in
     let not_pruned = mem_ok - s.pruned_abstract in
     let canonical = not_pruned - s.canonical_rejected in
+    (* the goal-distance cut, judged after every other check *)
+    let unreachable =
+      List.fold_left
+        (fun acc (k, n) ->
+          if String.ends_with ~suffix:".reject.unreachable" k then acc + n
+          else acc)
+        0 o.Search.Generator.metrics.Obs.Metrics.counters
+    in
     Printf.printf "== search funnel: %s on %s (reduced dims)\n"
       b.Workloads.Bench_defs.name device.Gpusim.Device.name;
     Printf.printf "  %-24s %9d\n" "expanded" s.expanded;
@@ -706,6 +714,8 @@ let stats_cmd =
       not_pruned s.pruned_abstract;
     Printf.printf "  %-24s %9d   (-%d non-canonical)\n" "canonical" canonical
       s.canonical_rejected;
+    Printf.printf "  %-24s %9d   (-%d unreachable in the op budget)\n"
+      "reachable" (canonical - unreachable) unreachable;
     Printf.printf "  %-24s %9d\n" "candidates" s.candidates;
     Printf.printf "  %-24s %9d\n" "verified" s.verified;
     Printf.printf "  %-24s %9d\n" "duplicates" s.duplicates;
@@ -833,8 +843,15 @@ let explain_cmd =
         in
         (match Obs.Journal.typ_of last with
         | "cand.reject" ->
-            Printf.printf "-- rejected: %s%s%s\n" (str_field "reason" last)
-              tries roots
+            let why =
+              match str_field "reason" last with
+              | "unreachable" ->
+                  " (too few operators left to build the goal's missing \
+                   atoms and forms)"
+              | _ -> ""
+            in
+            Printf.printf "-- rejected: %s%s%s%s\n" (str_field "reason" last)
+              why tries roots
         | "cand.accept" ->
             Printf.printf "-- accepted into the search prefix%s\n" roots
         | "graph.emit" ->

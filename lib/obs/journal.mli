@@ -22,6 +22,12 @@
      "cand":4217,"reason":"pruned_abstract", ...event fields...}
     v}
 
+    A [cand.reject]'s ["reason"] is one of ["shape"], ["memory"],
+    ["duplicate"], ["canonical"], ["pruned_abstract"] (with the
+    expression), ["phase"], ["dangling"] or ["unreachable"] (the
+    goal-distance cut, with the prefix's ["distance"] and its
+    ["ops_left"]).
+
     Two fields say how many tries an enumerator event stands for. A
     block-level event of a root class of k > 1 roots carries
     ["roots": k]. A [cand.reject] for the tries a prefix counts in bulk

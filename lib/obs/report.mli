@@ -93,7 +93,8 @@ val history_rules : rule list
 (** The bench history table, one row per key family (see report.ml):
     Fig. 7 costs at the threshold; wall-clock keys at 10x the threshold
     plus an absolute slack; deterministic counts at a fixed 5 % or, for
-    [codegen.*c_lines], on any increase; a few keys only recorded. *)
+    [codegen.*c_lines] and [enum.*expanded], on any increase; a few keys
+    only recorded. *)
 
 val diff_rules : rule list
 (** [mirage_cli diff]'s table: [cost.optimized_us] and [timing.wall_s],

@@ -173,13 +173,10 @@ let op_name = function
       else "accum.concat"
   | _ -> "?"
 
-let popcount m =
-  let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
-  go m 0
-
 let tally (cfg : Config.t) stats =
   Tally.level stats ~name:"block" ~max_depth:cfg.Config.max_block_ops
-    Tally.[ Shape; Memory; Duplicate; Pruned; Canonical; Phase; Dangling ]
+    Tally.
+      [ Shape; Memory; Duplicate; Pruned; Canonical; Phase; Dangling; Unreachable ]
 
 (* What every root class of one search shares, made once per search:
    the spec's inputs (shape, name and normal form) and output shapes. *)
@@ -357,7 +354,9 @@ let search_root
   let child (st : state) reads (v : value) =
     let count = Array.length st.entries + 1 in
     let consumed = st.own.consumed lor reads in
-    let dangling = count - popcount (consumed land ((1 lsl count) - 1)) in
+    let dangling =
+      count - Prefix.popcount (consumed land ((1 lsl count) - 1))
+    in
     if
       dangling - n_outputs
       <= (cfg.Config.max_block_ops - (st.ops + 1)) * (max_arity - 1)

@@ -15,8 +15,10 @@ open Mugraph
 module J = Obs.Jsonw
 
 (* v2: a task index names a root class, not a root; a v1 cursor would
-   skip the wrong tasks, so v1 files are refused. *)
-let schema = "mirage.checkpoint.v2"
+   skip the wrong tasks, so v1 files are refused. v3: a level whose
+   inputs are beyond the goal distance has no task (the kernel task or
+   every root class), so a v2 cursor is refused too. *)
+let schema = "mirage.checkpoint.v3"
 
 exception Decode of string
 

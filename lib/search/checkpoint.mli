@@ -7,8 +7,10 @@
     root class ({!Block_enum.root_class}) — so an index-based cursor is a
     sound resume point: completed tasks are skipped, interrupted ones
     re-run and deduplicate against the reloaded candidates. The schema is
-    [mirage.checkpoint.v2]; a v1 file, whose task indices named single
-    roots, is refused with a "not a mirage.checkpoint.v2 file" error.
+    [mirage.checkpoint.v3]. A v1 file, whose task indices named single
+    roots, and a v2 file, whose task list held a level the goal-distance
+    cut now skips, are refused with a "not a mirage.checkpoint.v3 file"
+    error.
 
     Saves are atomic (temp file + rename); a crash mid-save leaves the
     previous checkpoint intact. A failed save degrades the run

@@ -76,11 +76,30 @@ let n_shards = 16 (* power of two; shard = hash low bits *)
 let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
     ?(piece = 0) ?on_pool () =
   Printexc.record_backtrace true;
+  (* Both tables mask their values against the spec outputs' normal
+     forms, normalized once here. A level whose inputs are already
+     farther from the goal than its operator budget (the goal-distance
+     cut, see Prefix) has no task: the block level's roots are not even
+     enumerated. *)
+  let goals = Prefix.spec_goals spec in
+  let kvalues = Prefix.values goals and bvalues = Prefix.values goals in
+  let inputs = List.map Absexpr.Nf.nf_var (Graph.input_names spec) in
   let classes =
-    Block_enum.enumerate_roots cfg ~input_shapes:(Graph.input_shapes spec)
+    if
+      Prefix.level_reachable cfg bvalues cfg.Config.block_op_menu ~inputs
+        ~max_ops:cfg.Config.max_block_ops
+    then
+      Block_enum.enumerate_roots cfg ~input_shapes:(Graph.input_shapes spec)
+    else []
   in
   let tasks =
-    Array.of_list (T_kernel :: List.map (fun c -> T_class c) classes)
+    Array.of_list
+      ((if
+          Prefix.level_reachable cfg kvalues cfg.Config.kernel_op_menu ~inputs
+            ~max_ops:cfg.Config.max_kernel_ops
+        then [ T_kernel ]
+        else [])
+      @ List.map (fun c -> T_class c) classes)
   in
   let n_tasks = Array.length tasks in
   let skip =
@@ -211,20 +230,14 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
   (* One solver front per worker, resolved before any worker runs, and
      beside it the worker's extension memo for each level, over the
      level's value table, with the worker's funnel buffer for the level;
-     a subtree picks its executing worker's memo when it starts. Both
-     tables mask their values against the spec outputs' normal forms,
-     normalized once here. Tables and memos die with this call. *)
+     a subtree picks its executing worker's memo when it starts. Tables
+     and memos die with this call. *)
   let fronts = Array.init workers (Smtlite.Solver.front solver) in
-  let goals = Prefix.spec_goals spec in
   let kmemos =
-    Array.map
-      (Prefix.memo (Prefix.values goals) (Kernel_enum.tally cfg stats))
-      fronts
+    Array.map (Prefix.memo kvalues (Kernel_enum.tally cfg stats)) fronts
   in
   let bmemos =
-    Array.map
-      (Prefix.memo (Prefix.values goals) (Block_enum.tally cfg stats))
-      fronts
+    Array.map (Prefix.memo bvalues (Block_enum.tally cfg stats)) fronts
   in
   let blocks = Block_enum.prepare cfg ~spec ~limits in
   let self () = Option.get (Deque.Pool.self pool) in

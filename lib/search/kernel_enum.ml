@@ -7,7 +7,7 @@ let tref i = { Graph.node = i; port = 0 }
 
 let tally (cfg : Config.t) stats =
   Tally.level stats ~name:"kernel" ~max_depth:cfg.Config.max_kernel_ops
-    Tally.[ Shape; Duplicate; Pruned; Canonical ]
+    Tally.[ Shape; Duplicate; Pruned; Canonical; Unreachable ]
 
 let search (cfg : Config.t) ~spec ~memo ~limits ~budget ?spawn ~emit () =
   let out_shapes = Infer.output_shapes spec in

@@ -10,10 +10,11 @@ type 'a value = {
   nf : Absexpr.Nf.t;
   attrs : 'a;
   goals : int;
+  reach : int;
 }
 
 let value shape nf attrs =
-  { id = -1; shape; numel = Shape.numel shape; nf; attrs; goals = 0 }
+  { id = -1; shape; numel = Shape.numel shape; nf; attrs; goals = 0; reach = 0 }
 
 type ('o, 'a) entry = { op : 'o; ins : int list; value : 'a value }
 
@@ -58,7 +59,7 @@ type ('o, 'a, 's) state = {
          root; [extend] makes one for each remaining entry *)
   ops : int;
   rank : int;  (* the newest entry's operator's packed rank; 0 at the root *)
-  cover : int;  (* the OR of the operator entries' goal masks *)
+  reach : int;  (* the OR of every entry's reach mask *)
   own : 's;
 }
 
@@ -81,6 +82,23 @@ type ('o, 'a, 's) level = {
   complete : Tally.t -> ('o, 'a, 's) state -> unit;
 }
 
+module Nf = Absexpr.Nf
+
+(* The goal distance (see prefix.mli). A reach mask holds the goal's
+   exp/sqrt/silu atoms in bits [0, n) ([n] atoms), the bare form of atom
+   [i], when it is a needed form, in bit [n + i], and the other needed
+   forms from bit [2n] on. A goal has a handful of atoms and forms, so
+   a value finds its bits by scanning them, hashing nothing. *)
+type distance = {
+  atoms : Nf.atom array;  (* the goal's atoms, by bit *)
+  out_bits : int array;  (* spec output [j]'s needed-form bit, as a mask *)
+  arg_forms : (Nf.t * int) array;
+      (* the needed forms no output equals (atom arguments), with their
+         masks *)
+  need : int;  (* every goal atom's and needed form's bit *)
+  outputs : int;  (* every output's form bit: what completion needs *)
+}
+
 (* The value table: one canonical record per (normal form, shape,
    attrs), numbered in order of first sight. A search's workers share it
    and take its lock only to intern what a memo miss made. Ids stay far
@@ -91,11 +109,153 @@ type 'a values = {
   by_nf : 'a value list Absexpr.Nf.Tbl.t;
   mutable next : int;
   outputs : Absexpr.Nf.t array;  (* the spec outputs' normal forms *)
-  all : int;  (* the mask with every output's bit *)
+  dist : distance;
 }
 
-(* A goal mask has one bit per output and stays a non-negative int. *)
+(* A goal or reach mask stays a non-negative int. *)
 let max_outputs = Sys.int_size - 1
+
+let bare a = [ { Nf.sf = 1; num = [ a ]; den = Nf.trivial_den } ]
+
+let same_atom a b =
+  match (a, b) with
+  | Nf.A_exp x, Nf.A_exp y | Nf.A_sqrt x, Nf.A_sqrt y | Nf.A_silu x, Nf.A_silu y
+    ->
+      Nf.equal x y
+  | _ -> false
+
+(* [f a x] for every exp/sqrt/silu atom [a] of argument [x] nested
+   anywhere in [n]: in a term's numerator, in its denominator (an atom
+   factor, an opaque sum, a reciprocal) and in another atom's argument. *)
+let rec iter_atoms f (n : Nf.t) =
+  List.iter
+    (fun (t : Nf.term) ->
+      List.iter (iter_atom f) t.num;
+      iter_den f t.den)
+    n
+
+and iter_atom f = function
+  | Nf.A_var _ -> ()
+  | (Nf.A_exp x | Nf.A_sqrt x | Nf.A_silu x) as a ->
+      f a x;
+      iter_atoms f x
+
+and iter_den f (d : Nf.den) =
+  List.iter
+    (function
+      | Nf.D_atom a -> iter_atom f a
+      | Nf.D_opaque n -> iter_atoms f n
+      | Nf.D_inv d -> iter_den f d)
+    d.dfacs
+
+(* The distinct atoms nested in [ns], in order of first sight, each with
+   its argument. *)
+let distinct_atoms ns =
+  let seen = ref [] in
+  List.iter
+    (iter_atoms (fun a x ->
+         if not (List.exists (fun (b, _) -> same_atom a b) !seen) then
+           seen := (a, x) :: !seen))
+    ns;
+  List.rev !seen
+
+let atoms n = List.map (fun (a, _) -> bare a) (distinct_atoms [ n ])
+
+let distance_of outputs =
+  let goal_atoms = distinct_atoms outputs in
+  let atoms = Array.of_list (List.map fst goal_atoms) in
+  let n = Array.length atoms in
+  (* each distinct needed form's bit: an atom's bare form's is fixed *)
+  let forms = ref [] and next = ref (2 * n) in
+  let bit_of f =
+    match List.find_opt (fun (g, _) -> Nf.equal f g) !forms with
+    | Some (_, bit) -> bit
+    | None ->
+        let bit =
+          match f with
+          | [ { Nf.sf = 1; num = [ a ]; den } ] when Nf.den_is_trivial den -> (
+              let rec find i =
+                if i = n then None
+                else if same_atom a atoms.(i) then Some (n + i)
+                else find (i + 1)
+              in
+              match find 0 with Some b -> b | None -> incr next; !next - 1)
+          | _ ->
+              incr next;
+              !next - 1
+        in
+        forms := (f, bit) :: !forms;
+        bit
+  in
+  let out_bits = Array.of_list (List.map (fun o -> 1 lsl bit_of o) outputs) in
+  let arg_forms =
+    List.filter_map
+      (fun (_, x) ->
+        if List.exists (Nf.equal x) outputs then None
+        else Some (x, 1 lsl bit_of x))
+      goal_atoms
+    |> List.sort_uniq (fun (_, b) (_, b') -> Int.compare b b')
+    |> Array.of_list
+  in
+  if !next > max_outputs then
+    (* past the bits of an int, no cut: only the output bits completion
+       tests, one per distinct output *)
+    let rec first i o = function
+      | p :: rest -> if Nf.equal o p then i else first (i + 1) o rest
+      | [] -> i
+    in
+    let out_bits =
+      Array.of_list (List.map (fun o -> 1 lsl first 0 o outputs) outputs)
+    in
+    let outputs = Array.fold_left ( lor ) 0 out_bits in
+    { atoms = [||]; out_bits; arg_forms = [||]; need = 0; outputs }
+  else
+    let need =
+      List.fold_left (fun m (_, bit) -> m lor (1 lsl bit)) ((1 lsl n) - 1) !forms
+    in
+    let outputs = Array.fold_left ( lor ) 0 out_bits in
+    { atoms; out_bits; arg_forms; need; outputs }
+
+(* A value's reach mask, from its goal mask and normal form: the goal
+   atoms nested in it, and the needed form it equals. *)
+let reach_of d goals nf =
+  let m = ref 0 in
+  for j = 0 to Array.length d.out_bits - 1 do
+    if goals land (1 lsl j) <> 0 then m := !m lor d.out_bits.(j)
+  done;
+  for k = 0 to Array.length d.arg_forms - 1 do
+    let f, bit = d.arg_forms.(k) in
+    if Nf.equal nf f then m := !m lor bit
+  done;
+  if Array.length d.atoms > 0 then
+    iter_atoms
+      (fun a _ ->
+        for i = 0 to Array.length d.atoms - 1 do
+          if same_atom a d.atoms.(i) then m := !m lor (1 lsl i)
+        done)
+      nf;
+  !m
+
+let popcount m =
+  let rec go m n = if m = 0 then n else go (m land (m - 1)) (n + 1) in
+  go m 0
+
+(* The missing goal atoms, plus the missing needed forms that are not a
+   missing atom's bare form. *)
+let bound d reach =
+  let n = Array.length d.atoms in
+  let missing = d.need land lnot reach in
+  let atoms = missing land ((1 lsl n) - 1) in
+  popcount atoms + popcount ((missing lsr n) land lnot atoms)
+
+let atoms_made = function
+  | Op.Unary (Op.Exp | Op.Sqrt | Op.Silu) -> 1
+  | Op.Unary Op.Relu -> 2
+  | _ -> 0
+
+let cuts (cfg : Config.t) menu =
+  cfg.Config.use_abstract_pruning
+  && List.for_all (fun p -> atoms_made p <= 1) menu
 
 let values outputs =
   if List.length outputs > max_outputs then
@@ -107,8 +267,23 @@ let values outputs =
     by_nf = Absexpr.Nf.Tbl.create 1024;
     next = 0;
     outputs = Array.of_list outputs;
-    all = (1 lsl List.length outputs) - 1;
+    dist = distance_of outputs;
   }
+
+(* The spec outputs a normal form equals, as a goal mask. *)
+let goals_of t nf =
+  let goals = ref 0 in
+  Array.iteri
+    (fun j o -> if Nf.equal nf o then goals := !goals lor (1 lsl j))
+    t.outputs;
+  !goals
+
+let distance t nfs =
+  bound t.dist
+    (List.fold_left (fun m n -> m lor reach_of t.dist (goals_of t n) n) 0 nfs)
+
+let level_reachable cfg t menu ~inputs ~max_ops =
+  (not (cuts cfg menu)) || distance t inputs <= max_ops
 
 let intern_locked t v =
   let same =
@@ -121,12 +296,8 @@ let intern_locked t v =
   with
   | Some w -> w
   | None ->
-      let goals = ref 0 in
-      Array.iteri
-        (fun j o ->
-          if Absexpr.Nf.equal v.nf o then goals := !goals lor (1 lsl j))
-        t.outputs;
-      let w = { v with id = t.next; goals = !goals } in
+      let goals = goals_of t v.nf in
+      let w = { v with id = t.next; goals; reach = reach_of t.dist goals v.nf } in
       t.next <- t.next + 1;
       Absexpr.Nf.Tbl.replace t.by_nf v.nf (w :: same);
       w
@@ -362,6 +533,36 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
   let pruned_fields v =
     match journal with Some _ -> Prune.journal_fields v.nf | None -> []
   in
+  (* The inputs, interned, and the goal distance from the level's value
+     table. The distance never grows down a path, so the tries of a
+     prefix shallower than [reach_from] (of every prefix, with the cut
+     off) cannot be cut, and their distance is not asked. *)
+  if List.length inputs + lv.max_ops > rank_limit then
+    invalid_arg
+      (Printf.sprintf "Prefix.search: %d inputs and %d ops exceed %d entries"
+         (List.length inputs) lv.max_ops rank_limit);
+  let values = (memo ()).values in
+  let entries =
+    Mutex.protect values.lock (fun () ->
+        Array.of_list
+          (List.map
+             (fun (e : ('o, 'a) entry) ->
+               { e with value = intern_locked values e.value })
+             inputs))
+  in
+  let dist = values.dist in
+  let reach = Array.fold_left (fun r e -> r lor e.value.reach) 0 entries in
+  let cut = cuts cfg lv.menu in
+  let reach_from = if cut then lv.max_ops - bound dist reach else max_int in
+  let unreachable_fields st reach =
+    match journal with
+    | Some _ ->
+        [
+          ("distance", Obs.Jsonw.Int (bound dist reach));
+          ("ops_left", Obs.Jsonw.Int (lv.max_ops - st.ops - 1));
+        ]
+    | None -> []
+  in
   (* The prune verdict of a value, asked through the worker's front the
      first time the worker meets the value. *)
   let pruned tl m v =
@@ -536,6 +737,12 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
                     in
                     match lv.child st reads x with
                     | Error reason -> reject tl ~depth cand reason []
+                    | Ok _
+                      when st.ops >= reach_from
+                           && st.ops + 1 + bound dist (st.reach lor x.reach)
+                              > lv.max_ops ->
+                        reject tl ~depth cand Tally.Unreachable
+                          (unreachable_fields st (st.reach lor x.reach))
                     | Ok own ->
                         let count = Array.length st.entries in
                         let e = { op; ins = ins_list a b; value = x } in
@@ -548,7 +755,7 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
                             table;
                             ops = st.ops + 1;
                             rank = r;
-                            cover = st.cover lor x.goals;
+                            reach = st.reach lor x.reach;
                             own;
                           }
                           :: !kept))
@@ -566,7 +773,7 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
      counted in bulk; the rest are visited one by one. *)
   let rec extend tl m cells st =
     budget_check tl;
-    if st.cover = m.values.all then lv.complete tl st;
+    if st.reach land dist.outputs = dist.outputs then lv.complete tl st;
     if st.ops < lv.max_ops then begin
       let depth = st.ops in
       let count = Array.length st.entries in
@@ -631,17 +838,4 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
     Tally.run m.counts ~weight:lv.weight (fun tl ->
         extend tl m (scope_cells m lv.scope) st)
   in
-  if List.length inputs + lv.max_ops > rank_limit then
-    invalid_arg
-      (Printf.sprintf "Prefix.search: %d inputs and %d ops exceed %d entries"
-         (List.length inputs) lv.max_ops rank_limit);
-  let m = memo () in
-  let entries =
-    Mutex.protect m.values.lock (fun () ->
-        Array.of_list
-          (List.map
-             (fun (e : ('o, 'a) entry) ->
-               { e with value = intern_locked m.values e.value })
-             inputs))
-  in
-  subtree { entries; table = [||]; ops = 0; rank = 0; cover = 0; own }
+  subtree { entries; table = [||]; ops = 0; rank = 0; reach; own }

@@ -28,7 +28,7 @@
     - the prune verdict is a pure function of the abstract expression,
       and a try needs it only when it passed rank, duplicate and [admit],
       hence passed them at birth, where it was asked;
-    - [child] is asked at every try.
+    - [child] and the goal distance are asked at every try.
 
     {b Bulk counts.} Some rejects are final at birth: a structural one
     at a level that judges it before rank (the block level's Shape and
@@ -72,10 +72,65 @@
     {b Goal masks.} Completion asks the goal one more question: which
     spec outputs a value's normal form equals. That too is a function
     of the normal form, so the value table answers it once per value,
-    at interning, as a bitmask ([goals]). A prefix keeps the OR of its
-    operator entries' masks ([cover]), and the engine calls the level's
-    [complete] only when that covers every output; [complete] then
-    tests a bit per entry and output.
+    at interning, as a bitmask ([goals]). The value's reach mask (see
+    "Goal distance") holds a bit per distinct output form too, and the
+    engine calls the level's [complete] only when the prefix's [reach]
+    has every output's; [complete] then tests a [goals] bit per
+    operator entry and output.
+
+    {b Goal distance.} Abstract pruning keeps every prefix whose values
+    are subexpressions of the goal, however few operators are left to
+    finish it. So each value table also derives, once per search, a
+    lower bound on the operators a prefix still needs
+    ({!distance}). It counts two things, each needing its own operator:
+    - {e missing atoms}: every [exp]/[sqrt]/[silu] atom nested anywhere
+      in a spec output's normal form (in a numerator, a denominator or
+      another atom's argument) that occurs in no value of the prefix.
+      Only the matching unary operator makes such an atom, one per
+      operator;
+    - {e missing forms}: every {e needed form} that is no value of the
+      prefix yet. The needed forms are each distinct spec output
+      (completion matches by normal-form equality) and the argument of
+      each goal atom (the unary operator's input must equal it
+      exactly). A form that is the bare form of a missing atom (the
+      atom alone, as the unary operator's value is) is not counted
+      again: the operator that makes the atom makes the form.
+    Each value carries a {e reach} mask, computed at interning like its
+    goal mask: the bits of the goal atoms nested in its normal form and
+    of the needed form it equals. A prefix keeps the OR of its entries'
+    masks, so a try's check is a few bit operations and two popcounts.
+    A try is cut ([Tally.Unreachable], judged last, after [child]) when
+    [ops + distance > max_ops] for the child it would make. A level
+    whose inputs already fail it is skipped whole: the generator asks
+    {!level_reachable} and does not enumerate its roots. A direct
+    {!search} of such a level cuts every try of its root.
+
+    {e Soundness lemma.} Among {!Abstract.prim_nf}'s operators, only
+    [Exp], [Sqrt] and [Silu] create an atom, one each ({!atoms_made});
+    [Relu], as [silu (silu x)], creates two; no other operator (nor an
+    accumulator, a [sum]) creates or removes one, since [A_eq]'s laws
+    never look inside an atom. So the atoms of a prefix only grow, and
+    a present atom's argument is a value of the prefix (the input of
+    the operator that made it): counting every goal atom's argument
+    counts exactly the missing atoms' ones. One operator adding value [v] then
+    lowers the distance by at most 1: a creating operator removes one
+    missing atom, and its value is that atom's bare form, which was not
+    counted; any other operator leaves the atoms alone and [v] equals at
+    most one needed form. Nor does the distance ever grow, since a
+    present atom's bare form is a value. Hence [ops + distance] never
+    decreases down a path (a consistent heuristic), a cut is final for
+    the whole subtree, and a prefix whose depth plus the root's distance
+    is below [max_ops] needs no check. Since a complete prefix has
+    distance 0 (its outputs are values,
+    hence so are their atoms and, by the lemma, the atoms' arguments),
+    no completable prefix is ever cut: the candidate set is exactly the
+    one without the cut. A menu holding [Relu] breaks the lemma (its
+    inner atom appears with no value for its argument), so there the
+    cut is off ({!cuts}). The cut is part of abstract pruning: it is off
+    exactly when [use_abstract_pruning] is, so the "w/o abstract expr"
+    ablation keeps its meaning. A goal whose atoms and forms need more
+    than 62 bits takes no cut (its distance is always 0); its outputs
+    keep the bits completion tests.
 
     {b Visit order} (both levels). A prefix first judges every try of its
     table in generation order — per entry [i]: the unary-like ops on
@@ -93,7 +148,8 @@
     {b Rejection order} (per level). A try is rejected for the first
     check it fails: with [rank_first] (kernel) rank, then [make]'s
     structural check; without (block) the other way round; then, at
-    both levels, duplicate, [admit], pruned, [child]. A birth verdict
+    both levels, duplicate, [admit], pruned, [child], and last the goal
+    distance (unreachable). A birth verdict
     records which side of the rank check its structural reject falls
     on, so an inherited try lands under the reason a fresh one would.
 
@@ -158,6 +214,10 @@ type 'a value = private {
       (** the value's goal mask: bit [j] is set when [nf] is
           [A_eq]-equal to spec output [j]'s normal form; 0 before
           interning *)
+  reach : int;
+      (** the value's reach mask: the goal atoms nested in [nf] and the
+          needed form [nf] equals (see "Goal distance"); 0 before
+          interning *)
 }
 (** A tensor value. The engine interns every value it meets, so within
     one search two values are equal exactly when their ids are. *)
@@ -183,8 +243,7 @@ type ('o, 'a, 's) state = private {
       (** the packed rank ({!pack_rank}) of the operator that made the
           newest entry, which the next operator's must not be below; 0
           at the root *)
-  cover : int;
-      (** the OR of the operator entries' goal masks (inputs excluded) *)
+  reach : int;  (** the OR of every entry's reach mask *)
   own : 's;  (** the level's own part of the prefix *)
 }
 
@@ -227,7 +286,7 @@ type ('o, 'a, 's) level = {
           try it cuts. *)
   complete : Tally.t -> ('o, 'a, 's) state -> unit;
       (** emit the candidates the prefix completes, counting them. Called
-          only for a prefix whose [cover] has every output's bit *)
+          only for a prefix whose [reach] has every output's form *)
 }
 
 type 'a values
@@ -239,9 +298,45 @@ type 'a values
 
 val values : Absexpr.Nf.t list -> 'a values
 (** [values outputs]: an empty table for a search whose spec outputs
-    have the normal forms [outputs], in output order ({!spec_goals}).
+    have the normal forms [outputs], in output order ({!spec_goals}),
+    with the goal atoms and needed forms of their goal distance.
     @raise Invalid_argument past 62 outputs, the bits of a
     non-negative int: a mask never wraps. *)
+
+val distance : 'a values -> Absexpr.Nf.t list -> int
+(** [distance values nfs]: the goal distance of a prefix whose entries
+    (inputs included) have the normal forms [nfs]: its missing goal
+    atoms plus its missing needed forms that are no missing atom's bare
+    form. *)
+
+val level_reachable :
+  Config.t ->
+  'a values ->
+  Op.prim list ->
+  inputs:Absexpr.Nf.t list ->
+  max_ops:int ->
+  bool
+(** [level_reachable cfg values menu ~inputs ~max_ops]: whether a level
+    with this menu and operator budget, whose roots hold values of the
+    normal forms [inputs], can complete: the level does not take the
+    cut ({!cuts}), or its inputs' {!distance} is at most [max_ops]. *)
+
+val atoms : Absexpr.Nf.t -> Absexpr.Nf.t list
+(** The bare forms of the distinct [exp]/[sqrt]/[silu] atoms nested
+    anywhere in a normal form, in no particular order. *)
+
+val popcount : int -> int
+(** The number of set bits of a non-negative int. *)
+
+val atoms_made : Op.prim -> int
+(** The most new atoms one application of the operator creates, as the
+    soundness lemma states it: 1 for [Exp], [Sqrt] and [Silu], 2 for
+    [Relu], 0 for every other operator. *)
+
+val cuts : Config.t -> Op.prim list -> bool
+(** Whether a level with this menu takes the goal-distance cut: abstract
+    pruning is on and no operator of the menu creates more than one
+    atom. *)
 
 val interned : 'a values -> 'a value list
 (** Every value the table holds, in no particular order. *)
@@ -309,7 +404,10 @@ val search :
     Continuations are offered only for kept children at depth <=
     [steal_depth_cutoff] with at least two operator levels below them
     ([max_ops - depth >= 2]), are safe to run on any domain, and never
-    change the emitted candidate set.
+    change the emitted candidate set. A root whose goal distance exceeds
+    [lv.max_ops] (when the level {!cuts}) has every try cut as
+    unreachable; the generator never searches one
+    ({!level_reachable}).
     @raise Budget_exhausted on budget exhaustion.
     @raise Invalid_argument when the inputs plus [max_ops] exceed
     {!rank_limit} entries, before any prefix is searched. *)

@@ -5,9 +5,18 @@
    worker writes. Here they are plain increments into arrays the subtree
    owns, drained in one pass per batch. *)
 
-type reason = Shape | Memory | Duplicate | Canonical | Pruned | Phase | Dangling
+type reason =
+  | Shape
+  | Memory
+  | Duplicate
+  | Canonical
+  | Pruned
+  | Phase
+  | Dangling
+  | Unreachable
 
-let all = [ Shape; Memory; Duplicate; Canonical; Pruned; Phase; Dangling ]
+let all =
+  [ Shape; Memory; Duplicate; Canonical; Pruned; Phase; Dangling; Unreachable ]
 
 let index = function
   | Shape -> 0
@@ -17,8 +26,9 @@ let index = function
   | Pruned -> 4
   | Phase -> 5
   | Dangling -> 6
+  | Unreachable -> 7
 
-let n_reasons = 7
+let n_reasons = 8
 
 let by_index = Array.of_list all
 
@@ -34,10 +44,11 @@ let reason_name = function
   | Pruned -> "pruned_abstract"
   | Phase -> "phase"
   | Dangling -> "dangling"
+  | Unreachable -> "unreachable"
 
 (* Where a reason's batch drains: a funnel counter with its depth
-   histogram, or (for the block level's structural cuts) a plain
-   registry counter. *)
+   histogram, or (for the block level's structural cuts and the
+   goal-distance cut) a plain registry counter. *)
 type sink =
   | Funnel of Stats.kind * Obs.Metrics.histogram
   | Counter of Obs.Metrics.counter
@@ -70,6 +81,9 @@ let sink reg ~name ~buckets r =
   | Phase -> counter "phase" "extensions with an inconsistent loop phase"
   | Dangling ->
       counter "dangling" "accepted prefixes cut by the dangling-value bound"
+  | Unreachable ->
+      counter "unreachable"
+        "accepted prefixes cut by the goal-distance bound"
 
 type level = {
   stats : Stats.t;

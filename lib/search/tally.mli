@@ -22,13 +22,23 @@
     counted once per member that emitted a graph. Solver-front queries
     and hits are not weighted: they count real queries. *)
 
-type reason = Shape | Memory | Duplicate | Canonical | Pruned | Phase | Dangling
+type reason =
+  | Shape
+  | Memory
+  | Duplicate
+  | Canonical
+  | Pruned
+  | Phase
+  | Dangling
+  | Unreachable
 (** Why an attempted extension was cut. [Phase] and [Dangling] are
-    block-level structural cuts with their own registry counters; the
+    block-level structural cuts, and [Unreachable] is the goal-distance
+    cut of both levels (too few operators left to build what the goal
+    still misses, see {!Prefix}); each has its own registry counter. The
     rest are funnel rejections with a depth histogram. *)
 
 val n_reasons : int
-(** [7]: the reasons' indices are [0 .. n_reasons - 1]. *)
+(** [8]: the reasons' indices are [0 .. n_reasons - 1]. *)
 
 val index : reason -> int
 (** A reason's index, in declaration order ([Shape] is 0). *)
@@ -46,8 +56,8 @@ type level
 
 val level : Stats.t -> name:string -> max_depth:int -> reason list -> level
 (** Registers, in order, [search.<name>.expand_depth], then per reason a
-    [search.<name>.reject_depth.<r>] histogram ([Phase]/[Dangling]: a
-    [search.<name>.reject.<r>] counter). Histograms bucket depths
+    [search.<name>.reject_depth.<r>] histogram ([Phase], [Dangling] and
+    [Unreachable]: a [search.<name>.reject.<r>] counter). Histograms bucket depths
     [0 .. max_depth]. Only the listed reasons may be passed to
     {!reject}. *)
 

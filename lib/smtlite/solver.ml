@@ -249,6 +249,10 @@ let stats t =
     disk_entries = Hashtbl.length t.disk;
   }
 
+let disk_hit_ratio (s : stats) =
+  let past = s.disk_hits + s.cache_misses in
+  if past = 0 then 0.0 else float_of_int s.disk_hits /. float_of_int past
+
 let reset_stats t =
   Atomic.set t.queries 0;
   Atomic.set t.cache_hits 0;

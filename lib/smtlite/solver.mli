@@ -76,6 +76,12 @@ val flush_front : front -> unit
 val stats : t -> stats
 val reset_stats : t -> unit
 
+val disk_hit_ratio : stats -> float
+(** [disk_hits / (disk_hits + cache_misses)]: the share of the queries
+    that reached past the shared memo which the persistent tier
+    answered, so 1 for a warm start that finds every decision on disk
+    and 0 for a cold one (also when no query got that far). *)
+
 val prunecache_schema : string
 (** ["mirage.smtlite.prunecache.v1"] — the on-disk envelope schema. *)
 

@@ -18,6 +18,21 @@ echo "== smoke: mirage_cli stats (funnel invariant is checked in-process)"
 dune exec bin/mirage_cli.exe -- stats rmsnorm \
   --budget 10 --workers 2 --trace /tmp/mirage_ci_trace.json
 
+echo "== smoke: the goal-distance cut finishes QKNorm's search far inside its budget"
+# QKNorm's kernel level is skipped at its root and most block prefixes
+# are cut as unreachable, so the whole search completes in about a
+# second of its 5 s budget (it used them all before the cut).
+dune exec bin/mirage_cli.exe -- stats qknorm --budget 5 --workers 2 \
+  > /tmp/mirage_ci_qknorm.txt
+grep -Eq '^  reachable +[0-9]+   \(-[1-9][0-9]* unreachable in the op budget\)' \
+  /tmp/mirage_ci_qknorm.txt
+if grep -q 'budget exhausted' /tmp/mirage_ci_qknorm.txt; then
+  echo "stats qknorm exhausted its budget"; exit 1
+fi
+awk '/funnel invariant: ok;/ { split($0, a, "; "); split(a[2], b, " ");
+  if (b[1] + 0 > 2.5) { print "stats qknorm took " b[1] " s"; exit 1 } }' \
+  /tmp/mirage_ci_qknorm.txt
+
 echo "== smoke: mirage_cli optimize --report (self-contained run dir)"
 rm -rf /tmp/mirage_ci_run
 dune exec bin/mirage_cli.exe -- optimize rmsnorm \
@@ -33,12 +48,21 @@ dune exec bin/mirage_cli.exe -- profile /tmp/mirage_ci_run \
 echo "== smoke: bench --json"
 dune exec bench/main.exe -- fig7 --json /tmp/mirage_ci_bench.json >/dev/null
 
-echo "== smoke: bench enum --json records the gqa prune questions and the gqa and ntrans minor words per expansion"
+echo "== smoke: bench enum --json records the gqa prune questions and the gqa and ntrans minor words, per search and per expansion"
 dune exec bench/main.exe -- enum --json /tmp/mirage_ci_enum.json >/dev/null
 dune exec tools/json_check.exe -- /tmp/mirage_ci_enum.json
 grep -q '"solver_queries_per_expansion"' /tmp/mirage_ci_enum.json
 grep -q '"benchmark":"gqa"[^}]*"minor_words_per_expansion"' /tmp/mirage_ci_enum.json
 grep -q '"benchmark":"ntrans"[^}]*"minor_words_per_expansion"' /tmp/mirage_ci_enum.json
+grep -q '"benchmark":"gqa"[^}]*"expanded"' /tmp/mirage_ci_enum.json
+grep -q '"benchmark":"gqa"[^}]*"solver_queries"' /tmp/mirage_ci_enum.json
+grep -q '"benchmark":"gqa"[^}]*"minor_words"' /tmp/mirage_ci_enum.json
+grep -q '"benchmark":"ntrans"[^}]*"expanded"' /tmp/mirage_ci_enum.json
+grep -q '"benchmark":"ntrans"[^}]*"minor_words"' /tmp/mirage_ci_enum.json
+grep -q '"benchmark":"rmsnorm"[^}]*"gen_1d_s"[^}]*"minor_words"[^}]*"kernel_minor_words"' \
+  /tmp/mirage_ci_enum.json
+grep -q '"prune_warm_hit_ratio"' /tmp/mirage_ci_enum.json
+grep -q '"benchmark":"rmsnorm_wide"[^}]*"speedup_4d"' /tmp/mirage_ci_enum.json
 
 echo "== validate JSON artifacts (journal is checked line by line)"
 dune exec tools/json_check.exe -- \
@@ -255,8 +279,11 @@ grep -q '"error": "quota_exceeded"' /tmp/mirage_ci_wire/t2.json
 grep -q '"retry_after_s"' /tmp/mirage_ci_wire/t2.json
 # a 1 ms deadline on a cold fingerprint either times out (typed) or
 # lands with its search budget capped to the deadline ("deadline" in the
-# result's degraded list) — never a full-budget search, never a hang
-$CLI request rmsnorm --socket /tmp/mirage_ci_wire/s.sock \
+# result's degraded list) — never a full-budget search, never a hang.
+# LoRA's goal holds no exp/sqrt/silu atom, so the goal-distance cut
+# leaves its search (~0.1 s) longer than the 10 ms a capped budget keeps;
+# rmsnorm's now completes inside it, undegraded.
+$CLI request lora --socket /tmp/mirage_ci_wire/s.sock \
   --max-block-ops 2 --workers 1 --budget 10 --deadline 1 \
   > /tmp/mirage_ci_wire/dl.json || true
 grep -Eq '"error": "timeout"|"deadline"' /tmp/mirage_ci_wire/dl.json
@@ -276,8 +303,9 @@ echo "== bench history regression gate (Fig. 7 + verifier + service + enum + cod
 # Gate against the committed baseline on a scratch copy so CI runs never
 # dirty the tree. Which key regresses, in which direction and with what
 # slack is one table, Obs.Report.history_rules (lib/obs/report.ml); the
-# suites' own hard checks (serve's 50x floor, profile's 1% overhead,
-# enum's scaling and prune-cache asserts) fail the run on their own.
+# suites' own hard checks (serve's 50x floor over max(cold, 100 ms),
+# profile's 1% overhead, enum's scaling and prune-cache asserts) fail
+# the run on their own.
 cp BENCH_history.jsonl /tmp/mirage_ci_history.jsonl
 dune exec bench/main.exe -- fig7 verify serve profile enum codegen \
   --history /tmp/mirage_ci_history.jsonl --gate 5 >/dev/null

@@ -650,14 +650,17 @@ let depth_counts (m : Obs.Metrics.snapshot) =
    3 block ops) on the LAX pieces of reduced RMSNorm and GatedMLP, of
    GatedMLP again under a 2 KiB shared-memory block, which exercises the
    memory check, of LoRA, whose 6400 roots fall into 3935 root classes,
-   and of nTrans, whose kernel level makes half of its 777 860 tries. The
-   RMSNorm and GatedMLP values were recorded from the enumerator that
-   regenerated every extension at every prefix, every value but nTrans's
-   (the candidate digests too) from the one that searched each root
-   separately, and nTrans's from the kernel enumerator that recursed into
-   each kept child at once and evaluated every try anew; the prefix
-   engine's extension tables, its visit order and root classes must
-   reproduce them at any worker count. *)
+   and of nTrans. The candidate counts and digests were recorded from
+   the enumerator that regenerated every extension at every prefix (and,
+   for LoRA and nTrans, from the ones that searched each root separately
+   and evaluated every try anew), so they pin the candidate set that
+   every later enumerator, the goal-distance cut included, must keep.
+   The funnel and level totals were re-derived when that cut landed (it
+   skips nTrans's block level and stops RMSNorm's and GatedMLP's
+   prefixes that cannot reach their sqrt/silu atoms in time; LoRA's
+   goal has no atom, so only its leaves short of the output are cut and
+   its funnel is unchanged); the prefix engine must reproduce them at
+   any worker count. *)
 type pinned = {
   prog : string;
   smem : int option;
@@ -676,30 +679,32 @@ let pinned =
       smem = None;
       funnel =
         [
-          ("expanded", 656_980);
-          ("shape_rejected", 237_515);
+          ("expanded", 22_383);
+          ("shape_rejected", 6727);
           ("memory_rejected", 0);
-          ("pruned_abstract", 168_241);
-          ("canonical_rejected", 181_064);
+          ("pruned_abstract", 6364);
+          ("canonical_rejected", 5867);
           ("candidates", 0);
           ("verified", 0);
-          ("duplicates", 8604);
+          ("duplicates", 117);
         ];
       totals =
         [
-          ("search.block.expand_depth", 542_980);
-          ("search.block.reject.dangling", 32_691);
-          ("search.block.reject.phase", 18_870);
-          ("search.block.reject_depth.canonical", 131_813);
-          ("search.block.reject_depth.duplicate", 7711);
+          ("search.block.expand_depth", 10_640);
+          ("search.block.reject.dangling", 0);
+          ("search.block.reject.phase", 0);
+          ("search.block.reject.unreachable", 2984);
+          ("search.block.reject_depth.canonical", 0);
+          ("search.block.reject_depth.duplicate", 0);
           ("search.block.reject_depth.memory", 0);
-          ("search.block.reject_depth.pruned", 136_190);
-          ("search.block.reject_depth.shape", 208_051);
-          ("search.kernel.expand_depth", 114_000);
-          ("search.kernel.reject_depth.canonical", 49_251);
-          ("search.kernel.reject_depth.duplicate", 893);
-          ("search.kernel.reject_depth.pruned", 32_051);
-          ("search.kernel.reject_depth.shape", 29_464);
+          ("search.block.reject_depth.pruned", 3415);
+          ("search.block.reject_depth.shape", 4241);
+          ("search.kernel.expand_depth", 11_743);
+          ("search.kernel.reject.unreachable", 212);
+          ("search.kernel.reject_depth.canonical", 5867);
+          ("search.kernel.reject_depth.duplicate", 117);
+          ("search.kernel.reject_depth.pruned", 2949);
+          ("search.kernel.reject_depth.shape", 2486);
         ];
       cands = 0;
       hashes = "d41d8cd98f00b204e9800998ecf8427e";
@@ -709,30 +714,32 @@ let pinned =
       smem = None;
       funnel =
         [
-          ("expanded", 460_426);
-          ("shape_rejected", 174_349);
+          ("expanded", 36_723);
+          ("shape_rejected", 13_204);
           ("memory_rejected", 0);
-          ("pruned_abstract", 110_518);
-          ("canonical_rejected", 109_458);
+          ("pruned_abstract", 11_196);
+          ("canonical_rejected", 5434);
           ("candidates", 6);
           ("verified", 0);
-          ("duplicates", 8634);
+          ("duplicates", 297);
         ];
       totals =
         [
-          ("search.block.expand_depth", 453_856);
-          ("search.block.reject.dangling", 30_625);
-          ("search.block.reject.phase", 18_132);
-          ("search.block.reject_depth.canonical", 106_682);
-          ("search.block.reject_depth.duplicate", 8554);
+          ("search.block.expand_depth", 32_474);
+          ("search.block.reject.dangling", 581);
+          ("search.block.reject.phase", 0);
+          ("search.block.reject.unreachable", 5674);
+          ("search.block.reject_depth.canonical", 3376);
+          ("search.block.reject_depth.duplicate", 242);
           ("search.block.reject_depth.memory", 0);
-          ("search.block.reject_depth.pruned", 108_992);
-          ("search.block.reject_depth.shape", 172_277);
-          ("search.kernel.expand_depth", 6570);
-          ("search.kernel.reject_depth.canonical", 2776);
-          ("search.kernel.reject_depth.duplicate", 80);
-          ("search.kernel.reject_depth.pruned", 1526);
-          ("search.kernel.reject_depth.shape", 2072);
+          ("search.block.reject_depth.pruned", 10_334);
+          ("search.block.reject_depth.shape", 12_025);
+          ("search.kernel.expand_depth", 4249);
+          ("search.kernel.reject.unreachable", 35);
+          ("search.kernel.reject_depth.canonical", 2058);
+          ("search.kernel.reject_depth.duplicate", 55);
+          ("search.kernel.reject_depth.pruned", 862);
+          ("search.kernel.reject_depth.shape", 1179);
         ];
       cands = 6;
       hashes = "1cb32deffd1391ecdafba3cb93f9b5e0";
@@ -742,30 +749,32 @@ let pinned =
       smem = Some 2048;
       funnel =
         [
-          ("expanded", 452_082);
-          ("shape_rejected", 171_780);
-          ("memory_rejected", 8814);
-          ("pruned_abstract", 100_079);
-          ("canonical_rejected", 106_851);
+          ("expanded", 36_510);
+          ("shape_rejected", 13_119);
+          ("memory_rejected", 772);
+          ("pruned_abstract", 10_390);
+          ("canonical_rejected", 5406);
           ("candidates", 6);
           ("verified", 0);
-          ("duplicates", 8485);
+          ("duplicates", 295);
         ];
       totals =
         [
-          ("search.block.expand_depth", 445_512);
-          ("search.block.reject.dangling", 29_854);
-          ("search.block.reject.phase", 17_658);
-          ("search.block.reject_depth.canonical", 104_075);
-          ("search.block.reject_depth.duplicate", 8405);
-          ("search.block.reject_depth.memory", 8814);
-          ("search.block.reject_depth.pruned", 98_553);
-          ("search.block.reject_depth.shape", 169_708);
-          ("search.kernel.expand_depth", 6570);
-          ("search.kernel.reject_depth.canonical", 2776);
-          ("search.kernel.reject_depth.duplicate", 80);
-          ("search.kernel.reject_depth.pruned", 1526);
-          ("search.kernel.reject_depth.shape", 2072);
+          ("search.block.expand_depth", 32_261);
+          ("search.block.reject.dangling", 575);
+          ("search.block.reject.phase", 0);
+          ("search.block.reject.unreachable", 5618);
+          ("search.block.reject_depth.canonical", 3348);
+          ("search.block.reject_depth.duplicate", 240);
+          ("search.block.reject_depth.memory", 772);
+          ("search.block.reject_depth.pruned", 9528);
+          ("search.block.reject_depth.shape", 11_940);
+          ("search.kernel.expand_depth", 4249);
+          ("search.kernel.reject.unreachable", 35);
+          ("search.kernel.reject_depth.canonical", 2058);
+          ("search.kernel.reject_depth.duplicate", 55);
+          ("search.kernel.reject_depth.pruned", 862);
+          ("search.kernel.reject_depth.shape", 1179);
         ];
       cands = 6;
       hashes = "1cb32deffd1391ecdafba3cb93f9b5e0";
@@ -789,12 +798,14 @@ let pinned =
           ("search.block.expand_depth", 1_860_826);
           ("search.block.reject.dangling", 181_959);
           ("search.block.reject.phase", 0);
+          ("search.block.reject.unreachable", 47);
           ("search.block.reject_depth.canonical", 337_193);
           ("search.block.reject_depth.duplicate", 18_930);
           ("search.block.reject_depth.memory", 0);
           ("search.block.reject_depth.pruned", 336_259);
           ("search.block.reject_depth.shape", 967_614);
           ("search.kernel.expand_depth", 142_285);
+          ("search.kernel.reject.unreachable", 1840);
           ("search.kernel.reject_depth.canonical", 82_937);
           ("search.kernel.reject_depth.duplicate", 1053);
           ("search.kernel.reject_depth.pruned", 21_641);
@@ -808,29 +819,31 @@ let pinned =
       smem = None;
       funnel =
         [
-          ("expanded", 777_860);
-          ("shape_rejected", 85_180);
+          ("expanded", 27);
+          ("shape_rejected", 0);
           ("memory_rejected", 0);
-          ("pruned_abstract", 262_653);
-          ("canonical_rejected", 340_597);
+          ("pruned_abstract", 15);
+          ("canonical_rejected", 0);
           ("candidates", 0);
           ("verified", 0);
-          ("duplicates", 12_109);
+          ("duplicates", 0);
         ];
       totals =
         [
-          ("search.block.expand_depth", 388_472);
-          ("search.block.reject.dangling", 42_434);
-          ("search.block.reject.phase", 11_304);
-          ("search.block.reject_depth.canonical", 126_326);
-          ("search.block.reject_depth.duplicate", 7895);
+          ("search.block.expand_depth", 0);
+          ("search.block.reject.dangling", 0);
+          ("search.block.reject.phase", 0);
+          ("search.block.reject.unreachable", 0);
+          ("search.block.reject_depth.canonical", 0);
+          ("search.block.reject_depth.duplicate", 0);
           ("search.block.reject_depth.memory", 0);
-          ("search.block.reject_depth.pruned", 108_353);
-          ("search.block.reject_depth.shape", 85_180);
-          ("search.kernel.expand_depth", 389_388);
-          ("search.kernel.reject_depth.canonical", 214_271);
-          ("search.kernel.reject_depth.duplicate", 4214);
-          ("search.kernel.reject_depth.pruned", 154_300);
+          ("search.block.reject_depth.pruned", 0);
+          ("search.block.reject_depth.shape", 0);
+          ("search.kernel.expand_depth", 27);
+          ("search.kernel.reject.unreachable", 12);
+          ("search.kernel.reject_depth.canonical", 0);
+          ("search.kernel.reject_depth.duplicate", 0);
+          ("search.kernel.reject_depth.pruned", 15);
           ("search.kernel.reject_depth.shape", 0);
         ];
       cands = 0;

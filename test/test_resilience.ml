@@ -353,36 +353,37 @@ let test_checkpoint_load_errors () =
   | Error _ -> ());
   Sys.remove f
 
-(* A v1 checkpoint's task indices named single roots; v2 indices name
-   root classes. A v1 file must be refused, not resumed into skipping
-   the wrong tasks. *)
+(* A v1 checkpoint's task indices named single roots, and a v2 one's
+   task list still held the levels the goal-distance cut now skips.
+   Either must be refused, not resumed into skipping the wrong tasks. *)
 let test_checkpoint_v1_refused () =
   let path = Filename.temp_file "mirage_ckpt_v1" ".json" in
   let ck = Search.Checkpoint.create ~path () in
   Search.Checkpoint.task_done ck ~piece:0 ~task:1 ~tasks_total:3;
   (match Search.Checkpoint.load path with
   | Ok ck ->
-      Alcotest.(check (list int)) "v2 loads" [ 1 ]
+      Alcotest.(check (list int)) "v3 loads" [ 1 ]
         (Search.Checkpoint.completed ck ~piece:0)
   | Error m -> Alcotest.fail m);
-  (* the same file under the v1 schema marker *)
-  (match
-     Obs.Jsonw.of_string (In_channel.with_open_bin path In_channel.input_all)
-   with
-  | Ok (Obs.Jsonw.Obj kvs) ->
-      Obs.Jsonw.to_file path
-        (Obs.Jsonw.Obj
-           (List.map
-              (fun (k, v) ->
-                if k = "schema" then (k, Obs.Jsonw.Str "mirage.checkpoint.v1")
-                else (k, v))
-              kvs))
-  | _ -> Alcotest.fail "checkpoint is not a JSON object");
-  (match Search.Checkpoint.load path with
-  | Ok _ -> Alcotest.fail "loaded a v1 checkpoint"
-  | Error m ->
-      Alcotest.(check bool) "not a v2 file" true
-        (Astring_contains.contains m "not a mirage.checkpoint.v2 file"));
+  let saved = In_channel.with_open_bin path In_channel.input_all in
+  List.iter
+    (fun old ->
+      (* the same file under an older schema marker *)
+      (match Obs.Jsonw.of_string saved with
+      | Ok (Obs.Jsonw.Obj kvs) ->
+          Obs.Jsonw.to_file path
+            (Obs.Jsonw.Obj
+               (List.map
+                  (fun (k, v) ->
+                    if k = "schema" then (k, Obs.Jsonw.Str old) else (k, v))
+                  kvs))
+      | _ -> Alcotest.fail "checkpoint is not a JSON object");
+      match Search.Checkpoint.load path with
+      | Ok _ -> Alcotest.failf "loaded a %s checkpoint" old
+      | Error m ->
+          Alcotest.(check bool) (old ^ ": not a v3 file") true
+            (Astring_contains.contains m "not a mirage.checkpoint.v3 file"))
+    [ "mirage.checkpoint.v1"; "mirage.checkpoint.v2" ];
   Sys.remove path
 
 let test_fingerprint_ignores_budget () =

@@ -647,7 +647,11 @@ let check_pins name want got =
   Alcotest.(check string) (name ^ "candidate digest") want.digest got.digest
 
 (* Recorded from the enumerator that made, normalized and prune-checked
-   every extension at its birth prefix, before values were interned. *)
+   every extension at its birth prefix, before values were interned. The
+   goal (a matmul of a quotient or a product) holds no exp/sqrt/silu
+   atom, so the goal-distance cut only stops the kept leaves that are
+   not the output: it added the two [reject.unreachable] counters and
+   moved nothing else. *)
 let div_two_loops =
   {
     funnel = [ 673_023; 234_467; 0; 148_019; 219_424; 167; 9108 ];
@@ -656,12 +660,14 @@ let div_two_loops =
         ("search.block.expand_depth", 656_020);
         ("search.block.reject.dangling", 24_332);
         ("search.block.reject.phase", 27_185);
+        ("search.block.reject.unreachable", 584);
         ("search.block.reject_depth.canonical", 209_676);
         ("search.block.reject_depth.duplicate", 8958);
         ("search.block.reject_depth.memory", 0);
         ("search.block.reject_depth.pruned", 144_781);
         ("search.block.reject_depth.shape", 230_846);
         ("search.kernel.expand_depth", 17_003);
+        ("search.kernel.reject.unreachable", 53);
         ("search.kernel.reject_depth.canonical", 9748);
         ("search.kernel.reject_depth.duplicate", 150);
         ("search.kernel.reject_depth.pruned", 3238);
@@ -678,12 +684,14 @@ let mul_two_loops =
         ("search.block.expand_depth", 610_186);
         ("search.block.reject.dangling", 42_742);
         ("search.block.reject.phase", 23_013);
+        ("search.block.reject.unreachable", 749);
         ("search.block.reject_depth.canonical", 168_932);
         ("search.block.reject_depth.duplicate", 13_046);
         ("search.block.reject_depth.memory", 0);
         ("search.block.reject_depth.pruned", 111_689);
         ("search.block.reject_depth.shape", 237_064);
         ("search.kernel.expand_depth", 18_529);
+        ("search.kernel.reject.unreachable", 127);
         ("search.kernel.reject_depth.canonical", 8170);
         ("search.kernel.reject_depth.duplicate", 249);
         ("search.kernel.reject_depth.pruned", 3799);
@@ -1008,6 +1016,384 @@ let test_two_worker_search_one_domain () =
   Alcotest.(check bool) "ran to completion" false (exhausted || crashes > 0);
   Alcotest.(check int) "one domain started" 1 (after - before - 1)
 
+(* --- goal distance -------------------------------------------------------- *)
+
+module Nf = Absexpr.Nf
+module E = Absexpr.Expr
+
+(* The soundness lemma's table: how many atoms one application of each
+   operator may create. *)
+let test_atoms_made () =
+  List.iter
+    (fun (p, n) ->
+      Alcotest.(check int) (Op.name p) n (Search.Prefix.atoms_made p))
+    [
+      (Op.Unary Op.Exp, 1);
+      (Op.Unary Op.Sqrt, 1);
+      (Op.Unary Op.Silu, 1);
+      (Op.Unary Op.Relu, 2);
+      (Op.Unary Op.Sqr, 0);
+      (Op.Matmul, 0);
+      (Op.Binary Op.Add, 0);
+      (Op.Binary Op.Mul, 0);
+      (Op.Binary Op.Div, 0);
+      (Op.Binary Op.Sub, 0);
+      (Op.Sum { dim = 0; group = 4 }, 0);
+      (Op.Repeat { dim = 0; times = 2 }, 0);
+      (Op.Reshape [| 16 |], 0);
+      (Op.Transpose, 0);
+      (Op.Concat_matmul, 0);
+    ]
+
+let atom_expr_gen =
+  let open QCheck2.Gen in
+  sized_size (int_range 1 12) @@ fix (fun self n ->
+      if n <= 1 then map E.var (oneofl [ "x"; "y"; "z" ])
+      else
+        frequency
+          [
+            (2, map E.var (oneofl [ "x"; "y"; "z" ]));
+            (3, map2 E.add (self (n / 2)) (self (n / 2)));
+            (3, map2 E.mul (self (n / 2)) (self (n / 2)));
+            (2, map2 E.div (self (n / 2)) (self (n / 2)));
+            (1, map E.exp (self (n - 1)));
+            (1, map E.sqrt (self (n - 1)));
+            (1, map E.silu (self (n - 1)));
+            (2, map2 (fun i e -> E.sum (i + 1) e) (int_range 1 4) (self (n - 1)));
+          ])
+
+(* Every prim of Abstract.prim_nf, on [4; 4] operands. *)
+let lemma_prims =
+  [
+    Op.Matmul;
+    Op.Binary Op.Add;
+    Op.Binary Op.Mul;
+    Op.Binary Op.Div;
+    Op.Binary Op.Sub;
+    Op.Unary Op.Exp;
+    Op.Unary Op.Sqr;
+    Op.Unary Op.Sqrt;
+    Op.Unary Op.Silu;
+    Op.Unary Op.Relu;
+    Op.Sum { dim = 1; group = 4 };
+    Op.Repeat { dim = 0; times = 2 };
+    Op.Reshape [| 16 |];
+    Op.Transpose;
+    Op.Concat_matmul;
+  ]
+
+(* (a) The atom lemma: applied to normalized inputs, a prim creates at
+   most [atoms_made] exp/sqrt/silu atoms that occur in no input, and
+   removes none. *)
+let prop_atom_lemma =
+  Qseed.to_alcotest
+    (QCheck2.Test.make ~count:500 ~name:"prims create at most atoms_made atoms"
+       QCheck2.Gen.(
+         pair (oneofl lemma_prims) (list_size (return 4) atom_expr_gen))
+       (fun (p, es) ->
+         let ins = List.map Nf.of_expr (List.filteri (fun i _ -> i < Op.arity p) es) in
+         let out =
+           Abstract.prim_nf p
+             ~in_shapes:(List.map (fun _ -> [| 4; 4 |]) ins)
+             ins
+         in
+         let had = List.concat_map Search.Prefix.atoms ins in
+         let has = Search.Prefix.atoms out in
+         let mem a l = List.exists (Nf.equal a) l in
+         List.for_all (fun a -> mem a has) had
+         && List.length (List.filter (fun a -> not (mem a had)) has)
+            <= Search.Prefix.atoms_made p))
+
+(* Softmax along the last dim: exp / rowsum / div. *)
+let softmax_spec () =
+  let bld = Graph.Build.create () in
+  let x = Graph.Build.input bld "X" [| 8; 16 |] in
+  let e = prim bld (Op.Unary Op.Exp) [ x ] in
+  let l = prim bld (Op.Sum { dim = 1; group = 16 }) [ e ] in
+  let o = prim bld (Op.Binary Op.Div) [ e; l ] in
+  Graph.Build.finish bld ~outputs:[ o ]
+
+(* sqrt(exp X): each atom's bare form is a needed form (the output, and
+   the sqrt's argument), so the goal is exactly two operators away. *)
+let sqrt_exp_spec () =
+  let bld = Graph.Build.create () in
+  let x = Graph.Build.input bld "X" [| 8; 16 |] in
+  let e = prim bld (Op.Unary Op.Exp) [ x ] in
+  let r = prim bld (Op.Unary Op.Sqrt) [ e ] in
+  Graph.Build.finish bld ~outputs:[ r ]
+
+(* A reduced Fig. 7 workload's LAX piece. *)
+let lax_piece name =
+  let b = Option.get (Workloads.Bench_defs.by_name name) in
+  let spec, _ = b.Workloads.Bench_defs.reduced () in
+  (List.find
+     (fun (p : Mirage.Partition.piece) -> p.Mirage.Partition.lax)
+     (Mirage.Partition.partition spec).Mirage.Partition.pieces)
+    .Mirage.Partition.graph
+
+let distance_specs () =
+  [
+    ("softmax", softmax_spec ());
+    ("sqrt-exp", sqrt_exp_spec ());
+    ("gatedmlp", lax_piece "GatedMLP");
+    ("rmsnorm", lax_piece "RMSNorm");
+  ]
+
+(* At most 4 kernel and 3 block operators, grid {2}, for-loops none
+   and {2}. *)
+let distance_config ?(pruning = true) spec =
+  Search.Config.for_spec
+    ~base:
+      {
+        (small_config ~ops:3 ~pruning ()) with
+        Search.Config.max_kernel_ops = 4;
+        forloop_candidates = [ [||]; [| 2 |] ];
+        time_budget_s = 0.0;
+      }
+    spec
+
+let generate ?(workers = 1) cfg spec =
+  let cfg = { cfg with Search.Config.num_workers = workers } in
+  let solver = Smtlite.Solver.create ~target:(Abstract.output_exprs spec) in
+  let stats = Search.Stats.create () in
+  let cands, exhausted, crashes =
+    Search.Generator.generate cfg ~spec ~solver ~stats
+      ~limits:(Gpusim.Device.limits Gpusim.Device.a100)
+      ~budget:(Search.Budget.of_config cfg) ()
+  in
+  Alcotest.(check bool) "ran to completion" false (exhausted || crashes > 0);
+  (List.map snd cands, stats)
+
+let unreachable stats =
+  let counters =
+    (Obs.Metrics.snapshot (Search.Stats.registry stats)).Obs.Metrics.counters
+  in
+  List.assoc "search.kernel.reject.unreachable" counters
+  + List.assoc "search.block.reject.unreachable" counters
+
+(* The normal forms of a candidate's entries in the order its level
+   made them — the inputs, then one per operator — and that level's
+   operator budget. *)
+let replay cfg (g : Graph.kernel_graph) =
+  let kexprs = Abstract.kernel_exprs g in
+  let nodes = Array.to_list (Array.mapi (fun i n -> (i, n)) g.Graph.knodes) in
+  let inputs =
+    List.filter_map
+      (fun (i, (n : Graph.kernel_node)) ->
+        match n.Graph.kop with
+        | Graph.K_input _ -> Some kexprs.(i).(0)
+        | _ -> None)
+      nodes
+  in
+  match
+    List.find_map
+      (fun (i, (n : Graph.kernel_node)) ->
+        match n.Graph.kop with
+        | Graph.K_graphdef bg -> Some (i, n, bg)
+        | _ -> None)
+      nodes
+  with
+  | Some (_, n, bg) ->
+      let shapes = Infer.kernel_shapes g in
+      let ins = n.Graph.kins in
+      let bexprs =
+        Abstract.block_exprs bg
+          ~kernel_input_exprs:
+            (List.map
+               (fun (r : Graph.tensor_ref) -> kexprs.(r.node).(r.port))
+               ins)
+          ~kernel_input_shapes:
+            (List.map
+               (fun (r : Graph.tensor_ref) -> shapes.(r.node).(r.port))
+               ins)
+      in
+      let made =
+        List.filter_map Fun.id
+          (Array.to_list
+             (Array.mapi
+                (fun i (b : Graph.block_node) ->
+                  match b.Graph.bop with
+                  | Graph.B_initer _ | Graph.B_outsaver _ -> None
+                  | _ -> Some bexprs.(i))
+                bg.Graph.bnodes))
+      in
+      (inputs, made, cfg.Search.Config.max_block_ops)
+  | None ->
+      ( inputs,
+        List.filter_map
+          (fun (i, (n : Graph.kernel_node)) ->
+            match n.Graph.kop with
+            | Graph.K_prim _ -> Some kexprs.(i).(0)
+            | _ -> None)
+          nodes,
+        cfg.Search.Config.max_kernel_ops )
+
+(* (b) Consistency: along every candidate's construction, prefix by
+   prefix, [ops + distance] never decreases and never exceeds the
+   level's operator budget, and the complete graph is at distance 0. *)
+let check_consistent name cfg spec cands =
+  let values = Search.Prefix.values (Search.Prefix.spec_goals spec) in
+  List.iter
+    (fun g ->
+      let inputs, made, max_ops = replay cfg g in
+      let nfs = List.map Nf.of_expr (inputs @ made) in
+      let n_in = List.length inputs in
+      let f k =
+        k + Search.Prefix.distance values (List.filteri (fun i _ -> i < n_in + k) nfs)
+      in
+      let fs = List.init (List.length made + 1) f in
+      List.iteri
+        (fun k v ->
+          if v > max_ops then
+            Alcotest.failf "%s: prefix of %d ops at ops + distance %d > %d" name k v
+              max_ops;
+          if k > 0 && v < List.nth fs (k - 1) then
+            Alcotest.failf "%s: ops + distance fell from %d to %d at %d ops" name
+              (List.nth fs (k - 1)) v k)
+        fs;
+      Alcotest.(check int) (name ^ ": complete at distance 0") 0
+        (Search.Prefix.distance values nfs))
+    cands
+
+let test_distance_consistent () =
+  List.iter
+    (fun (name, spec) ->
+      let cfg = distance_config spec in
+      let cands, _ = generate cfg spec in
+      check_consistent name cfg spec cands)
+    (distance_specs ()
+    @ [ ("div-matmul", div_matmul_spec ~b:4 ~h:8 ~d:16) ])
+
+(* The case-study menus of bench casestudy: grid {8}, for-loop {4}, at
+   most 8 block ops; 4 and 20 candidates. *)
+let test_distance_consistent_case_studies () =
+  List.iter
+    (fun (name, spec, n) ->
+      let cfg =
+        Search.Config.for_spec
+          ~base:
+            {
+              Search.Config.default with
+              Search.Config.grid_candidates = [ [| 8 |] ];
+              forloop_candidates = [ [| 4 |] ];
+              max_block_ops = 8;
+              time_budget_s = 0.0;
+            }
+          spec
+      in
+      let cands, stats = generate ~workers:2 cfg spec in
+      Alcotest.(check int) (name ^ ": candidates") n (List.length cands);
+      Alcotest.(check bool) (name ^ ": the cut fired") true (unreachable stats > 0);
+      check_consistent name cfg spec cands)
+    [
+      ("rmsnorm", Baselines.Templates.rmsnorm_matmul_spec ~b:4 ~h:64 ~d:256, 4);
+      ("gatedmlp", Baselines.Templates.gated_mlp_spec ~b:4 ~h:64 ~f:256, 20);
+    ]
+
+let digest cands =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ","
+          (List.map string_of_int (List.sort compare (List.map Graph.hash cands)))))
+
+(* (c) Exactness: abstract pruning (and with it the goal-distance cut)
+   on keeps exactly the candidates of a search with it off whose every
+   made tensor is a subexpression of the goal (paper Theorem 1): the
+   cut loses none of them. *)
+let test_distance_exact () =
+  List.iter
+    (fun (name, spec) ->
+      let cfg = distance_config spec in
+      let on, stats = generate ~workers:2 cfg spec in
+      let off, _ = generate ~workers:2 (distance_config ~pruning:false spec) spec in
+      let goal = Nf.goal (Search.Prefix.spec_goals spec) in
+      let kept =
+        List.filter
+          (fun g ->
+            let _, made, _ = replay cfg g in
+            List.for_all (fun e -> Nf.decide goal (Nf.of_expr e)) made)
+          off
+      in
+      Alcotest.(check int) (name ^ ": candidates") (List.length kept)
+        (List.length on);
+      Alcotest.(check string) (name ^ ": candidate digest") (digest kept)
+        (digest on);
+      if name <> "rmsnorm" then
+        Alcotest.(check bool) (name ^ ": candidates found") true (on <> []);
+      (* sqrt(exp X) is reached by its only two subexpressions, so there
+         the cut finds nothing to stop *)
+      if name <> "sqrt-exp" then
+        Alcotest.(check bool) (name ^ ": the cut fired") true
+          (unreachable stats > 0))
+    (distance_specs ())
+
+(* (d) A Relu menu: relu is silu (silu x), two atoms from one operator,
+   so the search takes no cut and finds the one-operator graph that an
+   atom-per-operator count would have ruled out at the root. *)
+let test_distance_relu_menu () =
+  let bld = Graph.Build.create () in
+  let x = Graph.Build.input bld "X" [| 8; 16 |] in
+  let r = prim bld (Op.Unary Op.Relu) [ x ] in
+  let spec = Graph.Build.finish bld ~outputs:[ r ] in
+  let menu = [ Op.Unary Op.Relu ] in
+  let cfg =
+    {
+      (small_config ~ops:1 ()) with
+      Search.Config.max_kernel_ops = 1;
+      forloop_candidates = [ [||] ];
+      kernel_op_menu = menu;
+      block_op_menu = menu;
+      time_budget_s = 0.0;
+    }
+  in
+  Alcotest.(check bool) "no cut with relu" false (Search.Prefix.cuts cfg menu);
+  let values = Search.Prefix.values (Search.Prefix.spec_goals spec) in
+  Alcotest.(check int) "two atoms away at an atom per operator" 2
+    (Search.Prefix.distance values [ Nf.nf_var "X" ]);
+  let cands, stats = generate cfg spec in
+  Alcotest.(check int) "no try cut" 0 (unreachable stats);
+  Alcotest.(check bool) "relu(X) found at one operator" true
+    (List.exists
+       (fun (g : Graph.kernel_graph) ->
+         Array.exists
+           (fun (n : Graph.kernel_node) -> n.Graph.kop = Graph.K_prim (Op.Unary Op.Relu))
+           g.Graph.knodes)
+       cands)
+
+(* The bound itself on hand-made prefixes: atoms and forms each count
+   once, and a missing atom's bare form is not counted again. *)
+let test_distance_counts () =
+  let values spec = Search.Prefix.values (Search.Prefix.spec_goals spec) in
+  let x = Nf.nf_var "X" in
+  let v = values (sqrt_exp_spec ()) in
+  Alcotest.(check int) "sqrt(exp X) from X" 2 (Search.Prefix.distance v [ x ]);
+  Alcotest.(check int) "with exp X" 1
+    (Search.Prefix.distance v [ x; Nf.nf_exp x ]);
+  Alcotest.(check int) "with sqrt(exp X)" 0
+    (Search.Prefix.distance v [ x; Nf.nf_exp x; Nf.nf_sqrt (Nf.nf_exp x) ]);
+  let s = values (softmax_spec ()) in
+  (* exp X, and the output; exp's argument X is an input *)
+  Alcotest.(check int) "softmax from X" 2 (Search.Prefix.distance s [ x ]);
+  Alcotest.(check int) "softmax with exp X" 1
+    (Search.Prefix.distance s [ x; Nf.nf_exp x ]);
+  let d = values (div_matmul_spec ~b:4 ~h:8 ~d:16) in
+  Alcotest.(check int) "no atom: the output alone" 1
+    (Search.Prefix.distance d (List.map Nf.nf_var [ "X"; "C"; "W" ]))
+
+(* A goal whose atoms and forms need more than 62 bits takes no cut.
+   The outputs exp X_i for i < k need 3k bits: k atoms, their k bare
+   forms and k arguments. *)
+let test_distance_past_width () =
+  let xs k = List.init k (fun i -> Nf.nf_var (Printf.sprintf "X%d" i)) in
+  let goals k = List.map Nf.nf_exp (xs k) in
+  Alcotest.(check int) "20 atoms, 60 bits: each missing atom counts" 20
+    (Search.Prefix.distance (Search.Prefix.values (goals 20)) (xs 20));
+  let v = Search.Prefix.values (goals 21) in
+  Alcotest.(check int) "21 atoms, 63 bits: no cut" 0
+    (Search.Prefix.distance v (xs 21));
+  Alcotest.(check int) "nor with no value at all" 0
+    (Search.Prefix.distance v [])
+
 let () =
   Alcotest.run "search"
     [
@@ -1059,6 +1445,24 @@ let () =
             test_memo_two_forloops;
           Alcotest.test_case "nothing outlives a search" `Quick
             test_memo_back_to_back;
+        ] );
+      ( "goal distance",
+        [
+          Alcotest.test_case "atoms each operator may make" `Quick
+            test_atoms_made;
+          prop_atom_lemma;
+          Alcotest.test_case "atoms and forms counted once" `Quick
+            test_distance_counts;
+          Alcotest.test_case "ops + distance is consistent" `Quick
+            test_distance_consistent;
+          Alcotest.test_case "consistent on the case studies" `Slow
+            test_distance_consistent_case_studies;
+          Alcotest.test_case "same candidates, pruning on and off" `Quick
+            test_distance_exact;
+          Alcotest.test_case "a relu menu takes no cut" `Quick
+            test_distance_relu_menu;
+          Alcotest.test_case "past 62 bits takes no cut" `Quick
+            test_distance_past_width;
         ] );
       ( "goal masks",
         [

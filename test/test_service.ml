@@ -650,8 +650,9 @@ let test_slow_forensics =
    [tries * roots] tries, equal the search's count: the funnel's for
    the funnel reasons (duplicates also count the generator's
    [graph.duplicate]s), the [search.block.reject.*] counters for the
-   block level's own cuts; at both levels (kernel and block)
-   combined. *)
+   block level's own cuts and the [search.<level>.reject.unreachable]
+   counters for the goal-distance cut; at both levels (kernel and
+   block) combined. *)
 let test_prune_single_site =
   with_reset @@ fun () ->
   let journal_path = Filename.temp_file "mirage_prune_journal" ".jsonl" in
@@ -703,10 +704,17 @@ let test_prune_single_site =
       ("pruned_abstract", s.Search.Stats.pruned_abstract);
       ("phase", counter "search.block.reject.phase");
       ("dangling", counter "search.block.reject.dangling");
+      ( "unreachable",
+        counter "search.kernel.reject.unreachable"
+        + counter "search.block.reject.unreachable" );
     ]
   in
+  Alcotest.(check int) "every reason is checked" Search.Tally.n_reasons
+    (List.length expected);
   Alcotest.(check bool) "the search exercised abstract pruning" true
     (snap.Search.Stats.pruned_abstract > 0);
+  Alcotest.(check bool) "the search exercised the goal-distance cut" true
+    (List.assoc "unreachable" expected > 0);
   Alcotest.(check bool) "some tries were counted in bulk" true bulk;
   List.iter
     (fun (reason, n) ->
@@ -760,10 +768,20 @@ let test_prune_store_roundtrip =
   let cache2 = Service.Cache.create ~dir () in
   Alcotest.(check bool) "entry on disk" true
     (Sys.file_exists (Service.Cache.entry_path cache2 fp));
+  Alcotest.(check (float 0.0)) "cold run: disk hit ratio 0" 0.0
+    (Smtlite.Solver.disk_hit_ratio sv);
   let warm = run_with cache2 in
   let wv = warm.Search.Generator.solver in
   Alcotest.(check bool) "warm run answered misses from disk" true
     (wv.Smtlite.Solver.disk_hits > 0);
+  Alcotest.(check (float 0.0)) "warm run: every decision from disk" 1.0
+    (Smtlite.Solver.disk_hit_ratio wv);
+  (* a "warm" run against an emptied cache decides everything anew: the
+     ratio bench enum gates falls to 0 (its miss side reads 1) *)
+  let emptied = tmpdir "mirage_prunecache_emptied" in
+  let gone = run_with (Service.Cache.create ~dir:emptied ()) in
+  Alcotest.(check (float 0.0)) "emptied cache: no decision from disk" 0.0
+    (Smtlite.Solver.disk_hit_ratio gone.Search.Generator.solver);
   Alcotest.(check bool) "warm and cold agree on the best cost" true
     (match (cold.Search.Generator.best, warm.Search.Generator.best) with
     | Some a, Some b ->
