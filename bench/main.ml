@@ -912,7 +912,9 @@ let micro () =
 (* minor words at 1 worker -> enum.gqa.expanded,                       *)
 (* enum.gqa.solver_queries, enum.gqa.minor_words, and the same of the  *)
 (* reduced nTrans piece -> enum.ntrans.expanded, enum.ntrans.minor_words *)
-(* (all lower is better, deterministic). The JSON rows keep the        *)
+(* (all lower is better, deterministic), and for all six reduced       *)
+(* pieces, 2-worker over 1-worker generate time -> the geomean          *)
+(* enum.fig7.two_over_one (lower is better). The JSON rows keep the    *)
 (* per-expansion ratios beside the totals. All keys land in the bench  *)
 (* history, so the gate watches cost, scaling, cache efficacy and root *)
 (* sharing run over run.                                               *)
@@ -985,6 +987,44 @@ let piece_search name =
   end;
   let queries = (Smtlite.Solver.stats solver).Smtlite.Solver.queries in
   (queries, Search.Stats.expanded stats, words)
+
+(* 2-worker over 1-worker [generate] time for each reduced Fig. 7
+   piece on the search_fig7 menu: the median ratio of five interleaved
+   pairs (1 worker, then 2). Most of these searches end in a few ms, so
+   the ratio prices what a second worker costs a search too short to
+   use it. *)
+let two_over_one name =
+  let pspec, cfg1 = fig7_piece name in
+  let cfg2 = { cfg1 with Search.Config.num_workers = 2 } in
+  let time cfg =
+    let t0 = Unix.gettimeofday () in
+    let _, exhausted, crashes =
+      Search.Generator.generate cfg ~spec:pspec
+        ~solver:
+          (Smtlite.Solver.create ~target:(Mugraph.Abstract.output_exprs pspec))
+        ~stats:(Search.Stats.create ())
+        ~limits:(Gpusim.Device.limits Gpusim.Device.a100)
+        ~budget:(Search.Budget.of_config cfg) ()
+    in
+    if exhausted || crashes > 0 then begin
+      Printf.eprintf "enum: the %s search did not run to completion\n" name;
+      exit 1
+    end;
+    Unix.gettimeofday () -. t0
+  in
+  let median l =
+    let a = Array.of_list l in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  let pairs =
+    List.init 5 (fun _ ->
+        let t1 = time cfg1 in
+        (t1, time cfg2))
+  in
+  ( median (List.map fst pairs),
+    median (List.map snd pairs),
+    median (List.map (fun (t1, t2) -> t2 /. t1) pairs) )
 
 let enum_bench () =
   hr "enum: work-stealing scaling & persistent prune-query cache";
@@ -1166,8 +1206,40 @@ let enum_bench () =
         ("minor_words", Float ntrans_words);
         ("minor_words_per_expansion", Float ntrans_words_per_expansion);
       ];
+  let fig7_names =
+    List.map
+      (fun (b : Workloads.Bench_defs.benchmark) -> b.Workloads.Bench_defs.name)
+      (Workloads.Bench_defs.all ())
+  in
+  Printf.printf "fig7 pieces, search_fig7 menu (medians of 5 pairs):\n%!";
+  let ratios =
+    List.map
+      (fun name ->
+        let t1, t2, r = two_over_one name in
+        Printf.printf
+          "  %-9s 1 worker %7.2f ms   2 workers %7.2f ms   2/1 %.2f\n%!" name
+          (t1 *. 1e3) (t2 *. 1e3) r;
+        jpush
+          Obs.Jsonw.
+            [
+              ("suite", Str "enum");
+              ("benchmark", Str ("fig7." ^ name));
+              ("gen_1w_s", Float t1);
+              ("gen_2w_s", Float t2);
+              ("two_over_one", Float r);
+            ];
+        r)
+      fig7_names
+  in
+  let two_over_one =
+    exp
+      (List.fold_left (fun acc r -> acc +. log r) 0.0 ratios
+      /. float_of_int (List.length ratios))
+  in
+  Printf.printf "fig7 pieces, 2 workers over 1 (geomean): %.3f\n%!" two_over_one;
   record "enum"
     [
+      ("enum.fig7.two_over_one", two_over_one);
       ("enum.gqa.searches_per_root", per_root);
       ("enum.gqa.expanded", float_of_int expansions);
       ("enum.gqa.solver_queries", float_of_int queries);

@@ -652,6 +652,17 @@ let optimize_cmd =
       $ trace_arg $ metrics_flag $ report_arg $ resume_arg
       $ prune_cache_arg $ differential_arg)
 
+(* The work-stealing counters in one line: helper domains the search's
+   on-demand lanes started, subtrees handed to the pool, steals. *)
+let print_scheduler counter =
+  Printf.printf
+    "scheduler: %d helper lane(s) started, %d subtree task(s) spawned, %d \
+     stolen (%d empty/raced attempts)\n"
+    (counter "search.lanes.started")
+    (counter "search.steal.spawned")
+    (counter "search.steal.count")
+    (counter "search.steal.failed")
+
 let stats_cmd =
   let run name device max_ops workers budget trace report_dir =
     let b = lookup name in
@@ -743,6 +754,9 @@ let stats_cmd =
        solving\n"
       sv.Smtlite.Solver.queries sv.Smtlite.Solver.cache_hits hit_pct
       sv.Smtlite.Solver.accepted sv.Smtlite.Solver.solve_time_s;
+    let counters = o.Search.Generator.metrics.Obs.Metrics.counters in
+    print_scheduler (fun k ->
+        Option.value ~default:0 (List.assoc_opt k counters));
     Printf.printf "== metrics\n%s"
       (Obs.Metrics.to_table (merged_metrics [ o.Search.Generator.metrics ]));
     if not (Search.Stats.funnel_ok s) then exit 1
@@ -1328,14 +1342,12 @@ let profile_cmd =
                    | Some (Obs.Jsonw.Int n) -> n
                    | _ -> 0
                  in
-                 let spawned = counter "search.steal.spawned" in
-                 let steals = counter "search.steal.count" in
-                 if spawned > 0 || steals > 0 then
-                   Printf.printf
-                     "scheduler: %d subtree task(s) spawned, %d stolen \
-                      (%d empty/raced attempts)\n"
-                     spawned steals
-                     (counter "search.steal.failed"));
+                 if
+                   List.exists
+                     (fun k -> counter k > 0)
+                     [ "search.lanes.started"; "search.steal.spawned";
+                       "search.steal.count" ]
+                 then print_scheduler counter);
                 match min_cov with
                 | None -> ()
                 | Some want -> (

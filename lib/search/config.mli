@@ -22,9 +22,9 @@ type t = {
   num_workers : int;
       (** search lanes; defaults to the machine's recommended domain
           count capped at 8. Lane 0 is the calling domain and the rest
-          are spawned domains, so [n] workers start [n - 1] domains
-          ({!Generator.lanes}). 1 = sequential (Table 5 "w/o
-          multithreading") *)
+          are helper domains, so [n] workers start [n - 1] domains, and
+          only for a stage that runs past 1 ms ({!Generator.Lanes}).
+          1 = sequential (Table 5 "w/o multithreading") *)
   node_budget : int;  (** hard cap on expanded prefixes, 0 = unlimited *)
   time_budget_s : float;  (** wall-clock cap, 0 = unlimited *)
   max_outputs_per_candidate : int;

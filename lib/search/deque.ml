@@ -93,6 +93,14 @@ module Pool = struct
     n_hungry : int Atomic.t;
         (* workers that found nothing to pop or steal and have not run
            an item since *)
+    n_parked : int Atomic.t; (* workers waiting on [park_c] *)
+    park_m : Mutex.t;
+    park_c : Condition.t;
+    epoch : int Atomic.t;
+        (* bumped under [park_m] by every wake-up; a worker parks only
+           while it still reads the epoch it saw before its last look
+           for work, so no wake-up between that look and the wait is
+           lost *)
     seed_rr : int ref; (* round-robin cursor for [seed]; pre-run only *)
     m_steal_fail : Obs.Metrics.counter;
     m_depth : Obs.Metrics.gauge array; (* per-worker max queue depth *)
@@ -118,6 +126,10 @@ module Pool = struct
       n_steals = Atomic.make 0;
       n_spawned = Atomic.make 0;
       n_hungry = Atomic.make 0;
+      n_parked = Atomic.make 0;
+      park_m = Mutex.create ();
+      park_c = Condition.create ();
+      epoch = Atomic.make 0;
       seed_rr = ref 0;
       m_steal_fail =
         Obs.Metrics.counter reg ~help:"empty or raced steal attempts"
@@ -134,6 +146,7 @@ module Pool = struct
   let steals t = Atomic.get t.n_steals
   let spawned t = Atomic.get t.n_spawned
   let pending t = Atomic.get t.pending
+  let parked t = Atomic.get t.n_parked
 
   let self t =
     match Domain.DLS.get t.key with
@@ -146,6 +159,15 @@ module Pool = struct
     Atomic.incr t.pending;
     push t.deques.(i) f
 
+  (* Wake every parked worker: the epoch moves under the lock, so a
+     worker between reading the old epoch and waiting either sees the
+     new one or is already waiting when the broadcast comes. *)
+  let wake t =
+    Mutex.lock t.park_m;
+    Atomic.incr t.epoch;
+    Condition.broadcast t.park_c;
+    Mutex.unlock t.park_m
+
   let spawn t f =
     match Domain.DLS.get t.key with
     | Some t' when t' == t && Atomic.get t.n_hungry > 0 ->
@@ -155,6 +177,9 @@ module Pool = struct
         let q = t.deques.(id) in
         push q f;
         Obs.Metrics.max_gauge t.m_depth.(id) (float_of_int (depth q));
+        (* a hungry worker may be parked: the push comes first, so a
+           worker that reads the epoch after this wake-up finds the item *)
+        wake t;
         true
     | _ -> false
 
@@ -196,35 +221,56 @@ module Pool = struct
         !found
       end
     in
-    (* [idle] counts fruitless sweeps since the last item; a worker is
-       hungry from its first one until it runs an item again *)
-    let fed idle = if idle > 0 then Atomic.decr t.n_hungry in
-    let rec loop idle =
-      if stop () then fed idle
+    (* [hungry] is true from this worker's first fruitless sweep until
+       it runs an item again *)
+    let fed hungry = if hungry then Atomic.decr t.n_hungry in
+    let take () =
+      match pop own with Some f -> Some f | None -> try_steal ()
+    in
+    let rec loop hungry =
+      if stop () then fed hungry
       else
         match pop own with
-        | Some f ->
-            fed idle;
-            exec f;
-            loop 0
+        | Some f -> next hungry f
+        | None when Atomic.get t.pending = 0 -> fed hungry
         | None -> (
-            if Atomic.get t.pending = 0 then fed idle
-            else
-              match try_steal () with
-              | Some f ->
-                  fed idle;
-                  exec f;
-                  loop 0
-              | None ->
-                  (* Nothing stealable but items still running — their
-                     spawns may land any moment. Back off quickly: on an
-                     oversubscribed host a spinning thief eats the
-                     timeslice of the domain it is waiting on. *)
-                  if idle = 0 then Atomic.incr t.n_hungry;
-                  Domain.cpu_relax ();
-                  if idle > 4 then
-                    Unix.sleepf (Float.min 0.002 (0.0002 *. float_of_int idle));
-                  loop (idle + 1))
+            match try_steal () with
+            | Some f -> next hungry f
+            | None ->
+                (* Nothing to take but items still running: their spawns
+                   or the drain will wake us. Turn hungry (so running
+                   items offer subtrees), note the epoch, look once
+                   more, and park only if the epoch has not moved
+                   since. *)
+                if not hungry then Atomic.incr t.n_hungry;
+                let e = Atomic.get t.epoch in
+                if stop () || Atomic.get t.pending = 0 then loop true
+                else
+                  match take () with
+                  | Some f -> next true f
+                  | None ->
+                      Mutex.lock t.park_m;
+                      if Atomic.get t.epoch = e then begin
+                        Atomic.incr t.n_parked;
+                        while Atomic.get t.epoch = e do
+                          Condition.wait t.park_c t.park_m
+                        done;
+                        Atomic.decr t.n_parked
+                      end;
+                      Mutex.unlock t.park_m;
+                      loop true)
+    and next hungry f =
+      fed hungry;
+      exec f;
+      loop false
     in
-    Fun.protect ~finally:(fun () -> Domain.DLS.set t.key None) (fun () -> loop 0)
+    (* A worker leaves when the pool has drained (the one that ran the
+       last item leaves at once) or on [stop] (which may leave items
+       queued, so the pool never drains); either way it wakes the
+       parked workers, which then see the drain or [stop] too. *)
+    Fun.protect
+      ~finally:(fun () ->
+        Domain.DLS.set t.key None;
+        wake t)
+      (fun () -> loop false)
 end

@@ -13,7 +13,14 @@
     {!Pool.spawn} to publish subtree continuations onto their own
     deque — taken only while some worker is hungry (found nothing to
     pop or steal) — and idle workers steal from random victims until
-    the global in-flight count drains to zero. Failed steal attempts and per-worker
+    the global in-flight count drains to zero. A worker that finds
+    nothing while items still run parks on the pool's condition
+    variable instead of spinning or sleeping; a spawn wakes it, and so
+    does a worker leaving the pool (the one that ran the last item, on
+    the drain to zero, or one that saw [stop]), so a new subtree is
+    taken at once and the final join waits for no sleeper. Workers may
+    join late (on-demand lanes start helpers mid-run): a seeded item
+    waits in its deque until its owner or a thief takes it. Failed steal attempts and per-worker
     queue depth land in the metrics registry ([search.steal.failed],
     [search.queue.depth.w<i>]); spawns and steals are counted by the
     pool and read with {!Pool.spawned} and {!Pool.steals}. *)
@@ -65,9 +72,14 @@ module Pool : sig
   val run_worker : t -> id:int -> stop:(unit -> bool) -> run:((unit -> unit) -> unit) -> unit
   (** The worker loop for deque [id]: pop own work, else steal from
       random victims, until [stop ()] is true or every item in the
-      pool has finished. [run] executes one item and must not raise
-      (quarantine exceptions inside it); the in-flight count is
-      decremented even if it does. *)
+      pool has finished. With nothing to take while items still run,
+      the worker turns hungry and parks until the epoch of the pool's
+      wake-ups moves (it reads the epoch before its last look for work,
+      so no wake-up is lost). [stop] must turn true only inside an item
+      (as a flag the item sets), so a worker sees it at its next item
+      boundary and wakes the parked ones on its way out. [run] executes
+      one item and must not raise (quarantine exceptions inside it);
+      the in-flight count is decremented even if it does. *)
 
   val self : t -> int option
   (** The calling worker's deque index, [None] outside {!run_worker}. *)
@@ -82,4 +94,8 @@ module Pool : sig
 
   val pending : t -> int
   (** Items queued or running right now (0 after a full drain). *)
+
+  val parked : t -> int
+  (** Workers parked right now, waiting for a spawn or the drain (racy
+      snapshot). *)
 end

@@ -28,33 +28,87 @@ let task_label = function
    and its search events stay filterable by rid — and the spawner's
    profile phase path, so a worker's task phases land under the
    spawning phase ([search/enumerate/task.kernel]) instead of floating
-   at the root of a fresh stack. *)
-let spawn f =
+   at the root of a fresh stack. [spawner ()] captures both now for
+   domains started later. *)
+let spawner () =
   let ctx = Obs.Journal.context () in
   let ppath = Obs.Profile.saved_path () in
-  Domain.spawn (fun () ->
-      Obs.Journal.set_context ctx;
-      Fun.protect
-        ~finally:(fun () -> Obs.Journal.set_context [])
-        (fun () -> Obs.Profile.with_base ppath f))
+  fun f ->
+    Domain.spawn (fun () ->
+        Obs.Journal.set_context ctx;
+        Fun.protect
+          ~finally:(fun () -> Obs.Journal.set_context [])
+          (fun () -> Obs.Profile.with_base ppath f))
 
-(* Lane 0 runs on the calling domain, lanes 1 .. n-1 on spawned ones. A
-   caller that only waited in [Domain.join] would still be a domain
-   every stop-the-world minor collection has to wake (through its
-   backup thread); working as a lane, it is one fewer domain to wake
-   and one more doing the work. Salvage-then-report: every domain is
-   joined before anything is decided, so one lane's death (lane 0's
-   included) never discards what the others did. *)
-let lanes n f =
-  let spawned =
-    List.init (max 0 (n - 1)) (fun i -> spawn (fun () -> f (i + 1)))
-  in
-  let own = match f 0 with () -> [] | exception exn -> [ exn ] in
-  own
-  @ List.filter_map
-      (fun d ->
-        match Domain.join d with () -> None | exception exn -> Some exn)
-      spawned
+let spawn f = spawner () f
+
+(* Starting a helper domain and joining it costs a median 0.07–0.26 ms
+   on a 2-core VM (OCaml 5.1.1; 400 spawn+join pairs of an empty
+   domain, three runs), with one pair in ten past 4 ms; a lanes call
+   that ends sooner than that is cheaper done by lane 0 alone. So lane
+   0 works alone for this long before it buys help (ski rental). *)
+let helper_after_s = 1e-3
+
+module Lanes = struct
+  type t = {
+    n : int;
+    spawn : (unit -> unit) -> unit Domain.t;
+    mutable t0 : float; (* when [run] began; infinity before *)
+    mutable lane : int -> unit;
+    mutable helpers : unit Domain.t list;
+    started : bool Atomic.t;
+  }
+
+  let create n =
+    {
+      n = max 1 n;
+      spawn = spawner ();
+      t0 = Float.infinity;
+      lane = ignore;
+      helpers = [];
+      started = Atomic.make (n <= 1);
+    }
+
+  (* Only lane 0 can find [started] false: helpers exist only once it
+     is true. A helper the runtime refuses to start (it caps the number
+     of domains) leaves its deque to the others' thieves. *)
+  let poll t =
+    if
+      (not (Atomic.get t.started))
+      && Unix.gettimeofday () -. t.t0 >= helper_after_s
+    then begin
+      Atomic.set t.started true;
+      let lane = t.lane in
+      let rec start i =
+        if i < t.n then
+          match t.spawn (fun () -> lane i) with
+          | d ->
+              t.helpers <- d :: t.helpers;
+              start (i + 1)
+          | exception exn ->
+              Obs.Log.warn (fun m ->
+                  m "lane %d not started: %s" i (Printexc.to_string exn))
+      in
+      start 1
+    end
+
+  let started t = List.length t.helpers
+
+  (* Salvage-then-report: every started domain is joined before
+     anything is decided, so one lane's death (lane 0's included) never
+     discards what the others did. Once [f 0] has returned, no helper
+     starts. *)
+  let run t f =
+    t.lane <- f;
+    t.t0 <- Unix.gettimeofday ();
+    let own = match f 0 with () -> [] | exception exn -> [ exn ] in
+    Atomic.set t.started true;
+    own
+    @ List.filter_map
+        (fun d ->
+          match Domain.join d with () -> None | exception exn -> Some exn)
+        (List.rev t.helpers)
+end
 
 (* Run the enumerators over all tasks, collecting deduplicated raw
    candidates. Tasks seed a work-stealing pool (one Chase–Lev deque per
@@ -72,6 +126,10 @@ let lanes n f =
    completion. A task advances the resume cursor only when its root and
    every spawned subtree finished cleanly. *)
 let n_shards = 16 (* power of two; shard = hash low bits *)
+
+let lanes_counter reg =
+  Obs.Metrics.counter reg ~help:"helper domains started by on-demand lanes"
+    "search.lanes.started"
 
 let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
     ?(piece = 0) ?on_pool () =
@@ -133,6 +191,7 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
   let c_steals =
     Obs.Metrics.counter reg ~help:"successful work steals" "search.steal.count"
   in
+  let c_lanes = lanes_counter reg in
   (* Dedup sharded by graph hash: emission from different subtrees only
      contends when two candidates land in the same shard, instead of
      every worker serializing on one table mutex. *)
@@ -241,6 +300,9 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
   in
   let blocks = Block_enum.prepare cfg ~spec ~limits in
   let self () = Option.get (Deque.Pool.self pool) in
+  (* Lane 0 polls between pool items and at every subtree offer, the
+     safe points where starting the helpers cannot split an item. *)
+  let lanes = Lanes.create workers in
   (* Per-task completion accounting at item granularity: a task's
      pending count covers its root item plus every spawned subtree, and
      only a clean drain to zero advances the resume cursor. A crashed or
@@ -276,6 +338,7 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
      the push — the spawning item is itself still pending, so the count
      can never drain to zero with this subtree in flight. *)
   let rec spawn_for i k =
+    Lanes.poll lanes;
     Atomic.incr t_pending.(i);
     if Deque.Pool.spawn pool (fun () -> subtree_item i k) then true
     else begin
@@ -322,11 +385,14 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
     end
   done;
   let stop () = Atomic.get exhausted in
-  let run_item f = f () in
+  let run_item f =
+    Lanes.poll lanes;
+    f ()
+  in
   (* A crash that escaped a worker's quarantine (in the loop itself) is
      reported once, after every lane has joined. *)
   (match
-     lanes workers (fun id ->
+     Lanes.run lanes (fun id ->
          Deque.Pool.run_worker pool ~id ~stop ~run:run_item)
    with
   | exn :: _ ->
@@ -343,6 +409,7 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
   Array.iter Prefix.flush bmemos;
   Obs.Metrics.add c_spawned (Deque.Pool.spawned pool);
   Obs.Metrics.add c_steals (Deque.Pool.steals pool);
+  Obs.Metrics.add c_lanes (Lanes.started lanes);
   let candidates =
     Array.fold_left (fun acc (_, _, cands) -> !cands @ acc) [] shards
   in
@@ -481,52 +548,23 @@ let run ?config ?registry ?(verify_trials = 2) ?(verify_all = false) ?budget
     end
     else false
   in
-  (* Sequential reference loop, and a parallel version for
-     [num_workers > 1]: indices into the cost-sorted array are handed out
-     through an atomic dispenser (so claims happen in cost order) and, in
-     first-winner mode, a found-winner atomic holds the minimal passing
-     index. A worker only skips an index when a strictly cheaper winner
-     is already confirmed, so the minimal passing index is always fully
-     processed — the parallel winner equals the sequential one. *)
-  let sequential () =
-    if verify_all then
-      let rec all acc = function
-        | [] -> List.rev acc
-        | _ :: _ when out_of_time () -> List.rev acc
-        | ((gid, g), _) :: rest -> (
-            match check ~trials:verify_trials ~cand:gid g with
-            | Verify.Random_test.Equivalent -> all (finish gid g :: acc) rest
-            | Verify.Random_test.Not_equivalent _
-            | Verify.Random_test.Rejected _ ->
-                all acc rest)
-      in
-      all [] costed
-    else
-      let rec first = function
-        | [] -> []
-        | _ :: _ when out_of_time () -> []
-        | ((gid, g), _) :: rest -> (
-            match check ~trials:1 ~cand:gid g with
-            | Verify.Random_test.Equivalent -> (
-                (* confirm the winner with the full trial count *)
-                match check ~trials:verify_trials ~cand:gid g with
-                | Verify.Random_test.Equivalent -> [ finish gid g ]
-                | Verify.Random_test.Not_equivalent _
-                | Verify.Random_test.Rejected _ ->
-                    first rest)
-            | Verify.Random_test.Not_equivalent _
-            | Verify.Random_test.Rejected _ ->
-                first rest)
-      in
-      first costed
-  in
-  let parallel vworkers =
-    (* Lazy metric handles are not domain-safe; force them here, in the
-       spawning domain. *)
-    Verify.Random_test.warm ();
+  (* The verify loop runs on on-demand lanes (at most one per
+     candidate): indices into the cost-sorted array are handed out
+     through an atomic dispenser (so claims happen in cost order) and,
+     in first-winner mode, a found-winner atomic holds the minimal
+     passing index. A lane only skips an index when a strictly cheaper
+     winner is already confirmed, so the minimal passing index is always
+     fully processed — the winner is the one a single lane finds. Lane 0
+     polls between candidates, so verifying a handful starts no domain. *)
+  let verify_loop () =
     let arr = Array.of_list costed in
     let n = Array.length arr in
     let next = Atomic.make 0 in
+    let n_lanes = min (max 1 cfg.Config.num_workers) n in
+    (* Lazy metric handles are not domain-safe; force them here, on
+       lane 0, before any helper can start. *)
+    if n_lanes > 1 then Verify.Random_test.warm ();
+    let lanes = Lanes.create n_lanes in
     let run_lanes worker =
       List.iter
         (fun exn ->
@@ -534,23 +572,28 @@ let run ?config ?registry ?(verify_trials = 2) ?(verify_all = false) ?budget
           Obs.Log.warn (fun m ->
               m "verify lane died outside candidate quarantine: %s"
                 (Printexc.to_string exn)))
-        (lanes vworkers (fun _ -> worker ()))
+        (Lanes.run lanes (fun _ -> worker ()));
+      Obs.Metrics.add (lanes_counter (Stats.registry stats)) (Lanes.started lanes)
+    in
+    (* the next index to check, or None when this lane is done *)
+    let claim ~skip_past =
+      Lanes.poll lanes;
+      let i = Atomic.fetch_and_add next 1 in
+      if i >= n || i > skip_past () || out_of_time () then None else Some i
     in
     if verify_all then begin
       let passed = Array.make n false in
-      let worker () =
-        let continue_ = ref true in
-        while !continue_ do
-          let i = Atomic.fetch_and_add next 1 in
-          if i >= n || out_of_time () then continue_ := false
-          else
+      let rec worker () =
+        match claim ~skip_past:(fun () -> max_int) with
+        | None -> ()
+        | Some i ->
             let (gid, g), _ = arr.(i) in
-            match check ~trials:verify_trials ~cand:gid g with
+            (match check ~trials:verify_trials ~cand:gid g with
             | Verify.Random_test.Equivalent -> passed.(i) <- true
             | Verify.Random_test.Not_equivalent _
             | Verify.Random_test.Rejected _ ->
-                ()
-        done
+                ());
+            worker ()
       in
       run_lanes worker;
       let acc = ref [] in
@@ -563,35 +606,31 @@ let run ?config ?registry ?(verify_trials = 2) ?(verify_all = false) ?budget
     end
     else begin
       let winner = Atomic.make max_int in
-      let worker () =
-        let continue_ = ref true in
-        while !continue_ do
-          let i = Atomic.fetch_and_add next 1 in
-          if i >= n || i > Atomic.get winner || out_of_time () then
-            continue_ := false
-          else
+      let rec worker () =
+        match claim ~skip_past:(fun () -> Atomic.get winner) with
+        | None -> ()
+        | Some i -> (
             let (gid, g), _ = arr.(i) in
-            match check ~trials:1 ~cand:gid g with
-            | Verify.Random_test.Equivalent -> (
-                match check ~trials:verify_trials ~cand:gid g with
-                | Verify.Random_test.Equivalent ->
-                    (* CAS-min: keep the cheapest confirmed index. All
-                       indices below it were already claimed, so no
-                       cheaper candidate can appear later. *)
-                    let rec claim () =
-                      let w = Atomic.get winner in
-                      if i < w && not (Atomic.compare_and_set winner w i)
-                      then claim ()
-                    in
-                    claim ();
-                    continue_ := false
-                | Verify.Random_test.Not_equivalent _
-                | Verify.Random_test.Rejected _ ->
-                    ())
-            | Verify.Random_test.Not_equivalent _
-            | Verify.Random_test.Rejected _ ->
-                ()
-        done
+            let passes trials =
+              match check ~trials ~cand:gid g with
+              | Verify.Random_test.Equivalent -> true
+              | Verify.Random_test.Not_equivalent _
+              | Verify.Random_test.Rejected _ ->
+                  false
+            in
+            (* confirm a winner with the full trial count *)
+            let confirmed = passes 1 && passes verify_trials in
+            if not confirmed then worker ()
+            else
+              (* CAS-min: keep the cheapest confirmed index. All indices
+                 below it were already claimed, so no cheaper candidate
+                 can appear later. *)
+              let rec claim_min () =
+                let w = Atomic.get winner in
+                if i < w && not (Atomic.compare_and_set winner w i) then
+                  claim_min ()
+              in
+              claim_min ())
       in
       run_lanes worker;
       match Atomic.get winner with
@@ -602,13 +641,7 @@ let run ?config ?registry ?(verify_trials = 2) ?(verify_all = false) ?budget
     end
   in
   (match progress with Some p -> Progress.set_phase p "verify" | None -> ());
-  let verified =
-    Obs.Profile.with_phase "verify" @@ fun () ->
-    let vworkers =
-      min (max 1 cfg.Config.num_workers) (List.length costed)
-    in
-    if vworkers <= 1 then sequential () else parallel vworkers
-  in
+  let verified = Obs.Profile.with_phase "verify" verify_loop in
   (match progress with Some p -> Progress.set_phase p "finalize" | None -> ());
   Obs.Profile.with_phase "finalize" @@ fun () ->
   (* The input program always participates, so the optimizer never

@@ -7,8 +7,9 @@
 
     Root configurations are distributed over [Config.num_workers]
     lanes (the paper's multi-threaded search, Table 5): lane 0 is the
-    calling domain and the others are spawned domains ({!lanes}), for
-    the enumeration pool and for parallel verification alike. *)
+    calling domain and the others are helper domains it starts only once
+    the stage has run long enough to pay for them ({!Lanes}), for the
+    enumeration pool and for verification alike. *)
 
 open Mugraph
 
@@ -40,15 +41,25 @@ type outcome = {
 val spawn : (unit -> 'a) -> 'a Domain.t
 (** [spawn f] runs [f] on a new domain that starts with the caller's
     journal context (the serving tier's request id) and profile phase
-    path. Every lane but lane 0 starts this way. *)
+    path. *)
 
-val lanes : int -> (int -> unit) -> exn list
-(** [lanes n f] runs [f 0] on the calling domain and [f 1] .. [f (n-1)]
-    on [n - 1] domains from {!spawn} (none when [n <= 1]). It joins
-    every domain before it returns, whatever any lane did, and returns
-    the exceptions that escaped lanes, lane 0's first, for the caller to
-    report. The enumeration pool and both parallel verify loops run on
-    it, so a search of [num_workers = w] starts [w - 1] domains.
+val helper_after_s : float
+(** How long a lanes call runs on lane 0 alone before it may start its
+    helpers: 1 ms, about what starting and joining one domain costs (a
+    median of 0.07–0.26 ms on a 2-core VM, one time in ten past 4 ms). *)
+
+(** Lanes on demand. A lanes call of [n] lanes runs lane 0 on the
+    calling domain; lanes 1 .. n-1 are helper domains from {!spawn} that
+    lane 0 starts, all at once and at most once, at the first {!poll}
+    that comes {!helper_after_s} or more after {!create} (a ski-rental
+    rule: work alone until the work done equals the price of help). So
+    a call that ends sooner starts no domain, and a 1-lane call never
+    does. Lane 0 polls only at its safe points: the enumeration pool
+    polls before each item and at each subtree offer, the verify loop
+    before each candidate. Once started, helpers steal work as any lane
+    does. The enumeration pool and the verify loop both run on lanes,
+    so a search of [num_workers = w] starts 0 or [w - 1] helpers per
+    stage and counts them in [search.lanes.started].
 
     Lane 0 holds the calling domain's lock while it works. A caller
     whose domain other systhreads share must not run a search there:
@@ -56,6 +67,30 @@ val lanes : int -> (int -> unit) -> exn list
     want to run. [Service.Server] therefore calls {!run} on a domain of
     its own from {!spawn} and waits in [Domain.join], which releases the
     lock. *)
+module Lanes : sig
+  type t
+
+  val create : int -> t
+  (** [create n] makes a call of [max 1 n] lanes and captures the
+      caller's journal context and phase path for the helpers. Nothing
+      runs until {!run}, whose start is the call's clock. *)
+
+  val poll : t -> unit
+  (** A safe point of lane 0: starts the helpers if they have not
+      started and {!run} began {!helper_after_s} ago or more. Any lane
+      may call it; only lane 0 can find the helpers unstarted. *)
+
+  val run : t -> (int -> unit) -> exn list
+  (** [run t f] runs [f 0] on the calling domain, and [f i] on helper
+      [i] once {!poll} starts the helpers. It joins every started
+      domain before it returns, whatever any lane did, and returns the
+      exceptions that escaped lanes, lane 0's first, for the caller to
+      report. No helper starts after [f 0] returns. *)
+
+  val started : t -> int
+  (** Helper domains started: 0 or [n - 1] (fewer only if the runtime
+      refused a domain). *)
+end
 
 val generate :
   Config.t ->
@@ -71,7 +106,7 @@ val generate :
   (int * Graph.kernel_graph) list * bool * int
 (** The raw enumeration stage of {!run}: seed the kernel task and one
     task per root class ({!Block_enum.root_class}) onto a work-stealing
-    pool of [num_workers] lanes (see {!lanes}) and drain it, returning
+    pool of [num_workers] lanes (see {!Lanes}) and drain it, returning
     the deduplicated [(gid, graph)] candidates plus whether the budget
     was exhausted and
     how many items crashed. A task's enumerator hands a kept shallow

@@ -294,19 +294,23 @@ let request_config t req spec =
   Search.Config.for_spec ~base spec
 
 (* An end-to-end deadline caps the search's wall budget: the flight must
-   answer by [deadline], so the search may use at most what remains.
+   answer by [deadline], so the search may use at most what remains, and
+   a deadline already passed leaves nothing to search in ([None]).
    time_budget_s is fingerprint-irrelevant (Config.result_irrelevant_keys),
    so the cap never forks the cache key. *)
 let cap_config_to_deadline config ~deadline =
-  if deadline <= 0.0 then config
+  if deadline <= 0.0 then Some config
   else
-    let remaining = Float.max 0.01 (deadline -. Unix.gettimeofday ()) in
-    let budget = config.Search.Config.time_budget_s in
-    {
-      config with
-      Search.Config.time_budget_s =
-        (if budget <= 0.0 then remaining else Float.min budget remaining);
-    }
+    let remaining = deadline -. Unix.gettimeofday () in
+    if remaining <= 0.0 then None
+    else
+      let budget = config.Search.Config.time_budget_s in
+      Some
+        {
+          config with
+          Search.Config.time_budget_s =
+            (if budget <= 0.0 then remaining else Float.min budget remaining);
+        }
 
 let resolve_spec req =
   match (str_field "benchmark" req, J.member "graph" req) with
@@ -607,27 +611,44 @@ let optimize t ~rid ~(sample : Telemetry.sample) ?push ?(interval_s = 0.1)
                             Fun.protect
                               ~finally:(fun () -> Sem.release t.search_slots)
                               (fun () ->
-                                let config =
-                                  cap_config_to_deadline config ~deadline
-                                in
                                 match
-                                  Telemetry.time_stage sample "search"
-                                    (fun () ->
-                                      run_search t ~config ~device ~benchmark
-                                        ~spec ~fp ~flight)
+                                  cap_config_to_deadline config ~deadline
                                 with
-                                | payload ->
-                                    if payload_final payload then
-                                      Cache.store t.cache fp payload;
-                                    Done payload
-                                | exception e ->
+                                | None ->
                                     Failed
-                                      (internal
-                                         (Printf.sprintf "search failed: %s"
-                                            (Printexc.to_string e)))))
+                                      (timeout_reject
+                                         "deadline expired before the search \
+                                          started")
+                                | Some config -> (
+                                    match
+                                      Telemetry.time_stage sample "search"
+                                        (fun () ->
+                                          run_search t ~config ~device
+                                            ~benchmark ~spec ~fp ~flight)
+                                    with
+                                    | payload ->
+                                        if payload_final payload then
+                                          Cache.store t.cache fp payload;
+                                        Done payload
+                                    | exception e ->
+                                        Failed
+                                          (internal
+                                             (Printf.sprintf
+                                                "search failed: %s"
+                                                (Printexc.to_string e))))))
                     in
+                    (* followers (each with its own deadline) get what the
+                       search made; the leader owes its client a timeout
+                       once its own deadline has passed, even when the
+                       complete result was stored *)
                     settle_flight t fp flight outcome;
                     (match outcome with
+                    | Done _
+                      when deadline > 0.0 && Unix.gettimeofday () >= deadline
+                      ->
+                        Error
+                          (timeout_reject
+                             "deadline expired during the search")
                     | Done payload ->
                         Telemetry.set_outcome sample "miss";
                         Ok (fp, payload, false, false, None)

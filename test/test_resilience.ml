@@ -296,11 +296,13 @@ let test_resume_reaches_same_best =
     (o2.Search.Generator.generated > 0)
 
 (* Same invariant at mid-subtree granularity: with several domains and a
-   spawn cutoff of 1, a hungry worker takes subtree continuations, so
-   the interrupt can land while some of partially-drained tasks are
-   still in flight. Only cleanly-drained
-   tasks may advance the resume cursor, so the resumed run must still
-   reach the uninterrupted best. *)
+   spawn cutoff of 1, hungry workers take subtree continuations, so an
+   interrupt can land while some partially-drained tasks are still in
+   flight. Lanes start their helpers only once a search has run past
+   [Generator.helper_after_s], so phase 1 runs ~100 k tries (tens of
+   ms) before its node budget cuts it, with every lane holding a task.
+   Only cleanly-drained tasks may advance the resume cursor, so the
+   resumed run must still reach the uninterrupted best. *)
 let test_resume_mid_subtree =
   with_reset @@ fun () ->
   let spec = div_matmul_spec ~b:4 ~h:8 ~d:16 in
@@ -312,21 +314,27 @@ let test_resume_mid_subtree =
     }
   in
   let device = Gpusim.Device.a100 in
-  let uninterrupted =
-    best_cost (Search.Generator.run ~config:cfg ~device ~spec ())
+  let counter (o : Search.Generator.outcome) name =
+    List.assoc name o.Search.Generator.metrics.Obs.Metrics.counters
   in
+  let o0 = Search.Generator.run ~config:cfg ~device ~spec () in
+  let uninterrupted = best_cost o0 in
+  Alcotest.(check bool) "helpers took work" true
+    (counter o0 "search.steal.count" > 0);
   let dir = Filename.temp_file "mirage_ckpt_sub" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
   let path = Filename.concat dir "checkpoint.json" in
   let ck = Search.Checkpoint.create ~path () in
-  let tiny = Obs.Budget.create ~node_budget:40 () in
+  let cut = Obs.Budget.create ~node_budget:100_000 () in
   let o1 =
-    Search.Generator.run ~config:cfg ~budget:tiny ~checkpoint:ck ~device ~spec
+    Search.Generator.run ~config:cfg ~budget:cut ~checkpoint:ck ~device ~spec
       ()
   in
   Alcotest.(check bool) "phase 1 was cut short" true
     o1.Search.Generator.budget_exhausted;
+  Alcotest.(check int) "phase 1 ran on every lane" 3
+    (counter o1 "search.lanes.started");
   let ck2 =
     match Search.Checkpoint.load path with
     | Ok ck -> ck

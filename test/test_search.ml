@@ -26,6 +26,15 @@ let small_config ?(ops = 4) ?(pruning = true) () =
     time_budget_s = 90.0;
   }
 
+(* A reduced Fig. 7 workload's LAX piece. *)
+let lax_piece name =
+  let b = Option.get (Workloads.Bench_defs.by_name name) in
+  let spec, _ = b.Workloads.Bench_defs.reduced () in
+  (List.find
+     (fun (p : Mirage.Partition.piece) -> p.Mirage.Partition.lax)
+     (Mirage.Partition.partition spec).Mirage.Partition.pieces)
+    .Mirage.Partition.graph
+
 (* --- config derivation --------------------------------------------------- *)
 
 let test_config_menu_derivation () =
@@ -932,24 +941,35 @@ let test_lanes_one () =
   let caller = (Domain.self () :> int) in
   let before = probe_domain () in
   let ran = ref [] in
+  let lanes = Search.Generator.Lanes.create 1 in
   let escaped =
-    Search.Generator.lanes 1 (fun i ->
+    Search.Generator.Lanes.run lanes (fun i ->
+        (* past the threshold, a lone lane still starts nothing *)
+        let t0 = Unix.gettimeofday () in
+        while Unix.gettimeofday () -. t0 < 2.0 *. Search.Generator.helper_after_s do
+          Search.Generator.Lanes.poll lanes
+        done;
         ran := (i, (Domain.self () :> int)) :: !ran)
   in
   let after = probe_domain () in
   Alcotest.(check int) "nothing escaped" 0 (List.length escaped);
   Alcotest.(check (list (pair int int)))
     "lane 0 on the caller" [ (0, caller) ] !ran;
+  Alcotest.(check int) "no helper started" 0
+    (Search.Generator.Lanes.started lanes);
   Alcotest.(check int) "no domain spawned" 1 (after - before)
 
-(* Lane 0 dies after lane 1 has started; lane 1 still runs its work to
-   the end, and the one exception comes back after the join. *)
+(* Lane 0 polls until its helper has started, then dies; lane 1 still
+   runs its work to the end, and the one exception comes back after the
+   join. *)
 let test_lanes_lane0_raises () =
   let started = Atomic.make false and finished = Atomic.make false in
+  let lanes = Search.Generator.Lanes.create 2 in
   let escaped =
-    Search.Generator.lanes 2 (fun i ->
+    Search.Generator.Lanes.run lanes (fun i ->
         if i = 0 then begin
           while not (Atomic.get started) do
+            Search.Generator.Lanes.poll lanes;
             Domain.cpu_relax ()
           done;
           failwith "lane 0 died"
@@ -961,9 +981,40 @@ let test_lanes_lane0_raises () =
         end)
   in
   Alcotest.(check bool) "lane 1 finished" true (Atomic.get finished);
+  Alcotest.(check int) "one helper started" 1
+    (Search.Generator.Lanes.started lanes);
   match escaped with
   | [ Failure msg ] -> Alcotest.(check string) "reported once" "lane 0 died" msg
   | l -> Alcotest.failf "want one escaped exception, got %d" (List.length l)
+
+(* A poll before the threshold starts nothing; the first one past it
+   starts all n - 1 helpers at once, and [run] returns only after every
+   lane has finished. *)
+let test_lanes_on_demand () =
+  let lanes = Search.Generator.Lanes.create 3 in
+  let finished = Atomic.make 0 in
+  let early = ref (-1) in
+  let escaped =
+    Search.Generator.Lanes.run lanes (fun i ->
+        if i = 0 then begin
+          Search.Generator.Lanes.poll lanes;
+          early := Search.Generator.Lanes.started lanes;
+          let t0 = Unix.gettimeofday () in
+          while Search.Generator.Lanes.started lanes = 0
+                && Unix.gettimeofday () -. t0 < 5.0
+          do
+            Search.Generator.Lanes.poll lanes
+          done
+        end
+        else Unix.sleepf 0.02;
+        Atomic.incr finished)
+  in
+  Alcotest.(check int) "nothing escaped" 0 (List.length escaped);
+  Alcotest.(check int) "a poll at once starts nothing" 0 !early;
+  Alcotest.(check int) "n - 1 helpers started" 2
+    (Search.Generator.Lanes.started lanes);
+  Alcotest.(check int) "every lane finished before run returned" 3
+    (Atomic.get finished)
 
 (* The pool takes a continuation only while some worker is hungry: a
    lone worker is busy running the item that offers one, so it never
@@ -997,24 +1048,120 @@ let test_pool_spawns_for_hungry () =
   Alcotest.(check int) "2 workers: one offer taken" 1 (P.spawned two);
   Alcotest.(check bool) "the taken item ran" true (Atomic.get ran)
 
-let test_two_worker_search_one_domain () =
-  let spec = div_matmul_spec ~b:4 ~h:8 ~d:16 in
+(* A worker with nothing to take while an item runs parks; a spawn
+   wakes it and it runs the spawned item, and it parks again until the
+   pool drains, which wakes it to leave. Both workers run on domains of
+   their own, and the waits spin on the pool's own counts, so a lost
+   wake-up fails the test after the guard's timeout instead of hanging
+   it. *)
+let test_pool_park_wakes () =
+  let module P = Search.Deque.Pool in
+  let pool = P.create ~registry:(Obs.Metrics.create ()) ~workers:2 () in
+  let within cond =
+    let t0 = Unix.gettimeofday () in
+    while (not (cond ())) && Unix.gettimeofday () -. t0 < 10.0 do
+      Domain.cpu_relax ()
+    done;
+    cond ()
+  in
+  let host = Atomic.make (-1) and ran_on = Atomic.make (-1) in
+  let took = Atomic.make false and parked_again = Atomic.make false in
+  P.seed pool (fun () ->
+      (* either worker may take the seeded item; the other parks *)
+      Atomic.set host (Option.get (P.self pool));
+      if within (fun () -> P.parked pool = 1) then begin
+        Atomic.set took
+          (P.spawn pool (fun () ->
+               Atomic.set ran_on (Option.value ~default:(-1) (P.self pool))));
+        if within (fun () -> Atomic.get ran_on >= 0) then
+          Atomic.set parked_again (within (fun () -> P.parked pool = 1))
+      end);
+  let left = Array.init 2 (fun _ -> Atomic.make false) in
+  let workers =
+    List.init 2 (fun id ->
+        Domain.spawn (fun () ->
+            P.run_worker pool ~id ~stop:(fun () -> false) ~run:(fun f -> f ());
+            Atomic.set left.(id) true))
+  in
+  if not (within (fun () -> Array.for_all Atomic.get left)) then
+    Alcotest.fail "a parked worker was never woken";
+  List.iter Domain.join workers;
+  Alcotest.(check bool) "the offer is taken" true (Atomic.get took);
+  Alcotest.(check int) "spawn woke the parked worker, which ran the item"
+    (1 - Atomic.get host) (Atomic.get ran_on);
+  Alcotest.(check bool) "parked again before the drain" true
+    (Atomic.get parked_again);
+  Alcotest.(check int) "nobody parked after the drain" 0 (P.parked pool)
+
+let lanes_started stats =
+  List.assoc "search.lanes.started"
+    (Obs.Metrics.snapshot (Search.Stats.registry stats)).Obs.Metrics.counters
+
+(* The reduced nTrans piece on the search_fig7 menu is one task of 27
+   tries, done in well under [helper_after_s]: a 2-worker search of it
+   starts no domain. *)
+let test_two_worker_search_no_domain () =
+  let spec = lax_piece "nTrans" in
   let cfg =
     Search.Config.for_spec
-      ~base:{ (small_config ~ops:2 ()) with Search.Config.num_workers = 2 }
+      ~base:
+        {
+          (small_config ~ops:3 ()) with
+          Search.Config.num_workers = 2;
+          time_budget_s = 0.0;
+        }
       spec
   in
+  let stats = Search.Stats.create () in
   let before = probe_domain () in
   let _, exhausted, crashes =
     Search.Generator.generate cfg ~spec
       ~solver:(Smtlite.Solver.create ~target:(Abstract.output_exprs spec))
-      ~stats:(Search.Stats.create ())
+      ~stats
       ~limits:(Gpusim.Device.limits Gpusim.Device.a100)
       ~budget:(Search.Budget.of_config cfg) ()
   in
   let after = probe_domain () in
   Alcotest.(check bool) "ran to completion" false (exhausted || crashes > 0);
-  Alcotest.(check int) "one domain started" 1 (after - before - 1)
+  Alcotest.(check int) "27 tries" 27 (Search.Stats.expanded stats);
+  Alcotest.(check int) "no domain started" 0 (after - before - 1);
+  Alcotest.(check int) "none counted" 0 (lanes_started stats)
+
+(* The reduced LoRA piece searches for ~0.1 s on the search_fig7 menu,
+   far past the threshold: lane 0 starts its n - 1 helpers once, and
+   when [generate] returns the pool is drained and nobody is parked. *)
+let test_long_search_starts_helpers () =
+  let spec = lax_piece "LoRA" in
+  let workers = 3 in
+  let cfg =
+    Search.Config.for_spec
+      ~base:
+        {
+          (small_config ~ops:3 ()) with
+          Search.Config.num_workers = workers;
+          time_budget_s = 0.0;
+        }
+      spec
+  in
+  let stats = Search.Stats.create () in
+  let pool = ref None in
+  let before = probe_domain () in
+  let _, exhausted, crashes =
+    Search.Generator.generate cfg ~spec
+      ~solver:(Smtlite.Solver.create ~target:(Abstract.output_exprs spec))
+      ~stats
+      ~limits:(Gpusim.Device.limits Gpusim.Device.a100)
+      ~budget:(Search.Budget.of_config cfg)
+      ~on_pool:(fun p -> pool := Some p)
+      ()
+  in
+  let after = probe_domain () in
+  let pool = Option.get !pool in
+  Alcotest.(check bool) "ran to completion" false (exhausted || crashes > 0);
+  Alcotest.(check int) "n - 1 helpers counted" (workers - 1) (lanes_started stats);
+  Alcotest.(check int) "n - 1 domains started" (workers - 1) (after - before - 1);
+  Alcotest.(check int) "the pool drained" 0 (Search.Deque.Pool.pending pool);
+  Alcotest.(check int) "no worker left parked" 0 (Search.Deque.Pool.parked pool)
 
 (* --- goal distance -------------------------------------------------------- *)
 
@@ -1121,15 +1268,6 @@ let sqrt_exp_spec () =
   let e = prim bld (Op.Unary Op.Exp) [ x ] in
   let r = prim bld (Op.Unary Op.Sqrt) [ e ] in
   Graph.Build.finish bld ~outputs:[ r ]
-
-(* A reduced Fig. 7 workload's LAX piece. *)
-let lax_piece name =
-  let b = Option.get (Workloads.Bench_defs.by_name name) in
-  let spec, _ = b.Workloads.Bench_defs.reduced () in
-  (List.find
-     (fun (p : Mirage.Partition.piece) -> p.Mirage.Partition.lax)
-     (Mirage.Partition.partition spec).Mirage.Partition.pieces)
-    .Mirage.Partition.graph
 
 let distance_specs () =
   [
@@ -1484,10 +1622,16 @@ let () =
             test_lanes_one;
           Alcotest.test_case "lane 0's exception after the join" `Quick
             test_lanes_lane0_raises;
-          Alcotest.test_case "a 2-worker search starts one domain" `Quick
-            test_two_worker_search_one_domain;
+          Alcotest.test_case "helpers start on demand" `Quick
+            test_lanes_on_demand;
+          Alcotest.test_case "short 2-worker search: no domain" `Quick
+            test_two_worker_search_no_domain;
+          Alcotest.test_case "long search starts n - 1 helpers" `Quick
+            test_long_search_starts_helpers;
           Alcotest.test_case "the pool spawns only for a hungry worker"
             `Quick test_pool_spawns_for_hungry;
+          Alcotest.test_case "spawn and drain wake a parked worker" `Quick
+            test_pool_park_wakes;
         ] );
       ( "parallel verify",
         [

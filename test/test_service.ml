@@ -1178,6 +1178,27 @@ let test_deadline_timeout =
   Alcotest.(check string) "same fingerprint served after the timeout" "ok"
     (match get_exn [ "status" ] r2 with J.Str s -> s | _ -> "?")
 
+(* A deadline that passes while the search runs is answered with the
+   typed timeout, not an "ok" of whatever the search made in the time:
+   the reduced RMSNorm search at two block ops takes several ms, far
+   past a 1 ms deadline. *)
+let test_deadline_during_search =
+  with_reset @@ fun () ->
+  let server = make_server () in
+  let r =
+    Service.Server.handle_request server
+      (J.Obj
+         [
+           ("op", J.Str "optimize");
+           ("benchmark", J.Str "rmsnorm");
+           ("max_block_ops", J.Int 2);
+           ("deadline_ms", J.Float 1.0);
+         ])
+  in
+  Alcotest.(check string) "typed timeout" "timeout"
+    (match J.member "error" r with Some (J.Str s) -> s | _ -> "?");
+  Alcotest.(check int) "flight retired" 0 (Service.Server.flight_count server)
+
 (* The fingerprint excludes budget and deadline, so a degraded answer
    must not be stored: a request whose tiny budget cuts its search is
    answered degraded, and the same spec asked again without a budget is
@@ -1401,6 +1422,8 @@ let () =
             test_quota_server;
           Alcotest.test_case "expired deadline: typed timeout" `Slow
             test_deadline_timeout;
+          Alcotest.test_case "deadline passed mid-search: typed timeout" `Quick
+            test_deadline_during_search;
           Alcotest.test_case "degraded answer not cached" `Slow
             test_degraded_not_cached;
           Alcotest.test_case "startup recovery sweeps crash residue" `Quick
