@@ -481,8 +481,8 @@ let optimize_cmd =
     in
     with_artifacts ~kind:"optimize" trace report_dir @@ fun rep ->
     (* One budget for the whole invocation: the same deadline is polled
-       by the enumerators, the verify loop, the ILP layout solver and
-       the memory planner. *)
+       by the enumerators, the ILP layout solver and the memory
+       planner. *)
     let budget_t = Search.Budget.of_config config in
     let prune_persist =
       Option.map

@@ -99,7 +99,7 @@ let summary r =
            | Some o ->
                Printf.sprintf " [%d candidates, %d verified]"
                  o.Search.Generator.generated
-                 (List.length o.Search.Generator.verified)
+                 o.Search.Generator.stats.Search.Stats.verified
            | None -> "")))
     r.pieces;
   Buffer.contents buf

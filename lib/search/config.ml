@@ -12,7 +12,6 @@ type t = {
   num_workers : int;
   node_budget : int;
   time_budget_s : float;
-  max_outputs_per_candidate : int;
   enable_concat_accum : bool;
   max_task_failures : int;
   verify_fast_path : bool;
@@ -61,7 +60,6 @@ let default =
     num_workers = default_workers;
     node_budget = 0;
     time_budget_s = 0.0;
-    max_outputs_per_candidate = 2;
     enable_concat_accum = false;
     max_task_failures = 8;
     verify_fast_path = true;
@@ -214,7 +212,6 @@ let to_json (c : t) =
       ("num_workers", Int c.num_workers);
       ("node_budget", Int c.node_budget);
       ("time_budget_s", Float c.time_budget_s);
-      ("max_outputs_per_candidate", Int c.max_outputs_per_candidate);
       ("enable_concat_accum", Bool c.enable_concat_accum);
       ("max_task_failures", Int c.max_task_failures);
       ("verify_fast_path", Bool c.verify_fast_path);

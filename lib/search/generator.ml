@@ -7,7 +7,6 @@ type result = {
 
 type outcome = {
   best : result option;
-  verified : result list;
   generated : int;
   stats : Stats.snapshot;
   metrics : Obs.Metrics.snapshot;
@@ -127,12 +126,8 @@ end
    every spawned subtree finished cleanly. *)
 let n_shards = 16 (* power of two; shard = hash low bits *)
 
-let lanes_counter reg =
-  Obs.Metrics.counter reg ~help:"helper domains started by on-demand lanes"
-    "search.lanes.started"
-
 let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
-    ?(piece = 0) ?on_pool () =
+    ?(piece = 0) ?on_pool ?(on_candidate = fun _ _ -> ()) () =
   Printexc.record_backtrace true;
   (* Both tables mask their values against the spec outputs' normal
      forms, normalized once here. A level whose inputs are already
@@ -191,7 +186,10 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
   let c_steals =
     Obs.Metrics.counter reg ~help:"successful work steals" "search.steal.count"
   in
-  let c_lanes = lanes_counter reg in
+  let c_lanes =
+    Obs.Metrics.counter reg ~help:"helper domains started by on-demand lanes"
+      "search.lanes.started"
+  in
   (* Dedup sharded by graph hash: emission from different subtrees only
      contends when two candidates land in the same shard, instead of
      every worker serializing on one table mutex. *)
@@ -206,8 +204,9 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
   let journal = Obs.Journal.active () in
   let next_gid = Atomic.make 0 in
   (* Resume: preload previously-emitted candidates so re-run partial
-     tasks deduplicate against them instead of double-counting. Runs
-     before any worker exists, so plain updates are safe. *)
+     tasks deduplicate against them instead of double-counting, and hand
+     each to [on_candidate] as if just emitted. Runs before any worker
+     exists, so plain updates are safe. *)
   (match checkpoint with
   | Some ck ->
       List.iter
@@ -216,7 +215,8 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
           let _, seen, cands = shards.(h land (n_shards - 1)) in
           Hashtbl.add seen h g;
           cands := (gid, g) :: !cands;
-          if gid > Atomic.get next_gid then Atomic.set next_gid gid)
+          if gid > Atomic.get next_gid then Atomic.set next_gid gid;
+          on_candidate gid g)
         (Checkpoint.candidates ck ~piece)
   | None -> ());
   let emit g =
@@ -229,6 +229,7 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
     let dup = List.exists (fun g' -> Graph.equal g g') (Hashtbl.find_all seen h) in
     if dup then begin
       Stats.add stats Stats.Duplicates 1;
+      Mutex.unlock lock;
       match journal with
       | Some j ->
           Obs.Journal.emit j ~typ:"graph.duplicate"
@@ -250,11 +251,12 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
         | None -> 1 + Atomic.fetch_and_add next_gid 1
       in
       cands := (gid, g) :: !cands;
-      match checkpoint with
+      (match checkpoint with
       | Some ck -> Checkpoint.add_candidate ck ~piece ~gid g
-      | None -> ()
-    end;
-    Mutex.unlock lock
+      | None -> ());
+      Mutex.unlock lock;
+      on_candidate gid g
+    end
   in
   let record_crash i exn bt =
     let n = 1 + Atomic.fetch_and_add failures 1 in
@@ -415,9 +417,9 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
   in
   (candidates, Atomic.get exhausted, Atomic.get failures)
 
-let run ?config ?registry ?(verify_trials = 2) ?(verify_all = false) ?budget
-    ?checkpoint ?(piece = 0) ?progress ?prune_persist
-    ~(device : Gpusim.Device.t) ~spec () =
+let run ?config ?registry ?(verify_trials = 2) ?budget ?checkpoint
+    ?(piece = 0) ?progress ?prune_persist ~(device : Gpusim.Device.t) ~spec
+    () =
   Obs.Profile.with_phase "search" @@ fun () ->
   let cfg =
     match config with Some c -> c | None -> Config.for_spec spec
@@ -431,23 +433,103 @@ let run ?config ?registry ?(verify_trials = 2) ?(verify_all = false) ?budget
   (match prune_persist with Some f -> f solver | None -> ());
   let stats = Stats.create ?registry () in
   let limits = Gpusim.Device.limits device in
+  (* The input program always participates, so the optimizer never
+     regresses. The spec carries id -1 (no journal lifecycle of its own). *)
+  let spec_result =
+    (-1, { graph = spec; cost = Gpusim.Cost.cost device spec })
+  in
+  let note_best us =
+    match progress with Some p -> Progress.note_best p us | None -> ()
+  in
   (* Live progress: wire in the funnel counters and seed the best-known
      cost with the spec's (the search never regresses below it). *)
   (match progress with
   | Some p ->
       Progress.attach_stats p stats;
-      Progress.note_best p (Gpusim.Cost.cost device spec).Gpusim.Cost.total_us;
       Progress.set_phase p "enumerate"
   | None -> ());
+  note_best (snd spec_result).cost.Gpusim.Cost.total_us;
   let on_pool pool =
     match progress with
     | Some p -> Progress.attach_stolen p (fun () -> Deque.Pool.steals pool)
     | None -> ()
   in
+  let journal = Obs.Journal.active () in
+  (* One verification session for the whole run: all candidates share the
+     per-trial-seed random inputs and spec outputs (the spec result
+     depends only on the trial seed), and the config flag selects the
+     packed fast path or the boxed reference path. Trials run on the
+     enumeration lanes, so the verifier's lazy metric handles are forced
+     here, before any helper can start. *)
+  let session =
+    Obs.Profile.with_phase "verify.setup" (fun () ->
+        Verify.Random_test.make_session ~fast:cfg.Config.verify_fast_path ~spec
+          ())
+  in
+  Verify.Random_test.warm ();
+  (* Verification runs quarantined too: a verifier crash on one candidate
+     rejects that candidate (journaled as cand.crash) instead of sinking
+     the whole run. *)
+  let passes ~trials ~cand g =
+    Obs.Profile.with_phase "candidate" @@ fun () ->
+    match Verify.Random_test.equivalent ~trials ~cand ~session ~spec g with
+    | Verify.Random_test.Equivalent -> true
+    | Verify.Random_test.Not_equivalent _ | Verify.Random_test.Rejected _ ->
+        false
+    | exception exn ->
+        let bt = Printexc.get_raw_backtrace () in
+        Obs.Budget.note budget "verify.crash";
+        Obs.Log.warn (fun m ->
+            m "verifier crashed on candidate %d: %s" cand
+              (Printexc.to_string exn));
+        (match journal with
+        | Some j ->
+            Obs.Journal.emit j ~cand ~typ:"cand.crash"
+              [
+                ("phase", Obs.Jsonw.Str "verify");
+                ("exn", Obs.Jsonw.Str (Printexc.to_string exn));
+                ( "backtrace",
+                  Obs.Jsonw.Str (Printexc.raw_backtrace_to_string bt) );
+              ]
+        | None -> ());
+        false
+  in
+  (* Verify on emit. Candidates are ordered by cost-model time, then
+     graph hash, then structure (compared lexicographically; the
+     structural fallback matters, since [Graph.hash] only traverses a
+     bounded prefix and distinct graphs can collide). The incumbent is
+     the least candidate confirmed so far, and a candidate is verified
+     only when it comes before it. The least passing candidate comes
+     before whatever incumbent exists when it is emitted, so a complete
+     search ends holding it whatever the emission order (which varies
+     with the worker count and the steal schedule), and a search cut
+     short holds the best it confirmed. Trial seeds depend only on the
+     trial's index and the verifier stops at the first mismatch, so one
+     call with [verify_trials] trials gives the verdict of the paper's
+     single random test followed by a confirmation (§7), and a failing
+     candidate costs one trial. *)
+  let incumbent = Atomic.make None and install = Mutex.create () in
+  let before key = function
+    | None -> true
+    | Some (_, k) -> Stdlib.compare key k < 0
+  in
+  let on_candidate gid g =
+    let us = (Gpusim.Cost.cost device g).Gpusim.Cost.total_us in
+    let key = (us, Graph.hash g, g) in
+    if
+      before key (Atomic.get incumbent)
+      && passes ~trials:(max 1 verify_trials) ~cand:gid g
+    then
+      Mutex.protect install (fun () ->
+          if before key (Atomic.get incumbent) then begin
+            Atomic.set incumbent (Some (gid, key));
+            note_best us
+          end)
+  in
   let candidates, budget_exhausted, task_failures =
     Obs.Profile.with_phase "enumerate" (fun () ->
         generate cfg ~spec ~solver ~stats ~limits ~budget ?checkpoint ~piece
-          ~on_pool ())
+          ~on_pool ~on_candidate ())
   in
   (* Branching factor for the prune-savings model: attempted extensions
      per accepted (recursed-into) prefix. *)
@@ -466,199 +548,28 @@ let run ?config ?registry ?(verify_trials = 2) ?(verify_all = false) ?budget
         (if budget_exhausted then " (budget exhausted)" else "")
         (if task_failures = 0 then ""
          else Printf.sprintf " (%d task crash(es) quarantined)" task_failures));
-  (* Cost first (cheap), then verify cheapest-first with a single random
-     test, stopping at the first success unless [verify_all]. Cost ties
-     break on the graph hash and then structurally, so the verification
-     order — and therefore the winner — is independent of emission order
-     (which varies with the number of enumeration workers and the steal
-     schedule). The structural fallback matters: [Graph.hash] only
-     traverses a bounded prefix, so distinct graphs can collide. *)
-  (match progress with Some p -> Progress.set_phase p "cost" | None -> ());
-  let costed =
-    Obs.Profile.with_phase "cost" @@ fun () ->
-    List.map
-      (fun (x, c, _) -> (x, c))
-      (List.sort
-         (fun ((_, ga), a, ha) ((_, gb), b, hb) ->
-           let c =
-             Float.compare a.Gpusim.Cost.total_us b.Gpusim.Cost.total_us
-           in
-           if c <> 0 then c
-           else
-             let hc = Int.compare ha hb in
-             if hc <> 0 then hc else Stdlib.compare ga gb)
-         (List.map
-            (fun (gid, g) ->
-              ((gid, g), Gpusim.Cost.cost device g, Graph.hash g))
-            candidates))
-  in
-  let finish gid g =
-    Stats.add stats Stats.Verified 1;
-    let g =
-      if cfg.Config.use_thread_fusion then Thread_fuse.fuse_kernel g else g
-    in
-    let cost = Gpusim.Cost.cost device g in
-    (match progress with
-    | Some p -> Progress.note_best p cost.Gpusim.Cost.total_us
-    | None -> ());
-    (gid, { graph = g; cost })
-  in
-  let journal = Obs.Journal.active () in
-  (* One verification session for the whole run: all candidates share the
-     per-trial-seed random inputs and spec outputs (the spec result
-     depends only on the trial seed), and the config flag selects the
-     packed fast path or the boxed reference path. *)
-  let session =
-    Obs.Profile.with_phase "verify.setup" (fun () ->
-        Verify.Random_test.make_session ~fast:cfg.Config.verify_fast_path ~spec
-          ())
-  in
-  (* Verification runs quarantined too: a verifier crash on one candidate
-     rejects that candidate (journaled as cand.crash) instead of sinking
-     the whole run. *)
-  let check ~trials ~cand g =
-    Obs.Profile.with_phase "candidate" @@ fun () ->
-    match Verify.Random_test.equivalent ~trials ~cand ~session ~spec g with
-    | v -> v
-    | exception exn ->
-        let bt = Printexc.get_raw_backtrace () in
-        Obs.Budget.note budget "verify.crash";
-        Obs.Log.warn (fun m ->
-            m "verifier crashed on candidate %d: %s" cand
-              (Printexc.to_string exn));
-        (match journal with
-        | Some j ->
-            Obs.Journal.emit j ~cand ~typ:"cand.crash"
-              [
-                ("phase", Obs.Jsonw.Str "verify");
-                ("exn", Obs.Jsonw.Str (Printexc.to_string exn));
-                ( "backtrace",
-                  Obs.Jsonw.Str (Printexc.raw_backtrace_to_string bt) );
-              ]
-        | None -> ());
-        Verify.Random_test.Rejected "verifier crash"
-  in
-  (* The deadline applies to verification as well as enumeration: a run
-     that spent its whole budget enumerating still reports best-so-far
-     (the spec at worst) instead of overshooting in the verify loop. *)
-  let out_of_time () =
-    if Obs.Budget.over_deadline budget || Obs.Budget.cancelled budget then begin
-      Obs.Budget.note budget "deadline";
-      true
-    end
-    else false
-  in
-  (* The verify loop runs on on-demand lanes (at most one per
-     candidate): indices into the cost-sorted array are handed out
-     through an atomic dispenser (so claims happen in cost order) and,
-     in first-winner mode, a found-winner atomic holds the minimal
-     passing index. A lane only skips an index when a strictly cheaper
-     winner is already confirmed, so the minimal passing index is always
-     fully processed — the winner is the one a single lane finds. Lane 0
-     polls between candidates, so verifying a handful starts no domain. *)
-  let verify_loop () =
-    let arr = Array.of_list costed in
-    let n = Array.length arr in
-    let next = Atomic.make 0 in
-    let n_lanes = min (max 1 cfg.Config.num_workers) n in
-    (* Lazy metric handles are not domain-safe; force them here, on
-       lane 0, before any helper can start. *)
-    if n_lanes > 1 then Verify.Random_test.warm ();
-    let lanes = Lanes.create n_lanes in
-    let run_lanes worker =
-      List.iter
-        (fun exn ->
-          Obs.Budget.note budget "verify.crash";
-          Obs.Log.warn (fun m ->
-              m "verify lane died outside candidate quarantine: %s"
-                (Printexc.to_string exn)))
-        (Lanes.run lanes (fun _ -> worker ()));
-      Obs.Metrics.add (lanes_counter (Stats.registry stats)) (Lanes.started lanes)
-    in
-    (* the next index to check, or None when this lane is done *)
-    let claim ~skip_past =
-      Lanes.poll lanes;
-      let i = Atomic.fetch_and_add next 1 in
-      if i >= n || i > skip_past () || out_of_time () then None else Some i
-    in
-    if verify_all then begin
-      let passed = Array.make n false in
-      let rec worker () =
-        match claim ~skip_past:(fun () -> max_int) with
-        | None -> ()
-        | Some i ->
-            let (gid, g), _ = arr.(i) in
-            (match check ~trials:verify_trials ~cand:gid g with
-            | Verify.Random_test.Equivalent -> passed.(i) <- true
-            | Verify.Random_test.Not_equivalent _
-            | Verify.Random_test.Rejected _ ->
-                ());
-            worker ()
-      in
-      run_lanes worker;
-      let acc = ref [] in
-      for i = n - 1 downto 0 do
-        if passed.(i) then
-          let (gid, g), _ = arr.(i) in
-          acc := finish gid g :: !acc
-      done;
-      !acc
-    end
-    else begin
-      let winner = Atomic.make max_int in
-      let rec worker () =
-        match claim ~skip_past:(fun () -> Atomic.get winner) with
-        | None -> ()
-        | Some i -> (
-            let (gid, g), _ = arr.(i) in
-            let passes trials =
-              match check ~trials ~cand:gid g with
-              | Verify.Random_test.Equivalent -> true
-              | Verify.Random_test.Not_equivalent _
-              | Verify.Random_test.Rejected _ ->
-                  false
-            in
-            (* confirm a winner with the full trial count *)
-            let confirmed = passes 1 && passes verify_trials in
-            if not confirmed then worker ()
-            else
-              (* CAS-min: keep the cheapest confirmed index. All indices
-                 below it were already claimed, so no cheaper candidate
-                 can appear later. *)
-              let rec claim_min () =
-                let w = Atomic.get winner in
-                if i < w && not (Atomic.compare_and_set winner w i) then
-                  claim_min ()
-              in
-              claim_min ())
-      in
-      run_lanes worker;
-      match Atomic.get winner with
-      | w when w < n ->
-          let (gid, g), _ = arr.(w) in
-          [ finish gid g ]
-      | _ -> []
-    end
-  in
-  (match progress with Some p -> Progress.set_phase p "verify" | None -> ());
-  let verified = Obs.Profile.with_phase "verify" verify_loop in
   (match progress with Some p -> Progress.set_phase p "finalize" | None -> ());
   Obs.Profile.with_phase "finalize" @@ fun () ->
-  (* The input program always participates, so the optimizer never
-     regresses. The spec carries id -1 (no journal lifecycle of its own). *)
-  let spec_result =
-    (-1, { graph = spec; cost = Gpusim.Cost.cost device spec })
-  in
-  let all =
-    List.sort
-      (fun (_, a) (_, b) ->
-        Float.compare a.cost.Gpusim.Cost.total_us b.cost.Gpusim.Cost.total_us)
-      (spec_result :: verified)
+  (* The thread-fused incumbent wins only when strictly cheaper than the
+     spec. *)
+  let gid, best =
+    match Atomic.get incumbent with
+    | None -> spec_result
+    | Some (gid, (_, _, g)) ->
+        Stats.add stats Stats.Verified 1;
+        let g =
+          if cfg.Config.use_thread_fusion then Thread_fuse.fuse_kernel g else g
+        in
+        let cost = Gpusim.Cost.cost device g in
+        note_best cost.Gpusim.Cost.total_us;
+        if cost.Gpusim.Cost.total_us < (snd spec_result).cost.Gpusim.Cost.total_us
+        then (gid, { graph = g; cost })
+        else spec_result
   in
   (* Cost attribution for the winner: one event per simulated kernel. *)
-  (match (Obs.Journal.active (), all) with
-  | Some j, (gid, r) :: _ -> Gpusim.Cost.journal_attribution ~cand:gid j r.cost
-  | _ -> ());
+  (match journal with
+  | Some j -> Gpusim.Cost.journal_attribution ~cand:gid j best.cost
+  | None -> ());
   (* The search's one durable prune-cache write: a warm restart sees
      every decided query. *)
   Smtlite.Solver.flush_persist solver;
@@ -683,8 +594,7 @@ let run ?config ?registry ?(verify_trials = 2) ?(verify_all = false) ?budget
       Checkpoint.save ck
   | None -> ());
   {
-    best = (match all with [] -> None | (_, r) :: _ -> Some r);
-    verified = List.map snd all;
+    best = Some best;
     generated = List.length candidates;
     stats = Stats.snapshot stats;
     metrics = Obs.Metrics.snapshot (Stats.registry stats);

@@ -1,15 +1,15 @@
 (** The expression-guided muGraph generator (paper §4, Algorithm 1),
     end to end: enumerate candidate muGraphs (kernel-level rewrites and
-    single-custom-kernel block graphs), verify each candidate against the
-    specification with the probabilistic equivalence verifier (§5), apply
-    rule-based thread fusion (§4.2), and rank the survivors with the GPU
-    cost model.
+    single-custom-kernel block graphs), verify them as they are emitted
+    against the specification with the probabilistic equivalence
+    verifier (§5), keeping the cheapest under the GPU cost model, and
+    apply rule-based thread fusion (§4.2) to the winner.
 
     Root configurations are distributed over [Config.num_workers]
     lanes (the paper's multi-threaded search, Table 5): lane 0 is the
     calling domain and the others are helper domains it starts only once
-    the stage has run long enough to pay for them ({!Lanes}), for the
-    enumeration pool and for verification alike. *)
+    enumeration has run long enough to pay for them ({!Lanes}); a
+    candidate is verified on the lane that emitted it. *)
 
 open Mugraph
 
@@ -19,8 +19,9 @@ type result = {
 }
 
 type outcome = {
-  best : result option;  (** lowest simulated time *)
-  verified : result list;  (** sorted by increasing cost *)
+  best : result option;
+      (** the verified winner, or the spec when no candidate verified
+          cheaper; never [None] *)
   generated : int;  (** candidate muGraphs emitted by the enumerators *)
   stats : Stats.snapshot;
   metrics : Obs.Metrics.snapshot;
@@ -54,12 +55,10 @@ val helper_after_s : float
     that comes {!helper_after_s} or more after {!create} (a ski-rental
     rule: work alone until the work done equals the price of help). So
     a call that ends sooner starts no domain, and a 1-lane call never
-    does. Lane 0 polls only at its safe points: the enumeration pool
-    polls before each item and at each subtree offer, the verify loop
-    before each candidate. Once started, helpers steal work as any lane
-    does. The enumeration pool and the verify loop both run on lanes,
-    so a search of [num_workers = w] starts 0 or [w - 1] helpers per
-    stage and counts them in [search.lanes.started].
+    does. Lane 0 polls only at its safe points: before each pool item
+    and at each subtree offer. Once started, helpers steal work as any
+    lane does. A search of [num_workers = w] starts 0 or [w - 1]
+    helpers and counts them in [search.lanes.started].
 
     Lane 0 holds the calling domain's lock while it works. A caller
     whose domain other systhreads share must not run a search there:
@@ -102,6 +101,7 @@ val generate :
   ?checkpoint:Checkpoint.t ->
   ?piece:int ->
   ?on_pool:(Deque.Pool.t -> unit) ->
+  ?on_candidate:(int -> Graph.kernel_graph -> unit) ->
   unit ->
   (int * Graph.kernel_graph) list * bool * int
 (** The raw enumeration stage of {!run}: seed the kernel task and one
@@ -118,14 +118,17 @@ val generate :
     subtrees. The candidate {e set} is independent of the
     worker count and steal schedule (gids and list order are not).
     [on_pool] runs once with the freshly created pool — the hook the
-    serving tier uses to surface live steal counts. Exposed for {!run},
-    {!search_time} and the determinism tests. *)
+    serving tier uses to surface live steal counts. [on_candidate gid g]
+    runs once per deduplicated candidate, on the lane that emitted it and
+    outside any lock, so concurrently on several lanes; a checkpoint's
+    candidates go through it before any lane starts. {!run} verifies
+    there. Exposed for {!run}, {!search_time} and the determinism
+    tests. *)
 
 val run :
   ?config:Config.t ->
   ?registry:Obs.Metrics.t ->
   ?verify_trials:int ->
-  ?verify_all:bool ->
   ?budget:Budget.t ->
   ?checkpoint:Checkpoint.t ->
   ?piece:int ->
@@ -139,26 +142,30 @@ val run :
     always included as a candidate, so [best] is never worse than the
     input program.
 
+    Candidates are verified as {!generate} emits them, on the lane that
+    emitted them. The run keeps an incumbent: the least candidate
+    confirmed so far under the order (cost-model time, [Graph.hash],
+    structure). A candidate that comes before it is verified with
+    [verify_trials] trials (at least 1) and replaces it if it passes;
+    any other candidate is only costed. The verifier stops at the first
+    failing trial, so a candidate that fails costs one random test, as
+    in the paper's implementation (§7). A complete search therefore ends with the
+    least passing candidate, whatever the worker count; [stats.verified]
+    is 1 when the run holds an incumbent, 0 otherwise. The incumbent is
+    thread-fused and wins if it is then strictly cheaper than the spec.
+
     [registry] backs the search's counters and histograms (default: a
     fresh registry per run; pass a shared one to accumulate across
-    runs). When the ambient {!Obs.Profile} is enabled, the run records
-    a [search] phase with [enumerate]/[cost]/[verify] sub-phases (one
-    [task.kernel] or [task.root] phase per root task, one [candidate]
-    phase per verification attempt); with its timeline on, each is also
-    a Chrome trace span.
-
-    Candidates are verified in ascending cost-model order with a single
-    random test each; the winner then receives [verify_trials] further
-    trials — mirroring the paper's implementation (§7). With
-    [verify_all] every candidate is fully verified and reported (used by
-    tests and small problems).
+    runs).
 
     [budget] (default: derived from the config's time/node budgets) is
-    polled by the enumerators, the verification loop, and — when threaded
-    through {!Opt} — the ILP and memory planners; hitting the deadline in
-    any phase cleanly returns best-so-far with the reason recorded in
-    [degraded]. [checkpoint]/[piece] enable periodic progress persistence
-    and resume (see {!Checkpoint}).
+    polled by the enumerators and — when threaded through {!Opt} — the
+    ILP and memory planners. A search cut by its deadline, its node
+    budget or cancellation returns the incumbent it holds (the spec at
+    worst), with the reason recorded in [degraded]. A verification
+    already under way when the deadline passes runs to its end.
+    [checkpoint]/[piece] enable periodic progress persistence and
+    resume (see {!Checkpoint}).
 
     [prune_persist] runs once on the freshly created solver, before any
     query — the place to {!Smtlite.Solver.attach_persist} an on-disk
@@ -166,12 +173,15 @@ val run :
     the solver's write-behind batch at finalize.
 
     [progress] attaches a {!Progress} cell the run keeps current (phase,
-    funnel counters, best cost so far) so an observer on another thread —
-    e.g. the serving tier's streamer — can sample it lock-free. When the
-    ambient {!Obs.Profile} is enabled, the run additionally attributes
-    its wall time to a [search] phase tree
-    ([enumerate]/[cost]/[verify.setup]/[verify]/[finalize], with
-    per-task and per-candidate children and prune-rule fire counts). *)
+    funnel counters, best cost so far, lowered with each new incumbent)
+    so an observer on another thread — e.g. the serving tier's streamer
+    — can sample it lock-free. When the ambient {!Obs.Profile} is
+    enabled, the run attributes its wall time to a [search] phase tree
+    ([verify.setup]/[enumerate]/[finalize], with one [task.kernel] or
+    [task.root] phase per root task, a [candidate] phase per
+    verification attempt under the task that emitted it, and prune-rule
+    fire counts); with its timeline on, each is also a Chrome trace
+    span. *)
 
 val search_time :
   ?config:Config.t ->

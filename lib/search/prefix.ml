@@ -501,7 +501,10 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
   in
   let budget_check tl =
     Obs.Fault.trip lv.fault;
-    if Obs.Budget.cancelled budget then raise Budget_exhausted;
+    if Obs.Budget.cancelled budget then begin
+      Obs.Budget.note budget "cancelled";
+      raise Budget_exhausted
+    end;
     if Obs.Budget.nodes_exceeded budget (Tally.expanded tl) then begin
       Obs.Budget.note budget "node_budget";
       raise Budget_exhausted

@@ -12,7 +12,7 @@ type t
 val create : unit -> t
 
 val set_phase : t -> string -> unit
-(** The coarse search phase ([enumerate] / [cost] / [verify] / [done]). *)
+(** The coarse search phase ([enumerate], then [finalize]). *)
 
 val phase : t -> string
 

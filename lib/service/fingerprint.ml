@@ -21,7 +21,7 @@
 
 module J = Obs.Jsonw
 
-let schema = "mirage.service.fingerprint.v1"
+let schema = "mirage.service.fingerprint.v2"
 
 type t = string
 

@@ -367,7 +367,7 @@ let result_payload ~benchmark ~(device : Gpusim.Device.t) ~spec
       ("optimized_us", J.Float best_us);
       ("speedup", J.Float (if best_us > 0.0 then spec_us /. best_us else 1.0));
       ("generated", J.Int o.Search.Generator.generated);
-      ("verified", J.Int (List.length o.Search.Generator.verified));
+      ("verified", J.Int o.Search.Generator.stats.Search.Stats.verified);
       ("budget_exhausted", J.Bool o.Search.Generator.budget_exhausted);
       ( "degraded",
         J.List (List.map (fun s -> J.Str s) o.Search.Generator.degraded) );

@@ -46,6 +46,16 @@ rm -rf /tmp/mirage_ci_run
 dune exec bin/mirage_cli.exe -- optimize rmsnorm \
   --budget 2 --workers 2 --report /tmp/mirage_ci_run >/dev/null
 
+echo "== smoke: a deadline-bound optimize returns the winner it verified"
+# RMSNorm's search cannot finish in 2 s. Candidates are verified as they
+# are emitted, so the cut still returns a verified winner, not the spec.
+dune exec bin/mirage_cli.exe -- optimize rmsnorm --budget 2 \
+  > /tmp/mirage_ci_rmsnorm2.txt
+grep -Eq '^degraded: (.*, )?deadline(,|$)' /tmp/mirage_ci_rmsnorm2.txt
+awk '/^Mirage on / { s = $NF; gsub(/[()x]/, "", s); found = 1
+  if (s + 0 <= 1.0) { print "optimize rmsnorm --budget 2: " $NF; exit 1 } }
+  END { if (!found) exit 1 }' /tmp/mirage_ci_rmsnorm2.txt
+
 echo "== smoke: explain resolves a journaled candidate"
 dune exec bin/mirage_cli.exe -- explain /tmp/mirage_ci_run 0 >/dev/null
 

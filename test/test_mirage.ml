@@ -171,6 +171,29 @@ let test_superoptimize_end_to_end () =
   Alcotest.(check bool) "summary printable" true
     (String.length (Mirage.summary r) > 0)
 
+(* The summary's verified count is the search's own: a search that
+   emits nothing verifies nothing, even though the spec is returned. *)
+let test_summary_counts_no_verified () =
+  let g = Baselines.Templates.rmsnorm_matmul_spec ~b:4 ~h:8 ~d:16 in
+  let config =
+    Search.Config.for_spec
+      ~base:
+        {
+          Search.Config.default with
+          Search.Config.grid_candidates = [];
+          forloop_candidates = [];
+          max_kernel_ops = 0;
+          num_workers = 1;
+        }
+      g
+  in
+  let r = Mirage.superoptimize ~config ~device:Gpusim.Device.a100 g in
+  let summary = Mirage.summary r in
+  Alcotest.(check bool)
+    ("no candidates, none verified: " ^ summary)
+    true
+    (Astring_contains.contains summary "[0 candidates, 0 verified]")
+
 (* --- code generation --------------------------------------------------- *)
 
 let emit_c name g = Codegen.C_emit.emit (Impir.Lower.lower ~name g)
@@ -238,6 +261,8 @@ let () =
         [
           Alcotest.test_case "superoptimize end-to-end" `Slow
             test_superoptimize_end_to_end;
+          Alcotest.test_case "summary counts no verified" `Quick
+            test_summary_counts_no_verified;
         ] );
       ( "codegen",
         [

@@ -874,16 +874,35 @@ let level_totals (m : Obs.Metrics.snapshot) =
   List.sort compare
     (List.filter level (depth_counts m @ m.Obs.Metrics.counters))
 
+let pinned_piece prog =
+  let b = Option.get (Workloads.Bench_defs.by_name prog) in
+  let spec, _ = b.Workloads.Bench_defs.reduced () in
+  List.filter
+    (fun (pc : Mirage.Partition.piece) -> pc.Mirage.Partition.lax)
+    (Mirage.Partition.partition spec).Mirage.Partition.pieces
+
+let pinned_config ~workers pspec =
+  Search.Config.for_spec
+    ~base:
+      {
+        Search.Config.default with
+        Search.Config.grid_candidates = [ [| 2 |] ];
+        forloop_candidates = [ [| 2 |] ];
+        max_block_ops = 3;
+        num_workers = workers;
+        time_budget_s = 0.0;
+      }
+    pspec
+
+let pinned_name prog smem workers =
+  Printf.sprintf "%s%s, %d worker(s): " prog
+    (match smem with Some b -> Printf.sprintf " (smem %d)" b | None -> "")
+    workers
+
 let check_pinned_counts () =
   List.iter
     (fun p ->
-      let b = Option.get (Workloads.Bench_defs.by_name p.prog) in
-      let spec, _ = b.Workloads.Bench_defs.reduced () in
-      let pieces =
-        List.filter
-          (fun (pc : Mirage.Partition.piece) -> pc.Mirage.Partition.lax)
-          (Mirage.Partition.partition spec).Mirage.Partition.pieces
-      in
+      let pieces = pinned_piece p.prog in
       Alcotest.(check int) (p.prog ^ ": one LAX piece") 1 (List.length pieces);
       let pspec = (List.hd pieces).Mirage.Partition.graph in
       let limits =
@@ -894,19 +913,7 @@ let check_pinned_counts () =
       in
       List.iter
         (fun workers ->
-          let cfg =
-            Search.Config.for_spec
-              ~base:
-                {
-                  Search.Config.default with
-                  Search.Config.grid_candidates = [ [| 2 |] ];
-                  forloop_candidates = [ [| 2 |] ];
-                  max_block_ops = 3;
-                  num_workers = workers;
-                  time_budget_s = 0.0;
-                }
-              pspec
-          in
+          let cfg = pinned_config ~workers pspec in
           let solver =
             Smtlite.Solver.create ~target:(Abstract.output_exprs pspec)
           in
@@ -915,13 +922,7 @@ let check_pinned_counts () =
             Search.Generator.generate cfg ~spec:pspec ~solver ~stats ~limits
               ~budget:(Search.Budget.of_config cfg) ()
           in
-          let name =
-            Printf.sprintf "%s%s, %d worker(s): " p.prog
-              (match p.smem with
-              | Some b -> Printf.sprintf " (smem %d)" b
-              | None -> "")
-              workers
-          in
+          let name = pinned_name p.prog p.smem workers in
           Alcotest.(check bool) (name ^ "ran to completion") false
             (exhausted || crashes > 0);
           Alcotest.(check (list (pair string int)))
@@ -941,6 +942,46 @@ let check_pinned_counts () =
                            (List.map (fun (_, g) -> Graph.hash g) cands)))))))
         [ 1; 2 ])
     pinned
+
+(* [Generator.run]'s winner on the pinned searches that have candidates,
+   recorded when verification still ran as a separate stage over the
+   cost-sorted candidates: the least passing candidate under (cost,
+   hash, structure), thread-fused, or the spec when it is not strictly
+   cheaper. Both GatedMLP searches verify a candidate that fusion leaves
+   no cheaper than the spec. The limits come from the device, so the
+   2 KiB search runs on an A100 whose shared memory is cut to match. *)
+let pinned_winners =
+  [
+    ("GatedMLP", None, 16.010536334405145, true);
+    ("GatedMLP", Some 2048, 16.010536334405145, true);
+    ("LoRA", None, 12.016133762057878, false);
+  ]
+
+let check_pinned_winners () =
+  List.iter
+    (fun (prog, smem, winner_us, spec_wins) ->
+      let pspec = (List.hd (pinned_piece prog)).Mirage.Partition.graph in
+      let device =
+        match smem with
+        | Some b -> { Gpusim.Device.a100 with Gpusim.Device.smem_per_sm_bytes = b }
+        | None -> Gpusim.Device.a100
+      in
+      List.iter
+        (fun workers ->
+          let o =
+            Search.Generator.run ~config:(pinned_config ~workers pspec) ~device
+              ~spec:pspec ()
+          in
+          let name = pinned_name prog smem workers in
+          let best = Option.get o.Search.Generator.best in
+          Alcotest.(check (float 1e-9)) (name ^ "winner cost") winner_us
+            best.Search.Generator.cost.Gpusim.Cost.total_us;
+          Alcotest.(check bool) (name ^ "the spec wins") spec_wins
+            (Graph.equal best.Search.Generator.graph pspec);
+          Alcotest.(check int) (name ^ "one candidate verified") 1
+            o.Search.Generator.stats.Search.Stats.verified)
+        [ 1; 2 ])
+    pinned_winners
 
 (* The enumerators count per subtree and flush batches, so every count
    must still be exact: the funnel and the per-depth histograms do not
@@ -980,7 +1021,8 @@ let test_funnel_invariant () =
         (name ^ "same depth-histogram counts") hists
         (depth_counts o'.Search.Generator.metrics))
     [ 1; 4 ];
-  check_pinned_counts ()
+  check_pinned_counts ();
+  check_pinned_winners ()
 
 let test_report_on_file () =
   let file = Filename.temp_file "mirage_report" ".txt" in
