@@ -914,7 +914,11 @@ let micro () =
 (* reduced nTrans piece -> enum.ntrans.expanded, enum.ntrans.minor_words *)
 (* (all lower is better, deterministic), and for all six reduced       *)
 (* pieces, 2-worker over 1-worker generate time -> the geomean          *)
-(* enum.fig7.two_over_one (lower is better). The JSON rows keep the    *)
+(* enum.fig7.two_over_one (lower is better); root enumeration of the   *)
+(* GQA and LoRA pieces on the default menu -> enum.<b>.roots_ms, and   *)
+(* the words of a 1-worker reduced-QKNorm superoptimize, whose levels  *)
+(* the goal-distance cut skips -> enum.fig7.fixed_words (both lower is *)
+(* better). The JSON rows keep the    *)
 (* per-expansion ratios beside the totals. All keys land in the bench  *)
 (* history, so the gate watches cost, scaling, cache efficacy and root *)
 (* sharing run over run.                                               *)
@@ -987,6 +991,46 @@ let piece_search name =
   end;
   let queries = (Smtlite.Solver.stats solver).Smtlite.Solver.queries in
   (queries, Search.Stats.expanded stats, words)
+
+(* Root enumeration of a workload's piece on the default menu (as
+   [Config.for_spec] derives it): the fastest of five runs, in ms. *)
+let roots_ms name =
+  let pspec, _ = fig7_piece name in
+  let cfg = Search.Config.for_spec ~base:Search.Config.default pspec in
+  let input_shapes = Mugraph.Graph.input_shapes pspec in
+  List.fold_left min infinity
+    (List.init 5 (fun _ ->
+         let t0 = Unix.gettimeofday () in
+         ignore (Search.Block_enum.enumerate_roots cfg ~input_shapes);
+         (Unix.gettimeofday () -. t0) *. 1e3))
+
+(* What a search costs before it explores anything: the words a
+   1-worker [Mirage.superoptimize] of the reduced QKNorm spec allocates
+   on the search_fig7 menu, where the goal-distance cut skips both
+   levels (a warm-up call first). *)
+let fixed_words () =
+  let b = Option.get (Workloads.Bench_defs.by_name "QKNorm") in
+  let spec, _ = b.Workloads.Bench_defs.reduced () in
+  let config =
+    Search.Config.for_spec
+      ~base:
+        {
+          Search.Config.default with
+          Search.Config.grid_candidates = [ [| 2 |] ];
+          forloop_candidates = [ [| 2 |] ];
+          max_block_ops = 3;
+          num_workers = 1;
+          time_budget_s = 0.0;
+        }
+      spec
+  in
+  let search () =
+    ignore (Mirage.superoptimize ~config ~device:Gpusim.Device.a100 spec)
+  in
+  search ();
+  let b0 = Gc.allocated_bytes () in
+  search ();
+  (Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8)
 
 (* 2-worker over 1-worker [generate] time for each reduced Fig. 7
    piece on the search_fig7 menu: the median ratio of five interleaved
@@ -1166,6 +1210,12 @@ let enum_bench () =
   let per_root = float_of_int n_classes /. float_of_int n_roots in
   Printf.printf "root classes, gqa:     %d of %d roots   %.3f searches/root\n%!"
     n_classes n_roots per_root;
+  let gqa_roots_ms = roots_ms "GQA" and lora_roots_ms = roots_ms "LoRA" in
+  Printf.printf
+    "root enumeration, default menu:  gqa %.2f ms   lora %.2f ms\n%!"
+    gqa_roots_ms lora_roots_ms;
+  let fixed = fixed_words () in
+  Printf.printf "fixed cost, qknorm search at 1 worker: %.0f words\n%!" fixed;
   let queries, expansions, gqa_words = piece_search "GQA" in
   let per_expansion = float_of_int queries /. float_of_int expansions in
   let gqa_words_per_expansion = gqa_words /. float_of_int expansions in
@@ -1183,11 +1233,26 @@ let enum_bench () =
         ("root_classes", Int n_classes);
         ("roots", Int n_roots);
         ("searches_per_root", Float per_root);
+        ("roots_ms", Float gqa_roots_ms);
         ("solver_queries", Int queries);
         ("expanded", Int expansions);
         ("solver_queries_per_expansion", Float per_expansion);
         ("minor_words", Float gqa_words);
         ("minor_words_per_expansion", Float gqa_words_per_expansion);
+      ];
+  jpush
+    Obs.Jsonw.
+      [
+        ("suite", Str "enum");
+        ("benchmark", Str "lora");
+        ("roots_ms", Float lora_roots_ms);
+      ];
+  jpush
+    Obs.Jsonw.
+      [
+        ("suite", Str "enum");
+        ("benchmark", Str "fig7");
+        ("fixed_words", Float fixed);
       ];
   let _, ntrans_expansions, ntrans_words = piece_search "nTrans" in
   let ntrans_words_per_expansion =
@@ -1241,6 +1306,9 @@ let enum_bench () =
     [
       ("enum.fig7.two_over_one", two_over_one);
       ("enum.gqa.searches_per_root", per_root);
+      ("enum.gqa.roots_ms", gqa_roots_ms);
+      ("enum.lora.roots_ms", lora_roots_ms);
+      ("enum.fig7.fixed_words", fixed);
       ("enum.gqa.expanded", float_of_int expansions);
       ("enum.gqa.solver_queries", float_of_int queries);
       ("enum.gqa.minor_words", gqa_words);

@@ -160,6 +160,10 @@ let history_rules =
     row "enum" "searches_per_root" Higher ~rel:(Fixed 0.05);
     row "enum" "solver_queries" Higher ~rel:(Fixed 0.05);
     row "enum" "expanded" Higher ~rel:(Fixed 0.0);
+    (* the words a search allocates before it explores anything *)
+    row "enum" "fixed_words" Higher ~rel:(Fixed 0.05);
+    (* root enumeration, a few ms on the default menu *)
+    row "enum" "roots_ms" Higher ~abs:5.0;
     (* a ~0.15 s search swings by half with the host's load *)
     row "enum" "gen_1d_s" Higher ~abs:0.25;
     row "enum" "prune_warm_hit_ratio" Lower ~rel:(Fixed 0.0) ~abs:0.05;

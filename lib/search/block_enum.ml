@@ -10,6 +10,7 @@ type root = {
 type root_class = {
   rep : root;
   members : (Dmap.imap * Dmap.fmap) array array;
+  views : int array;
 }
 
 type emit = Graph.kernel_graph -> unit
@@ -46,104 +47,151 @@ let rec target_vectors count rank =
       (fun t -> List.map (fun v -> t :: v) rest)
       (Dmap.Replica :: List.init rank (fun d -> Dmap.Dim d))
 
-(* Class keys: grid, for-loop and every input's [initer_view]. The
-   default hash stops after 10 meaningful words, about the first tile,
-   so it would put most classes in a few buckets. *)
-module Class_key = Hashtbl.Make (struct
-  type t = int array * int array * (Shape.t * phase) array
+(* The bits of a target vector's partitioning entries. *)
+let dim_mask targets =
+  let m = ref 0 in
+  Array.iteri
+    (fun k t ->
+      match t with Dmap.Dim _ -> m := !m lor (1 lsl k) | Dmap.Replica -> ())
+    targets;
+  !m
 
-  let equal = ( = )
-  let hash = Hashtbl.hash_param 64 256
-end)
+(* One valid input iterator of one input: its (imap, fmap), the number
+   of its [initer_view] among the input's distinct views (first seen,
+   first numbered), and the grid and loop dims it partitions. *)
+type choice = {
+  initer : Dmap.imap * Dmap.fmap;
+  view : int;
+  gmask : int;
+  fmask : int;
+}
 
-(* Group [(root, views)] pairs by class key, keeping first-occurrence
-   order for the classes and enumeration order within each. *)
-let group_classes all =
-  let seen = Class_key.create 64 in
-  let order = ref [] in
+(* An input's valid iterators, imap-major as the target vectors come,
+   and its distinct views by number. *)
+let choices ~grid ~forloop shape =
+  let rank = Shape.rank shape in
+  let views = ref [] and n_views = ref 0 and acc = ref [] in
   List.iter
-    (fun (r, views) ->
-      let key = (r.grid, r.forloop, views) in
-      match Class_key.find_opt seen key with
-      | Some members -> members := r.initers :: !members
-      | None ->
-          let members = ref [ r.initers ] in
-          Class_key.add seen key members;
-          order := (r, members) :: !order)
-    all;
-  List.rev_map
-    (fun (rep, members) -> { rep; members = Array.of_list (List.rev !members) })
-    !order
+    (fun im ->
+      let imap = Array.of_list im in
+      if Dmap.valid_imap imap ~grid ~shape then begin
+        let sliced = Dmap.slice_shape imap ~counts:grid shape in
+        List.iter
+          (fun fm ->
+            let fmap = Array.of_list fm in
+            if Dmap.valid_fmap fmap ~forloop ~shape:sliced then begin
+              let v = initer_view ~grid ~forloop shape (imap, fmap) in
+              let view =
+                match List.assoc_opt v !views with
+                | Some id -> id
+                | None ->
+                    views := (v, !n_views) :: !views;
+                    incr n_views;
+                    !n_views - 1
+              in
+              let gmask = dim_mask imap and fmask = dim_mask fmap in
+              acc := { initer = (imap, fmap); view; gmask; fmask } :: !acc
+            end)
+          (target_vectors (Array.length forloop) rank)
+      end)
+    (target_vectors (Array.length grid) rank);
+  (Array.of_list (List.rev !acc), Array.of_list (List.rev_map fst !views))
 
+(* A class being filled: its representative, its inputs' view ids and
+   its members so far. *)
+type builder = {
+  first : root;
+  ids : int array;
+  mutable ms : (Dmap.imap * Dmap.fmap) array array;
+  mutable len : int;
+}
+
+let push b initers =
+  if b.len = Array.length b.ms then begin
+    let ms = Array.make (2 * b.len) initers in
+    Array.blit b.ms 0 ms 0 b.len;
+    b.ms <- ms
+  end;
+  b.ms.(b.len) <- initers;
+  b.len <- b.len + 1
+
+(* Per (grid, for-loop) pair, the product of the inputs' iterators with
+   the first input slowest, walked with an index array. A root's class
+   within its pair is the mixed-radix number of its inputs' view ids,
+   an index into the pair's class table; a pair that repeats an earlier
+   one fills that one's classes. *)
 let enumerate_roots (cfg : Config.t) ~input_shapes =
   let shapes = Array.of_list input_shapes in
-  List.concat_map
+  let n = Array.length shapes in
+  let order = ref [] and tables = ref [] in
+  List.iter
     (fun grid ->
-      List.concat_map
+      List.iter
         (fun forloop ->
-          (* per-input valid (imap, fmap) pairs, each with its view *)
-          let per_input =
-            Array.to_list
-              (Array.map
-                 (fun shape ->
-                   let rank = Shape.rank shape in
-                   List.concat_map
-                     (fun im ->
-                       let imap = Array.of_list im in
-                       if not (Dmap.valid_imap imap ~grid ~shape) then []
-                       else
-                         let sliced = Dmap.slice_shape imap ~counts:grid shape in
-                         List.filter_map
-                           (fun fm ->
-                             let fmap = Array.of_list fm in
-                             if Dmap.valid_fmap fmap ~forloop ~shape:sliced
-                             then
-                               Some
-                                 ( (imap, fmap),
-                                   initer_view ~grid ~forloop shape
-                                     (imap, fmap) )
-                             else None)
-                           (target_vectors (Array.length forloop) rank))
-                     (target_vectors (Array.length grid) rank))
-                 shapes)
-          in
-          (* cartesian product across inputs *)
-          let rec product = function
-            | [] -> [ [] ]
-            | opts :: rest ->
-                let tails = product rest in
-                List.concat_map
-                  (fun o -> List.map (fun t -> o :: t) tails)
-                  opts
-          in
-          product per_input
-          |> List.filter_map (fun assignment ->
-                 let initers = Array.of_list (List.map fst assignment) in
-                 (* every grid dim and loop dim must partition some input *)
-                 let covered proj count =
-                   List.init count (fun k ->
-                       Array.exists
-                         (fun (imap, fmap) ->
-                           match proj (imap, fmap) k with
-                           | Dmap.Dim _ -> true
-                           | Dmap.Replica -> false)
-                         initers)
-                   |> List.for_all Fun.id
-                 in
-                 if
-                   covered (fun (imap, _) k -> imap.(k)) (Array.length grid)
-                   && covered
-                        (fun (_, fmap) k -> fmap.(k))
-                        (Array.length forloop)
-                 then
-                   Some
-                     ( { grid; forloop; initers },
-                       Array.of_list (List.map snd assignment) )
-                 else None))
+          let per = Array.map (choices ~grid ~forloop) shapes in
+          let opts = Array.map fst per
+          and radix = Array.map (fun (_, vs) -> Array.length vs) per in
+          if Array.for_all (fun o -> Array.length o > 0) opts then begin
+            let table =
+              match
+                List.find_opt
+                  (fun (g, f, _) -> g = grid && f = forloop)
+                  !tables
+              with
+              | Some (_, _, t) -> t
+              | None ->
+                  let t = Array.make (Array.fold_left ( * ) 1 radix) None in
+                  tables := (grid, forloop, t) :: !tables;
+                  t
+            in
+            (* every grid dim and loop dim must partition some input *)
+            let gfull = (1 lsl Array.length grid) - 1
+            and ffull = (1 lsl Array.length forloop) - 1 in
+            let idx = Array.make n 0 and more = ref true in
+            while !more do
+              let g = ref 0 and f = ref 0 and key = ref 0 in
+              for i = 0 to n - 1 do
+                let c = opts.(i).(idx.(i)) in
+                g := !g lor c.gmask;
+                f := !f lor c.fmask;
+                key := (!key * radix.(i)) + c.view
+              done;
+              if !g = gfull && !f = ffull then begin
+                let initers =
+                  Array.init n (fun i -> opts.(i).(idx.(i)).initer)
+                in
+                match table.(!key) with
+                | Some b -> push b initers
+                | None ->
+                    let b =
+                      {
+                        first = { grid; forloop; initers };
+                        ids = Array.init n (fun i -> opts.(i).(idx.(i)).view);
+                        ms = [| initers |];
+                        len = 1;
+                      }
+                    in
+                    table.(!key) <- Some b;
+                    order := b :: !order
+              end;
+              let i = ref (n - 1) in
+              while !i >= 0 && idx.(!i) = Array.length opts.(!i) - 1 do
+                idx.(!i) <- 0;
+                decr i
+              done;
+              if !i < 0 then more := false else idx.(!i) <- idx.(!i) + 1
+            done
+          end)
         cfg.Config.forloop_candidates)
-    cfg.Config.grid_candidates
-  |> group_classes
-
+    cfg.Config.grid_candidates;
+  List.rev_map
+    (fun b ->
+      {
+        rep = b.first;
+        members = Array.sub b.ms 0 b.len;
+        views = b.ids;
+      })
+    !order
 
 (* ------------------------------------------------------------------ *)
 (* The block level                                                      *)
@@ -178,63 +226,47 @@ let tally (cfg : Config.t) stats =
     Tally.
       [ Shape; Memory; Duplicate; Pruned; Canonical; Phase; Dangling; Unreachable ]
 
-(* What every root class of one search shares, made once per search:
-   the spec's inputs (shape, name and normal form) and output shapes. *)
+(* One (grid, for-loop) pair's part of a search, made once: the level's
+   engine, each input's views as interned values (by view id), and the
+   completion of a class's members. *)
+type pair = {
+  engine : (Graph.block_op, phase, own) Prefix.engine;
+  values : value array array;
+  complete :
+    emit -> (Dmap.imap * Dmap.fmap) array array -> Tally.t -> state -> unit;
+}
+
+(* What every root class of one search shares: one [pair] per (grid,
+   for-loop) pair of the config. *)
 type search = {
-  cfg : Config.t;
+  pairs : (int array * int array * pair) list;
   limits : Memory.limits;
+}
+
+(* The spec's part of a search, which every pair reads. *)
+type spec_info = {
+  cfg : Config.t;
   out_shapes : Shape.t list;
   input_shapes : Shape.t list;
   input_names : string list;
   input_nfs : Absexpr.Nf.t array;
 }
 
-let prepare cfg ~spec ~limits =
-  let input_names = Graph.input_names spec in
-  {
-    cfg;
-    limits;
-    out_shapes = Infer.output_shapes spec;
-    input_shapes = Graph.input_shapes spec;
-    input_names;
-    input_nfs = Array.of_list (List.map Absexpr.Nf.nf_var input_names);
-  }
+let initer input (imap, fmap) =
+  { Graph.bop = Graph.B_initer { input; imap; fmap }; bins = [] }
 
-let search_root
-    { cfg; limits; out_shapes; input_shapes; input_names; input_nfs }
-    ~memo ~budget ?spawn ~(emit : emit) cls =
-  let root = cls.rep in
+let pair { cfg; out_shapes; input_shapes; input_names; input_nfs } ~limits
+    ~values ~memo ~budget ~grid ~forloop =
   let n_inputs = Array.length input_nfs in
   let elt_bytes = limits.Memory.elt_bytes in
   let smem_limit = limits.Memory.smem_bytes_per_block in
-  let iters = Array.fold_left ( * ) 1 root.forloop in
+  let iters = Array.fold_left ( * ) 1 forloop in
   let has_loop = iters > 1 in
-  let initer input (imap, fmap) =
-    { Graph.bop = Graph.B_initer { input; imap; fmap }; bins = [] }
-  in
-  (* One input iterator per spec input, the representative's. *)
-  let inputs =
-    List.mapi
-      (fun i shape ->
-        let tile, phase =
-          initer_view ~grid:root.grid ~forloop:root.forloop shape
-            root.initers.(i)
-        in
-        {
-          Prefix.op = (initer i root.initers.(i)).Graph.bop;
-          ins = [];
-          value = Prefix.value tile input_nfs.(i) phase;
-        })
-      input_shapes
-  in
   let bytes (v : value) = v.numel * elt_bytes in
-  let smem0 =
-    List.fold_left (fun a (e : entry) -> a + bytes e.value) 0 inputs
-  in
   (* omaps reconstructing [target] from per-block [shape]. *)
   let omaps_for shape target =
     let rank = Shape.rank shape in
-    let n_grid = Array.length root.grid in
+    let n_grid = Array.length grid in
     let rec assign k used =
       if k = n_grid then [ [] ]
       else
@@ -249,14 +281,14 @@ let search_root
            let omap = Array.of_list om in
            if
              Shape.rank shape = Shape.rank target
-             && Shape.equal (Dmap.scaled_shape omap ~grid:root.grid shape)
-                  target
+             && Shape.equal (Dmap.scaled_shape omap ~grid shape) target
            then Some omap
            else None)
   in
   let initers_mask = (1 lsl n_inputs) - 1 in
-  (* Emit complete candidates from the current prefix. *)
-  let complete tl (st : state) =
+  (* Emit complete candidates from the current prefix, one graph per
+     member and output selection. *)
+  let complete (emit : emit) members tl (st : state) =
     (* candidate entries per spec output *)
     let per_output =
       List.mapi
@@ -314,8 +346,8 @@ let search_root
             (fun saver ->
               let bg =
                 {
-                  Graph.grid = root.grid;
-                  forloop = root.forloop;
+                  Graph.grid;
+                  forloop;
                   bnodes = Array.concat [ initers; body; saver ];
                 }
               in
@@ -337,7 +369,7 @@ let search_root
           if !emitted then Tally.candidate tl)
         (* each member's input-iterator nodes, the only part of an
            emitted graph that differs between members *)
-        (Array.map (Array.mapi initer) cls.members)
+        (Array.map (Array.mapi initer) members)
     end
   in
   let n_outputs = List.length out_shapes in
@@ -380,8 +412,8 @@ let search_root
           (fun l t ->
             match t with
             | Dmap.Dim d ->
-                shape := Shape.scale_dim !shape ~dim:d ~times:root.forloop.(l);
-                summed := !summed / root.forloop.(l)
+                shape := Shape.scale_dim !shape ~dim:d ~times:forloop.(l);
+                summed := !summed / forloop.(l)
             | Dmap.Replica -> ())
           fmap;
         Ok (Prefix.value !shape (Absexpr.Nf.nf_sum !summed x.nf) Post)
@@ -392,7 +424,7 @@ let search_root
   let scope =
     let rec index i = function
       | [] -> i
-      | f :: rest -> if f = root.forloop then i else index (i + 1) rest
+      | f :: rest -> if f = forloop then i else index (i + 1) rest
     in
     index 0 cfg.Config.forloop_candidates
   in
@@ -401,7 +433,7 @@ let search_root
   let along l d =
     Array.mapi
       (fun l' _ -> if l' = l then Dmap.Dim d else Dmap.Replica)
-      root.forloop
+      forloop
   in
   let accumulators (v : value) =
     if not (has_loop && v.attrs = Body) then []
@@ -411,18 +443,17 @@ let search_root
         else
           List.concat_map
             (fun l -> List.init (Shape.rank v.shape) (along l))
-            (List.init (Array.length root.forloop) Fun.id)
+            (List.init (Array.length forloop) Fun.id)
       in
       List.map
         (fun fmap -> Graph.B_accum { fmap })
-        (Array.make (Array.length root.forloop) Dmap.Replica :: concat)
+        (Array.make (Array.length forloop) Dmap.Replica :: concat)
   in
   let level =
     {
       Prefix.name = "block";
       fault = "enum.block";
       max_ops = cfg.Config.max_block_ops;
-      weight = Array.length cls.members;
       rank_first = false;
       menu = cfg.Config.block_op_menu;
       prim = (fun p -> Graph.B_prim p);
@@ -441,9 +472,70 @@ let search_root
             ("smem_limit", Obs.Jsonw.Int smem_limit);
           ]);
       child;
-      complete;
     }
   in
-  if smem0 <= smem_limit then
-    Prefix.search level cfg ~memo ~budget ?spawn inputs
+  (* each input's views, interned once for every class of the pair *)
+  let values =
+    Array.of_list
+      (List.mapi
+         (fun i shape ->
+           Array.map
+             (fun (tile, phase) ->
+               Prefix.intern values (Prefix.value tile input_nfs.(i) phase))
+             (snd (choices ~grid ~forloop shape)))
+         input_shapes)
+  in
+  { engine = Prefix.engine level cfg ~memo ~budget; values; complete }
+
+let prepare (cfg : Config.t) ~spec ~limits ~values ~memo ~budget =
+  let input_names = Graph.input_names spec in
+  let info =
+    {
+      cfg;
+      out_shapes = Infer.output_shapes spec;
+      input_shapes = Graph.input_shapes spec;
+      input_names;
+      input_nfs = Array.of_list (List.map Absexpr.Nf.nf_var input_names);
+    }
+  in
+  {
+    pairs =
+      List.concat_map
+        (fun grid ->
+          List.map
+            (fun forloop ->
+              ( grid,
+                forloop,
+                pair info ~limits ~values ~memo ~budget ~grid ~forloop ))
+            cfg.Config.forloop_candidates)
+        cfg.Config.grid_candidates;
+    limits;
+  }
+
+let search_root s ?spawn ~(emit : emit) cls =
+  let root = cls.rep in
+  let _, _, p =
+    List.find (fun (g, f, _) -> g = root.grid && f = root.forloop) s.pairs
+  in
+  (* One input iterator per spec input, the representative's, with its
+     view's interned value. *)
+  let inputs =
+    Array.mapi
+      (fun i v ->
+        {
+          Prefix.op = (initer i root.initers.(i)).Graph.bop;
+          ins = [];
+          value = p.values.(i).(v);
+        })
+      cls.views
+  in
+  let smem0 =
+    Array.fold_left
+      (fun a (e : entry) -> a + (e.value.numel * s.limits.Memory.elt_bytes))
+      0 inputs
+  in
+  if smem0 <= s.limits.Memory.smem_bytes_per_block then
+    Prefix.run p.engine ?spawn ~weight:(Array.length cls.members)
+      ~complete:(p.complete emit cls.members)
+      inputs
       { smem = smem0; consumed = 0 }

@@ -34,8 +34,11 @@
     enumeration order, counting one candidate per member that emitted a
     graph. The emitted set and every count are the per-root search's.
     The class key and the initial state come from the same function, so
-    they cannot drift apart. Solver queries count real queries, once per
-    distinct value per worker (see {!Prefix}).
+    they cannot drift apart. {!prepare} makes, once per search and
+    (grid, for-loop) pair, the level's {!Prefix.engine} and each input
+    view's interned value, so a class's search starts from its views'
+    values with no set-up of its own. Solver queries count real
+    queries, once per distinct value per worker (see {!Prefix}).
 
     {b Memo scope.} [make] and the accumulators read the root's for-loop
     and nothing else of it, so a search's memo scope is its for-loop's
@@ -55,6 +58,10 @@ type root_class = {
   members : (Dmap.imap * Dmap.fmap) array array;
       (** every member's input iterators in enumeration order,
           [rep.initers] first *)
+  views : int array;
+      (** per input, the number of the class's (tile, phase) among that
+          input's distinct views for the class's grid and for-loop, first
+          seen first numbered *)
 }
 
 val enumerate_roots :
@@ -63,7 +70,16 @@ val enumerate_roots :
     candidate lists — every grid and for-loop dimension must partition at
     least one input — grouped into root classes, in order of each
     class's first member. Flattening the classes' members gives every
-    valid root exactly once. *)
+    valid root exactly once.
+
+    Per (grid, for-loop) pair, in the config's order, each input's valid
+    (imap, fmap) options are listed once (imap-major) with their view
+    numbers and the grid and loop dims they partition as bitmasks; the
+    product of the inputs' options is walked with an index array, the
+    first input slowest, a root is kept when the OR of its options'
+    masks covers every dim, and its class within the pair is the
+    mixed-radix number of its view ids. Two pairs never share a class
+    (a repeated pair fills the classes of its first occurrence). *)
 
 type emit = Graph.kernel_graph -> unit
 
@@ -77,23 +93,27 @@ val tally : Config.t -> Stats.t -> Tally.level
 
 type search
 (** What every root class of one search shares, made once per search:
-    the spec's output shapes. Which entry's value equals which output
-    is its goal mask ({!Prefix.value}). *)
+    per (grid, for-loop) pair of the config, the level's {!Prefix.engine}
+    and every input view's interned value. Which entry's value equals
+    which output is its goal mask ({!Prefix.value}). *)
 
 val prepare :
-  Config.t -> spec:Graph.kernel_graph -> limits:Memory.limits -> search
-
-val search_root :
-  search ->
+  Config.t ->
+  spec:Graph.kernel_graph ->
+  limits:Memory.limits ->
+  values:phase Prefix.values ->
   memo:(unit -> (Graph.block_op, phase) Prefix.memo) ->
   budget:Obs.Budget.t ->
-  ?spawn:((unit -> unit) -> bool) ->
-  emit:emit ->
-  root_class ->
-  unit
-(** Depth-first expansion of one root class through {!Prefix.search}
-    (see there for [memo] and [spawn]), emitting the graphs of every
-    member. [memo]'s value table masks against the spec's outputs
-    ({!Prefix.spec_goals}). [emit] receives complete, validated
+  search
+(** [prepare cfg ~spec ~limits ~values ~memo ~budget]: the block level
+    of one search. [values] is the table every worker's memo ([memo ()],
+    see {!Prefix.run}) interns into, masked against the spec's outputs
+    ({!Prefix.spec_goals}). *)
+
+val search_root :
+  search -> ?spawn:((unit -> unit) -> bool) -> emit:emit -> root_class -> unit
+(** Depth-first expansion of one root class of the prepared search's
+    config through {!Prefix.run} (see there for [spawn]), emitting the
+    graphs of every member. [emit] receives complete, validated
     candidates (not yet verified).
     @raise Prefix.Budget_exhausted on budget exhaustion. *)

@@ -195,7 +195,7 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
      every worker serializing on one table mutex. *)
   let shards =
     Array.init n_shards (fun _ ->
-        (Mutex.create (), Hashtbl.create 64, ref []))
+        (Mutex.create (), Hashtbl.create 16, ref []))
   in
   (* Graph-level candidate ids share the journal's id counter with the
      per-extension ids, so `explain` resolves either kind. When the
@@ -288,20 +288,35 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
   let workers = max 1 cfg.Config.num_workers in
   let pool = Deque.Pool.create ~registry:reg ~workers () in
   (match on_pool with Some f -> f pool | None -> ());
-  (* One solver front per worker, resolved before any worker runs, and
-     beside it the worker's extension memo for each level, over the
-     level's value table, with the worker's funnel buffer for the level;
-     a subtree picks its executing worker's memo when it starts. Tables
-     and memos die with this call. *)
-  let fronts = Array.init workers (Smtlite.Solver.front solver) in
-  let kmemos =
-    Array.map (Prefix.memo kvalues (Kernel_enum.tally cfg stats)) fronts
+  (* A lane's solver front, and beside it the lane's extension memo for
+     each level, over the level's value table, with the lane's funnel
+     buffer for the level, are made by the lane the first time it
+     needs them, so a lane that never starts costs nothing; a subtree
+     picks its executing lane's memo when it starts. Only the lane
+     writes its slots, and this domain reads them after the lanes join.
+     Tables and memos die with this call. *)
+  let ktally = Kernel_enum.tally cfg stats
+  and btally = Block_enum.tally cfg stats in
+  let kmemos = Array.make workers None and bmemos = Array.make workers None in
+  let memo_of memos values tally i =
+    match memos.(i) with
+    | Some m -> m
+    | None ->
+        let m = Prefix.memo values tally (Smtlite.Solver.front solver i) in
+        memos.(i) <- Some m;
+        m
   in
-  let bmemos =
-    Array.map (Prefix.memo bvalues (Block_enum.tally cfg stats)) fronts
-  in
-  let blocks = Block_enum.prepare cfg ~spec ~limits in
   let self () = Option.get (Deque.Pool.self pool) in
+  (* The block level's engines and interned input views, made only for
+     a search that has root classes. *)
+  let blocks =
+    if classes = [] then None
+    else
+      Some
+        (Block_enum.prepare cfg ~spec ~limits ~values:bvalues
+           ~memo:(fun () -> memo_of bmemos bvalues btally (self ()))
+           ~budget)
+  in
   (* Lane 0 polls between pool items and at every subtree offer, the
      safe points where starting the helpers cannot split an item. *)
   let lanes = Lanes.create workers in
@@ -359,7 +374,9 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
      this one counted. Continuations count on into whichever buffer
      their worker holds; those drain after the lanes join. *)
   let drained memos f =
-    Fun.protect ~finally:(fun () -> Prefix.flush memos.(self ())) f
+    Fun.protect
+      ~finally:(fun () -> Option.iter Prefix.flush memos.(self ()))
+      f
   in
   let root_item i () =
     Fun.protect
@@ -371,14 +388,14 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
                 Obs.Profile.with_phase "task.kernel" (fun () ->
                     drained kmemos (fun () ->
                         Kernel_enum.search cfg ~spec
-                          ~memo:(fun () -> kmemos.(self ()))
+                          ~memo:(fun () ->
+                            memo_of kmemos kvalues ktally (self ()))
                           ~limits ~budget ~spawn:(spawn_for i) ~emit ()))
             | T_class cls ->
                 Obs.Profile.with_phase "task.root" (fun () ->
                     drained bmemos (fun () ->
-                        Block_enum.search_root blocks
-                          ~memo:(fun () -> bmemos.(self ()))
-                          ~budget ~spawn:(spawn_for i) ~emit cls))))
+                        Block_enum.search_root (Option.get blocks)
+                          ~spawn:(spawn_for i) ~emit cls))))
   in
   for i = 0 to n_tasks - 1 do
     if not skip.(i) then begin
@@ -407,8 +424,8 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
   | [] -> ());
   (* Every lane has joined: drain what continuations counted after the
      last root item on their worker. *)
-  Array.iter Prefix.flush kmemos;
-  Array.iter Prefix.flush bmemos;
+  Array.iter (Option.iter Prefix.flush) kmemos;
+  Array.iter (Option.iter Prefix.flush) bmemos;
   Obs.Metrics.add c_spawned (Deque.Pool.spawned pool);
   Obs.Metrics.add c_steals (Deque.Pool.steals pool);
   Obs.Metrics.add c_lanes (Lanes.started lanes);

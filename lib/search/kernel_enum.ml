@@ -55,7 +55,6 @@ let search (cfg : Config.t) ~spec ~memo ~limits ~budget ?spawn ~emit () =
       Prefix.name = "kernel";
       fault = "enum.kernel";
       max_ops = cfg.Config.max_kernel_ops;
-      weight = 1;
       rank_first = true;
       menu = cfg.Config.kernel_op_menu;
       prim = (fun p -> Graph.K_prim p);
@@ -67,11 +66,11 @@ let search (cfg : Config.t) ~spec ~memo ~limits ~budget ?spawn ~emit () =
       admit = (fun _ _ -> None);
       admit_fields = (fun _ _ -> []);
       child = (fun _ _ _ -> Ok ());
-      complete;
     }
   in
   let inputs =
-    List.map2
+    Array.of_list
+    @@ List.map2
       (fun name shape ->
         {
           Prefix.op = Graph.K_input { name; shape };
@@ -81,4 +80,6 @@ let search (cfg : Config.t) ~spec ~memo ~limits ~budget ?spawn ~emit () =
         })
       (Graph.input_names spec) (Graph.input_shapes spec)
   in
-  Prefix.search level cfg ~memo ~budget ?spawn inputs ()
+  Prefix.run
+    (Prefix.engine level cfg ~memo ~budget)
+    ?spawn ~weight:1 ~complete inputs ()

@@ -32,6 +32,6 @@ val search :
   unit ->
   unit
 (** Every kernel graph of at most [max_kernel_ops] operators, through
-    {!Prefix.search} (see there for [memo] and [spawn]). [memo]'s value
+    {!Prefix.run} (see there for [memo] and [spawn]). [memo]'s value
     table masks against [spec]'s outputs ({!Prefix.spec_goals}).
     @raise Prefix.Budget_exhausted on budget exhaustion. *)

@@ -67,7 +67,6 @@ type ('o, 'a, 's) level = {
   name : string;
   fault : string;
   max_ops : int;
-  weight : int;
   rank_first : bool;
   menu : Op.prim list;
   prim : Op.prim -> 'o;
@@ -79,7 +78,6 @@ type ('o, 'a, 's) level = {
   admit_fields :
     ('o, 'a, 's) state -> 'a value -> (string * Obs.Jsonw.t) list;
   child : ('o, 'a, 's) state -> int -> 'a value -> ('s, Tally.reason) result;
-  complete : Tally.t -> ('o, 'a, 's) state -> unit;
 }
 
 module Nf = Absexpr.Nf
@@ -264,7 +262,7 @@ let values outputs =
          (List.length outputs) max_outputs);
   {
     lock = Mutex.create ();
-    by_nf = Absexpr.Nf.Tbl.create 1024;
+    by_nf = Absexpr.Nf.Tbl.create 16;
     next = 0;
     outputs = Array.of_list outputs;
     dist = distance_of outputs;
@@ -329,7 +327,7 @@ let memo values tally front =
   {
     values;
     scopes = Int_tbl.create 4;
-    verdicts = Bytes.make 1024 '\000';
+    verdicts = Bytes.make 64 '\000';
     counts = Tally.acc tally front;
   }
 
@@ -339,7 +337,7 @@ let scope_cells m scope =
   match Int_tbl.find_opt m.scopes scope with
   | Some cells -> cells
   | None ->
-      let cells = Int_tbl.create 4096 in
+      let cells = Int_tbl.create 16 in
       Int_tbl.add m.scopes scope cells;
       cells
 
@@ -435,30 +433,52 @@ let rec recomputes entries i v =
 
 let spec_goals spec = List.map Absexpr.Nf.of_expr (Abstract.output_exprs spec)
 
-let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
-    ?(spawn = fun _ -> false) inputs own =
-  (* Flight recorder, resolved once per search: every visited try gets a
+(* What one run adds to an engine: the roots each try stands for (and
+   its journal field), what a complete prefix emits, the pool's spawn,
+   and the depth from which the goal-distance cut is asked. *)
+type ('o, 'a, 's) run = {
+  weight : int;
+  jroots : (string * Obs.Jsonw.t) list;
+  complete : Tally.t -> ('o, 'a, 's) state -> unit;
+  spawn : (unit -> unit) -> bool;
+  reach_from : int;
+}
+
+(* One subtree on the worker that runs it: its funnel view, that
+   worker's memo and cells, and its run. *)
+type ('o, 'a, 's) ctx = {
+  tl : Tally.t;
+  m : ('o, 'a) memo;
+  by_key : ('o, 'a) cell Int_tbl.t;  (* [m]'s cells of the level's scope *)
+  run : ('o, 'a, 's) run;
+}
+
+type ('o, 'a, 's) engine = {
+  lv : ('o, 'a, 's) level;
+  memo : unit -> ('o, 'a) memo;
+  cut : bool;
+  subtree : ('o, 'a, 's) run -> ('o, 'a, 's) state -> unit;
+}
+
+let engine (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget =
+  (* Flight recorder, resolved once per engine: every visited try gets a
      candidate id and an expand event, every rejection names its reason,
      the tries counted in bulk share one event per prefix and reason
-     (["tries"]), and each event of a search standing for k > 1 roots
-     says so. One atomic load per search when journaling is off, and no
-     Jsonw values are built on the [None] path. *)
+     (["tries"]), and each event of a run standing for k > 1 roots says
+     so. No Jsonw values are built on the [None] path. *)
   let journal = Obs.Journal.active () in
-  let jroots =
-    if lv.weight > 1 then [ ("roots", Obs.Jsonw.Int lv.weight) ] else []
-  in
   (* level and depth first, then the event's own fields, then roots *)
-  let jemit j ~cand typ ~depth fields =
+  let jemit c j ~cand typ ~depth fields =
     Obs.Journal.emit j ~cand ~typ
       ((("level", Obs.Jsonw.Str lv.name) :: ("depth", Obs.Jsonw.Int depth)
        :: fields)
-      @ jroots)
+      @ c.run.jroots)
   in
-  let jexpand ~depth op a b =
+  let jexpand c ~depth op a b =
     match journal with
     | Some j ->
         let cand = Obs.Journal.fresh_id j in
-        jemit j ~cand "cand.expand" ~depth
+        jemit c j ~cand "cand.expand" ~depth
           [
             ("op", Obs.Jsonw.Str (lv.op_name op));
             ( "ins",
@@ -468,30 +488,30 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
         cand
     | None -> -1
   in
-  let jaccept ~depth cand (e : ('o, 'a) entry) =
+  let jaccept c ~depth cand (e : ('o, 'a) entry) =
     match journal with
     | Some j ->
-        jemit j ~cand "cand.accept" ~depth
+        jemit c j ~cand "cand.accept" ~depth
           [
             ("shape", Obs.Jsonw.Str (Shape.to_string e.value.shape));
             ("expr", Obs.Jsonw.Str (Absexpr.Nf.to_string e.value.nf));
           ]
     | None -> ()
   in
-  let reject tl ~depth cand reason fields =
-    Tally.reject tl reason ~depth;
+  let reject c ~depth cand reason fields =
+    Tally.reject c.tl reason ~depth;
     match journal with
     | Some j ->
-        jemit j ~cand "cand.reject" ~depth
+        jemit c j ~cand "cand.reject" ~depth
           (("reason", Obs.Jsonw.Str (Tally.reason_name reason)) :: fields)
     | None -> ()
   in
-  let reject_bulk tl ~depth reason n =
+  let reject_bulk c ~depth reason n =
     if n > 0 then begin
-      Tally.reject_n tl reason ~depth n;
+      Tally.reject_n c.tl reason ~depth n;
       match journal with
       | Some j ->
-          jemit j ~cand:(Obs.Journal.fresh_id j) "cand.reject" ~depth
+          jemit c j ~cand:(Obs.Journal.fresh_id j) "cand.reject" ~depth
             [
               ("reason", Obs.Jsonw.Str (Tally.reason_name reason));
               ("tries", Obs.Jsonw.Int n);
@@ -536,39 +556,19 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
   let pruned_fields v =
     match journal with Some _ -> Prune.journal_fields v.nf | None -> []
   in
-  (* The inputs, interned, and the goal distance from the level's value
-     table. The distance never grows down a path, so the tries of a
-     prefix shallower than [reach_from] (of every prefix, with the cut
-     off) cannot be cut, and their distance is not asked. *)
-  if List.length inputs + lv.max_ops > rank_limit then
-    invalid_arg
-      (Printf.sprintf "Prefix.search: %d inputs and %d ops exceed %d entries"
-         (List.length inputs) lv.max_ops rank_limit);
-  let values = (memo ()).values in
-  let entries =
-    Mutex.protect values.lock (fun () ->
-        Array.of_list
-          (List.map
-             (fun (e : ('o, 'a) entry) ->
-               { e with value = intern_locked values e.value })
-             inputs))
-  in
-  let dist = values.dist in
-  let reach = Array.fold_left (fun r e -> r lor e.value.reach) 0 entries in
-  let cut = cuts cfg lv.menu in
-  let reach_from = if cut then lv.max_ops - bound dist reach else max_int in
-  let unreachable_fields st reach =
+  let unreachable_fields c st reach =
     match journal with
     | Some _ ->
         [
-          ("distance", Obs.Jsonw.Int (bound dist reach));
+          ("distance", Obs.Jsonw.Int (bound c.m.values.dist reach));
           ("ops_left", Obs.Jsonw.Int (lv.max_ops - st.ops - 1));
         ]
     | None -> []
   in
   (* The prune verdict of a value, asked through the worker's front the
      first time the worker meets the value. *)
-  let pruned tl m v =
+  let pruned c v =
+    let m = c.m in
     let n = Bytes.length m.verdicts in
     if v.id >= n then begin
       let grown = Bytes.make (2 * max (v.id + 1) n) '\000' in
@@ -580,28 +580,28 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
     | 'k' -> false
     | _ ->
         let p =
-          Obs.Profile.timed (Tally.timer tl) (fun () ->
-              Prune.check cfg ~front:(Tally.front tl) v.nf)
+          Obs.Profile.timed (Tally.timer c.tl) (fun () ->
+              Prune.check cfg ~front:(Tally.front c.tl) v.nf)
         in
         Bytes.set m.verdicts v.id (if p then 'p' else 'k');
         p
   in
   (* The checks later entries cannot overturn, run once at birth. *)
-  let judge tl m st v =
+  let judge c st v =
     if recomputes st.entries 0 v then v_duplicate
     else
       match lv.admit st v with
       | Some r -> v_refused r
-      | None -> if pruned tl m v then v_pruned else v_alive
+      | None -> if pruned c v then v_pruned else v_alive
   in
   let pair_ordered = List.map lv.prim (pair_ops lv.menu ~ordered:true) in
   let pair_unordered = List.map lv.prim (pair_ops lv.menu ~ordered:false) in
   (* A cell's ops and made values, from the worker's memo or, the first
      time the worker meets its key, made and interned. *)
-  let cell m cells kind st a b =
+  let cell c kind st a b =
     let key = key kind a b st.entries in
-    match Int_tbl.find cells key with
-    | c -> c
+    match Int_tbl.find c.by_key key with
+    | cl -> cl
     | exception Not_found ->
         let vs = List.map (fun i -> st.entries.(i).value) (ins_list a b) in
         let ops =
@@ -612,15 +612,16 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
           | Extra -> lv.extra (List.hd vs)
         in
         let made = List.map (fun op -> (op, lv.make op vs)) ops in
-        let c =
-          Mutex.protect m.values.lock (fun () ->
+        let values = c.m.values in
+        let cl =
+          Mutex.protect values.lock (fun () ->
               Array.of_list
                 (List.map
-                   (fun (op, r) -> (op, Result.map (intern_locked m.values) r))
+                   (fun (op, r) -> (op, Result.map (intern_locked values) r))
                    made))
         in
-        Int_tbl.add cells key c;
-        c
+        Int_tbl.add c.by_key key cl;
+        cl
   in
   let canonical = Tally.index Tally.Canonical in
   (* The bundle of entry [k], made at prefix [st] after a table of
@@ -629,17 +630,17 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
      judged before rank, or a rank below the prefix's (the last rank
      never decreases down a path). The others keep the verdict of the
      checks a later entry cannot overturn. *)
-  let make_bundle tl m cells st k ~tries ~lives ~dead =
+  let make_bundle c st k ~tries ~lives ~dead =
     let n = (2 * k) + 3 in
     let cs = Array.make n [||] in
-    cs.(0) <- cell m cells Unary st k (-1);
+    cs.(0) <- cell c Unary st k (-1);
     for i = 0 to k do
-      cs.(1 + i) <- cell m cells Col st i k
+      cs.(1 + i) <- cell c Col st i k
     done;
     for j = 0 to k - 1 do
-      cs.(k + 2 + j) <- cell m cells Row st k j
+      cs.(k + 2 + j) <- cell c Row st k j
     done;
-    cs.(n - 1) <- cell m cells Extra st k (-1);
+    cs.(n - 1) <- cell c Extra st k (-1);
     let offs = Array.make (n + 1) 0 in
     for s = 0 to n - 1 do
       offs.(s + 1) <- offs.(s) + Array.length cs.(s)
@@ -649,10 +650,10 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
     let dead = Array.copy dead in
     for s = 0 to n - 1 do
       let r = rank2 (slot_a k s) (slot_b k s) in
-      let c = cs.(s) in
+      let cl = cs.(s) in
       let alive = ref 0 in
-      for t = 0 to Array.length c - 1 do
-        let op, made = c.(t) in
+      for t = 0 to Array.length cl - 1 do
+        let op, made = cl.(t) in
         let v =
           match made with
           | Error reason when not lv.rank_first ->
@@ -663,7 +664,7 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
               dead.(canonical) <- dead.(canonical) + 1;
               v_dead
           | Error _ -> v_unfit
-          | Ok v -> judge tl m st v
+          | Ok v -> judge c st v
         in
         if v <> v_dead then incr alive;
         Bytes.unsafe_set verdicts (offs.(s) + t) (Char.unsafe_chr v)
@@ -683,25 +684,24 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
   in
   (* The prefix's table: its parent's plus a bundle for each newer
      entry (one, below the root). *)
-  let grow tl m cells st =
+  let grow c st =
     let count = Array.length st.entries and known = Array.length st.table in
     if known = count then st.table
     else
       let b0 =
         if known = 0 then
-          make_bundle tl m cells st 0 ~tries:0 ~lives:0
+          make_bundle c st 0 ~tries:0 ~lives:0
             ~dead:(Array.make Tally.n_reasons 0)
         else
           let p = st.table.(known - 1) in
-          make_bundle tl m cells st known ~tries:p.tries ~lives:p.lives
-            ~dead:p.dead
+          make_bundle c st known ~tries:p.tries ~lives:p.lives ~dead:p.dead
       in
       let table = Array.make count b0 in
       Array.blit st.table 0 table 0 known;
       for k = known + 1 to count - 1 do
         let p = table.(k - 1) in
         table.(k) <-
-          make_bundle tl m cells st k ~tries:p.tries ~lives:p.lives ~dead:p.dead
+          make_bundle c st k ~tries:p.tries ~lives:p.lives ~dead:p.dead
       done;
       table
   in
@@ -709,49 +709,53 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
      inputs [a] and [b] and packed rank [r] not below the prefix's (only
      a slot of the prefix's own rank compares operators), each failing
      one check or kept; the kept children are consed onto [kept]. *)
-  let visit_slot tl st table ~depth kept k s a b r =
+  let visit_slot c st table ~depth kept k s a b r =
     let bd = table.(k) in
-    let c = bd.cells.(s) and off = bd.offs.(s) in
+    let cl = bd.cells.(s) and off = bd.offs.(s) in
     let kept = ref kept in
     if bd.live.(s) > 0 then
-      for t = 0 to Array.length c - 1 do
+      for t = 0 to Array.length cl - 1 do
         let v = Char.code (Bytes.unsafe_get bd.verdicts (off + t)) in
         if v <> v_dead then begin
-          let op, made = c.(t) in
-          let cand = jexpand ~depth op a b in
-          if before st r op then
-            reject tl ~depth cand Tally.Canonical []
+          let op, made = cl.(t) in
+          let cand = jexpand c ~depth op a b in
+          if before st r op then reject c ~depth cand Tally.Canonical []
           else
             match made with
-            | Error reason -> reject tl ~depth cand reason (unfit_fields st a b reason)
-            | Ok _ when v = v_duplicate -> reject tl ~depth cand Tally.Duplicate []
+            | Error reason ->
+                reject c ~depth cand reason (unfit_fields st a b reason)
+            | Ok _ when v = v_duplicate ->
+                reject c ~depth cand Tally.Duplicate []
             | Ok x when recomputes st.entries bd.born x ->
-                reject tl ~depth cand Tally.Duplicate []
+                reject c ~depth cand Tally.Duplicate []
             | Ok x when v >= 8 ->
-                reject tl ~depth cand (Tally.of_index (v - 8)) (admit_fields st x)
+                reject c ~depth cand
+                  (Tally.of_index (v - 8))
+                  (admit_fields st x)
             | Ok x -> (
                 match lv.admit st x with
-                | Some reason -> reject tl ~depth cand reason (admit_fields st x)
+                | Some reason -> reject c ~depth cand reason (admit_fields st x)
                 | None when v = v_pruned ->
-                    reject tl ~depth cand Tally.Pruned (pruned_fields x)
+                    reject c ~depth cand Tally.Pruned (pruned_fields x)
                 | None -> (
                     let reads =
                       (1 lsl a) lor if b < 0 then 0 else 1 lsl b
                     in
                     match lv.child st reads x with
-                    | Error reason -> reject tl ~depth cand reason []
+                    | Error reason -> reject c ~depth cand reason []
                     | Ok _
-                      when st.ops >= reach_from
-                           && st.ops + 1 + bound dist (st.reach lor x.reach)
+                      when st.ops >= c.run.reach_from
+                           && st.ops + 1
+                              + bound c.m.values.dist (st.reach lor x.reach)
                               > lv.max_ops ->
-                        reject tl ~depth cand Tally.Unreachable
-                          (unreachable_fields st (st.reach lor x.reach))
+                        reject c ~depth cand Tally.Unreachable
+                          (unreachable_fields c st (st.reach lor x.reach))
                     | Ok own ->
                         let count = Array.length st.entries in
                         let e = { op; ins = ins_list a b; value = x } in
                         let entries = Array.make (count + 1) e in
                         Array.blit st.entries 0 entries 0 count;
-                        jaccept ~depth cand e;
+                        jaccept c ~depth cand e;
                         kept :=
                           {
                             entries;
@@ -774,15 +778,16 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
      lies below the prefix's (all of the rows before the last
      operator's first input [l], and some slots of row [l]), are
      counted in bulk; the rest are visited one by one. *)
-  let rec extend tl m cells st =
-    budget_check tl;
-    if st.reach land dist.outputs = dist.outputs then lv.complete tl st;
+  let rec extend c st =
+    budget_check c.tl;
+    let dist = c.m.values.dist in
+    if st.reach land dist.outputs = dist.outputs then c.run.complete c.tl st;
     if st.ops < lv.max_ops then begin
       let depth = st.ops in
       let count = Array.length st.entries in
-      let table = grow tl m cells st in
+      let table = grow c st in
       let top = table.(count - 1) in
-      Tally.expand tl ~depth top.tries;
+      Tally.expand c.tl ~depth top.tries;
       (* the last operator's first input; -1 at the root *)
       let l = (st.rank lsr rank_bits) - 1 in
       (* the live tries of the rows before [l]: bundles [0 .. l-1], and
@@ -801,44 +806,79 @@ let search (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget
         let bi = table.(i) in
         let r1 = rank2 i (-1) in
         if r1 < st.rank then below := !below + bi.live.(0)
-        else kept := visit_slot tl st table ~depth !kept i 0 i (-1) r1;
+        else kept := visit_slot c st table ~depth !kept i 0 i (-1) r1;
         for j = 0 to count - 1 do
           let r = rank2 i j in
           if i <= j then
             if r < st.rank then below := !below + table.(j).live.(1 + i)
-            else kept := visit_slot tl st table ~depth !kept j (1 + i) i j r
+            else kept := visit_slot c st table ~depth !kept j (1 + i) i j r
           else if r < st.rank then below := !below + bi.live.(i + 2 + j)
-          else kept := visit_slot tl st table ~depth !kept i (i + 2 + j) i j r
+          else kept := visit_slot c st table ~depth !kept i (i + 2 + j) i j r
         done;
         if r1 < st.rank then below := !below + bi.live.((2 * i) + 2)
-        else kept := visit_slot tl st table ~depth !kept i ((2 * i) + 2) i (-1) r1
+        else
+          kept := visit_slot c st table ~depth !kept i ((2 * i) + 2) i (-1) r1
       done;
       for i = 0 to Tally.n_reasons - 1 do
-        reject_bulk tl ~depth (Tally.of_index i)
+        reject_bulk c ~depth (Tally.of_index i)
           (top.dead.(i) + if i = canonical then !below else 0)
       done;
-      descend tl m cells (List.rev !kept)
+      descend c (List.rev !kept)
     end
   (* The kept children in generation order. A shallow child roots a
      large subtree: it goes to the pool when a worker is hungry for
      work; otherwise, past the cutoff, and when fewer than two operator
      levels remain below it (one table of leaves, cheaper to search
      here than to hand over), it is searched here. *)
-  and descend tl m cells = function
+  and descend c = function
     | [] -> ()
     | st :: rest ->
         if
           st.ops > cfg.Config.steal_depth_cutoff
           || lv.max_ops - st.ops < 2
-          || not (spawn (fun () -> subtree st))
-        then extend tl m cells st;
-        descend tl m cells rest
+          || not (c.run.spawn (fun () -> subtree c.run st))
+        then extend c st;
+        descend c rest
   (* A subtree on the worker that runs it: that worker's memo, front
      and funnel buffer, and a prune-check timer that flushes under this
      task even when the budget cuts the DFS short. *)
-  and subtree st =
+  and subtree run st =
     let m = memo () in
-    Tally.run m.counts ~weight:lv.weight (fun tl ->
-        extend tl m (scope_cells m lv.scope) st)
+    Tally.run m.counts ~weight:run.weight (fun tl ->
+        extend { tl; m; by_key = scope_cells m lv.scope; run } st)
   in
-  subtree { entries; table = [||]; ops = 0; rank = 0; reach; own }
+  { lv; memo; cut = cuts cfg lv.menu; subtree }
+
+let intern t v = Mutex.protect t.lock (fun () -> intern_locked t v)
+
+let run e ?(spawn = fun _ -> false) ~weight ~complete inputs own =
+  (* The inputs, interned, and the goal distance from the level's value
+     table. The distance never grows down a path, so the tries of a
+     prefix shallower than [reach_from] (of every prefix, with the cut
+     off) cannot be cut, and their distance is not asked. *)
+  if Array.length inputs + e.lv.max_ops > rank_limit then
+    invalid_arg
+      (Printf.sprintf "Prefix.run: %d inputs and %d ops exceed %d entries"
+         (Array.length inputs) e.lv.max_ops rank_limit);
+  let values = (e.memo ()).values in
+  let entries =
+    if Array.for_all (fun (en : ('o, 'a) entry) -> en.value.id >= 0) inputs
+    then inputs
+    else
+      Mutex.protect values.lock (fun () ->
+          Array.map
+            (fun (en : ('o, 'a) entry) ->
+              if en.value.id >= 0 then en
+              else { en with value = intern_locked values en.value })
+            inputs)
+  in
+  let reach = Array.fold_left (fun r en -> r lor en.value.reach) 0 entries in
+  let reach_from =
+    if e.cut then e.lv.max_ops - bound values.dist reach else max_int
+  in
+  let jroots =
+    if weight > 1 then [ ("roots", Obs.Jsonw.Int weight) ] else []
+  in
+  e.subtree
+    { weight; jroots; complete; spawn; reach_from }
+    { entries; table = [||]; ops = 0; rank = 0; reach; own }

@@ -74,7 +74,7 @@
     of the normal form, so the value table answers it once per value,
     at interning, as a bitmask ([goals]). The value's reach mask (see
     "Goal distance") holds a bit per distinct output form too, and the
-    engine calls the level's [complete] only when the prefix's [reach]
+    engine calls a run's [complete] only when the prefix's [reach]
     has every output's; [complete] then tests a [goals] bit per
     operator entry and output.
 
@@ -103,7 +103,7 @@
     [ops + distance > max_ops] for the child it would make. A level
     whose inputs already fail it is skipped whole: the generator asks
     {!level_reachable} and does not enumerate its roots. A direct
-    {!search} of such a level cuts every try of its root.
+    {!run} of such a level cuts every try of its root.
 
     {e Soundness lemma.} Among {!Abstract.prim_nf}'s operators, only
     [Exp], [Sqrt] and [Silu] create an atom, one each ({!atoms_made});
@@ -169,7 +169,7 @@
     - a kernel rank's list holds tensor refs whose port is always 0,
       so it compares by node index, the same as the packed one.
     An index past the field raises instead of wrapping into the next,
-    so the order can never silently break; {!search} refuses a level
+    so the order can never silently break; {!run} refuses a level
     whose largest prefix would need one. The operator is compared
     (structurally, as before) only when the packed ints tie, so a
     try's rank check is one int compare and no rank is allocated.
@@ -185,7 +185,7 @@
     prune-check timer of its own, for less work than that costs.
 
     {b Counts} are per root: every try, rejection and prune-rule fire
-    counts the level's [weight] times (see {!Tally.run}), and journal events
+    counts the run's [weight] times (see {!Tally.run}), and journal events
     carry ["roots": weight] when [weight > 1]. A prefix counts its
     tries in one batch (the sum of its table's sizes) before judging
     the first. The tries it counts in bulk are journaled as one
@@ -253,9 +253,6 @@ type ('o, 'a, 's) level = {
           ["level"] field *)
   fault : string;  (** the {!Obs.Fault} probe tripped at every prefix *)
   max_ops : int;  (** operators per complete graph *)
-  weight : int;
-      (** roots each try stands for: 1, or the block level's root-class
-          size *)
   rank_first : bool;  (** the rank check precedes [make]'s *)
   menu : Op.prim list;  (** the primitive operators to instantiate *)
   prim : Op.prim -> 'o;
@@ -284,16 +281,13 @@ type ('o, 'a, 's) level = {
           set in [reads], or the reason a last check cuts the try (the
           block level's dangling-value bound). No entry is built for a
           try it cuts. *)
-  complete : Tally.t -> ('o, 'a, 's) state -> unit;
-      (** emit the candidates the prefix completes, counting them. Called
-          only for a prefix whose [reach] has every output's form *)
 }
 
 type 'a values
 (** One search's value table for one level: shared by its workers,
     locked only to intern the results of a memo miss. It computes each
     new value's goal mask once, with {!Absexpr.Nf.equal} against the
-    spec's outputs, so a level's [complete] tests a bit where it would
+    spec's outputs, so a run's [complete] tests a bit where it would
     compare normal forms. *)
 
 val values : Absexpr.Nf.t list -> 'a values
@@ -355,7 +349,7 @@ val memo : 'a values -> Tally.level -> Smtlite.Solver.front -> ('o, 'a) memo
 
 val flush : ('o, 'a) memo -> unit
 (** Drain the memo's funnel buffer into the registry ({!Tally.flush}).
-    {!search} never does: the memo's owner decides when. *)
+    {!run} never does: the memo's owner decides when. *)
 
 val rank_limit : int
 (** [63]: a packed rank holds entry indices [0 .. rank_limit - 1] (six
@@ -384,30 +378,54 @@ val spec_goals : Graph.kernel_graph -> Absexpr.Nf.t list
     it once. *)
 
 
-val search :
+type ('o, 'a, 's) engine
+(** A level's closures over one search's memos and budget, made once and
+    shared by every {!run} of the level on any domain: the visit loop,
+    the journal sites (the journal is resolved when the engine is made),
+    the prune site and the budget check. *)
+
+val engine :
   ('o, 'a, 's) level ->
   Config.t ->
   memo:(unit -> ('o, 'a) memo) ->
   budget:Obs.Budget.t ->
+  ('o, 'a, 's) engine
+(** [engine lv cfg ~memo ~budget]: the engine of level [lv]. [memo ()]
+    is the calling worker's memo; it is asked only when a run or a
+    subtree starts, so the engine can be made on a domain that is no
+    worker. *)
+
+val intern : 'a values -> 'a value -> 'a value
+(** The table's canonical record of the value (its id, goal and reach
+    masks), added on first sight; takes the table's lock. *)
+
+val run :
+  ('o, 'a, 's) engine ->
   ?spawn:((unit -> unit) -> bool) ->
-  ('o, 'a) entry list ->
+  weight:int ->
+  complete:(Tally.t -> ('o, 'a, 's) state -> unit) ->
+  ('o, 'a) entry array ->
   's ->
   unit
-(** [search lv cfg ... inputs own] grows every prefix of at most
-    [lv.max_ops] operators from the inputs, calling [lv.complete] on
-    each. [memo ()] is the calling worker's memo; each subtree resolves
-    it once, on the domain that runs it, and counts into that worker's
-    buffer, unflushed when the search returns. [spawn k] may
-    publish subtree continuation [k] to a work-stealing pool and return
-    [true] (the generator's does while a worker is hungry); returning
-    [false] (the default) makes the engine recurse inline.
-    Continuations are offered only for kept children at depth <=
-    [steal_depth_cutoff] with at least two operator levels below them
-    ([max_ops - depth >= 2]), are safe to run on any domain, and never
-    change the emitted candidate set. A root whose goal distance exceeds
-    [lv.max_ops] (when the level {!cuts}) has every try cut as
-    unreachable; the generator never searches one
-    ({!level_reachable}).
+(** [run e ~weight ~complete inputs own] grows every prefix of at most
+    [max_ops] operators from the inputs, calling [complete] on each
+    prefix whose [reach] has every output's form: it emits the
+    candidates the prefix completes and counts them. Every try counts
+    [weight] times, the roots it stands for (1, or the block level's
+    root-class size). Inputs whose value is not interned yet (id -1)
+    are interned first, under the table's lock; the array becomes the
+    root's entries and must not change. Each subtree resolves [memo ()]
+    once, on the domain that runs it, and counts into that worker's
+    buffer, unflushed when the run returns. [spawn k] may publish
+    subtree continuation [k] to a work-stealing pool and return [true]
+    (the generator's does while a worker is hungry); returning [false]
+    (the default) makes the engine recurse inline. Continuations are
+    offered only for kept children at depth <= [steal_depth_cutoff]
+    with at least two operator levels below them ([max_ops - depth >=
+    2]), are safe to run on any domain, and never change the emitted
+    candidate set. A root whose goal distance exceeds [max_ops] (when
+    the level {!cuts}) has every try cut as unreachable; the generator
+    never searches one ({!level_reachable}).
     @raise Budget_exhausted on budget exhaustion.
     @raise Invalid_argument when the inputs plus [max_ops] exceed
     {!rank_limit} entries, before any prefix is searched. *)

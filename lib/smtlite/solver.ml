@@ -34,7 +34,9 @@ type t = {
   disk : (string, bool) Hashtbl.t;
   mutable disk_new : int;  (** entries added since the last flush *)
   disk_hits : int Atomic.t;
-  mutable fronts : front array;  (** by worker index, guarded by [lock] *)
+  mutable fronts : front option array;
+      (** by worker index, each made on its first request; guarded by
+          [lock] *)
 }
 
 (* A worker's lock-free fast path: a private memo in front of the shared
@@ -53,7 +55,7 @@ let create ~target =
   {
     goals;
     index = Nf.goal goals;
-    cache = Nf.Tbl.create 4096;
+    cache = Nf.Tbl.create 16;
     lock = Mutex.create ();
     queries = Atomic.make 0;
     cache_hits = Atomic.make 0;
@@ -61,7 +63,7 @@ let create ~target =
     accepted = Atomic.make 0;
     solve_ns = Atomic.make 0;
     persist = None;
-    disk = Hashtbl.create 4096;
+    disk = Hashtbl.create 16;
     disk_new = 0;
     disk_hits = Atomic.make 0;
     fronts = [||];
@@ -194,23 +196,27 @@ let resolve t nf =
           r)
 
 let front t worker =
-  Mutex.lock t.lock;
-  let n = Array.length t.fronts in
-  if worker >= n then
-    t.fronts <-
-      Array.init (worker + 1) (fun i ->
-          if i < n then t.fronts.(i)
-          else
+  Mutex.protect t.lock (fun () ->
+      let n = Array.length t.fronts in
+      if worker >= n then begin
+        let grown = Array.make (worker + 1) None in
+        Array.blit t.fronts 0 grown 0 n;
+        t.fronts <- grown
+      end;
+      match t.fronts.(worker) with
+      | Some f -> f
+      | None ->
+          let f =
             {
               owner = t;
-              memo = Nf.Tbl.create 4096;
+              memo = Nf.Tbl.create 16;
               f_queries = 0;
               f_hits = 0;
               f_accepted = 0;
-            });
-  let f = t.fronts.(worker) in
-  Mutex.unlock t.lock;
-  f
+            }
+          in
+          t.fronts.(worker) <- Some f;
+          f)
 
 let check_front f nf =
   f.f_queries <- f.f_queries + 1;

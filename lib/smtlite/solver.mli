@@ -59,9 +59,9 @@ type front
     at a time. *)
 
 val front : t -> int -> front
-(** [front t w] is worker [w]'s front, created on first request. Resolve
-    the fronts before the workers start; the call takes the solver's
-    lock. *)
+(** [front t w] is worker [w]'s front, created on first request (a
+    search makes a lane's front when the lane starts). Safe from any
+    domain: the call takes the solver's lock. *)
 
 val check_front : front -> Absexpr.Nf.t -> bool
 (** Memoized [A_eq ∪ A_sub ⊨ subexpr(nf, E_O)]: the front's private

@@ -201,7 +201,7 @@ let make_session ?(p = Zmod.default_p) ?(q = Zmod.default_q) ?(fast = true)
     s_p = p;
     s_q = q;
     s_fast = fast && Fpacked.packable ~p ~q;
-    s_table = Hashtbl.create 64;
+    s_table = Hashtbl.create 16;
     s_lock = Mutex.create ();
   }
 

@@ -66,7 +66,7 @@ dune exec bin/mirage_cli.exe -- profile /tmp/mirage_ci_run \
 echo "== smoke: bench --json"
 dune exec bench/main.exe -- fig7 --json /tmp/mirage_ci_bench.json >/dev/null
 
-echo "== smoke: bench enum --json records the gqa prune questions and the gqa and ntrans minor words, per search and per expansion"
+echo "== smoke: bench enum --json records the gqa prune questions, the gqa and ntrans minor words, per search and per expansion, root enumeration times and a search's fixed words"
 dune exec bench/main.exe -- enum --json /tmp/mirage_ci_enum.json >/dev/null
 dune exec tools/json_check.exe -- /tmp/mirage_ci_enum.json
 grep -q '"solver_queries_per_expansion"' /tmp/mirage_ci_enum.json
@@ -77,6 +77,9 @@ grep -q '"benchmark":"gqa"[^}]*"solver_queries"' /tmp/mirage_ci_enum.json
 grep -q '"benchmark":"gqa"[^}]*"minor_words"' /tmp/mirage_ci_enum.json
 grep -q '"benchmark":"ntrans"[^}]*"expanded"' /tmp/mirage_ci_enum.json
 grep -q '"benchmark":"ntrans"[^}]*"minor_words"' /tmp/mirage_ci_enum.json
+grep -q '"benchmark":"gqa"[^}]*"roots_ms"' /tmp/mirage_ci_enum.json
+grep -q '"benchmark":"lora"[^}]*"roots_ms"' /tmp/mirage_ci_enum.json
+grep -q '"benchmark":"fig7"[^}]*"fixed_words"' /tmp/mirage_ci_enum.json
 grep -q '"benchmark":"rmsnorm"[^}]*"gen_1d_s"[^}]*"minor_words"[^}]*"kernel_minor_words"' \
   /tmp/mirage_ci_enum.json
 grep -q '"prune_warm_hit_ratio"' /tmp/mirage_ci_enum.json

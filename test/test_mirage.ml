@@ -194,6 +194,40 @@ let test_summary_counts_no_verified () =
     true
     (Astring_contains.contains summary "[0 candidates, 0 verified]")
 
+(* What a search costs before it explores anything: the reduced QKNorm
+   spec on the search_fig7 menu at one worker, whose levels the
+   goal-distance cut skips, so nearly every word is set-up. Its tables
+   start small and a lane's memos are made when it starts; with tables
+   sized for a long search it allocated 16 970 words. *)
+let test_fixed_cost () =
+  let b = Option.get (Workloads.Bench_defs.by_name "QKNorm") in
+  let spec, _ = b.Workloads.Bench_defs.reduced () in
+  let config =
+    Search.Config.for_spec
+      ~base:
+        {
+          Search.Config.default with
+          Search.Config.grid_candidates = [ [| 2 |] ];
+          forloop_candidates = [ [| 2 |] ];
+          max_block_ops = 3;
+          num_workers = 1;
+          time_budget_s = 0.0;
+        }
+      spec
+  in
+  let search () =
+    ignore (Mirage.superoptimize ~config ~device:Gpusim.Device.a100 spec)
+  in
+  search ();
+  let b0 = Gc.allocated_bytes () in
+  search ();
+  let words =
+    (Gc.allocated_bytes () -. b0) /. float_of_int (Sys.word_size / 8)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words <= 5000" words)
+    true (words <= 5000.0)
+
 (* --- code generation --------------------------------------------------- *)
 
 let emit_c name g = Codegen.C_emit.emit (Impir.Lower.lower ~name g)
@@ -263,6 +297,8 @@ let () =
             test_superoptimize_end_to_end;
           Alcotest.test_case "summary counts no verified" `Quick
             test_summary_counts_no_verified;
+          Alcotest.test_case "a skipped search's fixed cost" `Quick
+            test_fixed_cost;
         ] );
       ( "codegen",
         [

@@ -217,6 +217,183 @@ let test_root_classes_emit_members () =
                        (List.map (fun (_, g) -> Graph.hash g) cands)))))))
     [ 1; 2 ]
 
+(* The list-based root enumerator that [Block_enum.enumerate_roots]
+   replaced, kept as its oracle: per (grid, for-loop) pair each input's
+   valid (imap, fmap) pairs with their views, their cartesian product
+   (walked as a sequence, so the oracle holds no more than its result),
+   the coverage filter, then grouping under a structural key of grid,
+   for-loop and views, classes in first-member order. *)
+module Old_roots = struct
+  open Tensor
+
+  type phase = Body | Inv
+
+  let initer_view ~grid ~forloop shape (imap, fmap) =
+    let tile =
+      Dmap.slice_shape fmap ~counts:forloop
+        (Dmap.slice_shape imap ~counts:grid shape)
+    in
+    let phase =
+      if
+        Array.fold_left ( * ) 1 forloop <= 1
+        || Array.for_all (fun t -> t = Dmap.Replica) fmap
+      then Inv
+      else Body
+    in
+    (tile, phase)
+
+  let rec target_vectors count rank =
+    if count = 0 then [ [] ]
+    else
+      let rest = target_vectors (count - 1) rank in
+      List.concat_map
+        (fun t -> List.map (fun v -> t :: v) rest)
+        (Dmap.Replica :: List.init rank (fun d -> Dmap.Dim d))
+
+  module Class_key = Hashtbl.Make (struct
+    type t = int array * int array * (Shape.t * phase) array
+
+    let equal = ( = )
+    let hash = Hashtbl.hash_param 64 256
+  end)
+
+  (* (representative, members) per class *)
+  let group_classes all =
+    let seen = Class_key.create 64 in
+    let order = ref [] in
+    Seq.iter
+      (fun ((r : Search.Block_enum.root), views) ->
+        let key = (r.grid, r.forloop, views) in
+        match Class_key.find_opt seen key with
+        | Some members -> members := r.initers :: !members
+        | None ->
+            let members = ref [ r.initers ] in
+            Class_key.add seen key members;
+            order := (r, members) :: !order)
+      all;
+    List.rev_map
+      (fun (rep, members) -> (rep, Array.of_list (List.rev !members)))
+      !order
+
+  let enumerate_roots (cfg : Search.Config.t) ~input_shapes =
+    let shapes = Array.of_list input_shapes in
+    Seq.concat_map
+      (fun grid ->
+        Seq.concat_map
+          (fun forloop ->
+            let per_input =
+              Array.to_list
+                (Array.map
+                   (fun shape ->
+                     let rank = Shape.rank shape in
+                     List.concat_map
+                       (fun im ->
+                         let imap = Array.of_list im in
+                         if not (Dmap.valid_imap imap ~grid ~shape) then []
+                         else
+                           let sliced = Dmap.slice_shape imap ~counts:grid shape in
+                           List.filter_map
+                             (fun fm ->
+                               let fmap = Array.of_list fm in
+                               if Dmap.valid_fmap fmap ~forloop ~shape:sliced
+                               then
+                                 Some
+                                   ( (imap, fmap),
+                                     initer_view ~grid ~forloop shape (imap, fmap) )
+                               else None)
+                             (target_vectors (Array.length forloop) rank))
+                       (target_vectors (Array.length grid) rank))
+                   shapes)
+            in
+            let rec product = function
+              | [] -> Seq.return []
+              | opts :: rest ->
+                  Seq.concat_map
+                    (fun o -> Seq.map (fun t -> o :: t) (product rest))
+                    (List.to_seq opts)
+            in
+            product per_input
+            |> Seq.filter_map (fun assignment ->
+                   let initers = Array.of_list (List.map fst assignment) in
+                   let covered proj count =
+                     List.init count (fun k ->
+                         Array.exists
+                           (fun (imap, fmap) ->
+                             match proj (imap, fmap) k with
+                             | Dmap.Dim _ -> true
+                             | Dmap.Replica -> false)
+                           initers)
+                     |> List.for_all Fun.id
+                   in
+                   if
+                     covered (fun (imap, _) k -> imap.(k)) (Array.length grid)
+                     && covered
+                          (fun (_, fmap) k -> fmap.(k))
+                          (Array.length forloop)
+                   then
+                     Some
+                       ( { Search.Block_enum.grid; forloop; initers },
+                         Array.of_list (List.map snd assignment) )
+                   else None))
+          (List.to_seq cfg.Search.Config.forloop_candidates))
+      (List.to_seq cfg.Search.Config.grid_candidates)
+    |> group_classes
+end
+
+(* The index-array enumerator gives the oracle's classes, members,
+   member order and class order for the six reduced Fig. 7 pieces on
+   three menus: search_fig7's (grid {2}, loop {2}), the default's as
+   [Config.for_spec] derives it, and grids {2}, {4}, {2, 2} x loops
+   {1}, {2}, {4}, where GQA has 100 594 classes of 2 693 739 roots and
+   LoRA 111 553 of 1 342 137. *)
+let test_root_classes_oracle () =
+  let menus =
+    [
+      ( "search_fig7",
+        {
+          Search.Config.default with
+          Search.Config.grid_candidates = [ [| 2 |] ];
+          forloop_candidates = [ [| 2 |] ];
+        } );
+      ("default", Search.Config.default);
+      ( "3x3",
+        {
+          Search.Config.default with
+          Search.Config.grid_candidates = [ [| 2 |]; [| 4 |]; [| 2; 2 |] ];
+          forloop_candidates = [ [| 1 |]; [| 2 |]; [| 4 |] ];
+        } );
+    ]
+  in
+  let counts =
+    [ (("3x3", "GQA"), (100_594, 2_693_739)); (("3x3", "LoRA"), (111_553, 1_342_137)) ]
+  in
+  List.iter
+    (fun (menu, base) ->
+      List.iter
+        (fun (b : Workloads.Bench_defs.benchmark) ->
+          let name = b.Workloads.Bench_defs.name in
+          let spec = lax_piece name in
+          let cfg = Search.Config.for_spec ~base spec in
+          let input_shapes = Graph.input_shapes spec in
+          let classes =
+            List.map
+              (fun (c : Search.Block_enum.root_class) ->
+                (c.Search.Block_enum.rep, c.Search.Block_enum.members))
+              (Search.Block_enum.enumerate_roots cfg ~input_shapes)
+          in
+          let label = Printf.sprintf "%s on %s: " name menu in
+          Alcotest.(check bool) (label ^ "the oracle's classes") true
+            (classes = Old_roots.enumerate_roots cfg ~input_shapes);
+          match List.assoc_opt (menu, name) counts with
+          | Some (n_classes, n_roots) ->
+              Alcotest.(check (pair int int)) (label ^ "classes and roots")
+                (n_classes, n_roots)
+                ( List.length classes,
+                  List.fold_left (fun a (_, m) -> a + Array.length m) 0 classes )
+          | None -> ())
+        (Workloads.Bench_defs.all ()))
+    menus
+
 (* --- thread fusion --------------------------------------------------------- *)
 
 let test_thread_fusion () =
@@ -845,11 +1022,12 @@ let test_goal_masks () =
   let bmemo =
     Search.Prefix.memo bvalues (Search.Block_enum.tally cfg stats) front
   in
-  let blocks = Search.Block_enum.prepare cfg ~spec ~limits in
+  let blocks =
+    Search.Block_enum.prepare cfg ~spec ~limits ~values:bvalues
+      ~memo:(fun () -> bmemo) ~budget
+  in
   List.iter
-    (fun cls ->
-      Search.Block_enum.search_root blocks ~memo:(fun () -> bmemo) ~budget
-        ~emit cls)
+    (fun cls -> Search.Block_enum.search_root blocks ~emit cls)
     (Search.Block_enum.enumerate_roots cfg
        ~input_shapes:(Graph.input_shapes spec));
   let check_level name vs =
@@ -1597,6 +1775,8 @@ let () =
             test_root_classes;
           Alcotest.test_case "classes emit every member's graphs" `Quick
             test_root_classes_emit_members;
+          Alcotest.test_case "classes equal the list-based oracle's" `Quick
+            test_root_classes_oracle;
         ] );
       ( "thread fusion",
         [
