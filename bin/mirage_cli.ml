@@ -402,7 +402,7 @@ let resume_arg =
         ~doc:
           "Resume an interrupted search from $(docv)/checkpoint.json \
            (written by a previous --report run). Completed enumeration \
-           tasks are skipped and previously-found candidates reloaded; \
+           tasks are skipped and the verified incumbent is checked again; \
            the benchmark and search options must match the original run. \
            Implies --report $(docv) unless --report is given.")
 
@@ -470,7 +470,6 @@ let optimize_cmd =
               let ck =
                 Search.Checkpoint.create
                   ~path:(Filename.concat dir "checkpoint.json")
-                  ()
               in
               Search.Checkpoint.set_meta ck
                 [
@@ -994,7 +993,7 @@ let run_winner_cmd =
       value & opt float 1e-4
       & info [ "tol" ] ~docv:"EPS" ~doc:"Maximum relative error accepted.")
   in
-  let run dir device trials tol =
+  let run dir trials tol =
     let read_file path =
       let ic = open_in_bin path in
       let n = in_channel_length ic in
@@ -1034,8 +1033,7 @@ let run_winner_cmd =
             | _ -> None)
     in
     (* Older runs have no winner section: fall back to the checkpoint's
-       candidate pool and pick the cheapest per piece under the cost
-       model (the same criterion the search's selection uses). *)
+       verified incumbents, one per piece. *)
     let winners_of_checkpoint () =
       match Search.Checkpoint.load dir with
       | Error msg ->
@@ -1045,19 +1043,9 @@ let run_winner_cmd =
             dir msg;
           exit 2
       | Ok ck ->
-          List.init 64 (fun id -> id)
-          |> List.filter_map (fun id ->
-                 match Search.Checkpoint.candidates ck ~piece:id with
-                 | [] -> None
-                 | cands ->
-                     let _, best =
-                       List.fold_left
-                         (fun (bc, bg) (_, g) ->
-                           let c = Gpusim.Cost.total_us device g in
-                           if c < bc then (c, Some g) else (bc, bg))
-                         (infinity, None) cands
-                     in
-                     Option.map (fun g -> (id, g)) best)
+          List.map
+            (fun (id, (_, g)) -> (id, g))
+            (Search.Checkpoint.incumbents ck)
     in
     let winners =
       match winners_of_report () with
@@ -1102,7 +1090,7 @@ let run_winner_cmd =
           imperative IR, compile the generated C with the system compiler, \
           execute on random inputs through the subprocess harness and \
           compare against the muGraph interpreter")
-    Term.(const run $ dir_arg $ device_arg $ trials_arg $ tol_arg)
+    Term.(const run $ dir_arg $ trials_arg $ tol_arg)
 
 let symverify_cmd =
   let run name =

@@ -396,27 +396,16 @@ let pair { cfg; out_shapes; input_shapes; input_names; input_nfs } ~limits
     else Error Tally.Dangling
   in
   (* A prim's tensor: loop phase, shape inference, then its abstract
-     expression. An accumulator sums its input over the for-loop, or
-     concatenates it along dim [d] over loop dim [l] when [fmap.(l) = Dim
-     d], summing the rest. *)
+     expression. An accumulator sums its input over the for-loop. *)
   let make op (vs : value list) =
     match op with
     | Graph.B_prim p -> (
         match combined_phase (List.map (fun (v : value) -> v.attrs) vs) with
         | None -> Error Tally.Phase
         | Some phase -> Prefix.prim_value p vs phase)
-    | Graph.B_accum { fmap } ->
+    | Graph.B_accum _ ->
         let x = List.hd vs in
-        let shape = ref x.shape and summed = ref iters in
-        Array.iteri
-          (fun l t ->
-            match t with
-            | Dmap.Dim d ->
-                shape := Shape.scale_dim !shape ~dim:d ~times:forloop.(l);
-                summed := !summed / forloop.(l)
-            | Dmap.Replica -> ())
-          fmap;
-        Ok (Prefix.value !shape (Absexpr.Nf.nf_sum !summed x.nf) Post)
+        Ok (Prefix.value x.shape (Absexpr.Nf.nf_sum iters x.nf) Post)
     | _ -> invalid_arg "Block_enum.make"
   in
   (* The level's memo scope: the for-loop, which [make] and the
@@ -428,26 +417,14 @@ let pair { cfg; out_shapes; input_shapes; input_names; input_nfs } ~limits
     in
     index 0 cfg.Config.forloop_candidates
   in
-  (* A body value's accumulators: the plain sum, then (when enabled) a
-     concatenation along each dim over each loop dim. *)
-  let along l d =
-    Array.mapi
-      (fun l' _ -> if l' = l then Dmap.Dim d else Dmap.Replica)
-      forloop
-  in
+  (* A body value's accumulator: the plain sum over the for-loop. *)
   let accumulators (v : value) =
-    if not (has_loop && v.attrs = Body) then []
-    else
-      let concat =
-        if not cfg.Config.enable_concat_accum then []
-        else
-          List.concat_map
-            (fun l -> List.init (Shape.rank v.shape) (along l))
-            (List.init (Array.length forloop) Fun.id)
-      in
-      List.map
-        (fun fmap -> Graph.B_accum { fmap })
-        (Array.make (Array.length forloop) Dmap.Replica :: concat)
+    if has_loop && v.attrs = Body then
+      [
+        Graph.B_accum
+          { fmap = Array.make (Array.length forloop) Dmap.Replica };
+      ]
+    else []
   in
   let level =
     {

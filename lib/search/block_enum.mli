@@ -9,8 +9,7 @@
       as level state;
     - its extensions: the block op menu's prims, made by loop phase,
       shape inference and the abstract expression; after the pair cells,
-      a loop-body value's accumulators (a plain sum, then each for-loop
-      concatenation);
+      a loop-body value's accumulator (a plain sum over the for-loop);
     - phase and shape before rank;
     - two admission checks: shared memory, which only grows down a path,
       and the dangling-value bound;

@@ -1,15 +1,16 @@
-(* Search checkpointing: periodically persist the generator's progress
-   (completed task cursor, emitted candidate muGraphs, solver/funnel
-   stats) into the run directory as checkpoint.json, so a killed run
-   resumes with `mirage_cli optimize --resume RUN_DIR` instead of
-   discarding hours of enumeration.
+(* Search checkpointing: persist, per piece, the generator's completed
+   task cursor and its verified incumbent into the run directory as
+   checkpoint.json, so a killed run resumes with
+   `mirage_cli optimize --resume RUN_DIR` instead of discarding hours of
+   enumeration.
 
    Tasks (the kernel-level pass plus one per root class) are
    deterministic given the spec and config, so a completed-task set
    keyed by task index is a sound cursor: resume skips those indices and
-   re-runs only interrupted ones. Candidates are stored as full muGraph
-   JSON — re-emitted graphs from a re-run task deduplicate against the
-   reloaded seen-hash set. *)
+   re-runs only interrupted ones. The incumbent is installed inside the
+   task that emitted it, before that task can complete, so every save at
+   a task's completion holds an incumbent at least as good as any
+   candidate of a completed task. *)
 
 open Mugraph
 module J = Obs.Jsonw
@@ -17,8 +18,9 @@ module J = Obs.Jsonw
 (* v2: a task index names a root class, not a root; a v1 cursor would
    skip the wrong tasks, so v1 files are refused. v3: a level whose
    inputs are beyond the goal distance has no task (the kernel task or
-   every root class), so a v2 cursor is refused too. *)
-let schema = "mirage.checkpoint.v3"
+   every root class), so a v2 cursor is refused too. v4: a piece holds
+   its verified incumbent in place of every emitted candidate. *)
+let schema = "mirage.checkpoint.v4"
 
 exception Decode of string
 
@@ -339,9 +341,8 @@ let config_fingerprint cfg_json =
 (* ------------------------------------------------------------------ *)
 
 type piece_state = {
-  mutable done_tasks : int list;  (* ascending on save *)
-  mutable tasks_total : int;
-  mutable cands : (int * Graph.kernel_graph) list;  (* newest first *)
+  mutable done_tasks : int list;
+  mutable incumbent : (int * Graph.kernel_graph) option;
 }
 
 type t = {
@@ -349,43 +350,24 @@ type t = {
   lock : Mutex.t;
   mutable pieces : (int * piece_state) list;
   mutable meta : (string * J.t) list;
-  interval_s : float;
-  mutable last_save : float;
-  mutable dirty : bool;
 }
 
-let path t = t.cpath
-
-let create ?(interval_s = 5.0) ~path () =
-  {
-    cpath = path;
-    lock = Mutex.create ();
-    pieces = [];
-    meta = [];
-    interval_s;
-    last_save = 0.0;
-    dirty = false;
-  }
+let create ~path =
+  { cpath = path; lock = Mutex.create (); pieces = []; meta = [] }
 
 let set_meta t kvs =
-  Mutex.lock t.lock;
-  List.iter
-    (fun (k, v) -> t.meta <- (k, v) :: List.remove_assoc k t.meta)
-    kvs;
-  t.dirty <- true;
-  Mutex.unlock t.lock
+  Mutex.protect t.lock (fun () ->
+      List.iter
+        (fun (k, v) -> t.meta <- (k, v) :: List.remove_assoc k t.meta)
+        kvs)
 
-let meta t k =
-  Mutex.lock t.lock;
-  let v = List.assoc_opt k t.meta in
-  Mutex.unlock t.lock;
-  v
+let meta t k = Mutex.protect t.lock (fun () -> List.assoc_opt k t.meta)
 
 let piece_locked t id =
   match List.assoc_opt id t.pieces with
   | Some p -> p
   | None ->
-      let p = { done_tasks = []; tasks_total = 0; cands = [] } in
+      let p = { done_tasks = []; incumbent = None } in
       t.pieces <- (id, p) :: t.pieces;
       p
 
@@ -401,93 +383,60 @@ let to_json_locked t =
                J.Obj
                  [
                    ("id", J.Int id);
-                   ("tasks_total", J.Int p.tasks_total);
                    ( "done",
                      J.List
                        (List.map
                           (fun i -> J.Int i)
                           (List.sort_uniq compare p.done_tasks)) );
-                   ( "candidates",
-                     J.List
-                       (List.rev_map
-                          (fun (gid, g) ->
-                            J.Obj
-                              [ ("gid", J.Int gid); ("graph", graph_to_json g) ])
-                          p.cands) );
+                   ( "incumbent",
+                     match p.incumbent with
+                     | None -> J.Null
+                     | Some (gid, g) ->
+                         J.Obj
+                           [ ("gid", J.Int gid); ("graph", graph_to_json g) ] );
                  ])
              t.pieces) );
     ]
 
 (* Atomic persist: whole document to a temp file, then rename, so a
    crash mid-write never leaves a torn checkpoint behind. *)
-let save_locked t =
-  let tmp = t.cpath ^ ".tmp" in
-  J.to_file tmp (to_json_locked t);
-  Sys.rename tmp t.cpath;
-  t.last_save <- Unix.gettimeofday ();
-  t.dirty <- false
-
 let save t =
-  Mutex.lock t.lock;
-  (match save_locked t with
-  | () -> ()
-  | exception e ->
-      Obs.Budget.degrade "checkpoint.write";
-      Obs.Log.warn (fun m ->
-          m "checkpoint: save failed: %s" (Printexc.to_string e)));
-  Mutex.unlock t.lock
+  Mutex.protect t.lock (fun () ->
+      let tmp = t.cpath ^ ".tmp" in
+      match
+        J.to_file tmp (to_json_locked t);
+        Sys.rename tmp t.cpath
+      with
+      | () -> ()
+      | exception e ->
+          Obs.Budget.degrade "checkpoint.write";
+          Obs.Log.warn (fun m ->
+              m "checkpoint: save failed: %s" (Printexc.to_string e)))
 
-let maybe_save t =
-  Mutex.lock t.lock;
-  let due =
-    t.dirty && Unix.gettimeofday () -. t.last_save >= t.interval_s
-  in
-  (if due then
-     match save_locked t with
-     | () -> ()
-     | exception e ->
-         Obs.Budget.degrade "checkpoint.write";
-         Obs.Log.warn (fun m ->
-             m "checkpoint: save failed: %s" (Printexc.to_string e)));
-  Mutex.unlock t.lock
-
-let task_done t ~piece ~task ~tasks_total =
-  Mutex.lock t.lock;
-  let p = piece_locked t piece in
-  if not (List.mem task p.done_tasks) then p.done_tasks <- task :: p.done_tasks;
-  p.tasks_total <- tasks_total;
-  t.dirty <- true;
-  Mutex.unlock t.lock;
+let task_done t ~piece ~task =
+  Mutex.protect t.lock (fun () ->
+      let p = piece_locked t piece in
+      if not (List.mem task p.done_tasks) then
+        p.done_tasks <- task :: p.done_tasks);
   (* a completed task is the natural (coarse) checkpoint boundary *)
   save t
 
-let add_candidate t ~piece ~gid g =
-  Mutex.lock t.lock;
-  let p = piece_locked t piece in
-  p.cands <- (gid, g) :: p.cands;
-  t.dirty <- true;
-  Mutex.unlock t.lock;
-  maybe_save t
+let set_incumbent t ~piece ~gid g =
+  Mutex.protect t.lock (fun () ->
+      (piece_locked t piece).incumbent <- Some (gid, g))
 
 let completed t ~piece =
-  Mutex.lock t.lock;
-  let l =
-    match List.assoc_opt piece t.pieces with
-    | Some p -> List.sort_uniq compare p.done_tasks
-    | None -> []
-  in
-  Mutex.unlock t.lock;
-  l
+  Mutex.protect t.lock (fun () ->
+      match List.assoc_opt piece t.pieces with
+      | Some p -> List.sort_uniq compare p.done_tasks
+      | None -> [])
 
-let candidates t ~piece =
-  Mutex.lock t.lock;
-  let l =
-    match List.assoc_opt piece t.pieces with
-    | Some p -> List.rev p.cands
-    | None -> []
-  in
-  Mutex.unlock t.lock;
-  l
+let incumbents t =
+  Mutex.protect t.lock (fun () ->
+      List.filter_map
+        (fun (id, p) -> Option.map (fun inc -> (id, inc)) p.incumbent)
+        t.pieces)
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let load path =
   let file =
@@ -509,7 +458,7 @@ let load path =
           match J.member "schema" j with
           | Some (J.Str s) when s = schema -> (
               try
-                let t = create ~path:file () in
+                let t = create ~path:file in
                 (match J.member "meta" j with
                 | Some (J.Obj kvs) -> t.meta <- List.rev kvs
                 | _ -> ());
@@ -517,25 +466,17 @@ let load path =
                 | Some (J.List ps) ->
                     List.iter
                       (fun pj ->
-                        let id = int_field "id" pj in
-                        let p = piece_locked t id in
-                        p.tasks_total <-
-                          (match J.member "tasks_total" pj with
-                          | Some (J.Int n) -> n
-                          | _ -> 0);
+                        let p = piece_locked t (int_field "id" pj) in
                         p.done_tasks <- int_list_of_json (member_exn "done" pj);
-                        p.cands <-
-                          (match member_exn "candidates" pj with
-                          | J.List cs ->
-                              List.rev_map
-                                (fun c ->
-                                  ( int_field "gid" c,
-                                    graph_of_json_exn (member_exn "graph" c) ))
-                                cs
-                          | _ -> fail "candidates: not a list"))
+                        p.incumbent <-
+                          (match member_exn "incumbent" pj with
+                          | J.Null -> None
+                          | c ->
+                              Some
+                                ( int_field "gid" c,
+                                  graph_of_json_exn (member_exn "graph" c) )))
                       ps
                 | _ -> ());
-                t.dirty <- false;
                 Ok t
               with Decode m -> Error (Printf.sprintf "%s: %s" file m))
           | _ -> Error (Printf.sprintf "%s: not a %s file" file schema)))

@@ -1,16 +1,25 @@
 (** Checkpoint/resume for the search runtime.
 
     A checkpoint file ([checkpoint.json] in the run directory) records,
-    per partition piece, which enumeration tasks have completed and every
-    candidate muGraph emitted so far. Tasks are deterministic given the
-    spec and config — the kernel-level pass plus one task per block-level
-    root class ({!Block_enum.root_class}) — so an index-based cursor is a
-    sound resume point: completed tasks are skipped, interrupted ones
-    re-run and deduplicate against the reloaded candidates. The schema is
-    [mirage.checkpoint.v3]. A v1 file, whose task indices named single
-    roots, and a v2 file, whose task list held a level the goal-distance
-    cut now skips, are refused with a "not a mirage.checkpoint.v3 file"
-    error.
+    per partition piece, which enumeration tasks have completed and the
+    search's verified incumbent (the least candidate confirmed so far,
+    §5's "best verified muGraph", with its candidate id). Tasks are
+    deterministic given the spec and config — the kernel-level pass plus
+    one task per block-level root class ({!Block_enum.root_class}) — so
+    an index-based cursor is a sound resume point: completed tasks are
+    skipped and interrupted ones re-run. A resumed search re-emits the
+    saved incumbent and verifies it again, since a file on disk is
+    outside input. The incumbent is installed inside the task that
+    emitted it, before that task completes, so each save at a task's
+    completion holds one at least as good as every candidate of a
+    completed task, and a resumed search ends with the uninterrupted
+    one's winner.
+
+    The schema is [mirage.checkpoint.v4]. A v1 file, whose task indices
+    named single roots, a v2 file, whose task list held a level the
+    goal-distance cut now skips, and a v3 file, which held every
+    unverified candidate, are refused with a "not a
+    mirage.checkpoint.v4 file" error.
 
     Saves are atomic (temp file + rename); a crash mid-save leaves the
     previous checkpoint intact. A failed save degrades the run
@@ -18,16 +27,13 @@
 
 type t
 
-val create : ?interval_s:float -> path:string -> unit -> t
-(** Fresh manager writing to [path]. [interval_s] (default 5 s) throttles
-    candidate-triggered saves; task completion always saves. *)
+val create : path:string -> t
+(** Fresh manager writing to [path]. *)
 
 val load : string -> (t, string) result
 (** Load from a checkpoint file, or from a run directory containing
     [checkpoint.json]. Validates the schema marker and every embedded
     graph ({!Mugraph.Graph.validate}). *)
-
-val path : t -> string
 
 val set_meta : t -> (string * Obs.Jsonw.t) list -> unit
 (** Record identity fields (benchmark name, config fingerprint) used to
@@ -35,17 +41,20 @@ val set_meta : t -> (string * Obs.Jsonw.t) list -> unit
 
 val meta : t -> string -> Obs.Jsonw.t option
 
-val task_done : t -> piece:int -> task:int -> tasks_total:int -> unit
+val task_done : t -> piece:int -> task:int -> unit
 (** Mark one enumeration task finished; forces a save. *)
 
-val add_candidate : t -> piece:int -> gid:int -> Mugraph.Graph.kernel_graph -> unit
-(** Record an emitted candidate; saves at most every [interval_s]. *)
+val set_incumbent :
+  t -> piece:int -> gid:int -> Mugraph.Graph.kernel_graph -> unit
+(** Record [piece]'s new verified incumbent (candidate [gid]). It is
+    written by the next save. *)
 
 val completed : t -> piece:int -> int list
 (** Sorted task indices already finished for [piece]. *)
 
-val candidates : t -> piece:int -> (int * Mugraph.Graph.kernel_graph) list
-(** Candidates recorded for [piece], in emission order. *)
+val incumbents : t -> (int * (int * Mugraph.Graph.kernel_graph)) list
+(** [(piece, (gid, graph))] for every piece that has an incumbent, by
+    ascending piece. *)
 
 val save : t -> unit
 (** Force an immediate save (used at the end of a run). *)

@@ -12,7 +12,6 @@ type t = {
   num_workers : int;
   node_budget : int;
   time_budget_s : float;
-  enable_concat_accum : bool;
   max_task_failures : int;
   verify_fast_path : bool;
   steal_depth_cutoff : int;
@@ -60,7 +59,6 @@ let default =
     num_workers = default_workers;
     node_budget = 0;
     time_budget_s = 0.0;
-    enable_concat_accum = false;
     max_task_failures = 8;
     verify_fast_path = true;
     steal_depth_cutoff = 3;
@@ -212,7 +210,6 @@ let to_json (c : t) =
       ("num_workers", Int c.num_workers);
       ("node_budget", Int c.node_budget);
       ("time_budget_s", Float c.time_budget_s);
-      ("enable_concat_accum", Bool c.enable_concat_accum);
       ("max_task_failures", Int c.max_task_failures);
       ("verify_fast_path", Bool c.verify_fast_path);
       ("steal_depth_cutoff", Int c.steal_depth_cutoff);

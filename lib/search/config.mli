@@ -27,8 +27,6 @@ type t = {
           1 = sequential (Table 5 "w/o multithreading") *)
   node_budget : int;  (** hard cap on expanded prefixes, 0 = unlimited *)
   time_budget_s : float;  (** wall-clock cap, 0 = unlimited *)
-  enable_concat_accum : bool;
-      (** also enumerate accumulators that concatenate along a data dim *)
   max_task_failures : int;
       (** supervised workers: quarantined task crashes tolerated before
           the whole search aborts (default 8) *)

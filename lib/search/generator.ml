@@ -203,22 +203,6 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
      are written. *)
   let journal = Obs.Journal.active () in
   let next_gid = Atomic.make 0 in
-  (* Resume: preload previously-emitted candidates so re-run partial
-     tasks deduplicate against them instead of double-counting, and hand
-     each to [on_candidate] as if just emitted. Runs before any worker
-     exists, so plain updates are safe. *)
-  (match checkpoint with
-  | Some ck ->
-      List.iter
-        (fun (gid, g) ->
-          let h = Graph.hash g in
-          let _, seen, cands = shards.(h land (n_shards - 1)) in
-          Hashtbl.add seen h g;
-          cands := (gid, g) :: !cands;
-          if gid > Atomic.get next_gid then Atomic.set next_gid gid;
-          on_candidate gid g)
-        (Checkpoint.candidates ck ~piece)
-  | None -> ());
   let emit g =
     (* Hash outside the lock: hashing is the expensive part of dedup, and
        computing it inside the critical section serialized all workers on
@@ -251,13 +235,20 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
         | None -> 1 + Atomic.fetch_and_add next_gid 1
       in
       cands := (gid, g) :: !cands;
-      (match checkpoint with
-      | Some ck -> Checkpoint.add_candidate ck ~piece ~gid g
-      | None -> ());
       Mutex.unlock lock;
       on_candidate gid g
     end
   in
+  (* Resume: the saved incumbent is emitted like a fresh candidate, so it
+     gets a new id, a re-run task's copy of it deduplicates, and
+     [on_candidate] verifies it again (a file on disk is outside input).
+     No lane exists yet. *)
+  (match checkpoint with
+  | Some ck ->
+      Option.iter
+        (fun (_, g) -> emit g)
+        (List.assoc_opt piece (Checkpoint.incumbents ck))
+  | None -> ());
   let record_crash i exn bt =
     let n = 1 + Atomic.fetch_and_add failures 1 in
     Obs.Metrics.add c_crash 1;
@@ -323,16 +314,14 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
   (* Per-task completion accounting at item granularity: a task's
      pending count covers its root item plus every spawned subtree, and
      only a clean drain to zero advances the resume cursor. A crashed or
-     budget-cut item taints its task, so resume re-runs it (emitted
-     candidates are preloaded, so the re-run deduplicates instead of
-     double-counting). *)
+     budget-cut item taints its task, so resume re-runs it. *)
   let t_pending = Array.init n_tasks (fun _ -> Atomic.make 0) in
   let t_bad = Array.init n_tasks (fun _ -> Atomic.make false) in
   let item_done i =
     if Atomic.fetch_and_add t_pending.(i) (-1) = 1 then
       if not (Atomic.get t_bad.(i)) then
         match checkpoint with
-        | Some ck -> Checkpoint.task_done ck ~piece ~task:i ~tasks_total:n_tasks
+        | Some ck -> Checkpoint.task_done ck ~piece ~task:i
         | None -> ()
   in
   let run_body i body =
@@ -524,7 +513,8 @@ let run ?config ?registry ?(verify_trials = 2) ?budget ?checkpoint
      trial's index and the verifier stops at the first mismatch, so one
      call with [verify_trials] trials gives the verdict of the paper's
      single random test followed by a confirmation (§7), and a failing
-     candidate costs one trial. *)
+     candidate costs one trial. A checkpoint records each new incumbent
+     as it is installed; the next task completion saves it. *)
   let incumbent = Atomic.make None and install = Mutex.create () in
   let before key = function
     | None -> true
@@ -540,6 +530,9 @@ let run ?config ?registry ?(verify_trials = 2) ?budget ?checkpoint
       Mutex.protect install (fun () ->
           if before key (Atomic.get incumbent) then begin
             Atomic.set incumbent (Some (gid, key));
+            Option.iter
+              (fun ck -> Checkpoint.set_incumbent ck ~piece ~gid g)
+              checkpoint;
             note_best us
           end)
   in
@@ -590,26 +583,7 @@ let run ?config ?registry ?(verify_trials = 2) ?budget ?checkpoint
   (* The search's one durable prune-cache write: a warm restart sees
      every decided query. *)
   Smtlite.Solver.flush_persist solver;
-  (match checkpoint with
-  | Some ck ->
-      (* solver cache stats ride along in the checkpoint meta so a
-         resumed run's report can account for pre-interrupt work *)
-      let sv = Smtlite.Solver.stats solver in
-      Checkpoint.set_meta ck
-        [
-          ( "solver",
-            Obs.Jsonw.Obj
-              [
-                ("queries", Obs.Jsonw.Int sv.Smtlite.Solver.queries);
-                ("cache_hits", Obs.Jsonw.Int sv.Smtlite.Solver.cache_hits);
-                ("accepted", Obs.Jsonw.Int sv.Smtlite.Solver.accepted);
-                ("solve_time_s", Obs.Jsonw.Float sv.Smtlite.Solver.solve_time_s);
-                ("disk_hits", Obs.Jsonw.Int sv.Smtlite.Solver.disk_hits);
-                ("disk_entries", Obs.Jsonw.Int sv.Smtlite.Solver.disk_entries);
-              ] );
-        ];
-      Checkpoint.save ck
-  | None -> ());
+  Option.iter Checkpoint.save checkpoint;
   {
     best = Some best;
     generated = List.length candidates;

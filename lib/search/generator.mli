@@ -121,7 +121,8 @@ val generate :
     serving tier uses to surface live steal counts. [on_candidate gid g]
     runs once per deduplicated candidate, on the lane that emitted it and
     outside any lock, so concurrently on several lanes; a checkpoint's
-    candidates go through it before any lane starts. {!run} verifies
+    incumbent is emitted, and so goes through it, before any lane
+    starts. {!run} verifies
     there. Exposed for {!run}, {!search_time} and the determinism
     tests. *)
 
@@ -164,8 +165,9 @@ val run :
     budget or cancellation returns the incumbent it holds (the spec at
     worst), with the reason recorded in [degraded]. A verification
     already under way when the deadline passes runs to its end.
-    [checkpoint]/[piece] enable periodic progress persistence and
-    resume (see {!Checkpoint}).
+    [checkpoint]/[piece] record the task cursor and each new incumbent,
+    save them at every task completion and at the end, and resume from
+    them (see {!Checkpoint}).
 
     [prune_persist] runs once on the freshly created solver, before any
     query — the place to {!Smtlite.Solver.attach_persist} an on-disk

@@ -59,7 +59,7 @@
     - the cell's kind (unary, column, row, extra) and its inputs' value
       ids, hence their shapes, normal forms and attrs;
     - the level, since each level has its own table and memos;
-    - the op menu and [enable_concat_accum], fixed for a search;
+    - the op menu, fixed for a search;
     - the level's [scope] (the block level's for-loop, by which an
       accumulator scales and sums), one set of cells per scope.
     A prune verdict is a function of the normal form and of the goal,

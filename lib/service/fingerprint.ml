@@ -21,7 +21,7 @@
 
 module J = Obs.Jsonw
 
-let schema = "mirage.service.fingerprint.v2"
+let schema = "mirage.service.fingerprint.v3"
 
 type t = string
 

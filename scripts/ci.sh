@@ -185,6 +185,11 @@ dune exec bin/mirage_cli.exe -- optimize rmsnorm \
   --budget 10 --workers 2 --resume /tmp/mirage_ci_resume >/dev/null
 grep -q '"state": "\(ok\|degraded\)"' /tmp/mirage_ci_resume/report.json
 dune exec tools/json_check.exe -- /tmp/mirage_ci_resume/checkpoint.json
+# A checkpoint holds the task cursor and the verified incumbent only.
+grep -q '"mirage.checkpoint.v4"' /tmp/mirage_ci_resume/checkpoint.json
+if grep -q '"candidates"' /tmp/mirage_ci_resume/checkpoint.json; then
+  echo "checkpoint.json holds a candidate list"; exit 1
+fi
 
 echo "== service smoke: daemon, coalesced identical requests, cache hit"
 rm -rf /tmp/mirage_ci_svc

@@ -252,25 +252,33 @@ let test_codec_rejects_garbage () =
   | Ok _ -> Alcotest.fail "accepted an outputless graph"
   | Error _ -> ()
 
-let best_cost (o : Search.Generator.outcome) =
+let best (o : Search.Generator.outcome) =
   match o.Search.Generator.best with
-  | Some r -> r.Search.Generator.cost.Gpusim.Cost.total_us
+  | Some r -> r
   | None -> Alcotest.fail "no best"
+
+(* The resumed winner is the uninterrupted one: same graph, not just the
+   same cost. *)
+let check_same_winner msg (o0 : Search.Generator.outcome) o2 =
+  let r0 = best o0 and r2 = best o2 in
+  Alcotest.(check (float 1e-9))
+    msg r0.Search.Generator.cost.Gpusim.Cost.total_us
+    r2.Search.Generator.cost.Gpusim.Cost.total_us;
+  Alcotest.(check bool) (msg ^ ": same graph") true
+    (Graph.equal r0.Search.Generator.graph r2.Search.Generator.graph)
 
 let test_resume_reaches_same_best =
   with_reset @@ fun () ->
   let spec = div_matmul_spec ~b:4 ~h:8 ~d:16 in
   let cfg = small_config () in
   let device = Gpusim.Device.a100 in
-  let uninterrupted =
-    best_cost (Search.Generator.run ~config:cfg ~device ~spec ())
-  in
+  let uninterrupted = Search.Generator.run ~config:cfg ~device ~spec () in
   let dir = Filename.temp_file "mirage_ckpt" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
   let path = Filename.concat dir "checkpoint.json" in
   (* phase 1: interrupt early via a tiny node budget *)
-  let ck = Search.Checkpoint.create ~path () in
+  let ck = Search.Checkpoint.create ~path in
   let tiny = Obs.Budget.create ~node_budget:40 () in
   let o1 =
     Search.Generator.run ~config:cfg ~budget:tiny ~checkpoint:ck ~device ~spec
@@ -290,9 +298,8 @@ let test_resume_reaches_same_best =
       ~budget:(Obs.Budget.unlimited ())
       ~checkpoint:ck2 ~device ~spec ()
   in
-  Alcotest.(check (float 1e-9)) "resume reaches the uninterrupted best"
-    uninterrupted (best_cost o2);
-  Alcotest.(check bool) "resumed run saw all candidates" true
+  check_same_winner "resume reaches the uninterrupted best" uninterrupted o2;
+  Alcotest.(check bool) "resumed run emitted candidates" true
     (o2.Search.Generator.generated > 0)
 
 (* Same invariant at mid-subtree granularity: with several domains and a
@@ -318,14 +325,13 @@ let test_resume_mid_subtree =
     List.assoc name o.Search.Generator.metrics.Obs.Metrics.counters
   in
   let o0 = Search.Generator.run ~config:cfg ~device ~spec () in
-  let uninterrupted = best_cost o0 in
   Alcotest.(check bool) "helpers took work" true
     (counter o0 "search.steal.count" > 0);
   let dir = Filename.temp_file "mirage_ckpt_sub" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
   let path = Filename.concat dir "checkpoint.json" in
-  let ck = Search.Checkpoint.create ~path () in
+  let ck = Search.Checkpoint.create ~path in
   let cut = Obs.Budget.create ~node_budget:100_000 () in
   let o1 =
     Search.Generator.run ~config:cfg ~budget:cut ~checkpoint:ck ~device ~spec
@@ -345,8 +351,7 @@ let test_resume_mid_subtree =
       ~budget:(Obs.Budget.unlimited ())
       ~checkpoint:ck2 ~device ~spec ()
   in
-  Alcotest.(check (float 1e-9)) "mid-subtree resume reaches the same best"
-    uninterrupted (best_cost o2)
+  check_same_winner "mid-subtree resume reaches the same best" o0 o2
 
 let test_checkpoint_load_errors () =
   (match Search.Checkpoint.load "/nonexistent/checkpoint.json" with
@@ -361,16 +366,123 @@ let test_checkpoint_load_errors () =
   | Error _ -> ());
   Sys.remove f
 
-(* A v1 checkpoint's task indices named single roots, and a v2 one's
-   task list still held the levels the goal-distance cut now skips.
-   Either must be refused, not resumed into skipping the wrong tasks. *)
+(* A budget-cut run leaves, per piece, its cursor and at most one graph:
+   the verified incumbent, which is equivalent to its piece. Two pieces
+   share one checkpoint, as in [Mirage.superoptimize]. *)
+let test_checkpoint_holds_incumbents =
+  with_reset @@ fun () ->
+  let specs =
+    [ div_matmul_spec ~b:4 ~h:8 ~d:16; div_matmul_spec ~b:2 ~h:8 ~d:8 ]
+  in
+  let cfg = small_config () in
+  let device = Gpusim.Device.a100 in
+  let path = Filename.temp_file "mirage_ckpt_inc" ".json" in
+  let ck = Search.Checkpoint.create ~path in
+  List.iteri
+    (fun piece spec ->
+      let cut = Obs.Budget.create ~node_budget:2_500_000 () in
+      let o =
+        Search.Generator.run ~config:cfg ~budget:cut ~checkpoint:ck ~piece
+          ~device ~spec ()
+      in
+      Alcotest.(check bool) "run was cut short" true
+        o.Search.Generator.budget_exhausted)
+    specs;
+  let rec graphs = function
+    | Obs.Jsonw.Obj kvs ->
+        (if List.mem_assoc "knodes" kvs then 1 else 0)
+        + List.fold_left (fun n (_, v) -> n + graphs v) 0 kvs
+    | Obs.Jsonw.List l -> List.fold_left (fun n v -> n + graphs v) 0 l
+    | _ -> 0
+  in
+  (match
+     Obs.Jsonw.of_string (In_channel.with_open_bin path In_channel.input_all)
+   with
+  | Ok j -> (
+      match Obs.Jsonw.member "pieces" j with
+      | Some (Obs.Jsonw.List ps) ->
+          Alcotest.(check int) "one entry per piece" 2 (List.length ps);
+          List.iter
+            (fun p ->
+              Alcotest.(check bool) "no candidate list" true
+                (Obs.Jsonw.member "candidates" p = None);
+              Alcotest.(check bool) "at most one graph per piece" true
+                (graphs p <= 1))
+            ps
+      | _ -> Alcotest.fail "checkpoint has no pieces")
+  | Error m -> Alcotest.fail m);
+  (match Search.Checkpoint.load path with
+  | Error m -> Alcotest.fail m
+  | Ok ck2 ->
+      let incs = Search.Checkpoint.incumbents ck2 in
+      Alcotest.(check (list int)) "both pieces hold an incumbent" [ 0; 1 ]
+        (List.map fst incs);
+      List.iter
+        (fun (piece, (_, g)) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "piece %d: incumbent is equivalent" piece)
+            true
+            (Verify.Random_test.equivalent ~trials:3
+               ~spec:(List.nth specs piece) g
+            = Verify.Random_test.Equivalent))
+        incs;
+      (* Resuming from it reaches the uninterrupted winner, also where
+         the task that found the incumbent is done and not re-run. *)
+      List.iteri
+        (fun piece spec ->
+          check_same_winner
+            (Printf.sprintf "piece %d: resume reaches the same winner" piece)
+            (Search.Generator.run ~config:cfg ~device ~spec ())
+            (Search.Generator.run ~config:cfg
+               ~budget:(Obs.Budget.unlimited ())
+               ~checkpoint:ck2 ~piece ~device ~spec ()))
+        specs);
+  Sys.remove path
+
+(* A checkpoint is a file on disk, so its incumbent is verified again on
+   resume: a planted graph cheaper than the real winner but not
+   equivalent to the spec (it drops the division) must not win. *)
+let test_planted_incumbent_reverified =
+  with_reset @@ fun () ->
+  let spec = div_matmul_spec ~b:4 ~h:8 ~d:16 in
+  let planted =
+    let bld = Graph.Build.create () in
+    let x = Graph.Build.input bld "X" [| 4; 8 |] in
+    let _c = Graph.Build.input bld "C" [| 4; 1 |] in
+    let w = Graph.Build.input bld "W" [| 8; 16 |] in
+    Graph.Build.finish bld ~outputs:[ prim bld Op.Matmul [ x; w ] ]
+  in
+  let cfg = small_config () in
+  let device = Gpusim.Device.a100 in
+  let o0 = Search.Generator.run ~config:cfg ~device ~spec () in
+  Alcotest.(check bool) "the planted graph is cheaper than the winner" true
+    (Gpusim.Cost.total_us device planted
+    < (best o0).Search.Generator.cost.Gpusim.Cost.total_us);
+  let path = Filename.temp_file "mirage_ckpt_planted" ".json" in
+  let ck = Search.Checkpoint.create ~path in
+  Search.Checkpoint.set_incumbent ck ~piece:0 ~gid:1 planted;
+  Search.Checkpoint.save ck;
+  let ck2 =
+    match Search.Checkpoint.load path with
+    | Ok ck -> ck
+    | Error m -> Alcotest.fail m
+  in
+  check_same_winner "the planted incumbent is refused" o0
+    (Search.Generator.run ~config:cfg ~checkpoint:ck2 ~device ~spec ());
+  Sys.remove path
+
+(* A v1 checkpoint's task indices named single roots, a v2 one's task
+   list still held the levels the goal-distance cut now skips, and a v3
+   one held every unverified candidate. Each must be refused, not
+   resumed into skipping the wrong tasks or trusting an unverified
+   graph. *)
 let test_checkpoint_v1_refused () =
   let path = Filename.temp_file "mirage_ckpt_v1" ".json" in
-  let ck = Search.Checkpoint.create ~path () in
-  Search.Checkpoint.task_done ck ~piece:0 ~task:1 ~tasks_total:3;
+  let ck = Search.Checkpoint.create ~path in
+  Search.Checkpoint.task_done ck ~piece:0 ~task:1;
   (match Search.Checkpoint.load path with
   | Ok ck ->
-      Alcotest.(check (list int)) "v3 loads" [ 1 ]
+      Alcotest.(check (list int)) "v4 loads" [ 1 ]
         (Search.Checkpoint.completed ck ~piece:0)
   | Error m -> Alcotest.fail m);
   let saved = In_channel.with_open_bin path In_channel.input_all in
@@ -389,9 +501,9 @@ let test_checkpoint_v1_refused () =
       match Search.Checkpoint.load path with
       | Ok _ -> Alcotest.failf "loaded a %s checkpoint" old
       | Error m ->
-          Alcotest.(check bool) (old ^ ": not a v3 file") true
-            (Astring_contains.contains m "not a mirage.checkpoint.v3 file"))
-    [ "mirage.checkpoint.v1"; "mirage.checkpoint.v2" ];
+          Alcotest.(check bool) (old ^ ": not a v4 file") true
+            (Astring_contains.contains m "not a mirage.checkpoint.v4 file"))
+    [ "mirage.checkpoint.v1"; "mirage.checkpoint.v2"; "mirage.checkpoint.v3" ];
   Sys.remove path
 
 let test_fingerprint_ignores_budget () =
@@ -465,6 +577,10 @@ let () =
           Alcotest.test_case "load errors" `Quick test_checkpoint_load_errors;
           Alcotest.test_case "v1 checkpoint refused" `Quick
             test_checkpoint_v1_refused;
+          Alcotest.test_case "one verified incumbent per piece" `Quick
+            test_checkpoint_holds_incumbents;
+          Alcotest.test_case "a planted incumbent is verified again" `Quick
+            test_planted_incumbent_reverified;
           Alcotest.test_case "fingerprint ignores budget fields" `Quick
             test_fingerprint_ignores_budget;
         ] );
