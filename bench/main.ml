@@ -495,11 +495,29 @@ let serve_bench () =
     Printf.eprintf "serve: daemon did not come up on %s\n" socket_path;
     exit 1
   end;
-  Printf.printf "%-10s %10s %10s %9s %7s\n" "benchmark" "cold ms" "warm ms"
-    "speedup" "cached";
+  Printf.printf "%-10s %10s %10s %9s %7s %10s\n" "benchmark" "cold ms" "warm ms"
+    "speedup" "cached" "cold/dir";
   let failures = ref 0 in
   let floor_ref_s = 0.1 in
   let min_warm_s = ref infinity in
+  (* What a miss costs over its search: the cold request through the
+     socket over a direct [Generator.run] of the same spec and config
+     in this process, median of three. *)
+  let direct_s (b : Workloads.Bench_defs.benchmark) =
+    let spec, _ = b.Workloads.Bench_defs.reduced () in
+    let config = Search.Config.for_spec ~base:base_config spec in
+    let once () =
+      let t0 = Unix.gettimeofday () in
+      ignore
+        (Search.Generator.run ~config ~verify_trials:2
+           ~budget:(Search.Budget.of_config config) ~device:Gpusim.Device.a100
+           ~spec ());
+      Unix.gettimeofday () -. t0
+    in
+    let a = Array.of_list (List.sort Float.compare (List.init 3 (fun _ -> once ()))) in
+    a.(1)
+  in
+  let ratios = ref [] in
   List.iter
     (fun (b : Workloads.Bench_defs.benchmark) ->
       let name = b.Workloads.Bench_defs.name in
@@ -545,8 +563,10 @@ let serve_bench () =
           name (1e3 *. !warm_s) (1e3 *. cold_s) (1e3 *. floor_ref_s);
         incr failures
       end;
-      Printf.printf "%-10s %10.1f %10.2f %8.0fx %7b\n" name (1e3 *. cold_s)
-        (1e3 *. !warm_s) speedup (cached !warm_resp);
+      let cold_over_direct = cold_s /. direct_s b in
+      ratios := cold_over_direct :: !ratios;
+      Printf.printf "%-10s %10.1f %10.2f %8.0fx %7b %10.2f\n" name (1e3 *. cold_s)
+        (1e3 *. !warm_s) speedup (cached !warm_resp) cold_over_direct;
       jpush
         Obs.Jsonw.
           [
@@ -555,10 +575,26 @@ let serve_bench () =
             ("cold_s", Float cold_s);
             ("warm_s", Float !warm_s);
             ("speedup", Float speedup);
+            ("cold_over_direct", Float cold_over_direct);
           ];
       record "serve"
         [ (Printf.sprintf "serve.%s.warm_ms" name, 1e3 *. !warm_s) ])
     (Workloads.Bench_defs.all ());
+  let cold_over_direct =
+    exp
+      (List.fold_left (fun acc r -> acc +. log r) 0.0 !ratios
+      /. float_of_int (List.length !ratios))
+  in
+  Printf.printf "cold request over direct search (geomean): %.2f\n"
+    cold_over_direct;
+  jpush
+    Obs.Jsonw.
+      [
+        ("suite", Str "serve");
+        ("benchmark", Str "fig7");
+        ("cold_over_direct", Float cold_over_direct);
+      ];
+  record "serve" [ ("serve.fig7.cold_over_direct", cold_over_direct) ];
   (* Stage-level quantiles from the live telemetry plane: scrape the
      daemon's `metrics` snapshot (validating it against the exposition
      schema) and export the per-stage p50/p99 plus the cache hit rate

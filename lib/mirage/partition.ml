@@ -46,35 +46,32 @@ let partition (g : Graph.kernel_graph) =
      when some path between two nodes of the would-be merged component
      passes through a node outside it (e.g. m -> relu(m) -> f(m, relu m):
      the merged component would depend on a component that depends on it,
-     and no piece order would exist). Since existing components are
-     acyclic, walking backward from each member and looking for a re-entry
-     after leaving the merged set finds exactly the new cycles. *)
+     and no piece order would exist). Nodes are in topological order, so
+     one sweep from the last node down marks every outside operator that
+     a member reaches backward through outside operators only; a marked
+     node that reads a member closes a new cycle. Existing components are
+     acyclic, so these are exactly the new cycles. [reached] is reset by
+     the sweep that sets it. *)
+  let reached = Array.make n false in
   let creates_cycle ~prod:j ~cons:i =
     let ri = find parent i and rj = find parent j in
     let in_merged k =
-      is_op k && (find parent k = ri || find parent k = rj)
+      is_op k && (let r = find parent k in r = ri || r = rj)
     in
-    let seen = Hashtbl.create 16 in
-    let rec back k outside =
-      if in_merged k && outside then true
-      else if Hashtbl.mem seen (k, outside) then false
-      else begin
-        Hashtbl.add seen (k, outside) ();
-        let outside = outside || not (in_merged k) in
-        List.exists
+    let cycle = ref false in
+    for k = n - 1 downto 0 do
+      let member = in_merged k in
+      if member || reached.(k) then begin
+        reached.(k) <- false;
+        List.iter
           (fun ({ node = l; _ } : Graph.tensor_ref) ->
-            is_op l && back l outside)
+            if is_op l then
+              if in_merged l then (if not member then cycle := true)
+              else reached.(l) <- true)
           g.knodes.(k).Graph.kins
       end
-    in
-    List.exists
-      (fun v ->
-        in_merged v
-        && List.exists
-             (fun ({ node = l; _ } : Graph.tensor_ref) ->
-               is_op l && back l false)
-             g.knodes.(v).Graph.kins)
-      (List.init n Fun.id)
+    done;
+    !cycle
   in
   (* merge adjacent LAX operators (when acyclicity allows) *)
   Array.iteri

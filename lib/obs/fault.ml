@@ -31,6 +31,7 @@ let known_points =
     "journal.write";
     "report.finalize";
     "serve.slow";
+    "serve.search";
     "wire.torn";
     "wire.disconnect";
     "wire.oversize";

@@ -20,7 +20,8 @@ exception Injected of string
 
 val known_points : string list
 (** The documented probe points: [enum.block], [enum.kernel], [verify],
-    [ilp], [journal.write], [report.finalize], [serve.slow]. {!trip}
+    [ilp], [journal.write], [report.finalize], [serve.slow],
+    [serve.search] (a daemon search raises as it starts). {!trip}
     accepts any name. *)
 
 val trip : string -> unit

@@ -154,6 +154,10 @@ let history_rules =
     (* stage quantiles: socket jitter dwarfs the microsecond stages *)
     row "serve" "_us" Higher ~abs:100_000.0;
     row "serve" "hit_rate" Lower ~abs:0.02;
+    (* a miss over its search, geomean over the six benchmarks (the
+       per-benchmark ratios are in the --json rows); runs spread over
+       ~0.9, most of it QKNorm's, whose search is tens of microseconds *)
+    row "serve" "cold_over_direct" Higher ~rel:(Fixed 0.0) ~abs:1.0;
     (* allocation and query counts are deterministic: 5 % whatever the
        threshold; a search's expansions have no slack at all *)
     row "enum" "minor_words" Higher ~rel:(Fixed 0.05);

@@ -104,22 +104,22 @@ module Pool = struct
     seed_rr : int ref; (* round-robin cursor for [seed]; pre-run only *)
     m_steal_fail : Obs.Metrics.counter;
     m_depth : Obs.Metrics.gauge array; (* per-worker max queue depth *)
-    key : t option Domain.DLS.key; (* worker identity, lazily minted *)
-    ids : int Domain.DLS.key;
   }
 
-  (* Each worker domain stamps its pool + deque id into DLS so [spawn]
+  (* Each worker domain stamps its pool and deque id into DLS so [spawn]
      from arbitrarily deep in the enumerators finds its own deque
-     without threading the pool through every call. *)
-  let mk_keys () =
-    (Domain.DLS.new_key (fun () -> None), Domain.DLS.new_key (fun () -> -1))
+     without threading the pool through every call. One key for the
+     process: a key is never freed, and a domain's first read of a key
+     grows its DLS array to the key's index, so a key per pool would
+     make each fresh domain pay for every pool ever created. *)
+  let worker : (t * int) option Domain.DLS.key =
+    Domain.DLS.new_key (fun () -> None)
 
   let create ?registry ~workers () =
     let reg =
       match registry with Some r -> r | None -> Obs.Metrics.default ()
     in
     let workers = max 1 workers in
-    let key, ids = mk_keys () in
     {
       deques = Array.init workers (fun _ -> deque ());
       pending = Atomic.make 0;
@@ -138,8 +138,6 @@ module Pool = struct
         Array.init workers (fun i ->
             Obs.Metrics.gauge reg ~help:"max enumeration queue depth"
               (Printf.sprintf "search.queue.depth.w%d" i));
-      key;
-      ids;
     }
 
   let workers t = Array.length t.deques
@@ -149,8 +147,8 @@ module Pool = struct
   let parked t = Atomic.get t.n_parked
 
   let self t =
-    match Domain.DLS.get t.key with
-    | Some t' when t' == t -> Some (Domain.DLS.get t.ids)
+    match Domain.DLS.get worker with
+    | Some (t', id) when t' == t -> Some id
     | _ -> None
 
   let seed t f =
@@ -169,9 +167,8 @@ module Pool = struct
     Mutex.unlock t.park_m
 
   let spawn t f =
-    match Domain.DLS.get t.key with
-    | Some t' when t' == t && Atomic.get t.n_hungry > 0 ->
-        let id = Domain.DLS.get t.ids in
+    match Domain.DLS.get worker with
+    | Some (t', id) when t' == t && Atomic.get t.n_hungry > 0 ->
         Atomic.incr t.pending;
         Atomic.incr t.n_spawned;
         let q = t.deques.(id) in
@@ -192,8 +189,8 @@ module Pool = struct
       !s mod bound
 
   let run_worker t ~id ~stop ~run =
-    Domain.DLS.set t.key (Some t);
-    Domain.DLS.set t.ids id;
+    let outer = Domain.DLS.get worker in
+    Domain.DLS.set worker (Some (t, id));
     let n = Array.length t.deques in
     let rng = mk_rng id in
     let own = t.deques.(id) in
@@ -270,7 +267,7 @@ module Pool = struct
        parked workers, which then see the drain or [stop] too. *)
     Fun.protect
       ~finally:(fun () ->
-        Domain.DLS.set t.key None;
+        Domain.DLS.set worker outer;
         wake t)
       (fun () -> loop false)
 end

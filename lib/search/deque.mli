@@ -79,10 +79,15 @@ module Pool : sig
       (as a flag the item sets), so a worker sees it at its next item
       boundary and wakes the parked ones on its way out. [run] executes
       one item and must not raise (quarantine exceptions inside it);
-      the in-flight count is decremented even if it does. *)
+      the in-flight count is decremented even if it does. On return
+      the calling domain is again the worker it was before the call
+      (of an enclosing pool's run, or of none). *)
 
   val self : t -> int option
-  (** The calling worker's deque index, [None] outside {!run_worker}. *)
+  (** The calling worker's deque index, [None] outside {!run_worker}.
+      Every pool shares one domain-local key, minted once per process,
+      so a domain's first call costs the same however many pools the
+      process has made. *)
 
   val steals : t -> int
   (** Successful steals so far (cheap atomic read — feeds the live

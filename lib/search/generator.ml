@@ -22,24 +22,27 @@ let task_label = function
   | T_kernel -> "kernel"
   | T_class _ -> "root"
 
-(* Worker domains inherit the spawner's ambient journal context (the
-   serving tier's request id), so a request's id survives the fan-out
-   and its search events stay filterable by rid — and the spawner's
-   profile phase path, so a worker's task phases land under the
-   spawning phase ([search/enumerate/task.kernel]) instead of floating
-   at the root of a fresh stack. [spawner ()] captures both now for
-   domains started later. *)
-let spawner () =
+(* A search's domains run under the journal context (the serving
+   tier's request id) and the profile phase path of the code that
+   started them, so a request's id survives the fan-out and its search
+   events stay filterable by rid, and a worker's task phases land under
+   the starting phase ([search/enumerate/task.kernel]) instead of
+   floating at the root of a fresh stack. [capture ()] takes both now
+   and returns a runner that installs them around a thunk on whichever
+   domain calls it, and puts back what that domain had. *)
+let capture () =
   let ctx = Obs.Journal.context () in
   let ppath = Obs.Profile.saved_path () in
   fun f ->
-    Domain.spawn (fun () ->
-        Obs.Journal.set_context ctx;
-        Fun.protect
-          ~finally:(fun () -> Obs.Journal.set_context [])
-          (fun () -> Obs.Profile.with_base ppath f))
+    let saved = Obs.Journal.context () in
+    Obs.Journal.set_context ctx;
+    Fun.protect
+      ~finally:(fun () -> Obs.Journal.set_context saved)
+      (fun () -> Obs.Profile.with_base ppath f)
 
-let spawn f = spawner () f
+let spawner () =
+  let under = capture () in
+  fun f -> Domain.spawn (fun () -> under f)
 
 (* Starting a helper domain and joining it costs a median 0.07–0.26 ms
    on a 2-core VM (OCaml 5.1.1; 400 spawn+join pairs of an empty
@@ -242,11 +245,16 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
   (* Resume: the saved incumbent is emitted like a fresh candidate, so it
      gets a new id, a re-run task's copy of it deduplicates, and
      [on_candidate] verifies it again (a file on disk is outside input).
-     No lane exists yet. *)
+     It counts as one try that completed, so the funnel holds and the
+     stats' candidates include it as [generated] does. No lane exists
+     yet. *)
   (match checkpoint with
   | Some ck ->
       Option.iter
-        (fun (_, g) -> emit g)
+        (fun (_, g) ->
+          Stats.add stats Stats.Expanded 1;
+          Stats.add stats Stats.Candidates 1;
+          emit g)
         (List.assoc_opt piece (Checkpoint.incumbents ck))
   | None -> ());
   let record_crash i exn bt =

@@ -39,10 +39,13 @@ type outcome = {
           a clean run *)
 }
 
-val spawn : (unit -> 'a) -> 'a Domain.t
-(** [spawn f] runs [f] on a new domain that starts with the caller's
-    journal context (the serving tier's request id) and profile phase
-    path. *)
+val capture : unit -> (unit -> 'a) -> 'a
+(** [capture ()] takes the caller's journal context (the serving tier's
+    request id) and profile phase path; the runner it returns runs a
+    thunk under them on whichever domain calls it, and then restores
+    that domain's own. Helper lanes start under the context of the
+    lanes call, and [Service.Server] runs each search on a long-lived
+    slot domain under the context of the request that asked for it. *)
 
 val helper_after_s : float
 (** How long a lanes call runs on lane 0 alone before it may start its
@@ -50,7 +53,7 @@ val helper_after_s : float
     median of 0.07–0.26 ms on a 2-core VM, one time in ten past 4 ms). *)
 
 (** Lanes on demand. A lanes call of [n] lanes runs lane 0 on the
-    calling domain; lanes 1 .. n-1 are helper domains from {!spawn} that
+    calling domain; lanes 1 .. n-1 are helper domains, started under {!capture}, that
     lane 0 starts, all at once and at most once, at the first {!poll}
     that comes {!helper_after_s} or more after {!create} (a ski-rental
     rule: work alone until the work done equals the price of help). So
@@ -63,9 +66,10 @@ val helper_after_s : float
     Lane 0 holds the calling domain's lock while it works. A caller
     whose domain other systhreads share must not run a search there:
     they would wait for the systhreads tick (up to 50 ms) whenever they
-    want to run. [Service.Server] therefore calls {!run} on a domain of
-    its own from {!spawn} and waits in [Domain.join], which releases the
-    lock. *)
+    want to run. [Service.Server] therefore calls {!run} on a search
+    slot's domain, which it starts at the slot's first search and keeps
+    for the next ones, and its handler waits on a condition variable,
+    which releases the lock. *)
 module Lanes : sig
   type t
 

@@ -40,6 +40,9 @@ type t = {
   mem_capacity : int;
   max_disk_bytes : int;  (* 0 = unlimited *)
   lock : Mutex.t;
+  wlock : Mutex.t;
+      (* serializes disk writes; a write holds [lock] only to rename and
+         count, so a find never waits for a write's fsync *)
   mutable mem : (string * J.t) list;  (* most-recent first *)
   mutable disk_bytes : int;
   mutable mem_only : bool;  (* ENOSPC degradation: stop touching disk *)
@@ -280,6 +283,7 @@ let create ?(mem_capacity = 64) ?(registry = Obs.Metrics.default ())
       mem_capacity = max 1 mem_capacity;
       max_disk_bytes;
       lock = Mutex.create ();
+      wlock = Mutex.create ();
       mem = [];
       disk_bytes = 0;
       mem_only = false;
@@ -357,10 +361,11 @@ let envelope fp payload =
       ("payload", payload);
     ]
 
-(* Durable atomic write: bytes → temp file → fsync(file) → rename →
-   fsync(directory). Any crash leaves the old entry or the new one; the
-   worst residue is a temp file the next startup sweep quarantines. *)
-let write_durable dir path json =
+(* Durable atomic write, in two steps: bytes → temp file → fsync(file)
+   here, then rename → fsync(directory) in [store]. Any crash leaves the
+   old entry or the new one; the worst residue is a temp file the next
+   startup sweep quarantines. Returns the temp file and its size. *)
+let write_temp dir json =
   let tmp =
     Filename.concat dir (Printf.sprintf "%s%d" tmp_prefix (Unix.getpid ()))
   in
@@ -379,14 +384,15 @@ let write_durable dir path json =
    with e ->
      (try Sys.remove tmp with _ -> ());
      raise e);
-  Sys.rename tmp path;
-  (try
-     let dfd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
-     Fun.protect
-       ~finally:(fun () -> try Unix.close dfd with _ -> ())
-       (fun () -> Unix.fsync dfd)
-   with _ -> () (* directory fsync is a durability nicety, never fatal *));
-  String.length s
+  (tmp, String.length s)
+
+let fsync_dir dir =
+  try
+    let dfd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
+    Fun.protect
+      ~finally:(fun () -> try Unix.close dfd with _ -> ())
+      (fun () -> Unix.fsync dfd)
+  with _ -> () (* directory fsync is a durability nicety, never fatal *)
 
 let enter_mem_only_locked t reason =
   if not t.mem_only then begin
@@ -399,28 +405,38 @@ let enter_mem_only_locked t reason =
           reason)
   end
 
+(* The memory insert and the counts take [lock]; the disk write takes
+   [wlock], and [lock] again only around the rename, so finds are served
+   meanwhile and writers never share a temp file. *)
 let store ?(cls = `Result) t fp payload =
-  Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
-      Obs.Metrics.bump
-        (match cls with `Result -> t.c_store | `Prune -> t.c_prune_store);
-      mem_insert_locked t fp payload;
-      if not t.mem_only then
+  let to_disk =
+    Mutex.protect t.lock (fun () ->
+        Obs.Metrics.bump
+          (match cls with `Result -> t.c_store | `Prune -> t.c_prune_store);
+        mem_insert_locked t fp payload;
+        not t.mem_only)
+  in
+  if to_disk then
+    Mutex.protect t.wlock (fun () ->
         let d = entry_dir t fp in
         let path = entry_path t fp in
         try
           Obs.Fault.trip "cache.enospc";
           mkdir_p d;
-          let old = file_size path in
-          let written = write_durable d path (envelope fp payload) in
-          set_disk_bytes_locked t (t.disk_bytes - old + written);
-          enforce_cap_locked t ~keep:fp
+          let tmp, written = write_temp d (envelope fp payload) in
+          Mutex.protect t.lock (fun () ->
+              let old = file_size path in
+              (try Sys.rename tmp path
+               with e ->
+                 (try Sys.remove tmp with _ -> ());
+                 raise e);
+              set_disk_bytes_locked t (t.disk_bytes - old + written);
+              enforce_cap_locked t ~keep:fp);
+          fsync_dir d
         with
         | Obs.Fault.Injected _ | Unix.Unix_error (Unix.ENOSPC, _, _) ->
             (* no space: serve from memory, never crash the daemon *)
-            enter_mem_only_locked t "ENOSPC"
+            Mutex.protect t.lock (fun () -> enter_mem_only_locked t "ENOSPC")
         | e ->
             (* any other store failure degrades (the next request
                re-searches) but must never take the daemon down *)
@@ -428,6 +444,9 @@ let store ?(cls = `Result) t fp payload =
             Obs.Log.warn (fun m ->
                 m "service.cache: store %s failed: %s" fp
                   (Printexc.to_string e)))
+
+let remember t fp payload =
+  Mutex.protect t.lock (fun () -> mem_insert_locked t fp payload)
 
 let clear_mem t =
   Mutex.lock t.lock;

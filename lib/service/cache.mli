@@ -59,7 +59,13 @@ val store : ?cls:[ `Result | `Prune ] -> t -> string -> Obs.Jsonw.t -> unit
 (** [store t fp payload] writes both tiers durably. ENOSPC degrades the
     store to memory-only mode; any other disk failure is logged and
     degrades the run ([service.cache.write]); neither raises. [cls] as
-    in {!find}. *)
+    in {!find}. Stores run one at a time; a {!find} waits for none of a
+    store's disk work but the rename. *)
+
+val remember : t -> string -> Obs.Jsonw.t -> unit
+(** [remember t fp payload] puts [payload] in the memory tier only, so
+    {!find} serves it at once; a later {!store} makes it durable. Not
+    counted as a store. *)
 
 val quarantine : t -> string -> reason:string -> unit
 (** Forcibly quarantine an entry (both tiers) — used by callers that

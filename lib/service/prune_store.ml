@@ -8,7 +8,7 @@ let persist ~cache solver =
   let fp = fingerprint solver in
   {
     Smtlite.Solver.p_load = (fun () -> Cache.find ~cls:`Prune cache fp);
-    p_store = (fun env -> Cache.store ~cls:`Prune cache fp env);
+    p_store = (fun build -> Cache.store ~cls:`Prune cache fp (build ()));
     p_corrupt =
       (fun reason ->
         Cache.quarantine cache fp ~reason:("prune-cache: " ^ reason));
@@ -16,3 +16,12 @@ let persist ~cache solver =
 
 let attach ~cache solver =
   Smtlite.Solver.attach_persist solver (persist ~cache solver)
+
+let attach_deferred ~cache solver =
+  let p = persist ~cache solver in
+  let pending = ref None in
+  Smtlite.Solver.attach_persist solver
+    { p with Smtlite.Solver.p_store = (fun build -> pending := Some build) };
+  fun () ->
+    Option.iter p.Smtlite.Solver.p_store !pending;
+    pending := None

@@ -20,3 +20,10 @@ val attach : cache:Cache.t -> Smtlite.Solver.t -> unit
     stored envelope now; the search stores the envelope once, when it
     finishes ({!Smtlite.Solver.flush_persist}). Call once per solver,
     before the search starts. *)
+
+val attach_deferred : cache:Cache.t -> Smtlite.Solver.t -> unit -> unit
+(** {!attach}, except that the search's store only keeps the
+    envelope's builder: the returned function builds the envelope and
+    writes it durably (once; a no-op when the search stored nothing). The daemon calls it after it
+    has answered the request. Call it on the domain that ran the
+    search, or after that search returned. *)

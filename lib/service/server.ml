@@ -13,13 +13,19 @@
      graph is re-decoded; a semantically corrupt entry is quarantined
      and the request falls through to a fresh search);
    - cache miss → the request joins the single-flight table. The first
-     requester of a fingerprint runs the §4 search (under a PR 3 budget,
-     on a bounded pool of search slots — each search runs on a domain
-     of its own and fans out over [num_workers] lanes, that domain
-     being lane 0); every concurrent identical request
-     blocks on the same flight and receives the same result. Exactly
-     one search runs per distinct in-flight fingerprint, however many
-     clients ask.
+     requester of a fingerprint runs the §4 search (under a budget, on
+     one of [max_concurrent_searches] search slots: long-lived domains,
+     each started at its slot's first search; the search fans out over
+     [num_workers] lanes, the slot's domain being lane 0); every
+     concurrent identical request blocks on the same flight and
+     receives the same result. Exactly one search runs per distinct
+     in-flight fingerprint, however many clients ask. A final result
+     goes to the cache's memory tier before the flight settles and the
+     leader answers; the slot then writes the prune envelope and the
+     result durably, and takes no other search until both are on disk.
+     [stop]/[wait] join the slot domains after those writes, so a
+     stopped daemon leaves its answers on disk, and a degraded payload
+     is never stored.
 
    The daemon is armored against overload and hostile peers
    ({!Admit}, {!Proto}):
@@ -49,56 +55,151 @@
 
 module J = Obs.Jsonw
 
-(* --- a tiny counting semaphore (the search slot pool) ---------------- *)
+(* --- search slots -------------------------------------------------------- *)
 
-module Sem = struct
-  type t = { m : Mutex.t; c : Condition.t; mutable avail : int }
+(* [max_concurrent_searches] slots, each a long-lived domain. A leader
+   takes an idle slot, posts its search there and waits for the answer
+   on a condition variable, which releases the lock of the domain the
+   handlers share. A slot's domain starts at the slot's first search and
+   runs every later one: a fresh domain per search page-faults in a new
+   minor heap each time. A job returns the slot to the idle list when it
+   ends, after the writes it makes once it has answered, so the next
+   search on a slot never waits behind the last one's writes. *)
+module Slots = struct
+  type slot = {
+    m : Mutex.t;
+    c : Condition.t;
+    mutable job : (unit -> unit) option;  (* posted, not yet taken *)
+    mutable quit : bool;
+    mutable dom : unit Domain.t option;
+        (* read and set only by whoever holds the slot *)
+  }
 
-  let create n = { m = Mutex.create (); c = Condition.create (); avail = n }
+  type t = {
+    pm : Mutex.t;
+    pc : Condition.t;
+    mutable idle : slot list;
+    all : slot list;
+  }
 
-  let acquire s =
-    Mutex.lock s.m;
-    while s.avail <= 0 do
-      Condition.wait s.c s.m
+  let create n =
+    let all =
+      List.init (max 1 n) (fun _ ->
+          {
+            m = Mutex.create ();
+            c = Condition.create ();
+            job = None;
+            quit = false;
+            dom = None;
+          })
+    in
+    { pm = Mutex.create (); pc = Condition.create (); idle = all; all }
+
+  let acquire p =
+    Mutex.lock p.pm;
+    while p.idle = [] do
+      Condition.wait p.pc p.pm
     done;
-    s.avail <- s.avail - 1;
-    Mutex.unlock s.m
+    let s = List.hd p.idle in
+    p.idle <- List.tl p.idle;
+    Mutex.unlock p.pm;
+    s
 
-  (* Deadline-bounded acquire: true when a slot was taken, false when
-     [deadline] (absolute; 0. = none) passed first. OCaml's Condition
-     has no timed wait, so the bounded path polls in short slices — the
-     queue-wait granularity (5 ms) is noise next to search times. *)
-  let acquire_until s ~deadline =
-    if deadline <= 0.0 then begin
-      acquire s;
-      true
-    end
+  (* Deadline-bounded acquire: the slot, or None when [deadline]
+     (absolute; 0. = none) passed first. OCaml's Condition has no timed
+     wait, so the bounded path polls in short slices — the queue-wait
+     granularity (5 ms) is noise next to search times. *)
+  let acquire_until p ~deadline =
+    if deadline <= 0.0 then Some (acquire p)
     else
       let rec go () =
         (* an already-expired deadline never takes a slot: the caller
            owes its client a typed timeout, not a search *)
-        if Unix.gettimeofday () >= deadline then false
+        if Unix.gettimeofday () >= deadline then None
         else begin
-          Mutex.lock s.m;
-          if s.avail > 0 then begin
-            s.avail <- s.avail - 1;
-            Mutex.unlock s.m;
-            true
-          end
-          else begin
-            Mutex.unlock s.m;
-            Thread.delay 0.005;
-            go ()
-          end
+          Mutex.lock p.pm;
+          match p.idle with
+          | s :: rest ->
+              p.idle <- rest;
+              Mutex.unlock p.pm;
+              Some s
+          | [] ->
+              Mutex.unlock p.pm;
+              Thread.delay 0.005;
+              go ()
         end
       in
       go ()
 
-  let release s =
+  (* broadcast: [retire] waits for one slot in particular *)
+  let release p s =
+    Mutex.lock p.pm;
+    p.idle <- s :: p.idle;
+    Condition.broadcast p.pc;
+    Mutex.unlock p.pm
+
+  let rec serve s =
     Mutex.lock s.m;
-    s.avail <- s.avail + 1;
+    while s.job = None && not s.quit do
+      Condition.wait s.c s.m
+    done;
+    let job = s.job in
+    s.job <- None;
+    Mutex.unlock s.m;
+    match job with
+    | Some f ->
+        f ();
+        serve s
+    | None -> ()
+
+  (* Run [f] on the held slot [s]'s domain, starting the domain at the
+     slot's first job; the slot is released when [f] returns. [f] must
+     not raise: it reports to its poster. *)
+  let post p s f =
+    (if s.dom = None then
+       try s.dom <- Some (Domain.spawn (fun () -> serve s))
+       with e ->
+         release p s;
+         raise e);
+    let job () =
+      (try f ()
+       with e ->
+         Obs.Log.warn (fun m ->
+             m "service: a search slot's job raised: %s" (Printexc.to_string e)));
+      release p s
+    in
+    Mutex.lock s.m;
+    s.job <- Some job;
     Condition.signal s.c;
     Mutex.unlock s.m
+
+  (* Take each slot in turn as a search would, so that a search under
+     way on it ends, writes included, run [f] on it and release it. *)
+  let each p f =
+    List.iter
+      (fun s ->
+        Mutex.lock p.pm;
+        while not (List.memq s p.idle) do
+          Condition.wait p.pc p.pm
+        done;
+        p.idle <- List.filter (fun s' -> s' != s) p.idle;
+        Mutex.unlock p.pm;
+        Fun.protect ~finally:(fun () -> release p s) (fun () -> f s))
+      p.all
+
+  (* Join every slot's domain; a later search starts the slot afresh. *)
+  let retire p =
+    each p (fun s ->
+        match s.dom with
+        | None -> ()
+        | Some d ->
+            Mutex.lock s.m;
+            s.quit <- true;
+            Condition.signal s.c;
+            Mutex.unlock s.m;
+            (try Domain.join d with _ -> ());
+            s.dom <- None;
+            s.quit <- false)
 end
 
 (* --- typed request rejections ----------------------------------------- *)
@@ -160,7 +261,7 @@ type t = {
   device : Gpusim.Device.t;
   base_config : Search.Config.t;
   verify_trials : int;
-  search_slots : Sem.t;
+  slots : Slots.t;
   admit : Admit.t;
   frame_timeout_s : float;  (* 0 = unlimited *)
   idle_timeout_s : float;  (* 0 = unlimited *)
@@ -194,7 +295,7 @@ let create ?(mem_capacity = 64) ?(registry = Obs.Metrics.default ())
     ?(idle_timeout_s = 30.0) ?(cache_max_bytes = 0) ?slow_threshold_s
     ?slow_dir ?slow_max_reports ~socket_path ~cache_dir () =
   let c name help = Obs.Metrics.counter registry ~help name in
-  (* Searches run on domains of their own (see [run_search]), and two
+  (* Searches run on slot domains of their own (see [Slots]), and two
      domains forcing one lazy metric handle at once fail: force the
      verifier's here, before any search starts. *)
   Verify.Random_test.warm ();
@@ -206,7 +307,7 @@ let create ?(mem_capacity = 64) ?(registry = Obs.Metrics.default ())
     device;
     base_config;
     verify_trials;
-    search_slots = Sem.create (max 1 max_concurrent_searches);
+    slots = Slots.create max_concurrent_searches;
     admit =
       Admit.create ~registry ~max_connections ~max_queue_depth ~tenant_rate
         ~tenant_burst ~retry_after_s ();
@@ -397,45 +498,71 @@ let payload_valid payload =
       | Ok _ -> Ok ()
       | Error m -> Error (Printf.sprintf "best.graph does not decode: %s" m))
 
-let run_search t ~config ~device ~benchmark ~spec ~fp ~flight =
+(* Run the search on the held slot and wait for its payload, or for
+   what it raised. The slot's job runs under the request's journal
+   context and profile base. Once it has answered, the job writes the
+   prune envelope and a final payload durably. A read that comes
+   meanwhile is a hit: the leader puts a final payload in the memory
+   tier before it settles the flight. *)
+let run_search t slot ~config ~device ~benchmark ~spec ~fp ~flight =
   Obs.Metrics.bump t.c_searches;
-  Obs.Journal.event "search.start"
-    [
-      ("fingerprint", J.Str fp);
-      ( "benchmark",
-        match benchmark with Some n -> J.Str n | None -> J.Null );
-    ];
   let budget = Search.Budget.of_config config in
   Atomic.set flight.fbudget (Some budget);
-  let t0 = Unix.gettimeofday () in
-  (* The search runs on a domain of its own: its lane 0 works on the
-     domain that calls [Generator.run], and on this one, which every
-     handler, the accept loop and the progress streamers share, it would
-     hold the lock for the whole search, so a cache hit arriving
-     meanwhile would wait for the systhreads tick. [Domain.join]
-     releases the lock and re-raises what the search raised. *)
-  let o =
-    Domain.join
-      (Search.Generator.spawn (fun () ->
-           Search.Generator.run ~config
-             ~registry:(Telemetry.registry t.telemetry)
-             ~verify_trials:t.verify_trials ~budget ~progress:flight.fprogress
-             ~prune_persist:(Prune_store.attach ~cache:t.cache)
-             ~device ~spec ()))
+  let under = Search.Generator.capture () in
+  let rm = Mutex.create () and rc = Condition.create () in
+  let answer = ref None and write_prune = ref ignore in
+  let search () =
+    Obs.Journal.event "search.start"
+      [
+        ("fingerprint", J.Str fp);
+        ( "benchmark",
+          match benchmark with Some n -> J.Str n | None -> J.Null );
+      ];
+    Obs.Fault.trip "serve.search";
+    let t0 = Unix.gettimeofday () in
+    let o =
+      Search.Generator.run ~config
+        ~registry:(Telemetry.registry t.telemetry)
+        ~verify_trials:t.verify_trials ~budget ~progress:flight.fprogress
+        ~prune_persist:(fun solver ->
+          write_prune := Prune_store.attach_deferred ~cache:t.cache solver)
+        ~device ~spec ()
+    in
+    let wall_s = Unix.gettimeofday () -. t0 in
+    let payload = result_payload ~benchmark ~device ~spec o ~wall_s in
+    Obs.Journal.event "search.done"
+      [
+        ("fingerprint", J.Str fp);
+        ("wall_s", J.Float wall_s);
+        ("generated", J.Int o.Search.Generator.generated);
+        ( "optimized_us",
+          match J.member "optimized_us" payload with
+          | Some v -> v
+          | None -> J.Null );
+      ];
+    payload
   in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let payload = result_payload ~benchmark ~device ~spec o ~wall_s in
-  Obs.Journal.event "search.done"
-    [
-      ("fingerprint", J.Str fp);
-      ("wall_s", J.Float wall_s);
-      ("generated", J.Int o.Search.Generator.generated);
-      ( "optimized_us",
-        match J.member "optimized_us" payload with
-        | Some v -> v
-        | None -> J.Null );
-    ];
-  payload
+  Slots.post t.slots slot (fun () ->
+      under (fun () ->
+          let r =
+            match search () with
+            | payload -> Ok payload
+            | exception e -> Error e
+          in
+          Mutex.protect rm (fun () ->
+              answer := Some r;
+              Condition.signal rc);
+          !write_prune ();
+          match r with
+          | Ok payload when payload_final payload -> Cache.store t.cache fp payload
+          | Ok _ | Error _ -> ()));
+  Mutex.lock rm;
+  while !answer = None do
+    Condition.wait rc rm
+  done;
+  let r = Option.get !answer in
+  Mutex.unlock rm;
+  match r with Ok payload -> payload | Error e -> raise e
 
 (* --- single flight ---------------------------------------------------- *)
 
@@ -595,47 +722,43 @@ let optimize t ~rid ~(sample : Telemetry.sample) ?push ?(interval_s = 0.1)
                 | Admit.Admitted ->
                     let outcome =
                       stream_progress ~rid ~interval_s ~push flight (fun () ->
-                          let got_slot =
+                          let slot =
                             Telemetry.time_stage sample "queue_wait" (fun () ->
                                 Fun.protect
                                   ~finally:(fun () -> Admit.queue_done t.admit)
                                   (fun () ->
-                                    Sem.acquire_until t.search_slots ~deadline))
+                                    Slots.acquire_until t.slots ~deadline))
                           in
-                          if not got_slot then
-                            Failed
-                              (timeout_reject
-                                 "deadline expired while queued for a search \
-                                  slot")
-                          else
-                            Fun.protect
-                              ~finally:(fun () -> Sem.release t.search_slots)
-                              (fun () ->
-                                match
-                                  cap_config_to_deadline config ~deadline
-                                with
-                                | None ->
-                                    Failed
-                                      (timeout_reject
-                                         "deadline expired before the search \
-                                          started")
-                                | Some config -> (
-                                    match
-                                      Telemetry.time_stage sample "search"
-                                        (fun () ->
-                                          run_search t ~config ~device
-                                            ~benchmark ~spec ~fp ~flight)
-                                    with
-                                    | payload ->
-                                        if payload_final payload then
-                                          Cache.store t.cache fp payload;
-                                        Done payload
-                                    | exception e ->
-                                        Failed
-                                          (internal
-                                             (Printf.sprintf
-                                                "search failed: %s"
-                                                (Printexc.to_string e))))))
+                          match slot with
+                          | None ->
+                              Failed
+                                (timeout_reject
+                                   "deadline expired while queued for a search \
+                                    slot")
+                          | Some slot -> (
+                              match cap_config_to_deadline config ~deadline with
+                              | None ->
+                                  Slots.release t.slots slot;
+                                  Failed
+                                    (timeout_reject
+                                       "deadline expired before the search \
+                                        started")
+                              | Some config -> (
+                                  match
+                                    Telemetry.time_stage sample "search"
+                                      (fun () ->
+                                        run_search t slot ~config ~device
+                                          ~benchmark ~spec ~fp ~flight)
+                                  with
+                                  | payload ->
+                                      if payload_final payload then
+                                        Cache.remember t.cache fp payload;
+                                      Done payload
+                                  | exception e ->
+                                      Failed
+                                        (internal
+                                           (Printf.sprintf "search failed: %s"
+                                              (Printexc.to_string e))))))
                     in
                     (* followers (each with its own deadline) get what the
                        search made; the leader owes its client a timeout
@@ -1176,10 +1299,15 @@ let wait t =
    match drainer with
    | Some th -> ( try Thread.join th with _ -> ())
    | None -> ());
+  Slots.retire t.slots;
   if Sys.file_exists t.socket_path then (
     try Sys.remove t.socket_path with _ -> ())
 
-let stop t = shutdown_now t
+let stop t =
+  shutdown_now t;
+  Slots.retire t.slots
+
+let drain_writes t = Slots.each t.slots ignore
 
 let run t =
   start t;

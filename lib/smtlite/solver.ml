@@ -12,7 +12,7 @@ type stats = {
 
 type persist = {
   p_load : unit -> Obs.Jsonw.t option;
-  p_store : Obs.Jsonw.t -> unit;
+  p_store : (unit -> Obs.Jsonw.t) -> unit;
   p_corrupt : string -> unit;
 }
 
@@ -27,12 +27,14 @@ type t = {
   accepted : int Atomic.t;
   solve_ns : int Atomic.t;  (** cumulative decision-procedure time *)
   (* On-disk tier: string-keyed (Nf.to_string) so a loaded envelope
-     never needs a normal-form parser. [persist] is set once, before
-     search domains spawn; the table and [disk_new] are guarded by
-     [lock]. *)
+     never needs a normal-form parser. [persist] and [loaded] are set
+     once, before search domains spawn; the table and [disk_new] are
+     guarded by [lock]. A new decision lives in [cache] alone until a
+     flush's envelope is built, which adds every decision to [disk]. *)
   mutable persist : persist option;
+  mutable loaded : bool;  (** the attached envelope had entries *)
   disk : (string, bool) Hashtbl.t;
-  mutable disk_new : int;  (** entries added since the last flush *)
+  mutable disk_new : int;  (** decisions made since the last envelope *)
   disk_hits : int Atomic.t;
   mutable fronts : front option array;
       (** by worker index, each made on its first request; guarded by
@@ -63,6 +65,7 @@ let create ~target =
     accepted = Atomic.make 0;
     solve_ns = Atomic.make 0;
     persist = None;
+    loaded = false;
     disk = Hashtbl.create 16;
     disk_new = 0;
     disk_hits = Atomic.make 0;
@@ -98,20 +101,21 @@ let envelope_locked t =
 (* One durable store per search, when it finishes: every flush writes
    the whole envelope, so flushing as decisions pile up would write
    O(n^2) bytes. A search killed first loses decisions that take a few
-   microseconds each to remake. *)
+   microseconds each to remake. The envelope is built when the store
+   asks for it, which a deferred store does after the search: its
+   decisions are keyed and sorted then, not while it runs. *)
 let flush_persist t =
   match t.persist with
   | None -> ()
   | Some p ->
-      let j =
-        Mutex.protect t.lock (fun () ->
-            if t.disk_new = 0 then None
-            else begin
-              t.disk_new <- 0;
-              Some (envelope_locked t)
-            end)
-      in
-      Option.iter p.p_store j
+      if Mutex.protect t.lock (fun () -> t.disk_new > 0) then
+        p.p_store (fun () ->
+            Mutex.protect t.lock (fun () ->
+                Nf.Tbl.iter
+                  (fun nf r -> Hashtbl.replace t.disk (Nf.to_string nf) r)
+                  t.cache;
+                t.disk_new <- 0;
+                envelope_locked t))
 
 let attach_persist t p =
   t.persist <- Some p;
@@ -134,6 +138,7 @@ let attach_persist t p =
                 | J.Bool b -> Hashtbl.replace t.disk k b
                 | _ -> incr malformed)
               entries;
+            t.loaded <- Hashtbl.length t.disk > 0;
             Mutex.unlock t.lock;
             if !malformed > 0 then
               p.p_corrupt
@@ -156,17 +161,14 @@ let resolve t nf =
       Atomic.incr t.cache_hits;
       r
   | None -> (
-      let disk_key =
-        if t.persist = None then None else Some (Nf.to_string nf)
-      in
       let disk =
-        match disk_key with
-        | None -> None
-        | Some k ->
-            Mutex.lock t.lock;
-            let r = Hashtbl.find_opt t.disk k in
-            Mutex.unlock t.lock;
-            r
+        if not t.loaded then None
+        else
+          let k = Nf.to_string nf in
+          Mutex.lock t.lock;
+          let r = Hashtbl.find_opt t.disk k in
+          Mutex.unlock t.lock;
+          r
       in
       match disk with
       | Some r ->
@@ -187,11 +189,7 @@ let resolve t nf =
           Obs.Profile.note "smtlite.decide" (float_of_int dt_ns *. 1e-9);
           Mutex.lock t.lock;
           Nf.Tbl.replace t.cache nf r;
-          (match disk_key with
-          | Some k ->
-              Hashtbl.replace t.disk k r;
-              t.disk_new <- t.disk_new + 1
-          | None -> ());
+          if t.persist <> None then t.disk_new <- t.disk_new + 1;
           Mutex.unlock t.lock;
           r)
 
@@ -252,7 +250,7 @@ let stats t =
     accepted = Atomic.get t.accepted;
     solve_time_s = float_of_int (Atomic.get t.solve_ns) /. 1e9;
     disk_hits = Atomic.get t.disk_hits;
-    disk_entries = Hashtbl.length t.disk;
+    disk_entries = Mutex.protect t.lock (fun () -> Hashtbl.length t.disk + t.disk_new);
   }
 
 let disk_hit_ratio (s : stats) =

@@ -41,7 +41,10 @@ type stats = {
 type persist = {
   p_load : unit -> Obs.Jsonw.t option;
       (** fetch the stored envelope, [None] on miss *)
-  p_store : Obs.Jsonw.t -> unit;  (** durably store; must not raise *)
+  p_store : (unit -> Obs.Jsonw.t) -> unit;
+      (** durably store the envelope that the given function builds; it
+          may build it later, from another domain, once the search is
+          over. Must not raise *)
   p_corrupt : string -> unit;  (** quarantine an unusable stored entry *)
 }
 (** Storage hooks for the persistent query cache. The solver stays
@@ -99,7 +102,8 @@ val attach_persist : t -> persist -> unit
 val flush_persist : t -> unit
 (** Store the whole envelope, loaded and new decisions alike, through
     [p_store] once (no-op without {!attach_persist} or when nothing is
-    new). The generator calls it once, when a search finishes: a search
+    new). New decisions are keyed only when the envelope is built, so a
+    search pays nothing per query for a cold store. The generator calls it once, when a search finishes: a search
     makes one durable write, and a search killed before it loses only
     its new decisions, each a few microseconds to remake. Not for
     concurrent calls. *)

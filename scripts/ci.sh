@@ -177,12 +177,26 @@ fi
 grep -q '^REGRESSION cost.optimized_us:' /tmp/mirage_ci_diff/out.txt
 
 echo "== resume smoke: kill-and-resume lands in the same run dir"
+# A 5 s reported GatedMLP search is cut by its deadline holding a
+# verified incumbent (4.02 us), so the checkpoint has one to reload.
+# The resumed run starts from it, so it reports at most the first
+# run's optimized us: the same, or the 4.01 us winner of a task the
+# first run left unfinished. A resume that lost the incumbent reports
+# the spec's 16.01 us unless it finds a winner again in 5 s.
 rm -rf /tmp/mirage_ci_resume
-dune exec bin/mirage_cli.exe -- optimize rmsnorm \
-  --budget 1 --workers 2 --report /tmp/mirage_ci_resume >/dev/null
+dune exec bin/mirage_cli.exe -- optimize gatedmlp \
+  --budget 5 --workers 2 --report /tmp/mirage_ci_resume \
+  > /tmp/mirage_ci_resume1.txt
 test -f /tmp/mirage_ci_resume/checkpoint.json
-dune exec bin/mirage_cli.exe -- optimize rmsnorm \
-  --budget 10 --workers 2 --resume /tmp/mirage_ci_resume >/dev/null
+grep -q '"incumbent":{' /tmp/mirage_ci_resume/checkpoint.json
+dune exec bin/mirage_cli.exe -- optimize gatedmlp \
+  --budget 5 --workers 2 --resume /tmp/mirage_ci_resume \
+  > /tmp/mirage_ci_resume2.txt
+US1=$(sed -n 's/^Mirage on .* -> \([0-9.]*\) us .*/\1/p' /tmp/mirage_ci_resume1.txt)
+US2=$(sed -n 's/^Mirage on .* -> \([0-9.]*\) us .*/\1/p' /tmp/mirage_ci_resume2.txt)
+test -n "$US1" && test -n "$US2"
+awk -v a="$US1" -v b="$US2" 'BEGIN { exit !(b + 0 <= a + 0) }' || {
+  echo "resumed run reports $US2 us, the first $US1 us"; exit 1; }
 grep -q '"state": "\(ok\|degraded\)"' /tmp/mirage_ci_resume/report.json
 dune exec tools/json_check.exe -- /tmp/mirage_ci_resume/checkpoint.json
 # A checkpoint holds the task cursor and the verified incumbent only.
@@ -334,5 +348,7 @@ echo "== bench history regression gate (Fig. 7 + verifier + service + enum + cod
 cp BENCH_history.jsonl /tmp/mirage_ci_history.jsonl
 dune exec bench/main.exe -- fig7 verify serve profile enum codegen \
   --history /tmp/mirage_ci_history.jsonl --gate 5 >/dev/null
+# the serve suite prices a miss against a direct search of its spec
+tail -1 /tmp/mirage_ci_history.jsonl | grep -q '"serve.fig7.cold_over_direct"'
 
 echo "CI OK"

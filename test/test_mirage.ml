@@ -133,6 +133,83 @@ let test_partition_diamond_through_relu () =
   let p2 = Mirage.Partition.partition g2 in
   check_order g2 p2
 
+(* One line per piece: id, LAX or not, operator count, input names ->
+   output names, and the piece graph's hash. *)
+let piece_lines (p : Mirage.Partition.t) =
+  List.map
+    (fun (pc : Mirage.Partition.piece) ->
+      Printf.sprintf "%d %s %d [%s] -> [%s] %d" pc.Mirage.Partition.id
+        (if pc.Mirage.Partition.lax then "lax" else "non-lax")
+        (Graph.kernel_op_count pc.Mirage.Partition.graph)
+        (String.concat "," (Graph.input_names pc.Mirage.Partition.graph))
+        (String.concat "," pc.Mirage.Partition.output_names)
+        (Graph.hash pc.Mirage.Partition.graph))
+    p.Mirage.Partition.pieces
+
+(* The pieces of the six reduced Fig. 7 specs and of the cyclic-merge
+   cases m -> relu(m) -> f(m, relu m), pinned so that a change to the
+   merge's cycle check that moves a piece boundary shows. *)
+let test_partition_pinned () =
+  let diamond =
+    let bld = Graph.Build.create () in
+    let a = Graph.Build.input bld "A" [| 2; 2 |] in
+    let m = prim bld Op.Matmul [ a; a ] in
+    let r = prim bld (Op.Unary Op.Relu) [ m ] in
+    let z = prim bld Op.Matmul [ m; r ] in
+    Graph.Build.finish bld ~outputs:[ z ]
+  in
+  let diamond_sum =
+    let bld = Graph.Build.create () in
+    let a = Graph.Build.input bld "A" [| 3; 3 |] in
+    let m = prim bld Op.Matmul [ a; a ] in
+    let r = prim bld (Op.Unary Op.Relu) [ m ] in
+    let s = prim bld (Op.Sum { dim = 1; group = 3 }) [ m ] in
+    let z = prim bld (Op.Binary Op.Sub) [ s; r ] in
+    Graph.Build.finish bld ~outputs:[ z ]
+  in
+  let specs =
+    List.map
+      (fun (b : Workloads.Bench_defs.benchmark) ->
+        (b.Workloads.Bench_defs.name, fst (b.Workloads.Bench_defs.reduced ())))
+      (Workloads.Bench_defs.all ())
+    @ [ ("diamond", diamond); ("relu", program_with_relu ()); ("sum", diamond_sum) ]
+  in
+  let expected =
+    [
+      ("GQA", [ "0 lax 6 [K,Q,V] -> [t8_0] 109887459" ]);
+      ("QKNorm", [ "0 lax 14 [Q,K,V] -> [t16_0] 190960038" ]);
+      ("RMSNorm", [ "0 lax 6 [X,G,W] -> [t8_0] 179093644" ]);
+      ("LoRA", [ "0 lax 4 [A,X,Bm,W] -> [t7_0] 1004643217" ]);
+      ("GatedMLP", [ "0 lax 4 [X,W1,W2] -> [t6_0] 720640230" ]);
+      ("nTrans", [ "0 lax 11 [H,Xt,Alpha] -> [t13_0] 409807467" ]);
+      ( "diamond",
+        [
+          "0 lax 1 [A] -> [t1_0] 692534746";
+          "1 non-lax 1 [t1_0] -> [t2_0] 333861441";
+          "2 lax 1 [t1_0,t2_0] -> [t3_0] 987628343";
+        ] );
+      ( "relu",
+        [
+          "0 lax 2 [X,C,W] -> [t4_0] 986747557";
+          "1 non-lax 1 [t4_0] -> [t5_0] 94476666";
+          "2 lax 1 [t5_0] -> [t6_0] 123711";
+        ] );
+      ( "sum",
+        [
+          "0 lax 2 [A] -> [t1_0,t3_0] 801284306";
+          "1 non-lax 1 [t1_0] -> [t2_0] 454646958";
+          "2 lax 1 [t3_0,t2_0] -> [t4_0] 865546316";
+        ] );
+    ]
+  in
+  Alcotest.(check (list string)) "every case pinned" (List.map fst expected)
+    (List.map fst specs);
+  List.iter
+    (fun (name, g) ->
+      Alcotest.(check (list string)) name (List.assoc name expected)
+        (piece_lines (Mirage.Partition.partition g)))
+    specs
+
 let test_partition_rejects_scheduled () =
   let g =
     Baselines.Templates.rmsnorm_matmul_fused ~b:4 ~h:8 ~d:16 ~grid:2 ~iters:2
@@ -288,6 +365,7 @@ let () =
             test_partition_pieces_compose;
           Alcotest.test_case "diamond through relu" `Quick
             test_partition_diamond_through_relu;
+          Alcotest.test_case "pieces pinned" `Quick test_partition_pinned;
           Alcotest.test_case "rejects scheduled graphs" `Quick
             test_partition_rejects_scheduled;
         ] );

@@ -300,7 +300,25 @@ let test_resume_reaches_same_best =
   in
   check_same_winner "resume reaches the uninterrupted best" uninterrupted o2;
   Alcotest.(check bool) "resumed run emitted candidates" true
-    (o2.Search.Generator.generated > 0)
+    (o2.Search.Generator.generated > 0);
+  (* phase 3: every task is done, so the run only re-emits and
+     re-verifies the incumbent; the stats count it as the outcome does *)
+  let o3 =
+    Search.Generator.run ~config:cfg
+      ~budget:(Obs.Budget.unlimited ())
+      ~checkpoint:ck2 ~device ~spec ()
+  in
+  check_same_winner "a finished checkpoint keeps its winner" uninterrupted o3;
+  let s3 = o3.Search.Generator.stats in
+  Alcotest.(check (list int)) "generated, candidates, verified, expanded"
+    [ 1; 1; 1; 1 ]
+    [
+      o3.Search.Generator.generated;
+      s3.Search.Stats.candidates;
+      s3.Search.Stats.verified;
+      s3.Search.Stats.expanded;
+    ];
+  Alcotest.(check bool) "funnel holds" true (Search.Stats.funnel_ok s3)
 
 (* Same invariant at mid-subtree granularity: with several domains and a
    spawn cutoff of 1, hungry workers take subtree continuations, so an

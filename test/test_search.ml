@@ -1362,6 +1362,42 @@ let test_pool_park_wakes () =
     (Atomic.get parked_again);
   Alcotest.(check int) "nobody parked after the drain" 0 (P.parked pool)
 
+(* Pools share one domain-local key: after 100 000 pools, a fresh
+   domain's first [self] still allocates next to nothing (with a key per
+   pool it would grow that domain's DLS array to the newest key's index,
+   some 200 000 words). A worker run nested in another pool's item
+   leaves the domain the outer pool's worker when it returns. *)
+let test_pool_keys_once () =
+  let module P = Search.Deque.Pool in
+  let registry = Obs.Metrics.create () in
+  for _ = 1 to 100_000 do
+    ignore (P.create ~registry ~workers:1 ())
+  done;
+  let pool = P.create ~registry ~workers:1 () in
+  let words =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let w0 = (Gc.quick_stat ()).Gc.major_words in
+           ignore (P.self pool);
+           (Gc.quick_stat ()).Gc.major_words -. w0))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "a fresh domain's first self: %.0f major words" words)
+    true (words < 10_000.0);
+  let outer = P.create ~registry ~workers:1 () in
+  let inner = P.create ~registry ~workers:1 () in
+  let seen = ref [] in
+  P.seed outer (fun () ->
+      P.seed inner (fun () -> seen := ("inner", P.self inner) :: !seen);
+      P.run_worker inner ~id:0 ~stop:(fun () -> false) ~run:(fun f -> f ());
+      seen := ("outer after inner", P.self outer) :: !seen);
+  P.run_worker outer ~id:0 ~stop:(fun () -> false) ~run:(fun f -> f ());
+  Alcotest.(check (list (pair string (option int))))
+    "each run sees its own worker id"
+    [ ("inner", Some 0); ("outer after inner", Some 0) ]
+    (List.rev !seen);
+  Alcotest.(check (option int)) "no worker after the run" None (P.self outer)
+
 let lanes_started stats =
   List.assoc "search.lanes.started"
     (Obs.Metrics.snapshot (Search.Stats.registry stats)).Obs.Metrics.counters
@@ -1891,6 +1927,8 @@ let () =
             `Quick test_pool_spawns_for_hungry;
           Alcotest.test_case "spawn and drain wake a parked worker" `Quick
             test_pool_park_wakes;
+          Alcotest.test_case "pools share one worker key" `Quick
+            test_pool_keys_once;
         ] );
       ( "parallel verify",
         [

@@ -279,12 +279,15 @@ let get_exn path j =
   in
   go j path
 
-let make_server ?(mem_capacity = 64) () =
+let make_server ?(mem_capacity = 64) ?max_concurrent_searches ?cache_dir () =
   let registry = Obs.Metrics.create () in
+  let cache_dir =
+    match cache_dir with Some d -> d | None -> tmpdir "mirage_srv_cache"
+  in
   Service.Server.create ~mem_capacity ~registry ~device:Gpusim.Device.a100
-    ~base_config:(small_config ()) ~verify_trials:2
+    ~base_config:(small_config ()) ~verify_trials:2 ?max_concurrent_searches
     ~socket_path:(Filename.temp_file "mirage_sock" ".sock")
-    ~cache_dir:(tmpdir "mirage_srv_cache") ()
+    ~cache_dir ()
 
 let optimize_req name = J.Obj [ ("op", J.Str "optimize"); ("benchmark", J.Str name) ]
 
@@ -461,6 +464,171 @@ let test_search_off_handler_domain =
         (Obs.Journal.rid_of e))
     expands
 
+(* --- search slots --------------------------------------------------------- *)
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+(* [f ()] with the journal on; returns its result and the events. *)
+let journaled f =
+  let path = Filename.temp_file "mirage_svc_journal" ".jsonl" in
+  ignore (Obs.Journal.enable path);
+  let r = Fun.protect ~finally:Obs.Journal.disable f in
+  let events =
+    match Obs.Journal.read_file path with
+    | Ok evs -> evs
+    | Error m -> Alcotest.fail ("journal unreadable: " ^ m)
+  in
+  Sys.remove path;
+  (r, events)
+
+(* A cheap miss: its own fingerprint per (b, h, d). *)
+let miss_req ?(b = 2) ?(h = 4) ?(d = 4) () =
+  J.Obj
+    [
+      ("op", J.Str "optimize");
+      ("graph", Search.Checkpoint.graph_to_json (div_matmul_spec ~b ~h ~d ()));
+      ("max_block_ops", J.Int 1);
+    ]
+
+let status r = match get_exn [ "status" ] r with J.Str s -> s | _ -> "?"
+let cached r = get_exn [ "cached" ] r = J.Bool true
+let dom e = match J.member "dom" e with Some (J.Int d) -> d | _ -> -1
+
+let start_doms events =
+  List.filter_map
+    (fun e -> if Obs.Journal.typ_of e = "search.start" then Some (dom e) else None)
+    events
+
+(* One slot: the second miss waits for the first one's writes, then
+   runs on the domain the first one started. *)
+let test_slot_reused =
+  with_reset @@ fun () ->
+  let server = make_server ~max_concurrent_searches:1 () in
+  let rs, events =
+    journaled (fun () ->
+        List.map
+          (fun d -> Service.Server.handle_request server (miss_req ~d ()))
+          [ 4; 8 ])
+  in
+  List.iter
+    (fun r ->
+      Alcotest.(check string) "miss answered" "ok" (status r);
+      Alcotest.(check bool) "a search ran" false (cached r))
+    rs;
+  (match start_doms events with
+  | [ a; b ] ->
+      Alcotest.(check int) "both searches on one domain" a b;
+      Alcotest.(check bool) "not the handler's domain" true
+        (a <> (Domain.self () :> int))
+  | l -> Alcotest.failf "%d search.start events, not 2" (List.length l));
+  Service.Server.stop server
+
+let test_slots_bounded =
+  with_reset @@ fun () ->
+  let server = make_server ~max_concurrent_searches:2 () in
+  let rs, events =
+    journaled (fun () ->
+        let out = Array.make 10 J.Null in
+        List.iter Thread.join
+          (List.init 10 (fun i ->
+               Thread.create
+                 (fun () ->
+                   out.(i) <-
+                     Service.Server.handle_request server
+                       (miss_req ~b:(1 + (i / 5)) ~d:(4 * (1 + (i mod 5))) ()))
+                 ()));
+        Array.to_list out)
+  in
+  List.iter
+    (fun r ->
+      Alcotest.(check string) "miss answered" "ok" (status r);
+      Alcotest.(check bool) "a search ran" false (cached r))
+    rs;
+  let doms = List.sort_uniq compare (start_doms events) in
+  Alcotest.(check int) "ten searches" 10 (List.length (start_doms events));
+  Alcotest.(check bool)
+    (Printf.sprintf "%d search domains, at most 2" (List.length doms))
+    true
+    (List.length doms <= 2 && not (List.mem (Domain.self () :> int) doms));
+  Service.Server.stop server
+
+(* More servers than the runtime's 128 domains, one after another: each
+   server's stop joins its slot's domain. *)
+let test_many_servers =
+  with_reset @@ fun () ->
+  for i = 1 to 140 do
+    let server = make_server () in
+    let r = Service.Server.handle_request server (miss_req ()) in
+    if status r <> "ok" then
+      Alcotest.failf "server %d: %s" i (J.to_string r);
+    Service.Server.stop server;
+    Service.Server.wait server;
+    rm_rf (Service.Cache.dir (Service.Server.cache server))
+  done
+
+let test_raising_search =
+  with_reset @@ fun () ->
+  let server = make_server ~max_concurrent_searches:1 () in
+  (match Obs.Fault.configure "serve.search:1.0:1" with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m);
+  let (r1, r2), events =
+    journaled (fun () ->
+        let r1 = Service.Server.handle_request server (miss_req ~d:4 ()) in
+        let r2 = Service.Server.handle_request server (miss_req ~d:8 ()) in
+        (r1, r2))
+  in
+  Alcotest.(check string) "the raising search answers an error" "error" (status r1);
+  Alcotest.(check string) "typed internal" "internal"
+    (match get_exn [ "error" ] r1 with J.Str s -> s | _ -> "?");
+  Alcotest.(check string) "the next miss is served" "ok" (status r2);
+  Alcotest.(check bool) "by a search" false (cached r2);
+  (match start_doms events with
+  | [ a; b ] -> Alcotest.(check int) "on the same slot domain" a b
+  | l -> Alcotest.failf "%d search.start events, not 2" (List.length l));
+  Alcotest.(check int) "no flight left" 0 (Service.Server.flight_count server);
+  Service.Server.stop server
+
+let test_read_after_miss =
+  with_reset @@ fun () ->
+  let server = make_server () in
+  let (r1, r2), events =
+    journaled (fun () ->
+        let r1 = Service.Server.handle_request server (miss_req ()) in
+        (r1, Service.Server.handle_request server (miss_req ())))
+  in
+  Alcotest.(check bool) "miss" false (cached r1);
+  Alcotest.(check bool) "the read right after it is a hit" true (cached r2);
+  Alcotest.(check string) "same payload"
+    (J.to_string (get_exn [ "result" ] r1))
+    (J.to_string (get_exn [ "result" ] r2));
+  Alcotest.(check int) "one search" 1 (List.length (start_doms events));
+  Service.Server.stop server
+
+let test_restart_reads_disk =
+  with_reset @@ fun () ->
+  let cache_dir = tmpdir "mirage_srv_cache" in
+  let s1 = make_server ~cache_dir () in
+  let r1 = Service.Server.handle_request s1 (miss_req ()) in
+  Alcotest.(check bool) "miss" false (cached r1);
+  Service.Server.stop s1;
+  Service.Server.wait s1;
+  let s2 = make_server ~cache_dir () in
+  let r2 = Service.Server.handle_request s2 (miss_req ()) in
+  Alcotest.(check bool) "a fresh server over the directory hits" true
+    (cached r2);
+  Alcotest.(check string) "the stored payload"
+    (J.to_string (get_exn [ "result" ] r1))
+    (J.to_string (get_exn [ "result" ] r2));
+  Service.Server.stop s2;
+  rm_rf cache_dir
+
 let test_corrupt_entry_researched =
   with_reset @@ fun () ->
   let journal_path = Filename.temp_file "mirage_svc_journal" ".jsonl" in
@@ -474,6 +642,8 @@ let test_corrupt_entry_researched =
     | J.Str s -> s
     | _ -> Alcotest.fail "no fingerprint"
   in
+  (* the miss was answered before its result was on disk *)
+  Service.Server.drain_writes server;
   (* corrupt the payload *semantically*: valid envelope, broken graph *)
   let oc = open_out (Service.Cache.entry_path cache fp) in
   output_string oc
@@ -1383,6 +1553,21 @@ let () =
             test_corrupt_entry_researched;
           Alcotest.test_case "search off the handler's domain" `Slow
             test_search_off_handler_domain;
+        ] );
+      ( "search slots",
+        [
+          Alcotest.test_case "sequential misses share one domain" `Quick
+            test_slot_reused;
+          Alcotest.test_case "10 misses, at most 2 domains" `Quick
+            test_slots_bounded;
+          Alcotest.test_case "140 servers, each stopped" `Quick
+            test_many_servers;
+          Alcotest.test_case "a raising search, then the next miss" `Quick
+            test_raising_search;
+          Alcotest.test_case "a read right after a miss hits" `Quick
+            test_read_after_miss;
+          Alcotest.test_case "stop/wait leaves the answer on disk" `Quick
+            test_restart_reads_disk;
         ] );
       ( "telemetry",
         [

@@ -450,7 +450,9 @@ let test_torture =
     (await_quiet server);
   Alcotest.(check int) "no flight left in the table" 0
     (Service.Server.flight_count server);
-  (* no crash residue in the cache: durable writes leave no temps *)
+  (* no crash residue in the cache: durable writes leave no temps once
+     the slots have finished them *)
+  Service.Server.drain_writes server;
   let cache_dir = Service.Cache.dir (Service.Server.cache server) in
   let temps = ref [] in
   let rec scan d =
