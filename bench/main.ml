@@ -928,10 +928,10 @@ let micro () =
     (List.sort (fun (a, _) (b, _) -> Stdlib.compare a b) rows)
 
 (* ------------------------------------------------------------------ *)
-(* enum: enumeration cost, work-stealing scaling and the persistent    *)
-(* prune cache, recorded as per-search totals (a cut that skips tries  *)
-(* shrinks a per-expansion key's denominator, so such a key would read *)
-(* worse for a search that does less). Cold generation at 1 domain ->  *)
+(* enum: enumeration cost and work-stealing scaling, recorded as       *)
+(* per-search totals (a cut that skips tries shrinks a per-expansion   *)
+(* key's denominator, so such a key would read worse for a search that *)
+(* does less). Cold generation at 1 domain ->                          *)
 (* enum.<b>.gen_1d_s and enum.<b>.minor_words (the allocation of the   *)
 (* whole search, deterministic), the words of a bare                   *)
 (* Kernel_enum.search -> enum.<b>.kernel_minor_words; wall at 1 vs 2   *)
@@ -939,13 +939,10 @@ let micro () =
 (* ~1 s at one domain -> enum.<b>_wide.speedup_2d (recorded only) and  *)
 (* enum.<b>_wide.speedup_4d (higher is better; the >=2x floor is       *)
 (* asserted only when the host actually has >= 4 cores —               *)
-(* domains time-slicing one core cannot speed anything up), plus a     *)
-(* full search warm vs cold over a shared prune-cache dir ->           *)
-(* enum.<b>.prune_warm_hit_ratio (the warm run's decisions the disk    *)
-(* answered; lower is worse), and, for the reduced GQA piece on the    *)
-(* search_fig7 menu, root classes per root ->                          *)
-(* enum.gqa.searches_per_root, its expansions, prune questions and     *)
-(* minor words at 1 worker -> enum.gqa.expanded,                       *)
+(* domains time-slicing one core cannot speed anything up), and, for   *)
+(* the reduced GQA piece on the search_fig7 menu, root classes per     *)
+(* root -> enum.gqa.searches_per_root, its expansions, prune questions *)
+(* and minor words at 1 worker -> enum.gqa.expanded,                   *)
 (* enum.gqa.solver_queries, enum.gqa.minor_words, and the same of the  *)
 (* reduced nTrans piece -> enum.ntrans.expanded, enum.ntrans.minor_words *)
 (* (all lower is better, deterministic), and for all six reduced       *)
@@ -954,10 +951,9 @@ let micro () =
 (* GQA and LoRA pieces on the default menu -> enum.<b>.roots_ms, and   *)
 (* the words of a 1-worker reduced-QKNorm superoptimize, whose levels  *)
 (* the goal-distance cut skips -> enum.fig7.fixed_words (both lower is *)
-(* better). The JSON rows keep the    *)
-(* per-expansion ratios beside the totals. All keys land in the bench  *)
-(* history, so the gate watches cost, scaling, cache efficacy and root *)
-(* sharing run over run.                                               *)
+(* better). The JSON rows keep the per-expansion ratios beside the     *)
+(* totals. All keys land in the bench history, so the gate watches     *)
+(* cost, scaling and root sharing run over run.                        *)
 (* ------------------------------------------------------------------ *)
 
 (* A reduced Fig. 7 workload's LAX piece and the search_fig7 menu
@@ -1107,7 +1103,7 @@ let two_over_one name =
     median (List.map (fun (t1, t2) -> t2 /. t1) pairs) )
 
 let enum_bench () =
-  hr "enum: work-stealing scaling & persistent prune-query cache";
+  hr "enum: enumeration cost & work-stealing scaling";
   jsuite "enum";
   let name = "rmsnorm" in
   let spec = Baselines.Templates.rmsnorm_matmul_spec ~b:16 ~h:1024 ~d:4096 in
@@ -1372,80 +1368,7 @@ let enum_bench () =
           ("speedup_8d", Float speedup8);
         ];
     record "enum" [ (Printf.sprintf "enum.%s.speedup_8d" wide_name, speedup8) ]
-  end;
-  (* prune-cache warm start: two identical full searches sharing one
-     cache directory — the second answers its solver misses from disk *)
-  let dir = Filename.temp_file "mirage_enum_prune" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  let timed_run () =
-    let cache = Service.Cache.create ~dir () in
-    let cfg =
-      Search.Config.for_spec
-        ~base:{ base with Search.Config.num_workers = min cores 4 }
-        spec
-    in
-    let t0 = Unix.gettimeofday () in
-    let o =
-      Search.Generator.run ~config:cfg
-        ~prune_persist:(Service.Prune_store.attach ~cache)
-        ~device:Gpusim.Device.a100 ~spec ()
-    in
-    (Unix.gettimeofday () -. t0, o)
-  in
-  let cold_s, cold_o = timed_run () in
-  let warm_s, warm_o = timed_run () in
-  let sv (o : Search.Generator.outcome) = o.Search.Generator.solver in
-  if (sv cold_o).Smtlite.Solver.disk_entries = 0 then begin
-    Printf.eprintf "enum: cold run persisted no prune queries\n";
-    exit 1
-  end;
-  if (sv warm_o).Smtlite.Solver.disk_hits = 0 then begin
-    Printf.eprintf "enum: warm run hit the prune cache zero times\n";
-    exit 1
-  end;
-  (* the ratio is taken on the decision-procedure time — the cost the
-     cache actually removes — because total wall jitters more than the
-     win on small hosts; wall rides along in the JSON rows *)
-  let cold_solve = (sv cold_o).Smtlite.Solver.solve_time_s in
-  let warm_solve = (sv warm_o).Smtlite.Solver.solve_time_s in
-  if cold_solve <= 0.0 then begin
-    Printf.eprintf "enum: cold run spent no time in the decision procedure\n";
-    exit 1
-  end;
-  if warm_solve >= cold_solve then begin
-    Printf.eprintf
-      "enum: warm run solve time %.4fs did not beat cold %.4fs\n" warm_solve
-      cold_solve;
-    exit 1
-  end;
-  let warm_over_cold = warm_solve /. cold_solve in
-  let warm_hit_ratio = Smtlite.Solver.disk_hit_ratio (sv warm_o) in
-  Printf.printf
-    "prune cache, %s: cold %.2fs wall / %.4fs solve (%d queries persisted)\n"
-    name cold_s cold_solve
-    (sv cold_o).Smtlite.Solver.disk_entries;
-  Printf.printf
-    "                  warm %.2fs wall / %.4fs solve (%d disk hits)  solve \
-     ratio %.3f  disk hit ratio %.3f\n%!"
-    warm_s warm_solve
-    (sv warm_o).Smtlite.Solver.disk_hits
-    warm_over_cold warm_hit_ratio;
-  jpush
-    Obs.Jsonw.
-      [
-        ("suite", Str "enum");
-        ("benchmark", Str name);
-        ("prune_cold_s", Float cold_s);
-        ("prune_warm_s", Float warm_s);
-        ("prune_cold_solve_s", Float cold_solve);
-        ("prune_warm_solve_s", Float warm_solve);
-        ("prune_warm_over_cold", Float warm_over_cold);
-        ("prune_warm_hit_ratio", Float warm_hit_ratio);
-        ("disk_hits", Int (sv warm_o).Smtlite.Solver.disk_hits);
-      ];
-  record "enum"
-    [ (Printf.sprintf "enum.%s.prune_warm_hit_ratio" name, warm_hit_ratio) ]
+  end
 
 (* ------------------------------------------------------------------ *)
 (* codegen: the runnable backend over the six reduced Fig. 7 template  *)

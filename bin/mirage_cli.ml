@@ -406,22 +406,9 @@ let resume_arg =
            the benchmark and search options must match the original run. \
            Implies --report $(docv) unless --report is given.")
 
-let prune_cache_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "prune-cache" ] ~docv:"DIR"
-        ~doc:
-          "Persist the solver's prune-query cache in the content-addressed \
-           store at $(docv): decided abstract-expression queries are \
-           written behind (crash-safe) as the search runs and reloaded by \
-           later searches over the same specification, warm-starting the \
-           pruning tier across restarts and machines sharing the \
-           directory.")
-
 let optimize_cmd =
   let run name device max_ops workers budget trace metrics
-      report_dir resume prune_cache differential =
+      report_dir resume differential =
     let b = lookup name in
     (* Superoptimize the reduced-dimension specification: the search is
        exhaustive and the discovered structure is dimension-uniform. *)
@@ -483,16 +470,8 @@ let optimize_cmd =
        by the enumerators, the ILP layout solver and the memory
        planner. *)
     let budget_t = Search.Budget.of_config config in
-    let prune_persist =
-      Option.map
-        (fun dir ->
-          let cache = Service.Cache.create ~dir () in
-          Service.Prune_store.attach ~cache)
-        prune_cache
-    in
     let report =
-      Mirage.superoptimize ~config ~budget:budget_t ?checkpoint ?prune_persist
-        ~device spec
+      Mirage.superoptimize ~config ~budget:budget_t ?checkpoint ~device spec
     in
     print_string (Mirage.summary report);
     (match Obs.Budget.degradations () with
@@ -562,17 +541,15 @@ let optimize_cmd =
           (funnel_json
              (sum_funnels
                 (List.map (fun o -> o.Search.Generator.stats) outcomes)));
-        let q, h, a, t, dh, de =
+        let q, h, a, t =
           List.fold_left
-            (fun (q, h, a, t, dh, de) (o : Search.Generator.outcome) ->
+            (fun (q, h, a, t) (o : Search.Generator.outcome) ->
               let sv = o.Search.Generator.solver in
               ( q + sv.Smtlite.Solver.queries,
                 h + sv.Smtlite.Solver.cache_hits,
                 a + sv.Smtlite.Solver.accepted,
-                t +. sv.Smtlite.Solver.solve_time_s,
-                dh + sv.Smtlite.Solver.disk_hits,
-                de + sv.Smtlite.Solver.disk_entries ))
-            (0, 0, 0, 0.0, 0, 0) outcomes
+                t +. sv.Smtlite.Solver.solve_time_s ))
+            (0, 0, 0, 0.0) outcomes
         in
         Obs.Report.add r "solver"
           (Obs.Jsonw.Obj
@@ -581,8 +558,6 @@ let optimize_cmd =
                ("cache_hits", Obs.Jsonw.Int h);
                ("accepted", Obs.Jsonw.Int a);
                ("solve_time_s", Obs.Jsonw.Float t);
-               ("disk_hits", Obs.Jsonw.Int dh);
-               ("disk_entries", Obs.Jsonw.Int de);
              ]);
         Obs.Report.add r "cost"
           (Obs.Jsonw.Obj
@@ -649,7 +624,7 @@ let optimize_cmd =
     Term.(
       const run $ bench_arg $ device_arg $ ops_arg $ workers_arg $ budget_arg
       $ trace_arg $ metrics_flag $ report_arg $ resume_arg
-      $ prune_cache_arg $ differential_arg)
+      $ differential_arg)
 
 (* The work-stealing counters in one line: helper domains the search's
    on-demand lanes started, subtrees handed to the pool, steals. *)

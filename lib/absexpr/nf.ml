@@ -343,12 +343,15 @@ end)
    denominator, each distinct form once. Case (b) of the subexpression
    relation (axioms subexpr(x, exp(x)), subexpr(y, div(x,y)), closed
    under transitivity) is exactly membership of a case-(a) match in C,
-   so a query never re-reifies a goal denominator. *)
+   so a query never re-reifies a goal denominator. Terms often share a
+   denominator (nTrans's goal has 11 non-trivial ones, 4 distinct), and
+   a denominator already reified has its form in C, so it is reified
+   once. *)
 type goal = t array
 
 let goal (gs : t list) : goal =
   let seen = Tbl.create 64 in
-  let members = ref [] in
+  let members = ref [] and reified = ref [] in
   let rec add n =
     if not (Tbl.mem seen n) then begin
       Tbl.add seen n ();
@@ -358,7 +361,15 @@ let goal (gs : t list) : goal =
           List.iter
             (function A_var _ -> () | A_exp i | A_sqrt i | A_silu i -> add i)
             t.num;
-          if not (den_is_trivial t.den) then add (reify_den t.den))
+          let d = t.den in
+          if
+            not
+              (den_is_trivial d
+              || List.exists (fun d' -> compare_den d d' = 0) !reified)
+          then begin
+            reified := d :: !reified;
+            add (reify_den d)
+          end)
         n
     end
   in

@@ -20,7 +20,7 @@ type report = {
 }
 
 let superoptimize ?config ?(verify_trials = 2) ?budget ?checkpoint
-    ?prune_persist ~(device : Gpusim.Device.t) program =
+    ~(device : Gpusim.Device.t) program =
   let partition =
     Obs.Profile.with_phase "partition" (fun () -> Partition.partition program)
   in
@@ -44,8 +44,7 @@ let superoptimize ?config ?(verify_trials = 2) ?budget ?checkpoint
         else begin
           let outcome =
             Search.Generator.run ?config ~verify_trials ?budget ?checkpoint
-              ?prune_persist ~piece:p.Partition.id ~device
-              ~spec:p.Partition.graph ()
+              ~piece:p.Partition.id ~device ~spec:p.Partition.graph ()
           in
           let best_graph, best_cost =
             match outcome.Search.Generator.best with

@@ -33,7 +33,6 @@ val superoptimize :
   ?verify_trials:int ->
   ?budget:Search.Budget.t ->
   ?checkpoint:Search.Checkpoint.t ->
-  ?prune_persist:(Smtlite.Solver.t -> unit) ->
   device:Gpusim.Device.t ->
   Graph.kernel_graph ->
   report
@@ -46,8 +45,6 @@ val superoptimize :
     verification, ILP layout solve, memory planning): one wall deadline
     for the whole invocation, with degradations recorded per phase.
     [checkpoint] persists search progress per piece (pieces are keyed by
-    partition id) for [--resume]. [prune_persist] runs once on each
-    piece's freshly created solver — the hook for attaching the on-disk
-    prune-query cache (see {!Search.Generator.run}). *)
+    partition id) for [--resume]. *)
 
 val summary : report -> string

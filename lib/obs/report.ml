@@ -170,7 +170,6 @@ let history_rules =
     row "enum" "roots_ms" Higher ~abs:5.0;
     (* a ~0.15 s search swings by half with the host's load *)
     row "enum" "gen_1d_s" Higher ~abs:0.25;
-    row "enum" "prune_warm_hit_ratio" Lower ~rel:(Fixed 0.0) ~abs:0.05;
     row "enum" "speedup_4d" Lower ~abs:0.5;
     row "enum" "speedup_8d" Lower ~abs:0.5;
     recorded "enum" "speedup_2d" (* host-dependent *);
@@ -182,7 +181,6 @@ let history_rules =
     row "enum" "minor_words_per_expansion" Higher ~rel:(Fixed 0.05);
     row "enum" "solver_queries_per_expansion" Higher ~rel:(Fixed 0.05);
     row "enum" "expansions_per_s" Lower;
-    row "enum" "prune_warm_over_cold" Higher ~abs:0.05;
     row "serve" "warm_over_cold" Higher ~abs:0.02;
     row "codegen" "c_lines" Higher ~rel:(Fixed 0.0);
     row "codegen" "lower_compile_s" Higher ~abs:0.25;

@@ -432,8 +432,7 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
   (candidates, Atomic.get exhausted, Atomic.get failures)
 
 let run ?config ?registry ?(verify_trials = 2) ?budget ?checkpoint
-    ?(piece = 0) ?progress ?prune_persist ~(device : Gpusim.Device.t) ~spec
-    () =
+    ?(piece = 0) ?progress ~(device : Gpusim.Device.t) ~spec () =
   Obs.Profile.with_phase "search" @@ fun () ->
   let cfg =
     match config with Some c -> c | None -> Config.for_spec spec
@@ -442,9 +441,6 @@ let run ?config ?registry ?(verify_trials = 2) ?budget ?checkpoint
     match budget with Some b -> b | None -> Budget.of_config cfg
   in
   let solver = Smtlite.Solver.create ~target:(Abstract.output_exprs spec) in
-  (* Persistent prune cache: the hook attaches storage (and loads any
-     prior envelope) before the first query; finalize stores it once. *)
-  (match prune_persist with Some f -> f solver | None -> ());
   let stats = Stats.create ?registry () in
   let limits = Gpusim.Device.limits device in
   (* The input program always participates, so the optimizer never
@@ -588,9 +584,6 @@ let run ?config ?registry ?(verify_trials = 2) ?budget ?checkpoint
   (match journal with
   | Some j -> Gpusim.Cost.journal_attribution ~cand:gid j best.cost
   | None -> ());
-  (* The search's one durable prune-cache write: a warm restart sees
-     every decided query. *)
-  Smtlite.Solver.flush_persist solver;
   Option.iter Checkpoint.save checkpoint;
   {
     best = Some best;

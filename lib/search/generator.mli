@@ -138,7 +138,6 @@ val run :
   ?checkpoint:Checkpoint.t ->
   ?piece:int ->
   ?progress:Progress.t ->
-  ?prune_persist:(Smtlite.Solver.t -> unit) ->
   device:Gpusim.Device.t ->
   spec:Graph.kernel_graph ->
   unit ->
@@ -172,11 +171,6 @@ val run :
     [checkpoint]/[piece] record the task cursor and each new incumbent,
     save them at every task completion and at the end, and resume from
     them (see {!Checkpoint}).
-
-    [prune_persist] runs once on the freshly created solver, before any
-    query — the place to {!Smtlite.Solver.attach_persist} an on-disk
-    prune-query cache (e.g. via [Service.Prune_store]). The run flushes
-    the solver's write-behind batch at finalize.
 
     [progress] attaches a {!Progress} cell the run keeps current (phase,
     funnel counters, best cost so far, lowered with each new incumbent)

@@ -50,9 +50,6 @@ type t = {
   c_hit_disk : Obs.Metrics.counter;
   c_miss : Obs.Metrics.counter;
   c_store : Obs.Metrics.counter;
-  c_prune_hit : Obs.Metrics.counter;
-  c_prune_miss : Obs.Metrics.counter;
-  c_prune_store : Obs.Metrics.counter;
   c_evict : Obs.Metrics.counter;
   c_evict_disk : Obs.Metrics.counter;
   c_quarantine : Obs.Metrics.counter;
@@ -291,12 +288,6 @@ let create ?(mem_capacity = 64) ?(registry = Obs.Metrics.default ())
       c_hit_disk = c "service.cache.hit.disk" "result served from the on-disk tier";
       c_miss = c "service.cache.miss" "fingerprint not present in either tier";
       c_store = c "service.cache.store" "results written to the store";
-      c_prune_hit =
-        c "service.prune.hit" "prune-cache envelopes served from the store";
-      c_prune_miss =
-        c "service.prune.miss" "prune-cache envelopes not present in the store";
-      c_prune_store =
-        c "service.prune.store" "prune-cache envelopes written to the store";
       c_evict = c "service.cache.evict" "in-memory LRU evictions";
       c_evict_disk =
         c "service.cache.evict.disk" "on-disk entries evicted by the byte cap";
@@ -325,32 +316,23 @@ let create ?(mem_capacity = 64) ?(registry = Obs.Metrics.default ())
 
 (* --- public API ------------------------------------------------------ *)
 
-(* [cls] keeps the result-cache hit-rate meaningful: prune-cache
-   traffic (the solver's persisted decision envelopes) counts under
-   service.prune.* instead of service.cache.*, so a cold search's
-   prune probe is not a "result cache miss". *)
-let find ?(cls = `Result) t fp =
+let find t fp =
   Mutex.lock t.lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.lock)
     (fun () ->
       match mem_find_locked t fp with
       | Some v ->
-          Obs.Metrics.bump
-            (match cls with `Result -> t.c_hit_mem | `Prune -> t.c_prune_hit);
+          Obs.Metrics.bump t.c_hit_mem;
           Some v
       | None -> (
           match disk_find_locked t fp with
           | Some v ->
-              Obs.Metrics.bump
-                (match cls with
-                | `Result -> t.c_hit_disk
-                | `Prune -> t.c_prune_hit);
+              Obs.Metrics.bump t.c_hit_disk;
               mem_insert_locked t fp v;
               Some v
           | None ->
-              Obs.Metrics.bump
-                (match cls with `Result -> t.c_miss | `Prune -> t.c_prune_miss);
+              Obs.Metrics.bump t.c_miss;
               None))
 
 let envelope fp payload =
@@ -408,11 +390,10 @@ let enter_mem_only_locked t reason =
 (* The memory insert and the counts take [lock]; the disk write takes
    [wlock], and [lock] again only around the rename, so finds are served
    meanwhile and writers never share a temp file. *)
-let store ?(cls = `Result) t fp payload =
+let store t fp payload =
   let to_disk =
     Mutex.protect t.lock (fun () ->
-        Obs.Metrics.bump
-          (match cls with `Result -> t.c_store | `Prune -> t.c_prune_store);
+        Obs.Metrics.bump t.c_store;
         mem_insert_locked t fp payload;
         not t.mem_only)
   in

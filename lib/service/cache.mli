@@ -23,10 +23,7 @@
 
     Result traffic is counted in [service.cache.*] ({!Obs.Metrics}):
     [hit.mem], [hit.disk], [miss], [store], [evict], [evict.disk],
-    [quarantine], [recovered]. Prune-cache traffic (ops classed
-    [`Prune] — the solver's persisted decision envelopes, see
-    {!Prune_store}) counts under [service.prune.*] ([hit], [miss],
-    [store]) instead, so the result-cache hit rate stays meaningful. *)
+    [quarantine], [recovered]. *)
 
 type t
 
@@ -49,18 +46,17 @@ val create :
 
 val dir : t -> string
 
-val find : ?cls:[ `Result | `Prune ] -> t -> string -> Obs.Jsonw.t option
+val find : t -> string -> Obs.Jsonw.t option
 (** [find t fp] returns the cached payload, promoting disk hits into the
     memory tier (and refreshing their LRU mtime). Corrupted disk entries
-    are quarantined and reported as a miss. [cls] (default [`Result])
-    selects the metric family the op counts under. *)
+    are quarantined and reported as a miss. *)
 
-val store : ?cls:[ `Result | `Prune ] -> t -> string -> Obs.Jsonw.t -> unit
+val store : t -> string -> Obs.Jsonw.t -> unit
 (** [store t fp payload] writes both tiers durably. ENOSPC degrades the
     store to memory-only mode; any other disk failure is logged and
-    degrades the run ([service.cache.write]); neither raises. [cls] as
-    in {!find}. Stores run one at a time; a {!find} waits for none of a
-    store's disk work but the rename. *)
+    degrades the run ([service.cache.write]); neither raises. Stores run
+    one at a time; a {!find} waits for none of a store's disk work but
+    the rename. *)
 
 val remember : t -> string -> Obs.Jsonw.t -> unit
 (** [remember t fp payload] puts [payload] in the memory tier only, so

@@ -21,11 +21,10 @@
      receives the same result. Exactly one search runs per distinct
      in-flight fingerprint, however many clients ask. A final result
      goes to the cache's memory tier before the flight settles and the
-     leader answers; the slot then writes the prune envelope and the
-     result durably, and takes no other search until both are on disk.
-     [stop]/[wait] join the slot domains after those writes, so a
-     stopped daemon leaves its answers on disk, and a degraded payload
-     is never stored.
+     leader answers; the slot then writes the result durably, and takes
+     no other search until it is on disk. [stop]/[wait] join the slot
+     domains after that write, so a stopped daemon leaves its answers
+     on disk, and a degraded payload is never stored.
 
    The daemon is armored against overload and hostile peers
    ({!Admit}, {!Proto}):
@@ -63,8 +62,8 @@ module J = Obs.Jsonw
    handlers share. A slot's domain starts at the slot's first search and
    runs every later one: a fresh domain per search page-faults in a new
    minor heap each time. A job returns the slot to the idle list when it
-   ends, after the writes it makes once it has answered, so the next
-   search on a slot never waits behind the last one's writes. *)
+   ends, after the write it makes once it has answered, so the next
+   search on a slot never waits behind the last one's write. *)
 module Slots = struct
   type slot = {
     m : Mutex.t;
@@ -500,17 +499,17 @@ let payload_valid payload =
 
 (* Run the search on the held slot and wait for its payload, or for
    what it raised. The slot's job runs under the request's journal
-   context and profile base. Once it has answered, the job writes the
-   prune envelope and a final payload durably. A read that comes
-   meanwhile is a hit: the leader puts a final payload in the memory
-   tier before it settles the flight. *)
+   context and profile base. Once it has answered, the job writes a
+   final payload durably. A read that comes meanwhile is a hit: the
+   leader puts a final payload in the memory tier before it settles the
+   flight. *)
 let run_search t slot ~config ~device ~benchmark ~spec ~fp ~flight =
   Obs.Metrics.bump t.c_searches;
   let budget = Search.Budget.of_config config in
   Atomic.set flight.fbudget (Some budget);
   let under = Search.Generator.capture () in
   let rm = Mutex.create () and rc = Condition.create () in
-  let answer = ref None and write_prune = ref ignore in
+  let answer = ref None in
   let search () =
     Obs.Journal.event "search.start"
       [
@@ -524,8 +523,6 @@ let run_search t slot ~config ~device ~benchmark ~spec ~fp ~flight =
       Search.Generator.run ~config
         ~registry:(Telemetry.registry t.telemetry)
         ~verify_trials:t.verify_trials ~budget ~progress:flight.fprogress
-        ~prune_persist:(fun solver ->
-          write_prune := Prune_store.attach_deferred ~cache:t.cache solver)
         ~device ~spec ()
     in
     let wall_s = Unix.gettimeofday () -. t0 in
@@ -552,7 +549,6 @@ let run_search t slot ~config ~device ~benchmark ~spec ~fp ~flight =
           Mutex.protect rm (fun () ->
               answer := Some r;
               Condition.signal rc);
-          !write_prune ();
           match r with
           | Ok payload when payload_final payload -> Cache.store t.cache fp payload
           | Ok _ | Error _ -> ()));

@@ -10,8 +10,8 @@
       exactly once per distinct in-flight fingerprint (single-flight
       coalescing) on one of [max_concurrent_searches] long-lived
       search-slot domains, put a final result in the cache's memory
-      tier and answer; the slot then writes the prune envelope and the
-      result durably before it takes its next search; ["progress": true] (with
+      tier and answer; the slot then writes the result durably before it
+      takes its next search; ["progress": true] (with
       optional [progress_interval_ms], default 100) opts the connection
       into interleaved {!Proto.progress_frame} events while the search
       — own or coalesced — is in flight, each tagged with this
@@ -110,18 +110,18 @@ val start : t -> unit
 val wait : t -> unit
 (** Block until the daemon stops (shutdown request or {!stop}), then
     join outstanding handlers and the search-slot domains (each after
-    its pending durable writes), and remove the socket file. *)
+    its pending durable write), and remove the socket file. *)
 
 val stop : t -> unit
 (** Close the listener, mark the daemon stopping, and join the
     search-slot domains, each once its search under way has answered
-    and made its writes durable. A search asked for later, through
+    and made its write durable. A search asked for later, through
     {!handle_request}, starts a slot afresh. *)
 
 val drain_writes : t -> unit
 (** Block until every search slot is idle: each search under way has
-    answered, and its prune envelope and result are on disk. A miss is
-    answered before its writes are durable, so a caller that reads the
+    answered, and its result is on disk. A miss is
+    answered before its write is durable, so a caller that reads the
     cache directory right after one calls this first. *)
 
 val shutdown : ?drain_s:float -> t -> unit

@@ -629,6 +629,33 @@ let test_restart_reads_disk =
   Service.Server.stop s2;
   rm_rf cache_dir
 
+(* A miss takes one memory-tier entry, its result: the search's prune
+   decisions live and die with its solver. *)
+let test_miss_one_mem_entry =
+  with_reset @@ fun () ->
+  let spec = div_matmul_spec ~b:4 ~h:8 ~d:8 () in
+  let direct =
+    Search.Generator.run
+      ~config:(Search.Config.for_spec ~base:(small_config ()) spec)
+      ~device:Gpusim.Device.a100 ~spec ()
+  in
+  Alcotest.(check bool) "the search decides prune queries" true
+    (direct.Search.Generator.solver.Smtlite.Solver.cache_misses > 0);
+  let server = make_server () in
+  let r =
+    Service.Server.handle_request server
+      (J.Obj
+         [
+           ("op", J.Str "optimize");
+           ("graph", Search.Checkpoint.graph_to_json spec);
+         ])
+  in
+  Alcotest.(check bool) "miss" false (cached r);
+  Service.Server.drain_writes server;
+  Alcotest.(check int) "one memory-tier entry" 1
+    (Service.Cache.mem_entries (Service.Server.cache server));
+  Service.Server.stop server
+
 let test_corrupt_entry_researched =
   with_reset @@ fun () ->
   let journal_path = Filename.temp_file "mirage_svc_journal" ".jsonl" in
@@ -911,131 +938,6 @@ let test_prune_helper_equivalence () =
   let off = { cfg with Search.Config.use_abstract_pruning = false } in
   Alcotest.(check bool) "pruning disabled -> never rejects" false
     (Search.Prune.check off ~front sub)
-
-(* --- persistent prune-query cache -------------------------------------- *)
-
-(* Round trip through the content-addressed store: a cold search writes
-   its decided queries behind; a second search over the same spec (fresh
-   solver, same cache dir) answers misses from disk. *)
-let test_prune_store_roundtrip =
-  with_reset @@ fun () ->
-  let dir = tmpdir "mirage_prunecache" in
-  let spec = div_matmul_spec ~b:4 ~h:8 ~d:8 () in
-  let run_with cache =
-    Search.Generator.run ~config:(small_config ())
-      ~prune_persist:(Service.Prune_store.attach ~cache)
-      ~device:Gpusim.Device.a100 ~spec ()
-  in
-  let cold = run_with (Service.Cache.create ~dir ()) in
-  let sv = cold.Search.Generator.solver in
-  Alcotest.(check bool) "cold run persisted decided queries" true
-    (sv.Smtlite.Solver.disk_entries > 0);
-  Alcotest.(check int) "cold run had no disk hits" 0
-    sv.Smtlite.Solver.disk_hits;
-  (* the envelope landed at the goals-keyed content address *)
-  let probe = Smtlite.Solver.create ~target:(Abstract.output_exprs spec) in
-  let fp = Service.Prune_store.fingerprint probe in
-  let cache2 = Service.Cache.create ~dir () in
-  Alcotest.(check bool) "entry on disk" true
-    (Sys.file_exists (Service.Cache.entry_path cache2 fp));
-  Alcotest.(check (float 0.0)) "cold run: disk hit ratio 0" 0.0
-    (Smtlite.Solver.disk_hit_ratio sv);
-  let warm = run_with cache2 in
-  let wv = warm.Search.Generator.solver in
-  Alcotest.(check bool) "warm run answered misses from disk" true
-    (wv.Smtlite.Solver.disk_hits > 0);
-  Alcotest.(check (float 0.0)) "warm run: every decision from disk" 1.0
-    (Smtlite.Solver.disk_hit_ratio wv);
-  (* a "warm" run against an emptied cache decides everything anew: the
-     ratio bench enum gates falls to 0 (its miss side reads 1) *)
-  let emptied = tmpdir "mirage_prunecache_emptied" in
-  let gone = run_with (Service.Cache.create ~dir:emptied ()) in
-  Alcotest.(check (float 0.0)) "emptied cache: no decision from disk" 0.0
-    (Smtlite.Solver.disk_hit_ratio gone.Search.Generator.solver);
-  Alcotest.(check bool) "warm and cold agree on the best cost" true
-    (match (cold.Search.Generator.best, warm.Search.Generator.best) with
-    | Some a, Some b ->
-        a.Search.Generator.cost.Gpusim.Cost.total_us
-        = b.Search.Generator.cost.Gpusim.Cost.total_us
-    | None, None -> true
-    | _ -> false)
-
-(* A search makes one durable prune-cache write, when it finishes,
-   however many decisions it makes: a store rewrites the whole
-   envelope, so storing as decisions pile up would cost O(n^2) bytes.
-   A second search of the same goals answers from that one write. *)
-let test_prune_store_one_write =
-  with_reset @@ fun () ->
-  let dir = tmpdir "mirage_prunecache_once" in
-  let spec = div_matmul_spec ~b:4 ~h:8 ~d:8 () in
-  let run_counting () =
-    let cache = Service.Cache.create ~dir () in
-    let stores = ref 0 in
-    let attach solver =
-      let p = Service.Prune_store.persist ~cache solver in
-      Smtlite.Solver.attach_persist solver
-        {
-          p with
-          Smtlite.Solver.p_store =
-            (fun env ->
-              incr stores;
-              p.Smtlite.Solver.p_store env);
-        }
-    in
-    let o =
-      Search.Generator.run ~config:(small_config ()) ~prune_persist:attach
-        ~device:Gpusim.Device.a100 ~spec ()
-    in
-    (o.Search.Generator.solver, !stores)
-  in
-  let cold, cold_stores = run_counting () in
-  Alcotest.(check bool)
-    (Printf.sprintf "the search decided more than a few hundred queries (%d)"
-       cold.Smtlite.Solver.disk_entries)
-    true
-    (cold.Smtlite.Solver.disk_entries > 512);
-  Alcotest.(check int) "a fresh store is written once" 1 cold_stores;
-  let warm, _ = run_counting () in
-  Alcotest.(check bool) "the second search answers from that write" true
-    (warm.Smtlite.Solver.disk_hits > 0)
-
-(* A tampered envelope is quarantined — at either layer — and the search
-   degrades to a cold run instead of failing. *)
-let test_prune_store_corrupt_quarantined =
-  with_reset @@ fun () ->
-  let dir = tmpdir "mirage_prunecache_bad" in
-  let spec = div_matmul_spec ~b:4 ~h:8 ~d:8 () in
-  let run_with cache =
-    Search.Generator.run ~config:(small_config ())
-      ~prune_persist:(Service.Prune_store.attach ~cache)
-      ~device:Gpusim.Device.a100 ~spec ()
-  in
-  ignore (run_with (Service.Cache.create ~dir ()));
-  let probe = Smtlite.Solver.create ~target:(Abstract.output_exprs spec) in
-  let fp = Service.Prune_store.fingerprint probe in
-  let path = Service.Cache.entry_path (Service.Cache.create ~dir ()) fp in
-  (* layer 1: torn bytes on disk — the store's envelope check catches it *)
-  let oc = open_out path in
-  output_string oc "{\"torn\":";
-  close_out oc;
-  let cache = Service.Cache.create ~dir ~recover:false () in
-  let o = run_with cache in
-  Alcotest.(check int) "torn entry served no hits" 0
-    o.Search.Generator.solver.Smtlite.Solver.disk_hits;
-  Alcotest.(check bool) "search still produced a best" true
-    (o.Search.Generator.best <> None);
-  Alcotest.(check bool) "torn entry quarantined off the hot path" true
-    (not (Sys.file_exists path)
-    || Sys.file_exists (path ^ ".quarantined"));
-  (* layer 2: a well-formed store entry whose payload is not a prune
-     envelope — the solver's schema check hands it to p_corrupt *)
-  let cache = Service.Cache.create ~dir () in
-  Service.Cache.store cache fp (J.Obj [ ("schema", J.Str "bogus.v0") ]);
-  let o2 = run_with cache in
-  Alcotest.(check int) "foreign payload served no hits" 0
-    o2.Search.Generator.solver.Smtlite.Solver.disk_hits;
-  Alcotest.(check bool) "cold re-run re-persisted a fresh envelope" true
-    (o2.Search.Generator.solver.Smtlite.Solver.disk_entries > 0)
 
 (* --- progress streaming ------------------------------------------------ *)
 
@@ -1568,6 +1470,8 @@ let () =
             test_read_after_miss;
           Alcotest.test_case "stop/wait leaves the answer on disk" `Quick
             test_restart_reads_disk;
+          Alcotest.test_case "a miss takes one memory-tier entry" `Quick
+            test_miss_one_mem_entry;
         ] );
       ( "telemetry",
         [
@@ -1592,12 +1496,6 @@ let () =
             test_prune_single_site;
           Alcotest.test_case "helper mirrors inline condition" `Quick
             test_prune_helper_equivalence;
-          Alcotest.test_case "query cache round-trips through the store"
-            `Quick test_prune_store_roundtrip;
-          Alcotest.test_case "one durable write per search" `Quick
-            test_prune_store_one_write;
-          Alcotest.test_case "corrupt cache entries quarantined" `Quick
-            test_prune_store_corrupt_quarantined;
         ] );
       ( "hardening",
         [
