@@ -1118,25 +1118,6 @@ let serve_cmd =
       & info [ "journal" ] ~docv:"FILE"
           ~doc:"Journal request/search lifecycle events to $(docv).")
   in
-  let slow_threshold_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "slow-threshold" ] ~docv:"MS"
-          ~doc:
-            "Arm slow-request forensics: an optimize request taking at \
-             least $(docv) milliseconds leaves a per-request report \
-             directory (envelope, rid-filtered journal slice, trace).")
-  in
-  let slow_dir_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "slow-dir" ] ~docv:"DIR"
-          ~doc:
-            "Directory for slow-request reports (default: the cache \
-             directory suffixed with -slow).")
-  in
   let max_conns_arg =
     Arg.(
       value & opt int 64
@@ -1153,21 +1134,6 @@ let serve_cmd =
             "Search-queue bound: at most $(docv) distinct searches may \
              wait for a slot; beyond that, typed overloaded (0 = \
              unlimited).")
-  in
-  let tenant_rate_arg =
-    Arg.(
-      value & opt float 0.0
-      & info [ "tenant-rate" ] ~docv:"TOKENS_PER_S"
-          ~doc:
-            "Arm per-tenant quotas: requests carrying a tenant field \
-             draw from a token bucket refilled at $(docv) tokens/s \
-             (0 = quotas off).")
-  in
-  let tenant_burst_arg =
-    Arg.(
-      value & opt float 10.0
-      & info [ "tenant-burst" ] ~docv:"TOKENS"
-          ~doc:"Token-bucket capacity per tenant (burst allowance).")
   in
   let frame_timeout_arg =
     Arg.(
@@ -1195,8 +1161,8 @@ let serve_cmd =
              evict least-recently-used entries (0 = unlimited).")
   in
   let run socket cache_dir device max_ops workers budget max_searches journal
-      slow_threshold_ms slow_dir max_connections max_queue_depth tenant_rate
-      tenant_burst frame_timeout_s idle_timeout_s cache_max_bytes =
+      max_connections max_queue_depth frame_timeout_s idle_timeout_s
+      cache_max_bytes =
     (match journal with
     | Some path -> ignore (Obs.Journal.enable path)
     | None -> ());
@@ -1211,13 +1177,11 @@ let serve_cmd =
     let server =
       Service.Server.create ~device ~base_config
         ~max_concurrent_searches:max_searches ~max_connections
-        ~max_queue_depth ~tenant_rate ~tenant_burst ~frame_timeout_s
-        ~idle_timeout_s ~cache_max_bytes
-        ?slow_threshold_s:(Option.map (fun ms -> ms /. 1e3) slow_threshold_ms)
-        ?slow_dir ~socket_path:socket ~cache_dir ()
+        ~max_queue_depth ~frame_timeout_s ~idle_timeout_s ~cache_max_bytes
+        ~socket_path:socket ~cache_dir ()
     in
     (* the ambient profiler records into the telemetry registry, so the
-       phase sketches ride the daemon's metrics exposition and `top` *)
+       phase sketches ride the daemon's metrics exposition *)
     ignore
       (Obs.Profile.enable
          ~registry:(Service.Telemetry.registry (Service.Server.telemetry server))
@@ -1225,12 +1189,6 @@ let serve_cmd =
     Printf.printf "mirage service: socket %s, cache %s, device %s, %d worker(s)\n%!"
       socket cache_dir device.Gpusim.Device.name
       base_config.Search.Config.num_workers;
-    (match Service.Server.slowlog server with
-    | Some sl ->
-        Printf.printf "slow-request forensics: >= %.1f ms -> %s\n%!"
-          (Service.Slowlog.threshold_s sl *. 1e3)
-          (Service.Slowlog.dir sl)
-    | None -> ());
     (* a live daemon on the socket is a refusal, not a hijack *)
     (try Service.Server.run server
      with Failure m ->
@@ -1249,9 +1207,7 @@ let serve_cmd =
     Term.(
       const run $ socket_arg $ cache_dir_arg $ device_arg $ ops_arg
       $ workers_arg $ budget_arg $ max_searches_arg
-      $ journal_arg $ slow_threshold_arg $ slow_dir_arg $ max_conns_arg
-      $ max_queue_arg $ tenant_rate_arg $ tenant_burst_arg
-      $ frame_timeout_arg $ idle_timeout_arg $ cache_max_bytes_arg)
+      $ journal_arg $ max_conns_arg $ max_queue_arg $ frame_timeout_arg $ idle_timeout_arg $ cache_max_bytes_arg)
 
 (* Render the search-phase profile captured in a run's report.json:
    the phase tree (count/total/self/p50/p99), the wall-time attribution
@@ -1337,6 +1293,12 @@ let profile_cmd =
           savings), from the run report's profile section")
     Term.(const run $ dir_arg $ min_cov_arg)
 
+(* A latency in µs at a readable scale, for the progress line. *)
+let pp_us v =
+  if v >= 1e6 then Printf.sprintf "%.2fs" (v /. 1e6)
+  else if v >= 1e3 then Printf.sprintf "%.2fms" (v /. 1e3)
+  else Printf.sprintf "%.0fus" v
+
 let request_cmd =
   let what_arg =
     Arg.(
@@ -1345,7 +1307,7 @@ let request_cmd =
       & info [] ~docv:"WHAT"
           ~doc:
             "A benchmark name (sends an optimize request), or one of \
-             $(b,status), $(b,stats), $(b,metrics), $(b,shutdown).")
+             $(b,status), $(b,metrics), $(b,shutdown).")
   in
   let prom_flag =
     Arg.(
@@ -1365,16 +1327,6 @@ let request_cmd =
              candidates, best cost, budget remaining) as an updating \
              line on stderr while the search runs.")
   in
-  let tenant_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "tenant" ] ~docv:"NAME"
-          ~doc:
-            "Tag the request with a tenant: it draws from that tenant's \
-             token bucket on a quota-armed daemon (and may be answered \
-             with $(b,quota_exceeded)).")
-  in
   let deadline_arg =
     Arg.(
       value
@@ -1391,7 +1343,7 @@ let request_cmd =
       & info [ "retry" ]
           ~doc:
             "Retry transient failures (transport errors, typed \
-             $(b,overloaded)/$(b,quota_exceeded) rejections) with \
+             $(b,overloaded) rejections) with \
              bounded jittered exponential back-off, honoring the \
              server's retry_after_s hint.")
   in
@@ -1405,8 +1357,8 @@ let request_cmd =
              get $(docv) seconds to finish before their budgets are \
              cancelled.")
   in
-  let run socket what max_ops workers budget prometheus progress tenant
-      deadline_ms retry drain_s =
+  let run socket what max_ops workers budget prometheus progress deadline_ms
+      retry drain_s =
     (* live progress rendering: one updating stderr line per frame (a
        plain newline-per-frame stream when stderr is not a tty) *)
     let tty = Unix.isatty Unix.stderr in
@@ -1435,7 +1387,7 @@ let request_cmd =
         (match num "elapsed_s" with Some s -> s | None -> 0.0)
         phase (int_ "nodes_expanded") (int_ "candidates")
         (match num "best_cost_us" with
-        | Some us -> Service.Top.pp_us us
+        | Some us -> pp_us us
         | None -> "-")
         (match int_ "tasks_stolen" with
         | 0 -> ""
@@ -1459,7 +1411,7 @@ let request_cmd =
           Service.Client.metrics ~format:"prometheus" ~socket_path:socket ()
       | "shutdown" ->
           Service.Client.shutdown ?drain_s ~socket_path:socket ()
-      | "status" | "stats" | "metrics" ->
+      | "status" | "metrics" ->
           send ~socket_path:socket (Obs.Jsonw.Obj [ ("op", Obs.Jsonw.Str what) ])
       | benchmark ->
           let fields =
@@ -1470,9 +1422,6 @@ let request_cmd =
               ("workers", Obs.Jsonw.Int (resolve_workers workers));
               ("budget_s", Obs.Jsonw.Float budget);
             ]
-            @ (match tenant with
-              | Some name -> [ ("tenant", Obs.Jsonw.Str name) ]
-              | None -> [])
             @
             match deadline_ms with
             | Some ms -> [ ("deadline_ms", Obs.Jsonw.Float ms) ]
@@ -1510,73 +1459,7 @@ let request_cmd =
           the JSON response")
     Term.(
       const run $ socket_arg $ what_arg $ ops_arg $ workers_arg $ budget_arg
-      $ prom_flag $ progress_flag $ tenant_arg $ deadline_arg $ retry_flag
-      $ drain_arg)
-
-(* Fetch one validated exposition snapshot from a running daemon. *)
-let fetch_snapshot socket =
-  match Service.Client.metrics ~socket_path:socket () with
-  | Error m ->
-      Printf.eprintf "metrics request failed: %s\n" m;
-      exit 1
-  | Ok snap -> (
-      match Service.Telemetry.check_snapshot snap with
-      | Ok () -> snap
-      | Error m ->
-          Printf.eprintf "malformed metrics snapshot: %s\n" m;
-          exit 1)
-
-let status_cmd =
-  let run socket =
-    let snap = fetch_snapshot socket in
-    print_string (Service.Top.render ~now:(Unix.gettimeofday ()) snap)
-  in
-  Cmd.v
-    (Cmd.info "status"
-       ~doc:
-         "One-shot health summary of a running optimization service: \
-          uptime, requests served, in-flight count, cache hit rate and \
-          stage latency quantiles (from the validated metrics snapshot)")
-    Term.(const run $ socket_arg)
-
-let top_cmd =
-  let interval_arg =
-    Arg.(
-      value & opt float 1.0
-      & info [ "interval"; "n" ] ~docv:"SECONDS" ~doc:"Poll interval.")
-  in
-  let count_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "count"; "c" ] ~docv:"N"
-          ~doc:"Stop after $(docv) polls (0 = run until interrupted).")
-  in
-  let run socket interval count =
-    let interval = Float.max 0.05 interval in
-    let prev = ref None in
-    let i = ref 0 in
-    let continue_ () = count <= 0 || !i < count in
-    while continue_ () do
-      let snap = fetch_snapshot socket in
-      let now = Unix.gettimeofday () in
-      (* clear screen + home, like top(1); skipped on the first paint so
-         a single poll (--count 1) composes with pipes *)
-      if count <> 1 then print_string "\027[2J\027[H";
-      print_string (Service.Top.render ?prev:!prev ~now snap);
-      flush stdout;
-      prev := Some (now, snap);
-      incr i;
-      if continue_ () then Unix.sleepf interval
-    done
-  in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:
-         "Live one-screen view of a running optimization service: req/s, \
-          outcome and cache-hit tallies, per-stage latency quantiles \
-          (p50/p90/p99/max), in-flight count and degradations, refreshed \
-          every --interval seconds")
-    Term.(const run $ socket_arg $ interval_arg $ count_arg)
+      $ prom_flag $ progress_flag $ deadline_arg $ retry_flag $ drain_arg)
 
 let () =
   let info =
@@ -1601,6 +1484,4 @@ let () =
             profile_cmd;
             serve_cmd;
             request_cmd;
-            status_cmd;
-            top_cmd;
           ]))

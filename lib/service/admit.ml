@@ -1,9 +1,9 @@
 (* Admission control for the serving tier: the armor that keeps a
    saturated daemon responsive instead of wedged.
 
-   Three independent gates, each answering with a typed rejection that
-   carries a [retry_after_s] hint (so a well-behaved client backs off
-   instead of hammering):
+   Two independent gates, each answering with a typed "overloaded"
+   rejection that carries a [retry_after_s] hint (so a well-behaved
+   client backs off instead of hammering):
 
    - a live-connection bound: connections beyond [max_connections] are
      answered with "overloaded" and closed without reading a byte — an
@@ -12,16 +12,10 @@
    - a search-queue bound: at most [max_queue_depth] *distinct*
      searches may wait for a search slot (single-flight followers ride
      their leader's slot and are not counted) — queue wait stays
-     bounded, so does the daemon's memory;
-   - per-tenant token buckets: requests carrying a ["tenant"] field
-     draw one token from that tenant's bucket (capacity
-     [tenant_burst], refilled at [tenant_rate] tokens/s); an empty
-     bucket answers "quota_exceeded" with the exact time until the
-     next token. Tenantless requests are exempt — quotas are opt-in
-     per deployment.
+     bounded, so does the daemon's memory.
 
    All decisions are counted under service.admit.* and journaled
-   ([admit.reject]) so a fleet front door can alarm on shed load. *)
+   ([admit.reject]) so an operator can alarm on shed load. *)
 
 module J = Obs.Jsonw
 
@@ -29,40 +23,30 @@ type rejection = { kind : string; retry_after_s : float; detail : string }
 
 type decision = Admitted | Rejected of rejection
 
-type bucket = { mutable tokens : float; mutable refilled_at : float }
-
 type t = {
   max_connections : int;  (* 0 = unlimited *)
   max_queue_depth : int;  (* 0 = unlimited *)
-  tenant_rate : float;  (* tokens per second; 0 = quotas off *)
-  tenant_burst : float;
   retry_after_s : float;  (* the hint on overload rejections *)
   lock : Mutex.t;
   mutable live_conns : int;
   mutable queue_depth : int;
-  tenants : (string, bucket) Hashtbl.t;
   g_conns : Obs.Metrics.gauge;
   g_queue : Obs.Metrics.gauge;
   c_admitted : Obs.Metrics.counter;
   c_reject_conn : Obs.Metrics.counter;
   c_reject_queue : Obs.Metrics.counter;
-  c_reject_quota : Obs.Metrics.counter;
 }
 
 let create ?(registry = Obs.Metrics.default ()) ?(max_connections = 64)
-    ?(max_queue_depth = 64) ?(tenant_rate = 0.0) ?(tenant_burst = 10.0)
-    ?(retry_after_s = 0.5) () =
+    ?(max_queue_depth = 64) ?(retry_after_s = 0.5) () =
   let c name help = Obs.Metrics.counter registry ~help name in
   {
     max_connections;
     max_queue_depth;
-    tenant_rate;
-    tenant_burst = Float.max 1.0 tenant_burst;
     retry_after_s;
     lock = Mutex.create ();
     live_conns = 0;
     queue_depth = 0;
-    tenants = Hashtbl.create 16;
     g_conns =
       Obs.Metrics.gauge registry ~help:"connections currently being handled"
         "service.admit.live_connections";
@@ -76,8 +60,6 @@ let create ?(registry = Obs.Metrics.default ()) ?(max_connections = 64)
         "connections shed at the live-connection bound";
     c_reject_queue =
       c "service.admit.reject.queue" "searches shed at the queue-depth bound";
-    c_reject_quota =
-      c "service.admit.reject.quota" "requests shed by a tenant quota";
   }
 
 let locked t f =
@@ -144,48 +126,10 @@ let queue_done t =
       t.queue_depth <- max 0 (t.queue_depth - 1);
       Obs.Metrics.set_gauge t.g_queue (float_of_int t.queue_depth))
 
-(* --- per-tenant token buckets ----------------------------------------- *)
-
-let refill t b ~now =
-  if now > b.refilled_at then begin
-    b.tokens <-
-      Float.min t.tenant_burst (b.tokens +. ((now -. b.refilled_at) *. t.tenant_rate));
-    b.refilled_at <- now
-  end
-
-let check_tenant ?now t tenant =
-  match tenant with
-  | None -> Admitted  (* quotas are opt-in: tenantless traffic is exempt *)
-  | Some _ when t.tenant_rate <= 0.0 -> Admitted
-  | Some name ->
-      let now = match now with Some v -> v | None -> Unix.gettimeofday () in
-      locked t (fun () ->
-          let b =
-            match Hashtbl.find_opt t.tenants name with
-            | Some b -> b
-            | None ->
-                let b = { tokens = t.tenant_burst; refilled_at = now } in
-                Hashtbl.replace t.tenants name b;
-                b
-          in
-          refill t b ~now;
-          if b.tokens >= 1.0 then begin
-            b.tokens <- b.tokens -. 1.0;
-            Admitted
-          end
-          else
-            reject t.c_reject_quota
-              {
-                kind = "quota_exceeded";
-                retry_after_s = (1.0 -. b.tokens) /. t.tenant_rate;
-                detail = Printf.sprintf "tenant %S out of quota" name;
-              })
-
 (* --- introspection ---------------------------------------------------- *)
 
 let live_conns t = locked t (fun () -> t.live_conns)
 let queue_depth t = locked t (fun () -> t.queue_depth)
-let tenant_count t = locked t (fun () -> Hashtbl.length t.tenants)
 
 let status_json t =
   locked t (fun () ->
@@ -195,8 +139,4 @@ let status_json t =
           ("max_connections", J.Int t.max_connections);
           ("queue_depth", J.Int t.queue_depth);
           ("max_queue_depth", J.Int t.max_queue_depth);
-          ( "tenant_rate",
-            if t.tenant_rate > 0.0 then J.Float t.tenant_rate else J.Null );
-          ("tenant_burst", J.Float t.tenant_burst);
-          ("tenants", J.Int (Hashtbl.length t.tenants));
         ])

@@ -1,17 +1,15 @@
-(** Admission control for the serving tier: bounded live connections,
-    bounded search-queue depth, and per-tenant token-bucket quotas.
-    Every rejection is typed and carries a [retry_after_s] hint; all
-    decisions are counted under [service.admit.*] and journaled
+(** Admission control for the serving tier: bounded live connections
+    and bounded search-queue depth. Every rejection is typed
+    ["overloaded"] and carries a [retry_after_s] hint; all decisions
+    are counted under [service.admit.*] and journaled
     ([admit.reject]).
 
-    Connection and queue gates are counting semaphore-style check-in /
-    check-out pairs ({!try_conn}/{!conn_done}, {!try_queue}/
-    {!queue_done}); tenant quotas are a per-name token bucket of
-    capacity [tenant_burst], refilled at [tenant_rate] tokens per
-    second. Thread-safe. *)
+    Both gates are counting semaphore-style check-in / check-out pairs
+    ({!try_conn}/{!conn_done}, {!try_queue}/{!queue_done}).
+    Thread-safe. *)
 
 type rejection = {
-  kind : string;  (** ["overloaded"] or ["quota_exceeded"] *)
+  kind : string;  (** ["overloaded"] *)
   retry_after_s : float;  (** when it is worth trying again *)
   detail : string;
 }
@@ -24,16 +22,12 @@ val create :
   ?registry:Obs.Metrics.t ->
   ?max_connections:int ->
   ?max_queue_depth:int ->
-  ?tenant_rate:float ->
-  ?tenant_burst:float ->
   ?retry_after_s:float ->
   unit ->
   t
 (** [max_connections] (default 64) bounds concurrently handled
     connections; [max_queue_depth] (default 64) bounds distinct
     searches waiting for a search slot; 0 disables either bound.
-    [tenant_rate] (tokens/s, default 0 = quotas off) and
-    [tenant_burst] (default 10) shape the per-tenant buckets.
     [retry_after_s] (default 0.5) is the hint on overload
     rejections. *)
 
@@ -50,15 +44,9 @@ val try_queue : t -> decision
 
 val queue_done : t -> unit
 
-val check_tenant : ?now:float -> t -> string option -> decision
-(** Draw one token from [tenant]'s bucket. [None] (no tenant field) and
-    quota-less configurations always admit. [now] overrides the clock
-    for tests. *)
-
 val live_conns : t -> int
 val queue_depth : t -> int
-val tenant_count : t -> int
 
 val status_json : t -> Obs.Jsonw.t
 (** The admission block of the server's [status] response: live and
-    maximum connections, queue depth, tenant-bucket population. *)
+    maximum connections, queue depth and its bound. *)

@@ -68,7 +68,6 @@ let optimize_graph ?(fields = []) ?on_progress ~socket_path graph_json =
 
 let simple ~socket_path op = request ~socket_path (J.Obj [ ("op", J.Str op) ])
 let status ~socket_path = simple ~socket_path "status"
-let stats ~socket_path = simple ~socket_path "stats"
 
 let shutdown ?drain_s ~socket_path () =
   request ~socket_path
@@ -106,15 +105,13 @@ let retry_after_s resp =
    and the read-only ops trivially so. A shutdown is never retried. *)
 let idempotent req =
   match J.member "op" req with
-  | Some (J.Str ("optimize" | "status" | "stats" | "metrics")) -> true
+  | Some (J.Str ("optimize" | "status" | "metrics")) -> true
   | _ -> false
 
 (* Load-shed responses are retryable — the server said "come back".
    A typed "timeout" is not: the request's own deadline expired, and
    retrying cannot un-expire it. *)
-let retryable_kind = function
-  | "overloaded" | "quota_exceeded" -> true
-  | _ -> false
+let retryable_kind = function "overloaded" -> true | _ -> false
 
 let request_with_retry ?on_progress ?(max_attempts = 5)
     ?(base_delay_s = 0.05) ?(max_delay_s = 2.0) ?on_retry ~socket_path req =

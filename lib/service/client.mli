@@ -38,7 +38,6 @@ val optimize_graph :
 (** Optimize an inline muGraph (Checkpoint codec JSON). *)
 
 val status : socket_path:string -> (Obs.Jsonw.t, string) result
-val stats : socket_path:string -> (Obs.Jsonw.t, string) result
 
 val shutdown :
   ?drain_s:float -> socket_path:string -> unit -> (Obs.Jsonw.t, string) result
@@ -48,8 +47,8 @@ val shutdown :
 
 val error_kind : Obs.Jsonw.t -> string option
 (** The machine-readable kind of an error response ([overloaded],
-    [quota_exceeded], [timeout], [bad_request], [bad_frame],
-    [internal]); [None] for a non-error response. *)
+    [timeout], [bad_request], [bad_frame], [internal]); [None] for a
+    non-error response. *)
 
 val retry_after_s : Obs.Jsonw.t -> float option
 (** The back-off hint a load-shed rejection carries, when present. *)
@@ -64,10 +63,10 @@ val request_with_retry :
   Obs.Jsonw.t ->
   (Obs.Jsonw.t, string) result
 (** {!request} with bounded, jittered exponential back-off for
-    idempotent ops ([optimize] / [status] / [stats] / [metrics]) only —
+    idempotent ops ([optimize] / [status] / [metrics]) only —
     anything else falls through to a single attempt. Retried failures:
     transport errors (connect refused, connection closed) and typed
-    load-shed responses ([overloaded], [quota_exceeded]), honoring the
+    load-shed responses ([overloaded]), honoring the
     server's [retry_after_s] hint as a floor on the delay. A typed
     [timeout] is final — the request's own deadline expired. One
     request id is pinned across all attempts ([max_attempts], default

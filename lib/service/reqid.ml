@@ -4,8 +4,9 @@
    mints one for bare frames so every journal line is attributable
    either way. Ids are short hex digests — unique across processes
    (pid + time + per-process counter), free of characters that need
-   quoting in JSON, shells or file names (slow-request report
-   directories are named by id). *)
+   quoting in JSON, shells or file names, so a journal line or a
+   response can carry one verbatim and a grep for it needs no
+   escaping. *)
 
 module J = Obs.Jsonw
 

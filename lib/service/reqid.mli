@@ -1,6 +1,6 @@
 (** Request ids: the trace handle joining a client call to its server
-    dispatch, single-flight coalescing, cache activity and search
-    forensics. {!Client} mints one per request; the server mints one
+    dispatch, single-flight coalescing, cache activity and the search's
+    journal events. {!Client} mints one per request; the server mints one
     for bare frames, so every journal event carries a [rid]. *)
 
 val field : string
@@ -10,8 +10,8 @@ val fresh : unit -> string
 (** A new process-unique id: 16 chars, [[a-z0-9]], leading ['r']. *)
 
 val valid : string -> bool
-(** 1–64 chars of [[A-Za-z0-9._:-]] — safe in JSON, shells and file
-    names (slow-request report directories are named by id). *)
+(** 1–64 chars of [[A-Za-z0-9._:-]] — safe verbatim in JSON journal
+    lines, shells and file names. *)
 
 val of_request : Obs.Jsonw.t -> string option
 (** The frame's valid request id, if any. *)

@@ -4,7 +4,7 @@
    protocol of {!Proto}. Each accepted connection carries one request:
 
      {"op":"optimize", "benchmark":"rmsnorm"}        — or "graph": <json>
-     {"op":"status"} | {"op":"stats"} | {"op":"shutdown"}
+     {"op":"status"} | {"op":"metrics"} | {"op":"shutdown"}
 
    An optimize request is resolved to a specification graph, its
    {!Fingerprint} is computed, and then:
@@ -32,8 +32,6 @@
    - connections beyond the live-connection bound and searches beyond
      the queue-depth bound are answered with a typed "overloaded"
      carrying retry_after_s, never a hang or a raw disconnect;
-   - requests carrying a ["tenant"] draw from that tenant's token
-     bucket and get a typed "quota_exceeded" when it runs dry;
    - every frame read/write is deadline-guarded: a slowloris client
      (partial frame, then silence) is disconnected after the frame
      timeout and its handler thread reclaimed — handler threads are
@@ -259,7 +257,6 @@ type t = {
   cache : Cache.t;
   device : Gpusim.Device.t;
   base_config : Search.Config.t;
-  verify_trials : int;
   slots : Slots.t;
   admit : Admit.t;
   frame_timeout_s : float;  (* 0 = unlimited *)
@@ -280,19 +277,22 @@ type t = {
   c_wire_timeout : Obs.Metrics.counter;
   c_wire_torn : Obs.Metrics.counter;
   telemetry : Telemetry.t;
-  slowlog : Slowlog.t option;
   mutable in_flight : int;
 }
 
 let payload_schema = "mirage.service.payload.v1"
 
+(* Finite-field trials per candidate, and the back-off hint on an
+   "overloaded" answer. *)
+let verify_trials = 2
+let retry_after_s = 0.5
+
 let create ?(mem_capacity = 64) ?(registry = Obs.Metrics.default ())
     ?(device = Gpusim.Device.a100) ?(base_config = Search.Config.default)
-    ?(verify_trials = 2) ?(max_concurrent_searches = 2)
-    ?(max_connections = 64) ?(max_queue_depth = 64) ?(tenant_rate = 0.0)
-    ?(tenant_burst = 10.0) ?(retry_after_s = 0.5) ?(frame_timeout_s = 10.0)
-    ?(idle_timeout_s = 30.0) ?(cache_max_bytes = 0) ?slow_threshold_s
-    ?slow_dir ?slow_max_reports ~socket_path ~cache_dir () =
+    ?(max_concurrent_searches = 2) ?(max_connections = 64)
+    ?(max_queue_depth = 64) ?(frame_timeout_s = 10.0)
+    ?(idle_timeout_s = 30.0) ?(cache_max_bytes = 0) ~socket_path ~cache_dir
+    () =
   let c name help = Obs.Metrics.counter registry ~help name in
   (* Searches run on slot domains of their own (see [Slots]), and two
      domains forcing one lazy metric handle at once fail: force the
@@ -305,11 +305,10 @@ let create ?(mem_capacity = 64) ?(registry = Obs.Metrics.default ())
         ~dir:cache_dir ();
     device;
     base_config;
-    verify_trials;
     slots = Slots.create max_concurrent_searches;
     admit =
-      Admit.create ~registry ~max_connections ~max_queue_depth ~tenant_rate
-        ~tenant_burst ~retry_after_s ();
+      Admit.create ~registry ~max_connections ~max_queue_depth ~retry_after_s
+        ();
     frame_timeout_s;
     idle_timeout_s;
     lock = Mutex.create ();
@@ -331,21 +330,10 @@ let create ?(mem_capacity = 64) ?(registry = Obs.Metrics.default ())
         "connections dropped by a frame or idle deadline";
     c_wire_torn = c "service.wire.torn" "connections that died mid-frame";
     telemetry = Telemetry.create ~registry ();
-    slowlog =
-      (match slow_threshold_s with
-      | None -> None
-      | Some threshold_s ->
-          let dir =
-            match slow_dir with Some d -> d | None -> cache_dir ^ "-slow"
-          in
-          Some
-            (Slowlog.create ~registry ?max_reports:slow_max_reports ~dir
-               ~threshold_s ()));
     in_flight = 0;
   }
 
 let telemetry t = t.telemetry
-let slowlog t = t.slowlog
 let admit t = t.admit
 
 let cache t = t.cache
@@ -373,7 +361,9 @@ let float_field k j =
    [Config.for_spec] (operator menus from the goal expressions, grids
    and loops from the input dimensions) — the same derivation
    [mirage_cli optimize] uses, so a service answer and a direct run are
-   comparable bit for bit. *)
+   comparable bit for bit. A client may ask for at most
+   [Config.default_workers] lanes, and its ["budget_s"] may only tighten
+   the operator's budget: out-of-range values are a [bad_request]. *)
 let request_config t req spec =
   let base = t.base_config in
   let base =
@@ -381,17 +371,31 @@ let request_config t req spec =
     | Some n -> { base with Search.Config.max_block_ops = n }
     | None -> base
   in
-  let base =
-    match int_field "workers" req with
-    | Some n -> { base with Search.Config.num_workers = n }
-    | None -> base
-  in
-  let base =
-    match float_field "budget_s" req with
-    | Some s -> { base with Search.Config.time_budget_s = s }
-    | None -> base
-  in
-  Search.Config.for_spec ~base spec
+  match (int_field "workers" req, float_field "budget_s" req) with
+  | Some n, _ when n < 1 || n > Search.Config.default_workers ->
+      Error
+        (Printf.sprintf "workers %d is outside 1 .. %d" n
+           Search.Config.default_workers)
+  | _, Some s when not (Float.is_finite s && s > 0.0) ->
+      Error (Printf.sprintf "budget_s %g is not a positive number" s)
+  | workers, budget ->
+      let base =
+        match workers with
+        | Some n -> { base with Search.Config.num_workers = n }
+        | None -> base
+      in
+      let base =
+        match budget with
+        | Some s ->
+            let own = base.Search.Config.time_budget_s in
+            {
+              base with
+              Search.Config.time_budget_s =
+                (if own > 0.0 then Float.min own s else s);
+            }
+        | None -> base
+      in
+      Ok (Search.Config.for_spec ~base spec)
 
 (* An end-to-end deadline caps the search's wall budget: the flight must
    answer by [deadline], so the search may use at most what remains, and
@@ -522,7 +526,7 @@ let run_search t slot ~config ~device ~benchmark ~spec ~fp ~flight =
     let o =
       Search.Generator.run ~config
         ~registry:(Telemetry.registry t.telemetry)
-        ~verify_trials:t.verify_trials ~budget ~progress:flight.fprogress
+        ~verify_trials ~budget ~progress:flight.fprogress
         ~device ~spec ()
     in
     let wall_s = Unix.gettimeofday () -. t0 in
@@ -562,11 +566,11 @@ let run_search t slot ~config ~device ~benchmark ~spec ~fp ~flight =
 
 (* --- single flight ---------------------------------------------------- *)
 
-(* The chaos hook for the slow-request forensics path: when armed
+(* The chaos hook for request latency: when armed
    ([MIRAGE_FAULT=serve.slow:...]), an optimize request stalls for
-   [MIRAGE_FAULT_SLOW_MS] (default 250) instead of raising — the
-   injected latency crosses the slow threshold and exercises the
-   capture machinery end to end. *)
+   [MIRAGE_FAULT_SLOW_MS] (default 250) instead of raising, before any
+   cache probe or search — so a test can expire a client's deadline
+   deterministically. *)
 let slow_probe () =
   try Obs.Fault.trip "serve.slow"
   with Obs.Fault.Injected _ ->
@@ -661,11 +665,10 @@ let optimize t ~rid ~(sample : Telemetry.sample) ?push ?(interval_s = 0.1)
   match resolve_spec req with
   | Error m -> Error (bad_request m)
   | Ok (benchmark, spec) -> (
-      match resolve_device t req with
-      | Error m -> Error (bad_request m)
-      | Ok device -> (
+      match (resolve_device t req, request_config t req spec) with
+      | Error m, _ | _, Error m -> Error (bad_request m)
+      | Ok device, Ok config -> (
           slow_probe ();
-          let config = request_config t req spec in
           let fp = Fingerprint.make ~device ~config spec in
           let serve_cached payload =
             match payload_valid payload with
@@ -848,55 +851,30 @@ let hit_rate_json t =
 let status_json t =
   let (hits, misses), hit_rate = hit_rate_json t in
   J.Obj
-    ([
-       ("status", J.Str "ok");
-       ("uptime_s", J.Float (Unix.gettimeofday () -. t.started_at));
-       ("stopping", J.Bool (Atomic.get t.stop_flag));
-       ("requests", J.Int (Obs.Metrics.value t.c_requests));
-       ("searches", J.Int (Obs.Metrics.value t.c_searches));
-       ("coalesced", J.Int (Obs.Metrics.value t.c_coalesced));
-       ("errors", J.Int (Obs.Metrics.value t.c_errors));
-       ("in_flight", J.Int (current_in_flight t));
-       ("admit", Admit.status_json t.admit);
-       ( "cache",
-         J.Obj
-           [
-             ("mem_entries", J.Int (Cache.mem_entries t.cache));
-             ("disk_entries", J.Int (Cache.disk_entries t.cache));
-             ("disk_bytes", J.Int (Cache.disk_bytes t.cache));
-             ("mem_only", J.Bool (Cache.mem_only t.cache));
-             ("hits", J.Int hits);
-             ("misses", J.Int misses);
-             ("hit_rate", hit_rate);
-             ("dir", J.Str (Cache.dir t.cache));
-           ] );
-       ("device", J.Str t.device.Gpusim.Device.name);
-       ("socket", J.Str t.socket_path);
-     ]
-    @
-    match t.slowlog with
-    | None -> []
-    | Some sl ->
-        [
-          ( "slow",
-            J.Obj
-              [
-                ("threshold_ms", J.Float (Slowlog.threshold_s sl *. 1e3));
-                ("captured", J.Int (Slowlog.captured sl));
-                ("skipped", J.Int (Slowlog.skipped sl));
-                ("dir", J.Str (Slowlog.dir sl));
-              ] );
-        ])
-
-(* The daemon's own registry, not the process-wide default: a server
-   created with a custom registry must report its own metrics. *)
-let stats_json t =
-  J.Obj
     [
       ("status", J.Str "ok");
-      ( "metrics",
-        Obs.Metrics.to_json
-          (Obs.Metrics.snapshot (Telemetry.registry t.telemetry)) );
+      ("uptime_s", J.Float (Unix.gettimeofday () -. t.started_at));
+      ("stopping", J.Bool (Atomic.get t.stop_flag));
+      ("requests", J.Int (Obs.Metrics.value t.c_requests));
+      ("searches", J.Int (Obs.Metrics.value t.c_searches));
+      ("coalesced", J.Int (Obs.Metrics.value t.c_coalesced));
+      ("errors", J.Int (Obs.Metrics.value t.c_errors));
+      ("in_flight", J.Int (current_in_flight t));
+      ("admit", Admit.status_json t.admit);
+      ( "cache",
+        J.Obj
+          [
+            ("mem_entries", J.Int (Cache.mem_entries t.cache));
+            ("disk_entries", J.Int (Cache.disk_entries t.cache));
+            ("disk_bytes", J.Int (Cache.disk_bytes t.cache));
+            ("mem_only", J.Bool (Cache.mem_only t.cache));
+            ("hits", J.Int hits);
+            ("misses", J.Int misses);
+            ("hit_rate", hit_rate);
+            ("dir", J.Str (Cache.dir t.cache));
+          ] );
+      ("device", J.Str t.device.Gpusim.Device.name);
+      ("socket", J.Str t.socket_path);
     ]
 
 (* The "metrics" op: the schema'd exposition snapshot ({!Telemetry}),
@@ -911,20 +889,6 @@ let metrics_json t req =
           ("text", J.Str (Telemetry.prometheus t.telemetry));
         ]
   | _ ->
-      let slow_extra =
-        match t.slowlog with
-        | None -> []
-        | Some sl ->
-            [
-              ( "slow",
-                J.Obj
-                  [
-                    ("threshold_ms", J.Float (Slowlog.threshold_s sl *. 1e3));
-                    ("captured", J.Int (Slowlog.captured sl));
-                    ("skipped", J.Int (Slowlog.skipped sl));
-                  ] );
-            ]
-      in
       let extra =
         [
           ("status", J.Str "ok");
@@ -938,7 +902,6 @@ let metrics_json t req =
                 ("mem_only", J.Bool (Cache.mem_only t.cache));
               ] );
         ]
-        @ slow_extra
       in
       Telemetry.snapshot_json ~extra t.telemetry
         ~in_flight:(current_in_flight t) ()
@@ -1014,7 +977,7 @@ let dispatch t ~rid ~(sample : Telemetry.sample) ?push req =
   let reject_resp r =
     let outcome =
       match r.r_kind with
-      | ("timeout" | "overloaded" | "quota_exceeded") as k -> k
+      | ("timeout" | "overloaded") as k -> k
       | _ -> "error"
     in
     Telemetry.set_outcome sample outcome;
@@ -1042,31 +1005,25 @@ let dispatch t ~rid ~(sample : Telemetry.sample) ?push req =
           | Some ms when ms > 0.0 -> t0 +. (ms /. 1e3)
           | _ -> 0.0
         in
-        match Admit.check_tenant t.admit (str_field "tenant" req) with
-        | Admit.Rejected r -> reject_resp (of_admit r)
-        | Admit.Admitted -> (
-            match
-              optimize t ~rid ~sample ?push ~interval_s ~deadline req
-            with
-            | Ok (fp, payload, cached, coalesced, served_by) ->
-                (match J.member "degraded" payload with
-                | Some (J.List (_ :: _)) -> Telemetry.set_degraded sample
-                | _ -> ());
-                J.Obj
-                  ([
-                     ("status", J.Str "ok");
-                     ("fingerprint", J.Str fp);
-                     ("cached", J.Bool cached);
-                     ("coalesced", J.Bool coalesced);
-                   ]
-                  @ (match served_by with
-                    | Some leader -> [ ("served_by", J.Str leader) ]
-                    | None -> [])
-                  @ [ ("result", payload) ])
-            | Error r -> reject_resp r
-            | exception e -> reject_resp (internal (Printexc.to_string e))))
+        match optimize t ~rid ~sample ?push ~interval_s ~deadline req with
+        | Ok (fp, payload, cached, coalesced, served_by) ->
+            (match J.member "degraded" payload with
+            | Some (J.List (_ :: _)) -> Telemetry.set_degraded sample
+            | _ -> ());
+            J.Obj
+              ([
+                 ("status", J.Str "ok");
+                 ("fingerprint", J.Str fp);
+                 ("cached", J.Bool cached);
+                 ("coalesced", J.Bool coalesced);
+               ]
+              @ (match served_by with
+                | Some leader -> [ ("served_by", J.Str leader) ]
+                | None -> [])
+              @ [ ("result", payload) ])
+        | Error r -> reject_resp r
+        | exception e -> reject_resp (internal (Printexc.to_string e)))
     | "status" -> status_json t
-    | "stats" -> stats_json t
     | "metrics" -> metrics_json t req
     | "shutdown" ->
         let drain_s = float_field "drain_s" req in
@@ -1099,19 +1056,13 @@ let begin_sample req =
   let op = match str_field "op" req with Some s -> s | None -> "" in
   (req, rid, Telemetry.start ~rid ~op)
 
-let settle t sample resp =
-  Telemetry.finish t.telemetry sample;
-  match t.slowlog with
-  | Some sl -> Slowlog.maybe_capture sl sample ~response:resp
-  | None -> ()
-
 let handle_request ?push t req =
   let req, rid, sample = begin_sample req in
   Obs.Journal.with_context
     [ ("rid", J.Str rid) ]
     (fun () ->
       let resp = dispatch t ~rid ~sample ?push req in
-      settle t sample resp;
+      Telemetry.finish t.telemetry sample;
       resp)
 
 (* --- connection handling ----------------------------------------------- *)
@@ -1161,7 +1112,7 @@ let handle_conn t fd =
                      Telemetry.time_stage sample "serialize" (fun () ->
                          Proto.write_frame ?timeout_s:(frame_tmo t) fd resp)
                    with _ -> () (* client went away; its loss *));
-                  settle t sample resp)
+                  Telemetry.finish t.telemetry sample)
           | exception End_of_file -> () (* clean close, no frame *)
           | exception Proto.Timed_out what ->
               (* slowloris or stalled peer: typed timeout (best effort),

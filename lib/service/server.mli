@@ -5,7 +5,9 @@
 
     - [{"op":"optimize", "benchmark":<name>}] (or ["graph": <codec json>],
       plus optional overrides [max_block_ops] / [budget_s] / [workers] /
-      [device]) — resolve the spec, fingerprint it ({!Fingerprint}),
+      [device]; [workers] must lie in [1 .. Search.Config.default_workers]
+      and [budget_s] must be finite and positive, and it only tightens
+      the server's own budget) — resolve the spec, fingerprint it ({!Fingerprint}),
       serve from the {!Cache} when possible, otherwise run the §4 search
       exactly once per distinct in-flight fingerprint (single-flight
       coalescing) on one of [max_concurrent_searches] long-lived
@@ -16,37 +18,34 @@
       into interleaved {!Proto.progress_frame} events while the search
       — own or coalesced — is in flight, each tagged with this
       request's id;
-    - [{"op":"status"}] — uptime, counters, cache occupancy and hit
-      rate, slow-report tally;
-    - [{"op":"stats"}] — a snapshot of the process metrics registry;
+    - [{"op":"status"}] — uptime, counters, admission and cache
+      occupancy, hit rate;
     - [{"op":"metrics"}] — the {!Telemetry.snapshot_schema} exposition
-      (stage latency quantiles, outcome counters, cache hit rate), or
-      Prometheus text with ["format":"prometheus"];
+      (stage latency quantiles, outcome counters, cache hit rate, and
+      every registry counter and gauge), or Prometheus text with
+      ["format":"prometheus"];
     - [{"op":"shutdown"}] — respond, then stop accepting; an optional
       ["drain_s"] gives in-flight searches that long to finish before
       their budgets are cancelled (graceful drain).
 
     The daemon is armored against overload and hostile peers:
     {!Admit} bounds live connections and queued searches (typed
-    ["overloaded"] rejections carrying [retry_after_s]) and meters
-    per-tenant token buckets (["tenant"] field, typed
-    ["quota_exceeded"]); every frame read/write runs under a deadline
+    ["overloaded"] rejections carrying [retry_after_s] = 0.5); every
+    frame read/write runs under a deadline
     ({!Proto}), so a slowloris peer is disconnected after
     [frame_timeout_s] and its handler thread reaped; a client-supplied
     ["deadline_ms"] bounds the whole request — queue wait, search
     budget, coalesced wait — and answers a typed ["timeout"] when it
     expires. Error responses always carry ["error"] (the machine-
-    readable kind: [bad_request], [overloaded], [quota_exceeded],
-    [timeout], [bad_frame], [internal]) next to the human ["message"].
+    readable kind: [bad_request], [overloaded], [timeout], [bad_frame],
+    [internal]) next to the human ["message"].
 
     Every request carries a request id ({!Reqid}; the server mints one
     for bare frames) which is echoed in the response, installed as
     journal context for the whole dispatch — search worker domains
     included — and recorded by coalesced followers as the leader's id
     ([served_by]). A {!Telemetry.sample} times the stages (cache probe,
-    queue wait, search, serialize) and, when a slow threshold is
-    configured, {!Slowlog} captures a per-request report directory for
-    optimize requests above it.
+    queue wait, search, serialize, total) into {!Telemetry}.
 
     The request lifecycle is journaled through {!Obs.Journal}
     ([request.recv], [cache.hit]/[cache.miss], [request.coalesced],
@@ -60,40 +59,27 @@ val create :
   ?registry:Obs.Metrics.t ->
   ?device:Gpusim.Device.t ->
   ?base_config:Search.Config.t ->
-  ?verify_trials:int ->
   ?max_concurrent_searches:int ->
   ?max_connections:int ->
   ?max_queue_depth:int ->
-  ?tenant_rate:float ->
-  ?tenant_burst:float ->
-  ?retry_after_s:float ->
   ?frame_timeout_s:float ->
   ?idle_timeout_s:float ->
   ?cache_max_bytes:int ->
-  ?slow_threshold_s:float ->
-  ?slow_dir:string ->
-  ?slow_max_reports:int ->
   socket_path:string ->
   cache_dir:string ->
   unit ->
   t
-(** [slow_threshold_s] arms slow-request forensics: optimize requests
-    at or above it leave a report directory under [slow_dir] (default
-    [cache_dir ^ "-slow"]), at most [slow_max_reports] of them.
+(** Each candidate is verified with 2 finite-field trials.
 
     Hardening knobs: [max_connections] (default 64) / [max_queue_depth]
     (default 64) bound live connections and queued searches (0 =
-    unlimited); [tenant_rate] (tokens/s, default 0 = quotas off) and
-    [tenant_burst] (default 10) parameterize the per-tenant buckets;
-    [retry_after_s] (default 0.5) is the back-off hint on overload
-    rejections; [frame_timeout_s] (default 10) bounds each frame
+    unlimited); [frame_timeout_s] (default 10) bounds each frame
     read/write and [idle_timeout_s] (default 30) bounds the wait for a
     connection's first byte (0 = unlimited); [cache_max_bytes]
     (default 0 = unlimited) caps the disk cache tier. *)
 
 val cache : t -> Cache.t
 val telemetry : t -> Telemetry.t
-val slowlog : t -> Slowlog.t option
 val admit : t -> Admit.t
 
 val handle_request :

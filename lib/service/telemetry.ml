@@ -1,8 +1,8 @@
 (* The serving tier's request telemetry: per-stage latency sketches
    (queue wait, cache probe, search, serialize, total), exclusive
    per-outcome counters, and the schema'd snapshot the wire protocol's
-   "metrics" op returns — the numbers a fleet front door would gate
-   p50/p99 admission on.
+   "metrics" op returns: the daemon's p50/p99 per stage, and why each
+   request ended as it did.
 
    A [sample] is one request's scratchpad: created at dispatch entry,
    stages appended as they complete, outcome settled once, folded into
@@ -19,7 +19,7 @@ let snapshot_schema = "mirage.service.metrics.v1"
 let stages = [ "queue_wait"; "cache_probe"; "search"; "serialize"; "total" ]
 
 let outcomes =
-  [ "hit"; "miss"; "coalesced"; "error"; "timeout"; "overloaded"; "quota_exceeded" ]
+  [ "hit"; "miss"; "coalesced"; "error"; "timeout"; "overloaded" ]
 
 type t = {
   registry : Obs.Metrics.t;

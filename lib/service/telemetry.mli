@@ -1,8 +1,9 @@
 (** Request telemetry for the serving tier: per-stage latency sketches
     ({!Obs.Hdr} — queue wait, cache probe, search, serialize, total),
-    exclusive per-outcome counters (hit/miss/coalesced/error, plus a
-    degraded tally), and the schema'd snapshot behind the wire
-    protocol's [metrics] op.
+    exclusive per-outcome counters (hit/miss/coalesced/error/timeout/
+    overloaded, plus a degraded tally), and the schema'd snapshot
+    behind the wire protocol's [metrics] op, whose ["counters"] and
+    ["gauges"] sections carry the whole registry.
 
     One {!sample} accompanies each request through dispatch: stages are
     appended as they complete, the outcome settles once (first write
@@ -18,7 +19,8 @@ val stages : string list
     registered as ["serve." ^ stage]. *)
 
 val outcomes : string list
-(** [hit; miss; coalesced; error] — exclusive per optimize request;
+(** [hit; miss; coalesced; error; timeout; overloaded] — exclusive
+    per optimize request;
     counters are ["serve.outcome." ^ outcome] (plus
     [serve.outcome.degraded], which is not exclusive). *)
 

@@ -195,7 +195,6 @@ REQ="--socket /tmp/mirage_ci_svc/s.sock --max-block-ops 3 --workers 1 --budget 1
 $CLI serve --socket /tmp/mirage_ci_svc/s.sock \
   --cache-dir /tmp/mirage_ci_svc/cache --max-block-ops 3 --workers 1 \
   --budget 10 --journal /tmp/mirage_ci_svc/journal.jsonl \
-  --slow-threshold 0 --slow-dir /tmp/mirage_ci_svc/slow \
   > /tmp/mirage_ci_svc/serve.log 2>&1 &
 SVC_PID=$!
 for _ in $(seq 1 50); do
@@ -233,7 +232,7 @@ grep -q '"miss": 1' /tmp/mirage_ci_svc/metrics.json
 test "$((HIT + COAL))" -eq 2
 # the prometheus text rendering and the live status view both answer
 $CLI request metrics $REQ --prometheus | grep -q '^serve_total'
-$CLI status --socket /tmp/mirage_ci_svc/s.sock | grep -q 'uptime'
+$CLI request status $REQ | grep -q '"uptime_s"'
 # a cold search with --progress streams at least one rid-tagged frame
 # (distinct fingerprint via --max-block-ops 2 so the cache can't answer;
 # stderr is not a tty here, so frames render one line each)
@@ -248,21 +247,13 @@ $CLI request shutdown $REQ >/dev/null
 wait "$SVC_PID"
 test ! -e /tmp/mirage_ci_svc/s.sock
 test "$(grep -c '"ev":"search.start"' /tmp/mirage_ci_svc/journal.jsonl)" -eq 2
-# slow-request forensics: threshold 0 captures every optimize request
-# into a per-rid report directory whose journal slice carries its rid
-RID_DIR=$(ls -d /tmp/mirage_ci_svc/slow/*/ | head -1)
-test -s "$RID_DIR/report.json" && test -s "$RID_DIR/journal.jsonl"
-RID=$(basename "$RID_DIR")
-test "$(grep -c "\"rid\":\"$RID\"" "$RID_DIR/journal.jsonl")" -eq \
-  "$(grep -c . "$RID_DIR/journal.jsonl")"
 dune exec tools/json_check.exe -- /tmp/mirage_ci_svc/journal.jsonl \
-  /tmp/mirage_ci_svc/metrics_midload.json /tmp/mirage_ci_svc/metrics.json \
-  "$RID_DIR/report.json" "$RID_DIR/journal.jsonl"
+  /tmp/mirage_ci_svc/metrics_midload.json /tmp/mirage_ci_svc/metrics.json
 
 echo "== wire chaos smoke: hostile clients, typed rejections, clean drain"
-# A quota-armed daemon faces concurrent mixed-behavior clients: honest
-# requests, MIRAGE_FAULT-armed clients that emit torn/oversized/cut
-# frames, an over-quota tenant, and an impossible deadline. Every
+# A daemon with short frame and idle deadlines faces concurrent
+# mixed-behavior clients: honest requests, MIRAGE_FAULT-armed clients
+# that emit torn/oversized/cut frames, and an impossible deadline. Every
 # rejection must be typed JSON (never a hang or raw disconnect), the
 # daemon must answer normally afterwards, and a drained shutdown must
 # leave no socket and no orphaned cache temp files.
@@ -271,8 +262,7 @@ mkdir -p /tmp/mirage_ci_wire
 WREQ="--socket /tmp/mirage_ci_wire/s.sock --max-block-ops 3 --workers 1 --budget 10"
 $CLI serve --socket /tmp/mirage_ci_wire/s.sock \
   --cache-dir /tmp/mirage_ci_wire/cache --max-block-ops 3 --workers 1 \
-  --budget 10 --tenant-rate 0.001 --tenant-burst 1 \
-  --frame-timeout 2 --idle-timeout 2 \
+  --budget 10 --frame-timeout 2 --idle-timeout 2 \
   > /tmp/mirage_ci_wire/serve.log 2>&1 &
 WIRE_PID=$!
 for _ in $(seq 1 50); do
@@ -292,13 +282,6 @@ H2=$!
 MIRAGE_FAULT="wire.oversize:1.0:1" $CLI request status $WREQ \
   > /tmp/mirage_ci_wire/big.json 2>&1 || true &
 H3=$!
-# an over-quota tenant: burst 1, near-zero refill — the second request
-# must get the typed quota rejection with a retry hint, not a hang
-$CLI request rmsnorm $WREQ --tenant ci > /tmp/mirage_ci_wire/t1.json || true
-$CLI request rmsnorm $WREQ --tenant ci > /tmp/mirage_ci_wire/t2.json || true
-grep -q '"status": "ok"' /tmp/mirage_ci_wire/t1.json
-grep -q '"error": "quota_exceeded"' /tmp/mirage_ci_wire/t2.json
-grep -q '"retry_after_s"' /tmp/mirage_ci_wire/t2.json
 # a 1 ms deadline on a cold fingerprint answers the typed timeout,
 # whether it passed in the slot queue or during the search (capped to
 # what remained) — never an "ok" past the deadline, never a hang.

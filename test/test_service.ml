@@ -285,7 +285,7 @@ let make_server ?(mem_capacity = 64) ?max_concurrent_searches ?cache_dir () =
     match cache_dir with Some d -> d | None -> tmpdir "mirage_srv_cache"
   in
   Service.Server.create ~mem_capacity ~registry ~device:Gpusim.Device.a100
-    ~base_config:(small_config ()) ~verify_trials:2 ?max_concurrent_searches
+    ~base_config:(small_config ()) ?max_concurrent_searches
     ~socket_path:(Filename.temp_file "mirage_sock" ".sock")
     ~cache_dir ()
 
@@ -751,6 +751,15 @@ let test_metrics_op =
   Alcotest.(check int) "both requests in serve.total" 2
     (hist "serve.total" "count");
   Alcotest.(check int) "one search timed" 1 (hist "serve.search" "count");
+  (* the registry's counters ride the snapshot *)
+  let counter name =
+    match get_exn [ "counters"; name ] m with J.Int i -> i | _ -> -1
+  in
+  (* two optimize requests and this metrics request itself *)
+  Alcotest.(check int) "counters hold service.requests" 3
+    (counter "service.requests");
+  Alcotest.(check int) "counters hold service.searches" 1
+    (counter "service.searches");
   Alcotest.(check int) "both cache probes timed" 2
     (hist "serve.cache_probe" "count");
   (match get_exn [ "cache"; "hit_rate" ] m with
@@ -772,71 +781,6 @@ let test_metrics_op =
          in
          go 0)
   | _ -> Alcotest.fail "no prometheus text"
-
-let test_slow_forensics =
-  with_reset @@ fun () ->
-  let journal_path = Filename.temp_file "mirage_slow_journal" ".jsonl" in
-  ignore (Obs.Journal.enable journal_path);
-  Fun.protect ~finally:Obs.Journal.disable @@ fun () ->
-  let slow_dir = tmpdir "mirage_slow" in
-  let server =
-    Service.Server.create
-      ~registry:(Obs.Metrics.create ())
-      ~device:Gpusim.Device.a100 ~base_config:(small_config ())
-      ~verify_trials:2 ~slow_threshold_s:0.0 ~slow_dir
-      ~socket_path:(Filename.temp_file "mirage_sock" ".sock")
-      ~cache_dir:(tmpdir "mirage_srv_cache") ()
-  in
-  let rid = "r-slow.target" and other = "r-slow.other" in
-  let r1 = Service.Server.handle_request server (req_with_id "rmsnorm" rid) in
-  Alcotest.(check string) "slow request still ok" "ok"
-    (match get_exn [ "status" ] r1 with J.Str s -> s | _ -> "?");
-  (* a second, distinct request: its events must NOT leak into the
-     first request's report *)
-  let _r2 =
-    Service.Server.handle_request server (req_with_id "gatedmlp" other)
-  in
-  let rdir = Filename.concat slow_dir rid in
-  let report_path = Filename.concat rdir "report.json" in
-  Alcotest.(check bool) "report directory written" true
-    (Sys.file_exists report_path);
-  (match
-     Obs.Jsonw.of_string
-       (In_channel.with_open_text report_path In_channel.input_all)
-   with
-  | Error m -> Alcotest.failf "report.json unparsable: %s" m
-  | Ok rep ->
-      Alcotest.(check string) "report schema" Service.Slowlog.report_schema
-        (match get_exn [ "schema" ] rep with J.Str s -> s | _ -> "?");
-      Alcotest.(check string) "report rid" rid
-        (match get_exn [ "request_id" ] rep with J.Str s -> s | _ -> "?");
-      Alcotest.(check (list string)) "artifacts actually written"
-        [ "report.json"; "journal.jsonl" ]
-        (match get_exn [ "artifacts" ] rep with
-        | J.List l -> List.map (function J.Str s -> s | _ -> "?") l
-        | _ -> []));
-  (* the acceptance invariant: the slice holds exactly this request's
-     events — full lifecycle present, other requests absent *)
-  (match Obs.Journal.read_file (Filename.concat rdir "journal.jsonl") with
-  | Error m -> Alcotest.failf "journal slice unreadable: %s" m
-  | Ok events ->
-      Alcotest.(check bool) "slice non-empty" true (events <> []);
-      List.iter
-        (fun e ->
-          Alcotest.(check string) "every sliced event carries the rid" rid
-            (Obs.Journal.rid_of e))
-        events;
-      Alcotest.(check int) "request.recv in slice" 1
-        (count_events events "request.recv");
-      Alcotest.(check int) "request.done in slice" 1
-        (count_events events "request.done");
-      Alcotest.(check int) "the search itself is in the slice" 1
-        (count_events events "search.start"));
-  match Service.Server.slowlog server with
-  | None -> Alcotest.fail "slowlog not armed"
-  | Some sl ->
-      Alcotest.(check bool) "captures counted" true
-        (Service.Slowlog.captured sl >= 1)
 
 (* --- shared prune helper ----------------------------------------------- *)
 
@@ -1061,8 +1005,7 @@ let test_progress_wire =
        in-process use); same config and a fresh cache *)
     ignore server;
     Service.Server.create ~registry:(Obs.Metrics.create ())
-      ~device:Gpusim.Device.a100 ~base_config:(small_config ())
-      ~verify_trials:2 ~socket_path
+      ~device:Gpusim.Device.a100 ~base_config:(small_config ()) ~socket_path
       ~cache_dir:(tmpdir "mirage_prog_cache") ()
   in
   Service.Server.start server;
@@ -1125,16 +1068,15 @@ let test_progress_wire =
       Alcotest.(check string) "byte-identical responses"
         (List.hd legacy) (List.hd withp))
 
-(* --- hardening: admission, quotas, deadlines, crash-safe cache --------- *)
+(* --- hardening: admission, deadlines, crash-safe cache ------------------ *)
 
-(* The three admission gates, exercised directly: each bound rejects
+(* The two admission gates, exercised directly: each bound rejects
    with the right typed kind and retry hint, and releases restore
-   capacity. Token-bucket math is checked against an injected clock. *)
+   capacity. *)
 let test_admit_gates () =
-  let registry = Obs.Metrics.create () in
   let a =
-    Service.Admit.create ~registry ~max_connections:2 ~max_queue_depth:1
-      ~tenant_rate:0.5 ~tenant_burst:2.0 ~retry_after_s:0.25 ()
+    Service.Admit.create ~registry:(Obs.Metrics.create ()) ~max_connections:2
+      ~max_queue_depth:1 ~retry_after_s:0.25 ()
   in
   (* live-connection bound *)
   Alcotest.(check bool) "conn 1 admitted" true
@@ -1161,63 +1103,39 @@ let test_admit_gates () =
   | Service.Admit.Admitted -> Alcotest.fail "second queued search not shed");
   Service.Admit.queue_done a;
   Alcotest.(check bool) "drained queue re-admits" true
-    (Service.Admit.try_queue a = Service.Admit.Admitted);
-  (* per-tenant token bucket: burst 2, refill 0.5 tokens/s *)
-  let at now who = Service.Admit.check_tenant ~now a (Some who) in
-  Alcotest.(check bool) "tenantless traffic exempt" true
-    (Service.Admit.check_tenant ~now:0.0 a None = Service.Admit.Admitted);
-  Alcotest.(check bool) "burst token 1" true (at 0.0 "acme" = Service.Admit.Admitted);
-  Alcotest.(check bool) "burst token 2" true (at 0.0 "acme" = Service.Admit.Admitted);
-  (match at 0.0 "acme" with
-  | Service.Admit.Rejected r ->
-      Alcotest.(check string) "dry bucket typed quota_exceeded"
-        "quota_exceeded" r.Service.Admit.kind;
-      (* empty bucket at rate 0.5/s: the next token is 2 s away *)
-      Alcotest.(check (float 1e-6)) "exact refill wait" 2.0
-        r.Service.Admit.retry_after_s
-  | Service.Admit.Admitted -> Alcotest.fail "dry bucket admitted");
-  Alcotest.(check bool) "other tenants unaffected" true
-    (at 0.0 "rival" = Service.Admit.Admitted);
-  Alcotest.(check bool) "refill admits again" true
-    (at 2.0 "acme" = Service.Admit.Admitted);
-  Alcotest.(check int) "rejections counted" 1
-    (counter_value registry "service.admit.reject.quota")
+    (Service.Admit.try_queue a = Service.Admit.Admitted)
 
-(* A quota-armed server answers an out-of-tokens tenant with a typed
-   quota_exceeded carrying retry_after_s — it never hangs or drops. *)
-let test_quota_server =
+(* A client's overrides are bounded before any search: [workers] must
+   lie in 1 .. Config.default_workers, and [budget_s] must be finite and
+   positive (0 would switch the operator's budget off). *)
+let test_bad_overrides =
   with_reset @@ fun () ->
-  let registry = Obs.Metrics.create () in
-  let server =
-    Service.Server.create ~registry ~device:Gpusim.Device.a100
-      ~base_config:(small_config ()) ~verify_trials:2 ~tenant_rate:0.01
-      ~tenant_burst:1.0
-      ~socket_path:(Filename.temp_file "mirage_sock" ".sock")
-      ~cache_dir:(tmpdir "mirage_srv_cache") ()
-  in
+  let server = make_server () in
   let spec = div_matmul_spec ~b:2 ~h:4 ~d:4 () in
-  let req =
-    J.Obj
-      [
-        ("op", J.Str "optimize");
-        ("graph", Search.Checkpoint.graph_to_json spec);
-        ("tenant", J.Str "acme");
-      ]
-  in
-  let r1 = Service.Server.handle_request server req in
-  Alcotest.(check string) "first request spends the burst token" "ok"
-    (match get_exn [ "status" ] r1 with J.Str s -> s | _ -> "?");
-  let r2 = Service.Server.handle_request server req in
-  Alcotest.(check string) "second is typed quota_exceeded" "quota_exceeded"
-    (match get_exn [ "error" ] r2 with J.Str s -> s | _ -> "?");
-  Alcotest.(check bool) "carries a positive retry_after_s" true
-    (match get_exn [ "retry_after_s" ] r2 with
-    | J.Float s -> s > 0.0
-    | _ -> false);
-  Alcotest.(check bool) "rid still echoed on rejections" true
-    (match J.member "request_id" r2 with Some (J.Str _) -> true | _ -> false);
-  Alcotest.(check int) "shed load counted" 1
-    (counter_value registry "service.admit.reject.quota")
+  List.iter
+    (fun (what, field) ->
+      let r =
+        Service.Server.handle_request server
+          (J.Obj
+             [
+               ("op", J.Str "optimize");
+               ("graph", Search.Checkpoint.graph_to_json spec);
+               field;
+             ])
+      in
+      Alcotest.(check string) (what ^ ": typed bad_request") "bad_request"
+        (match J.member "error" r with Some (J.Str s) -> s | _ -> "?"))
+    [
+      ("workers = 0", ("workers", J.Int 0));
+      ( "workers past the default",
+        ("workers", J.Int (Search.Config.default_workers + 1)) );
+      ("budget_s = 0", ("budget_s", J.Float 0.0));
+      ("budget_s = -1", ("budget_s", J.Int (-1)));
+    ];
+  Alcotest.(check bool) "no search ran" true
+    (get_exn [ "searches" ]
+       (Service.Server.handle_request server (J.Obj [ ("op", J.Str "status") ]))
+    = J.Int 0)
 
 (* An expired end-to-end deadline answers a typed timeout — the stall is
    injected via serve.slow so the deadline expires deterministically
@@ -1479,8 +1397,6 @@ let () =
             test_request_id_roundtrip;
           Alcotest.test_case "metrics op: valid snapshot, counters" `Slow
             test_metrics_op;
-          Alcotest.test_case "slow request leaves an rid-exact report" `Slow
-            test_slow_forensics;
         ] );
       ( "progress",
         [
@@ -1499,10 +1415,10 @@ let () =
         ] );
       ( "hardening",
         [
-          Alcotest.test_case "admission gates: conn, queue, tenant" `Quick
+          Alcotest.test_case "admission gates: conn, queue" `Quick
             test_admit_gates;
-          Alcotest.test_case "tenant quota: typed quota_exceeded" `Slow
-            test_quota_server;
+          Alcotest.test_case "out-of-range overrides: bad_request" `Quick
+            test_bad_overrides;
           Alcotest.test_case "expired deadline: typed timeout" `Slow
             test_deadline_timeout;
           Alcotest.test_case "deadline passed mid-search: typed timeout" `Quick

@@ -194,7 +194,7 @@ let make_socket_server ?(max_connections = 16) ?(max_queue_depth = 8)
     Service.Server.create
       ~registry:(Obs.Metrics.create ())
       ~device:Gpusim.Device.a100 ~base_config:(small_config ())
-      ~verify_trials:2 ~max_concurrent_searches ~max_connections
+      ~max_concurrent_searches ~max_connections
       ~max_queue_depth ~frame_timeout_s ~idle_timeout_s ~socket_path
       ~cache_dir:(tmpdir "mirage_wire_cache") ()
   in
