@@ -203,8 +203,9 @@ let report_arg =
           "Write a self-contained run report to $(docv): report.json (config \
            fingerprint, environment, search funnel, costs, phase table), \
            trace.json (the phase spans as Chrome trace events) and \
-           journal.jsonl (the search flight record, one event per \
-           candidate decision).")
+           journal.jsonl (the search flight record: each emitted \
+           candidate's verdict and cost; tries are only counted, in the \
+           funnel).")
 
 let with_artifacts ~kind trace report_dir f =
   match report_dir with
@@ -815,33 +816,7 @@ let explain_cmd =
           | Some (Obs.Jsonw.Str s) -> s
           | _ -> "?"
         in
-        (* a block-level try of a root class stands for its members; a
-           prefix's tries counted in bulk share one reject event *)
-        let roots =
-          match Obs.Jsonw.member "roots" last with
-          | Some (Obs.Jsonw.Int k) ->
-              Printf.sprintf ", for each of the %d roots of its root class" k
-          | _ -> ""
-        in
-        let tries =
-          match Obs.Jsonw.member "tries" last with
-          | Some (Obs.Jsonw.Int n) ->
-              Printf.sprintf " (%d tries of one prefix, counted in bulk)" n
-          | _ -> ""
-        in
         (match Obs.Journal.typ_of last with
-        | "cand.reject" ->
-            let why =
-              match str_field "reason" last with
-              | "unreachable" ->
-                  " (too few operators left to build the goal's missing \
-                   atoms and forms)"
-              | _ -> ""
-            in
-            Printf.printf "-- rejected: %s%s%s%s\n" (str_field "reason" last)
-              why tries roots
-        | "cand.accept" ->
-            Printf.printf "-- accepted into the search prefix%s\n" roots
         | "graph.emit" ->
             Printf.printf "-- emitted as a complete muGraph (unverified)\n"
         | "verify.verdict" ->
@@ -853,8 +828,8 @@ let explain_cmd =
   Cmd.v
     (Cmd.info "explain"
        ~doc:
-         "Reconstruct one candidate's lifecycle (expansion, rejection reason, \
-          verification verdict, cost attribution) from a run's journal")
+         "Reconstruct one candidate's lifecycle (emission, verification \
+          verdict, cost attribution) from a run's journal")
     Term.(const run $ dir_arg $ cand_arg)
 
 let diff_cmd =

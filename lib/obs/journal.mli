@@ -1,8 +1,12 @@
 (** The search flight recorder: a domain-safe, append-only JSONL event
-    journal. Where {!Metrics} answers "how many candidates were pruned?",
-    the journal answers "why was candidate #4217 pruned?" — every
-    enumerator attempt, rejection, emitted muGraph, verifier verdict and
-    cost attribution is one self-describing line.
+    journal. Where {!Metrics} answers "how many tries were pruned?", the
+    journal answers "what became of candidate #17?" — every emitted
+    muGraph, verifier verdict and cost attribution is one self-describing
+    line. It records candidates, not tries: an enumerator's tries and
+    their reject reasons are counted (the search funnel, the
+    [search.<level>.reject*] metrics and the profiler's prune rules),
+    never journaled, so a journaled search runs at a plain search's
+    speed and returns its answer.
 
     Writing is designed for the multi-domain search hot path: each domain
     serializes events into its own bounded buffer (its own uncontended
@@ -18,24 +22,17 @@
 
     Line schema (one JSON object per line):
     {v
-    {"seq":412,"ts":0.0137,"dom":3,"ev":"cand.reject",
-     "cand":4217,"reason":"pruned_abstract", ...event fields...}
+    {"seq":412,"ts":0.0137,"dom":3,"ev":"verify.verdict",
+     "cand":17,"verdict":"equivalent", ...event fields...}
     v}
 
-    A [cand.reject]'s ["reason"] is one of ["shape"], ["memory"],
-    ["duplicate"], ["canonical"], ["pruned_abstract"] (with the
-    expression), ["phase"], ["dangling"] or ["unreachable"] (the
-    goal-distance cut, with the prefix's ["distance"] and its
-    ["ops_left"]).
-
-    Two fields say how many tries an enumerator event stands for. A
-    block-level event of a root class of k > 1 roots carries
-    ["roots": k]. A [cand.reject] for the tries a prefix counts in bulk
-    (rejects final at birth, and the rank rejects it never visits)
-    carries ["tries": n], has no [cand.expand] before it and no ["op"];
-    a visited try's events carry neither. So a reason's count in the
-    search stats is the sum of [tries * roots] over its [cand.reject]
-    events, each factor 1 when absent. *)
+    The event types: [graph.emit] (a new candidate muGraph, with a fresh
+    ["cand"] id), [graph.duplicate] (a candidate equal to an earlier
+    one), [cand.crash] (a crashed enumeration task or verification),
+    [verify.verdict], [cost.kernel] and [cost.total] (a candidate's
+    verdict and cost, under its ["cand"]), and the serving tier's
+    [search.*], [request.*], [cache.*], [conn.*], [admit.*] and
+    [shutdown.*] events. *)
 
 type t
 

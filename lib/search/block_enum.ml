@@ -214,13 +214,6 @@ let combined_phase phases =
   else if List.for_all (fun p -> p = Inv) phases then Some Inv
   else Some Body
 
-let op_name = function
-  | Graph.B_prim p -> Op.to_string p
-  | Graph.B_accum { fmap } ->
-      if Array.for_all (fun t -> t = Dmap.Replica) fmap then "accum"
-      else "accum.concat"
-  | _ -> "?"
-
 let tally (cfg : Config.t) stats =
   Tally.level stats ~name:"block" ~max_depth:cfg.Config.max_block_ops
     Tally.
@@ -434,7 +427,6 @@ let pair { cfg; out_shapes; input_shapes; input_names; input_nfs } ~limits
       rank_first = false;
       menu = cfg.Config.block_op_menu;
       prim = (fun p -> Graph.B_prim p);
-      op_name;
       scope;
       extra = accumulators;
       make;
@@ -442,12 +434,6 @@ let pair { cfg; out_shapes; input_shapes; input_names; input_nfs } ~limits
         (fun st v ->
           if st.own.smem + bytes v > smem_limit then Some Tally.Memory
           else None);
-      admit_fields =
-        (fun st v ->
-          [
-            ("smem_bytes", Obs.Jsonw.Int (st.own.smem + bytes v));
-            ("smem_limit", Obs.Jsonw.Int smem_limit);
-          ]);
       child;
     }
   in

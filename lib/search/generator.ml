@@ -200,8 +200,8 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
     Array.init n_shards (fun _ ->
         (Mutex.create (), Hashtbl.create 16, ref []))
   in
-  (* Graph-level candidate ids share the journal's id counter with the
-     per-extension ids, so `explain` resolves either kind. When the
+  (* Candidate ids come from the journal's id counter, unique across the
+     run's searches, so `explain` resolves any of them. When the
      journal is off, ids still flow (from a shared counter) but no events
      are written. *)
   let journal = Obs.Journal.active () in

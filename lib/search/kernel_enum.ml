@@ -58,13 +58,10 @@ let search (cfg : Config.t) ~spec ~memo ~limits ~budget ?spawn ~emit () =
       rank_first = true;
       menu = cfg.Config.kernel_op_menu;
       prim = (fun p -> Graph.K_prim p);
-      op_name =
-        (function Graph.K_prim p -> Op.to_string p | _ -> "?");
       scope = 0;
       extra = (fun _ -> []);
       make;
       admit = (fun _ _ -> None);
-      admit_fields = (fun _ _ -> []);
       child = (fun _ _ _ -> Ok ());
     }
   in

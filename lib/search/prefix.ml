@@ -70,13 +70,10 @@ type ('o, 'a, 's) level = {
   rank_first : bool;
   menu : Op.prim list;
   prim : Op.prim -> 'o;
-  op_name : 'o -> string;
   scope : int;
   extra : 'a value -> 'o list;
   make : 'o -> 'a value list -> ('a value, Tally.reason) result;
   admit : ('o, 'a, 's) state -> 'a value -> Tally.reason option;
-  admit_fields :
-    ('o, 'a, 's) state -> 'a value -> (string * Obs.Jsonw.t) list;
   child : ('o, 'a, 's) state -> int -> 'a value -> ('s, Tally.reason) result;
 }
 
@@ -433,12 +430,11 @@ let rec recomputes entries i v =
 
 let spec_goals spec = List.map Absexpr.Nf.of_expr (Abstract.output_exprs spec)
 
-(* What one run adds to an engine: the roots each try stands for (and
-   its journal field), what a complete prefix emits, the pool's spawn,
-   and the depth from which the goal-distance cut is asked. *)
+(* What one run adds to an engine: the roots each try stands for, what
+   a complete prefix emits, the pool's spawn, and the depth from which
+   the goal-distance cut is asked. *)
 type ('o, 'a, 's) run = {
   weight : int;
-  jroots : (string * Obs.Jsonw.t) list;
   complete : Tally.t -> ('o, 'a, 's) state -> unit;
   spawn : (unit -> unit) -> bool;
   reach_from : int;
@@ -461,64 +457,6 @@ type ('o, 'a, 's) engine = {
 }
 
 let engine (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget =
-  (* Flight recorder, resolved once per engine: every visited try gets a
-     candidate id and an expand event, every rejection names its reason,
-     the tries counted in bulk share one event per prefix and reason
-     (["tries"]), and each event of a run standing for k > 1 roots says
-     so. No Jsonw values are built on the [None] path. *)
-  let journal = Obs.Journal.active () in
-  (* level and depth first, then the event's own fields, then roots *)
-  let jemit c j ~cand typ ~depth fields =
-    Obs.Journal.emit j ~cand ~typ
-      ((("level", Obs.Jsonw.Str lv.name) :: ("depth", Obs.Jsonw.Int depth)
-       :: fields)
-      @ c.run.jroots)
-  in
-  let jexpand c ~depth op a b =
-    match journal with
-    | Some j ->
-        let cand = Obs.Journal.fresh_id j in
-        jemit c j ~cand "cand.expand" ~depth
-          [
-            ("op", Obs.Jsonw.Str (lv.op_name op));
-            ( "ins",
-              Obs.Jsonw.List
-                (List.map (fun i -> Obs.Jsonw.Int i) (ins_list a b)) );
-          ];
-        cand
-    | None -> -1
-  in
-  let jaccept c ~depth cand (e : ('o, 'a) entry) =
-    match journal with
-    | Some j ->
-        jemit c j ~cand "cand.accept" ~depth
-          [
-            ("shape", Obs.Jsonw.Str (Shape.to_string e.value.shape));
-            ("expr", Obs.Jsonw.Str (Absexpr.Nf.to_string e.value.nf));
-          ]
-    | None -> ()
-  in
-  let reject c ~depth cand reason fields =
-    Tally.reject c.tl reason ~depth;
-    match journal with
-    | Some j ->
-        jemit c j ~cand "cand.reject" ~depth
-          (("reason", Obs.Jsonw.Str (Tally.reason_name reason)) :: fields)
-    | None -> ()
-  in
-  let reject_bulk c ~depth reason n =
-    if n > 0 then begin
-      Tally.reject_n c.tl reason ~depth n;
-      match journal with
-      | Some j ->
-          jemit c j ~cand:(Obs.Journal.fresh_id j) "cand.reject" ~depth
-            [
-              ("reason", Obs.Jsonw.Str (Tally.reason_name reason));
-              ("tries", Obs.Jsonw.Int n);
-            ]
-      | None -> ()
-    end
-  in
   let budget_check tl =
     Obs.Fault.trip lv.fault;
     if Obs.Budget.cancelled budget then begin
@@ -533,37 +471,6 @@ let engine (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget =
       Obs.Budget.note budget "deadline";
       raise Budget_exhausted
     end
-  in
-  (* Journal payloads of a structural reject (a shape reject names its
-     input shapes), an [admit] reject and a pruned one; [] when no
-     journal is live. *)
-  let unfit_fields st a b reason =
-    match journal with
-    | Some _ when reason = Tally.Shape ->
-        [
-          ( "in_shapes",
-            Obs.Jsonw.List
-              (List.map
-                 (fun i ->
-                   Obs.Jsonw.Str (Shape.to_string st.entries.(i).value.shape))
-                 (ins_list a b)) );
-        ]
-    | _ -> []
-  in
-  let admit_fields st v =
-    match journal with Some _ -> lv.admit_fields st v | None -> []
-  in
-  let pruned_fields v =
-    match journal with Some _ -> Prune.journal_fields v.nf | None -> []
-  in
-  let unreachable_fields c st reach =
-    match journal with
-    | Some _ ->
-        [
-          ("distance", Obs.Jsonw.Int (bound c.m.values.dist reach));
-          ("ops_left", Obs.Jsonw.Int (lv.max_ops - st.ops - 1));
-        ]
-    | None -> []
   in
   (* The prune verdict of a value, asked through the worker's front the
      first time the worker meets the value. *)
@@ -718,44 +625,36 @@ let engine (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget =
         let v = Char.code (Bytes.unsafe_get bd.verdicts (off + t)) in
         if v <> v_dead then begin
           let op, made = cl.(t) in
-          let cand = jexpand c ~depth op a b in
-          if before st r op then reject c ~depth cand Tally.Canonical []
+          if before st r op then Tally.reject c.tl ~depth Tally.Canonical
           else
             match made with
-            | Error reason ->
-                reject c ~depth cand reason (unfit_fields st a b reason)
-            | Ok _ when v = v_duplicate ->
-                reject c ~depth cand Tally.Duplicate []
-            | Ok x when recomputes st.entries bd.born x ->
-                reject c ~depth cand Tally.Duplicate []
-            | Ok x when v >= 8 ->
-                reject c ~depth cand
-                  (Tally.of_index (v - 8))
-                  (admit_fields st x)
+            | Error reason -> Tally.reject c.tl ~depth reason
+            | Ok x when v = v_duplicate || recomputes st.entries bd.born x ->
+                Tally.reject c.tl ~depth Tally.Duplicate
+            | Ok _ when v >= 8 ->
+                Tally.reject c.tl ~depth (Tally.of_index (v - 8))
             | Ok x -> (
                 match lv.admit st x with
-                | Some reason -> reject c ~depth cand reason (admit_fields st x)
+                | Some reason -> Tally.reject c.tl ~depth reason
                 | None when v = v_pruned ->
-                    reject c ~depth cand Tally.Pruned (pruned_fields x)
+                    Tally.reject c.tl ~depth Tally.Pruned
                 | None -> (
                     let reads =
                       (1 lsl a) lor if b < 0 then 0 else 1 lsl b
                     in
                     match lv.child st reads x with
-                    | Error reason -> reject c ~depth cand reason []
+                    | Error reason -> Tally.reject c.tl ~depth reason
                     | Ok _
                       when st.ops >= c.run.reach_from
                            && st.ops + 1
                               + bound c.m.values.dist (st.reach lor x.reach)
                               > lv.max_ops ->
-                        reject c ~depth cand Tally.Unreachable
-                          (unreachable_fields c st (st.reach lor x.reach))
+                        Tally.reject c.tl ~depth Tally.Unreachable
                     | Ok own ->
                         let count = Array.length st.entries in
                         let e = { op; ins = ins_list a b; value = x } in
                         let entries = Array.make (count + 1) e in
                         Array.blit st.entries 0 entries 0 count;
-                        jaccept c ~depth cand e;
                         kept :=
                           {
                             entries;
@@ -820,7 +719,7 @@ let engine (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget =
           kept := visit_slot c st table ~depth !kept i ((2 * i) + 2) i (-1) r1
       done;
       for i = 0 to Tally.n_reasons - 1 do
-        reject_bulk c ~depth (Tally.of_index i)
+        Tally.reject_n c.tl (Tally.of_index i) ~depth
           (top.dead.(i) + if i = canonical then !below else 0)
       done;
       descend c (List.rev !kept)
@@ -876,9 +775,6 @@ let run e ?(spawn = fun _ -> false) ~weight ~complete inputs own =
   let reach_from =
     if e.cut then e.lv.max_ops - bound values.dist reach else max_int
   in
-  let jroots =
-    if weight > 1 then [ ("roots", Obs.Jsonw.Int weight) ] else []
-  in
   e.subtree
-    { weight; jroots; complete; spawn; reach_from }
+    { weight; complete; spawn; reach_from }
     { entries; table = [||]; ops = 0; rank = 0; reach; own }

@@ -4,9 +4,8 @@
     how an operator extends a prefix, its extra admission checks, its
     state and when a prefix is complete. The engine owns the rest: the
     prefix state, the inherited extension table, the visit loop with its
-    per-try {!Tally} counts, the journal events, the canonical-rank and
-    duplicate checks, the {!Prune} site, the budget check, and
-    spawn-or-recurse.
+    per-try {!Tally} counts, the canonical-rank and duplicate checks,
+    the {!Prune} site, the budget check, and spawn-or-recurse.
 
     {b Extension tables.} An operator instantiation (a {e try}) is made
     once, at the prefix where its newest input appeared (its {e birth}),
@@ -185,13 +184,11 @@
     prune-check timer of its own, for less work than that costs.
 
     {b Counts} are per root: every try, rejection and prune-rule fire
-    counts the run's [weight] times (see {!Tally.run}), and journal events
-    carry ["roots": weight] when [weight > 1]. A prefix counts its
-    tries in one batch (the sum of its table's sizes) before judging
-    the first. The tries it counts in bulk are journaled as one
-    [cand.reject] per reason, with ["tries": n] and no [cand.expand];
-    so over a search's [cand.reject] events, the sum of
-    [tries * roots] (each 1 when absent) is each reason's count. *)
+    counts the run's [weight] times (see {!Tally.run}). A prefix counts
+    its tries in one batch (the sum of its table's sizes) before judging
+    the first. The engine writes no journal event: a try's fate lives
+    only in these counts, and the journal starts at the candidates a
+    level's [complete] emits. *)
 
 open Tensor
 open Mugraph
@@ -249,14 +246,12 @@ type ('o, 'a, 's) state = private {
 
 type ('o, 'a, 's) level = {
   name : string;
-      (** ["kernel"] or ["block"]: the tally level and the journal's
-          ["level"] field *)
+      (** ["kernel"] or ["block"]: the tally level's name *)
   fault : string;  (** the {!Obs.Fault} probe tripped at every prefix *)
   max_ops : int;  (** operators per complete graph *)
   rank_first : bool;  (** the rank check precedes [make]'s *)
   menu : Op.prim list;  (** the primitive operators to instantiate *)
   prim : Op.prim -> 'o;
-  op_name : 'o -> string;  (** the journal's ["op"] field *)
   scope : int;
       (** names what [make] and [extra] read beyond their inputs and the
           search's config (the block level's for-loop): searches of one
@@ -271,10 +266,6 @@ type ('o, 'a, 's) level = {
   admit : ('o, 'a, 's) state -> 'a value -> Tally.reason option;
       (** a level check that can only tighten down a path (the block
           level's shared memory), judged at birth and at every try *)
-  admit_fields :
-    ('o, 'a, 's) state -> 'a value -> (string * Obs.Jsonw.t) list;
-      (** journal payload of an [admit] reject (built only when a journal
-          is live) *)
   child : ('o, 'a, 's) state -> int -> 'a value -> ('s, Tally.reason) result;
       (** [child st reads v]: the own part of the child that adds value
           [v], made by an operator reading the entries whose bits are
@@ -381,7 +372,6 @@ val spec_goals : Graph.kernel_graph -> Absexpr.Nf.t list
 type ('o, 'a, 's) engine
 (** A level's closures over one search's memos and budget, made once and
     shared by every {!run} of the level on any domain: the visit loop,
-    the journal sites (the journal is resolved when the engine is made),
     the prune site and the budget check. *)
 
 val engine :

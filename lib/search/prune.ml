@@ -4,9 +4,3 @@
 
 let check (cfg : Config.t) ~front nf =
   cfg.Config.use_abstract_pruning && not (Smtlite.Solver.check_front front nf)
-
-let journal_fields nf =
-  [
-    ("expr", Obs.Jsonw.Str (Absexpr.Nf.to_string nf));
-    ("failed_check", Obs.Jsonw.Str "subexpr(E(G), E_O) under A_eq ∪ A_sub");
-  ]

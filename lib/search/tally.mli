@@ -48,8 +48,8 @@ val of_index : int -> reason
     @raise Invalid_argument outside [0 .. n_reasons - 1]. *)
 
 val reason_name : reason -> string
-(** The name a reason goes by in the journal's [cand.reject] events and
-    the profiler's prune rules (["shape"], ["pruned_abstract"], ...). *)
+(** The name a reason goes by in the profiler's prune rules
+    (["shape"], ["pruned_abstract"], ...). *)
 
 type level
 (** One enumerator level's shared handles, resolved once per search. *)

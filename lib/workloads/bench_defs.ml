@@ -180,10 +180,21 @@ let ntrans () =
           Templates.ntrans_fused ~b:4 ~d:32 ~grid:4 ));
   }
 
-let all () =
-  [ gqa (); qknorm (); rmsnorm (); lora (); gated_mlp (); ntrans () ]
+(* Each benchmark's constructor under its name, so a lookup builds only
+   the benchmark it names. *)
+let by_names =
+  [
+    ("gqa", fun () -> gqa ());
+    ("qknorm", qknorm);
+    ("rmsnorm", rmsnorm);
+    ("lora", lora);
+    ("gatedmlp", gated_mlp);
+    ("ntrans", ntrans);
+  ]
+
+let all () = List.map (fun (_, make) -> make ()) by_names
 
 let by_name n =
-  List.find_opt
-    (fun b -> String.lowercase_ascii b.name = String.lowercase_ascii n)
-    (all ())
+  Option.map
+    (fun make -> make ())
+    (List.assoc_opt (String.lowercase_ascii n) by_names)

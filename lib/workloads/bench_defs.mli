@@ -44,3 +44,5 @@ val all : unit -> benchmark list
 (** The Figure 7 benchmark set (GQA at batch 8). *)
 
 val by_name : string -> benchmark option
+(** The benchmark whose [name] matches, ignoring case; only that one is
+    built. *)

@@ -42,9 +42,20 @@ grep -q '^scheduler: 0 helper lane(s) started,' /tmp/mirage_ci_qknorm3.txt
 grep -Eq '^search\.lanes\.started +0$' /tmp/mirage_ci_qknorm3.txt
 
 echo "== smoke: mirage_cli optimize --report (self-contained run dir)"
+# The journal records candidates, not tries, so a reported run searches
+# as fast as a plain one: it verifies a winner too, and its journal
+# stays small (a few KB; under 1 MB).
 rm -rf /tmp/mirage_ci_run
 dune exec bin/mirage_cli.exe -- optimize rmsnorm \
-  --budget 2 --workers 2 --report /tmp/mirage_ci_run >/dev/null
+  --budget 2 --workers 2 --report /tmp/mirage_ci_run \
+  > /tmp/mirage_ci_rmsnorm_report.txt
+awk '/^Mirage on / { s = $NF; gsub(/[()x]/, "", s); found = 1
+  if (s + 0 <= 1.0) { print "optimize rmsnorm --report: " $NF; exit 1 } }
+  END { if (!found) exit 1 }' /tmp/mirage_ci_rmsnorm_report.txt
+journal_bytes=$(wc -c < /tmp/mirage_ci_run/journal.jsonl)
+if [ "$journal_bytes" -ge 1048576 ]; then
+  echo "optimize rmsnorm --report: journal.jsonl is $journal_bytes bytes"; exit 1
+fi
 
 echo "== smoke: a deadline-bound optimize returns the winner it verified"
 # RMSNorm's search cannot finish in 2 s. Candidates are verified as they
@@ -57,7 +68,9 @@ awk '/^Mirage on / { s = $NF; gsub(/[()x]/, "", s); found = 1
   END { if (!found) exit 1 }' /tmp/mirage_ci_rmsnorm2.txt
 
 echo "== smoke: explain resolves a journaled candidate"
-dune exec bin/mirage_cli.exe -- explain /tmp/mirage_ci_run 0 >/dev/null
+dune exec bin/mirage_cli.exe -- explain /tmp/mirage_ci_run 0 \
+  > /tmp/mirage_ci_explain.txt
+grep -Eq '(graph\.emit|verify\.verdict) ' /tmp/mirage_ci_explain.txt
 
 echo "== smoke: profile analyzer attributes the run's search wall time"
 dune exec bin/mirage_cli.exe -- profile /tmp/mirage_ci_run \

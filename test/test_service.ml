@@ -454,15 +454,18 @@ let test_search_off_handler_domain =
     (fun e ->
       Alcotest.(check int) "request.done on the handler's domain" here (dom e))
     (of_typ "request.done");
-  let expands = of_typ "cand.expand" in
-  Alcotest.(check bool) "the search expanded prefixes" true (expands <> []);
+  (* the search's candidate events: emitted and verified on the search's
+     lane, a slot domain *)
+  let cands = of_typ "graph.emit" @ of_typ "verify.verdict" in
+  Alcotest.(check bool) "the search emitted candidates" true
+    (of_typ "graph.emit" <> []);
   List.iter
     (fun e ->
-      Alcotest.(check bool) "expansion off the handler's domain" true
+      Alcotest.(check bool) "candidate event off the handler's domain" true
         (dom e <> here);
-      Alcotest.(check string) "expansion carries the request id" "own-dom"
-        (Obs.Journal.rid_of e))
-    expands
+      Alcotest.(check string) "candidate event carries the request id"
+        "own-dom" (Obs.Journal.rid_of e))
+    cands
 
 (* --- search slots --------------------------------------------------------- *)
 
@@ -784,85 +787,82 @@ let test_metrics_op =
 
 (* --- shared prune helper ----------------------------------------------- *)
 
-(* One invariant: the prefix engine counts and journals every reject
-   from one site per kind — a visited try's own [cand.reject], or one
-   event for the tries a prefix counts in bulk, carrying ["tries": n] —
-   so for every reason the journal's rejects, each standing for
-   [tries * roots] tries, equal the search's count: the funnel's for
-   the funnel reasons (duplicates also count the generator's
-   [graph.duplicate]s), the [search.block.reject.*] counters for the
-   block level's own cuts and the [search.<level>.reject.unreachable]
-   counters for the goal-distance cut; at both levels (kernel and
-   block) combined. *)
+(* One invariant: the journal records candidates, not tries. Every
+   completing prefix the search counts as a candidate is one
+   [graph.emit] (a new muGraph, as many as the outcome's [generated])
+   or one [graph.duplicate] (the generator's duplicates: the funnel's
+   duplicates less the enumerators' duplicate rejects, which the
+   [search.<level>.reject_depth.duplicate] histograms count), and every
+   event is of a documented type: no [cand.expand], [cand.accept] or
+   per-try [cand.reject]. A fresh search emits each graph once, so the
+   run resumes a checkpoint whose incumbent is one of its own
+   candidates: the search's copy of it is a graph-level duplicate. *)
 let test_prune_single_site =
   with_reset @@ fun () ->
+  let spec = div_matmul_spec ~b:2 ~h:4 ~d:4 () in
+  let config = small_config () in
+  let planted =
+    let cands, _, _ =
+      Search.Generator.generate config ~spec
+        ~solver:(Smtlite.Solver.create ~target:(Abstract.output_exprs spec))
+        ~stats:(Search.Stats.create ())
+        ~limits:(Gpusim.Device.limits Gpusim.Device.a100)
+        ~budget:(Search.Budget.of_config config) ()
+    in
+    snd (List.hd cands)
+  in
+  let ckpt_path = Filename.temp_file "mirage_prune_ckpt" ".json" in
+  let ck = Search.Checkpoint.create ~path:ckpt_path in
+  Search.Checkpoint.set_incumbent ck ~piece:0 ~gid:0 planted;
   let journal_path = Filename.temp_file "mirage_prune_journal" ".jsonl" in
   ignore (Obs.Journal.enable journal_path);
-  Fun.protect ~finally:Obs.Journal.disable @@ fun () ->
-  let spec = div_matmul_spec ~b:2 ~h:4 ~d:4 () in
+  Fun.protect ~finally:(fun () ->
+      Obs.Journal.disable ();
+      List.iter Sys.remove [ journal_path; ckpt_path ])
+  @@ fun () ->
   let o =
-    Search.Generator.run ~config:(small_config ()) ~device:Gpusim.Device.a100
+    Search.Generator.run ~config ~checkpoint:ck ~device:Gpusim.Device.a100
       ~spec ()
   in
-  let snap = o.Search.Generator.stats in
+  let s = o.Search.Generator.stats in
   Obs.Journal.disable ();
   let events =
     match Obs.Journal.read_file journal_path with
     | Ok evs -> evs
     | Error m -> Alcotest.fail ("journal unreadable: " ^ m)
   in
-  let int_field k e = match J.member k e with Some (J.Int n) -> n | _ -> 1 in
-  (* a block-level event of a root class stands for its "roots" tries,
-     a bulk event for its "tries" *)
-  let journaled reason =
-    List.fold_left
-      (fun acc e ->
-        if
-          Obs.Journal.typ_of e = "cand.reject"
-          && J.member "reason" e = Some (J.Str reason)
-        then acc + (int_field "tries" e * int_field "roots" e)
-        else acc)
-      0 events
+  let hist_count name =
+    match List.assoc_opt name o.Search.Generator.metrics.Obs.Metrics.hists with
+    | Some h -> h.Obs.Metrics.count
+    | None -> Alcotest.failf "no histogram %s" name
   in
-  let bulk =
-    List.exists
-      (fun e -> Obs.Journal.typ_of e = "cand.reject" && J.member "tries" e <> None)
-      events
+  let enum_duplicates =
+    hist_count "search.kernel.reject_depth.duplicate"
+    + hist_count "search.block.reject_depth.duplicate"
   in
-  let counter name =
-    match List.assoc_opt name o.Search.Generator.metrics.Obs.Metrics.counters with
-    | Some n -> n
-    | None -> Alcotest.failf "no counter %s" name
+  let emitted = count_events events "graph.emit"
+  and duplicate = count_events events "graph.duplicate" in
+  Alcotest.(check bool) "the search emitted candidates" true (emitted > 0);
+  Alcotest.(check int) "the planted incumbent was emitted twice" 1 duplicate;
+  Alcotest.(check int) "graph.emit events are the generated candidates"
+    o.Search.Generator.generated emitted;
+  Alcotest.(check int) "graph.emit + graph.duplicate are the candidates"
+    s.Search.Stats.candidates (emitted + duplicate);
+  Alcotest.(check int) "graph.duplicate events are the generator's duplicates"
+    (s.Search.Stats.duplicates - enum_duplicates)
+    duplicate;
+  let documented typ =
+    List.mem typ [ "graph.emit"; "graph.duplicate"; "cand.crash"; "verify.verdict" ]
+    || List.exists
+         (fun p -> String.starts_with ~prefix:p typ)
+         [ "cost."; "search."; "request." ]
   in
-  let s = snap in
-  let expected =
-    [
-      ("shape", s.Search.Stats.shape_rejected);
-      ("memory", s.Search.Stats.memory_rejected);
-      ( "duplicate",
-        s.Search.Stats.duplicates - count_events events "graph.duplicate" );
-      ("canonical", s.Search.Stats.canonical_rejected);
-      ("pruned_abstract", s.Search.Stats.pruned_abstract);
-      ("phase", counter "search.block.reject.phase");
-      ("dangling", counter "search.block.reject.dangling");
-      ( "unreachable",
-        counter "search.kernel.reject.unreachable"
-        + counter "search.block.reject.unreachable" );
-    ]
-  in
-  Alcotest.(check int) "every reason is checked" Search.Tally.n_reasons
-    (List.length expected);
-  Alcotest.(check bool) "the search exercised abstract pruning" true
-    (snap.Search.Stats.pruned_abstract > 0);
-  Alcotest.(check bool) "the search exercised the goal-distance cut" true
-    (List.assoc "unreachable" expected > 0);
-  Alcotest.(check bool) "some tries were counted in bulk" true bulk;
   List.iter
-    (fun (reason, n) ->
-      Alcotest.(check int)
-        (Printf.sprintf "journal and stats agree on %s" reason)
-        n (journaled reason))
-    expected
+    (fun e ->
+      let typ = Obs.Journal.typ_of e in
+      Alcotest.(check bool) (typ ^ " is a documented event type") true
+        (documented typ))
+    events
 
 let test_prune_helper_equivalence () =
   (* The helper is exactly the old inline condition. *)

@@ -163,10 +163,21 @@ let test_models () =
         [ a100; h100 ])
     ms
 
+(* Every benchmark of [all ()] resolves by its own name in any case, to
+   a benchmark of that name and spec; an unknown name to [None]. *)
 let test_by_name () =
-  Alcotest.(check bool) "gqa found" true (Bench_defs.by_name "gqa" <> None);
-  Alcotest.(check bool) "RMSNorm case-insensitive" true
-    (Bench_defs.by_name "RMSNORM" <> None);
+  List.iter
+    (fun (b : Bench_defs.benchmark) ->
+      List.iter
+        (fun n ->
+          match Bench_defs.by_name n with
+          | Some b' ->
+              Alcotest.(check string) ("by_name " ^ n) b.name b'.name;
+              Alcotest.(check bool) (n ^ ": the same spec") true
+                (Mugraph.Graph.equal b.spec b'.spec)
+          | None -> Alcotest.failf "by_name %s: None" n)
+        [ b.name; String.lowercase_ascii b.name; String.uppercase_ascii b.name ])
+    (Bench_defs.all ());
   Alcotest.(check bool) "unknown" true (Bench_defs.by_name "resnet" = None)
 
 let () =
