@@ -763,15 +763,8 @@ let profile_bench () =
       (fun acc (p : Obs.Profile.phase_snap) -> acc + p.Obs.Profile.p_count)
       0 snap.Obs.Profile.phases
   in
-  (* The enumerators' tallies record a depth bucket's cuts in one
-     fire_n call when they flush: price the calls, not the fires. *)
-  let rule_records =
-    List.fold_left
-      (fun acc (r : Obs.Profile.rule_snap) -> acc + r.Obs.Profile.r_calls)
-      0 snap.Obs.Profile.prune_rules
-  in
-  Printf.printf "cold search: %.2fs wall, %d phase records, %d rule calls\n"
-    wall_s phase_records rule_records;
+  Printf.printf "cold search: %.2fs wall, %d phase records\n" wall_s
+    phase_records;
   Printf.printf "search: %s\n" (Search.Stats.to_string o.Search.Generator.stats);
   (* (b) Net per-record cost of each primitive: the same loop timed with
      the ambient profiler enabled and disabled. The difference is what
@@ -811,24 +804,13 @@ let profile_bench () =
             done;
             Obs.Profile.flush_timer tm))
   in
-  let fire_cost =
-    per_record "fire (batched)" 400_000 (fun n ->
-        let ru = Obs.Profile.prune_rule "bench.rule" in
-        for i = 1 to n do
-          Obs.Profile.fire ru ~remaining:(i land 7)
-        done;
-        Obs.Profile.flush_rule ru)
-  in
   Obs.Profile.disable ();
   (* Phase records are dominated by batched-timer entries (the abstract
      prune check runs per attempted extension; with_phase sites fire per
      task or candidate, orders of magnitude less often), so timed_cost
      prices the phase volume; with_phase cost is reported above and
      gated only through the blended estimate's slack. *)
-  let overhead_s =
-    (timed_cost *. float_of_int phase_records)
-    +. (fire_cost *. float_of_int rule_records)
-  in
+  let overhead_s = timed_cost *. float_of_int phase_records in
   let frac = overhead_s /. wall_s in
   Printf.printf
     "estimated record overhead %.1f ms over %.2f s search wall = %.3f%% \
@@ -841,10 +823,8 @@ let profile_bench () =
         ("check", Str "record_overhead");
         ("search_wall_s", Float wall_s);
         ("phase_records", Int phase_records);
-        ("rule_records", Int rule_records);
         ("with_phase_ns", Float (1e9 *. phase_cost));
         ("timed_ns", Float (1e9 *. timed_cost));
-        ("fire_ns", Float (1e9 *. fire_cost));
         ("overhead_frac", Float frac);
       ];
   if frac >= 0.01 then begin

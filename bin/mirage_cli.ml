@@ -1185,8 +1185,8 @@ let serve_cmd =
       $ journal_arg $ max_conns_arg $ max_queue_arg $ frame_timeout_arg $ idle_timeout_arg $ cache_max_bytes_arg)
 
 (* Render the search-phase profile captured in a run's report.json:
-   the phase tree (count/total/self/p50/p99), the wall-time attribution
-   line, and the prune rules ranked by estimated subtree savings. *)
+   the phase tree (count/total/self/p50/p99) and the wall-time
+   attribution line. *)
 let profile_cmd =
   let dir_arg =
     Arg.(
@@ -1263,9 +1263,8 @@ let profile_cmd =
     (Cmd.info "profile"
        ~doc:
          "Analyze the search-phase wall-time profile of a finished run: \
-          phase breakdown with self/total attribution, per-phase latency \
-          quantiles and prune-rule efficacy (fires and estimated subtree \
-          savings), from the run report's profile section")
+          phase breakdown with self/total attribution and per-phase \
+          latency quantiles, from the run report's profile section")
     Term.(const run $ dir_arg $ min_cov_arg)
 
 (* A latency in µs at a readable scale, for the progress line. *)

@@ -4,8 +4,7 @@
     muGraph, verifier verdict and cost attribution is one self-describing
     line. It records candidates, not tries: an enumerator's tries and
     their reject reasons are counted (the search funnel, the
-    [search.<level>.reject*] metrics and the profiler's prune rules),
-    never journaled, so a journaled search runs at a plain search's
+    [search.<level>.reject*] metrics), never journaled, so a journaled search runs at a plain search's
     speed and returns its answer.
 
     Writing is designed for the multi-domain search hot path: each domain
@@ -26,9 +25,8 @@
      "cand":17,"verdict":"equivalent", ...event fields...}
     v}
 
-    The event types: [graph.emit] (a new candidate muGraph, with a fresh
-    ["cand"] id), [graph.duplicate] (a candidate equal to an earlier
-    one), [cand.crash] (a crashed enumeration task or verification),
+    The event types: [graph.emit] (a candidate muGraph, with a fresh
+    ["cand"] id), [cand.crash] (a crashed enumeration task or verification),
     [verify.verdict], [cost.kernel] and [cost.total] (a candidate's
     verdict and cost, under its ["cand"]), and the serving tier's
     [search.*], [request.*], [cache.*], [conn.*], [admit.*] and

@@ -2,8 +2,7 @@
 
    - the profiler itself: path-keyed phase entries whose counters live
      in a metrics registry (lock-free updates, exact under concurrency)
-     plus per-rule prune analytics and, optionally, a bounded timeline
-     of individual phase spans;
+     and, optionally, a bounded timeline of individual phase spans;
    - per-execution-context frame stacks. Contexts are (domain, thread)
      pairs, not domains: the serving tier runs concurrent handler
      threads on domain 0, and a per-domain stack would interleave two
@@ -27,15 +26,6 @@ type entry = {
   h : Hdr.t;
 }
 
-let max_remaining = 24
-
-type rule = {
-  ru_name : string;
-  ru_fires : Metrics.counter;
-  ru_calls : int Atomic.t;  (* fire/fire_n calls *)
-  ru_by : int Atomic.t array;  (* fires by remaining depth *)
-}
-
 (* One finished phase, as the timeline keeps it. *)
 type span = { s_path : string; s_start : float; s_dur_ns : int; s_tid : int }
 
@@ -54,8 +44,6 @@ type t = {
   created_at : float;
   lock : Mutex.t;  (* guards registration; reads are lock-free *)
   entries : (string * entry) list Atomic.t;  (* reverse registration order *)
-  rules : (string * rule) list Atomic.t;
-  branching : float Atomic.t;  (* max-merged; 0. = never reported *)
   tl : timeline option;
 }
 
@@ -65,8 +53,6 @@ let make ?(registry = Metrics.create ()) ~timeline () =
     created_at = Unix.gettimeofday ();
     lock = Mutex.create ();
     entries = Atomic.make [];
-    rules = Atomic.make [];
-    branching = Atomic.make 0.0;
     tl =
       (if timeline then
          Some
@@ -130,31 +116,6 @@ let resolve t ~overlay path =
       in
       Mutex.unlock t.lock;
       e
-
-let resolve_rule t name =
-  match List.assoc_opt name (Atomic.get t.rules) with
-  | Some r -> r
-  | None ->
-      Mutex.lock t.lock;
-      let r =
-        match List.assoc_opt name (Atomic.get t.rules) with
-        | Some r -> r
-        | None ->
-            let r =
-              {
-                ru_name = name;
-                ru_fires =
-                  Metrics.counter t.reg ~help:"prefixes cut by the rule"
-                    ("profile.prune." ^ name ^ ".fires");
-                ru_calls = Atomic.make 0;
-                ru_by = Array.init max_remaining (fun _ -> Atomic.make 0);
-              }
-            in
-            Atomic.set t.rules ((name, r) :: Atomic.get t.rules);
-            r
-      in
-      Mutex.unlock t.lock;
-      r
 
 (* --- per-context frame stacks ----------------------------------------- *)
 
@@ -357,73 +318,6 @@ let note name dt_s =
       Metrics.add e.c_total ns;
       Hdr.record e.h dt_s
 
-(* --- prune-rule analytics ---------------------------------------------- *)
-
-(* A handle batches fires locally: a call costs one increment of the
-   call count and one of its remaining-depth bucket, and the fires are
-   the buckets' sum, taken at flush. The batch drains on {!flush_rule}
-   and automatically every [batch] calls, so a dropped flush loses a
-   bounded tail. *)
-let batch = 4096
-
-type rule_handle = {
-  rh_rule : rule option;
-  mutable rh_calls : int;
-  rh_by : int array;  (* fires by remaining depth *)
-}
-
-let prune_rule name =
-  match Atomic.get current with
-  | None -> { rh_rule = None; rh_calls = 0; rh_by = [||] }
-  | Some t ->
-      {
-        rh_rule = Some (resolve_rule t name);
-        rh_calls = 0;
-        rh_by = Array.make max_remaining 0;
-      }
-
-let flush_rule h =
-  match h.rh_rule with
-  | Some r when h.rh_calls > 0 ->
-      let fires = ref 0 in
-      Array.iteri
-        (fun k n ->
-          if n > 0 then begin
-            fires := !fires + n;
-            ignore (Atomic.fetch_and_add r.ru_by.(k) n);
-            h.rh_by.(k) <- 0
-          end)
-        h.rh_by;
-      Metrics.add r.ru_fires !fires;
-      ignore (Atomic.fetch_and_add r.ru_calls h.rh_calls);
-      h.rh_calls <- 0
-  | _ -> ()
-
-let fire_n h ~remaining n =
-  match h.rh_rule with
-  | None -> ()
-  | Some _ ->
-      let k =
-        if remaining < 0 then 0
-        else if remaining >= max_remaining then max_remaining - 1
-        else remaining
-      in
-      h.rh_by.(k) <- h.rh_by.(k) + n;
-      h.rh_calls <- h.rh_calls + 1;
-      if h.rh_calls >= batch then flush_rule h
-
-let fire h ~remaining = fire_n h ~remaining 1
-
-let rec set_branching t b =
-  if Float.is_finite b && b > 0.0 then begin
-    let cur = Atomic.get t.branching in
-    if b > cur && not (Atomic.compare_and_set t.branching cur b) then
-      set_branching t b
-  end
-
-let note_branching b =
-  match Atomic.get current with None -> () | Some t -> set_branching t b
-
 (* --- snapshots ---------------------------------------------------------- *)
 
 type phase_snap = {
@@ -436,41 +330,9 @@ type phase_snap = {
   p_hdr : Hdr.snapshot;
 }
 
-type rule_snap = {
-  r_rule : string;
-  r_fires : int;
-  r_calls : int;
-  r_by_remaining : int array;
-  r_est_saved : float;
-}
-
-type snapshot = {
-  wall_s : float;
-  branching : float;
-  phases : phase_snap list;
-  prune_rules : rule_snap list;
-}
-
-(* Geometric subtree model: a prefix cut with [k] operator slots left
-   would have spawned ~ b + b^2 + ... + b^k further attempted
-   extensions at branching factor [b]. Capped: the estimate is a
-   ranking aid, not a truth claim. *)
-let subtree_size b k =
-  if b <= 1.0 then float_of_int k
-  else begin
-    let acc = ref 0.0 and pow = ref 1.0 in
-    (try
-       for _ = 1 to k do
-         pow := !pow *. b;
-         acc := !acc +. !pow;
-         if !acc > 1e15 then raise Exit
-       done
-     with Exit -> acc := 1e15);
-    Float.min !acc 1e15
-  end
+type snapshot = { wall_s : float; phases : phase_snap list }
 
 let snapshot (t : t) =
-  let b = Atomic.get t.branching in
   let phases =
     List.rev_map
       (fun (_, e) ->
@@ -485,47 +347,15 @@ let snapshot (t : t) =
         })
       (Atomic.get t.entries)
   in
-  let prune_rules =
-    List.rev_map
-      (fun (_, r) ->
-        let by = Array.map Atomic.get r.ru_by in
-        let est = ref 0.0 in
-        Array.iteri
-          (fun k n ->
-            if n > 0 && b > 0.0 then
-              est := !est +. (float_of_int n *. subtree_size b k))
-          by;
-        {
-          r_rule = r.ru_name;
-          r_fires = Metrics.value r.ru_fires;
-          r_calls = Atomic.get r.ru_calls;
-          r_by_remaining = by;
-          r_est_saved = Float.min !est 1e15;
-        })
-      (Atomic.get t.rules)
-  in
-  {
-    wall_s = Unix.gettimeofday () -. t.created_at;
-    branching = b;
-    phases;
-    prune_rules;
-  }
+  { wall_s = Unix.gettimeofday () -. t.created_at; phases }
 
 let schema = "mirage.profile.v1"
 
 let snapshot_json ?(include_hdrs = true) s =
-  let trim a =
-    let n = ref (Array.length a) in
-    while !n > 0 && a.(!n - 1) = 0 do
-      decr n
-    done;
-    Array.sub a 0 !n
-  in
   J.Obj
     [
       ("schema", J.Str schema);
       ("wall_s", J.Float s.wall_s);
-      ("branching", J.Float s.branching);
       ( "phases",
         J.List
           (List.map
@@ -543,22 +373,6 @@ let snapshot_json ?(include_hdrs = true) s =
                  if include_hdrs then [ ("hdr", Hdr.snap_to_json p.p_hdr) ]
                  else []))
              s.phases) );
-      ( "prune_rules",
-        J.List
-          (List.map
-             (fun r ->
-               J.Obj
-                 [
-                   ("rule", J.Str r.r_rule);
-                   ("fires", J.Int r.r_fires);
-                   ("est_saved_expansions", J.Float r.r_est_saved);
-                   ( "by_remaining",
-                     J.List
-                       (Array.to_list
-                          (Array.map (fun n -> J.Int n) (trim r.r_by_remaining)))
-                   );
-                 ])
-             s.prune_rules) );
     ]
 
 (* --- the timeline as Chrome trace events ---------------------------------- *)
@@ -695,19 +509,10 @@ let fmt_time s =
   else if s >= 1e-3 then Printf.sprintf "%.1fms" (s *. 1e3)
   else Printf.sprintf "%.0fus" (s *. 1e6)
 
-let fmt_big f =
-  if f >= 1e6 then Printf.sprintf "%.2e" f
-  else Printf.sprintf "%.0f" f
-
 let render j =
   let ( let* ) = Result.bind in
   let* phases = parse_phases j in
   let wall = Option.bind (J.member "wall_s" j) num in
-  let branching =
-    match Option.bind (J.member "branching" j) num with
-    | Some b when b > 0.0 -> Some b
-    | _ -> None
-  in
   let buf = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   (match wall with
@@ -744,34 +549,4 @@ let render j =
       line "attributed: %.1f%% of %s wall time in named sub-phases" (100.0 *. frac)
         root
   | None -> ());
-  let rules =
-    match J.member "prune_rules" j with
-    | Some (J.List l) ->
-        List.filter_map
-          (fun r ->
-            match (J.member "rule" r, J.member "fires" r) with
-            | Some (J.Str name), Some (J.Int fires) ->
-                Some
-                  ( name,
-                    fires,
-                    Option.value ~default:0.0
-                      (Option.bind (J.member "est_saved_expansions" r) num) )
-            | _ -> None)
-          l
-    | _ -> []
-  in
-  if rules <> [] then begin
-    line "";
-    (match branching with
-    | Some b -> line "prune rules (est. savings at branching factor %.1f):" b
-    | None -> line "prune rules (no branching factor: savings unknown):");
-    List.iter
-      (fun (name, fires, est) ->
-        line "  %-24s %10d fires %14s est. expansions saved" name fires
-          (fmt_big est))
-      (List.sort
-         (fun (_, fa, ea) (_, fb, eb) ->
-           match compare eb ea with 0 -> compare fb fa | c -> c)
-         rules)
-  end;
   Ok (Buffer.contents buf)

@@ -19,12 +19,6 @@
     [task.kernel] phase lands under [search/enumerate] even though it
     runs on a fresh stack.
 
-    The profiler also accounts prune-rule efficacy: each rule keeps an
-    exact fire counter plus a histogram of the remaining search depth at
-    the moment of the cut, from which {!snapshot} estimates the subtree
-    expansions the rule saved (geometric model at the observed
-    branching factor).
-
     Enabled with a timeline, it also keeps each finished phase as one
     span (path, start, duration, domain), exported as Chrome
     [trace_event] JSON by {!to_chrome_json}: the phase table, the trace
@@ -99,40 +93,6 @@ val note : string -> float -> unit
 (** [note name dt_s] adds one observation of [dt_s] seconds to overlay
     phase [name]. No-op when disabled. *)
 
-(** {1 Prune-rule analytics} *)
-
-val batch : int
-(** [4096]: how many events a domain-owned batch (a rule handle here, the
-    enumerators' per-subtree tallies elsewhere) may hold before it
-    drains itself into the shared counters. *)
-
-type rule_handle
-(** Resolved once per enumeration task; fires accumulate locally in the
-    handle (plain increments) and drain to the shared counters on
-    {!flush_rule} or automatically every {!batch} calls. The handle of a
-    disabled profiler is inert. *)
-
-val prune_rule : string -> rule_handle
-
-val fire : rule_handle -> remaining:int -> unit
-(** Record one cut by the rule with [remaining] operator slots below the
-    rejected prefix (clamped into the efficacy histogram). *)
-
-val fire_n : rule_handle -> remaining:int -> int -> unit
-(** [fire_n h ~remaining n] records [n] such cuts in one call (the
-    enumerators' tallies record each depth's cuts this way when they
-    flush). *)
-
-val flush_rule : rule_handle -> unit
-(** Drain the handle's batched fires to the profiler's counters — call
-    at task end, on any thread (the batch is handle-local). *)
-
-val note_branching : float -> unit
-(** Report an observed branching factor (attempted extensions per
-    accepted prefix); merged by max into the ambient profiler. *)
-
-val set_branching : t -> float -> unit
-
 (** {1 Snapshots} *)
 
 type phase_snap = {
@@ -145,24 +105,9 @@ type phase_snap = {
   p_hdr : Hdr.snapshot;
 }
 
-type rule_snap = {
-  r_rule : string;
-  r_fires : int;
-  r_calls : int;
-      (** {!fire}/{!fire_n} calls: fewer than [r_fires] when one call
-          records several cuts *)
-  r_by_remaining : int array;
-  r_est_saved : float;
-      (** estimated subtree expansions the rule saved, geometric model
-          at the snapshot's branching factor; [0.] when the branching
-          factor is unknown *)
-}
-
 type snapshot = {
   wall_s : float;  (** since [create] *)
-  branching : float;  (** max reported; [0.] when never reported *)
   phases : phase_snap list;  (** registration order *)
-  prune_rules : rule_snap list;
 }
 
 val snapshot : t -> snapshot
@@ -173,7 +118,9 @@ val schema : string
 val snapshot_json : ?include_hdrs:bool -> snapshot -> Jsonw.t
 (** The schema'd JSON the run report and the metrics exposition embed;
     [include_hdrs:false] drops the per-phase quantile cards (the compact
-    wire form). *)
+    wire form). Readers ignore fields they do not know, so a report
+    written when the profile also carried a branching factor and a
+    prune-rule table still renders. *)
 
 (** {1 The timeline} *)
 
@@ -205,5 +152,6 @@ val coverage : Jsonw.t -> (string * float) option
 
 val render : Jsonw.t -> (string, string) result
 (** Render a {!snapshot_json} value as the human phase table: the phase
-    tree with count/total/self, the attribution line ({!coverage}), and
-    the prune rules ranked by estimated savings. *)
+    tree with count/total/self and the attribution line ({!coverage}).
+    What the search cut is counted by the enumerators
+    ([search.<level>.reject*] metrics), not here. *)

@@ -112,9 +112,11 @@ module Lanes = struct
         (List.rev t.helpers)
 end
 
-(* Run the enumerators over all tasks, collecting deduplicated raw
-   candidates. Tasks seed a work-stealing pool (one Chase–Lev deque per
-   lane); at or below [steal_depth_cutoff], and only while some worker is
+(* Run the enumerators over all tasks, collecting raw candidates. The
+   enumerators deduplicate (a try that recomputes an existing value is a
+   [Tally.Duplicate] reject); emitted graphs are not compared again.
+   Tasks seed a work-stealing pool (one Chase–Lev deque per lane); at
+   or below [steal_depth_cutoff], and only while some worker is
    hungry, the enumerators publish subtree continuations back onto it,
    so one deep root no longer serializes the search while the other
    domains idle, and a busy pool is not fed subtrees.
@@ -127,8 +129,6 @@ end
    through the shared accumulator as graphs are found, not at task
    completion. A task advances the resume cursor only when its root and
    every spawned subtree finished cleanly. *)
-let n_shards = 16 (* power of two; shard = hash low bits *)
-
 let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
     ?(piece = 0) ?on_pool ?(on_candidate = fun _ _ -> ()) () =
   Printexc.record_backtrace true;
@@ -193,13 +193,7 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
     Obs.Metrics.counter reg ~help:"helper domains started by on-demand lanes"
       "search.lanes.started"
   in
-  (* Dedup sharded by graph hash: emission from different subtrees only
-     contends when two candidates land in the same shard, instead of
-     every worker serializing on one table mutex. *)
-  let shards =
-    Array.init n_shards (fun _ ->
-        (Mutex.create (), Hashtbl.create 16, ref []))
-  in
+  let cands_lock = Mutex.create () and cands = ref [] in
   (* Candidate ids come from the journal's id counter, unique across the
      run's searches, so `explain` resolves any of them. When the
      journal is off, ids still flow (from a shared counter) but no events
@@ -207,44 +201,22 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
   let journal = Obs.Journal.active () in
   let next_gid = Atomic.make 0 in
   let emit g =
-    (* Hash outside the lock: hashing is the expensive part of dedup, and
-       computing it inside the critical section serialized all workers on
-       it. It also picks the shard. *)
-    let h = Graph.hash g in
-    let lock, seen, cands = shards.(h land (n_shards - 1)) in
-    Mutex.lock lock;
-    let dup = List.exists (fun g' -> Graph.equal g g') (Hashtbl.find_all seen h) in
-    if dup then begin
-      Stats.add stats Stats.Duplicates 1;
-      Mutex.unlock lock;
+    let gid =
       match journal with
       | Some j ->
-          Obs.Journal.emit j ~typ:"graph.duplicate"
-            [ ("hash", Obs.Jsonw.Int h) ]
-      | None -> ()
-    end
-    else begin
-      Hashtbl.add seen h g;
-      let gid =
-        match journal with
-        | Some j ->
-            let gid = Obs.Journal.fresh_id j in
-            Obs.Journal.emit j ~cand:gid ~typ:"graph.emit"
-              [
-                ("hash", Obs.Jsonw.Int h);
-                ("knodes", Obs.Jsonw.Int (Array.length g.Graph.knodes));
-              ];
-            gid
-        | None -> 1 + Atomic.fetch_and_add next_gid 1
-      in
-      cands := (gid, g) :: !cands;
-      Mutex.unlock lock;
-      on_candidate gid g
-    end
+          let gid = Obs.Journal.fresh_id j in
+          Obs.Journal.emit j ~cand:gid ~typ:"graph.emit"
+            [ ("knodes", Obs.Jsonw.Int (Array.length g.Graph.knodes)) ];
+          gid
+      | None -> 1 + Atomic.fetch_and_add next_gid 1
+    in
+    Mutex.protect cands_lock (fun () -> cands := (gid, g) :: !cands);
+    on_candidate gid g
   in
   (* Resume: the saved incumbent is emitted like a fresh candidate, so it
-     gets a new id, a re-run task's copy of it deduplicates, and
-     [on_candidate] verifies it again (a file on disk is outside input).
+     gets a new id and [on_candidate] verifies it again (a file on disk
+     is outside input); a re-run task's copy of it is one more candidate,
+     whose key equals the incumbent's, so it is not verified again.
      It counts as one try that completed, so the funnel holds and the
      stats' candidates include it as [generated] does. No lane exists
      yet. *)
@@ -426,10 +398,7 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
   Obs.Metrics.add c_spawned (Deque.Pool.spawned pool);
   Obs.Metrics.add c_steals (Deque.Pool.steals pool);
   Obs.Metrics.add c_lanes (Lanes.started lanes);
-  let candidates =
-    Array.fold_left (fun acc (_, _, cands) -> !cands @ acc) [] shards
-  in
-  (candidates, Atomic.get exhausted, Atomic.get failures)
+  (!cands, Atomic.get exhausted, Atomic.get failures)
 
 let run ?config ?registry ?(verify_trials = 2) ?budget ?checkpoint
     ?(piece = 0) ?progress ~(device : Gpusim.Device.t) ~spec () =
@@ -545,17 +514,6 @@ let run ?config ?registry ?(verify_trials = 2) ?budget ?checkpoint
         generate cfg ~spec ~solver ~stats ~limits ~budget ?checkpoint ~piece
           ~on_pool ~on_candidate ())
   in
-  (* Branching factor for the prune-savings model: attempted extensions
-     per accepted (recursed-into) prefix. *)
-  (let s = Stats.snapshot stats in
-   let accepted =
-     s.Stats.expanded - s.Stats.shape_rejected - s.Stats.memory_rejected
-     - s.Stats.pruned_abstract - s.Stats.canonical_rejected
-     - s.Stats.duplicates
-   in
-   if s.Stats.expanded > 0 then
-     Obs.Profile.note_branching
-       (float_of_int s.Stats.expanded /. float_of_int (max 1 accepted)));
   Obs.Log.info (fun m ->
       m "search: %d candidate muGraph(s) generated%s%s"
         (List.length candidates)

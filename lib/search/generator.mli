@@ -111,9 +111,11 @@ val generate :
 (** The raw enumeration stage of {!run}: seed the kernel task and one
     task per root class ({!Block_enum.root_class}) onto a work-stealing
     pool of [num_workers] lanes (see {!Lanes}) and drain it, returning
-    the deduplicated [(gid, graph)] candidates plus whether the budget
-    was exhausted and
-    how many items crashed. A task's enumerator hands a kept shallow
+    the [(gid, graph)] candidates plus whether the budget was exhausted
+    and how many items crashed. Deduplication is the enumerators'
+    (they reject a try that recomputes an existing value); the emitted
+    graphs are not compared again, so a resumed incumbent that a re-run
+    task finds again is emitted twice. A task's enumerator hands a kept shallow
     child (depth [<= steal_depth_cutoff], two or more operator levels
     below it) to the pool only while some worker is hungry — found
     nothing to pop or steal ({!Deque.Pool.spawn}); otherwise it searches
@@ -123,7 +125,7 @@ val generate :
     worker count and steal schedule (gids and list order are not).
     [on_pool] runs once with the freshly created pool — the hook the
     serving tier uses to surface live steal counts. [on_candidate gid g]
-    runs once per deduplicated candidate, on the lane that emitted it and
+    runs once per candidate, on the lane that emitted it and
     outside any lock, so concurrently on several lanes; a checkpoint's
     incumbent is emitted, and so goes through it, before any lane
     starts. {!run} verifies

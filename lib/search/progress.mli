@@ -4,7 +4,7 @@
     concurrently. [nodes_expanded] is monotone across reads because it
     is read straight from the search's funnel counters, which the
     enumerators add to in per-subtree batches: a read trails the true
-    count by at most one batch ({!Obs.Profile.batch} expansions) per
+    count by at most one batch ({!Tally.batch} expansions) per
     worker. *)
 
 type t

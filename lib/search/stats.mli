@@ -4,7 +4,7 @@
     The enumerators do not update these counters per extension. Each
     enumeration subtree counts into its own domain-owned {!Tally} and
     adds the batch here when the subtree ends (also when it crashes or
-    the budget cuts it) and every {!Obs.Profile.batch} expansions in
+    the budget cuts it) and every {!Tally.batch} expansions in
     between. So:
     - the counts are exact once [Generator.generate] returns;
     - a live {!snapshot} (e.g. {!Progress}) lags the true counts by at
@@ -14,7 +14,7 @@
       count, so the cut lands on the same expansion as an unbatched
       count would. With [w] workers the other [w - 1] batches are
       invisible to the check, so the search may expand up to
-      [(w - 1) * Obs.Profile.batch] nodes past the budget, beyond the
+      [(w - 1) * Tally.batch] nodes past the budget, beyond the
       usual slack of the extensions already in flight.
 
     Counts are per root: each try of a root class's search counts once
@@ -55,7 +55,10 @@ type snapshot = {
   canonical_rejected : int;  (** violated the canonical rank order *)
   candidates : int;  (** completing prefixes submitted to verification *)
   verified : int;
-  duplicates : int;  (** recomputed an existing value or muGraph *)
+  duplicates : int;
+      (** recomputed an existing value: the enumerators' [Duplicate]
+          rejects, the sum of the two levels'
+          [search.<level>.reject_depth.duplicate] histograms *)
   elapsed_s : float;
 }
 
@@ -85,7 +88,7 @@ type kind =
 val add : t -> kind -> int -> unit
 (** [add t k n] adds [n] to counter [k] (one atomic add; a no-op when
     [n <= 0]). The enumerators call it once per flushed batch; the
-    generator once per graph-level duplicate or verified winner. *)
+    generator once per resumed incumbent or verified winner. *)
 
 val expanded : t -> int
 (** Current value of the expanded counter: flushed batches only. *)

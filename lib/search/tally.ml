@@ -15,8 +15,8 @@ type reason =
   | Dangling
   | Unreachable
 
-let all =
-  [ Shape; Memory; Duplicate; Canonical; Pruned; Phase; Dangling; Unreachable ]
+let by_index =
+  [| Shape; Memory; Duplicate; Canonical; Pruned; Phase; Dangling; Unreachable |]
 
 let index = function
   | Shape -> 0
@@ -30,21 +30,9 @@ let index = function
 
 let n_reasons = 8
 
-let by_index = Array.of_list all
-
 let of_index i =
   if i < 0 || i >= n_reasons then invalid_arg "Tally.of_index"
   else by_index.(i)
-
-let reason_name = function
-  | Shape -> "shape"
-  | Memory -> "memory"
-  | Duplicate -> "duplicate"
-  | Canonical -> "canonical"
-  | Pruned -> "pruned_abstract"
-  | Phase -> "phase"
-  | Dangling -> "dangling"
-  | Unreachable -> "unreachable"
 
 (* Where a reason's batch drains: a funnel counter with its depth
    histogram, or (for the block level's structural cuts and the
@@ -85,9 +73,10 @@ let sink reg ~name ~buckets r =
       counter "unreachable"
         "accepted prefixes cut by the goal-distance bound"
 
+let batch = 4096
+
 type level = {
   stats : Stats.t;
-  max_depth : int;
   stride : int;  (* depths 0 .. stride-1 *)
   h_expand : Obs.Metrics.histogram;
   sinks : sink option array;  (* by reason index *)
@@ -107,7 +96,7 @@ let level stats ~name ~max_depth reasons =
   List.iter
     (fun r -> sinks.(index r) <- Some (sink reg ~name ~buckets r))
     reasons;
-  { stats; max_depth; stride = max 1 max_depth + 1; h_expand; sinks }
+  { stats; stride = max 1 max_depth + 1; h_expand; sinks }
 
 (* One worker's counts for one level of one search. [counts] row 0
    holds expansions by depth, row [1 + index r] the rejections for [r],
@@ -119,7 +108,6 @@ type acc = {
   counts : int array;
   mutable pending : int;  (* expansions since the last flush *)
   mutable candidates : int;
-  rules : Obs.Profile.rule_handle option array;
 }
 
 let acc lvl front =
@@ -129,21 +117,10 @@ let acc lvl front =
     counts = Array.make ((n_reasons + 1) * lvl.stride) 0;
     pending = 0;
     candidates = 0;
-    rules =
-      (let a = Array.make n_reasons None in
-       List.iter
-         (fun r ->
-           if lvl.sinks.(index r) <> None then
-             a.(index r) <- Some (Obs.Profile.prune_rule (reason_name r)))
-         all;
-       a);
   }
 
-(* Drain row [row] into [h] (per depth) and into a rejection's profiler
-   [rule] (a cut at depth [d] has [max_depth - d - 1] operator slots
-   below it), and return its total. So a rule records one call per
-   depth bucket per flush, not one per cut. *)
-let drain a row h rule =
+(* Drain row [row] into [h] (per depth) and return its total. *)
+let drain a row h =
   let stride = a.lvl.stride in
   let base = row * stride in
   let total = ref 0 in
@@ -152,10 +129,6 @@ let drain a row h rule =
     if k > 0 then begin
       (match h with
       | Some h -> Obs.Metrics.observe_n h (float_of_int d) k
-      | None -> ());
-      (match rule with
-      | Some r ->
-          Obs.Profile.fire_n r ~remaining:(max 0 (a.lvl.max_depth - d - 1)) k
       | None -> ());
       total := !total + k;
       a.counts.(base + d) <- 0
@@ -167,20 +140,18 @@ let flush a =
   let stats = a.lvl.stats in
   (* expansions first, so a live reader never sees a rejection whose
      attempt it has not counted *)
-  Stats.add stats Stats.Expanded (drain a 0 (Some a.lvl.h_expand) None);
+  Stats.add stats Stats.Expanded (drain a 0 (Some a.lvl.h_expand));
   a.pending <- 0;
   Array.iteri
     (fun i s ->
       match s with
-      | Some (Funnel (k, h)) ->
-          Stats.add stats k (drain a (i + 1) (Some h) a.rules.(i))
-      | Some (Counter c) -> Obs.Metrics.add c (drain a (i + 1) None a.rules.(i))
+      | Some (Funnel (k, h)) -> Stats.add stats k (drain a (i + 1) (Some h))
+      | Some (Counter c) -> Obs.Metrics.add c (drain a (i + 1) None)
       | None -> ())
     a.lvl.sinks;
   Stats.add stats Stats.Candidates a.candidates;
   a.candidates <- 0;
-  Smtlite.Solver.flush_front a.front;
-  Array.iter (Option.iter Obs.Profile.flush_rule) a.rules
+  Smtlite.Solver.flush_front a.front
 
 (* One subtree's view: the worker's buffer, the subtree's weight, and
    its batched prune-check timer, flushed under the subtree's phase. *)
@@ -196,7 +167,7 @@ let expand t ~depth n =
   let a = t.a and k = n * t.weight in
   a.counts.(depth) <- a.counts.(depth) + k;
   a.pending <- a.pending + k;
-  if a.pending >= Obs.Profile.batch then flush a
+  if a.pending >= batch then flush a
 
 let reject_n t r ~depth n =
   let a = t.a in

@@ -1,8 +1,9 @@
 (** Worker-owned accounting for the enumeration: the funnel counts of
-    {!Stats}, the per-depth [search.<level>.*] histograms, the solver
-    front's query counts and the profiler's prune rules, batched in
-    plain fields of one buffer ({!acc}) per worker and level, and a
-    prune-check timer per subtree.
+    {!Stats}, the per-depth [search.<level>.*] histograms and the solver
+    front's query counts, batched in plain fields of one buffer ({!acc})
+    per worker and level, and a prune-check timer per subtree. It is the
+    one record of what a search cut: the profiler times phases, it does
+    not count cuts.
 
     A worker's buffer lives in its memo of the level ({!Prefix.memo}),
     and only that worker writes it. Each subtree (a root task or a
@@ -10,16 +11,16 @@
     its worker's buffer through a tally ({!run}) that carries the
     subtree's weight, so subtrees of different root classes share the
     buffer and a subtree costs no flush of its own. {!expand} drains a
-    full batch ({!Obs.Profile.batch} expansions); every other drain is
-    the memo owner's ({!Generator.generate}: when a root task ends and
-    once the lanes have joined). So totals are exact when the search
+    full batch ({!batch} expansions); every other drain is the memo
+    owner's ({!Generator.generate}: when a root task ends and once the
+    lanes have joined). So totals are exact when the search
     returns, and live readers lag by at most one batch per worker.
 
     Counts are per root. The block level searches a root class once (see
     {!Block_enum}), so a class's subtrees run with the class size as
-    their weight: a try, a rejection, its depth-histogram bucket and its
-    prune-rule fire count once per member of the class. Candidates are
-    counted once per member that emitted a graph. Solver-front queries
+    their weight: a try, a rejection and its depth-histogram bucket
+    count once per member of the class. Candidates are counted once per
+    member that emitted a graph. Solver-front queries
     and hits are not weighted: they count real queries. *)
 
 type reason =
@@ -47,9 +48,9 @@ val of_index : int -> reason
 (** The reason with that index.
     @raise Invalid_argument outside [0 .. n_reasons - 1]. *)
 
-val reason_name : reason -> string
-(** The name a reason goes by in the profiler's prune rules
-    (["shape"], ["pruned_abstract"], ...). *)
+val batch : int
+(** [4096]: how many expansions a worker's buffer may hold before
+    {!expand} drains it into the shared counters. *)
 
 type level
 (** One enumerator level's shared handles, resolved once per search. *)
@@ -69,17 +70,15 @@ val acc : level -> Smtlite.Solver.front -> acc
     worker's solver front. *)
 
 val flush : acc -> unit
-(** Drain the buffer into the registry, the solver's counters and the
-    profiler's prune rules. *)
+(** Drain the buffer into the registry and the solver's counters. *)
 
 type t
 
 val run : acc -> weight:int -> (t -> 'a) -> 'a
 (** [run a ~weight f] runs one subtree [f], counting into [a] with
     [weight], the number of roots each try stands for: every expansion,
-    rejection, histogram bucket and prune-rule fire counts [weight]
-    times. It flushes the subtree's prune-check timer when [f] returns
-    or raises. *)
+    rejection and histogram bucket counts [weight] times. It flushes
+    the subtree's prune-check timer when [f] returns or raises. *)
 
 val expand : t -> depth:int -> int -> unit
 (** [expand t ~depth n]: count [n] attempted extensions of a prefix at
@@ -88,9 +87,7 @@ val expand : t -> depth:int -> int -> unit
     judging its tries. *)
 
 val reject : t -> reason -> depth:int -> unit
-(** Count a cut at [depth], [weight] times. Its profiler prune rule
-    records it at the next flush, with the [max_depth - depth - 1]
-    operator slots below it for the savings estimate. *)
+(** Count a cut at [depth], [weight] times. *)
 
 val reject_n : t -> reason -> depth:int -> int -> unit
 (** [reject_n t r ~depth n]: {!reject} [n] times, in one add (the

@@ -168,8 +168,8 @@ let has_prefix p name =
   String.length name >= String.length p && String.sub name 0 (String.length p) = p
 
 (* A compact digest of the ambient profiler, when one is enabled: total
-   attributed wall seconds per depth-1 phase plus the top prune rules by
-   estimated savings — the full tree stays in [mirage_cli profile]. *)
+   attributed wall seconds per depth-1 phase — the full tree stays in
+   [mirage_cli profile]. *)
 let profile_digest () =
   match Obs.Profile.active () with
   | None -> []
@@ -183,17 +183,6 @@ let profile_digest () =
             else None)
           s.Obs.Profile.phases
       in
-      let rules =
-        List.map
-          (fun (r : Obs.Profile.rule_snap) ->
-            ( r.Obs.Profile.r_rule,
-              J.Obj
-                [
-                  ("fires", J.Int r.Obs.Profile.r_fires);
-                  ("est_saved", J.Float r.Obs.Profile.r_est_saved);
-                ] ))
-          s.Obs.Profile.prune_rules
-      in
       [
         ( "profile",
           J.Obj
@@ -201,7 +190,6 @@ let profile_digest () =
               ("schema", J.Str Obs.Profile.schema);
               ("wall_s", J.Float s.Obs.Profile.wall_s);
               ("phases", J.Obj phases);
-              ("prune_rules", J.Obj rules);
             ] );
       ]
 

@@ -23,7 +23,7 @@ type benchmark = {
 val gqa : ?batch:int -> unit -> benchmark
 (** Group-query attention, LLaMA-3-70B decode under 4-way tensor
     parallelism: 16 query heads and 2 KV heads per GPU, head dim 128,
-    context 4096 (paper §8.1). Default batch 8. *)
+    context 4096 (paper §8.1). Default batch 1. *)
 
 val qknorm : unit -> benchmark
 (** Query-key normalization + attention, Chameleon-7B (32 MHA heads). *)
@@ -41,7 +41,7 @@ val ntrans : unit -> benchmark
 (** Normalized Transformer block of nGPT-1B (d = 2048). *)
 
 val all : unit -> benchmark list
-(** The Figure 7 benchmark set (GQA at batch 8). *)
+(** The Figure 7 benchmark set (GQA at batch 1). *)
 
 val by_name : string -> benchmark option
 (** The benchmark whose [name] matches, ignoring case; only that one is

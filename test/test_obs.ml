@@ -925,12 +925,21 @@ let check_pinned_counts () =
           let name = pinned_name p.prog p.smem workers in
           Alcotest.(check bool) (name ^ "ran to completion") false
             (exhausted || crashes > 0);
+          let funnel = funnel_fields (Search.Stats.snapshot stats)
+          and totals =
+            level_totals (Obs.Metrics.snapshot (Search.Stats.registry stats))
+          in
           Alcotest.(check (list (pair string int)))
-            (name ^ "funnel") p.funnel
-            (funnel_fields (Search.Stats.snapshot stats));
+            (name ^ "funnel") p.funnel funnel;
           Alcotest.(check (list (pair string int)))
-            (name ^ "level totals") p.totals
-            (level_totals (Obs.Metrics.snapshot (Search.Stats.registry stats)));
+            (name ^ "level totals") p.totals totals;
+          (* the funnel's duplicates are the enumerators' duplicate
+             rejects and nothing else *)
+          Alcotest.(check int)
+            (name ^ "duplicates are the levels' duplicate rejects")
+            (List.assoc "duplicates" funnel)
+            (List.assoc "search.kernel.reject_depth.duplicate" totals
+            + List.assoc "search.block.reject_depth.duplicate" totals);
           Alcotest.(check int) (name ^ "candidates") p.cands
             (List.length cands);
           Alcotest.(check string) (name ^ "candidate hashes") p.hashes
@@ -1276,7 +1285,7 @@ let prop_profile_conservation =
                 <= snap.Obs.Profile.wall_s +. eps)))
 
 (* Counts are exact under domain concurrency: 4 domains hammering the
-   same phases, timers and rules concurrently lose nothing. *)
+   same phases and timers concurrently lose nothing. *)
 let test_profile_domains () =
   with_ambient_profile (fun p ->
       let domains = 4 and per = 10_000 in
@@ -1287,15 +1296,12 @@ let test_profile_domains () =
                    the batched timer is flushed inside it *)
                 Obs.Profile.with_phase "outer" (fun () ->
                     let tm = Obs.Profile.timer "check" in
-                    let ru = Obs.Profile.prune_rule "cut" in
                     for i = 1 to per do
                       Obs.Profile.with_phase "inner" (fun () ->
                           ignore (Sys.opaque_identity i));
-                      ignore (Obs.Profile.timed tm (fun () -> i land 1 = 0));
-                      Obs.Profile.fire ru ~remaining:(i land 7)
+                      ignore (Obs.Profile.timed tm (fun () -> i land 1 = 0))
                     done;
-                    Obs.Profile.flush_timer tm;
-                    Obs.Profile.flush_rule ru)))
+                    Obs.Profile.flush_timer tm)))
       in
       List.iter Domain.join ds;
       let snap = Obs.Profile.snapshot p in
@@ -1312,38 +1318,13 @@ let test_profile_domains () =
       Alcotest.(check int) "inner count exact" (domains * per)
         (count "outer/inner");
       Alcotest.(check int) "batched timer count exact" (domains * per)
-        (count "outer/check");
-      match
-        List.find_opt
-          (fun r -> r.Obs.Profile.r_rule = "cut")
-          snap.Obs.Profile.prune_rules
-      with
-      | None -> Alcotest.fail "rule missing from snapshot"
-      | Some r ->
-          Alcotest.(check int) "rule fires exact" (domains * per)
-            r.Obs.Profile.r_fires)
-
-(* The geometric prune-savings model, pinned: at branching factor 2 a
-   cut with 3 remaining slots saves 2 + 4 + 8 = 14 expansions. *)
-let test_profile_savings () =
-  with_ambient_profile (fun p ->
-      Obs.Profile.set_branching p 2.0;
-      let ru = Obs.Profile.prune_rule "cut" in
-      Obs.Profile.fire ru ~remaining:3;
-      Obs.Profile.flush_rule ru;
-      let snap = Obs.Profile.snapshot p in
-      match snap.Obs.Profile.prune_rules with
-      | [ r ] ->
-          Alcotest.(check (float 1e-9)) "geometric subtree" 14.0
-            r.Obs.Profile.r_est_saved
-      | _ -> Alcotest.fail "expected exactly one rule")
+        (count "outer/check"))
 
 (* Disabled profiler: everything is an inert no-op and records nothing. *)
 let test_profile_disabled () =
   Obs.Profile.disable ();
   Obs.Profile.with_phase "ghost" (fun () -> ());
   Obs.Profile.note "ghost.note" 1.0;
-  Obs.Profile.fire (Obs.Profile.prune_rule "ghost") ~remaining:3;
   Alcotest.(check bool) "no ambient profiler" true (Obs.Profile.active () = None);
   (* and a fresh profiler saw none of it *)
   with_ambient_profile (fun p ->
@@ -1351,7 +1332,8 @@ let test_profile_disabled () =
         (List.length (Obs.Profile.snapshot p).Obs.Profile.phases))
 
 (* snapshot_json round-trips through the analyzer: render succeeds and
-   coverage is computable. *)
+   coverage is computable. A report written when the profile also
+   carried a branching factor and prune rules renders the same table. *)
 let test_profile_json () =
   with_ambient_profile (fun p ->
       Obs.Profile.with_phase "root" (fun () ->
@@ -1362,16 +1344,44 @@ let test_profile_json () =
       | Some (Obs.Jsonw.Str s) ->
           Alcotest.(check string) "schema tag" Obs.Profile.schema s
       | _ -> Alcotest.fail "no schema tag");
-      (match Obs.Profile.render j with
-      | Ok text ->
-          Alcotest.(check bool) "render mentions root" true
-            (let sub = "root" in
-             let ls = String.length sub and lt = String.length text in
-             let rec go i =
-               i + ls <= lt && (String.sub text i ls = sub || go (i + 1))
-             in
-             go 0)
-      | Error m -> Alcotest.failf "render failed: %s" m);
+      let rendered j =
+        match Obs.Profile.render j with
+        | Ok text -> text
+        | Error m -> Alcotest.failf "render failed: %s" m
+      in
+      let text = rendered j in
+      Alcotest.(check bool) "render mentions root" true
+        (let sub = "root" in
+         let ls = String.length sub and lt = String.length text in
+         let rec go i =
+           i + ls <= lt && (String.sub text i ls = sub || go (i + 1))
+         in
+         go 0);
+      (match j with
+      | Obs.Jsonw.Obj fields ->
+          let old =
+            Obs.Jsonw.Obj
+              (fields
+              @ [
+                  ("branching", Obs.Jsonw.Float 65.9);
+                  ( "prune_rules",
+                    Obs.Jsonw.List
+                      [
+                        Obs.Jsonw.Obj
+                          [
+                            ("rule", Obs.Jsonw.Str "shape");
+                            ("fires", Obs.Jsonw.Int 12);
+                            ("est_saved_expansions", Obs.Jsonw.Float 6.88e14);
+                            ( "by_remaining",
+                              Obs.Jsonw.List [ Obs.Jsonw.Int 0; Obs.Jsonw.Int 12 ]
+                            );
+                          ];
+                      ] );
+                ])
+          in
+          Alcotest.(check string) "an old report renders the same table" text
+            (rendered old)
+      | _ -> Alcotest.fail "snapshot_json is not an object");
       match Obs.Profile.coverage j with
       | Some (root, cov) ->
           Alcotest.(check string) "dominant root" "root" root;
@@ -1460,8 +1470,6 @@ let () =
           prop_profile_conservation;
           Alcotest.test_case "counts exact across 4 domains" `Quick
             test_profile_domains;
-          Alcotest.test_case "prune-savings geometric model" `Quick
-            test_profile_savings;
           Alcotest.test_case "no-op when disabled" `Quick
             test_profile_disabled;
           Alcotest.test_case "snapshot json renders and covers" `Quick

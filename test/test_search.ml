@@ -590,7 +590,7 @@ let test_node_budget_overshoot () =
       Alcotest.(check bool)
         (Printf.sprintf "%d worker(s): %d expanded past a budget of %d" workers n budget)
         true
-        (n > budget && n <= budget + ((workers - 1) * Obs.Profile.batch) + (workers * step)))
+        (n > budget && n <= budget + ((workers - 1) * Search.Tally.batch) + (workers * step)))
     [ 1; 2 ]
 
 let test_search_discovers_fused_softmax () =
@@ -926,8 +926,15 @@ let search_pins ~workers spec =
                     (List.map (fun (_, g) -> Graph.hash g) cands)))));
   }
 
+(* The funnel's duplicates are the enumerators' duplicate rejects and
+   nothing else: the two levels' [reject_depth.duplicate] histograms. *)
 let check_pins name want got =
   Alcotest.(check (list int)) (name ^ "funnel") want.funnel got.funnel;
+  Alcotest.(check int)
+    (name ^ "duplicates are the levels' duplicate rejects")
+    (List.nth got.funnel 6)
+    (List.assoc "search.kernel.reject_depth.duplicate" got.totals
+    + List.assoc "search.block.reject_depth.duplicate" got.totals);
   Alcotest.(check (list (pair string int)))
     (name ^ "level totals") want.totals got.totals;
   Alcotest.(check string) (name ^ "candidate digest") want.digest got.digest
