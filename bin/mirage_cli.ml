@@ -231,10 +231,10 @@ let with_artifacts ~kind trace report_dir f =
               (Obs.Profile.snapshot_json (Obs.Profile.snapshot prof)));
         attempt (fun () -> Obs.Profile.disable ());
         (* journal loss accounting must be read before disable closes it *)
-        let jdropped_events, jdropped_buffers =
+        let jdropped =
           match Obs.Journal.active () with
-          | Some j -> (Obs.Journal.dropped j, Obs.Journal.dropped_buffers j)
-          | None -> (0, 0)
+          | Some j -> Obs.Journal.dropped j
+          | None -> 0
         in
         attempt (fun () -> Obs.Journal.disable ());
         attempt (fun () -> write_trace prof (Filename.concat dir "trace.json"));
@@ -276,17 +276,12 @@ let with_artifacts ~kind trace report_dir f =
                        Obs.Jsonw.Obj
                          (List.map (fun (k, n) -> (k, Obs.Jsonw.Int n)) fs) );
                    ])
-             @ (if jdropped_events = 0 && jdropped_buffers = 0 then []
+             @ (if jdropped = 0 then []
                 else
                   [
                     ( "journal",
                       Obs.Jsonw.Obj
-                        [
-                          ( "dropped_events",
-                            Obs.Jsonw.Int jdropped_events );
-                          ( "dropped_buffers",
-                            Obs.Jsonw.Int jdropped_buffers );
-                        ] );
+                        [ ("dropped_events", Obs.Jsonw.Int jdropped) ] );
                   ])
              @ if err = "" then [] else [ ("error", Obs.Jsonw.Str err) ]));
         attempt (fun () -> Obs.Report.write rep);

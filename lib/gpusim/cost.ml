@@ -257,18 +257,6 @@ let total_us d g = (cost d g).total_us
 
 let speedup ~baseline c = baseline.total_us /. c.total_us
 
-let pp_graph_cost fmt c =
-  Format.fprintf fmt "%d kernels, %.2f us total, %.0f bytes DRAM@."
-    c.num_kernels c.total_us c.total_dram_bytes;
-  List.iter
-    (fun k ->
-      Format.fprintf fmt
-        "  k%d %-14s blocks=%-5d launch=%.1f compute=%.2f dram=%.2f smem=%.2f \
-         -> %.2f us@."
-        k.node k.kind k.blocks k.launch_us k.compute_us k.dram_us k.smem_us
-        k.total_us)
-    c.kernels
-
 let kernel_cost_json (k : kernel_cost) =
   Obs.Jsonw.Obj
     [

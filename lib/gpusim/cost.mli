@@ -50,8 +50,6 @@ val total_us : Device.t -> Mugraph.Graph.kernel_graph -> float
 val speedup : baseline:graph_cost -> graph_cost -> float
 (** [baseline.total_us /. candidate.total_us]. *)
 
-val pp_graph_cost : Format.formatter -> graph_cost -> unit
-
 val kernel_cost_json : kernel_cost -> Obs.Jsonw.t
 val to_json : graph_cost -> Obs.Jsonw.t
 (** The full per-operator breakdown as JSON (run-report section). *)

@@ -225,9 +225,6 @@ let collapse p =
   let kernel k = { k with body = List.map collapse_stmt k.body } in
   { p with kernels = List.map kernel p.kernels }
 
-let output_size p =
-  List.fold_left (fun acc b -> acc + numel b) 0 p.outputs
-
 (* ------------------------------------------------------------------ *)
 (* Well-formedness                                                     *)
 (* ------------------------------------------------------------------ *)

@@ -136,6 +136,3 @@ val collapse : program -> program
     no float operation is touched. [Grid], [Forloop] and [Reduce] loops
     are never merged, so grid and data-stream structure and reduction
     order stay as they are. *)
-
-val output_size : program -> int
-(** Total number of scalars across the program outputs. *)

@@ -1,21 +1,16 @@
-(* Per-domain buffer: serialized lines accumulate locally (own mutex,
-   uncontended on the hot path) and drain through the journal's single
-   writer mutex, so no line is ever torn across a concurrent write. *)
-type dbuf = { block : Mutex.t; buf : Buffer.t; mutable events : int }
-
+(* One writer: [emit] stamps, serializes and writes each event under
+   [wlock], so file order is [seq] order and no line is ever torn or
+   interleaved. The busiest run writes ~1.7 k events/s, so one lock and
+   one flush per event are cheap. *)
 type t = {
   jpath : string;
   oc : out_channel;
-  wlock : Mutex.t;  (** guards [oc] and [bufs] *)
-  mutable bufs : dbuf list;  (** every per-domain buffer ever handed out *)
-  dls : dbuf Domain.DLS.key;
-  seq : int Atomic.t;
+  wlock : Mutex.t;  (** guards [oc], [seq] and [closed] *)
+  mutable seq : int;
   ids : int Atomic.t;
   epoch : float;
-  capacity : int;
-  closed : bool Atomic.t;
+  mutable closed : bool;
   dropped : int Atomic.t;  (** events lost to failed writes *)
-  dropped_bufs : int Atomic.t;  (** whole buffers lost to failed writes *)
 }
 
 (* --- ambient event context ------------------------------------------- *)
@@ -23,7 +18,7 @@ type t = {
 (* Fields stamped onto every event emitted by the current thread — the
    request id, chiefly, so a server request's events are filterable
    without threading an argument through every instrumented layer.
-   Keyed by (domain, thread): threads within a domain share Domain.DLS,
+   Keyed by (domain, thread): threads within a domain share its DLS,
    so DLS alone would let concurrent server handler threads clobber
    each other's ids. The table is an immutable assoc list swapped by
    CAS — readers (every [emit]) are lock-free; writers (request entry
@@ -54,44 +49,24 @@ let with_context fields f =
   set_context fields;
   Fun.protect ~finally:(fun () -> set_context saved) f
 
-let create ?(capacity = 128) ~path () =
-  let oc = open_out path in
-  let wlock = Mutex.create () in
-  let rec t =
-    lazy
-      {
-        jpath = path;
-        oc;
-        wlock;
-        bufs = [];
-        dls =
-          Domain.DLS.new_key (fun () ->
-              let b =
-                { block = Mutex.create (); buf = Buffer.create 4096; events = 0 }
-              in
-              let j = Lazy.force t in
-              Mutex.lock j.wlock;
-              j.bufs <- b :: j.bufs;
-              Mutex.unlock j.wlock;
-              b);
-        seq = Atomic.make 0;
-        ids = Atomic.make 0;
-        epoch = Unix.gettimeofday ();
-        capacity = max 1 capacity;
-        closed = Atomic.make false;
-        dropped = Atomic.make 0;
-        dropped_bufs = Atomic.make 0;
-      }
-  in
-  Lazy.force t
+let create ~path () =
+  {
+    jpath = path;
+    oc = open_out path;
+    wlock = Mutex.create ();
+    seq = 0;
+    ids = Atomic.make 0;
+    epoch = Unix.gettimeofday ();
+    closed = false;
+    dropped = Atomic.make 0;
+  }
 
 let path t = t.jpath
 let fresh_id t = Atomic.fetch_and_add t.ids 1
 let dropped t = Atomic.get t.dropped
-let dropped_buffers t = Atomic.get t.dropped_bufs
 
 (* Process-wide loss accounting in the default metrics registry, so a
-   silent buffer drop is visible in any metrics exposition (the service
+   silent drop is visible in any metrics exposition (the service
    [metrics] op, report.json status) even after the journal that
    suffered it is closed. Lazy: registering at module init would create
    the default registry before anyone asked for it. *)
@@ -100,89 +75,57 @@ let c_dropped_events =
     (Metrics.counter (Metrics.default ())
        ~help:"journal events dropped on write failure" "journal.dropped_events")
 
-let c_dropped_buffers =
-  lazy
-    (Metrics.counter (Metrics.default ())
-       ~help:"whole journal buffers dropped on write failure"
-       "journal.dropped_buffers")
-
-(* Caller must hold [b.block]. A failed write (disk full, injected
-   fault) drops this buffer's events and degrades the run instead of
-   crashing the search: forensics are best-effort, the pipeline is
-   not. Whole buffers are dropped atomically — before any byte reaches
-   the channel — so the journal never contains a torn line. *)
-let drain_locked t (b : dbuf) =
-  if Buffer.length b.buf > 0 then begin
-    Mutex.lock t.wlock;
-    (if not (Atomic.get t.closed) then
-       try
-         Fault.trip "journal.write";
-         Buffer.output_buffer t.oc b.buf;
-         flush t.oc
-       with e ->
-         Atomic.fetch_and_add t.dropped b.events |> ignore;
-         Atomic.incr t.dropped_bufs;
-         Metrics.add (Lazy.force c_dropped_events) b.events;
-         Metrics.bump (Lazy.force c_dropped_buffers);
-         Budget.degrade "journal.write";
-         Log.warn (fun m ->
-             m "journal: dropped %d event(s) on write failure: %s" b.events
-               (Printexc.to_string e)));
-    Mutex.unlock t.wlock;
-    Buffer.clear b.buf;
-    b.events <- 0
-  end
-
+(* A failed write (disk full, injected fault) drops this one event and
+   degrades the run instead of crashing the search: forensics are
+   best-effort, the pipeline is not. The fault point trips before any
+   byte of the line reaches the channel, so it never tears a line. *)
 let emit t ?(cand = -1) ~typ fields =
-  if not (Atomic.get t.closed) then begin
-    (* ambient context fields ride along; an explicit field wins *)
-    let ctx =
-      match context () with
-      | [] -> []
-      | ctx -> List.filter (fun (k, _) -> not (List.mem_assoc k fields)) ctx
-    in
-    let line =
-      Jsonw.Obj
-        (("seq", Jsonw.Int (Atomic.fetch_and_add t.seq 1))
-        :: ("ts", Jsonw.Float (Unix.gettimeofday () -. t.epoch))
-        :: ("dom", Jsonw.Int (Domain.self () :> int))
-        :: ("ev", Jsonw.Str typ)
-        :: (if cand >= 0 then [ ("cand", Jsonw.Int cand) ] else [])
-        @ fields @ ctx)
-    in
-    let b = Domain.DLS.get t.dls in
-    Mutex.lock b.block;
-    Buffer.add_string b.buf (Jsonw.to_string line);
-    Buffer.add_char b.buf '\n';
-    b.events <- b.events + 1;
-    if b.events >= t.capacity then drain_locked t b;
-    Mutex.unlock b.block
-  end
+  (* ambient context fields ride along; an explicit field wins *)
+  let ctx =
+    match context () with
+    | [] -> []
+    | ctx -> List.filter (fun (k, _) -> not (List.mem_assoc k fields)) ctx
+  in
+  let tail =
+    ("dom", Jsonw.Int (Domain.self () :> int))
+    :: ("ev", Jsonw.Str typ)
+    :: (if cand >= 0 then [ ("cand", Jsonw.Int cand) ] else [])
+    @ fields @ ctx
+  in
+  Mutex.protect t.wlock (fun () ->
+      if not t.closed then begin
+        let seq = t.seq in
+        t.seq <- seq + 1;
+        let line =
+          Jsonw.to_string
+            (Jsonw.Obj
+               (("seq", Jsonw.Int seq)
+               :: ("ts", Jsonw.Float (Unix.gettimeofday () -. t.epoch))
+               :: tail))
+        in
+        try
+          Fault.trip "journal.write";
+          output_string t.oc line;
+          output_char t.oc '\n';
+          flush t.oc
+        with e ->
+          Atomic.incr t.dropped;
+          Metrics.bump (Lazy.force c_dropped_events);
+          Budget.degrade "journal.write";
+          Log.warn (fun m ->
+              m "journal: dropped event %d on write failure: %s" seq
+                (Printexc.to_string e))
+      end)
 
 let flush t =
-  let bufs =
-    Mutex.lock t.wlock;
-    let l = t.bufs in
-    Mutex.unlock t.wlock;
-    l
-  in
-  List.iter
-    (fun b ->
-      Mutex.lock b.block;
-      drain_locked t b;
-      Mutex.unlock b.block)
-    bufs;
-  Mutex.lock t.wlock;
-  if not (Atomic.get t.closed) then flush t.oc;
-  Mutex.unlock t.wlock
+  Mutex.protect t.wlock (fun () -> if not t.closed then flush t.oc)
 
 let close t =
-  flush t;
-  if not (Atomic.exchange t.closed true) then begin
-    Mutex.lock t.wlock;
-    close_out_noerr t.oc;
-    Mutex.unlock t.wlock
-  end
+  Mutex.protect t.wlock (fun () ->
+      if not t.closed then begin
+        t.closed <- true;
+        close_out_noerr t.oc
+      end)
 
 (* ------------------------------------------------------------------ *)
 (* Global journal                                                      *)
@@ -195,9 +138,9 @@ let disable () =
   | Some t -> close t
   | None -> ()
 
-let enable ?capacity path =
+let enable path =
   disable ();
-  let t = create ?capacity ~path () in
+  let t = create ~path () in
   Atomic.set current (Some t);
   t
 

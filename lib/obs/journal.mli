@@ -7,14 +7,13 @@
     [search.<level>.reject*] metrics), never journaled, so a journaled search runs at a plain search's
     speed and returns its answer.
 
-    Writing is designed for the multi-domain search hot path: each domain
-    serializes events into its own bounded buffer (its own uncontended
-    mutex), and buffers drain through a single writer mutex to the
-    underlying channel — so lines are never torn or interleaved, and the
-    shared lock is only taken once per [capacity] events per domain.
-    Every event carries a process-unique, monotonically increasing [seq]
-    so a reader can reconstruct global order even though domains flush
-    independently.
+    One writer: {!emit} takes the journal's lock, stamps [seq] and [ts],
+    serializes the line, writes it and flushes the channel. So file
+    order is [seq] order, lines are never torn or interleaved, and once
+    {!emit} returns its line is in the file. The busiest run,
+    [optimize lora --budget 5 -j 2 --report D], writes ~1.7 k events/s
+    from two domains (8.3 k events, 1.3 MB in 5 s), so one lock and a
+    flush per event cost the search nothing measurable.
 
     Journaling is off by default: {!event} costs one atomic load when no
     journal is installed. [mirage_cli optimize --report DIR] enables it.
@@ -34,31 +33,28 @@
 
 type t
 
-val create : ?capacity:int -> path:string -> unit -> t
-(** Open a journal writing to [path] (truncates). [capacity] is the
-    per-domain buffer size in events before a drain to the shared writer
-    (default 128). *)
+val create : path:string -> unit -> t
+(** Open a journal writing to [path] (truncates). *)
 
 val path : t -> string
 
 val emit : t -> ?cand:int -> typ:string -> (string * Jsonw.t) list -> unit
-(** Append one event. [cand] tags the event with a candidate id (from
-    {!fresh_id}) so a candidate's lifecycle can be reassembled; negative
-    ids are omitted from the line. Safe from any domain. *)
+(** Append one event and flush it to the file. [cand] tags the event
+    with a candidate id (from {!fresh_id}) so a candidate's lifecycle can
+    be reassembled; negative ids are omitted from the line. Safe from any
+    domain. A no-op once the journal is closed. *)
 
 val fresh_id : t -> int
 (** A process-unique candidate id (atomic counter, starts at 0). *)
 
 val dropped : t -> int
 (** Events lost to failed writes (disk full, injected [journal.write]
-    fault). A failed drain drops whole per-domain buffers — before any
-    byte reaches the channel — degrades the run ([Budget.degrade
-    "journal.write"]), bumps the [journal.dropped_events] /
-    [journal.dropped_buffers] counters in the default metrics registry,
-    and keeps the search alive; the file never contains a torn line. *)
-
-val dropped_buffers : t -> int
-(** Whole per-domain buffers lost to failed writes. *)
+    fault). A failed write drops that one event, bumps the
+    [journal.dropped_events] counter in the default metrics registry,
+    degrades the run ([Budget.degrade "journal.write"]), logs one
+    warning and keeps the search alive. The fault point trips before any
+    byte of the line reaches the channel, so an injected fault never
+    tears a line. *)
 
 (** {1 Ambient event context}
 
@@ -82,11 +78,10 @@ val with_context : (string * Jsonw.t) list -> (unit -> 'a) -> 'a
     context on exit (exceptions included). *)
 
 val flush : t -> unit
-(** Drain every registered per-domain buffer and flush the channel.
-    Takes each buffer's lock, so it is safe while workers are running. *)
+(** Flush the channel. Every {!emit} already flushes its line. *)
 
 val close : t -> unit
-(** {!flush}, then close the channel. Idempotent. *)
+(** Close the channel; later {!emit}s are dropped silently. Idempotent. *)
 
 (** {1 The global journal}
 
@@ -94,7 +89,7 @@ val close : t -> unit
     {!event} / {!active} unconditionally and pay one atomic load when
     journaling is disabled. *)
 
-val enable : ?capacity:int -> string -> t
+val enable : string -> t
 (** Install (and return) a fresh global journal writing to the given
     path. Any previously installed journal is closed. *)
 

@@ -237,40 +237,49 @@ let with_base path f =
 (* Reading the clock twice per call costs about as much as the cheapest
    instrumented sites do themselves (the abstract prune check runs per
    attempted extension, ~0.5us), so the timer counts every call exactly
-   but reads the clock on a 1-in-16 sample and scales the batch duration
-   at flush: a few ns amortized per call, at the price of the batch
-   total being a statistical estimate. *)
-let sample_mask = 63
+   but reads the clock on every 64th call and charges each sample for
+   64 calls at flush: a few ns amortized per call, at the price of the
+   batch total being a statistical estimate. A live timer starts at a
+   random phase of its period, so every call, a fresh timer's first
+   call included, is sampled with probability 1/64 and the estimate is
+   unbiased even when the first call of each short batch (a subtree's
+   first prune decision) is its costliest. *)
+let sample_every = 64
+let timer_seeds = Atomic.make 0
 
 type timer = {
   t_live : t option;
   t_name : string;
   mutable t_count : int;  (* every call, exact *)
-  mutable t_sampled : int;  (* calls that paid for clock reads *)
+  mutable t_skip : int;  (* calls until the next sample, this one included *)
   mutable t_sampled_ns : int;
 }
 
 let timer name =
+  let live = Atomic.get current in
+  let phase () = Hashtbl.hash (Atomic.fetch_and_add timer_seeds 1) in
   {
-    t_live = Atomic.get current;
+    t_live = live;
     t_name = name;
     t_count = 0;
-    t_sampled = 0;
+    t_skip =
+      (if Option.is_none live then 0 else 1 + (phase () mod sample_every));
     t_sampled_ns = 0;
   }
 
 let charge tm t0 =
-  tm.t_sampled <- tm.t_sampled + 1;
   tm.t_sampled_ns <- tm.t_sampled_ns + ns_of_span t0 (Unix.gettimeofday ())
 
 let timed tm f =
   match tm.t_live with
   | None -> f ()
-  | Some _ when tm.t_count land sample_mask <> 0 ->
+  | Some _ when tm.t_skip > 1 ->
       tm.t_count <- tm.t_count + 1;
+      tm.t_skip <- tm.t_skip - 1;
       f ()
   | Some _ -> (
       tm.t_count <- tm.t_count + 1;
+      tm.t_skip <- sample_every;
       let t0 = Unix.gettimeofday () in
       match f () with
       | r ->
@@ -284,14 +293,7 @@ let flush_timer tm =
   match tm.t_live with
   | None -> ()
   | Some t when tm.t_count > 0 ->
-      let total_ns =
-        if tm.t_sampled >= tm.t_count then tm.t_sampled_ns
-        else
-          int_of_float
-            (float_of_int tm.t_sampled_ns
-            *. float_of_int tm.t_count
-            /. float_of_int (max 1 tm.t_sampled))
-      in
+      let total_ns = tm.t_sampled_ns * sample_every in
       let ctx = get_ctx () in
       let e = resolve t ~overlay:false (child_path (context_path ctx) tm.t_name) in
       Metrics.add e.c_count tm.t_count;
@@ -302,7 +304,6 @@ let flush_timer tm =
       | parent :: _ -> parent.f_child_ns <- parent.f_child_ns + total_ns
       | [] -> maybe_retire ctx);
       tm.t_count <- 0;
-      tm.t_sampled <- 0;
       tm.t_sampled_ns <- 0
   | Some _ -> ()
 

@@ -68,8 +68,10 @@ val with_base : string -> (unit -> 'a) -> 'a
     gettimeofday overhead. A [timer] accumulates count and duration
     locally and {!flush_timer} charges the batch as a single child
     phase of the context's current phase. Counts are exact but the
-    clock is read on a 1-in-64 sample of calls, so the batch duration
-    is a scaled estimate — a few ns amortized per call. *)
+    clock is read on every 64th call, from a random phase per timer, and
+    each sample is charged for 64 calls: the batch duration is an
+    unbiased estimate, even over many short batches whose first call is
+    their costliest — a few ns amortized per call. *)
 
 type timer
 

@@ -1054,7 +1054,7 @@ let dispatch t ~rid ~(sample : Telemetry.sample) ?push req =
 let begin_sample req =
   let req, rid = Reqid.ensure req in
   let op = match str_field "op" req with Some s -> s | None -> "" in
-  (req, rid, Telemetry.start ~rid ~op)
+  (req, rid, Telemetry.start ~op)
 
 let handle_request ?push t req =
   let req, rid, sample = begin_sample req in

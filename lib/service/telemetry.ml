@@ -62,7 +62,6 @@ let registry t = t.registry
 (* --- per-request samples ---------------------------------------------- *)
 
 type sample = {
-  rid : string;
   op : string;
   t0 : float;
   mutable stages_acc : (string * float) list;  (* reverse order, seconds *)
@@ -72,9 +71,8 @@ type sample = {
   mutable total_s : float;
 }
 
-let start ~rid ~op =
+let start ~op =
   {
-    rid;
     op;
     t0 = Unix.gettimeofday ();
     stages_acc = [];
@@ -84,12 +82,7 @@ let start ~rid ~op =
     total_s = 0.0;
   }
 
-let sample_rid s = s.rid
 let sample_op s = s.op
-let sample_outcome s = s.outcome
-let sample_degraded s = s.degraded
-let sample_total_s s = s.total_s
-let sample_stages s = List.rev s.stages_acc
 
 let add_stage s name dt = s.stages_acc <- (name, dt) :: s.stages_acc
 
@@ -220,8 +213,6 @@ let snapshot_json ?(extra = []) t ~in_flight () =
            [
              ( "dropped_events",
                J.Int (counter_value snap "journal.dropped_events") );
-             ( "dropped_buffers",
-               J.Int (counter_value snap "journal.dropped_buffers") );
            ] );
        ( "search",
          J.Obj

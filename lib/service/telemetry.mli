@@ -37,7 +37,7 @@ val uptime_s : t -> float
 
 type sample
 
-val start : rid:string -> op:string -> sample
+val start : op:string -> sample
 val add_stage : sample -> string -> float -> unit
 (** [add_stage s name dt] appends a completed stage ([dt] seconds). *)
 
@@ -55,16 +55,7 @@ val finish : t -> sample -> unit
     sketch; total latency and the outcome counter only for optimize
     requests (status/metrics polls must not drag p50 down). Idempotent. *)
 
-val sample_rid : sample -> string
 val sample_op : sample -> string
-val sample_outcome : sample -> string
-val sample_degraded : sample -> bool
-
-val sample_total_s : sample -> float
-(** Wall time from {!start} to {!finish} (0 until finished). *)
-
-val sample_stages : sample -> (string * float) list
-(** Completed stages in execution order, seconds. *)
 
 (** {1 Exposition} *)
 

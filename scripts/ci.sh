@@ -56,6 +56,11 @@ journal_bytes=$(wc -c < /tmp/mirage_ci_run/journal.jsonl)
 if [ "$journal_bytes" -ge 1048576 ]; then
   echo "optimize rmsnorm --report: journal.jsonl is $journal_bytes bytes"; exit 1
 fi
+# One writer stamps and writes each event under one lock, so file order
+# is seq order.
+awk -F'[:,]' '$1 != "{\"seq\"" { print "journal line " NR ": no leading seq"; exit 1 }
+  NR > 1 && $2 + 0 <= prev { print "journal line " NR ": seq " $2 " after " prev; exit 1 }
+  { prev = $2 + 0 }' /tmp/mirage_ci_run/journal.jsonl
 
 echo "== smoke: a deadline-bound optimize returns the winner it verified"
 # RMSNorm's search cannot finish in 2 s. Candidates are verified as they
@@ -147,6 +152,8 @@ MIRAGE_FAULT="journal.write:1.0:1" dune exec bin/mirage_cli.exe -- \
   optimize rmsnorm --budget 2 --workers 2 \
   --report /tmp/mirage_ci_chaos2 >/dev/null
 grep -q '"state": "\(ok\|degraded\)"' /tmp/mirage_ci_chaos2/report.json
+# the one faulted write drops exactly its own event
+grep -q '"dropped_events": 1$' /tmp/mirage_ci_chaos2/report.json
 
 echo "== validate chaos artifacts (journals must have no torn lines)"
 dune exec tools/json_check.exe -- \

@@ -191,11 +191,42 @@ let prop_jsonw_roundtrip =
          in
          reparses (Obs.Jsonw.to_string v) && reparses (Obs.Jsonw.pretty v)))
 
+(* The writer renders floats through the C primitive behind Printf, so
+   its output must stay byte-identical to the Printf rendering: integral
+   values below 1e15 as [%.0f], everything else finite as [%.12g], and
+   nan/inf as [null]. *)
+let prop_jsonw_float_printf =
+  let open QCheck2.Gen in
+  let special =
+    oneofl
+      [
+        0.0; -0.0; 1e15; -1e15; 1e15 -. 1.0; 1e15 +. 2.0; -.(1e15 -. 1.0);
+        999999999999999.5; 5e-324; -5e-324; Float.min_float;
+        Float.min_float /. 3.0; Float.max_float; Float.nan; Float.infinity;
+        Float.neg_infinity;
+      ]
+  in
+  let integral = map Float.of_int (int_range (-1_000_000_000) 1_000_000_000) in
+  let near_edge = map (fun d -> 1e15 +. Float.of_int d) (int_range (-5) 5) in
+  let subnormal = map (fun m -> Float.ldexp (Float.of_int m) (-1074)) nat in
+  let bits = map Int64.float_of_bits int64 in
+  let reference f =
+    if not (Float.is_finite f) then "null"
+    else if Float.is_integer f && Float.abs f < 1e15 then
+      Printf.sprintf "%.0f" f
+    else Printf.sprintf "%.12g" f
+  in
+  Qseed.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~name:"floats render as Printf does"
+       ~print:(Printf.sprintf "%h")
+       (oneof [ special; integral; near_edge; subnormal; bits; float ])
+       (fun f -> Obs.Jsonw.to_string (Obs.Jsonw.Float f) = reference f))
+
 (* --- journal --------------------------------------------------------------- *)
 
 let test_journal_domains () =
   let path = Filename.temp_file "mirage_journal" ".jsonl" in
-  let j = Obs.Journal.create ~capacity:16 ~path () in
+  let j = Obs.Journal.create ~path () in
   let domains = 4 and per = 500 in
   let ds =
     List.init domains (fun d ->
@@ -232,8 +263,10 @@ let test_journal_domains () =
           if n <> 1 then Alcotest.fail "an event was written twice")
         tbl;
       let uniq l = List.length (List.sort_uniq compare l) in
-      Alcotest.(check int) "seq numbers unique" (domains * per)
-        (uniq (List.map Obs.Journal.seq_of events));
+      Alcotest.(check (list int))
+        "seq in file order is 0 .. n-1"
+        (List.init (domains * per) Fun.id)
+        (List.map Obs.Journal.seq_of events);
       Alcotest.(check int) "candidate ids unique" (domains * per)
         (uniq (List.map Obs.Journal.cand_of events));
       List.iter
@@ -1180,7 +1213,7 @@ let test_hdr_registry () =
 
 let test_journal_context () =
   let path = Filename.temp_file "mirage_journal_ctx" ".jsonl" in
-  let j = Obs.Journal.create ~capacity:8 ~path () in
+  let j = Obs.Journal.create ~path () in
   Obs.Journal.set_context [ ("rid", Obs.Jsonw.Str "r-alpha") ];
   Obs.Journal.emit j ~typ:"req.a" [ ("k", Obs.Jsonw.Int 1) ];
   Obs.Journal.with_context
@@ -1320,6 +1353,43 @@ let test_profile_domains () =
       Alcotest.(check int) "batched timer count exact" (domains * per)
         (count "outer/check"))
 
+(* Many short batches whose first call is their costliest (a subtree's
+   first prune decision) must not be charged as if every call cost as
+   much: the sampled total stays within 2x of the exact one. *)
+let test_timer_unbiased () =
+  let spin us =
+    let t_end = Unix.gettimeofday () +. (us *. 1e-6) in
+    while Unix.gettimeofday () < t_end do
+      ()
+    done
+  in
+  let timers = 4000 and calls = 8 in
+  let exact = ref 0.0 in
+  with_ambient_profile (fun p ->
+      Obs.Profile.with_phase "outer" (fun () ->
+          for _ = 1 to timers do
+            let tm = Obs.Profile.timer "check" in
+            for i = 0 to calls - 1 do
+              Obs.Profile.timed tm (fun () ->
+                  let t0 = Unix.gettimeofday () in
+                  spin (if i = 0 then 50.0 else 0.5);
+                  exact := !exact +. (Unix.gettimeofday () -. t0))
+            done;
+            Obs.Profile.flush_timer tm
+          done);
+      let snap = Obs.Profile.snapshot p in
+      let check =
+        List.find
+          (fun ph -> ph.Obs.Profile.p_path = "outer/check")
+          snap.Obs.Profile.phases
+      in
+      Alcotest.(check int) "count exact" (timers * calls)
+        check.Obs.Profile.p_count;
+      let ratio = check.Obs.Profile.p_total_s /. !exact in
+      if ratio < 0.5 || ratio > 2.0 then
+        Alcotest.failf "sampled total %.4f s vs exact %.4f s (x%.2f)"
+          check.Obs.Profile.p_total_s !exact ratio)
+
 (* Disabled profiler: everything is an inert no-op and records nothing. *)
 let test_profile_disabled () =
   Obs.Profile.disable ();
@@ -1407,6 +1477,7 @@ let () =
           Alcotest.test_case "parser rejects invalid" `Quick
             test_json_parse_errors;
           prop_jsonw_roundtrip;
+          prop_jsonw_float_printf;
         ] );
       ( "journal",
         [
@@ -1470,6 +1541,8 @@ let () =
           prop_profile_conservation;
           Alcotest.test_case "counts exact across 4 domains" `Quick
             test_profile_domains;
+          Alcotest.test_case "sampled timers unbiased over short batches"
+            `Quick test_timer_unbiased;
           Alcotest.test_case "no-op when disabled" `Quick
             test_profile_disabled;
           Alcotest.test_case "snapshot json renders and covers" `Quick

@@ -540,18 +540,19 @@ let test_journal_write_fault =
   (match Obs.Fault.configure "journal.write:1.0:1" with
   | Ok () -> ()
   | Error m -> Alcotest.fail m);
-  let j = Obs.Journal.enable ~capacity:4 path in
+  let j = Obs.Journal.enable path in
   for i = 0 to 63 do
     Obs.Journal.emit j ~typ:"test.event" [ ("i", Obs.Jsonw.Int i) ]
   done;
   Obs.Journal.disable ();
-  Alcotest.(check bool) "some events dropped" true (Obs.Journal.dropped j > 0);
+  Alcotest.(check int) "exactly the faulted event dropped" 1
+    (Obs.Journal.dropped j);
   Alcotest.(check bool) "drop degraded the run" true
     (List.mem "journal.write" (Obs.Budget.degradations ()));
   (match Obs.Journal.read_file path with
   | Ok events ->
-      Alcotest.(check bool) "surviving lines all parse, none torn" true
-        (List.length events > 0)
+      Alcotest.(check int) "the other 63 lines all parse, none torn" 63
+        (List.length events)
   | Error m -> Alcotest.fail ("journal unreadable after fault: " ^ m));
   Sys.remove path
 
