@@ -1,7 +1,8 @@
 (* One writer: [emit] stamps, serializes and writes each event under
    [wlock], so file order is [seq] order and no line is ever torn or
-   interleaved. The busiest run writes ~1.7 k events/s, so one lock and
-   one flush per event are cheap. *)
+   interleaved. Measured traffic is ~1.7 k events/s for a reported
+   search and ~3 k for a journaled daemon under two clients, where one
+   lock and one flush per event cost nothing measurable (E37). *)
 type t = {
   jpath : string;
   oc : out_channel;
@@ -116,9 +117,6 @@ let emit t ?(cand = -1) ~typ fields =
               m "journal: dropped event %d on write failure: %s" seq
                 (Printexc.to_string e))
       end)
-
-let flush t =
-  Mutex.protect t.wlock (fun () -> if not t.closed then flush t.oc)
 
 let close t =
   Mutex.protect t.wlock (fun () ->

@@ -10,10 +10,15 @@
     One writer: {!emit} takes the journal's lock, stamps [seq] and [ts],
     serializes the line, writes it and flushes the channel. So file
     order is [seq] order, lines are never torn or interleaved, and once
-    {!emit} returns its line is in the file. The busiest run,
-    [optimize lora --budget 5 -j 2 --report D], writes ~1.7 k events/s
-    from two domains (8.3 k events, 1.3 MB in 5 s), so one lock and a
-    flush per event cost the search nothing measurable.
+    {!emit} returns its line is in the file. Measured traffic, on a
+    2-core VM (EXPERIMENTS E37): a reported search, [optimize lora
+    --budget 5 -j 2 --report D], writes ~1.7 k events/s from two
+    domains (8.3 k events, 1.3 MB in 5 s); a journaled daemon under a
+    serve_mix-like load (two clients, one search per spec, then five
+    cache reads each) writes ~4 events per request, ~3 k events/s. At
+    both, a lock and a flush per event left the search's expansions
+    and the requests' mean latency within noise of the per-domain
+    buffers this writer replaced.
 
     Journaling is off by default: {!event} costs one atomic load when no
     journal is installed. [mirage_cli optimize --report DIR] enables it.
@@ -76,9 +81,6 @@ val context : unit -> (string * Jsonw.t) list
 val with_context : (string * Jsonw.t) list -> (unit -> 'a) -> 'a
 (** Run with the given context fields installed, restoring the previous
     context on exit (exceptions included). *)
-
-val flush : t -> unit
-(** Flush the channel. Every {!emit} already flushes its line. *)
 
 val close : t -> unit
 (** Close the channel; later {!emit}s are dropped silently. Idempotent. *)

@@ -243,7 +243,10 @@ let with_base path f =
    random phase of its period, so every call, a fresh timer's first
    call included, is sampled with probability 1/64 and the estimate is
    unbiased even when the first call of each short batch (a subtree's
-   first prune decision) is its costliest. *)
+   first prune decision) is its costliest. The Hdr observation is the
+   batch's own estimate, its mean sampled call times its count, so a
+   short batch reads neither 0 nor 64 calls' worth; a batch that took
+   no sample records none. *)
 let sample_every = 64
 let timer_seeds = Atomic.make 0
 
@@ -252,6 +255,7 @@ type timer = {
   t_name : string;
   mutable t_count : int;  (* every call, exact *)
   mutable t_skip : int;  (* calls until the next sample, this one included *)
+  mutable t_samples : int;  (* clock-read calls of this batch *)
   mutable t_sampled_ns : int;
 }
 
@@ -264,10 +268,12 @@ let timer name =
     t_count = 0;
     t_skip =
       (if Option.is_none live then 0 else 1 + (phase () mod sample_every));
+    t_samples = 0;
     t_sampled_ns = 0;
   }
 
 let charge tm t0 =
+  tm.t_samples <- tm.t_samples + 1;
   tm.t_sampled_ns <- tm.t_sampled_ns + ns_of_span t0 (Unix.gettimeofday ())
 
 let timed tm f =
@@ -299,11 +305,15 @@ let flush_timer tm =
       Metrics.add e.c_count tm.t_count;
       Metrics.add e.c_total total_ns;
       Metrics.add e.c_self total_ns;
-      Hdr.record e.h (float_of_int total_ns *. 1e-9);
+      if tm.t_samples > 0 then
+        Hdr.record e.h
+          (float_of_int tm.t_sampled_ns *. float_of_int tm.t_count
+          /. float_of_int tm.t_samples *. 1e-9);
       (match ctx.frames with
       | parent :: _ -> parent.f_child_ns <- parent.f_child_ns + total_ns
       | [] -> maybe_retire ctx);
       tm.t_count <- 0;
+      tm.t_samples <- 0;
       tm.t_sampled_ns <- 0
   | Some _ -> ()
 

@@ -71,7 +71,10 @@ val with_base : string -> (unit -> 'a) -> 'a
     clock is read on every 64th call, from a random phase per timer, and
     each sample is charged for 64 calls: the batch duration is an
     unbiased estimate, even over many short batches whose first call is
-    their costliest — a few ns amortized per call. *)
+    their costliest — a few ns amortized per call. A batch's Hdr
+    observation (the phase's p50/p99) is its mean sampled call times
+    its count; a batch that took no sample records none, so a phase
+    of short batches has fewer Hdr observations than batches. *)
 
 type timer
 
@@ -82,8 +85,9 @@ val timer : string -> timer
 val timed : timer -> (unit -> 'a) -> 'a
 val flush_timer : timer -> unit
 (** Charge the accumulated batch to [<current path>/<name>] (count,
-    total, self, one Hdr observation for the batch) and reset. Call on
-    the thread that runs the phases the batch belongs under. *)
+    total, self, one Hdr observation for a batch that took a sample)
+    and reset. Call on the thread that runs the phases the batch
+    belongs under. *)
 
 (** {1 Overlay notes}
 

@@ -688,8 +688,11 @@ let optimize t ~rid ~(sample : Telemetry.sample) ?push ?(interval_s = 0.1)
               Telemetry.set_outcome sample "hit";
               Ok (fp, payload, true, false, None)
           | None -> (
-              Obs.Journal.event "cache.miss" [ ("fingerprint", J.Str fp) ];
-              (* join or create the flight for this fingerprint *)
+              (* join or create the flight for this fingerprint; the
+                 [cache.miss] event waits until after, since a journal
+                 write here widens the window in which a leader can
+                 remember its result and settle its flight unseen, so
+                 this request would lead a second search *)
               Mutex.lock t.lock;
               let flight, creator =
                 match Hashtbl.find_opt t.flights fp with
@@ -709,6 +712,7 @@ let optimize t ~rid ~(sample : Telemetry.sample) ?push ?(interval_s = 0.1)
                     (fl, true)
               in
               Mutex.unlock t.lock;
+              Obs.Journal.event "cache.miss" [ ("fingerprint", J.Str fp) ];
               if creator then begin
                 (* the leader admits its search into the bounded slot
                    queue; followers ride the leader's slot and are

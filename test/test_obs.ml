@@ -1355,7 +1355,10 @@ let test_profile_domains () =
 
 (* Many short batches whose first call is their costliest (a subtree's
    first prune decision) must not be charged as if every call cost as
-   much: the sampled total stays within 2x of the exact one. *)
+   much: the sampled total stays within 2x of the exact one. A batch's
+   Hdr observation is its own estimate: only batches that took a sample
+   record one, and the median reads about [calls] cheap calls, not 0
+   and not 64 calls' worth. *)
 let test_timer_unbiased () =
   let spin us =
     let t_end = Unix.gettimeofday () +. (us *. 1e-6) in
@@ -1388,7 +1391,15 @@ let test_timer_unbiased () =
       let ratio = check.Obs.Profile.p_total_s /. !exact in
       if ratio < 0.5 || ratio > 2.0 then
         Alcotest.failf "sampled total %.4f s vs exact %.4f s (x%.2f)"
-          check.Obs.Profile.p_total_s !exact ratio)
+          check.Obs.Profile.p_total_s !exact ratio;
+      let h = check.Obs.Profile.p_hdr in
+      if h.Obs.Hdr.count = 0 || h.Obs.Hdr.count >= timers then
+        Alcotest.failf "%d Hdr observations for %d batches" h.Obs.Hdr.count
+          timers;
+      let p50 = Obs.Hdr.snap_quantile h 0.5 in
+      if p50 < 1e-6 || p50 > 20e-6 then
+        Alcotest.failf "batch p50 %.1f us, expected ~%d cheap calls" (p50 *. 1e6)
+          calls)
 
 (* Disabled profiler: everything is an inert no-op and records nothing. *)
 let test_profile_disabled () =
