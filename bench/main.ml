@@ -11,6 +11,7 @@
      dune exec bench/main.exe -- verify
      dune exec bench/main.exe -- serve
      dune exec bench/main.exe -- profile
+     dune exec bench/main.exe -- loc
      dune exec bench/main.exe -- micro
 
    Several suites may be given at once (e.g. `fig7 verify --history F`)
@@ -31,12 +32,19 @@ let json_suites : string list ref = ref []
 (* Bench history: each suite appends its keys to its section, and
    [--history FILE] writes the sections as one entry in this order (the
    Fig. 7 costs "<device>.<benchmark>.mirage_us", then
-   "verify.<benchmark>.fast_over_ref", "serve.*", "enum.*" and
-   "codegen.*" keys). Which key regresses, in which direction and with
+   "verify.<benchmark>.fast_over_ref", "serve.*", "enum.*", "codegen.*"
+   and "loc.*" keys). Which key regresses, in which direction and with
    what slack is Obs.Report.history_rules. *)
 let history : (string * (string * float) list) list ref =
   ref
-    [ ("costs", []); ("verify", []); ("serve", []); ("enum", []); ("codegen", []) ]
+    [
+      ("costs", []);
+      ("verify", []);
+      ("serve", []);
+      ("enum", []);
+      ("codegen", []);
+      ("loc", []);
+    ]
 
 let record section kvs =
   history :=
@@ -1149,7 +1157,7 @@ let enum_bench () =
     let memo =
       Search.Prefix.memo
         (Search.Prefix.values (Search.Prefix.spec_goals spec))
-        (Search.Kernel_enum.tally cfg stats)
+        (Search.Kernel_enum.tally stats)
         front
     in
     Gc.minor ();
@@ -1478,6 +1486,49 @@ let codegen_bench () =
     rm_rf dir
   end
 
+(* ------------------------------------------------------------------ *)
+(* Source size: the lines (newlines, as wc -l counts them) of each     *)
+(* lib/<dir>/*.ml and *.mli, read from the checkout root, recorded as   *)
+(* loc.lib.<dir> and loc.lib.total. No history rule gates them.        *)
+(* ------------------------------------------------------------------ *)
+
+let loc_bench () =
+  hr "loc: lines of lib/<dir>/*.ml{,i}";
+  jsuite "loc";
+  if not (Sys.file_exists "lib" && Sys.is_directory "lib") then begin
+    prerr_endline "loc: no lib/ here; run from the checkout root";
+    exit 2
+  end;
+  let lines file =
+    let s = In_channel.with_open_bin file In_channel.input_all in
+    String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 s
+  in
+  let sorted_entries dir = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  let dirs =
+    List.filter
+      (fun d -> Sys.is_directory (Filename.concat "lib" d))
+      (sorted_entries "lib")
+  in
+  let counts =
+    List.map
+      (fun d ->
+        let dir = Filename.concat "lib" d in
+        ( d,
+          List.fold_left
+            (fun n f ->
+              if Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli"
+              then n + lines (Filename.concat dir f)
+              else n)
+            0 (sorted_entries dir) ))
+      dirs
+  in
+  let total = List.fold_left (fun n (_, k) -> n + k) 0 counts in
+  List.iter (fun (d, n) -> Printf.printf "  lib/%-12s %6d\n" d n) counts;
+  Printf.printf "  %-16s %6d\n" "total" total;
+  record "loc"
+    (List.map (fun (d, n) -> ("loc.lib." ^ d, float_of_int n)) counts
+    @ [ ("loc.lib.total", float_of_int total) ])
+
 let write_json file =
   (* The suites keep their metrics in per-run registries, so the
      process-wide default registry is usually empty here; emitting the
@@ -1487,8 +1538,8 @@ let write_json file =
   let metrics_field =
     let s = Obs.Metrics.snapshot (Obs.Metrics.default ()) in
     if
-      s.Obs.Metrics.counters = [] && s.Obs.Metrics.hists = []
-      && s.Obs.Metrics.gauges = [] && s.Obs.Metrics.hdrs = []
+      s.Obs.Metrics.counters = [] && s.Obs.Metrics.gauges = []
+      && s.Obs.Metrics.hdrs = []
     then []
     else [ ("metrics", Obs.Metrics.to_json s) ]
   in
@@ -1559,8 +1610,8 @@ let history_entry ~wall_s =
 let finish_history ~file ~gate_pct ~wall_s =
   if List.for_all (fun (_, kvs) -> kvs = []) !history then begin
     Printf.eprintf
-      "--history: nothing recorded (run the fig7, verify, serve, enum and/or \
-       codegen suite)\n";
+      "--history: nothing recorded (run the fig7, verify, serve, enum, \
+       codegen and/or loc suite)\n";
     exit 2
   end;
   let entry = history_entry ~wall_s in
@@ -1623,7 +1674,7 @@ let () =
   let t0 = Unix.gettimeofday () in
   let usage () =
     prerr_endline
-      "usage: main.exe [fig7|fig11|verify|serve|enum|profile|codegen|table5 \
+      "usage: main.exe [fig7|fig11|verify|serve|enum|profile|codegen|loc|table5 \
        [--full]|casestudy <name>|gqa_sweep|ablation|micro]... [--json FILE] \
        [--history FILE [--gate PCT]]";
     exit 2
@@ -1670,6 +1721,9 @@ let () =
         dispatch rest
     | "codegen" :: rest ->
         codegen_bench ();
+        dispatch rest
+    | "loc" :: rest ->
+        loc_bench ();
         dispatch rest
     | _ -> usage ()
   in

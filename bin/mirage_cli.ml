@@ -346,9 +346,9 @@ let solver_json (sv : Smtlite.Solver.stats) =
       ("solve_time_s", Obs.Jsonw.Float sv.Smtlite.Solver.solve_time_s);
     ]
 
-(* The process-wide registry holds the verifier's counters; per-search
-   registries hold the funnel and enumerator histograms. Merge them for
-   one report. *)
+(* The process-wide registry holds the verifier's counters and trial
+   Hdr; per-search registries hold the funnel and the enumerators'
+   per-level counters. Merge them for one report. *)
 let merged_metrics piece_snaps =
   Obs.Metrics.merge
     (piece_snaps @ [ Obs.Metrics.snapshot (Obs.Metrics.default ()) ])

@@ -44,13 +44,6 @@ module Im = struct
          ~help:"subtrees cut: objective bound cannot beat incumbent"
          "ilp.cuts.bound")
 
-  let nodes_per_solve =
-    lazy
-      (Obs.Metrics.histogram (reg ())
-         ~help:"branch-and-bound nodes per solve"
-         ~buckets:[| 1.; 10.; 100.; 1000.; 10_000.; 100_000.; 1_000_000. |]
-         "ilp.nodes_per_solve")
-
   let limit_hits =
     lazy
       (Obs.Metrics.counter (reg ())
@@ -189,8 +182,7 @@ let solve_unprofiled ?(node_limit = 10_000_000) ?budget p =
     ~finally:(fun () ->
       (* counts survive a cut-short solve, so the blown-up solve is
          still visible in the metrics table *)
-      Obs.Metrics.add (Lazy.force Im.nodes) !nodes;
-      Obs.Metrics.observe (Lazy.force Im.nodes_per_solve) (float_of_int !nodes))
+      Obs.Metrics.add (Lazy.force Im.nodes) !nodes)
     (fun () -> try go 0 with Limit_hit -> limited := true);
   if !limited then Obs.Metrics.bump (Lazy.force Im.limit_hits);
   match (!best, !limited) with

@@ -31,6 +31,7 @@ let known_points =
     "journal.write";
     "report.finalize";
     "serve.slow";
+    "serve.join";
     "serve.search";
     "wire.torn";
     "wire.disconnect";

@@ -20,7 +20,9 @@ exception Injected of string
 
 val known_points : string list
 (** The documented probe points: [enum.block], [enum.kernel], [verify],
-    [ilp], [journal.write], [report.finalize], [serve.slow],
+    [ilp], [journal.write], [report.finalize], [serve.slow] and
+    [serve.join] (a daemon request stalls before its cache probe, or
+    between a missed probe and the single-flight lookup),
     [serve.search] (a daemon search raises as it starts). {!trip}
     accepts any name. *)
 

@@ -1,9 +1,7 @@
 (* Prometheus text-format exposition (version 0.0.4) of a metrics
-   snapshot. Counters and gauges render directly; fixed-bucket
-   histograms render as the native `histogram` type (cumulative
-   `_bucket{le=...}` series); Hdr latency sketches render as the
-   `summary` type with precomputed quantiles, since Prometheus has no
-   native sketch type. *)
+   snapshot. Counters and gauges render directly; Hdr latency sketches
+   render as the `summary` type with precomputed quantiles, since
+   Prometheus has no native sketch type. *)
 
 let sanitize name =
   String.map
@@ -34,27 +32,6 @@ let render (s : Metrics.snapshot) =
       header name "gauge";
       Buffer.add_string buf (Printf.sprintf "%s %s\n" name (num v)))
     s.Metrics.gauges;
-  List.iter
-    (fun (name, (h : Metrics.hist_snapshot)) ->
-      let name = sanitize name in
-      header name "histogram";
-      let cum = ref 0 in
-      Array.iteri
-        (fun i c ->
-          cum := !cum + c;
-          let le =
-            if i < Array.length h.Metrics.bounds then
-              num h.Metrics.bounds.(i)
-            else "+Inf"
-          in
-          Buffer.add_string buf
-            (Printf.sprintf "%s_bucket{le=\"%s\"} %d\n" name le !cum))
-        h.Metrics.counts;
-      Buffer.add_string buf
-        (Printf.sprintf "%s_sum %s\n" name (num h.Metrics.sum));
-      Buffer.add_string buf
-        (Printf.sprintf "%s_count %d\n" name h.Metrics.count))
-    s.Metrics.hists;
   List.iter
     (fun (name, (d : Hdr.snapshot)) ->
       let name = sanitize name in

@@ -1,10 +1,8 @@
 (** Prometheus text-format (0.0.4) rendering of a {!Metrics.snapshot},
-    so a scrape endpoint (or [mirage_cli request metrics --format
-    prometheus]) can feed a stock collector. Counters and gauges map
-    directly; fixed-bucket histograms become native [histogram] series
-    (cumulative [le] buckets); {!Hdr} sketches become [summary] series
-    with p50/p90/p99. Metric names are sanitized to
-    [[a-zA-Z0-9_:]]. *)
+    so a scrape endpoint (or [mirage_cli request metrics
+    --prometheus]) can feed a stock collector. Counters and gauges map
+    directly; {!Hdr} sketches become [summary] series with p50/p90/p99.
+    Metric names are sanitized to [[a-zA-Z0-9_:]]. *)
 
 val sanitize : string -> string
 

@@ -214,8 +214,8 @@ let combined_phase phases =
   else if List.for_all (fun p -> p = Inv) phases then Some Inv
   else Some Body
 
-let tally (cfg : Config.t) stats =
-  Tally.level stats ~name:"block" ~max_depth:cfg.Config.max_block_ops
+let tally stats =
+  Tally.level stats ~name:"block"
     Tally.
       [ Shape; Memory; Duplicate; Pruned; Canonical; Phase; Dangling; Unreachable ]
 

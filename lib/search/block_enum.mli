@@ -86,7 +86,7 @@ type phase = Body | Inv | Post
 (** A block tensor's loop phase, its value's attrs: computed in the loop
     body, loop-invariant, or after the loop (an accumulator's output). *)
 
-val tally : Config.t -> Stats.t -> Tally.level
+val tally : Stats.t -> Tally.level
 (** The block level's counters ([search.block.*]), resolved once per
     search for the workers' memos ({!Prefix.memo}). *)
 

@@ -266,8 +266,8 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
      picks its executing lane's memo when it starts. Only the lane
      writes its slots, and this domain reads them after the lanes join.
      Tables and memos die with this call. *)
-  let ktally = Kernel_enum.tally cfg stats
-  and btally = Block_enum.tally cfg stats in
+  let ktally = Kernel_enum.tally stats
+  and btally = Block_enum.tally stats in
   let kmemos = Array.make workers None and bmemos = Array.make workers None in
   let memo_of memos values tally i =
     match memos.(i) with

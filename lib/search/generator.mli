@@ -26,7 +26,7 @@ type outcome = {
   stats : Stats.snapshot;
   metrics : Obs.Metrics.snapshot;
       (** full snapshot of the search's metrics registry: the funnel
-          counters plus the enumerators' per-depth histograms *)
+          counters plus the enumerators' per-level counters *)
   solver : Smtlite.Solver.stats;
   budget_exhausted : bool;
   task_failures : int;
@@ -160,7 +160,7 @@ val run :
     is 1 when the run holds an incumbent, 0 otherwise. The incumbent is
     thread-fused and wins if it is then strictly cheaper than the spec.
 
-    [registry] backs the search's counters and histograms (default: a
+    [registry] backs the search's counters (default: a
     fresh registry per run; pass a shared one to accumulate across
     runs).
 
@@ -181,9 +181,8 @@ val run :
     enabled, the run attributes its wall time to a [search] phase tree
     ([verify.setup]/[enumerate]/[finalize], with one [task.kernel] or
     [task.root] phase per root task, a [candidate] phase per
-    verification attempt under the task that emitted it, and prune-rule
-    fire counts); with its timeline on, each is also a Chrome trace
-    span. *)
+    verification attempt under the task that emitted it); with its
+    timeline on, each is also a Chrome trace span. *)
 
 val search_time :
   ?config:Config.t ->

@@ -5,8 +5,8 @@ type state = (Graph.kernel_op, unit, unit) Prefix.state
 
 let tref i = { Graph.node = i; port = 0 }
 
-let tally (cfg : Config.t) stats =
-  Tally.level stats ~name:"kernel" ~max_depth:cfg.Config.max_kernel_ops
+let tally stats =
+  Tally.level stats ~name:"kernel"
     Tally.[ Shape; Duplicate; Pruned; Canonical; Unreachable ]
 
 let search (cfg : Config.t) ~spec ~memo ~limits ~budget ?spawn ~emit () =

@@ -17,7 +17,7 @@
 
 open Mugraph
 
-val tally : Config.t -> Stats.t -> Tally.level
+val tally : Stats.t -> Tally.level
 (** The kernel level's counters ([search.kernel.*]), resolved once per
     search for the workers' memos ({!Prefix.memo}). *)
 

@@ -616,7 +616,7 @@ let engine (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget =
      inputs [a] and [b] and packed rank [r] not below the prefix's (only
      a slot of the prefix's own rank compares operators), each failing
      one check or kept; the kept children are consed onto [kept]. *)
-  let visit_slot c st table ~depth kept k s a b r =
+  let visit_slot c st table kept k s a b r =
     let bd = table.(k) in
     let cl = bd.cells.(s) and off = bd.offs.(s) in
     let kept = ref kept in
@@ -625,31 +625,29 @@ let engine (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget =
         let v = Char.code (Bytes.unsafe_get bd.verdicts (off + t)) in
         if v <> v_dead then begin
           let op, made = cl.(t) in
-          if before st r op then Tally.reject c.tl ~depth Tally.Canonical
+          if before st r op then Tally.reject c.tl Tally.Canonical
           else
             match made with
-            | Error reason -> Tally.reject c.tl ~depth reason
+            | Error reason -> Tally.reject c.tl reason
             | Ok x when v = v_duplicate || recomputes st.entries bd.born x ->
-                Tally.reject c.tl ~depth Tally.Duplicate
-            | Ok _ when v >= 8 ->
-                Tally.reject c.tl ~depth (Tally.of_index (v - 8))
+                Tally.reject c.tl Tally.Duplicate
+            | Ok _ when v >= 8 -> Tally.reject c.tl (Tally.of_index (v - 8))
             | Ok x -> (
                 match lv.admit st x with
-                | Some reason -> Tally.reject c.tl ~depth reason
-                | None when v = v_pruned ->
-                    Tally.reject c.tl ~depth Tally.Pruned
+                | Some reason -> Tally.reject c.tl reason
+                | None when v = v_pruned -> Tally.reject c.tl Tally.Pruned
                 | None -> (
                     let reads =
                       (1 lsl a) lor if b < 0 then 0 else 1 lsl b
                     in
                     match lv.child st reads x with
-                    | Error reason -> Tally.reject c.tl ~depth reason
+                    | Error reason -> Tally.reject c.tl reason
                     | Ok _
                       when st.ops >= c.run.reach_from
                            && st.ops + 1
                               + bound c.m.values.dist (st.reach lor x.reach)
                               > lv.max_ops ->
-                        Tally.reject c.tl ~depth Tally.Unreachable
+                        Tally.reject c.tl Tally.Unreachable
                     | Ok own ->
                         let count = Array.length st.entries in
                         let e = { op; ins = ins_list a b; value = x } in
@@ -682,11 +680,10 @@ let engine (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget =
     let dist = c.m.values.dist in
     if st.reach land dist.outputs = dist.outputs then c.run.complete c.tl st;
     if st.ops < lv.max_ops then begin
-      let depth = st.ops in
       let count = Array.length st.entries in
       let table = grow c st in
       let top = table.(count - 1) in
-      Tally.expand c.tl ~depth top.tries;
+      Tally.expand c.tl top.tries;
       (* the last operator's first input; -1 at the root *)
       let l = (st.rank lsr rank_bits) - 1 in
       (* the live tries of the rows before [l]: bundles [0 .. l-1], and
@@ -705,21 +702,20 @@ let engine (lv : ('o, 'a, 's) level) (cfg : Config.t) ~memo ~budget =
         let bi = table.(i) in
         let r1 = rank2 i (-1) in
         if r1 < st.rank then below := !below + bi.live.(0)
-        else kept := visit_slot c st table ~depth !kept i 0 i (-1) r1;
+        else kept := visit_slot c st table !kept i 0 i (-1) r1;
         for j = 0 to count - 1 do
           let r = rank2 i j in
           if i <= j then
             if r < st.rank then below := !below + table.(j).live.(1 + i)
-            else kept := visit_slot c st table ~depth !kept j (1 + i) i j r
+            else kept := visit_slot c st table !kept j (1 + i) i j r
           else if r < st.rank then below := !below + bi.live.(i + 2 + j)
-          else kept := visit_slot c st table ~depth !kept i (i + 2 + j) i j r
+          else kept := visit_slot c st table !kept i (i + 2 + j) i j r
         done;
         if r1 < st.rank then below := !below + bi.live.((2 * i) + 2)
-        else
-          kept := visit_slot c st table ~depth !kept i ((2 * i) + 2) i (-1) r1
+        else kept := visit_slot c st table !kept i ((2 * i) + 2) i (-1) r1
       done;
       for i = 0 to Tally.n_reasons - 1 do
-        Tally.reject_n c.tl (Tally.of_index i) ~depth
+        Tally.reject_n c.tl (Tally.of_index i)
           (top.dead.(i) + if i = canonical then !below else 0)
       done;
       descend c (List.rev !kept)

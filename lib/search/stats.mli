@@ -35,8 +35,9 @@
     numbers are available both as this fixed [snapshot] record — the
     stable programmatic interface — and through the registry's generic
     snapshot/table/JSON machinery, alongside any extra metrics the
-    enumerators register dynamically (per-depth histograms, auxiliary
-    rejection counters).
+    enumerators register dynamically (the per-level
+    [search.<level>.expanded] and [search.<level>.reject.<r>] counters,
+    whose two levels sum to each funnel count the enumerators drain).
 
     The funnel invariant, by construction (every attempted extension is
     counted once, and every rejection and every candidate corresponds to
@@ -58,7 +59,7 @@ type snapshot = {
   duplicates : int;
       (** recomputed an existing value: the enumerators' [Duplicate]
           rejects, the sum of the two levels'
-          [search.<level>.reject_depth.duplicate] histograms *)
+          [search.<level>.reject.duplicate] counters *)
   elapsed_s : float;
 }
 
@@ -70,7 +71,7 @@ val create : ?registry:Obs.Metrics.t -> unit -> t
     Passing a shared registry accumulates across searches. *)
 
 val registry : t -> Obs.Metrics.t
-(** The backing registry — enumerators register their own histograms
+(** The backing registry — enumerators register their own counters
     here, and callers can render everything with
     [Obs.Metrics.(to_table (snapshot (registry t)))]. *)
 

@@ -1,8 +1,7 @@
-(* Per-subtree accounting for the enumerators (see tally.mli). Every
-   attempted extension used to pay a shared atomic for the funnel
-   counter, three more for its depth histogram (one a CAS on a boxed
-   float) and 2-3 for the solver's counters, all on cache lines every
-   worker writes. Here they are plain increments into arrays the subtree
+(* Per-subtree accounting for the enumerators (see tally.mli). Counting
+   an attempted extension straight into the shared funnel, level and
+   solver counters would pay several atomics on cache lines every worker
+   writes. Here they are plain increments into one array the worker
    owns, drained in one pass per batch. *)
 
 type reason =
@@ -34,119 +33,92 @@ let of_index i =
   if i < 0 || i >= n_reasons then invalid_arg "Tally.of_index"
   else by_index.(i)
 
-(* Where a reason's batch drains: a funnel counter with its depth
-   histogram, or (for the block level's structural cuts and the
-   goal-distance cut) a plain registry counter. *)
-type sink =
-  | Funnel of Stats.kind * Obs.Metrics.histogram
-  | Counter of Obs.Metrics.counter
+(* Where a reason's batch drains: its level's [search.<name>.reject.<r>]
+   counter and, for a funnel reason, its {!Stats} kind. *)
+type sink = { counter : Obs.Metrics.counter; kind : Stats.kind option }
 
-let sink reg ~name ~buckets r =
-  let hist suffix help =
-    Obs.Metrics.histogram reg ~help ~buckets
-      (Printf.sprintf "search.%s.reject_depth.%s" name suffix)
-  in
-  let counter suffix help =
-    Counter
-      (Obs.Metrics.counter reg ~help
-         (Printf.sprintf "search.%s.reject.%s" name suffix))
+let sink reg ~name r =
+  let sink ?kind suffix help =
+    {
+      counter =
+        Obs.Metrics.counter reg ~help
+          (Printf.sprintf "search.%s.reject.%s" name suffix);
+      kind;
+    }
   in
   match r with
-  | Shape -> Funnel (Stats.Shape, hist "shape" "depth of shape rejections")
+  | Shape ->
+      sink ~kind:Stats.Shape "shape" "extensions whose shapes do not infer"
   | Memory ->
-      Funnel
-        (Stats.Memory, hist "memory" "depth of shared-memory rejections")
+      sink ~kind:Stats.Memory "memory"
+        "extensions over the shared-memory limit"
   | Duplicate ->
-      Funnel
-        (Stats.Duplicates, hist "duplicate" "depth of duplicate rejections")
+      sink ~kind:Stats.Duplicates "duplicate"
+        "extensions recomputing an existing value"
   | Canonical ->
-      Funnel
-        ( Stats.Canonical,
-          hist "canonical" "depth of canonical-order rejections" )
+      sink ~kind:Stats.Canonical "canonical"
+        "extensions out of canonical rank order"
   | Pruned ->
-      Funnel
-        (Stats.Pruned, hist "pruned" "depth of abstract-expression rejections")
-  | Phase -> counter "phase" "extensions with an inconsistent loop phase"
+      sink ~kind:Stats.Pruned "pruned"
+        "extensions cut by the abstract-expression check"
+  | Phase -> sink "phase" "extensions with an inconsistent loop phase"
   | Dangling ->
-      counter "dangling" "accepted prefixes cut by the dangling-value bound"
+      sink "dangling" "accepted prefixes cut by the dangling-value bound"
   | Unreachable ->
-      counter "unreachable"
-        "accepted prefixes cut by the goal-distance bound"
+      sink "unreachable" "accepted prefixes cut by the goal-distance bound"
 
 let batch = 4096
 
 type level = {
   stats : Stats.t;
-  stride : int;  (* depths 0 .. stride-1 *)
-  h_expand : Obs.Metrics.histogram;
+  expanded : Obs.Metrics.counter;
   sinks : sink option array;  (* by reason index *)
 }
 
-let level stats ~name ~max_depth reasons =
-  let buckets =
-    Obs.Metrics.linear_buckets ~lo:0.0 ~step:1.0 ~n:(max 1 max_depth + 1)
-  in
+let level stats ~name reasons =
   let reg = Stats.registry stats in
-  let h_expand =
-    Obs.Metrics.histogram reg ~help:"prefix depth of attempted extensions"
-      ~buckets
-      (Printf.sprintf "search.%s.expand_depth" name)
+  let expanded =
+    Obs.Metrics.counter reg ~help:"attempted extensions"
+      (Printf.sprintf "search.%s.expanded" name)
   in
   let sinks = Array.make n_reasons None in
-  List.iter
-    (fun r -> sinks.(index r) <- Some (sink reg ~name ~buckets r))
-    reasons;
-  { stats; stride = max 1 max_depth + 1; h_expand; sinks }
+  List.iter (fun r -> sinks.(index r) <- Some (sink reg ~name r)) reasons;
+  { stats; expanded; sinks }
 
-(* One worker's counts for one level of one search. [counts] row 0
-   holds expansions by depth, row [1 + index r] the rejections for [r],
-   all weighted when counted, so the subtrees of root classes of any
-   size share one buffer. *)
+(* One worker's counts for one level of one search: slot 0 holds the
+   expansions since the last flush, slot [1 + index r] the rejections
+   for [r], all weighted when counted, so the subtrees of root classes
+   of any size share one buffer. *)
 type acc = {
   lvl : level;
   front : Smtlite.Solver.front;
   counts : int array;
-  mutable pending : int;  (* expansions since the last flush *)
   mutable candidates : int;
 }
 
 let acc lvl front =
-  {
-    lvl;
-    front;
-    counts = Array.make ((n_reasons + 1) * lvl.stride) 0;
-    pending = 0;
-    candidates = 0;
-  }
+  { lvl; front; counts = Array.make (n_reasons + 1) 0; candidates = 0 }
 
-(* Drain row [row] into [h] (per depth) and return its total. *)
-let drain a row h =
-  let stride = a.lvl.stride in
-  let base = row * stride in
-  let total = ref 0 in
-  for d = 0 to stride - 1 do
-    let k = a.counts.(base + d) in
-    if k > 0 then begin
-      (match h with
-      | Some h -> Obs.Metrics.observe_n h (float_of_int d) k
-      | None -> ());
-      total := !total + k;
-      a.counts.(base + d) <- 0
-    end
-  done;
-  !total
+(* Empty slot [i] and return what it held. *)
+let take a i =
+  let k = a.counts.(i) in
+  a.counts.(i) <- 0;
+  k
 
 let flush a =
   let stats = a.lvl.stats in
   (* expansions first, so a live reader never sees a rejection whose
      attempt it has not counted *)
-  Stats.add stats Stats.Expanded (drain a 0 (Some a.lvl.h_expand));
-  a.pending <- 0;
+  let n = take a 0 in
+  Obs.Metrics.add a.lvl.expanded n;
+  Stats.add stats Stats.Expanded n;
   Array.iteri
     (fun i s ->
       match s with
-      | Some (Funnel (k, h)) -> Stats.add stats k (drain a (i + 1) (Some h))
-      | Some (Counter c) -> Obs.Metrics.add c (drain a (i + 1) None)
+      | Some { counter; kind } ->
+          let k = take a (i + 1) in
+          Obs.Metrics.add counter k;
+          Option.iter (fun kind -> Stats.add stats kind k) kind
       | None -> ())
     a.lvl.sinks;
   Stats.add stats Stats.Candidates a.candidates;
@@ -163,20 +135,18 @@ let run a ~weight f =
     ~finally:(fun () -> Obs.Profile.flush_timer timer)
     (fun () -> f { a; weight; timer })
 
-let expand t ~depth n =
-  let a = t.a and k = n * t.weight in
-  a.counts.(depth) <- a.counts.(depth) + k;
-  a.pending <- a.pending + k;
-  if a.pending >= batch then flush a
-
-let reject_n t r ~depth n =
+let expand t n =
   let a = t.a in
-  let i = ((index r + 1) * a.lvl.stride) + depth in
+  a.counts.(0) <- a.counts.(0) + (n * t.weight);
+  if a.counts.(0) >= batch then flush a
+
+let reject_n t r n =
+  let a = t.a and i = index r + 1 in
   a.counts.(i) <- a.counts.(i) + (n * t.weight)
 
-let reject t r ~depth = reject_n t r ~depth 1
+let reject t r = reject_n t r 1
 
 let candidate t = t.a.candidates <- t.a.candidates + 1
-let expanded t = Stats.expanded t.a.lvl.stats + t.a.pending
+let expanded t = Stats.expanded t.a.lvl.stats + t.a.counts.(0)
 let front t = t.a.front
 let timer t = t.timer

@@ -1,5 +1,5 @@
 (** Worker-owned accounting for the enumeration: the funnel counts of
-    {!Stats}, the per-depth [search.<level>.*] histograms and the solver
+    {!Stats}, the per-level [search.<level>.*] counters and the solver
     front's query counts, batched in plain fields of one buffer ({!acc})
     per worker and level, and a prune-check timer per subtree. It is the
     one record of what a search cut: the profiler times phases, it does
@@ -18,10 +18,10 @@
 
     Counts are per root. The block level searches a root class once (see
     {!Block_enum}), so a class's subtrees run with the class size as
-    their weight: a try, a rejection and its depth-histogram bucket
-    count once per member of the class. Candidates are counted once per
-    member that emitted a graph. Solver-front queries
-    and hits are not weighted: they count real queries. *)
+    their weight: a try and a rejection count once per member of the
+    class. Candidates are counted once per member that emitted a graph.
+    Solver-front queries and hits are not weighted: they count real
+    queries. *)
 
 type reason =
   | Shape
@@ -35,8 +35,8 @@ type reason =
 (** Why an attempted extension was cut. [Phase] and [Dangling] are
     block-level structural cuts, and [Unreachable] is the goal-distance
     cut of both levels (too few operators left to build what the goal
-    still misses, see {!Prefix}); each has its own registry counter. The
-    rest are funnel rejections with a depth histogram. *)
+    still misses, see {!Prefix}). The rest are funnel rejections, also
+    counted in their {!Stats} kind. *)
 
 val n_reasons : int
 (** [8]: the reasons' indices are [0 .. n_reasons - 1]. *)
@@ -55,12 +55,10 @@ val batch : int
 type level
 (** One enumerator level's shared handles, resolved once per search. *)
 
-val level : Stats.t -> name:string -> max_depth:int -> reason list -> level
-(** Registers, in order, [search.<name>.expand_depth], then per reason a
-    [search.<name>.reject_depth.<r>] histogram ([Phase], [Dangling] and
-    [Unreachable]: a [search.<name>.reject.<r>] counter). Histograms bucket depths
-    [0 .. max_depth]. Only the listed reasons may be passed to
-    {!reject}. *)
+val level : Stats.t -> name:string -> reason list -> level
+(** Registers, in order, the counter [search.<name>.expanded], then per
+    reason a [search.<name>.reject.<r>] counter. Only the listed reasons
+    may be passed to {!reject}. *)
 
 type acc
 (** One worker's buffer for one level of one search. *)
@@ -76,21 +74,21 @@ type t
 
 val run : acc -> weight:int -> (t -> 'a) -> 'a
 (** [run a ~weight f] runs one subtree [f], counting into [a] with
-    [weight], the number of roots each try stands for: every expansion,
-    rejection and histogram bucket counts [weight] times. It flushes
+    [weight], the number of roots each try stands for: every expansion
+    and rejection counts [weight] times. It flushes
     the subtree's prune-check timer when [f] returns or raises. *)
 
-val expand : t -> depth:int -> int -> unit
-(** [expand t ~depth n]: count [n] attempted extensions of a prefix at
-    [depth], each [weight] times, flushing the buffer when a batch is
+val expand : t -> int -> unit
+(** [expand t n]: count [n] attempted extensions of a prefix, each
+    [weight] times, flushing the buffer when a batch is
     full. The engine counts a prefix's whole table in one call, before
     judging its tries. *)
 
-val reject : t -> reason -> depth:int -> unit
-(** Count a cut at [depth], [weight] times. *)
+val reject : t -> reason -> unit
+(** Count a cut, [weight] times. *)
 
-val reject_n : t -> reason -> depth:int -> int -> unit
-(** [reject_n t r ~depth n]: {!reject} [n] times, in one add (the
+val reject_n : t -> reason -> int -> unit
+(** [reject_n t r n]: {!reject} [n] times, in one add (the
     engine counts the tries it never visits this way). *)
 
 val candidate : t -> unit

@@ -335,6 +335,12 @@ let find t fp =
               Obs.Metrics.bump t.c_miss;
               None))
 
+let find_mem t fp =
+  Mutex.protect t.lock (fun () ->
+      let v = mem_find_locked t fp in
+      if v <> None then Obs.Metrics.bump t.c_hit_mem;
+      v)
+
 let envelope fp payload =
   J.Obj
     [

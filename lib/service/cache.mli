@@ -51,6 +51,11 @@ val find : t -> string -> Obs.Jsonw.t option
     memory tier (and refreshing their LRU mtime). Corrupted disk entries
     are quarantined and reported as a miss. *)
 
+val find_mem : t -> string -> Obs.Jsonw.t option
+(** [find_mem t fp]: {!find} over the memory tier only, so it reads no
+    disk. A hit counts as [hit.mem]; a miss counts nothing, since the
+    caller's {!find} of the same request has counted it. *)
+
 val store : t -> string -> Obs.Jsonw.t -> unit
 (** [store t fp payload] writes both tiers durably. ENOSPC degrades the
     store to memory-only mode; any other disk failure is logged and

@@ -566,13 +566,15 @@ let run_search t slot ~config ~device ~benchmark ~spec ~fp ~flight =
 
 (* --- single flight ---------------------------------------------------- *)
 
-(* The chaos hook for request latency: when armed
-   ([MIRAGE_FAULT=serve.slow:...]), an optimize request stalls for
-   [MIRAGE_FAULT_SLOW_MS] (default 250) instead of raising, before any
-   cache probe or search — so a test can expire a client's deadline
-   deterministically. *)
-let slow_probe () =
-  try Obs.Fault.trip "serve.slow"
+(* The chaos hooks for request latency: when [point] is armed, an
+   optimize request stalls there for [MIRAGE_FAULT_SLOW_MS] (default
+   250) instead of raising. [serve.slow] stalls before any cache probe
+   or search, so a test can expire a client's deadline
+   deterministically; [serve.join] stalls between a missed probe and
+   the flight lookup, so a test can let another request's search finish
+   in between. *)
+let stall point =
+  try Obs.Fault.trip point
   with Obs.Fault.Injected _ ->
     let ms =
       match Sys.getenv_opt "MIRAGE_FAULT_SLOW_MS" with
@@ -668,7 +670,7 @@ let optimize t ~rid ~(sample : Telemetry.sample) ?push ?(interval_s = 0.1)
       match (resolve_device t req, request_config t req spec) with
       | Error m, _ | _, Error m -> Error (bad_request m)
       | Ok device, Ok config -> (
-          slow_probe ();
+          stall "serve.slow";
           let fp = Fingerprint.make ~device ~config spec in
           let serve_cached payload =
             match payload_valid payload with
@@ -679,39 +681,56 @@ let optimize t ~rid ~(sample : Telemetry.sample) ?push ?(interval_s = 0.1)
                 Cache.quarantine t.cache fp ~reason;
                 None
           in
-          let probe =
-            Telemetry.time_stage sample "cache_probe" (fun () ->
-                Option.bind (Cache.find t.cache fp) serve_cached)
+          (* join or create the flight for this fingerprint. A leader
+             may have remembered its result and settled its flight since
+             the probe missed: with no flight to join, the memory tier is
+             probed again under the lock (no disk read) before this
+             request leads a second search. The [cache.miss] event waits
+             until after, since a journal write here widens that
+             window. *)
+          let rec join () =
+            match
+              Mutex.protect t.lock (fun () ->
+                  match Hashtbl.find_opt t.flights fp with
+                  | Some fl -> `Flight (fl, false)
+                  | None -> (
+                      match Cache.find_mem t.cache fp with
+                      | Some payload -> `Hit payload
+                      | None ->
+                          let fl =
+                            {
+                              fm = Mutex.create ();
+                              fc = Condition.create ();
+                              leader_rid = rid;
+                              result = None;
+                              fprogress = Search.Progress.create ();
+                              fbudget = Atomic.make None;
+                            }
+                          in
+                          Hashtbl.replace t.flights fp fl;
+                          `Flight (fl, true)))
+            with
+            | `Hit payload -> (
+                match serve_cached payload with
+                | Some payload -> `Hit payload
+                | None -> join ())
+            | found -> found
           in
-          match probe with
-          | Some payload ->
+          let found =
+            match
+              Telemetry.time_stage sample "cache_probe" (fun () ->
+                  Option.bind (Cache.find t.cache fp) serve_cached)
+            with
+            | Some payload -> `Hit payload
+            | None ->
+                stall "serve.join";
+                join ()
+          in
+          match found with
+          | `Hit payload ->
               Telemetry.set_outcome sample "hit";
               Ok (fp, payload, true, false, None)
-          | None -> (
-              (* join or create the flight for this fingerprint; the
-                 [cache.miss] event waits until after, since a journal
-                 write here widens the window in which a leader can
-                 remember its result and settle its flight unseen, so
-                 this request would lead a second search *)
-              Mutex.lock t.lock;
-              let flight, creator =
-                match Hashtbl.find_opt t.flights fp with
-                | Some fl -> (fl, false)
-                | None ->
-                    let fl =
-                      {
-                        fm = Mutex.create ();
-                        fc = Condition.create ();
-                        leader_rid = rid;
-                        result = None;
-                        fprogress = Search.Progress.create ();
-                        fbudget = Atomic.make None;
-                      }
-                    in
-                    Hashtbl.replace t.flights fp fl;
-                    (fl, true)
-              in
-              Mutex.unlock t.lock;
+          | `Flight (flight, creator) -> (
               Obs.Journal.event "cache.miss" [ ("fingerprint", J.Str fp) ];
               if creator then begin
                 (* the leader admits its search into the bounded slot

@@ -76,8 +76,8 @@ val snapshot_json :
     the registry), journal drop counts, the ["search"] funnel section,
     quantile cards for every [serve.*] and [profile.phase.*] sketch, the
     full counter/gauge dump and — when the ambient {!Obs.Profile} is
-    enabled — a compact ["profile"] digest (depth-1 phase seconds and
-    prune-rule savings). [extra] fields are appended at top level (the
+    enabled — a compact ["profile"] digest (the profile's wall seconds
+    and each depth-1 phase's seconds). [extra] fields are appended at top level (the
     server adds cache occupancy). *)
 
 val prometheus : t -> string

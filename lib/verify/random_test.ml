@@ -53,7 +53,7 @@ module Vm = struct
 
   let trial_s =
     lazy
-      (Obs.Metrics.histogram (reg ()) ~help:"wall time of one trial (s)"
+      (Obs.Metrics.hdr (reg ()) ~help:"wall time of one trial (s)"
          "verify.trial_s")
 
   let spec_cache_hits =
@@ -67,15 +67,6 @@ module Vm = struct
       (Obs.Metrics.counter (reg ())
          ~help:"trial lookups that evaluated the spec graph"
          "verify.spec_cache.misses")
-
-  let throughput_buckets =
-    [| 1e3; 3e3; 1e4; 3e4; 1e5; 3e5; 1e6; 3e6; 1e7; 3e7; 1e8; 3e8; 1e9 |]
-
-  let throughput =
-    lazy
-      (Obs.Metrics.histogram (reg ())
-         ~help:"per-trial verification throughput (tensor elements / s)"
-         ~buckets:throughput_buckets "verify.throughput_elems_s")
 end
 
 (* OCaml's Lazy is not domain-safe; parallel verification forces every
@@ -90,8 +81,7 @@ let warm () =
   ignore (Lazy.force Vm.rejected_resample);
   ignore (Lazy.force Vm.trial_s);
   ignore (Lazy.force Vm.spec_cache_hits);
-  ignore (Lazy.force Vm.spec_cache_misses);
-  ignore (Lazy.force Vm.throughput)
+  ignore (Lazy.force Vm.spec_cache_misses)
 
 (* A keyed random oracle over raw field components: the
    uninterpreted-function abstraction for Sqrt and SiLU. Deterministic
@@ -283,16 +273,12 @@ let one_trial ~session ~trial_seed g =
       | exception Zmod.Division_by_zero -> raise Resample
       | exception Fpair.Not_lax -> Error not_lax_msg)
 
-let timed_trial ~session ~elems ~trial_seed g =
+let timed_trial ~session ~trial_seed g =
   Obs.Metrics.bump (Lazy.force Vm.trials);
   let t0 = Unix.gettimeofday () in
   Fun.protect
     ~finally:(fun () ->
-      let dt = Unix.gettimeofday () -. t0 in
-      Obs.Metrics.observe (Lazy.force Vm.trial_s) dt;
-      if dt > 0.0 && elems > 0 then
-        Obs.Metrics.observe (Lazy.force Vm.throughput)
-          (float_of_int elems /. dt))
+      Obs.Hdr.record (Lazy.force Vm.trial_s) (Unix.gettimeofday () -. t0))
     (fun () -> one_trial ~session ~trial_seed g)
 
 let equivalent_detailed ?(trials = 3) ?(p = Zmod.default_p)
@@ -319,12 +305,6 @@ let equivalent_detailed ?(trials = 3) ?(p = Zmod.default_p)
             Obs.Metrics.bump (Lazy.force Vm.rejected_lax);
             Rejected ("candidate not LAX: " ^ m)
         | Lax.Lax, Lax.Lax ->
-            let elems =
-              List.fold_left
-                (fun acc s -> acc + Shape.numel s)
-                0
-                (Graph.input_shapes g @ Infer.output_shapes g)
-            in
             let rec run trial attempts =
               if trial >= trials then begin
                 Obs.Metrics.bump (Lazy.force Vm.equivalent);
@@ -337,7 +317,7 @@ let equivalent_detailed ?(trials = 3) ?(p = Zmod.default_p)
               else
                 let trial_seed = seed + (trial * 7919) + (attempts * 104729) in
                 incr trials_run;
-                match timed_trial ~session ~elems ~trial_seed g with
+                match timed_trial ~session ~trial_seed g with
                 | Ok () -> run (trial + 1) 0
                 | Error msg ->
                     Obs.Log.debug (fun m ->

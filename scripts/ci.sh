@@ -61,6 +61,15 @@ fi
 awk -F'[:,]' '$1 != "{\"seq\"" { print "journal line " NR ": no leading seq"; exit 1 }
   NR > 1 && $2 + 0 <= prev { print "journal line " NR ": seq " $2 " after " prev; exit 1 }
   { prev = $2 + 0 }' /tmp/mirage_ci_run/journal.jsonl
+# The enumerators tally per-level counters, and every distribution is an
+# Hdr: the metrics section holds the level counters and no fixed-bucket
+# "histograms" key.
+grep -q '"search.block.expanded": [0-9]' /tmp/mirage_ci_run/report.json
+grep -q '"search.kernel.reject.pruned": [0-9]' /tmp/mirage_ci_run/report.json
+awk '/^  "metrics": \{/ { m = 1 }
+  m && /"histograms"/ { print "report.json: metrics has a histograms key"; bad = 1 }
+  m && /^  \}/ { m = 0 }
+  END { exit bad }' /tmp/mirage_ci_run/report.json
 
 echo "== smoke: a deadline-bound optimize returns the winner it verified"
 # RMSNorm's search cannot finish in 2 s. Candidates are verified as they
@@ -252,6 +261,11 @@ grep -q '"miss": 1' /tmp/mirage_ci_svc/metrics.json
 test "$((HIT + COAL))" -eq 2
 # the prometheus text rendering and the live status view both answer
 $CLI request metrics $REQ --prometheus | grep -q '^serve_total'
+# distributions render as summaries: no native-histogram bucket series
+$CLI request metrics $REQ --prometheus > /tmp/mirage_ci_svc/metrics.prom
+if grep -q '_bucket{' /tmp/mirage_ci_svc/metrics.prom; then
+  echo "request metrics --prometheus: a _bucket{ series"; exit 1
+fi
 $CLI request status $REQ | grep -q '"uptime_s"'
 # a cold search with --progress streams at least one rid-tagged frame
 # (distinct fingerprint via --max-block-ops 2 so the cache can't answer;
@@ -323,7 +337,7 @@ test ! -e /tmp/mirage_ci_wire/s.sock
 test -z "$(find /tmp/mirage_ci_wire/cache -name '.result.json.tmp.*' \
   -not -path '*/quarantine/*' 2>/dev/null)"
 
-echo "== bench history regression gate (Fig. 7 + verifier + service + enum + codegen, 5%)"
+echo "== bench history regression gate (Fig. 7 + verifier + service + enum + codegen, 5%; loc recorded)"
 # Gate against the committed baseline on a scratch copy so CI runs never
 # dirty the tree. Which key regresses, in which direction and with what
 # slack is one table, Obs.Report.history_rules (lib/obs/report.ml); the
@@ -331,7 +345,7 @@ echo "== bench history regression gate (Fig. 7 + verifier + service + enum + cod
 # profile's 1% overhead, enum's scaling asserts) fail the run on their
 # own.
 cp BENCH_history.jsonl /tmp/mirage_ci_history.jsonl
-dune exec bench/main.exe -- fig7 verify serve profile enum codegen \
+dune exec bench/main.exe -- fig7 verify serve profile enum codegen loc \
   --history /tmp/mirage_ci_history.jsonl --gate 5 >/dev/null
 # the serve suite prices a miss against a direct search of its spec
 tail -1 /tmp/mirage_ci_history.jsonl | grep -q '"serve.fig7.cold_over_direct"'

@@ -23,54 +23,24 @@ let test_counter_domains () =
   Alcotest.(check int) "no lost increments" (domains * per)
     (Obs.Metrics.value c)
 
-let test_histogram_domains () =
-  let reg = Obs.Metrics.create () in
-  let h =
-    Obs.Metrics.histogram reg
-      ~buckets:(Obs.Metrics.linear_buckets ~lo:0.0 ~step:1.0 ~n:4)
-      "test.depth"
-  in
-  let domains = 4 and per = 10_000 in
-  let ds =
-    List.init domains (fun d ->
-        Domain.spawn (fun () ->
-            for i = 1 to per do
-              (* a spread over the buckets including the overflow one *)
-              Obs.Metrics.observe h (float_of_int ((i + d) mod 6))
-            done))
-  in
-  List.iter Domain.join ds;
-  let snap = Obs.Metrics.snapshot reg in
-  let _, hs = List.hd snap.Obs.Metrics.hists in
-  Alcotest.(check int) "total count" (domains * per) hs.Obs.Metrics.count;
-  Alcotest.(check int) "buckets sum to count" hs.Obs.Metrics.count
-    (Array.fold_left ( + ) 0 hs.Obs.Metrics.counts);
-  Alcotest.(check int) "overflow bucket is last"
-    (Array.length hs.Obs.Metrics.bounds + 1)
-    (Array.length hs.Obs.Metrics.counts)
-
 let test_metrics_merge () =
   let mk n =
     let reg = Obs.Metrics.create () in
     let c = Obs.Metrics.counter reg "m.count" in
-    let h =
-      Obs.Metrics.histogram reg
-        ~buckets:(Obs.Metrics.linear_buckets ~lo:0.0 ~step:1.0 ~n:3)
-        "m.hist"
-    in
+    let h = Obs.Metrics.hdr reg "m.hdr" in
     for _ = 1 to n do
       Obs.Metrics.bump c
     done;
     for i = 1 to n do
-      Obs.Metrics.observe h (float_of_int (i mod 3))
+      Obs.Hdr.record h (1e-3 *. float_of_int (1 + (i mod 3)))
     done;
     Obs.Metrics.snapshot reg
   in
   let merged = Obs.Metrics.merge [ mk 10; mk 32 ] in
   Alcotest.(check int) "counters summed by name" 42
     (List.assoc "m.count" merged.Obs.Metrics.counters);
-  let hs = List.assoc "m.hist" merged.Obs.Metrics.hists in
-  Alcotest.(check int) "hist counts summed" 42 hs.Obs.Metrics.count
+  let h = List.assoc "m.hdr" merged.Obs.Metrics.hdrs in
+  Alcotest.(check int) "hdr counts summed" 42 h.Obs.Hdr.count
 
 (* --- json writer/parser --------------------------------------------------- *)
 
@@ -670,15 +640,6 @@ let funnel_config ~workers spec =
       }
     spec
 
-(* The search.* depth histograms' total counts, by name. *)
-let depth_counts (m : Obs.Metrics.snapshot) =
-  List.filter_map
-    (fun (name, (h : Obs.Metrics.hist_snapshot)) ->
-      if String.length name > 7 && String.sub name 0 7 = "search." then
-        Some (name, h.Obs.Metrics.count)
-      else None)
-    m.Obs.Metrics.hists
-
 (* Exact counts of the search_fig7 menu (grid {2}, for-loop {2}, at most
    3 block ops) on the LAX pieces of reduced RMSNorm and GatedMLP, of
    GatedMLP again under a 2 KiB shared-memory block, which exercises the
@@ -699,8 +660,7 @@ type pinned = {
   smem : int option;
   funnel : (string * int) list;
   totals : (string * int) list;
-      (** every search.block.* / search.kernel.* histogram count and
-          counter, by name *)
+      (** every search.block.* / search.kernel.* counter, by name *)
   cands : int;
   hashes : string;  (** digest of the candidates' sorted [Graph.hash]es *)
 }
@@ -723,21 +683,21 @@ let pinned =
         ];
       totals =
         [
-          ("search.block.expand_depth", 10_640);
+          ("search.block.expanded", 10_640);
+          ("search.block.reject.canonical", 0);
           ("search.block.reject.dangling", 0);
+          ("search.block.reject.duplicate", 0);
+          ("search.block.reject.memory", 0);
           ("search.block.reject.phase", 0);
+          ("search.block.reject.pruned", 3415);
+          ("search.block.reject.shape", 4241);
           ("search.block.reject.unreachable", 2984);
-          ("search.block.reject_depth.canonical", 0);
-          ("search.block.reject_depth.duplicate", 0);
-          ("search.block.reject_depth.memory", 0);
-          ("search.block.reject_depth.pruned", 3415);
-          ("search.block.reject_depth.shape", 4241);
-          ("search.kernel.expand_depth", 11_743);
+          ("search.kernel.expanded", 11_743);
+          ("search.kernel.reject.canonical", 5867);
+          ("search.kernel.reject.duplicate", 117);
+          ("search.kernel.reject.pruned", 2949);
+          ("search.kernel.reject.shape", 2486);
           ("search.kernel.reject.unreachable", 212);
-          ("search.kernel.reject_depth.canonical", 5867);
-          ("search.kernel.reject_depth.duplicate", 117);
-          ("search.kernel.reject_depth.pruned", 2949);
-          ("search.kernel.reject_depth.shape", 2486);
         ];
       cands = 0;
       hashes = "d41d8cd98f00b204e9800998ecf8427e";
@@ -758,21 +718,21 @@ let pinned =
         ];
       totals =
         [
-          ("search.block.expand_depth", 32_474);
+          ("search.block.expanded", 32_474);
+          ("search.block.reject.canonical", 3376);
           ("search.block.reject.dangling", 581);
+          ("search.block.reject.duplicate", 242);
+          ("search.block.reject.memory", 0);
           ("search.block.reject.phase", 0);
+          ("search.block.reject.pruned", 10_334);
+          ("search.block.reject.shape", 12_025);
           ("search.block.reject.unreachable", 5674);
-          ("search.block.reject_depth.canonical", 3376);
-          ("search.block.reject_depth.duplicate", 242);
-          ("search.block.reject_depth.memory", 0);
-          ("search.block.reject_depth.pruned", 10_334);
-          ("search.block.reject_depth.shape", 12_025);
-          ("search.kernel.expand_depth", 4249);
+          ("search.kernel.expanded", 4249);
+          ("search.kernel.reject.canonical", 2058);
+          ("search.kernel.reject.duplicate", 55);
+          ("search.kernel.reject.pruned", 862);
+          ("search.kernel.reject.shape", 1179);
           ("search.kernel.reject.unreachable", 35);
-          ("search.kernel.reject_depth.canonical", 2058);
-          ("search.kernel.reject_depth.duplicate", 55);
-          ("search.kernel.reject_depth.pruned", 862);
-          ("search.kernel.reject_depth.shape", 1179);
         ];
       cands = 6;
       hashes = "1cb32deffd1391ecdafba3cb93f9b5e0";
@@ -793,21 +753,21 @@ let pinned =
         ];
       totals =
         [
-          ("search.block.expand_depth", 32_261);
+          ("search.block.expanded", 32_261);
+          ("search.block.reject.canonical", 3348);
           ("search.block.reject.dangling", 575);
+          ("search.block.reject.duplicate", 240);
+          ("search.block.reject.memory", 772);
           ("search.block.reject.phase", 0);
+          ("search.block.reject.pruned", 9528);
+          ("search.block.reject.shape", 11_940);
           ("search.block.reject.unreachable", 5618);
-          ("search.block.reject_depth.canonical", 3348);
-          ("search.block.reject_depth.duplicate", 240);
-          ("search.block.reject_depth.memory", 772);
-          ("search.block.reject_depth.pruned", 9528);
-          ("search.block.reject_depth.shape", 11_940);
-          ("search.kernel.expand_depth", 4249);
+          ("search.kernel.expanded", 4249);
+          ("search.kernel.reject.canonical", 2058);
+          ("search.kernel.reject.duplicate", 55);
+          ("search.kernel.reject.pruned", 862);
+          ("search.kernel.reject.shape", 1179);
           ("search.kernel.reject.unreachable", 35);
-          ("search.kernel.reject_depth.canonical", 2058);
-          ("search.kernel.reject_depth.duplicate", 55);
-          ("search.kernel.reject_depth.pruned", 862);
-          ("search.kernel.reject_depth.shape", 1179);
         ];
       cands = 6;
       hashes = "1cb32deffd1391ecdafba3cb93f9b5e0";
@@ -828,21 +788,21 @@ let pinned =
         ];
       totals =
         [
-          ("search.block.expand_depth", 1_860_826);
+          ("search.block.expanded", 1_860_826);
+          ("search.block.reject.canonical", 337_193);
           ("search.block.reject.dangling", 181_959);
+          ("search.block.reject.duplicate", 18_930);
+          ("search.block.reject.memory", 0);
           ("search.block.reject.phase", 0);
+          ("search.block.reject.pruned", 336_259);
+          ("search.block.reject.shape", 967_614);
           ("search.block.reject.unreachable", 47);
-          ("search.block.reject_depth.canonical", 337_193);
-          ("search.block.reject_depth.duplicate", 18_930);
-          ("search.block.reject_depth.memory", 0);
-          ("search.block.reject_depth.pruned", 336_259);
-          ("search.block.reject_depth.shape", 967_614);
-          ("search.kernel.expand_depth", 142_285);
+          ("search.kernel.expanded", 142_285);
+          ("search.kernel.reject.canonical", 82_937);
+          ("search.kernel.reject.duplicate", 1053);
+          ("search.kernel.reject.pruned", 21_641);
+          ("search.kernel.reject.shape", 33_746);
           ("search.kernel.reject.unreachable", 1840);
-          ("search.kernel.reject_depth.canonical", 82_937);
-          ("search.kernel.reject_depth.duplicate", 1053);
-          ("search.kernel.reject_depth.pruned", 21_641);
-          ("search.kernel.reject_depth.shape", 33_746);
         ];
       cands = 106;
       hashes = "1df3109911b2e646f86c000ae4a179ba";
@@ -863,21 +823,21 @@ let pinned =
         ];
       totals =
         [
-          ("search.block.expand_depth", 0);
+          ("search.block.expanded", 0);
+          ("search.block.reject.canonical", 0);
           ("search.block.reject.dangling", 0);
+          ("search.block.reject.duplicate", 0);
+          ("search.block.reject.memory", 0);
           ("search.block.reject.phase", 0);
+          ("search.block.reject.pruned", 0);
+          ("search.block.reject.shape", 0);
           ("search.block.reject.unreachable", 0);
-          ("search.block.reject_depth.canonical", 0);
-          ("search.block.reject_depth.duplicate", 0);
-          ("search.block.reject_depth.memory", 0);
-          ("search.block.reject_depth.pruned", 0);
-          ("search.block.reject_depth.shape", 0);
-          ("search.kernel.expand_depth", 27);
+          ("search.kernel.expanded", 27);
+          ("search.kernel.reject.canonical", 0);
+          ("search.kernel.reject.duplicate", 0);
+          ("search.kernel.reject.pruned", 15);
+          ("search.kernel.reject.shape", 0);
           ("search.kernel.reject.unreachable", 12);
-          ("search.kernel.reject_depth.canonical", 0);
-          ("search.kernel.reject_depth.duplicate", 0);
-          ("search.kernel.reject_depth.pruned", 15);
-          ("search.kernel.reject_depth.shape", 0);
         ];
       cands = 0;
       hashes = "d41d8cd98f00b204e9800998ecf8427e";
@@ -896,6 +856,8 @@ let funnel_fields (s : Search.Stats.snapshot) =
     ("duplicates", s.Search.Stats.duplicates);
   ]
 
+(* The two levels' [search.block.*] and [search.kernel.*] counters, by
+   name. *)
 let level_totals (m : Obs.Metrics.snapshot) =
   let level (name, _) =
     List.exists
@@ -904,8 +866,35 @@ let level_totals (m : Obs.Metrics.snapshot) =
         && String.sub name 0 (String.length p) = p)
       [ "search.block."; "search.kernel." ]
   in
-  List.sort compare
-    (List.filter level (depth_counts m @ m.Obs.Metrics.counters))
+  List.sort compare (List.filter level m.Obs.Metrics.counters)
+
+(* Each funnel count that the enumerators' tallies drain, with the
+   suffix of the level counters that see the same counts. *)
+let funnel_levels =
+  [
+    ("expanded", "expanded");
+    ("shape_rejected", "reject.shape");
+    ("memory_rejected", "reject.memory");
+    ("pruned_abstract", "reject.pruned");
+    ("canonical_rejected", "reject.canonical");
+    ("duplicates", "reject.duplicate");
+  ]
+
+(* Every such funnel count is the sum of its two level counters; a
+   level that never cuts for a reason (the kernel level and [Memory])
+   registers no counter for it. *)
+let check_funnel_is_levels name funnel totals =
+  List.iter
+    (fun (field, suffix) ->
+      let level l =
+        Option.value ~default:0
+          (List.assoc_opt (Printf.sprintf "search.%s.%s" l suffix) totals)
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "%s%s is the levels' sum" name field)
+        (List.assoc field funnel)
+        (level "kernel" + level "block"))
+    funnel_levels
 
 let pinned_piece prog =
   let b = Option.get (Workloads.Bench_defs.by_name prog) in
@@ -966,13 +955,7 @@ let check_pinned_counts () =
             (name ^ "funnel") p.funnel funnel;
           Alcotest.(check (list (pair string int)))
             (name ^ "level totals") p.totals totals;
-          (* the funnel's duplicates are the enumerators' duplicate
-             rejects and nothing else *)
-          Alcotest.(check int)
-            (name ^ "duplicates are the levels' duplicate rejects")
-            (List.assoc "duplicates" funnel)
-            (List.assoc "search.kernel.reject_depth.duplicate" totals
-            + List.assoc "search.block.reject_depth.duplicate" totals);
+          check_funnel_is_levels name funnel totals;
           Alcotest.(check int) (name ^ "candidates") p.cands
             (List.length cands);
           Alcotest.(check string) (name ^ "candidate hashes") p.hashes
@@ -1026,8 +1009,9 @@ let check_pinned_winners () =
     pinned_winners
 
 (* The enumerators count per subtree and flush batches, so every count
-   must still be exact: the funnel and the per-depth histograms do not
-   depend on how many workers shared the subtrees. *)
+   must still be exact: the funnel and the level counters do not depend
+   on how many workers shared the subtrees, and each funnel count the
+   tallies drain is the sum of its two level counters. *)
 let test_funnel_invariant () =
   let spec = div_matmul_spec ~b:4 ~h:8 ~d:16 in
   let run workers =
@@ -1046,11 +1030,8 @@ let test_funnel_invariant () =
   Alcotest.(check int) "registry mirrors snapshot"
     s.Search.Stats.expanded
     (List.assoc "search.expanded" counters);
-  let hists = depth_counts o.Search.Generator.metrics in
-  Alcotest.(check int) "expand_depth histograms count every expansion"
-    s.Search.Stats.expanded
-    (List.assoc "search.kernel.expand_depth" hists
-    + List.assoc "search.block.expand_depth" hists);
+  let totals = level_totals o.Search.Generator.metrics in
+  check_funnel_is_levels "2 workers: " (funnel_fields s) totals;
   let funnel (s : Search.Stats.snapshot) = { s with Search.Stats.elapsed_s = 0.0 } in
   List.iter
     (fun workers ->
@@ -1059,9 +1040,12 @@ let test_funnel_invariant () =
       Alcotest.(check string) (name ^ "same funnel")
         (Search.Stats.to_string (funnel s))
         (Search.Stats.to_string (funnel o'.Search.Generator.stats));
+      let totals' = level_totals o'.Search.Generator.metrics in
       Alcotest.(check (list (pair string int)))
-        (name ^ "same depth-histogram counts") hists
-        (depth_counts o'.Search.Generator.metrics))
+        (name ^ "same level counters") totals totals';
+      check_funnel_is_levels name
+        (funnel_fields o'.Search.Generator.stats)
+        totals')
     [ 1; 4 ];
   check_pinned_counts ();
   check_pinned_winners ()
@@ -1082,26 +1066,6 @@ let test_report_on_file () =
       match Obs.Report.create ~dir:"" with
       | Ok _ -> Alcotest.fail "the empty path is not a run directory"
       | Error _ -> ())
-
-let test_observe_n () =
-  let reg = Obs.Metrics.create () in
-  let buckets = Obs.Metrics.linear_buckets ~lo:0.0 ~step:1.0 ~n:4 in
-  let a = Obs.Metrics.histogram reg ~buckets "test.one_by_one" in
-  let b = Obs.Metrics.histogram reg ~buckets "test.batched" in
-  List.iter
-    (fun (x, k) ->
-      for _ = 1 to k do
-        Obs.Metrics.observe a x
-      done;
-      Obs.Metrics.observe_n b x k)
-    [ (0.0, 3); (2.0, 5); (7.0, 2); (1.0, 0) ];
-  match (Obs.Metrics.snapshot reg).Obs.Metrics.hists with
-  | [ (_, ha); (_, hb) ] ->
-      Alcotest.(check (array int)) "buckets" ha.Obs.Metrics.counts
-        hb.Obs.Metrics.counts;
-      Alcotest.(check int) "count" 10 hb.Obs.Metrics.count;
-      Alcotest.(check (float 0.0)) "sum" ha.Obs.Metrics.sum hb.Obs.Metrics.sum
-  | _ -> Alcotest.fail "two histograms"
 
 (* --- hdr: bounded-relative-error latency sketch ---------------------------- *)
 
@@ -1477,8 +1441,6 @@ let () =
         [
           Alcotest.test_case "counter exact across domains" `Quick
             test_counter_domains;
-          Alcotest.test_case "histogram exact across domains" `Quick
-            test_histogram_domains;
           Alcotest.test_case "merge sums by name" `Quick test_metrics_merge;
         ] );
       ( "json",
@@ -1544,8 +1506,6 @@ let () =
         [
           Alcotest.test_case "invariant on a small search" `Quick
             test_funnel_invariant;
-          Alcotest.test_case "batched histogram observations" `Quick
-            test_observe_n;
         ] );
       ( "profile",
         [

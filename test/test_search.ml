@@ -855,8 +855,8 @@ let mul_matmul_spec ~b ~h ~d =
   Graph.Build.finish bld ~outputs:[ z ]
 
 (* A search's exact outcome: its funnel, every search.block.* and
-   search.kernel.* histogram count and counter, and the digest of its
-   candidates' sorted hashes. *)
+   search.kernel.* counter, and the digest of its candidates' sorted
+   hashes. *)
 type pins = {
   funnel : int list;
       (** expanded, shape, memory, pruned, canonical, candidates,
@@ -910,13 +910,7 @@ let search_pins ~workers spec =
         ];
     totals =
       List.sort compare
-        (List.filter
-           (fun (name, _) -> level name)
-           (List.map
-              (fun (name, (h : Obs.Metrics.hist_snapshot)) ->
-                (name, h.Obs.Metrics.count))
-              m.Obs.Metrics.hists
-           @ m.Obs.Metrics.counters));
+        (List.filter (fun (name, _) -> level name) m.Obs.Metrics.counters);
     digest =
       Digest.to_hex
         (Digest.string
@@ -926,15 +920,32 @@ let search_pins ~workers spec =
                     (List.map (fun (_, g) -> Graph.hash g) cands)))));
   }
 
-(* The funnel's duplicates are the enumerators' duplicate rejects and
-   nothing else: the two levels' [reject_depth.duplicate] histograms. *)
+(* Each funnel count but candidates is the sum of its two level
+   counters: the funnel's duplicates, say, are the enumerators'
+   duplicate rejects and nothing else. The kernel level never cuts for
+   shared memory, so it registers no [reject.memory]. *)
 let check_pins name want got =
   Alcotest.(check (list int)) (name ^ "funnel") want.funnel got.funnel;
-  Alcotest.(check int)
-    (name ^ "duplicates are the levels' duplicate rejects")
-    (List.nth got.funnel 6)
-    (List.assoc "search.kernel.reject_depth.duplicate" got.totals
-    + List.assoc "search.block.reject_depth.duplicate" got.totals);
+  List.iteri
+    (fun i suffix ->
+      if suffix <> "" then
+        let level l =
+          Option.value ~default:0
+            (List.assoc_opt (Printf.sprintf "search.%s.%s" l suffix) got.totals)
+        in
+        Alcotest.(check int)
+          (Printf.sprintf "%s%s is the levels' sum" name suffix)
+          (List.nth got.funnel i)
+          (level "kernel" + level "block"))
+    [
+      "expanded";
+      "reject.shape";
+      "reject.memory";
+      "reject.pruned";
+      "reject.canonical";
+      "";
+      "reject.duplicate";
+    ];
   Alcotest.(check (list (pair string int)))
     (name ^ "level totals") want.totals got.totals;
   Alcotest.(check string) (name ^ "candidate digest") want.digest got.digest
@@ -950,21 +961,21 @@ let div_two_loops =
     funnel = [ 673_023; 234_467; 0; 148_019; 219_424; 167; 9108 ];
     totals =
       [
-        ("search.block.expand_depth", 656_020);
+        ("search.block.expanded", 656_020);
+        ("search.block.reject.canonical", 209_676);
         ("search.block.reject.dangling", 24_332);
+        ("search.block.reject.duplicate", 8958);
+        ("search.block.reject.memory", 0);
         ("search.block.reject.phase", 27_185);
+        ("search.block.reject.pruned", 144_781);
+        ("search.block.reject.shape", 230_846);
         ("search.block.reject.unreachable", 584);
-        ("search.block.reject_depth.canonical", 209_676);
-        ("search.block.reject_depth.duplicate", 8958);
-        ("search.block.reject_depth.memory", 0);
-        ("search.block.reject_depth.pruned", 144_781);
-        ("search.block.reject_depth.shape", 230_846);
-        ("search.kernel.expand_depth", 17_003);
+        ("search.kernel.expanded", 17_003);
+        ("search.kernel.reject.canonical", 9748);
+        ("search.kernel.reject.duplicate", 150);
+        ("search.kernel.reject.pruned", 3238);
+        ("search.kernel.reject.shape", 3621);
         ("search.kernel.reject.unreachable", 53);
-        ("search.kernel.reject_depth.canonical", 9748);
-        ("search.kernel.reject_depth.duplicate", 150);
-        ("search.kernel.reject_depth.pruned", 3238);
-        ("search.kernel.reject_depth.shape", 3621);
       ];
     digest = "fceffaac5081730887273ca571e4280a";
   }
@@ -974,21 +985,21 @@ let mul_two_loops =
     funnel = [ 628_715; 242_930; 0; 115_488; 177_102; 219; 13_295 ];
     totals =
       [
-        ("search.block.expand_depth", 610_186);
+        ("search.block.expanded", 610_186);
+        ("search.block.reject.canonical", 168_932);
         ("search.block.reject.dangling", 42_742);
+        ("search.block.reject.duplicate", 13_046);
+        ("search.block.reject.memory", 0);
         ("search.block.reject.phase", 23_013);
+        ("search.block.reject.pruned", 111_689);
+        ("search.block.reject.shape", 237_064);
         ("search.block.reject.unreachable", 749);
-        ("search.block.reject_depth.canonical", 168_932);
-        ("search.block.reject_depth.duplicate", 13_046);
-        ("search.block.reject_depth.memory", 0);
-        ("search.block.reject_depth.pruned", 111_689);
-        ("search.block.reject_depth.shape", 237_064);
-        ("search.kernel.expand_depth", 18_529);
+        ("search.kernel.expanded", 18_529);
+        ("search.kernel.reject.canonical", 8170);
+        ("search.kernel.reject.duplicate", 249);
+        ("search.kernel.reject.pruned", 3799);
+        ("search.kernel.reject.shape", 5866);
         ("search.kernel.reject.unreachable", 127);
-        ("search.kernel.reject_depth.canonical", 8170);
-        ("search.kernel.reject_depth.duplicate", 249);
-        ("search.kernel.reject_depth.pruned", 3799);
-        ("search.kernel.reject_depth.shape", 5866);
       ];
     digest = "c231f46295774e13226c3525122b6f25";
   }
@@ -1062,13 +1073,13 @@ let test_goal_masks () =
   let emit _ = incr emitted in
   let kvalues = Search.Prefix.values goals in
   let kmemo =
-    Search.Prefix.memo kvalues (Search.Kernel_enum.tally cfg stats) front
+    Search.Prefix.memo kvalues (Search.Kernel_enum.tally stats) front
   in
   Search.Kernel_enum.search cfg ~spec ~memo:(fun () -> kmemo) ~limits ~budget
     ~emit ();
   let bvalues = Search.Prefix.values goals in
   let bmemo =
-    Search.Prefix.memo bvalues (Search.Block_enum.tally cfg stats) front
+    Search.Prefix.memo bvalues (Search.Block_enum.tally stats) front
   in
   let blocks =
     Search.Block_enum.prepare cfg ~spec ~limits ~values:bvalues

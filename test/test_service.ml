@@ -614,6 +614,45 @@ let test_read_after_miss =
   Alcotest.(check int) "one search" 1 (List.length (start_doms events));
   Service.Server.stop server
 
+(* A request whose probe missed can take the flight table's lock after
+   the same fingerprint's leader has remembered its result and settled
+   its flight. A one-shot stall at [serve.join] holds the first request
+   between its probe and the flight lookup while the second leads the
+   whole search; the first then finds no flight to join, and is
+   answered from the memory tier instead of leading a second search. *)
+let test_join_after_settle =
+  with_reset @@ fun () ->
+  (match Obs.Fault.configure "serve.join:1.0:1" with
+  | Ok () -> ()
+  | Error m -> Alcotest.fail m);
+  Unix.putenv "MIRAGE_FAULT_SLOW_MS" "1000";
+  Fun.protect ~finally:(fun () -> Unix.putenv "MIRAGE_FAULT_SLOW_MS" "")
+  @@ fun () ->
+  let server = make_server () in
+  let (r1, r2), events =
+    journaled (fun () ->
+        let first =
+          Domain.spawn (fun () ->
+              Service.Server.handle_request server (miss_req ()))
+        in
+        (* the first request reaches the stall long before this one
+           probes *)
+        Unix.sleepf 0.2;
+        let r2 = Service.Server.handle_request server (miss_req ()) in
+        (Domain.join first, r2))
+  in
+  Alcotest.(check (list (pair string int))) "one stall" [ ("serve.join", 1) ]
+    (Obs.Fault.fired ());
+  Alcotest.(check (list string)) "both ok" [ "ok"; "ok" ]
+    [ status r1; status r2 ];
+  Alcotest.(check (list bool)) "one search answer, one hit" [ false; true ]
+    (List.sort compare [ cached r1; cached r2 ]);
+  Alcotest.(check string) "same payload"
+    (J.to_string (get_exn [ "result" ] r1))
+    (J.to_string (get_exn [ "result" ] r2));
+  Alcotest.(check int) "one search" 1 (List.length (start_doms events));
+  Service.Server.stop server
+
 let test_restart_reads_disk =
   with_reset @@ fun () ->
   let cache_dir = tmpdir "mirage_srv_cache" in
@@ -792,7 +831,7 @@ let test_metrics_op =
    completing prefix the search counts as a candidate is one
    [graph.emit], as many as the outcome's [generated]; the funnel's
    duplicates are the enumerators' duplicate rejects, which the
-   [search.<level>.reject_depth.duplicate] histograms count; and every
+   [search.<level>.reject.duplicate] counters count; and every
    event is of a documented type: no [cand.expand], [cand.accept] or
    per-try [cand.reject]. The run resumes a checkpoint whose incumbent
    is the winner of the same search, so a re-run task emits a copy of
@@ -828,10 +867,12 @@ let test_prune_single_site =
     | Ok evs -> evs
     | Error m -> Alcotest.fail ("journal unreadable: " ^ m)
   in
-  let hist_count name =
-    match List.assoc_opt name o.Search.Generator.metrics.Obs.Metrics.hists with
-    | Some h -> h.Obs.Metrics.count
-    | None -> Alcotest.failf "no histogram %s" name
+  let count name =
+    match
+      List.assoc_opt name o.Search.Generator.metrics.Obs.Metrics.counters
+    with
+    | Some n -> n
+    | None -> Alcotest.failf "no counter %s" name
   in
   let emits =
     List.filter (fun e -> Obs.Journal.typ_of e = "graph.emit") events
@@ -844,10 +885,10 @@ let test_prune_single_site =
   Alcotest.(check int) "the planted incumbent and the search's copy"
     (plain.Search.Generator.generated + 1)
     (List.length emits);
-  Alcotest.(check int) "the funnel's duplicates are the duplicate histograms"
+  Alcotest.(check int) "the funnel's duplicates are the duplicate counters"
     s.Search.Stats.duplicates
-    (hist_count "search.kernel.reject_depth.duplicate"
-    + hist_count "search.block.reject_depth.duplicate");
+    (count "search.kernel.reject.duplicate"
+    + count "search.block.reject.duplicate");
   let first =
     List.fold_left
       (fun a e -> if Obs.Journal.seq_of e < Obs.Journal.seq_of a then e else a)
@@ -1396,6 +1437,8 @@ let () =
             test_corrupt_entry_researched;
           Alcotest.test_case "search off the handler's domain" `Slow
             test_search_off_handler_domain;
+          Alcotest.test_case "a join after the leader settled hits" `Quick
+            test_join_after_settle;
         ] );
       ( "search slots",
         [
