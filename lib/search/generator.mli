@@ -160,9 +160,8 @@ val run :
     is 1 when the run holds an incumbent, 0 otherwise. The incumbent is
     thread-fused and wins if it is then strictly cheaper than the spec.
 
-    [registry] backs the search's counters (default: a
-    fresh registry per run; pass a shared one to accumulate across
-    runs).
+    [registry] backs the search's counters (default: a fresh registry
+    per run; pass a shared one to accumulate across runs).
 
     [budget] (default: derived from the config's time/node budgets) is
     polled by the enumerators and — when threaded through {!Opt} — the

@@ -75,14 +75,14 @@ type t
 val run : acc -> weight:int -> (t -> 'a) -> 'a
 (** [run a ~weight f] runs one subtree [f], counting into [a] with
     [weight], the number of roots each try stands for: every expansion
-    and rejection counts [weight] times. It flushes
-    the subtree's prune-check timer when [f] returns or raises. *)
+    and rejection counts [weight] times. It flushes the subtree's
+    prune-check timer when [f] returns or raises. *)
 
 val expand : t -> int -> unit
 (** [expand t n]: count [n] attempted extensions of a prefix, each
-    [weight] times, flushing the buffer when a batch is
-    full. The engine counts a prefix's whole table in one call, before
-    judging its tries. *)
+    [weight] times, flushing the buffer when a batch is full. The engine
+    counts a prefix's whole table in one call, before judging its
+    tries. *)
 
 val reject : t -> reason -> unit
 (** Count a cut, [weight] times. *)

@@ -77,8 +77,8 @@ val snapshot_json :
     quantile cards for every [serve.*] and [profile.phase.*] sketch, the
     full counter/gauge dump and — when the ambient {!Obs.Profile} is
     enabled — a compact ["profile"] digest (the profile's wall seconds
-    and each depth-1 phase's seconds). [extra] fields are appended at top level (the
-    server adds cache occupancy). *)
+    and each depth-1 phase's seconds). [extra] fields are appended at
+    top level (the server adds cache occupancy). *)
 
 val prometheus : t -> string
 (** {!Obs.Prom} rendering of the registry. *)
