@@ -309,34 +309,6 @@ let funnel_json (s : Search.Stats.snapshot) =
       ("elapsed_s", Obs.Jsonw.Float s.elapsed_s);
     ]
 
-let sum_funnels snaps =
-  let open Search.Stats in
-  List.fold_left
-    (fun acc s ->
-      {
-        expanded = acc.expanded + s.expanded;
-        shape_rejected = acc.shape_rejected + s.shape_rejected;
-        memory_rejected = acc.memory_rejected + s.memory_rejected;
-        pruned_abstract = acc.pruned_abstract + s.pruned_abstract;
-        canonical_rejected = acc.canonical_rejected + s.canonical_rejected;
-        candidates = acc.candidates + s.candidates;
-        verified = acc.verified + s.verified;
-        duplicates = acc.duplicates + s.duplicates;
-        elapsed_s = acc.elapsed_s +. s.elapsed_s;
-      })
-    {
-      expanded = 0;
-      shape_rejected = 0;
-      memory_rejected = 0;
-      pruned_abstract = 0;
-      canonical_rejected = 0;
-      candidates = 0;
-      verified = 0;
-      duplicates = 0;
-      elapsed_s = 0.0;
-    }
-    snaps
-
 let solver_json (sv : Smtlite.Solver.stats) =
   Obs.Jsonw.Obj
     [
@@ -347,8 +319,8 @@ let solver_json (sv : Smtlite.Solver.stats) =
     ]
 
 (* The process-wide registry holds the verifier's counters and trial
-   Hdr; per-search registries hold the funnel and the enumerators'
-   per-level counters. Merge them for one report. *)
+   Hdr; per-search registries hold the enumerators' per-level counters,
+   from which the funnel is derived. Merge them for one report. *)
 let merged_metrics piece_snaps =
   Obs.Metrics.merge
     (piece_snaps @ [ Obs.Metrics.snapshot (Obs.Metrics.default ()) ])
@@ -535,8 +507,13 @@ let optimize_cmd =
         in
         Obs.Report.add r "funnel"
           (funnel_json
-             (sum_funnels
-                (List.map (fun o -> o.Search.Generator.stats) outcomes)));
+             (Search.Stats.of_counters
+                ~elapsed_s:
+                  (List.fold_left
+                     (fun acc o ->
+                       acc +. o.Search.Generator.stats.Search.Stats.elapsed_s)
+                     0.0 outcomes)
+                (merged_metrics piece_snaps).Obs.Metrics.counters));
         let q, h, a, t =
           List.fold_left
             (fun (q, h, a, t) (o : Search.Generator.outcome) ->

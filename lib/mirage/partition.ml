@@ -52,12 +52,13 @@ let partition (g : Graph.kernel_graph) =
      node that reads a member closes a new cycle. Existing components are
      acyclic, so these are exactly the new cycles. [reached] is reset by
      the sweep that sets it. *)
-  let reached = Array.make n false in
-  let creates_cycle ~prod:j ~cons:i =
+  let in_merged ~prod:j ~cons:i =
     let ri = find parent i and rj = find parent j in
-    let in_merged k =
-      is_op k && (let r = find parent k in r = ri || r = rj)
-    in
+    fun k -> is_op k && (let r = find parent k in r = ri || r = rj)
+  in
+  let reached = Array.make n false in
+  let creates_cycle ~prod ~cons =
+    let in_merged = in_merged ~prod ~cons in
     let cycle = ref false in
     for k = n - 1 downto 0 do
       let member = in_merged k in
@@ -73,7 +74,33 @@ let partition (g : Graph.kernel_graph) =
     done;
     !cycle
   in
-  (* merge adjacent LAX operators (when acyclicity allows) *)
+  (* A merge is also refused when some path of the merged component would
+     apply exponentiation twice: the piece would not be LAX (Definition
+     5.1). [depth k] is the most exponentiations on a path of members
+     ending at [k]; members come in topological order, so a member's
+     member inputs are set before it. *)
+  let depth = Array.make n 0 in
+  let too_deep ~prod ~cons =
+    let in_merged = in_merged ~prod ~cons in
+    let deep = ref false in
+    for k = 0 to n - 1 do
+      if in_merged k then begin
+        let node = g.knodes.(k) in
+        let exp =
+          match node.kop with Graph.K_prim (Op.Unary Op.Exp) -> 1 | _ -> 0
+        in
+        depth.(k) <-
+          exp
+          + List.fold_left
+              (fun d ({ node = l; _ } : Graph.tensor_ref) ->
+                if in_merged l then max d depth.(l) else d)
+              0 node.kins;
+        deep := !deep || depth.(k) > 1
+      end
+    done;
+    !deep
+  in
+  (* merge adjacent LAX operators (when acyclicity and LAX allow) *)
   Array.iteri
     (fun i (node : Graph.kernel_node) ->
       if is_op i && lax i then
@@ -83,6 +110,7 @@ let partition (g : Graph.kernel_graph) =
               is_op j && lax j
               && find parent i <> find parent j
               && not (creates_cycle ~prod:j ~cons:i)
+              && not (too_deep ~prod:j ~cons:i)
             then union parent i j)
           node.kins)
     g.knodes;

@@ -145,6 +145,10 @@ let merge snaps =
     hdrs = List.rev_map (fun n -> (n, Hashtbl.find dvals n)) !dorder;
   }
 
+let absorb t s =
+  List.iter (fun (name, v) -> add (counter t name) v) s.counters;
+  List.iter (fun (name, v) -> max_gauge (gauge t name) v) s.gauges
+
 let reset t =
   with_lock t (fun () ->
       Hashtbl.iter (fun _ c -> Atomic.set c.cv 0) t.counters;

@@ -10,8 +10,9 @@
 
     A process-wide {!default} registry exists for components with no
     natural per-run registry (the equivalence verifier, the CLI); each
-    search run also gets its own registry via [Search.Stats] so per-run
-    snapshots do not bleed into each other. *)
+    search run gets its own registry via [Search.Stats] so per-run
+    snapshots do not bleed into each other; a caller that keeps totals
+    {!absorb}s a finished run's snapshot. *)
 
 type t
 (** A registry. *)
@@ -75,6 +76,11 @@ val merge : snapshot list -> snapshot
 (** Sum counters by name, take each gauge's max and merge {!Hdr}
     snapshots of equal shape (the first-seen wins otherwise). Used to
     aggregate the per-piece search registries into one report. *)
+
+val absorb : t -> snapshot -> unit
+(** [absorb t s] adds [s]'s counters to [t]'s and raises [t]'s gauges
+    to [s]'s, by name, registering what [t] lacks ({!Hdr}s are left
+    out). *)
 
 val reset : t -> unit
 (** Zero every registered metric (registrations survive). *)

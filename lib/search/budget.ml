@@ -1,7 +1,7 @@
-(* Search-facing alias for the shared budget type (ISSUE names it
-   Search.Budget; the implementation lives in Obs so the ILP and layout
-   optimizer — which cannot depend on search — can poll the same
-   deadline). *)
+(* Search-facing alias for the shared budget type, built from a search
+   config. The implementation lives in Obs so the ILP and layout
+   optimizer, which cannot depend on search, can poll the same
+   deadline. *)
 
 include Obs.Budget
 

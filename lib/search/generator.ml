@@ -224,8 +224,7 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
   | Some ck ->
       Option.iter
         (fun (_, g) ->
-          Stats.add stats Stats.Expanded 1;
-          Stats.add stats Stats.Candidates 1;
+          Stats.add_resumed stats;
           emit g)
         (List.assoc_opt piece (Checkpoint.incumbents ck))
   | None -> ());
@@ -400,7 +399,7 @@ let generate (cfg : Config.t) ~spec ~solver ~stats ~limits ~budget ?checkpoint
   Obs.Metrics.add c_lanes (Lanes.started lanes);
   (!cands, Atomic.get exhausted, Atomic.get failures)
 
-let run ?config ?registry ?(verify_trials = 2) ?budget ?checkpoint
+let run ?config ?(verify_trials = 2) ?budget ?checkpoint
     ?(piece = 0) ?progress ~(device : Gpusim.Device.t) ~spec () =
   Obs.Profile.with_phase "search" @@ fun () ->
   let cfg =
@@ -410,7 +409,7 @@ let run ?config ?registry ?(verify_trials = 2) ?budget ?checkpoint
     match budget with Some b -> b | None -> Budget.of_config cfg
   in
   let solver = Smtlite.Solver.create ~target:(Abstract.output_exprs spec) in
-  let stats = Stats.create ?registry () in
+  let stats = Stats.create () in
   let limits = Gpusim.Device.limits device in
   (* The input program always participates, so the optimizer never
      regresses. The spec carries id -1 (no journal lifecycle of its own). *)
@@ -528,7 +527,7 @@ let run ?config ?registry ?(verify_trials = 2) ?budget ?checkpoint
     match Atomic.get incumbent with
     | None -> spec_result
     | Some (gid, (_, _, g)) ->
-        Stats.add stats Stats.Verified 1;
+        Stats.add_verified stats;
         let g =
           if cfg.Config.use_thread_fusion then Thread_fuse.fuse_kernel g else g
         in

@@ -25,8 +25,10 @@ type outcome = {
   generated : int;  (** candidate muGraphs emitted by the enumerators *)
   stats : Stats.snapshot;
   metrics : Obs.Metrics.snapshot;
-      (** full snapshot of the search's metrics registry: the funnel
-          counters plus the enumerators' per-level counters *)
+      (** full snapshot of the search's own metrics registry: the
+          enumerators' per-level counters, from which [stats] is
+          derived, plus the candidate, verified, scheduler and crash
+          counters *)
   solver : Smtlite.Solver.stats;
   budget_exhausted : bool;
   task_failures : int;
@@ -134,7 +136,6 @@ val generate :
 
 val run :
   ?config:Config.t ->
-  ?registry:Obs.Metrics.t ->
   ?verify_trials:int ->
   ?budget:Budget.t ->
   ?checkpoint:Checkpoint.t ->
@@ -159,9 +160,6 @@ val run :
     least passing candidate, whatever the worker count; [stats.verified]
     is 1 when the run holds an incumbent, 0 otherwise. The incumbent is
     thread-fused and wins if it is then strictly cheaper than the spec.
-
-    [registry] backs the search's counters (default: a fresh registry
-    per run; pass a shared one to accumulate across runs).
 
     [budget] (default: derived from the config's time/node budgets) is
     polled by the enumerators and — when threaded through {!Opt} — the

@@ -2,10 +2,10 @@
     observers (the serving tier's progress streaming). Lock-free: the
     generator writes from worker domains, an observer thread polls
     concurrently. [nodes_expanded] is monotone across reads because it
-    is read straight from the search's funnel counters, which the
-    enumerators add to in per-subtree batches: a read trails the true
-    count by at most one batch ({!Tally.batch} expansions) per
-    worker. *)
+    is derived from the search's own level counters ({!Stats.snapshot}),
+    which only grow; the enumerators add to them in batches, so a read
+    trails the true count by at most one batch ({!Tally.batch}
+    expansions) per worker. *)
 
 type t
 
@@ -17,8 +17,8 @@ val set_phase : t -> string -> unit
 val phase : t -> string
 
 val attach_stats : t -> Stats.t -> unit
-(** Wire the search's funnel counters in; until then the view reports
-    zero nodes. *)
+(** Wire the search's counters in; until then the view reports zero
+    nodes. *)
 
 val note_best : t -> float -> unit
 (** Lower the best-known candidate cost (µs); min-merged, so racing

@@ -15,79 +15,68 @@ type snapshot = {
 type t = {
   reg : M.t;
   start : float;
-  c_expanded : M.counter;
-  c_shape : M.counter;
-  c_memory : M.counter;
-  c_pruned : M.counter;
-  c_canonical : M.counter;
+  c_kernel : M.counter;
+  c_block : M.counter;
+  c_resumed : M.counter;
   c_candidates : M.counter;
   c_verified : M.counter;
-  c_duplicates : M.counter;
 }
 
-let create ?registry () =
-  let reg = match registry with Some r -> r | None -> M.create () in
+let create () =
+  let reg = M.create () in
+  let level name =
+    M.counter reg ~help:"attempted extensions"
+      (Printf.sprintf "search.%s.expanded" name)
+  in
   {
     reg;
     start = Unix.gettimeofday ();
-    c_expanded =
-      M.counter reg ~help:"extensions attempted by the enumerators"
-        "search.expanded";
-    c_shape =
-      M.counter reg ~help:"rejected: shape inference failed"
-        "search.reject.shape";
-    c_memory =
-      M.counter reg ~help:"rejected: exceeded shared memory"
-        "search.reject.memory";
-    c_pruned =
-      M.counter reg ~help:"rejected: abstract subexpression check"
-        "search.reject.pruned_abstract";
-    c_canonical =
-      M.counter reg ~help:"rejected: canonical rank order"
-        "search.reject.canonical";
+    c_kernel = level "kernel";
+    c_block = level "block";
+    c_resumed =
+      M.counter reg ~help:"incumbents resumed from a checkpoint"
+        "search.resumed";
     c_candidates =
       M.counter reg ~help:"complete muGraphs submitted to verification"
         "search.candidates";
     c_verified = M.counter reg ~help:"verified muGraphs" "search.verified";
-    c_duplicates =
-      M.counter reg ~help:"duplicate values or muGraphs" "search.duplicates";
   }
 
 let registry t = t.reg
+let add_candidates t n = if n > 0 then M.add t.c_candidates n
+let add_verified t = M.bump t.c_verified
 
-type kind =
-  | Expanded
-  | Shape
-  | Memory
-  | Pruned
-  | Canonical
-  | Candidates
-  | Verified
-  | Duplicates
+let add_resumed t =
+  M.bump t.c_resumed;
+  M.bump t.c_candidates
 
-let counter t = function
-  | Expanded -> t.c_expanded
-  | Shape -> t.c_shape
-  | Memory -> t.c_memory
-  | Pruned -> t.c_pruned
-  | Canonical -> t.c_canonical
-  | Candidates -> t.c_candidates
-  | Verified -> t.c_verified
-  | Duplicates -> t.c_duplicates
+let expanded t = M.value t.c_kernel + M.value t.c_block + M.value t.c_resumed
 
-let add t k n = if n > 0 then M.add (counter t k) n
-let expanded t = M.value t.c_expanded
-
-let snapshot t =
+let of_counters ?(elapsed_s = 0.0) counters =
+  let get name = Option.value ~default:0 (List.assoc_opt name counters) in
+  let levels suffix =
+    get ("search.kernel." ^ suffix) + get ("search.block." ^ suffix)
+  in
   {
-    expanded = M.value t.c_expanded;
-    shape_rejected = M.value t.c_shape;
-    memory_rejected = M.value t.c_memory;
-    pruned_abstract = M.value t.c_pruned;
-    canonical_rejected = M.value t.c_canonical;
-    candidates = M.value t.c_candidates;
-    verified = M.value t.c_verified;
-    duplicates = M.value t.c_duplicates;
+    expanded = levels "expanded" + get "search.resumed";
+    shape_rejected = levels "reject.shape";
+    memory_rejected = levels "reject.memory";
+    pruned_abstract = levels "reject.pruned";
+    canonical_rejected = levels "reject.canonical";
+    candidates = get "search.candidates";
+    verified = get "search.verified";
+    duplicates = levels "reject.duplicate";
+    elapsed_s;
+  }
+
+(* A flush adds expansions before rejections and candidates, so the
+   expansions are read last: a live snapshot never holds a cut whose
+   try it has not counted. *)
+let snapshot t =
+  let s = of_counters (M.snapshot t.reg).M.counters in
+  {
+    s with
+    expanded = expanded t;
     elapsed_s = Unix.gettimeofday () -. t.start;
   }
 

@@ -33,53 +33,38 @@ let of_index i =
   if i < 0 || i >= n_reasons then invalid_arg "Tally.of_index"
   else by_index.(i)
 
-(* Where a reason's batch drains: its level's [search.<name>.reject.<r>]
-   counter and, for a funnel reason, its {!Stats} kind. *)
-type sink = { counter : Obs.Metrics.counter; kind : Stats.kind option }
-
+(* A reason's [search.<name>.reject.<r>] counter. *)
 let sink reg ~name r =
-  let sink ?kind suffix help =
-    {
-      counter =
-        Obs.Metrics.counter reg ~help
-          (Printf.sprintf "search.%s.reject.%s" name suffix);
-      kind;
-    }
+  let suffix, help =
+    match r with
+    | Shape -> ("shape", "extensions whose shapes do not infer")
+    | Memory -> ("memory", "extensions over the shared-memory limit")
+    | Duplicate -> ("duplicate", "extensions recomputing an existing value")
+    | Canonical -> ("canonical", "extensions out of canonical rank order")
+    | Pruned -> ("pruned", "extensions cut by the abstract-expression check")
+    | Phase -> ("phase", "extensions with an inconsistent loop phase")
+    | Dangling ->
+        ("dangling", "accepted prefixes cut by the dangling-value bound")
+    | Unreachable ->
+        ("unreachable", "accepted prefixes cut by the goal-distance bound")
   in
-  match r with
-  | Shape ->
-      sink ~kind:Stats.Shape "shape" "extensions whose shapes do not infer"
-  | Memory ->
-      sink ~kind:Stats.Memory "memory"
-        "extensions over the shared-memory limit"
-  | Duplicate ->
-      sink ~kind:Stats.Duplicates "duplicate"
-        "extensions recomputing an existing value"
-  | Canonical ->
-      sink ~kind:Stats.Canonical "canonical"
-        "extensions out of canonical rank order"
-  | Pruned ->
-      sink ~kind:Stats.Pruned "pruned"
-        "extensions cut by the abstract-expression check"
-  | Phase -> sink "phase" "extensions with an inconsistent loop phase"
-  | Dangling ->
-      sink "dangling" "accepted prefixes cut by the dangling-value bound"
-  | Unreachable ->
-      sink "unreachable" "accepted prefixes cut by the goal-distance bound"
+  Obs.Metrics.counter reg ~help
+    (Printf.sprintf "search.%s.reject.%s" name suffix)
 
 let batch = 4096
 
 type level = {
   stats : Stats.t;
   expanded : Obs.Metrics.counter;
-  sinks : sink option array;  (* by reason index *)
+  sinks : Obs.Metrics.counter option array;  (* by reason index *)
 }
 
+(* [Stats.create] registered the level's expanded counter, so this
+   finds the handle {!Stats.expanded} sums. *)
 let level stats ~name reasons =
   let reg = Stats.registry stats in
   let expanded =
-    Obs.Metrics.counter reg ~help:"attempted extensions"
-      (Printf.sprintf "search.%s.expanded" name)
+    Obs.Metrics.counter reg (Printf.sprintf "search.%s.expanded" name)
   in
   let sinks = Array.make n_reasons None in
   List.iter (fun r -> sinks.(index r) <- Some (sink reg ~name r)) reasons;
@@ -106,22 +91,13 @@ let take a i =
   k
 
 let flush a =
-  let stats = a.lvl.stats in
   (* expansions first, so a live reader never sees a rejection whose
      attempt it has not counted *)
-  let n = take a 0 in
-  Obs.Metrics.add a.lvl.expanded n;
-  Stats.add stats Stats.Expanded n;
+  Obs.Metrics.add a.lvl.expanded (take a 0);
   Array.iteri
-    (fun i s ->
-      match s with
-      | Some { counter; kind } ->
-          let k = take a (i + 1) in
-          Obs.Metrics.add counter k;
-          Option.iter (fun kind -> Stats.add stats kind k) kind
-      | None -> ())
+    (fun i s -> Option.iter (fun c -> Obs.Metrics.add c (take a (i + 1))) s)
     a.lvl.sinks;
-  Stats.add stats Stats.Candidates a.candidates;
+  Stats.add_candidates a.lvl.stats a.candidates;
   a.candidates <- 0;
   Smtlite.Solver.flush_front a.front
 

@@ -1,9 +1,10 @@
-(** Worker-owned accounting for the enumeration: the funnel counts of
-    {!Stats}, the per-level [search.<level>.*] counters and the solver
+(** Worker-owned accounting for the enumeration: the per-level
+    [search.<level>.*] counters, the candidate count and the solver
     front's query counts, batched in plain fields of one buffer ({!acc})
     per worker and level, and a prune-check timer per subtree. It is the
-    one record of what a search cut: the profiler times phases, it does
-    not count cuts.
+    one record of what a search cut: {!Stats} derives the funnel from
+    these level counters, and the profiler times phases, it does not
+    count cuts.
 
     A worker's buffer lives in its memo of the level ({!Prefix.memo}),
     and only that worker writes it. Each subtree (a root task or a
@@ -35,8 +36,8 @@ type reason =
 (** Why an attempted extension was cut. [Phase] and [Dangling] are
     block-level structural cuts, and [Unreachable] is the goal-distance
     cut of both levels (too few operators left to build what the goal
-    still misses, see {!Prefix}). The rest are funnel rejections, also
-    counted in their {!Stats} kind. *)
+    still misses, see {!Prefix}). The rest are funnel rejections:
+    {!Stats.snapshot} sums their two levels' counters. *)
 
 val n_reasons : int
 (** [8]: the reasons' indices are [0 .. n_reasons - 1]. *)
@@ -56,9 +57,10 @@ type level
 (** One enumerator level's shared handles, resolved once per search. *)
 
 val level : Stats.t -> name:string -> reason list -> level
-(** Registers, in order, the counter [search.<name>.expanded], then per
-    reason a [search.<name>.reject.<r>] counter. Only the listed reasons
-    may be passed to {!reject}. *)
+(** Finds the counter [search.<name>.expanded] ({!Stats.create}
+    registered it for ["kernel"] and ["block"]) and registers, in order,
+    a [search.<name>.reject.<r>] counter per reason. Only the listed
+    reasons may be passed to {!reject}. *)
 
 type acc
 (** One worker's buffer for one level of one search. *)
@@ -68,7 +70,8 @@ val acc : level -> Smtlite.Solver.front -> acc
     worker's solver front. *)
 
 val flush : acc -> unit
-(** Drain the buffer into the registry and the solver's counters. *)
+(** Drain the buffer into the registry and the solver's counters: each
+    batch is added once, to its level counter. *)
 
 type t
 

@@ -524,11 +524,13 @@ let run_search t slot ~config ~device ~benchmark ~spec ~fp ~flight =
     Obs.Fault.trip "serve.search";
     let t0 = Unix.gettimeofday () in
     let o =
-      Search.Generator.run ~config
-        ~registry:(Telemetry.registry t.telemetry)
-        ~verify_trials ~budget ~progress:flight.fprogress
-        ~device ~spec ()
+      Search.Generator.run ~config ~verify_trials ~budget
+        ~progress:flight.fprogress ~device ~spec ()
     in
+    (* The search counted into its own registry; its totals join the
+       daemon's before the request is answered. *)
+    Obs.Metrics.absorb (Telemetry.registry t.telemetry)
+      o.Search.Generator.metrics;
     let wall_s = Unix.gettimeofday () -. t0 in
     let payload = result_payload ~benchmark ~device ~spec o ~wall_s in
     Obs.Journal.event "search.done"

@@ -142,20 +142,26 @@ let cache_rates snap =
 
 let uptime_s t = Unix.gettimeofday () -. t.started_at
 
-(* The search funnel, accumulated across every search this process ran
-   (the server passes its registry to [Generator.run], so the Stats
-   counters land here). *)
+(* The search funnel under its wire keys, over every search this
+   process ran: the server adds each finished search's counters to the
+   registry, and the funnel is derived from their per-level sums as
+   [Search.Stats] derives one search's. *)
+let funnel snap =
+  let s = Search.Stats.of_counters snap.Obs.Metrics.counters in
+  Search.Stats.
+    [
+      ("search.expanded", s.expanded);
+      ("search.reject.shape", s.shape_rejected);
+      ("search.reject.memory", s.memory_rejected);
+      ("search.reject.pruned_abstract", s.pruned_abstract);
+      ("search.reject.canonical", s.canonical_rejected);
+      ("search.duplicates", s.duplicates);
+      ("search.candidates", s.candidates);
+      ("search.verified", s.verified);
+    ]
+
 let funnel_counters =
-  [
-    "search.expanded";
-    "search.reject.shape";
-    "search.reject.memory";
-    "search.reject.pruned_abstract";
-    "search.reject.canonical";
-    "search.duplicates";
-    "search.candidates";
-    "search.verified";
-  ]
+  List.map fst (funnel { Obs.Metrics.counters = []; gauges = []; hdrs = [] })
 
 let has_prefix p name =
   String.length name >= String.length p && String.sub name 0 (String.length p) = p
@@ -216,9 +222,7 @@ let snapshot_json ?(extra = []) t ~in_flight () =
            ] );
        ( "search",
          J.Obj
-           (List.map
-              (fun n -> (n, J.Int (counter_value snap n)))
-              funnel_counters) );
+           (List.map (fun (n, v) -> (n, J.Int v)) (funnel snap)) );
        ( "histograms",
          J.Obj
            (List.filter_map

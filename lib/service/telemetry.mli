@@ -63,12 +63,6 @@ val cache_rates : Obs.Metrics.snapshot -> int * int * float
 (** [(hits, misses, hit_rate)] derived from the [service.cache.*]
     counters in a registry snapshot; rate is 0 when no lookups ran. *)
 
-val funnel_counters : string list
-(** The search funnel counter names surfaced in the snapshot's
-    ["search"] section ([search.expanded], the reject counters,
-    [search.candidates], [search.verified], …), accumulated across every
-    search the process ran. *)
-
 val snapshot_json :
   ?extra:(string * Obs.Jsonw.t) list -> t -> in_flight:int -> unit -> Obs.Jsonw.t
 (** The {!snapshot_schema} document: uptime, in-flight, request and

@@ -259,6 +259,15 @@ for _ in $(seq 1 25); do
 done
 grep -q '"miss": 1' /tmp/mirage_ci_svc/metrics.json
 test "$((HIT + COAL))" -eq 2
+# the daemon adds each finished search's counters to its registry: the
+# "search" section's expansions are the two levels' counters' sum
+count() { grep -o "\"$1\": [0-9]*" /tmp/mirage_ci_svc/metrics.json | head -1 | grep -o '[0-9]*$' || true; }
+EXP=$(count search.expanded)
+KEXP=$(count search.kernel.expanded)
+BEXP=$(count search.block.expanded)
+test -n "$EXP" && test -n "$KEXP" && test -n "$BEXP" \
+  && test "$EXP" -gt 0 && test "$EXP" -eq "$((KEXP + BEXP))" || {
+  echo "metrics: search.expanded $EXP is not kernel $KEXP + block $BEXP"; exit 1; }
 # the prometheus text rendering and the live status view both answer
 $CLI request metrics $REQ --prometheus | grep -q '^serve_total'
 # distributions render as summaries: no native-histogram bucket series

@@ -210,6 +210,31 @@ let test_partition_pinned () =
         (piece_lines (Mirage.Partition.partition g)))
     specs
 
+(* exp -> matmul -> exp: merging all three would put two exponentiations
+   on one path, so the last exp starts a piece of its own and every piece
+   marked LAX is LAX. *)
+let test_partition_exp_depth () =
+  let bld = Graph.Build.create () in
+  let x = Graph.Build.input bld "X" [| 4; 8 |] in
+  let w = Graph.Build.input bld "W" [| 8; 8 |] in
+  let e = prim bld (Op.Unary Op.Exp) [ x ] in
+  let m = prim bld Op.Matmul [ e; w ] in
+  let z = prim bld (Op.Unary Op.Exp) [ m ] in
+  let g = Graph.Build.finish bld ~outputs:[ z ] in
+  let p = Mirage.Partition.partition g in
+  Alcotest.(check (list (pair int bool)))
+    "two LAX pieces: exp+matmul, exp"
+    [ (2, true); (1, true) ]
+    (List.map
+       (fun (pc : Mirage.Partition.piece) ->
+         (Graph.kernel_op_count pc.Mirage.Partition.graph, pc.Mirage.Partition.lax))
+       p.Mirage.Partition.pieces);
+  List.iter
+    (fun (pc : Mirage.Partition.piece) ->
+      Alcotest.(check bool) "a LAX piece passes the LAX check" true
+        (Verify.Lax.is_lax pc.Mirage.Partition.graph))
+    p.Mirage.Partition.pieces
+
 let test_partition_rejects_scheduled () =
   let g =
     Baselines.Templates.rmsnorm_matmul_fused ~b:4 ~h:8 ~d:16 ~grid:2 ~iters:2
@@ -366,6 +391,8 @@ let () =
           Alcotest.test_case "diamond through relu" `Quick
             test_partition_diamond_through_relu;
           Alcotest.test_case "pieces pinned" `Quick test_partition_pinned;
+          Alcotest.test_case "one exp per path of a piece" `Quick
+            test_partition_exp_depth;
           Alcotest.test_case "rejects scheduled graphs" `Quick
             test_partition_rejects_scheduled;
         ] );

@@ -1025,11 +1025,39 @@ let test_funnel_invariant () =
   Alcotest.(check bool) "funnel invariant" true (Search.Stats.funnel_ok s);
   Alcotest.(check bool) "verified <= candidates" true
     (s.Search.Stats.verified <= s.Search.Stats.candidates);
-  (* the registry snapshot agrees with the fixed record *)
+  (* the fixed record is the registry's level sums, and the registry
+     holds no second record of them *)
   let counters = o.Search.Generator.metrics.Obs.Metrics.counters in
-  Alcotest.(check int) "registry mirrors snapshot"
-    s.Search.Stats.expanded
-    (List.assoc "search.expanded" counters);
+  let level l suffix =
+    Option.value ~default:0
+      (List.assoc_opt (Printf.sprintf "search.%s.%s" l suffix) counters)
+  in
+  Alcotest.(check (list int)) "snapshot is the level sums"
+    [
+      level "kernel" "expanded" + level "block" "expanded";
+      level "kernel" "reject.shape" + level "block" "reject.shape";
+      level "kernel" "reject.memory" + level "block" "reject.memory";
+      level "kernel" "reject.pruned" + level "block" "reject.pruned";
+      level "kernel" "reject.canonical" + level "block" "reject.canonical";
+      level "kernel" "reject.duplicate" + level "block" "reject.duplicate";
+      List.assoc "search.candidates" counters;
+    ]
+    Search.Stats.
+      [
+        s.expanded;
+        s.shape_rejected;
+        s.memory_rejected;
+        s.pruned_abstract;
+        s.canonical_rejected;
+        s.duplicates;
+        s.candidates;
+      ];
+  Alcotest.(check bool) "no second funnel counter" false
+    (List.exists
+       (fun (n, _) ->
+         n = "search.expanded" || n = "search.duplicates"
+         || String.starts_with ~prefix:"search.reject." n)
+       counters);
   let totals = level_totals o.Search.Generator.metrics in
   check_funnel_is_levels "2 workers: " (funnel_fields s) totals;
   let funnel (s : Search.Stats.snapshot) = { s with Search.Stats.elapsed_s = 0.0 } in

@@ -125,7 +125,6 @@ let prop_partition_sound =
           &&
           if piece.Mirage.Partition.lax then
             Verify.Lax.is_lax piece.Mirage.Partition.graph
-            || Verify.Lax.max_exp_depth piece.Mirage.Partition.graph > 1
           else true)
         p.Mirage.Partition.pieces)
 

@@ -279,13 +279,14 @@ let get_exn path j =
   in
   go j path
 
-let make_server ?(mem_capacity = 64) ?max_concurrent_searches ?cache_dir () =
+let make_server ?(mem_capacity = 64) ?max_concurrent_searches ?cache_dir
+    ?(base_config = small_config ()) () =
   let registry = Obs.Metrics.create () in
   let cache_dir =
     match cache_dir with Some d -> d | None -> tmpdir "mirage_srv_cache"
   in
   Service.Server.create ~mem_capacity ~registry ~device:Gpusim.Device.a100
-    ~base_config:(small_config ()) ?max_concurrent_searches
+    ~base_config ?max_concurrent_searches
     ~socket_path:(Filename.temp_file "mirage_sock" ".sock")
     ~cache_dir ()
 
@@ -335,6 +336,45 @@ let test_differential =
         (J.to_string (get_exn [ "result" ] cold))
         (J.to_string (get_exn [ "result" ] warm)))
     (Workloads.Bench_defs.all ())
+
+(* Each daemon search counts into its own registry. A node budget that
+   GatedMLP's search fits under alone must not be spent by an earlier
+   RMSNorm search, and the payload's [verified] must be this search's
+   own. The daemon's registry still gets every finished search's
+   counters: its funnel is the two direct runs' sum. *)
+let test_search_isolation =
+  with_reset @@ fun () ->
+  let base_config =
+    { (small_config ()) with Search.Config.node_budget = 40_000 }
+  in
+  let server = make_server ~base_config () in
+  let direct name =
+    let b = Option.get (Workloads.Bench_defs.by_name name) in
+    let spec, _ = b.Workloads.Bench_defs.reduced () in
+    let config = Search.Config.for_spec ~base:base_config spec in
+    Search.Generator.run ~config ~verify_trials:2
+      ~budget:(Search.Budget.of_config config) ~device:Gpusim.Device.a100
+      ~spec ()
+  in
+  let int_at path j = match get_exn path j with J.Int n -> n | _ -> -1 in
+  ignore (Service.Server.handle_request server (optimize_req "RMSNorm"));
+  let r = Service.Server.handle_request server (optimize_req "GatedMLP") in
+  let rms = direct "RMSNorm" and gated = direct "GatedMLP" in
+  Alcotest.(check bool) "a lone GatedMLP search fits the budget" false
+    gated.Search.Generator.budget_exhausted;
+  Alcotest.(check bool) "GatedMLP is not cut by RMSNorm's tries" false
+    (get_exn [ "result"; "budget_exhausted" ] r = J.Bool true);
+  Alcotest.(check int) "verified is the search's own"
+    gated.Search.Generator.stats.Search.Stats.verified
+    (int_at [ "result"; "verified" ] r);
+  let m =
+    Service.Server.handle_request server (J.Obj [ ("op", J.Str "metrics") ])
+  in
+  Alcotest.(check int) "the daemon's funnel sums its searches"
+    (rms.Search.Generator.stats.Search.Stats.expanded
+    + gated.Search.Generator.stats.Search.Stats.expanded)
+    (int_at [ "search"; "search.expanded" ] m);
+  Service.Server.stop server
 
 (* --- single-flight concurrency ---------------------------------------- *)
 
@@ -1429,6 +1469,8 @@ let () =
         [
           Alcotest.test_case "server == direct search, warm == cold" `Slow
             test_differential;
+          Alcotest.test_case "each search counts on its own" `Quick
+            test_search_isolation;
         ] );
       ( "concurrency",
         [
