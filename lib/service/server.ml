@@ -13,18 +13,19 @@
      graph is re-decoded; a semantically corrupt entry is quarantined
      and the request falls through to a fresh search);
    - cache miss → the request joins the single-flight table. The first
-     requester of a fingerprint runs the §4 search (under a budget, on
-     one of [max_concurrent_searches] search slots: long-lived domains,
-     each started at its slot's first search; the search fans out over
-     [num_workers] lanes, the slot's domain being lane 0); every
-     concurrent identical request blocks on the same flight and
-     receives the same result. Exactly one search runs per distinct
-     in-flight fingerprint, however many clients ask. A final result
-     goes to the cache's memory tier before the flight settles and the
-     leader answers; the slot then writes the result durably, and takes
-     no other search until it is on disk. [stop]/[wait] join the slot
-     domains after that write, so a stopped daemon leaves its answers
-     on disk, and a degraded payload is never stored.
+     requester of a fingerprint leads: it posts the §4 search (under a
+     budget) to one of [max_concurrent_searches] search slots, which
+     are long-lived domains, each started at its slot's first search;
+     the search fans out over [num_workers] lanes, the slot's domain
+     being lane 0. The flight is the one rendezvous of a miss: the
+     slot's job puts a final result in the cache's memory tier, settles
+     the flight, then writes the result durably, and takes no other
+     search until it is on disk; the leader and every concurrent
+     identical request wait on the flight through the same [await].
+     Exactly one search runs per distinct in-flight fingerprint,
+     however many clients ask. [stop]/[wait] join the slot domains
+     after that write, so a stopped daemon leaves its answers on disk,
+     and a degraded payload is never stored.
 
    The daemon is armored against overload and hostile peers
    ({!Admit}, {!Proto}):
@@ -38,7 +39,9 @@
      reaped as their connections close, not accumulated until wait;
    - a client-supplied ["deadline_ms"] caps the whole request: queue
      wait, the search budget, and a coalesced follower's wait are all
-     bounded by it, and an expired deadline answers a typed "timeout";
+     bounded by it, and a request whose deadline has passed before its
+     answer is ready is answered a typed "timeout", leader and follower
+     alike;
    - a shutdown request may carry ["drain_s"]: stop accepting, let
      in-flight searches finish for that long, then cancel their
      budgets so they wind down with best-so-far results.
@@ -52,15 +55,41 @@
 
 module J = Obs.Jsonw
 
+(* --- the one wait -------------------------------------------------------- *)
+
+(* Every wait in the daemon: [ready ()], called under [m], once it is
+   [Some], or [None] once [deadline] (absolute; 0. = none) has passed.
+   An unbounded wait blocks on [c], so whoever changes what [ready]
+   reads must broadcast [c]. OCaml's Condition has no timed wait, so a
+   bounded one polls in 5 ms slices, which is noise next to search
+   times. *)
+let await m c ~deadline ready =
+  let rec go () =
+    if deadline > 0.0 && Unix.gettimeofday () >= deadline then None
+    else
+      match ready () with
+      | Some _ as r -> r
+      | None ->
+          if deadline > 0.0 then begin
+            Mutex.unlock m;
+            Thread.delay 0.005;
+            Mutex.lock m
+          end
+          else Condition.wait c m;
+          go ()
+  in
+  Mutex.protect m go
+
 (* --- search slots -------------------------------------------------------- *)
 
 (* [max_concurrent_searches] slots, each a long-lived domain. A leader
-   takes an idle slot, posts its search there and waits for the answer
-   on a condition variable, which releases the lock of the domain the
-   handlers share. A slot's domain starts at the slot's first search and
-   runs every later one: a fresh domain per search page-faults in a new
-   minor heap each time. A job returns the slot to the idle list when it
-   ends, after the write it makes once it has answered, so the next
+   takes an idle slot and posts its search there; the job settles the
+   request's flight, and the leader waits on the flight like any
+   follower, which releases the lock of the domain the handlers share.
+   A slot's domain starts at the slot's first search and runs every
+   later one: a fresh domain per search page-faults in a new minor heap
+   each time. A job returns the slot to the idle list when it ends,
+   after the write it makes once it has settled the flight, so the next
    search on a slot never waits behind the last one's write. *)
 module Slots = struct
   type slot = {
@@ -92,43 +121,18 @@ module Slots = struct
     in
     { pm = Mutex.create (); pc = Condition.create (); idle = all; all }
 
-  let acquire p =
-    Mutex.lock p.pm;
-    while p.idle = [] do
-      Condition.wait p.pc p.pm
-    done;
-    let s = List.hd p.idle in
-    p.idle <- List.tl p.idle;
-    Mutex.unlock p.pm;
-    s
+  (* An idle slot, or None when [deadline] passed first: an expired
+     deadline never takes a slot, since the caller owes its client a
+     typed timeout, not a search. *)
+  let acquire p ~deadline =
+    await p.pm p.pc ~deadline (fun () ->
+        match p.idle with
+        | s :: rest ->
+            p.idle <- rest;
+            Some s
+        | [] -> None)
 
-  (* Deadline-bounded acquire: the slot, or None when [deadline]
-     (absolute; 0. = none) passed first. OCaml's Condition has no timed
-     wait, so the bounded path polls in short slices — the queue-wait
-     granularity (5 ms) is noise next to search times. *)
-  let acquire_until p ~deadline =
-    if deadline <= 0.0 then Some (acquire p)
-    else
-      let rec go () =
-        (* an already-expired deadline never takes a slot: the caller
-           owes its client a typed timeout, not a search *)
-        if Unix.gettimeofday () >= deadline then None
-        else begin
-          Mutex.lock p.pm;
-          match p.idle with
-          | s :: rest ->
-              p.idle <- rest;
-              Mutex.unlock p.pm;
-              Some s
-          | [] ->
-              Mutex.unlock p.pm;
-              Thread.delay 0.005;
-              go ()
-        end
-      in
-      go ()
-
-  (* broadcast: [retire] waits for one slot in particular *)
+  (* broadcast: [each] waits for one slot in particular *)
   let release p s =
     Mutex.lock p.pm;
     p.idle <- s :: p.idle;
@@ -136,18 +140,18 @@ module Slots = struct
     Mutex.unlock p.pm
 
   let rec serve s =
-    Mutex.lock s.m;
-    while s.job = None && not s.quit do
-      Condition.wait s.c s.m
-    done;
-    let job = s.job in
-    s.job <- None;
-    Mutex.unlock s.m;
-    match job with
-    | Some f ->
+    let next () =
+      match s.job with
+      | Some f ->
+          s.job <- None;
+          Some (`Run f)
+      | None -> if s.quit then Some `Quit else None
+    in
+    match await s.m s.c ~deadline:0.0 next with
+    | Some (`Run f) ->
         f ();
         serve s
-    | None -> ()
+    | Some `Quit | None -> ()
 
   (* Run [f] on the held slot [s]'s domain, starting the domain at the
      slot's first job; the slot is released when [f] returns. [f] must
@@ -175,12 +179,13 @@ module Slots = struct
   let each p f =
     List.iter
       (fun s ->
-        Mutex.lock p.pm;
-        while not (List.memq s p.idle) do
-          Condition.wait p.pc p.pm
-        done;
-        p.idle <- List.filter (fun s' -> s' != s) p.idle;
-        Mutex.unlock p.pm;
+        ignore
+          (await p.pm p.pc ~deadline:0.0 (fun () ->
+               if List.memq s p.idle then begin
+                 p.idle <- List.filter (fun s' -> s' != s) p.idle;
+                 Some ()
+               end
+               else None));
         Fun.protect ~finally:(fun () -> release p s) (fun () -> f s))
       p.all
 
@@ -277,7 +282,6 @@ type t = {
   c_wire_timeout : Obs.Metrics.counter;
   c_wire_torn : Obs.Metrics.counter;
   telemetry : Telemetry.t;
-  mutable in_flight : int;
 }
 
 let payload_schema = "mirage.service.payload.v1"
@@ -330,7 +334,6 @@ let create ?(mem_capacity = 64) ?(registry = Obs.Metrics.default ())
         "connections dropped by a frame or idle deadline";
     c_wire_torn = c "service.wire.torn" "connections that died mid-frame";
     telemetry = Telemetry.create ~registry ();
-    in_flight = 0;
   }
 
 let telemetry t = t.telemetry
@@ -501,19 +504,30 @@ let payload_valid payload =
       | Ok _ -> Ok ()
       | Error m -> Error (Printf.sprintf "best.graph does not decode: %s" m))
 
-(* Run the search on the held slot and wait for its payload, or for
-   what it raised. The slot's job runs under the request's journal
-   context and profile base. Once it has answered, the job writes a
-   final payload durably. A read that comes meanwhile is a hit: the
-   leader puts a final payload in the memory tier before it settles the
-   flight. *)
+(* Publish a flight's outcome and retire it from the table: later
+   requests for the same fingerprint hit the cache (or start afresh)
+   instead. The flight leaves the table before anyone can wake on its
+   outcome, so a request that has its answer never sees its flight. *)
+let settle_flight t fp flight outcome =
+  Mutex.protect t.lock (fun () -> Hashtbl.remove t.flights fp);
+  Mutex.protect flight.fm (fun () ->
+      flight.result <- Some outcome;
+      Condition.broadcast flight.fc)
+
+let search_failed e =
+  Failed (internal (Printf.sprintf "search failed: %s" (Printexc.to_string e)))
+
+(* Post the search to the held slot. The slot's job runs under the
+   request's journal context and profile base, and settles the flight:
+   it runs the search, puts a final payload in the memory tier, settles
+   the flight with the payload (or what the search raised), and only
+   then writes a final payload durably. A read that comes meanwhile is
+   a hit from the memory tier. *)
 let run_search t slot ~config ~device ~benchmark ~spec ~fp ~flight =
   Obs.Metrics.bump t.c_searches;
   let budget = Search.Budget.of_config config in
   Atomic.set flight.fbudget (Some budget);
   let under = Search.Generator.capture () in
-  let rm = Mutex.create () and rc = Condition.create () in
-  let answer = ref None in
   let search () =
     Obs.Journal.event "search.start"
       [
@@ -543,28 +557,54 @@ let run_search t slot ~config ~device ~benchmark ~spec ~fp ~flight =
           | Some v -> v
           | None -> J.Null );
       ];
+    if payload_final payload then Cache.remember t.cache fp payload;
     payload
   in
   Slots.post t.slots slot (fun () ->
       under (fun () ->
-          let r =
-            match search () with
-            | payload -> Ok payload
-            | exception e -> Error e
-          in
-          Mutex.protect rm (fun () ->
-              answer := Some r;
-              Condition.signal rc);
-          match r with
-          | Ok payload when payload_final payload -> Cache.store t.cache fp payload
-          | Ok _ | Error _ -> ()));
-  Mutex.lock rm;
-  while !answer = None do
-    Condition.wait rc rm
-  done;
-  let r = Option.get !answer in
-  Mutex.unlock rm;
-  match r with Ok payload -> payload | Error e -> raise e
+          match search () with
+          | payload ->
+              settle_flight t fp flight (Done payload);
+              if payload_final payload then Cache.store t.cache fp payload
+          | exception e -> settle_flight t fp flight (search_failed e)))
+
+(* The leader's part of a miss: admit its search into the bounded slot
+   queue (followers ride its slot and never count against the queue
+   depth), take a slot and post the search there, whose job settles the
+   flight. Whatever stops the leader first settles the flight here.
+   Returns the time the search was posted, if it was. *)
+let lead t ~sample ~deadline ~config ~device ~benchmark ~spec ~fp flight =
+  let fail outcome =
+    settle_flight t fp flight outcome;
+    None
+  in
+  match Admit.try_queue t.admit with
+  | Admit.Rejected r -> fail (Failed (of_admit r))
+  | Admit.Admitted -> (
+      match
+        Telemetry.time_stage sample "queue_wait" (fun () ->
+            Fun.protect
+              ~finally:(fun () -> Admit.queue_done t.admit)
+              (fun () -> Slots.acquire t.slots ~deadline))
+      with
+      | None ->
+          fail
+            (Failed
+               (timeout_reject "deadline expired while queued for a search slot"))
+      | Some slot -> (
+          match cap_config_to_deadline config ~deadline with
+          | None ->
+              Slots.release t.slots slot;
+              fail
+                (Failed
+                   (timeout_reject "deadline expired before the search started"))
+          | Some config -> (
+              let t0 = Unix.gettimeofday () in
+              match
+                run_search t slot ~config ~device ~benchmark ~spec ~fp ~flight
+              with
+              | () -> Some t0
+              | exception e -> fail (search_failed e))))
 
 (* --- single flight ---------------------------------------------------- *)
 
@@ -644,18 +684,6 @@ let stream_progress ~rid ~interval_s ~push flight f =
           Thread.join th)
         f
 
-(* Publish a flight's outcome and retire it from the table: later
-   requests for the same fingerprint hit the cache (or start afresh)
-   instead. *)
-let settle_flight t fp flight outcome =
-  Mutex.lock flight.fm;
-  flight.result <- Some outcome;
-  Condition.broadcast flight.fc;
-  Mutex.unlock flight.fm;
-  Mutex.lock t.lock;
-  Hashtbl.remove t.flights fp;
-  Mutex.unlock t.lock
-
 (* Returns (fingerprint, payload, cached, coalesced, served_by): the
    sample accumulates stage timings (cache probe, queue wait, search)
    and [served_by] is the leader's request id when this request was
@@ -734,127 +762,58 @@ let optimize t ~rid ~(sample : Telemetry.sample) ?push ?(interval_s = 0.1)
               Ok (fp, payload, true, false, None)
           | `Flight (flight, creator) -> (
               Obs.Journal.event "cache.miss" [ ("fingerprint", J.Str fp) ];
-              if creator then begin
-                (* the leader admits its search into the bounded slot
-                   queue; followers ride the leader's slot and are
-                   never counted against the queue depth *)
-                match Admit.try_queue t.admit with
-                | Admit.Rejected r ->
-                    let rej = of_admit r in
-                    settle_flight t fp flight (Failed rej);
-                    Error rej
-                | Admit.Admitted ->
-                    let outcome =
-                      stream_progress ~rid ~interval_s ~push flight (fun () ->
-                          let slot =
-                            Telemetry.time_stage sample "queue_wait" (fun () ->
-                                Fun.protect
-                                  ~finally:(fun () -> Admit.queue_done t.admit)
-                                  (fun () ->
-                                    Slots.acquire_until t.slots ~deadline))
-                          in
-                          match slot with
-                          | None ->
-                              Failed
-                                (timeout_reject
-                                   "deadline expired while queued for a search \
-                                    slot")
-                          | Some slot -> (
-                              match cap_config_to_deadline config ~deadline with
-                              | None ->
-                                  Slots.release t.slots slot;
-                                  Failed
-                                    (timeout_reject
-                                       "deadline expired before the search \
-                                        started")
-                              | Some config -> (
-                                  match
-                                    Telemetry.time_stage sample "search"
-                                      (fun () ->
-                                        run_search t slot ~config ~device
-                                          ~benchmark ~spec ~fp ~flight)
-                                  with
-                                  | payload ->
-                                      if payload_final payload then
-                                        Cache.remember t.cache fp payload;
-                                      Done payload
-                                  | exception e ->
-                                      Failed
-                                        (internal
-                                           (Printf.sprintf "search failed: %s"
-                                              (Printexc.to_string e))))))
-                    in
-                    (* followers (each with its own deadline) get what the
-                       search made; the leader owes its client a timeout
-                       once its own deadline has passed, even when the
-                       complete result was stored *)
-                    settle_flight t fp flight outcome;
-                    (match outcome with
-                    | Done _
-                      when deadline > 0.0 && Unix.gettimeofday () >= deadline
-                      ->
-                        Error
-                          (timeout_reject
-                             "deadline expired during the search")
-                    | Done payload ->
-                        Telemetry.set_outcome sample "miss";
-                        Ok (fp, payload, false, false, None)
-                    | Failed r -> Error r)
-              end
-              else begin
+              if not creator then begin
                 Obs.Metrics.bump t.c_coalesced;
                 Obs.Journal.event "request.coalesced"
                   [
                     ("fingerprint", J.Str fp);
                     ("leader_rid", J.Str flight.leader_rid);
-                  ];
-                let outcome =
-                  stream_progress ~rid ~interval_s ~push flight (fun () ->
-                      if deadline <= 0.0 then begin
-                        Mutex.lock flight.fm;
-                        while flight.result = None do
-                          Condition.wait flight.fc flight.fm
-                        done;
-                        let outcome = Option.get flight.result in
-                        Mutex.unlock flight.fm;
-                        Some outcome
-                      end
-                      else
-                        (* a deadline-carrying follower must not block
-                           past it, however long the leader runs *)
-                        let rec poll () =
-                          Mutex.lock flight.fm;
-                          let r = flight.result in
-                          Mutex.unlock flight.fm;
-                          match r with
-                          | Some o -> Some o
-                          | None ->
-                              if Unix.gettimeofday () >= deadline then None
-                              else begin
-                                Thread.delay 0.005;
-                                poll ()
-                              end
-                        in
-                        poll ())
-                in
-                match outcome with
-                | Some (Done payload) ->
-                    Telemetry.set_outcome sample "coalesced";
-                    Ok (fp, payload, false, true, Some flight.leader_rid)
-                | Some (Failed r) -> Error r
-                | None ->
-                    Error
-                      (timeout_reject
-                         "deadline expired waiting for the in-flight search")
-              end)))
+                  ]
+              end;
+              (* The leader waits without a bound, so its flight is
+                 retired before it answers; its search is capped to its
+                 deadline. A follower must not wait past its own. *)
+              let outcome =
+                stream_progress ~rid ~interval_s ~push flight (fun () ->
+                    let posted =
+                      if creator then
+                        lead t ~sample ~deadline ~config ~device ~benchmark
+                          ~spec ~fp flight
+                      else None
+                    in
+                    let outcome =
+                      await flight.fm flight.fc
+                        ~deadline:(if creator then 0.0 else deadline)
+                        (fun () -> flight.result)
+                    in
+                    Option.iter
+                      (fun t0 ->
+                        Telemetry.add_stage sample "search"
+                          (Unix.gettimeofday () -. t0))
+                      posted;
+                    outcome)
+              in
+              (* one rule for leader and followers: what the search made
+                 after this request's deadline is a timeout, even when
+                 the complete result was stored *)
+              match outcome with
+              | Some (Done _)
+                when deadline > 0.0 && Unix.gettimeofday () >= deadline ->
+                  Error (timeout_reject "deadline expired during the search")
+              | Some (Done payload) ->
+                  Telemetry.set_outcome sample
+                    (if creator then "miss" else "coalesced");
+                  let served_by =
+                    if creator then None else Some flight.leader_rid
+                  in
+                  Ok (fp, payload, false, not creator, served_by)
+              | Some (Failed r) -> Error r
+              | None ->
+                  Error
+                    (timeout_reject
+                       "deadline expired waiting for the in-flight search"))))
 
 (* --- dispatch ---------------------------------------------------------- *)
-
-let current_in_flight t =
-  Mutex.lock t.lock;
-  let n = t.in_flight in
-  Mutex.unlock t.lock;
-  n
 
 let handler_count t =
   Mutex.lock t.lock;
@@ -884,7 +843,7 @@ let status_json t =
       ("searches", J.Int (Obs.Metrics.value t.c_searches));
       ("coalesced", J.Int (Obs.Metrics.value t.c_coalesced));
       ("errors", J.Int (Obs.Metrics.value t.c_errors));
-      ("in_flight", J.Int (current_in_flight t));
+      ("in_flight", J.Int (handler_count t));
       ("admit", Admit.status_json t.admit);
       ( "cache",
         J.Obj
@@ -929,7 +888,7 @@ let metrics_json t req =
         ]
       in
       Telemetry.snapshot_json ~extra t.telemetry
-        ~in_flight:(current_in_flight t) ()
+        ~in_flight:(handler_count t) ()
 
 (* Closing a listening socket does not wake a thread blocked in
    accept(2) on it, so stopping takes two steps: shutdown(2) the
@@ -993,7 +952,8 @@ let shutdown ?drain_s t =
 (* Dispatch one (rid-carrying) request, accumulating stage timings and
    the outcome into [sample]. Every journal event emitted below this
    point — including from search worker domains, which inherit the
-   context — carries the rid, and the response echoes it. *)
+   context — carries the rid, and the response echoes it. What raises
+   is answered as a typed [internal] error. *)
 let dispatch t ~rid ~(sample : Telemetry.sample) ?push req =
   Obs.Metrics.bump t.c_requests;
   let op = Telemetry.sample_op sample in
@@ -1010,56 +970,57 @@ let dispatch t ~rid ~(sample : Telemetry.sample) ?push req =
     error_json r
   in
   let resp =
-    match op with
-    | "optimize" -> (
-        (* progress streaming is strictly opt-in: without
-           ["progress": true] the connection carries exactly one frame,
-           byte-identical to the pre-progress protocol *)
-        let push =
-          match J.member "progress" req with
-          | Some (J.Bool true) -> push
-          | _ -> None
-        in
-        let interval_s =
-          match float_field "progress_interval_ms" req with
-          | Some ms when ms > 0.0 -> ms /. 1e3
-          | _ -> 0.1
-        in
-        let deadline =
-          match float_field "deadline_ms" req with
-          | Some ms when ms > 0.0 -> t0 +. (ms /. 1e3)
-          | _ -> 0.0
-        in
-        match optimize t ~rid ~sample ?push ~interval_s ~deadline req with
-        | Ok (fp, payload, cached, coalesced, served_by) ->
-            (match J.member "degraded" payload with
-            | Some (J.List (_ :: _)) -> Telemetry.set_degraded sample
-            | _ -> ());
-            J.Obj
-              ([
-                 ("status", J.Str "ok");
-                 ("fingerprint", J.Str fp);
-                 ("cached", J.Bool cached);
-                 ("coalesced", J.Bool coalesced);
-               ]
-              @ (match served_by with
-                | Some leader -> [ ("served_by", J.Str leader) ]
-                | None -> [])
-              @ [ ("result", payload) ])
-        | Error r -> reject_resp r
-        | exception e -> reject_resp (internal (Printexc.to_string e)))
-    | "status" -> status_json t
-    | "metrics" -> metrics_json t req
-    | "shutdown" ->
-        let drain_s = float_field "drain_s" req in
-        shutdown ?drain_s t;
-        J.Obj
-          ([ ("status", J.Str "ok"); ("stopping", J.Bool true) ]
-          @
-          match drain_s with
-          | Some s -> [ ("drain_s", J.Float s) ]
-          | None -> [])
-    | other -> reject_resp (bad_request (Printf.sprintf "unknown op %S" other))
+    try
+      match op with
+      | "optimize" -> (
+          (* progress streaming is strictly opt-in: without
+             ["progress": true] the connection carries exactly one frame,
+             byte-identical to the pre-progress protocol *)
+          let push =
+            match J.member "progress" req with
+            | Some (J.Bool true) -> push
+            | _ -> None
+          in
+          let interval_s =
+            match float_field "progress_interval_ms" req with
+            | Some ms when ms > 0.0 -> ms /. 1e3
+            | _ -> 0.1
+          in
+          let deadline =
+            match float_field "deadline_ms" req with
+            | Some ms when ms > 0.0 -> t0 +. (ms /. 1e3)
+            | _ -> 0.0
+          in
+          match optimize t ~rid ~sample ?push ~interval_s ~deadline req with
+          | Ok (fp, payload, cached, coalesced, served_by) ->
+              (match J.member "degraded" payload with
+              | Some (J.List (_ :: _)) -> Telemetry.set_degraded sample
+              | _ -> ());
+              J.Obj
+                ([
+                   ("status", J.Str "ok");
+                   ("fingerprint", J.Str fp);
+                   ("cached", J.Bool cached);
+                   ("coalesced", J.Bool coalesced);
+                 ]
+                @ (match served_by with
+                  | Some leader -> [ ("served_by", J.Str leader) ]
+                  | None -> [])
+                @ [ ("result", payload) ])
+          | Error r -> reject_resp r)
+      | "status" -> status_json t
+      | "metrics" -> metrics_json t req
+      | "shutdown" ->
+          let drain_s = float_field "drain_s" req in
+          shutdown ?drain_s t;
+          J.Obj
+            ([ ("status", J.Str "ok"); ("stopping", J.Bool true) ]
+            @
+            match drain_s with
+            | Some s -> [ ("drain_s", J.Float s) ]
+            | None -> [])
+      | other -> reject_resp (bad_request (Printf.sprintf "unknown op %S" other))
+    with e -> reject_resp (internal (Printexc.to_string e))
   in
   let resp =
     match resp with
@@ -1076,32 +1037,31 @@ let dispatch t ~rid ~(sample : Telemetry.sample) ?push req =
     ];
   resp
 
-let begin_sample req =
+(* The one request path, in-process and socket alike: mint or keep the
+   request id, dispatch under it, hand the answer to [reply] (the
+   socket's frame write, timed as the [serialize] stage: the one cost a
+   cached answer still pays), then fold the sample in. *)
+let serve_request ?push ?reply t req =
   let req, rid = Reqid.ensure req in
   let op = match str_field "op" req with Some s -> s | None -> "" in
-  (req, rid, Telemetry.start ~op)
-
-let handle_request ?push t req =
-  let req, rid, sample = begin_sample req in
+  let sample = Telemetry.start ~op in
   Obs.Journal.with_context
     [ ("rid", J.Str rid) ]
     (fun () ->
       let resp = dispatch t ~rid ~sample ?push req in
+      Option.iter
+        (fun reply -> Telemetry.time_stage sample "serialize" (fun () -> reply resp))
+        reply;
       Telemetry.finish t.telemetry sample;
       resp)
+
+let handle_request ?push t req = serve_request ?push t req
 
 (* --- connection handling ----------------------------------------------- *)
 
 let handle_conn t fd =
-  Mutex.lock t.lock;
-  t.in_flight <- t.in_flight + 1;
-  Mutex.unlock t.lock;
   Fun.protect
-    ~finally:(fun () ->
-      Mutex.lock t.lock;
-      t.in_flight <- t.in_flight - 1;
-      Mutex.unlock t.lock;
-      try Unix.close fd with _ -> ())
+    ~finally:(fun () -> try Unix.close fd with _ -> ())
     (fun () ->
       match Admit.try_conn t.admit with
       | Admit.Rejected r ->
@@ -1116,28 +1076,14 @@ let handle_conn t fd =
               ?timeout_s:(frame_tmo t) fd
           with
           | req ->
-              let req, rid, sample = begin_sample req in
-              Obs.Journal.with_context
-                [ ("rid", J.Str rid) ]
-                (fun () ->
-                  let push frame =
-                    Proto.write_frame ?timeout_s:(frame_tmo t) fd frame
-                  in
-                  let resp =
-                    match dispatch t ~rid ~sample ~push req with
-                    | r -> r
-                    | exception e ->
-                        Telemetry.set_outcome sample "error";
-                        Obs.Metrics.bump t.c_errors;
-                        error_json (internal (Printexc.to_string e))
-                  in
-                  (* the serialize stage is the frame write: the one cost a
-                     cached answer still pays *)
-                  (try
-                     Telemetry.time_stage sample "serialize" (fun () ->
-                         Proto.write_frame ?timeout_s:(frame_tmo t) fd resp)
-                   with _ -> () (* client went away; its loss *));
-                  Telemetry.finish t.telemetry sample)
+              let write frame =
+                Proto.write_frame ?timeout_s:(frame_tmo t) fd frame
+              in
+              ignore
+                (serve_request ~push:write
+                   ~reply:(fun resp ->
+                     try write resp with _ -> () (* client went away *))
+                   t req)
           | exception End_of_file -> () (* clean close, no frame *)
           | exception Proto.Timed_out what ->
               (* slowloris or stalled peer: typed timeout (best effort),

@@ -35,8 +35,8 @@
     ({!Proto}), so a slowloris peer is disconnected after
     [frame_timeout_s] and its handler thread reaped; a client-supplied
     ["deadline_ms"] bounds the whole request — queue wait, search
-    budget, coalesced wait — and answers a typed ["timeout"] when it
-    expires. Error responses always carry ["error"] (the machine-
+    budget, coalesced wait — and a request, leader or follower, whose
+    answer is not ready by it is answered a typed ["timeout"]. Error responses always carry ["error"] (the machine-
     readable kind: [bad_request], [overloaded], [timeout], [bad_frame],
     [internal]) next to the human ["message"].
 
@@ -85,10 +85,13 @@ val admit : t -> Admit.t
 val handle_request :
   ?push:(Obs.Jsonw.t -> unit) -> t -> Obs.Jsonw.t -> Obs.Jsonw.t
 (** Dispatch one request in the calling thread — the in-process entry
-    point the tests use; the socket path goes through it too. [push]
-    receives interleaved {!Proto.progress_frame} events while an
-    optimize request that opted in (["progress": true]) has a search in
-    flight; it is never called after [handle_request] returns. *)
+    point the tests use. A socket request takes the same path, which
+    adds only the frame write of the answer (timed as the [serialize]
+    stage). A request whose handling raises is answered a typed
+    [internal] error. [push] receives interleaved
+    {!Proto.progress_frame} events while an optimize request that opted
+    in (["progress": true]) has a search in flight; it is never called
+    after [handle_request] returns. *)
 
 val start : t -> unit
 (** Bind the socket and start the accept loop in a background thread. *)
@@ -100,15 +103,15 @@ val wait : t -> unit
 
 val stop : t -> unit
 (** Close the listener, mark the daemon stopping, and join the
-    search-slot domains, each once its search under way has answered
-    and made its write durable. A search asked for later, through
+    search-slot domains, each once its search under way has settled its
+    flight and made its write durable. A search asked for later, through
     {!handle_request}, starts a slot afresh. *)
 
 val drain_writes : t -> unit
 (** Block until every search slot is idle: each search under way has
-    answered, and its result is on disk. A miss is
-    answered before its write is durable, so a caller that reads the
-    cache directory right after one calls this first. *)
+    settled its flight, and its result is on disk. A miss is answered
+    once its flight settles, before its write is durable, so a caller
+    that reads the cache directory right after one calls this first. *)
 
 val shutdown : ?drain_s:float -> t -> unit
 (** {!stop}, plus an optional graceful drain: give in-flight searches
@@ -119,7 +122,9 @@ val shutdown : ?drain_s:float -> t -> unit
 val handler_count : t -> int
 (** Live connection-handler threads. Handlers are reaped as their
     connections close, so this returns to 0 on an idle daemon — the
-    leak-freedom assertion the torture test makes. *)
+    leak-freedom assertion the torture test makes. The [status] answer
+    and the metrics snapshot report it as ["in_flight"], which over the
+    socket counts the asking connection too. *)
 
 val flight_count : t -> int
 (** Distinct searches currently in flight (single-flight table size). *)

@@ -284,6 +284,16 @@ $CLI request rmsnorm --socket /tmp/mirage_ci_svc/s.sock \
   > /tmp/mirage_ci_svc/r_prog.json 2> /tmp/mirage_ci_svc/progress.log
 grep -q 'nodes' /tmp/mirage_ci_svc/progress.log
 grep -q '"cached": false' /tmp/mirage_ci_svc/r_prog.json
+# the idle daemon's live-connection count is the status request's own;
+# earlier handlers are reaped just after their replies, so retry briefly
+for _ in $(seq 1 25); do
+  $CLI request status $REQ > /tmp/mirage_ci_svc/status.json
+  grep -q '"in_flight": 1,' /tmp/mirage_ci_svc/status.json && break
+  sleep 0.2
+done
+grep -q '"in_flight": 1,' /tmp/mirage_ci_svc/status.json || {
+  echo "status on an idle daemon: $(grep '"in_flight"' /tmp/mirage_ci_svc/status.json), not 1"
+  exit 1; }
 # clean shutdown: daemon exits, socket removed, journal agrees on two
 # searches (the coalesced trio's one + the progress request's cold one)
 $CLI request shutdown $REQ >/dev/null

@@ -24,7 +24,15 @@ let applicable_moves ~lax_only tensors =
     let si = shape i in
     add (Op.Unary Op.Sqr) [ i ];
     add (Op.Unary Op.Exp) [ i ];
-    if not lax_only then add (Op.Unary Op.Relu) [ i ];
+    if not lax_only then begin
+      add (Op.Unary Op.Relu) [ i ];
+      (* Exp drawn four times as often, so that a LAX path applying it
+         twice (which the partitioner must split) is common: at equal
+         weight about one graph in 300 had one *)
+      for _ = 1 to 3 do
+        add (Op.Unary Op.Exp) [ i ]
+      done
+    end;
     add (Op.Unary Op.Sqrt) [ i ];
     add Op.Transpose [ i ];
     Array.iteri
@@ -48,7 +56,8 @@ let applicable_moves ~lax_only tensors =
   !moves
 
 (* Build a random graph with [n_inputs] inputs and [n_ops] operators.
-   [exp_budget]: at most one Exp is inserted so the graph stays LAX. *)
+   With [lax_only], at most one Exp is inserted so the graph stays LAX;
+   without it, Exp may repeat, so a path can apply it twice. *)
 let gen_graph ?(lax_only = true) () =
   let open QCheck2.Gen in
   let* n_inputs = int_range 1 3 in
@@ -70,7 +79,7 @@ let gen_graph ?(lax_only = true) () =
         applicable_moves ~lax_only !tensors
         |> List.filter (fun (p, _) ->
                match p with
-               | Op.Unary Op.Exp -> not !exp_used
+               | Op.Unary Op.Exp -> not (lax_only && !exp_used)
                | _ -> true)
       in
       match moves with

@@ -1293,6 +1293,55 @@ let test_deadline_during_search =
     (match J.member "error" r with Some (J.Str s) -> s | _ -> "?");
   Alcotest.(check int) "flight retired" 0 (Service.Server.flight_count server)
 
+(* A coalesced follower's wait is bounded by its own deadline, however
+   long the leader's search runs: the reduced RMSNorm search at eight
+   block ops runs into its 0.5 s budget, the follower is answered a
+   typed timeout while it goes on, and the leader, which set no
+   deadline, is still answered by that one search. *)
+let test_follower_deadline =
+  with_reset @@ fun () ->
+  let server = make_server () in
+  let req extra =
+    J.Obj
+      ([
+         ("op", J.Str "optimize");
+         ("benchmark", J.Str "rmsnorm");
+         ("max_block_ops", J.Int 8);
+         ("budget_s", J.Float 0.5);
+       ]
+      @ extra)
+  in
+  let (leader, follower, waited), events =
+    journaled (fun () ->
+        let leader =
+          Domain.spawn (fun () -> Service.Server.handle_request server (req []))
+        in
+        let t_end = Unix.gettimeofday () +. 5.0 in
+        while
+          Service.Server.flight_count server = 0
+          && Unix.gettimeofday () < t_end
+        do
+          Unix.sleepf 0.001
+        done;
+        let t0 = Unix.gettimeofday () in
+        let follower =
+          Service.Server.handle_request server
+            (req [ ("deadline_ms", J.Float 50.0) ])
+        in
+        let waited = Unix.gettimeofday () -. t0 in
+        (Domain.join leader, follower, waited))
+  in
+  Alcotest.(check int) "the follower joined the leader's flight" 1
+    (count_events events "request.coalesced");
+  Alcotest.(check string) "the follower's typed timeout" "timeout"
+    (match J.member "error" follower with Some (J.Str s) -> s | _ -> "?");
+  Alcotest.(check bool)
+    (Printf.sprintf "the follower answered in %.3f s, under 0.3 s" waited)
+    true (waited < 0.3);
+  Alcotest.(check string) "the leader ok" "ok" (status leader);
+  Alcotest.(check int) "one search" 1 (count_events events "search.start");
+  Service.Server.stop server
+
 (* The fingerprint excludes budget and deadline, so a degraded answer
    must not be stored: a request whose tiny budget cuts its search is
    answered degraded, and the same spec asked again without a budget is
@@ -1531,6 +1580,8 @@ let () =
             test_deadline_timeout;
           Alcotest.test_case "deadline passed mid-search: typed timeout" `Quick
             test_deadline_during_search;
+          Alcotest.test_case "a follower's deadline bounds its wait" `Quick
+            test_follower_deadline;
           Alcotest.test_case "degraded answer not cached" `Slow
             test_degraded_not_cached;
           Alcotest.test_case "startup recovery sweeps crash residue" `Quick
